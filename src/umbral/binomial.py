@@ -210,6 +210,8 @@ def geometric_instance() -> AsymptoticInstance:
 
     def exact_value(s: int, x: Fraction) -> Fraction:
         # c_k = binom(s, k)(-1)^k (s-1)_k from (y/f)^s = (1-y)^s
+        if s == 0:
+            return Fraction(1)
         acc = Fraction(0)
         power = x**s
         for k in range(s):
@@ -307,6 +309,8 @@ def asym_compare(
         raise EvaluationDomain(f"alpha={alpha} outside documented radius {inst.radius}")
     if level not in (0, 1, 2, 3):
         raise EvaluationDomain("level must be 0..3")
+    if any(s < 1 for s in s_values):
+        raise EvaluationDomain("the expansion needs indices s >= 1")
     rows = []
     residuals = []
     with localcontext() as ctx:

@@ -57,12 +57,17 @@ def parse_params(text: str) -> dict:
 
 def default_order() -> int:
     env = os.environ.get("UMBRAL_ORDER")
-    return int(env) if env else 16
+    if not env:
+        return 16
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"UMBRAL_ORDER must be an integer, got {env!r}") from None
 
 
 def build_config(args) -> RunConfig:
     cfg = RunConfig(
-        order=args.order,
+        order=default_order() if args.order is None else args.order,
         seed=args.seed,
         samples=args.samples,
         fmt=args.format,
@@ -267,7 +272,8 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--order", type=int, default=default_order())
+        # None: resolved by build_config, inside main's error handling
+        p.add_argument("--order", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=5)
         p.add_argument("--params", default="")

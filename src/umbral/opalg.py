@@ -4,8 +4,11 @@ An OpMatrix holds the (nw+1) x (nw+1) matrix of an operator T, with
 ``mat[m][n]`` the coefficient of x^m in T.x^n, together with two pieces of
 truncation bookkeeping:
 
-* ``raised`` — an upper bound on the degree increase of T (smallest r with
-  mat[m][n] == 0 whenever m > n + r);
+* ``raised`` — an upper bound r on the degree increase of T, guaranteed on
+  the reliable columns only: mat[m][n] == 0 whenever m > n + r and
+  n <= reliable.  The builders bound every column, but bar() looks at the
+  reliable columns alone, so no code may rely on it beyond them (products
+  keep the guarantee, because their reliable block shrinks by the raise);
 * ``reliable`` — the largest column index whose entries are guaranteed
   unaffected by truncation loss.  Degree-raising factors push information
   past the matrix edge, so products shrink this: for C = A.B,
@@ -21,6 +24,7 @@ matrices bar reverses products: bar(T1 T2) = bar(T2) bar(T1).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -31,7 +35,7 @@ from .errors import (
     OrderExhausted,
     ReliabilityExhausted,
 )
-from .series import TruncSeries, as_rat
+from .series import TruncSeries, _over_common_den, as_rat
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -242,23 +246,27 @@ class OpMatrix:
         return OpMatrix([[c * v for v in row] for row in self.mat], self.nw, self.raised, self.reliable)
 
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
-        """Operator composition self . other (self applied second)."""
+        """Operator composition self . other (self applied second).
+
+        Fraction-free: each row of self sits over the lcm of its
+        denominators and each column of other over its own, so the inner
+        loop adds plain integer products and one Fraction is built per
+        nonzero entry.  The sparse rows skip every zero, which is what makes
+        triangular and banded factors cheap.
+        """
         self._check_shape(other)
-        n = self.nw + 1
-        a, b = self.mat, other.mat
-        out = OpMatrix._blank(self.nw)
-        for i in range(n):
-            row = out[i]
-            arow = a[i]
-            for k in range(n):
-                av = arow[k]
-                if av == 0:
-                    continue
-                brow = b[k]
-                for j in range(n):
-                    bv = brow[j]
-                    if bv != 0:
-                        row[j] += av * bv
+        cols = [_over_common_den(col) for col in zip(*other.mat)]
+        col_den = [d for d, _ in cols]
+        b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in zip(*[nums for _, nums in cols])]
+        out = []
+        for arow in self.mat:
+            row_den, nums = _over_common_den(arow)
+            acc = [0] * len(col_den)
+            for k, av in enumerate(nums):
+                if av:
+                    for j, bv in b_rows[k]:
+                        acc[j] += av * bv
+            out.append([Fraction(v, row_den * col_den[j]) if v else _ZERO for j, v in enumerate(acc)])
         reliable = min(other.reliable, self.reliable - other.raised, self.nw - other.raised)
         return OpMatrix(out, self.nw, self.raised + other.raised, reliable)
 
@@ -266,7 +274,10 @@ class OpMatrix:
         """Back-substitution inverse of a degree-non-raising operator.
 
         Only triangular inverses occur here; anything with entries above
-        the degree diagonal is rejected.
+        the degree diagonal is rejected.  Fraction-free in the style of
+        Bareiss: row r is put over its common denominator d_r as integers
+        a_rj, and each column is solved in integers y_r over one running
+        denominator s, which grows by a_rr/gcd(num, a_rr) at row r.
         """
         n = self.nw + 1
         a = self.mat
@@ -276,23 +287,37 @@ class OpMatrix:
                     raise NotInvertible(f"degree-raising entry at ({row},{col})")
             if a[col][col] == 0:
                 raise NotInvertible(f"zero diagonal entry at {col}")
+        rows = []
+        for r, arow in enumerate(a):
+            den, nums = _over_common_den(arow)
+            rows.append((den, nums[r], [(j, v) for j, v in enumerate(nums) if v and j > r]))
         inv = OpMatrix._blank(self.nw)
         for colv in range(n):
-            inv[colv][colv] = 1 / a[colv][colv]
-            for row in range(colv - 1, -1, -1):
-                acc = _ZERO
-                arow = a[row]
-                for j in range(row + 1, colv + 1):
-                    v = arow[j]
-                    if v != 0:
-                        acc += v * inv[j][colv]
-                if acc != 0:
-                    inv[row][colv] = -acc / a[row][row]
+            y = [0] * (colv + 1)
+            s = 1
+            for row in range(colv, -1, -1):
+                den, diag, upper = rows[row]
+                # x_row = num / (s * diag), with x_j = y_j / s for j > row
+                num = den if row == colv else 0
+                for j, v in upper:
+                    if j > colv:
+                        break
+                    num -= v * y[j]
+                if not num:
+                    continue
+                g = gcd(num, diag)
+                m = diag // g
+                if m < 0:
+                    m, g = -m, -g
+                if m != 1:
+                    s *= m
+                    for j in range(row + 1, colv + 1):
+                        y[j] *= m
+                y[row] = num // g
+            for row, v in enumerate(y):
+                if v:
+                    inv[row][colv] = Fraction(v, s)
         return OpMatrix(inv, self.nw, 0, self.reliable)
-
-    def conjugate_by(self, g: "OpMatrix") -> "OpMatrix":
-        """g . self . g^(-1)."""
-        return g @ self @ g.inverse()
 
     def expand_in(self, basis: "OpMatrix") -> "OpMatrix":
         """Coordinates of self's columns in the image basis of `basis`."""
@@ -445,6 +470,3 @@ def mgf_from_gop(gop: OpMatrix) -> TruncSeries:
     the bar transform of the inverse, applied to 1."""
     return gop.inverse().bar().apply_series(TruncSeries.one(gop.nw))
 
-
-def series_ratio_diag(ratio: Callable, nw: int, offset=Fraction(0), strict: bool = True) -> OpMatrix:
-    return OpMatrix.diag_op(DiagSeq.from_ratio(ratio, nw + 1, offset=offset, strict=strict), nw)

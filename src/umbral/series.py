@@ -21,6 +21,7 @@ from .errors import (
 )
 
 Rat = Fraction
+_ZERO = Fraction(0)
 
 
 def as_rat(x) -> Fraction:
@@ -32,6 +33,17 @@ def as_rat(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _over_common_den(values) -> tuple[int, list[int]]:
+    """(d, nums): the lcm d of the denominators and the integers v*d.
+
+    The fraction-free kernels (series and operator products, triangular
+    inverses) run on these integers and build one Fraction per result.
+    """
+    pairs = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*[q for _, q in pairs])
+    return d, [p * (d // q) for p, q in pairs]
 
 
 class TruncSeries:
@@ -154,16 +166,20 @@ class TruncSeries:
         if isinstance(other, (int, Fraction)):
             v = as_rat(other)
             return TruncSeries([c * v for c in self.coeffs])
+        # integer convolution over the two common denominators
         n = self._aligned(other)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncSeries(out)
+        da, xs = _over_common_den(self.coeffs[: n + 1])
+        db, ys = _over_common_den(other.coeffs[: n + 1])
+        ys = [(j, b) for j, b in enumerate(ys) if b]
+        acc = [0] * (n + 1)
+        for i, a in enumerate(xs):
+            if a:
+                for j, b in ys:
+                    if i + j > n:
+                        break
+                    acc[i + j] += a * b
+        d = da * db
+        return TruncSeries([Fraction(v, d) if v else _ZERO for v in acc])
 
     __rmul__ = __mul__
 

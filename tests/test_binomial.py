@@ -197,6 +197,11 @@ def test_asym_guards():
         asym_compare(inst, F(1, 3), [10], 1)  # outside sqrt radius
     with pytest.raises(EvaluationDomain):
         asym_compare(inst, F(1, 10), [10], 7)
+    for bad in ([0, 40], [40, -1]):
+        with pytest.raises(EvaluationDomain):
+            asym_compare(inst, F(1, 5), bad, 1)
+        with pytest.raises(EvaluationDomain):
+            asym_compare(falling_factorial_instance(), F(1, 2), bad, 1)
 
 
 def test_exact_poly_values():
@@ -205,6 +210,10 @@ def test_exact_poly_values():
     geo = geometric_instance()
     # p_2 = x^2 - 2x for y/(1-y)
     assert geo.exact_poly_value(2, F(7)) == 49 - 14
+    # p_0 = 1 for every binomial family, at any point including 0
+    for x in (F(0), F(7), F(-2, 3)):
+        assert geo.exact_poly_value(0, x) == 1
+        assert inst.exact_poly_value(0, x) == 1
 
 
 def test_report_shape():

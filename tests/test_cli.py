@@ -179,6 +179,26 @@ def test_env_var_order(capsys, monkeypatch):
     assert json.loads(out)["order"] == 6
 
 
+def test_env_var_order_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("UMBRAL_ORDER", "abc")
+    code, out, err = run(capsys, "family", "sheffer", "--params", "lambda=0,a=0,b=1/2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "UMBRAL_ORDER" in err
+    # an explicit --order does not read the variable
+    code, out, _ = run(capsys, "family", "sheffer", "--params", "lambda=0,a=0,b=1/2", "--order", "6")
+    assert code == 0
+    assert json.loads(out)["order"] == 6
+
+
+@pytest.mark.parametrize("instance,alpha", [("geometric", "1/5"), ("falling-factorial", "1/2")])
+def test_asym_rejects_index_below_one(capsys, instance, alpha):
+    code, out, err = run(capsys, "asym", instance, "--alpha", alpha, "--s", "0,40", "--level", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "s >= 1" in err
+
+
 def test_config_guard(capsys):
     code, out, err = run(capsys, "family", "sheffer", "--params", "lambda=0,a=0,b=1", "--order", "2")
     assert code == 2

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbral.errors import DiagSingular, NotInvertible, NotMonic, NotThreeTerm
+from umbral.errors import (
+    DiagSingular,
+    NotInvertible,
+    NotMonic,
+    NotThreeTerm,
+    ReliabilityExhausted,
+)
 from umbral.opalg import DiagSeq, OpMatrix, mgf_from_gop
 from umbral.series import TruncSeries, exp_series, riccati_series
 
@@ -336,3 +342,105 @@ def test_expand_in_own_basis_is_identity():
     f = riccati_series(1, 1, 0, NW)
     g = OpMatrix.umbral_compose(f, NW)
     assert g.expand_in(g).equals(OpMatrix.identity(NW))
+
+
+# ---- differential tests: the integer kernels against plain Fraction loops ----------
+
+wide = st.one_of(
+    small,
+    st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+)
+nonzero_wide = wide.filter(lambda v: v != 0)
+
+
+def reference_matmul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), F(0)) for j in range(n)] for i in range(n)]
+
+
+def reference_inverse(a):
+    """Column-by-column back-substitution in Fraction arithmetic."""
+    n = len(a)
+    inv = [[F(0)] * n for _ in range(n)]
+    for c in range(n):
+        for r in range(c, -1, -1):
+            acc = (1 if r == c else 0) - sum((a[r][j] * inv[j][c] for j in range(r + 1, c + 1)), F(0))
+            inv[r][c] = acc / a[r][r]
+    return inv
+
+
+def true_raise(mat):
+    return max((m - n for m, row in enumerate(mat) for n, v in enumerate(row) if v != 0), default=0)
+
+
+@st.composite
+def op_matrices(draw, nw, invertible=False):
+    """Dense, upper-triangular or banded operators, with zero rows and columns.
+
+    `raise_` bounds m - n on nonzero entries (0: triangular, nw: dense) and
+    `width`, when set, bounds n - m (a band above the diagonal too).
+    """
+    raise_ = 0 if invertible else draw(st.sampled_from([0, 1, 2, nw]))
+    width = draw(st.sampled_from([None, 1, 2]))
+    zero_rows = set() if invertible else draw(st.sets(st.integers(0, nw), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, nw), max_size=2))
+    mat = [[F(0)] * (nw + 1) for _ in range(nw + 1)]
+    for m in range(nw + 1):
+        for n in range(nw + 1):
+            if invertible and m == n:
+                mat[m][n] = draw(nonzero_wide)
+            elif m - n <= raise_ and (width is None or n - m <= width):
+                if m not in zero_rows and n not in zero_cols:
+                    mat[m][n] = draw(wide)
+    reliable = draw(st.integers(0, nw))
+    return OpMatrix(mat, nw, raise_, reliable)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matmul_matches_fraction_loops(data):
+    nw = data.draw(st.integers(1, 7))
+    a = data.draw(op_matrices(nw))
+    b = data.draw(op_matrices(nw))
+    reliable = min(b.reliable, a.reliable - b.raised, nw - b.raised)
+    if reliable < 0:
+        with pytest.raises(ReliabilityExhausted):
+            a @ b
+        return
+    c = a @ b
+    expected = reference_matmul(a.mat, b.mat)
+    assert c.mat == expected
+    assert [[str(v) for v in row] for row in c.mat] == [[str(v) for v in row] for row in expected]
+    assert (c.raised, c.reliable) == (a.raised + b.raised, reliable)
+    assert true_raise(c.mat) <= c.raised
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inverse_matches_back_substitution(data):
+    nw = data.draw(st.integers(0, 7))
+    op = data.draw(op_matrices(nw, invertible=True))
+    inv = op.inverse()
+    assert inv.mat == reference_inverse(op.mat)
+    assert (inv.raised, inv.reliable) == (0, op.reliable)
+    ident = OpMatrix.identity(nw).mat
+    assert (op @ inv).mat == ident and (inv @ op).mat == ident
+    assert inv.inverse().mat == op.mat
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_inverse_still_rejects(data):
+    nw = data.draw(st.integers(1, 7))
+    op = data.draw(op_matrices(nw, invertible=True))
+    col = data.draw(st.integers(0, nw - 1))
+    row = data.draw(st.integers(col + 1, nw))
+    raising = [list(r) for r in op.mat]
+    raising[row][col] = data.draw(nonzero_wide)
+    with pytest.raises(NotInvertible, match="degree-raising"):
+        OpMatrix(raising, nw, row - col, nw).inverse()
+    k = data.draw(st.integers(0, nw))
+    singular = [list(r) for r in op.mat]
+    singular[k][k] = F(0)
+    with pytest.raises(NotInvertible, match="zero diagonal"):
+        OpMatrix(singular, nw, 0, nw).inverse()

@@ -303,3 +303,33 @@ def test_json_round_trip():
     data = f.to_json()
     assert data == {"order": 2, "coeffs": ["1", "-1/2", "3/7"]}
     assert TruncSeries.from_json(data) == f
+
+
+# ---- differential test: the integer convolution against plain Fraction loops ----
+
+wide_fractions = st.one_of(
+    st.just(F(0)),
+    small_fractions,
+    st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+)
+
+
+def reference_mul(xs, ys):
+    """Truncated Cauchy product, one Fraction operation at a time."""
+    n = min(len(xs), len(ys)) - 1
+    return [sum((xs[i] * ys[k - i] for i in range(k + 1)), F(0)) for k in range(n + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(wide_fractions, min_size=1, max_size=12),
+    st.lists(wide_fractions, min_size=1, max_size=12),
+)
+def test_mul_matches_fraction_convolution(xs, ys):
+    f, g = TruncSeries(xs), TruncSeries(ys)
+    expected = reference_mul(xs, ys)
+    for prod in (f * g, g * f):
+        assert prod.order == min(f.order, g.order)
+        assert list(prod.coeffs) == expected
+        assert [str(c) for c in prod.coeffs] == [str(c) for c in expected]
+
