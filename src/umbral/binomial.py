@@ -311,6 +311,8 @@ def asym_compare(
         raise EvaluationDomain("level must be 0..3")
     if any(s < 1 for s in s_values):
         raise EvaluationDomain("the expansion needs indices s >= 1")
+    if len(set(s_values)) != len(s_values):
+        raise EvaluationDomain("the indices s must be distinct")
     rows = []
     residuals = []
     with localcontext() as ctx:

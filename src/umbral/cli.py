@@ -106,7 +106,10 @@ def _wilson_params(params: dict) -> WilsonParams:
 
 
 def _multiterm_params(params: dict) -> MultiTermParams:
-    n = int(params.get("n", 2))
+    n = params.get("n", 2)
+    if n != int(n):
+        raise ValueError(f"multiterm needs an integer n, got {n}")
+    n = int(n)
     weights = []
     for k in range(n + 1):
         key = f"t{k}"
@@ -193,7 +196,6 @@ def cmd_cfrac(args) -> int:
         payload["depth"] = rec.depth
         rows = [["a"] + [str(v) for v in rec.a], ["b"] + [str(v) for v in rec.b]]
         if args.round_trip:
-            depth_needed = cfg.order // 2 + 1
             back = moments_from_recurrence(rec, min(cfg.order, 2 * rec.depth - 2)).moment_gf
             agree = back.agrees_with(gf)
             payload["round_trip"] = agree

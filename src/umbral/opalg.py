@@ -24,7 +24,6 @@ matrices bar reverses products: bar(T1 T2) = bar(T2) bar(T1).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -35,7 +34,7 @@ from .errors import (
     OrderExhausted,
     ReliabilityExhausted,
 )
-from .series import TruncSeries, _over_common_den, as_rat
+from .series import TruncSeries, _append_over, _over_common_den, as_rat
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -293,30 +292,19 @@ class OpMatrix:
             rows.append((den, nums[r], [(j, v) for j, v in enumerate(nums) if v and j > r]))
         inv = OpMatrix._blank(self.nw)
         for colv in range(n):
-            y = [0] * (colv + 1)
-            s = 1
+            # y[i] is the integer numerator of x_(colv - i), over s
+            y, s = [], 1
             for row in range(colv, -1, -1):
                 den, diag, upper = rows[row]
-                # x_row = num / (s * diag), with x_j = y_j / s for j > row
                 num = den if row == colv else 0
                 for j, v in upper:
                     if j > colv:
                         break
-                    num -= v * y[j]
-                if not num:
-                    continue
-                g = gcd(num, diag)
-                m = diag // g
-                if m < 0:
-                    m, g = -m, -g
-                if m != 1:
-                    s *= m
-                    for j in range(row + 1, colv + 1):
-                        y[j] *= m
-                y[row] = num // g
-            for row, v in enumerate(y):
+                    num -= v * y[colv - j]
+                s = _append_over(y, s, num, diag)
+            for i, v in enumerate(y):
                 if v:
-                    inv[row][colv] = Fraction(v, s)
+                    inv[colv - i][colv] = Fraction(v, s)
         return OpMatrix(inv, self.nw, 0, self.reliable)
 
     def expand_in(self, basis: "OpMatrix") -> "OpMatrix":

@@ -5,6 +5,11 @@ order N is *unknown*, not zero.  Binary operations therefore truncate to the
 smaller operand order; nothing here ever fabricates a coefficient.  All
 arithmetic is exact (fractions.Fraction), there is no floating point in this
 module.
+
+Products, division by a series and fractional powers are fraction-free: they
+put their inputs over common denominators, run on Python integers (division
+and powers over one running denominator) and build one canonical Fraction
+per result coefficient.
 """
 from __future__ import annotations
 
@@ -44,6 +49,24 @@ def _over_common_den(values) -> tuple[int, list[int]]:
     pairs = [v.as_integer_ratio() for v in values]
     d = math.lcm(*[q for _, q in pairs])
     return d, [p * (d // q) for p, q in pairs]
+
+
+def _append_over(nums: list, s: int, acc: int, den: int) -> int:
+    """Append acc/(s*den) to the integers nums held over the running
+    denominator s, and return the new running denominator.
+
+    s and every earlier entry are multiplied by den/gcd(acc, den) first, so
+    the new entry is an integer.  A negative den may leave s negative, which
+    Fraction(num, s) normalizes.
+    """
+    g = math.gcd(acc, den)
+    m = den // g
+    if m != 1:
+        s *= m
+        for i in range(len(nums)):
+            nums[i] *= m
+    nums.append(acc // g)
+    return s
 
 
 class TruncSeries:
@@ -196,17 +219,22 @@ class TruncSeries:
             if v > other.order or self.valuation() < v:
                 raise DivisionByNonUnit("divisor has zero constant term")
             return self.truncate(min(self.order, v + other.order)).shift_down(v) / other.shift_down(v)
+        # solve G*Q = A in integers: Q_k = N_k / s over one running s
         n = self._aligned(other)
-        g0 = other.coeffs[0]
-        out = [Fraction(0)] * (n + 1)
+        da, a = _over_common_den(self.coeffs[: n + 1])
+        dg, g = _over_common_den(other.coeffs[: n + 1])
+        g0 = g[0]
+        g = [(j, v) for j, v in enumerate(g) if v and j]
+        out, s = [], 1
         for k in range(n + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k + 1):
-                b = other.coeffs[j]
-                if b != 0:
-                    acc -= b * out[k - j]
-            out[k] = acc / g0
-        return TruncSeries(out)
+            acc = a[k] * s
+            for j, v in g:
+                if j > k:
+                    break
+                acc -= v * out[k - j]
+            s = _append_over(out, s, acc, g0)
+        d = s * da
+        return TruncSeries([Fraction(v * dg, d) if v else _ZERO for v in out])
 
     def __rtruediv__(self, other):
         return TruncSeries.constant(other, self.order) / self
@@ -300,25 +328,26 @@ class TruncSeries:
         """f^alpha for rational alpha; requires f(0) = 1.
 
         Uses the first-order relation h' f = alpha f' h, which keeps every
-        coefficient rational.
+        coefficient rational: with f_0 = 1 its coefficients give
+        m h_m = sum_{k=1..m} (alpha k - (m - k)) f_k h_{m-k}.  With
+        alpha = p/q and f = F/d over integers, h_m = N_m / s is solved over
+        one running denominator s with divisor q d m at step m.
         """
         alpha = as_rat(alpha)
         if self.coeffs[0] != 1:
             raise NonUnitBase("fractional power needs constant term 1")
-        n = self.order
-        out = [Fraction(1)] + [Fraction(0)] * n
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(m):
-                fk1 = self.coeffs[k + 1]
-                if fk1 != 0:
-                    acc += alpha * (k + 1) * fk1 * out[m - 1 - k]
-            for k in range(m - 1):
-                hk1 = out[k + 1]
-                if hk1 != 0:
-                    acc -= (k + 1) * hk1 * self.coeffs[m - 1 - k]
-            out[m] = acc / m
-        return TruncSeries(out)
+        p, q = alpha.as_integer_ratio()
+        d, f = _over_common_den(self.coeffs)
+        f = [(k, v) for k, v in enumerate(f) if v and k]
+        out, s = [1], 1
+        for m in range(1, self.order + 1):
+            acc = 0
+            for k, v in f:
+                if k > m:
+                    break
+                acc += (p * k - q * (m - k)) * v * out[m - k]
+            s = _append_over(out, s, acc, q * d * m)
+        return TruncSeries([Fraction(v, s) if v else _ZERO for v in out])
 
     # -- coefficient transforms -----------------------------------------
 

@@ -197,7 +197,8 @@ def test_asym_guards():
         asym_compare(inst, F(1, 3), [10], 1)  # outside sqrt radius
     with pytest.raises(EvaluationDomain):
         asym_compare(inst, F(1, 10), [10], 7)
-    for bad in ([0, 40], [40, -1]):
+    # a repeated index would divide by ln(s2/s1) = 0 in the rate estimate
+    for bad in ([0, 40], [40, -1], [40, 40], [40, 80, 40]):
         with pytest.raises(EvaluationDomain):
             asym_compare(inst, F(1, 5), bad, 1)
         with pytest.raises(EvaluationDomain):

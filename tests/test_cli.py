@@ -199,6 +199,28 @@ def test_asym_rejects_index_below_one(capsys, instance, alpha):
     assert err.startswith("error:") and "s >= 1" in err
 
 
+@pytest.mark.parametrize("s_values", ["40,40", "40,80,40"])
+def test_asym_rejects_repeated_index(capsys, s_values):
+    code, out, err = run(capsys, "asym", "geometric", "--alpha", "1/5", "--s", s_values, "--level", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "distinct" in err
+
+
+def test_multiterm_rejects_non_integer_n(capsys):
+    code, out, err = run(
+        capsys, "family", "multiterm", "--params", "n=5/2,lambda=2,a=1/2,t0=1/3,t1=2/3", "--order", "6"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "integer n" in err
+    code, out, _ = run(
+        capsys, "family", "multiterm", "--params", "n=2,lambda=2,a=1/2,t0=1/3,t1=2/3", "--order", "6"
+    )
+    assert code == 0
+    assert json.loads(out)["order"] == 6
+
+
 def test_config_guard(capsys):
     code, out, err = run(capsys, "family", "sheffer", "--params", "lambda=0,a=0,b=1", "--order", "2")
     assert code == 2

@@ -445,3 +445,73 @@ def test_assoc_zero_is_identity_on_closed_forms():
     assert assoc_recurrence(cf, 0) is cf
     rec = chebyshev_rec(6)
     assert assoc_recurrence(rec, 0) is rec
+
+
+# ---- moments <-> recurrence against weighted Motzkin paths -----------------------
+
+
+def motzkin_moments(a, b, order):
+    """mu_0..mu_order of the J-fraction 1/(1 - a_0 x - 1 b_1 x^2/(1 - a_1 x - 2 b_2 x^2/...)).
+
+    Sums weighted Motzkin paths height by height: an up step weighs 1, a
+    level step at height j weighs a_j and a down step from height j weighs
+    j b_j.  No continued fraction or series division is involved.
+    """
+    heights = {0: F(1)}
+    out = [F(1)]
+    for step in range(1, order + 1):
+        nxt = {}
+        for j, w in heights.items():
+            # a path must still be able to come back to height 0
+            if j + 1 <= order - step:
+                nxt[j + 1] = nxt.get(j + 1, 0) + w
+            if j <= order - step:
+                nxt[j] = nxt.get(j, 0) + w * a[j]
+            if j >= 1:
+                nxt[j - 1] = nxt.get(j - 1, 0) + w * j * b[j - 1]
+        heights = nxt
+        out.append(F(heights.get(0, 0)))
+    return out
+
+
+positive_rational = st.builds(F, st.integers(1, 9), st.integers(1, 9))
+
+
+@st.composite
+def positive_recurrences(draw):
+    depth = draw(st.integers(2, 12))
+    a = draw(st.lists(positive_rational, min_size=depth + 1, max_size=depth + 1))
+    b = draw(st.lists(positive_rational, min_size=depth, max_size=depth))
+    return a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_recurrences())
+def test_moments_recurrence_round_trip_against_motzkin_paths(ab):
+    a, b = ab
+    depth = len(b)
+    order = 2 * depth - 1
+    rec = Recurrence(a, b)
+    ms = moments_from_recurrence(rec, order)
+    expected = motzkin_moments(a, b, order)
+    assert list(ms.moment_gf.coeffs) == expected
+    assert ms.f0 == ms.moment_gf.borel()
+    back = recurrence_from_moments(TruncSeries(expected))
+    # 2 depth - 1 moments fix a_0..a_{depth-1} and b_1..b_{depth-1}
+    assert back.a == tuple(a[:depth])
+    assert back.b == tuple(b[: depth - 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(positive_recurrences(), st.data())
+def test_zero_b_raises_degenerate_at_its_depth(ab, data):
+    a, b = ab
+    depth = len(b)
+    k = data.draw(st.integers(1, depth - 1))
+    b = b[: k - 1] + [F(0)] + b[k:]
+    order = 2 * depth - 1
+    expected = motzkin_moments(a, b, order)
+    assert list(moments_from_recurrence(Recurrence(a, b), order).moment_gf.coeffs) == expected
+    with pytest.raises(DegenerateB) as err:
+        recurrence_from_moments(TruncSeries(expected))
+    assert err.value.depth == k

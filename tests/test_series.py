@@ -94,6 +94,10 @@ def test_div_bernoulli_numbers():
 def test_div_by_non_unit_raises():
     with pytest.raises(DivisionByNonUnit):
         TruncSeries.one(4) / TruncSeries.x(4)
+    with pytest.raises(DivisionByNonUnit):
+        TruncSeries.from_polynomial([0, 1, 2], 4) / TruncSeries.from_polynomial([0, 0, 1], 4)
+    with pytest.raises(DivisionByNonUnit):
+        TruncSeries.x(4) / TruncSeries.zero(4)
 
 
 def test_min_order_discipline():
@@ -175,8 +179,9 @@ def test_pow_round_trip():
 
 
 def test_pow_non_unit_raises():
-    with pytest.raises(NonUnitBase):
-        TruncSeries.from_polynomial([2, 1], 4).pow_fraction(F(1, 2))
+    for lead, alpha in ((2, F(1, 2)), (-1, F(1, 3)), (0, F(-2)), (F(1, 10**40), F(0))):
+        with pytest.raises(NonUnitBase):
+            TruncSeries.from_polynomial([lead, 1], 4).pow_fraction(alpha)
 
 
 # ---- Riccati-type solutions --------------------------------------------------
@@ -333,3 +338,76 @@ def test_mul_matches_fraction_convolution(xs, ys):
         assert list(prod.coeffs) == expected
         assert [str(c) for c in prod.coeffs] == [str(c) for c in expected]
 
+
+
+def reference_div(xs, gs):
+    """Truncated series quotient by back-substitution, one Fraction at a time."""
+    n = min(len(xs), len(gs)) - 1
+    out = []
+    for k in range(n + 1):
+        acc = xs[k]
+        for j in range(1, k + 1):
+            if gs[j] != 0:
+                acc -= gs[j] * out[k - j]
+        out.append(acc / gs[0])
+    return out
+
+
+def reference_pow_fraction(fs, alpha):
+    """f^alpha for f_0 = 1 from h' f = alpha f' h, one Fraction at a time."""
+    n = len(fs) - 1
+    out = [F(1)] + [F(0)] * n
+    for m in range(1, n + 1):
+        acc = F(0)
+        for k in range(m):
+            if fs[k + 1] != 0:
+                acc += alpha * (k + 1) * fs[k + 1] * out[m - 1 - k]
+        for k in range(m - 1):
+            if out[k + 1] != 0:
+                acc -= (k + 1) * out[k + 1] * fs[m - 1 - k]
+        out[m] = acc / m
+    return out
+
+
+def assert_canonical(series, expected):
+    assert list(series.coeffs) == expected
+    assert [str(c) for c in series.coeffs] == [str(c) for c in expected]
+
+
+@st.composite
+def divisors(draw):
+    """Dense or sparse divisors with a nonzero constant of either sign."""
+    lead = draw(wide_fractions.filter(lambda v: v != 0))
+    rest = draw(st.lists(st.one_of(st.just(F(0)), wide_fractions), max_size=11))
+    return [lead] + rest
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(wide_fractions, min_size=1, max_size=12), divisors())
+def test_div_matches_fraction_back_substitution(xs, gs):
+    quot = TruncSeries(xs) / TruncSeries(gs)
+    assert quot.order == min(len(xs), len(gs)) - 1
+    assert_canonical(quot, reference_div(xs, gs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.lists(wide_fractions, min_size=1, max_size=10), divisors())
+def test_div_zero_constant_term_cancels(v, xs, gs):
+    # y^v a / (y^v g) = a / g once the common power of y is cancelled
+    quot = TruncSeries([F(0)] * v + xs) / TruncSeries([F(0)] * v + gs)
+    assert quot.order == min(len(xs), len(gs)) - 1
+    assert_canonical(quot, reference_div(xs, gs))
+
+
+alphas = st.one_of(
+    st.just(F(0)),
+    st.integers(-4, 4).map(F),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(wide_fractions, max_size=9), alphas)
+def test_pow_fraction_matches_fraction_recursion(rest, alpha):
+    fs = [F(1)] + rest
+    assert_canonical(TruncSeries(fs).pow_fraction(alpha), reference_pow_fraction(fs, alpha))
