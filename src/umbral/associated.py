@@ -23,11 +23,14 @@ from .families import (
     WilsonParams,
     coeff_then_d,
     d_then_coeff,
-    diag_of,
+    diag_conj,
     diag_values,
+    extract_recurrence,
     jacobi_closed_form,
+    jacobi_dual_raising,
     jacobi_family,
-    sheffer_core,
+    riccati_core,
+    sheffer_core,  # re-exported: bench/tracing.py looks it up in this module
     sheffer_family,
     ultraspherical_family,
     wilson_family,
@@ -40,7 +43,7 @@ from .orthocore import (
     assoc_mgf_from_tails,
     moments_from_recurrence,
 )
-from .series import TruncSeries, as_rat, riccati_series
+from .series import TruncSeries, as_rat, riccati_series, t_and_omega
 
 ASSOC_MARGIN = 8
 
@@ -53,28 +56,13 @@ def guard_shift(c, nw: int):
     return c
 
 
-def shift_values(ratio, c, count: int) -> list:
-    """Values of the shifted quotient sequence prod_{j<n} ratio(c+j)."""
-    vals = [Fraction(1)]
-    for n in range(count - 1):
-        vals.append(vals[-1] * as_rat(ratio(c + n)))
-    return vals
-
-
-def rising_values(c, count: int) -> list:
-    """H_n = (c)(c+1)...(c+n-1), the H_theta sequence with ratio c + theta."""
-    vals = [Fraction(1)]
-    for n in range(count - 1):
-        vals.append(vals[-1] * (c + n))
-    return vals
-
-
-def pochhammer_top_values(c, count: int) -> list:
-    """(c+n)_n = (c+1)(c+2)...(c+n), with consecutive ratio c + n + 1."""
-    vals = [Fraction(1)]
-    for n in range(count - 1):
-        vals.append(vals[-1] * (c + n + 1))
-    return vals
+def lowered_weights(ratio, c, count: int) -> DiagSeq:
+    """(c)_theta prod_{j<theta} ratio(c-1+j): the shift to c-1 of a quotient
+    sequence, weighted by the rising factorial H_theta = (c)_theta.  At c = 0
+    that factor vanishes past theta = 0, so ratio(-1) is never evaluated."""
+    if c == 0:
+        return DiagSeq([1] + [0] * (count - 1))
+    return DiagSeq.from_ratio(lambda m: (m + 1) * ratio(m), count, offset=c - 1, strict=False)
 
 
 def series_l(s: TruncSeries) -> TruncSeries:
@@ -156,7 +144,7 @@ def long_division_checks(
     # (2) polynomial-domain version with ell(D) in place of multiplication
     ell_op = OpMatrix.series_of_d(b, nw)
     hb_op = OpMatrix.series_of_d(hb, nw)
-    x_over = OpMatrix.x_op(nw) @ diag_of(lambda n: Fraction(1, 1 + n), nw)
+    x_over = x_times([Fraction(1, 1 + n) for n in range(nw + 1)], nw)
     lhs_op = ell_op.inverse() @ x_over @ ell_op @ diag_values(ratio_vals, nw)
     rhs_op = (
         diag_values(hvals[: nw + 1], nw)
@@ -173,7 +161,7 @@ def change_of_variable_check(f: TruncSeries, order: int, margin: int = FAMILY_MA
     """C_f x (1+theta)^(-1) C_f^(-1) == x (1+theta)^(-1) (D/f(D))."""
     nw = order + margin
     cf = OpMatrix.umbral_compose(f, nw)
-    x_over = OpMatrix.x_op(nw) @ diag_of(lambda n: Fraction(1, 1 + n), nw)
+    x_over = x_times([Fraction(1, 1 + n) for n in range(nw + 1)], nw)
     lhs = cf @ x_over @ cf.inverse()
     y_over_f = (1 / f.shift_down(1)).truncate(nw - 1)
     rhs = x_over @ OpMatrix.series_of_d(TruncSeries.from_polynomial(list(y_over_f.coeffs), nw), nw)
@@ -193,6 +181,7 @@ class AssocResult:
     recurrence: Recurrence
     mgf: TruncSeries
     checks: list = field(default_factory=list)
+    base_recurrence: Optional[Recurrence] = None
 
     def to_json(self, upto: Optional[int] = None) -> dict:
         upto = self.gop.reliable if upto is None else min(upto, self.gop.reliable)
@@ -213,7 +202,7 @@ def assoc_dual_raising(cf: ClosedFormRecurrence, c, nw: int) -> OpMatrix:
     bvals = [Fraction(0)] + [shifted.b_fn(n) for n in range(1, nw + 1)]
     return (
         OpMatrix.x_op(nw)
-        + diag_of(lambda n: shifted.a_fn(n), nw)
+        + diag_values([shifted.a_fn(n) for n in range(nw + 1)], nw)
         + d_then_coeff(bvals, nw)
     )
 
@@ -242,32 +231,25 @@ def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN, s
     if p.lam == 0:
         raise SingularParams("lambda=0", "the explicit shifted operator needs 1/lambda powers")
     lam, a, b = p.lam, p.a, p.b
-    f = riccati_series(lam, a, b, nw + 1)
-    fprime = (1 + lam * a * f + lam * b * (f * f)).truncate(nw + 1)
-    y_over_f = (1 / f.shift_down(1)).truncate(nw)
-    ell = (fprime.truncate(nw).pow_fraction(Fraction(1) / lam) * y_over_f.pow_fraction(1 - c)).truncate(nw)
-    hvals = rising_values(c, nw + 1)
-    poch = pochhammer_top_values(c, nw + 1)
-    fact = DiagSeq.factorial(nw + 1)
-    gop = (
-        OpMatrix.diag_op(fact, nw)
-        @ OpMatrix.series_of_d(ell.weighted(hvals), nw)
-        @ diag_values(poch, nw, inverse=True)
-        @ OpMatrix.series_of_d(y_over_f.pow_fraction(c), nw)
-        @ OpMatrix.series_of_d(fprime.truncate(nw).pow_fraction(Fraction(-1) / lam), nw)
-        @ OpMatrix.umbral_compose(f.truncate(nw), nw)
-        @ diag_values(poch, nw)
-        @ OpMatrix.diag_op(fact, nw).inverse()
-    )
-    u = gop.inverse() @ OpMatrix.x_op(nw) @ gop
-    at, bt = u.three_term(order)
-    rec = Recurrence(tuple(at), tuple(bt))
     base = sheffer_family(p, order, margin=margin, strict=strict)
-    checks = []
-    expected_u = assoc_dual_raising(base.closed_form, c, nw)
-    checks.append(op_check("shifted dual raising display", u, expected_u, order))
+    core = base.core
+    y_over_f = (1 / riccati_series(lam, a, b, nw + 1).shift_down(1)).truncate(nw)
+    fprime_pow = core.fprime.pow_fraction(Fraction(1) / lam)
+    ell = (fprime_pow * y_over_f.pow_fraction(1 - c)).truncate(nw)
+    hvals = DiagSeq.rising(c, nw + 1)
+    poch = DiagSeq.rising(c + 1, nw + 1)
+    fact = DiagSeq.factorial(nw + 1)
+    shifted = OpMatrix.series_of_d(y_over_f.pow_fraction(c), nw) @ core.fpow(Fraction(-1) / lam) @ core.c_f
+    gop = (
+        diag_values(fact, nw)
+        @ OpMatrix.series_of_d(ell.weighted(hvals), nw)
+        @ diag_conj(poch, shifted)
+        @ diag_values(fact, nw, inverse=True)
+    )
+    u, rec = extract_recurrence(gop, order)
+    checks = [op_check("shifted dual raising display", u, assoc_dual_raising(base.closed_form, c, nw), order)]
     # displayed mgf: the ratio of the two weighted series
-    num = (fprime.truncate(nw).pow_fraction(Fraction(1) / lam) * y_over_f.pow_fraction(-c)).truncate(nw)
+    num = (fprime_pow * y_over_f.pow_fraction(-c)).truncate(nw)
     f0_formula = (num.weighted(poch) / ell.weighted(hvals)).borel()
     f0 = mgf_from_gop(gop).truncate(order)
     checks.append(series_check("displayed mgf formula", f0, f0_formula, order))
@@ -275,7 +257,7 @@ def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN, s
         checks.append(op_check("c=0 reduction", gop, base.gop, order))
     checks += _pipeline_checks("sheffer assoc", base.recurrence, gop, rec, c, min(order, 10))
     ensure(checks, strict)
-    return AssocResult("sheffer", c, gop, rec, f0, checks)
+    return AssocResult("sheffer", c, gop, rec, f0, checks, base.recurrence)
 
 
 # -- associated ultraspherical ----------------------------------------------------------------
@@ -291,47 +273,29 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN, str
     for k in range(nw + 2):
         if 1 + lam * (c + k) == 0:
             raise SingularParams("1+lambda*(c+k)", f"k={k}")
-    f = riccati_series(lam, a, b, nw + 1)
-    fprime = (1 + lam * a * f + lam * b * (f * f)).truncate(nw + 1)
-    core = sheffer_core(f.truncate(nw), fprime.truncate(nw), lam, nw)
-    from .series import t_and_omega
-
-    omega = t_and_omega(f)[1]  # one order above the working block
-    fprime_omega = fprime.compose(omega)
-    ell = (omega.derivative() * fprime_omega.pow_fraction(c + Fraction(1) / lam - 1)).truncate(nw)
-    hvals = rising_values(c, nw + 1)
-    fvals = shift_values(lambda m: 1 / (1 + lam * m), c, nw + 1)
-    poch = pochhammer_top_values(c, nw + 1)
-    fact = DiagSeq.factorial(nw + 1)
-    weights = [hvals[n] * fvals[n] for n in range(nw + 1)]
-    inner = (
-        diag_values(fvals, nw, inverse=True)
-        @ core.c_tf.inverse()
-        @ core.fpow(-c - Fraction(1) / lam)
-        @ core.c_f
-        @ diag_values(fvals, nw)
-    )
-    gop = (
-        OpMatrix.diag_op(fact, nw)
-        @ OpMatrix.series_of_d(ell.weighted(weights), nw)
-        @ diag_values(poch, nw, inverse=True)
-        @ inner
-        @ diag_values(poch, nw)
-        @ OpMatrix.diag_op(fact, nw).inverse()
-    )
-    u = gop.inverse() @ OpMatrix.x_op(nw) @ gop
-    at, bt = u.three_term(order)
-    rec = Recurrence(tuple(at), tuple(bt))
     base = ultraspherical_family(p, order, margin=margin, strict=strict)
-    checks = []
-    expected_u = assoc_dual_raising(base.closed_form, c, nw)
-    checks.append(op_check("shifted dual raising display", u, expected_u, order))
+    core = base.core
+    omega = t_and_omega(riccati_series(lam, a, b, nw + 1))[1]  # one order above the working block
+    fprime_omega = core.fprime.compose(omega)
+    ell = (omega.derivative() * fprime_omega.pow_fraction(c + Fraction(1) / lam - 1)).truncate(nw)
+    hvals = DiagSeq.rising(c, nw + 1)
+    fvals = DiagSeq.from_ratio(lambda m: 1 / (1 + lam * m), nw + 1, offset=c, strict=False)
+    weights = [hvals[n] * fvals[n] for n in range(nw + 1)]
+    fact = DiagSeq.factorial(nw + 1)
+    gop = (
+        diag_values(fact, nw)
+        @ OpMatrix.series_of_d(ell.weighted(weights), nw)
+        @ diag_conj(DiagSeq.rising(c + 1, nw + 1), diag_conj(fvals, core.inner(c)))
+        @ diag_values(fact, nw, inverse=True)
+    )
+    u, rec = extract_recurrence(gop, order)
+    checks = [op_check("shifted dual raising display", u, assoc_dual_raising(base.closed_form, c, nw), order)]
     if c == 0:
         checks.append(op_check("c=0 reduction", gop, base.gop, order))
     f0 = mgf_from_gop(gop).truncate(order)
     checks += _pipeline_checks("ultraspherical assoc", base.recurrence, gop, rec, c, min(order, 10))
     ensure(checks, strict)
-    return AssocResult("ultraspherical", c, gop, rec, f0, checks)
+    return AssocResult("ultraspherical", c, gop, rec, f0, checks, base.recurrence)
 
 
 # -- associated Jacobi ------------------------------------------------------------------------
@@ -362,17 +326,11 @@ def jacobi_assoc_mgf_forms(p: JacobiParams, c, order: int, core: ShefferCore) ->
     lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
     c = as_rat(c)
     nw = core.nw
-    ratio = lambda m: (1 + beta * m) / ((1 + lam * m) * (1 + kappa * m))
-    f_c = shift_values(ratio, c, nw + 1)
-    f_cm1 = _guarded_shift_values(ratio, c - 1, nw + 1, rising_values(c, nw + 1))
+    f_c = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
+    poch = DiagSeq.rising(c + 1, nw + 1)
     fprime_omega = core.fprime.compose(core.omega)
-    top = fprime_omega.pow_fraction(c + Fraction(1) / lam).weighted(
-        [pochhammer_top_values(c, nw + 1)[n] * f_c[n] for n in range(nw + 1)]
-    )
-    hvals = rising_values(c, nw + 1)
-    bot = fprime_omega.pow_fraction(c - 1 + Fraction(1) / lam).weighted(
-        [hvals[n] * f_cm1[n] for n in range(nw + 1)]
-    )
+    top = fprime_omega.pow_fraction(c + Fraction(1) / lam).weighted([poch[n] * f_c[n] for n in range(nw + 1)])
+    bot = fprime_omega.pow_fraction(c - 1 + Fraction(1) / lam).weighted(lowered_weights(p.ratio, c, nw + 1))
     weighted_form = (top / bot).truncate(order)
     # hypergeometric quotient: both series share the argument 2 beta a y / kappa,
     # written so that beta = 0 stays regular
@@ -383,62 +341,27 @@ def jacobi_assoc_mgf_forms(p: JacobiParams, c, order: int, core: ShefferCore) ->
     return weighted_form, hyper_form
 
 
-def _guarded_shift_values(ratio, offset, count, kill_mask):
-    """Shifted quotient values, skipping ratio poles at entries that a zero
-    weight in kill_mask is going to erase anyway."""
-    vals = [Fraction(1)]
-    dead = False
-    for n in range(count - 1):
-        if dead or kill_mask[n + 1] == 0:
-            dead = True
-            vals.append(Fraction(0))
-            continue
-        vals.append(vals[-1] * as_rat(ratio(offset + n)))
-    return vals
-
-
 def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN, strict: bool = True) -> AssocResult:
     nw = order + margin
     c = guard_shift(c, nw)
     p.guard(nw)
-    lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
-    ratio = lambda m: (1 + beta * m) / ((1 + lam * m) * (1 + kappa * m))
-    f = riccati_series(lam, a, p.b, nw + 1)
-    fprime = (1 + lam * a * f + lam * p.b * (f * f)).truncate(nw + 1)
-    core = sheffer_core(f.truncate(nw), fprime.truncate(nw), lam, nw)
-    hvals = rising_values(c, nw + 1)
-    f_c = shift_values(ratio, c, nw + 1)
-    f_cm1 = _guarded_shift_values(ratio, c - 1, nw + 1, hvals)
-    poch = pochhammer_top_values(c, nw + 1)
-    fact = DiagSeq.factorial(nw + 1)
-    fprime_omega = fprime.truncate(nw + 1).compose(core.omega)
-    k_series = fprime_omega.pow_fraction(c - 1 + Fraction(1) / lam).truncate(nw)
-    prefix_weights = [hvals[n] * f_cm1[n] for n in range(nw + 1)]
-    inner = (
-        core.c_tf.inverse()
-        @ core.fpow(-c - Fraction(1) / lam)
-        @ core.c_f
-    )
-    gop = (
-        OpMatrix.diag_op(fact, nw)
-        @ OpMatrix.series_of_d(k_series.weighted(prefix_weights), nw)
-        @ diag_values(f_c, nw, inverse=True)
-        @ diag_values(poch, nw, inverse=True)
-        @ inner
-        @ diag_values(f_c, nw)
-        @ diag_values(poch, nw)
-        @ OpMatrix.diag_op(fact, nw).inverse()
-    )
-    u = gop.inverse() @ OpMatrix.x_op(nw) @ gop
-    at, bt = u.three_term(order)
-    rec = Recurrence(tuple(at), tuple(bt))
-    checks = []
-    closed = jacobi_closed_form(p)
-    expected_u = assoc_dual_raising(closed, c, nw) if c != 0 else None
-    if expected_u is not None:
-        checks.append(op_check("shifted dual raising display", u, expected_u, order))
+    lam = p.lam
     base = jacobi_family(p, order, margin=margin, strict=strict)
-    if c == 0:
+    core = base.core
+    f_c = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
+    k_series = core.fprime.compose(core.omega).pow_fraction(c - 1 + Fraction(1) / lam).truncate(nw)
+    fact = DiagSeq.factorial(nw + 1)
+    gop = (
+        diag_values(fact, nw)
+        @ OpMatrix.series_of_d(k_series.weighted(lowered_weights(p.ratio, c, nw + 1)), nw)
+        @ diag_conj(DiagSeq.rising(c + 1, nw + 1), diag_conj(f_c, core.inner(c)))
+        @ diag_values(fact, nw, inverse=True)
+    )
+    u, rec = extract_recurrence(gop, order)
+    checks = []
+    if c != 0:
+        checks.append(op_check("shifted dual raising display", u, assoc_dual_raising(base.closed_form, c, nw), order))
+    else:
         checks.append(op_check("c=0 reduction", gop, base.gop, order))
     # omega'-cancellation display: (1+lam(theta+c-1)) . f'(omega)^(c-1+1/lam)
     #   = (1+lam(c-1)) omega' f'(omega)^(c-1+1/lam), with theta acting as y d/dy
@@ -454,7 +377,7 @@ def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN, str
     checks.append(series_check("hypergeometric quotient mgf", moment_form, hyper_form, order))
     checks += _pipeline_checks("jacobi assoc", base.recurrence, gop, rec, c, min(order, 10))
     ensure(checks, strict)
-    return AssocResult("jacobi", c, gop, rec, f0, checks)
+    return AssocResult("jacobi", c, gop, rec, f0, checks, base.recurrence)
 
 
 # -- splitting of the shifted operator ------------------------------------------------------
@@ -467,18 +390,9 @@ def splitting_check(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN, 
     c = guard_shift(c, nw)
     p.guard(nw)
     lam, kappa, a, r = p.lam, p.kappa, p.a, p.r
-    ratio = lambda m: (1 + p.beta * m) / ((1 + lam * m) * (1 + kappa * m))
-    closed = jacobi_closed_form(p)
-    if c == 0:
-        u_c = (
-            OpMatrix.x_op(nw)
-            + OpMatrix.diag_op([a if n == 0 else closed.a_fn(n) for n in range(nw + 1)], nw)
-            + d_then_coeff([Fraction(0)] + [closed.b_fn(n) for n in range(1, nw + 1)], nw)
-        )
-    else:
-        u_c = assoc_dual_raising(closed, c, nw)
-    f_c = shift_values(ratio, c, nw + 1)
-    poch = pochhammer_top_values(c, nw + 1)
+    u_c = jacobi_dual_raising(p, nw) if c == 0 else assoc_dual_raising(jacobi_closed_form(p), c, nw)
+    f_c = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
+    poch = DiagSeq.rising(c + 1, nw + 1)
     fact = DiagSeq.factorial(nw + 1)
     fact_over_poch = [fact[n] / poch[n] for n in range(nw + 1)]
     lhs = (
@@ -491,7 +405,7 @@ def splitting_check(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN, 
 
     def lam_bracket():
         xpart = x_times([(1 + n + c) / ((1 + n) * (1 + lam * (n + c))) for n in range(nw + 1)], nw)
-        const = OpMatrix.diag_op([a] * (nw + 1), nw)
+        const = diag_values([a] * (nw + 1), nw)
         dpart = coeff_then_d(
             [lam * a * a / 4 * (2 + lam * (n + c)) / (1 + lam * (1 + n + c)) for n in range(nw + 1)], nw
         )
@@ -508,7 +422,7 @@ def splitting_check(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN, 
 
     def kappa_bracket():
         xpart = x_times([(1 + n + c) / ((1 + n) * (1 + kappa * (n + c))) for n in range(nw + 1)], nw)
-        const = OpMatrix.diag_op([kappa_entry(n) for n in range(nw + 1)], nw)
+        const = diag_values([kappa_entry(n) for n in range(nw + 1)], nw)
         dpart = coeff_then_d(
             [lam * a * a / 4 * (2 + lam * (n + c)) / (1 + kappa * (n + c)) for n in range(nw + 1)], nw
         )
@@ -536,45 +450,31 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN, str
     c = guard_shift(c, nw)
     p.guard(nw)
     lam, kappa, beta, a, h = p.lam, p.kappa, p.beta, p.a, p.h
-    f = riccati_series(lam, a, lam * a * a / 4, nw + 1)
-    fprime = (1 + lam * a * f + lam * (lam * a * a / 4) * (f * f)).truncate(nw + 1)
-    core = sheffer_core(f.truncate(nw), fprime.truncate(nw), lam, nw)
-    hvals = rising_values(c, nw + 1)
-    h_c = shift_values(p.mixing_ratio, c, nw + 1)
-    h_cm1 = _guarded_shift_values(p.mixing_ratio, c - 1, nw + 1, hvals)
-    poch = pochhammer_top_values(c, nw + 1)
+    core = riccati_core(lam, a, lam * a * a / 4, nw)
+    h_c = DiagSeq.from_ratio(p.mixing_ratio, nw + 1, offset=c, strict=False)
+    poch = DiagSeq.rising(c + 1, nw + 1)
     fact = DiagSeq.factorial(nw + 1)
     ells = [2 * a * h * lam * lam / kappa * (1 + k + c) * (1 + beta * (k + c)) for k in range(nw + 1)]
     c2c = OpMatrix.shifted_product(ells[:nw], nw)
     bar_c2c_inv = c2c.inverse().bar()
     # s(c, y) = 1 + y * theta! bar(C2(c)^(-1)) theta!^(-1) L (c+theta-1)_theta
     #                 (H_{c-1}^(-1) H_{theta+c-1}) . f'(omega)^(c-1+1/lam)
-    fprime_omega = fprime.truncate(nw + 1).compose(core.omega)
-    k_series = fprime_omega.pow_fraction(c - 1 + Fraction(1) / lam).truncate(nw)
-    staged = k_series.weighted(h_cm1).weighted(hvals)
-    staged = series_l(staged)
+    k_series = core.fprime.compose(core.omega).pow_fraction(c - 1 + Fraction(1) / lam).truncate(nw)
+    staged = series_l(k_series.weighted(lowered_weights(p.mixing_ratio, c, nw + 1)))
     staged = apply_factorial_bar_inverse(bar_c2c_inv, staged)
     s_series = (1 + staged.shift_up(1)).truncate(nw)
-    fact_over_poch = [fact[n] / poch[n] for n in range(nw + 1)]
+    inner = core.inner(c)
     gop = (
-        OpMatrix.diag_op(fact, nw)
+        diag_values(fact, nw)
         @ OpMatrix.series_of_d(s_series, nw)
-        @ OpMatrix.diag_op(fact, nw).inverse()
+        @ diag_values(fact, nw, inverse=True)
         @ c2c
-        @ diag_values(fact_over_poch, nw)
-        @ diag_values(h_c, nw, inverse=True)
-        @ core.c_tf.inverse()
-        @ core.fpow(-c - Fraction(1) / lam)
-        @ core.c_f
-        @ diag_values(h_c, nw)
-        @ diag_values(fact_over_poch, nw, inverse=True)
+        @ diag_conj([poch[n] / fact[n] for n in range(nw + 1)], diag_conj(h_c, inner))
     )
-    u = gop.inverse() @ OpMatrix.x_op(nw) @ gop
+    u, rec = extract_recurrence(gop, order)
     checks = []
     up, down = u.band_profile(order)
     checks.append(flag_check("shifted raising operator tridiagonal", up <= 1 and down <= 1, f"band ({up},{down})"))
-    at, bt = u.three_term(order)
-    rec = Recurrence(tuple(at), tuple(bt))
     # column factorization of theta! bar(C2^(-1)) theta!^(-1)
     ok, witness = True, ""
     for n in range(min(order, 12) + 1):
@@ -586,21 +486,12 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN, str
             break
     checks.append(flag_check("column factorization of the shift operator", ok, witness))
     # conjugated square identity
-    sq_vals = [(1 + lam * (n + c)) ** 2 for n in range(nw + 1)]
-    conj = (
-        core.c_tf.inverse()
-        @ core.fpow(-c - Fraction(1) / lam)
-        @ core.c_f
-        @ OpMatrix.diag_op(sq_vals, nw)
-        @ core.c_f.inverse()
-        @ core.fpow(c + Fraction(1) / lam)
-        @ core.c_tf
-    )
-    display = OpMatrix.diag_op(sq_vals, nw) - coeff_then_d(
+    sq = diag_values([(1 + lam * (n + c)) ** 2 for n in range(nw + 1)], nw)
+    display = sq - coeff_then_d(
         [2 * a * lam * lam / kappa * (1 + lam * (n + c)) * (1 + kappa * (n + c)) for n in range(nw + 1)],
         nw,
     )
-    checks.append(op_check("conjugated square identity", conj, display, order))
+    checks.append(op_check("conjugated square identity", inner @ sq @ inner.inverse(), display, order))
     if c == 0:
         base = wilson_family(p, order, margin=margin, strict=strict)
         checks.append(op_check("c=0 reduction", gop, base.gop, order))
@@ -623,12 +514,10 @@ def harder_generator_bands(p: JacobiParams, order: int, margin: int = FAMILY_MAR
     nw = order + margin
     p.guard(nw)
     lam = p.lam
-    f = riccati_series(lam, p.a, p.b, nw + 1)
-    fprime = (1 + lam * p.a * f + lam * p.b * (f * f)).truncate(nw + 1)
-    core = sheffer_core(f.truncate(nw), fprime.truncate(nw), lam, nw)
+    core = riccati_core(lam, p.a, p.b, nw)
     omega_prime = core.omega.derivative()
-    fprime_omega = fprime.truncate(nw + 1).compose(core.omega)
-    inv_lam = diag_of(lambda n: Fraction(1) / (1 + lam * n), nw)
+    fprime_omega = core.fprime.compose(core.omega)
+    inv_lam = diag_values([1 + lam * n for n in range(nw + 1)], nw, inverse=True)
     wp_op = OpMatrix.series_of_d(TruncSeries.from_polynomial(list(omega_prime.coeffs), nw), nw)
     inv_wp_op = OpMatrix.series_of_d(TruncSeries.from_polynomial(list((1 / omega_prime).coeffs), nw), nw)
     sigma = Fraction(1)
@@ -638,13 +527,13 @@ def harder_generator_bands(p: JacobiParams, order: int, margin: int = FAMILY_MAR
     fw_minus = OpMatrix.series_of_d(
         fprime_omega.pow_fraction(1 / lam - 1 / sigma).truncate(nw), nw
     )
-    inv_sigma = diag_of(lambda n: Fraction(1) / (1 + sigma * n), nw)
+    inv_sigma = diag_values([1 + sigma * n for n in range(nw + 1)], nw, inverse=True)
     t_sample = Fraction(1, 2)
     probes = {
         "power-weighted shift": fw_plus @ OpMatrix.x_op(nw) @ inv_sigma @ fw_minus,
         "left resolvent chain": OpMatrix.x_op(nw) @ inv_wp_op @ inv_lam @ wp_op @ inv_lam,
         "double resolvent chain": OpMatrix.x_op(nw) @ inv_lam @ wp_op @ inv_lam @ wp_op @ inv_lam,
         "resolvent mixture": OpMatrix.x_op(nw) @ inv_lam
-        + (diag_of(lambda n: 1 + lam * n, nw) @ inv_wp_op).scale(t_sample),
+        + (diag_values([1 + lam * n for n in range(nw + 1)], nw) @ inv_wp_op).scale(t_sample),
     }
     return [(name, op.band_profile(order)) for name, op in probes.items()]

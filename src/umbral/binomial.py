@@ -60,9 +60,6 @@ class FracIndexExpansion:
     s: Fraction
     coeffs: tuple
 
-    def term_count(self) -> int:
-        return len(self.coeffs)
-
     def eval_at(self, x) -> Fraction:
         """Only meaningful for nonnegative integer s (finite expansion)."""
         if self.s.denominator != 1 or self.s < 0:

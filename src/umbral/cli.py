@@ -226,16 +226,12 @@ def cmd_assoc(args) -> int:
     name = args.name
     if name == "sheffer":
         res = sheffer_assoc(_sheffer_params(params), c, cfg.order, strict=False)
-        base_rec = sheffer_family(_sheffer_params(params), cfg.order, strict=False).recurrence
     elif name == "ultraspherical":
         res = ultra_assoc(_sheffer_params(params), c, cfg.order, strict=False)
-        base_rec = ultraspherical_family(_sheffer_params(params), cfg.order, strict=False).recurrence
     elif name == "jacobi":
         res = jacobi_assoc(_jacobi_params(params), c, cfg.order, strict=False)
-        base_rec = jacobi_family(_jacobi_params(params), cfg.order, strict=False).recurrence
     elif name == "wilson":
         res = wilson_assoc(_wilson_params(params), c, cfg.order, strict=False)
-        base_rec = None
     else:
         raise ValueError(f"unknown associated family {args.name!r}")
     payload = res.to_json(cfg.order)
@@ -244,8 +240,8 @@ def cmd_assoc(args) -> int:
     pipelines["recurrence"] = (
         moments_from_recurrence(res.recurrence, depth_ok).f0.to_json()
     )
-    if c.denominator == 1 and c >= 0 and base_rec is not None:
-        pipelines["tails"] = assoc_mgf_from_tails(base_rec, int(c), depth_ok).to_json()
+    if c.denominator == 1 and c >= 0 and res.base_recurrence is not None:
+        pipelines["tails"] = assoc_mgf_from_tails(res.base_recurrence, int(c), depth_ok).to_json()
     payload["pipelines"] = pipelines
     if c == 0:
         payload["reduction"] = "identical to base"

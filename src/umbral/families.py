@@ -79,6 +79,10 @@ class JacobiParams:
     def b(self) -> Fraction:
         return self.lam * self.a * self.a / 4
 
+    def ratio(self, m) -> Fraction:
+        """F_{m+1}/F_m = (1 + beta m)/((1 + lam m)(1 + kappa m))."""
+        return (1 + self.beta * m) / ((1 + self.lam * m) * (1 + self.kappa * m))
+
     def guard(self, nw: int):
         for k in range(nw + 2):
             for name, v in (("1+lambda*k", self.lam), ("1+kappa*k", self.kappa), ("1+beta*k", self.beta)):
@@ -146,6 +150,8 @@ class MultiTermParams:
         object.__setattr__(self, "t", tuple(as_rat(v) for v in self.t))
         if self.n < 2:
             raise SingularParams("n", "need n >= 2")
+        if self.lam == 0:
+            raise SingularParams("lambda=0", "the deformation needs 1/lambda powers")
         if len(self.t) not in (self.n, self.n + 1):
             raise SingularParams("weights", f"need {self.n} or {self.n + 1} weights")
         if sum(self.t) != 1:
@@ -181,18 +187,16 @@ class MultiTermParams:
 # -- shared operator kit ---------------------------------------------------------
 
 
-def diag_of(fn, nw: int, inverse: bool = False) -> OpMatrix:
-    """Diagonal operator with pointwise values fn(0), ..., fn(nw)."""
-    vals = [as_rat(fn(n)) for n in range(nw + 1)]
-    if inverse:
-        vals = DiagSeq(vals).inverse_values()
-    return OpMatrix.diag_op(vals, nw)
-
-
 def diag_values(values: Sequence, nw: int, inverse: bool = False) -> OpMatrix:
+    """Diagonal operator with the given values (or their reciprocals)."""
     if inverse:
         values = DiagSeq(list(values)).inverse_values()
     return OpMatrix.diag_op(list(values), nw)
+
+
+def diag_conj(values: Sequence, op: OpMatrix) -> OpMatrix:
+    """v^(-1) . op . v for the diagonal operator v with the given values."""
+    return diag_values(values, op.nw, inverse=True) @ op @ diag_values(values, op.nw)
 
 
 def x_times(values: Sequence, nw: int) -> OpMatrix:
@@ -226,16 +230,15 @@ class ShefferCore:
     def fpow(self, alpha) -> OpMatrix:
         return OpMatrix.series_of_d(self.fprime.pow_fraction(alpha), self.nw)
 
-    @property
-    def inner(self) -> OpMatrix:
-        """C_tf^(-1) f'(D)^(-1/lam) C_f, the common core of the deformations."""
-        return self.c_tf.inverse() @ self.fpow(Fraction(-1) / self.lam) @ self.c_f
+    def inner(self, c=0) -> OpMatrix:
+        """C_tf^(-1) f'(D)^(-c-1/lam) C_f; at c = 0 the common core of the
+        deformations, at c the core of their associated families."""
+        return self.c_tf.inverse() @ self.fpow(-c - Fraction(1) / self.lam) @ self.c_f
 
     def conjugate_generator(self, t: OpMatrix) -> OpMatrix:
         """C_f^(-1) f'(D)^(1/lam) C_tf . T . C_tf^(-1) f'(D)^(-1/lam) C_f."""
-        left = self.c_f.inverse() @ self.fpow(Fraction(1) / self.lam) @ self.c_tf
-        right = self.c_tf.inverse() @ self.fpow(Fraction(-1) / self.lam) @ self.c_f
-        return left @ t @ right
+        inner = self.inner()
+        return inner.inverse() @ t @ inner
 
 
 def sheffer_core(f: TruncSeries, fprime: TruncSeries, lam, nw: int) -> ShefferCore:
@@ -252,6 +255,12 @@ def sheffer_core(f: TruncSeries, fprime: TruncSeries, lam, nw: int) -> ShefferCo
     )
 
 
+def riccati_core(lam, a, b, nw: int) -> ShefferCore:
+    """The core over the Riccati base f' = 1 + lam a f + lam b f^2."""
+    f = riccati_series(lam, a, b, nw)
+    return sheffer_core(f, (1 + lam * a * f + lam * b * (f * f)).truncate(nw), lam, nw)
+
+
 def conjugation_trick_checks(core: ShefferCore, sigma, through: Optional[int] = None) -> list:
     """The load-bearing lemma: for any nonzero sigma,
 
@@ -263,7 +272,7 @@ def conjugation_trick_checks(core: ShefferCore, sigma, through: Optional[int] = 
     """
     sigma = as_rat(sigma)
     nw = core.nw
-    inv_diag = diag_of(lambda n: 1 + sigma * n, nw, inverse=True)
+    inv_diag = diag_values([1 + sigma * n for n in range(nw + 1)], nw, inverse=True)
     lhs = core.c_tf @ OpMatrix.x_op(nw) @ inv_diag @ core.c_tf.inverse()
     x_tf = OpMatrix.x_op(nw) @ OpMatrix.series_of_d(core.tf, nw)
     middle = (
@@ -322,8 +331,14 @@ class FamilyResult:
         }
 
 
-def _extract(gop: OpMatrix, through: Optional[int] = None):
-    u = gop.inverse() @ OpMatrix.x_op(gop.nw) @ gop
+def dual_raising(gop: OpMatrix) -> OpMatrix:
+    """gop^(-1) x gop: multiplication by x in the family's own basis."""
+    return gop.inverse() @ OpMatrix.x_op(gop.nw) @ gop
+
+
+def extract_recurrence(gop: OpMatrix, through: Optional[int] = None) -> tuple:
+    """The dual raising operator of gop and the recurrence read off it."""
+    u = dual_raising(gop)
     a, b = u.three_term(through)
     return u, Recurrence(tuple(a), tuple(b))
 
@@ -352,20 +367,18 @@ def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN, st
         gen_weight = ell
         phi = TruncSeries.x(nw)
     else:
-        f = riccati_series(lam, a, b, nw)
-        fprime = (1 + lam * a * f + lam * b * (f * f)).truncate(nw)
-        core = sheffer_core(f, fprime, lam, nw)
+        core = riccati_core(lam, a, b, nw)
         gop = core.fpow(Fraction(-1) / lam) @ core.c_f
-        phi = f.reverse()
+        phi = core.f.reverse()
         phiprime = 1 / TruncSeries.from_polynomial([1, lam * a, lam * b], nw)
         gen_weight = phiprime.pow_fraction(Fraction(1) / lam)
         checks.append(
             series_check("phi' closed form", phi.derivative(), phiprime)
         )
-    u, rec = _extract(gop)
+    u, rec = extract_recurrence(gop)
     expected = (
         OpMatrix.x_op(nw)
-        + OpMatrix.diag_op([a * (1 + lam * n) for n in range(nw + 1)], nw)
+        + diag_values([a * (1 + lam * n) for n in range(nw + 1)], nw)
         + coeff_then_d([b * (2 + lam * n) for n in range(nw + 1)], nw)
     )
     checks.append(op_check("dual raising display", u, expected, order))
@@ -407,17 +420,14 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
     lam, a, b = p.lam, p.a, p.b
     if lam == 0:
         raise SingularParams("lambda=0", "the deformed family needs invertible 1+lambda*theta")
-    f = riccati_series(lam, a, b, nw)
-    fprime = (1 + lam * a * f + lam * b * (f * f)).truncate(nw)
-    core = sheffer_core(f, fprime, lam, nw)
+    core = riccati_core(lam, a, b, nw)
     checks = conjugation_trick_checks(core, lam, order)
-    ratio = lambda n: 1 / (1 + lam * n)
-    fvals = DiagSeq.from_ratio(ratio, nw + 2)
-    gop = diag_values(fvals.values[: nw + 1], nw, inverse=True) @ core.inner @ diag_values(fvals.values[: nw + 1], nw)
-    u, rec = _extract(gop)
+    fvals = DiagSeq.from_ratio(lambda n: 1 / (1 + lam * n), nw + 2)
+    gop = diag_conj(fvals.values[: nw + 1], core.inner())
+    u, rec = extract_recurrence(gop)
     expected_u = (
         OpMatrix.x_op(nw)
-        + OpMatrix.diag_op([a] * (nw + 1), nw)
+        + diag_values([a] * (nw + 1), nw)
         + coeff_then_d(
             [b * (2 + lam * n) / ((1 + lam * n) * (1 + lam + lam * n)) for n in range(nw + 1)], nw
         )
@@ -497,12 +507,13 @@ def hahn_family(lam, a, s, order: int, margin: int = FAMILY_MARGIN, strict: bool
     svals = DiagSeq.from_ratio(lambda n: s - 1 - n, nw + 1)
     delta = ((exp_series(2 * a, nw) - 1) / (2 * a)) if a != 0 else TruncSeries.x(nw)
     c_delta = OpMatrix.umbral_compose(delta, nw)
-    gop = c_delta @ diag_values(svals, nw, inverse=True) @ ultra.gop @ diag_values(svals, nw)
-    u, rec = _extract(gop)
+    law = diag_conj(svals, ultra.gop)
+    gop = c_delta @ law
+    u, rec = extract_recurrence(gop)
     checks = list(ultra.checks)
     expected_u = (
         OpMatrix.x_op(nw)
-        + OpMatrix.diag_op([(s - 1) * a] * (nw + 1), nw)
+        + diag_values([(s - 1) * a] * (nw + 1), nw)
         + coeff_then_d(
             [
                 a * a / 4 * (2 + lam * n) * (2 + lam * (s + n)) * (s - 1 - n)
@@ -515,7 +526,6 @@ def hahn_family(lam, a, s, order: int, margin: int = FAMILY_MARGIN, strict: bool
     checks.append(op_check("dual raising display", u, expected_u, order))
     # expansion law: coordinates in the shifted-exponential binomial basis
     xi = gop.expand_in(c_delta)
-    law = diag_values(svals, nw, inverse=True) @ ultra.gop @ diag_values(svals, nw)
     checks.append(op_check("expansion in binomial basis", xi, law, order))
     f0, pipe = _mgf_pipeline_check("hahn", gop, rec, order)
     checks.append(pipe)
@@ -538,7 +548,6 @@ def hahn_family(lam, a, s, order: int, margin: int = FAMILY_MARGIN, strict: bool
 def jacobi_closed_form(p: JacobiParams) -> ClosedFormRecurrence:
     lam, kappa, beta, a, r = p.lam, p.kappa, p.beta, p.a, p.r
     theta = IndexPoly.theta()
-    one = IndexPoly.const(1)
     a_fn = IndexRatio.const(r * a) + IndexRatio(
         (1 - r) * a * IndexPoly([1 - kappa, 2 * kappa]) + (1 - r) * a * lam * kappa * theta * theta,
         IndexPoly([1 - kappa, kappa]) * IndexPoly([1, kappa]),
@@ -557,7 +566,7 @@ def jacobi_split_displays(p: JacobiParams, nw: int) -> tuple[OpMatrix, OpMatrix]
     lam, kappa, a = p.lam, p.kappa, p.a
     lam_part = (
         x_times([1 / (1 + lam * n) for n in range(nw + 1)], nw)
-        + OpMatrix.diag_op([a] * (nw + 1), nw)
+        + diag_values([a] * (nw + 1), nw)
         + coeff_then_d(
             [lam * a * a / 4 * (2 + lam * n) / (1 + lam * (n + 1)) for n in range(nw + 1)], nw
         )
@@ -575,7 +584,7 @@ def jacobi_split_displays(p: JacobiParams, nw: int) -> tuple[OpMatrix, OpMatrix]
 
     kappa_part = (
         x_times([1 / (1 + kappa * n) for n in range(nw + 1)], nw)
-        + OpMatrix.diag_op([kappa_const(n) for n in range(nw + 1)], nw)
+        + diag_values([kappa_const(n) for n in range(nw + 1)], nw)
         + coeff_then_d(
             [lam * a * a / 4 * (2 + lam * n) / (1 + kappa * n) for n in range(nw + 1)], nw
         )
@@ -587,9 +596,7 @@ def jacobi_mgf_forms(p: JacobiParams, order: int) -> tuple[TruncSeries, TruncSer
     """The two product-form expressions for the moment series: the
     ratio-weighted central-binomial sum and the hypergeometric-style one."""
     lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
-    fvals = DiagSeq.from_ratio(
-        lambda n: (1 + beta * n) / ((1 + lam * n) * (1 + kappa * n)), order + 1, strict=False
-    )
+    fvals = DiagSeq.from_ratio(p.ratio, order + 1, strict=False)
     coeffs = []
     binom = Fraction(1)  # binom(2/lam + 2n, n) rebuilt per n below
     for n in range(order + 1):
@@ -605,36 +612,32 @@ def jacobi_mgf_forms(p: JacobiParams, order: int) -> tuple[TruncSeries, TruncSer
     return form1, form2
 
 
-def jacobi_a_values(p: JacobiParams, count: int) -> list:
-    """Diagonal coefficients of the dual raising operator; the index-0 value
-    is a by parameter continuity (the display is 0/0 there when kappa=1)."""
+def jacobi_dual_raising(p: JacobiParams, nw: int) -> OpMatrix:
+    """x + a_theta + D b_theta from the closed form; the index-0 value of
+    a_theta is a by parameter continuity (the display is 0/0 there when
+    kappa=1)."""
     closed = jacobi_closed_form(p)
-    return [p.a if n == 0 else closed.a_fn(n) for n in range(count)]
+    return (
+        OpMatrix.x_op(nw)
+        + diag_values([p.a if n == 0 else closed.a_fn(n) for n in range(nw + 1)], nw)
+        + d_then_coeff([Fraction(0)] + [closed.b_fn(n) for n in range(1, nw + 1)], nw)
+    )
 
 
 def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN, strict: bool = True) -> FamilyResult:
     nw = order + margin
     p.guard(nw)
-    lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
-    f = riccati_series(lam, a, p.b, nw)
-    fprime = (1 + lam * a * f + lam * p.b * (f * f)).truncate(nw)
-    core = sheffer_core(f, fprime, lam, nw)
+    lam, kappa, a = p.lam, p.kappa, p.a
+    core = riccati_core(lam, a, p.b, nw)
     checks = conjugation_trick_checks(core, lam, order)
     checks += conjugation_trick_checks(core, kappa, order)
-    ratio = lambda n: (1 + beta * n) / ((1 + lam * n) * (1 + kappa * n))
-    fvals = DiagSeq.from_ratio(ratio, nw + 1, strict=False)
-    gop = diag_values(fvals, nw, inverse=True) @ core.inner @ diag_values(fvals, nw)
-    u, rec = _extract(gop)
-    closed = jacobi_closed_form(p)
-    expected_u = (
-        OpMatrix.x_op(nw)
-        + OpMatrix.diag_op(jacobi_a_values(p, nw + 1), nw)
-        + d_then_coeff([Fraction(0)] + [closed.b_fn(n) for n in range(1, nw + 1)], nw)
-    )
-    checks.append(op_check("dual raising closed form", u, expected_u, order))
+    fvals = DiagSeq.from_ratio(p.ratio, nw + 1, strict=False)
+    gop = diag_conj(fvals, core.inner())
+    u, rec = extract_recurrence(gop)
+    checks.append(op_check("dual raising closed form", u, jacobi_dual_raising(p, nw), order))
     # affine split of the conjugated generator x (F_{theta+1}/F_theta)
     lam_part, kappa_part = jacobi_split_displays(p, nw)
-    combo = core.conjugate_generator(x_times([ratio(n) for n in range(nw + 1)], nw))
+    combo = core.conjugate_generator(x_times([p.ratio(n) for n in range(nw + 1)], nw))
     split = lam_part.scale(p.r) + kappa_part.scale(1 - p.r)
     checks.append(op_check("three-term split", combo, split, order))
     f0, pipe = _mgf_pipeline_check("jacobi", gop, rec, order)
@@ -643,7 +646,7 @@ def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN, stri
     checks.append(series_check("mgf ratio-sum form", f0, form1, order))
     checks.append(series_check("mgf product form", f0, form2, order))
     ensure(checks, strict)
-    return FamilyResult("jacobi", gop, rec, f0, closed, checks, core)
+    return FamilyResult("jacobi", gop, rec, f0, jacobi_closed_form(p), checks, core)
 
 
 def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN, strict: bool = True):
@@ -652,7 +655,7 @@ def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN, s
     fam = jacobi_family(p, order, margin, strict)
     nw = fam.gop.nw
     lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
-    sq = OpMatrix.diag_op([(1 + lam * n) ** 2 for n in range(nw + 1)], nw)
+    sq = diag_values([(1 + lam * n) ** 2 for n in range(nw + 1)], nw)
     lhs = fam.gop @ sq @ fam.gop.inverse()
     rhs = sq - coeff_then_d([2 * a * lam * lam / kappa * (1 + beta * n) for n in range(nw + 1)], nw)
     checks = [op_check("second-order operator closed form", lhs, rhs, order)]
@@ -685,20 +688,18 @@ def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN, stri
     p.guard(nw)
     lam, kappa, beta = p.lam, p.kappa, p.beta
     a, h = p.a, p.h
-    f = riccati_series(lam, a, lam * a * a / 4, nw)
-    fprime = (1 + lam * a * f + lam * (lam * a * a / 4) * (f * f)).truncate(nw)
-    core = sheffer_core(f, fprime, lam, nw)
+    core = riccati_core(lam, a, lam * a * a / 4, nw)
     checks = conjugation_trick_checks(core, lam, order)
     hvals = DiagSeq.from_ratio(p.mixing_ratio, nw + 1, strict=False)
     ells = [2 * a * h * lam * lam / kappa * (1 + k) * (1 + beta * k) for k in range(nw)]
     c2 = OpMatrix.shifted_product(ells, nw)
-    gop = c2 @ diag_values(hvals, nw, inverse=True) @ core.inner @ diag_values(hvals, nw)
-    u, rec = _extract(gop)
+    gop = c2 @ diag_conj(hvals, core.inner())
+    u, rec = extract_recurrence(gop)
     up, down = u.band_profile(order)
     checks.append(flag_check("raising operator tridiagonal", up <= 1 and down <= 1, f"band ({up},{down})"))
     # bracket identity
     bracket = diag_values(hvals, nw) @ c2.inverse() @ OpMatrix.x_op(nw) @ c2 @ diag_values(hvals, nw, inverse=True)
-    display = x_times([p.mixing_ratio(n) for n in range(nw + 1)], nw) - OpMatrix.diag_op(
+    display = x_times([p.mixing_ratio(n) for n in range(nw + 1)], nw) - diag_values(
         [2 * a * h * lam * lam / kappa * (1 + n) * (1 + beta * n) for n in range(nw + 1)], nw
     )
     checks.append(op_check("bracket identity", bracket, display, order))
@@ -726,7 +727,7 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
     core = sheffer_core(f, fprime, lam, nw)
     checks = conjugation_trick_checks(core, lam, min(order, 8))
     qvals = DiagSeq.from_ratio(p.ratio, nw + 1, strict=False)
-    inner = diag_values(qvals, nw, inverse=True) @ core.inner @ diag_values(qvals, nw)
+    inner = diag_conj(qvals, core.inner())
     if p.extended:
         cconst = -p.t[n] * lam * a * Fraction(n ** (n - 1), (n - 1) ** (n - 1))
         delta = ((exp_series(cconst, nw) - 1) / cconst) if cconst != 0 else TruncSeries.x(nw)
@@ -734,7 +735,7 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
         gop = c_delta @ inner
     else:
         gop = inner
-    u = gop.inverse() @ OpMatrix.x_op(gop.nw) @ gop
+    u = dual_raising(gop)
     band = u.band_profile(order)
     checks.append(
         flag_check(
@@ -792,16 +793,14 @@ def comment_generator_bands(p: JacobiParams, order: int, margin: int = FAMILY_MA
     nw = order + margin
     p.guard(nw)
     lam, kappa, a = p.lam, p.kappa, p.a
-    f = riccati_series(lam, a, p.b, nw)
-    fprime = (1 + lam * a * f + lam * p.b * (f * f)).truncate(nw)
-    core = sheffer_core(f, fprime, lam, nw)
+    core = riccati_core(lam, a, p.b, nw)
     established = {
         "x/(1+lam theta)": x_times([1 / (1 + lam * k) for k in range(nw + 1)], nw),
         "x/(1+kappa theta)": x_times([1 / (1 + kappa * k) for k in range(nw + 1)], nw),
-        "x - 2 lam a theta": OpMatrix.x_op(nw) - OpMatrix.diag_op([2 * lam * a * k for k in range(nw + 1)], nw),
+        "x - 2 lam a theta": OpMatrix.x_op(nw) - diag_values([2 * lam * a * k for k in range(nw + 1)], nw),
         "x(1+lam theta) - lam a(2-lam+2 lam theta)theta": (
             x_times([1 + lam * k for k in range(nw + 1)], nw)
-            - OpMatrix.diag_op([a * lam * (2 - lam + 2 * lam * k) * k for k in range(nw + 1)], nw)
+            - diag_values([a * lam * (2 - lam + 2 * lam * k) * k for k in range(nw + 1)], nw)
         ),
     }
     out = []

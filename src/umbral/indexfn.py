@@ -33,10 +33,6 @@ class IndexPoly:
     def theta(cls) -> "IndexPoly":
         return cls([0, 1])
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, n) -> Fraction:
         x = _as_rat(n)
         acc = Fraction(0)
@@ -98,32 +94,6 @@ def _as_poly(x) -> IndexPoly:
     return IndexPoly([x])
 
 
-def _poly_divmod(a: IndexPoly, b: IndexPoly):
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    quo = [Fraction(0)] * max(1, len(rem) - len(b.coeffs) + 1)
-    lead = b.coeffs[-1]
-    for i in range(len(rem) - len(b.coeffs), -1, -1):
-        c = rem[i + len(b.coeffs) - 1] / lead
-        if c == 0:
-            continue
-        quo[i] = c
-        for j, bc in enumerate(b.coeffs):
-            rem[i + j] -= c * bc
-    return IndexPoly(quo), IndexPoly(rem)
-
-
-def poly_gcd(a: IndexPoly, b: IndexPoly) -> IndexPoly:
-    """Monic gcd over the rationals (Euclid)."""
-    while not b.is_zero():
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return IndexPoly([1])
-    return a * (1 / a.coeffs[-1])
-
-
 class IndexRatio:
     """Quotient of two index polynomials; no implicit cancellation."""
 
@@ -151,14 +121,6 @@ class IndexRatio:
             # callers must decide, so evaluation stays strict.
             raise ZeroDivisionError(f"index ratio pole at {n}")
         return self.num(n) / d
-
-    def reduced(self) -> "IndexRatio":
-        g = poly_gcd(self.num, self.den)
-        if g.degree == 0:
-            return self
-        num, _ = _poly_divmod(self.num, g)
-        den, _ = _poly_divmod(self.den, g)
-        return IndexRatio(num, den)
 
     def __add__(self, other) -> "IndexRatio":
         other = _as_ratio(other)
@@ -191,9 +153,6 @@ class IndexRatio:
         """Equality as rational functions (cross multiplication)."""
         other = _as_ratio(other)
         return (self.num * other.den) == (other.num * self.den)
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
 
     def __repr__(self):
         return f"IndexRatio({list(self.num.coeffs)}, {list(self.den.coeffs)})"

@@ -60,8 +60,8 @@ class DiagSeq:
         for n in range(count - 1):
             try:
                 r = as_rat(ratio(offset + n))
-            except ZeroDivisionError as exc:
-                raise DiagSingular(n, str(exc)) from None
+            except ZeroDivisionError:
+                raise DiagSingular(n, f"the ratio has a pole at {offset + n}") from None
             if strict and r == 0:
                 raise DiagSingular(n, "ratio vanishes")
             vals.append(vals[-1] * r)
@@ -70,6 +70,11 @@ class DiagSeq:
     @classmethod
     def factorial(cls, count: int) -> "DiagSeq":
         return cls.from_ratio(lambda n: n + 1, count)
+
+    @classmethod
+    def rising(cls, c, count: int) -> "DiagSeq":
+        """(c)_n = c (c+1) ... (c+n-1); all zero past n = 0 when c = 0."""
+        return cls.from_ratio(lambda m: m, count, offset=c, strict=False)
 
     def __len__(self):
         return len(self.values)
@@ -82,12 +87,6 @@ class DiagSeq:
             if v == 0:
                 raise DiagSingular(n, "cannot invert zero diagonal value")
         return tuple(1 / v for v in self.values)
-
-    def shifted(self, k: int) -> "DiagSeq":
-        """Values v_{n+k} (plain index shift of an explicit-value sequence)."""
-        if k >= len(self.values):
-            raise OrderExhausted("shift beyond cached diagonal values")
-        return DiagSeq(self.values[k:])
 
 
 class OpMatrix:
@@ -236,12 +235,10 @@ class OpMatrix:
         return OpMatrix(m, self.nw, max(self.raised, other.raised), min(self.reliable, other.reliable))
 
     def __neg__(self) -> "OpMatrix":
-        n = self.nw + 1
         return OpMatrix([[-v for v in row] for row in self.mat], self.nw, self.raised, self.reliable)
 
     def scale(self, c) -> "OpMatrix":
         c = as_rat(c)
-        n = self.nw + 1
         return OpMatrix([[c * v for v in row] for row in self.mat], self.nw, self.raised, self.reliable)
 
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
@@ -314,7 +311,8 @@ class OpMatrix:
     # -- transforms ---------------------------------------------------------
 
     def bar(self) -> "OpMatrix":
-        """Factorial-weighted transpose; see the module docstring."""
+        """Factorial-weighted transpose; see the module docstring.  It is an
+        involution, so bar() also undoes bar()."""
         n = self.nw + 1
         fact = [_ONE] * n
         for i in range(1, n):
@@ -332,10 +330,6 @@ class OpMatrix:
                 if m[row][col] != 0 and row - col > raised:
                     raised = row - col
         return OpMatrix(m, self.nw, raised, limit)
-
-    def unbar(self) -> "OpMatrix":
-        """Inverse of bar(); the factorial transpose is an involution."""
-        return self.bar()
 
     def apply_poly(self, coeffs: Sequence) -> list:
         """Apply to a polynomial given by x-coefficients; exact when its

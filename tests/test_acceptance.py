@@ -19,6 +19,7 @@ from umbral.binomial import (
     falling_factorial_instance,
     geometric_instance,
     lagrange_forms,
+    log_poly_expansion_terms,
     lowering_check,
 )
 from umbral.families import (
@@ -403,6 +404,24 @@ def test_criterion_13_binomial_extensions():
                         f"is {scaled:.9f}, not within 1e-6 of {limit:.9f}"
                     )
                     break
+    if ok:
+        # Magnitude of the geometric s^-2 term, not only its rate: the
+        # level-2 residual times s^2 is C2 + C3/s + C4/s^2 + ...; two
+        # Richardson steps over s = 80, 160, 320 remove C3 and C4 (measured
+        # error 2.1e-4), and the result must match the s^-2 term that the
+        # expansion adds at level 3 (7/5 at alpha = 1/5).
+        inst, alpha = geometric_instance(), F(1, 5)
+        r = asym_compare(inst, alpha, [80, 160, 320], 2, digits=60)
+        g = [Decimal(row["residual"]) * row["s"] ** 2 for row in r["rows"]]
+        h = [2 * g[1] - g[0], 2 * g[2] - g[1]]
+        extrapolated = (4 * h[1] - h[0]) / 3
+        term = log_poly_expansion_terms(inst, alpha, 80)[3] * 80 ** 2
+        if abs(extrapolated - term) >= Decimal("1e-3"):
+            ok = False
+            detail = (
+                f"geometric level-2 residual*s^2 extrapolates to {extrapolated:.6f}, "
+                f"but the expansion's s^-2 term is {term:.6f}"
+            )
     report(13, "binomial extensions: inversion, lowering, asymptotic orders", ok, detail)
 
 

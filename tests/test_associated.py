@@ -8,14 +8,15 @@ from umbral.associated import (
     harder_generator_bands,
     jacobi_assoc,
     long_division_checks,
+    lowered_weights,
     sheffer_assoc,
     splitting_check,
     ultra_assoc,
     wilson_assoc,
 )
-from umbral.errors import SingularParams
+from umbral.errors import DiagSingular, SingularParams
 from umbral.families import JacobiParams, ShefferParams, WilsonParams
-from umbral.opalg import OpMatrix
+from umbral.opalg import DiagSeq, OpMatrix
 from umbral.orthocore import assoc_recurrence
 from umbral.series import TruncSeries, exp_series
 
@@ -24,6 +25,22 @@ def all_pass(checks):
     bad = [(c.name, c.witness) for c in checks if not c.passed]
     assert not bad, bad
 
+
+
+def test_lowered_weights():
+    p = JacobiParams(F(1, 3), F(2, 5), F(3, 7))
+    c = F(3, 2)
+    rising = DiagSeq.rising(c, 6)
+    lowered = DiagSeq.from_ratio(p.ratio, 6, offset=c - 1, strict=False)
+    got = lowered_weights(p.ratio, c, 6)
+    assert got.values == tuple(rising[n] * lowered[n] for n in range(6))
+    # at c = 0 the rising factor kills everything past the constant, even
+    # when the ratio has a pole at -1 (lambda = 1)
+    pole = JacobiParams(1, F(1, 2), F(1, 3))
+    assert lowered_weights(pole.ratio, 0, 5).values == (1, 0, 0, 0, 0)
+    with pytest.raises(DiagSingular):
+        # 1 + lambda (c - 1) = 0
+        lowered_weights(JacobiParams(2, F(1, 2), 1).ratio, F(1, 2), 5)
 
 # ---- long division lemma --------------------------------------------------------
 

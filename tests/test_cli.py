@@ -221,6 +221,31 @@ def test_multiterm_rejects_non_integer_n(capsys):
     assert json.loads(out)["order"] == 6
 
 
+def test_multiterm_rejects_zero_lambda(capsys):
+    code, out, err = run(
+        capsys, "family", "multiterm", "--params", "n=2,t0=1/3,t1=2/3", "--order", "4"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: lambda=0 invalid")
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("jacobi", "lambda=2,a=1/2,r=1"),
+        ("wilson", "lambda=2,a=1/3,r=1/2,rtilde=1/5,h=1/4"),
+    ],
+)
+def test_assoc_pole_of_the_lowered_ratio(capsys, name, params):
+    # 1 + lambda (c - 1) = 0: the ratio behind H_{theta+c-1} has a pole at theta = 0
+    code, out, err = run(capsys, "assoc", name, "--params", params, "--c", "1/2", "--order", "8")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: diagonal ratio singular at index 0")
+    assert "pole at -1/2" in err
+
+
 def test_config_guard(capsys):
     code, out, err = run(capsys, "family", "sheffer", "--params", "lambda=0,a=0,b=1", "--order", "2")
     assert code == 2

@@ -59,11 +59,17 @@ def test_l_shifts_down_and_factorial_conjugation():
 
 
 def test_diag_ratio_guard():
-    with pytest.raises(DiagSingular):
+    with pytest.raises(DiagSingular, match="pole at 3"):
         DiagSeq.from_ratio(lambda n: F(1) / (n - 3), NW)
     with pytest.raises(DiagSingular):
         DiagSeq.from_ratio(lambda n: n - 3, NW)  # zero value at n=3
 
+
+
+def test_diag_rising_factorial():
+    assert DiagSeq.rising(F(1, 2), 4).values == (1, F(1, 2), F(3, 4), F(15, 8))
+    assert DiagSeq.rising(1, 6).values == DiagSeq.factorial(6).values
+    assert DiagSeq.rising(0, 4).values == (1, 0, 0, 0)
 
 # ---- umbral composition operator ---------------------------------------------
 
@@ -284,7 +290,7 @@ def test_bar_round_trip_on_series_of_d(cs):
 def test_unbar_inverts_bar():
     f = riccati_series(1, 1, 0, NW)
     op = OpMatrix.umbral_compose(f, NW)
-    assert op.bar().unbar().equals(op)
+    assert op.bar().bar().equals(op)
 
 
 def test_reliability_exhaustion_raises():
