@@ -30,7 +30,7 @@ from .families import (
     jacobi_dual_raising,
     jacobi_family,
     riccati_core,
-    sheffer_core,  # re-exported: bench/tracing.py looks it up in this module
+    sheffer_core,  # re-exported: bench/test_bench.py reads the traced name here
     sheffer_family,
     ultraspherical_family,
     wilson_family,

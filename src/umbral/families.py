@@ -698,7 +698,7 @@ def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN, stri
     up, down = u.band_profile(order)
     checks.append(flag_check("raising operator tridiagonal", up <= 1 and down <= 1, f"band ({up},{down})"))
     # bracket identity
-    bracket = diag_values(hvals, nw) @ c2.inverse() @ OpMatrix.x_op(nw) @ c2 @ diag_values(hvals, nw, inverse=True)
+    bracket = diag_values(hvals, nw) @ dual_raising(c2) @ diag_values(hvals, nw, inverse=True)
     display = x_times([p.mixing_ratio(n) for n in range(nw + 1)], nw) - diag_values(
         [2 * a * h * lam * lam / kappa * (1 + n) * (1 + beta * n) for n in range(nw + 1)], nw
     )
