@@ -7,6 +7,7 @@ binomial-family extensions."""
 from .associated import jacobi_assoc, sheffer_assoc, ultra_assoc, wilson_assoc
 from .errors import EngineError
 from .families import (
+    HahnParams,
     JacobiParams,
     MultiTermParams,
     ShefferParams,
@@ -35,6 +36,7 @@ __all__ = [
     "ClosedFormRecurrence",
     "DiagSeq",
     "EngineError",
+    "HahnParams",
     "JacobiParams",
     "MomentSeries",
     "MultiTermParams",

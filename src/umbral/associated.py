@@ -181,7 +181,7 @@ class AssocResult:
     recurrence: Recurrence
     mgf: TruncSeries
     checks: list = field(default_factory=list)
-    base_recurrence: Optional[Recurrence] = None
+    pipelines: dict = field(default_factory=dict)  # the mgf by other routes, keyed by route
 
     def to_json(self, upto: Optional[int] = None) -> dict:
         upto = self.gop.reliable if upto is None else min(upto, self.gop.reliable)
@@ -207,18 +207,17 @@ def assoc_dual_raising(cf: ClosedFormRecurrence, c, nw: int) -> OpMatrix:
     )
 
 
-def _pipeline_checks(name: str, base_rec: Recurrence, result_gop: OpMatrix, rec: Recurrence, c, order: int) -> list:
-    """Explicit-operator mgf against the tail pipeline and the extracted
-    recurrence's own moments (integer shifts only for the tails)."""
-    checks = []
-    c = as_rat(c)
-    f0 = mgf_from_gop(result_gop).truncate(order)
-    via_rec = moments_from_recurrence(rec, order).f0
-    checks.append(series_check(f"{name}: explicit vs extracted-recurrence mgf", f0, via_rec))
-    if c.denominator == 1 and c >= 0:
-        via_tails = assoc_mgf_from_tails(base_rec, int(c), order)
-        checks.append(series_check(f"{name}: explicit vs tail mgf", f0, via_tails))
-    return checks
+def _pipeline_checks(prefix: str, base_rec: Optional[Recurrence], f0: TruncSeries, rec: Recurrence, c, order: int) -> tuple:
+    """The explicit-operator mgf f0 against the extracted recurrence's own
+    moments and, for integer shifts over a base recurrence, the tail
+    pipeline.  Returns the checks and the series each pipeline gave."""
+    f0 = f0.truncate(order)
+    pipelines = {"recurrence": moments_from_recurrence(rec, order).f0}
+    checks = [series_check(f"{prefix}explicit vs extracted-recurrence mgf", f0, pipelines["recurrence"])]
+    if base_rec is not None and c.denominator == 1 and c >= 0:
+        pipelines["tails"] = assoc_mgf_from_tails(base_rec, int(c), order)
+        checks.append(series_check(f"{prefix}explicit vs tail mgf", f0, pipelines["tails"]))
+    return checks, pipelines
 
 
 # -- associated Sheffer -------------------------------------------------------------------
@@ -255,9 +254,10 @@ def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN, s
     checks.append(series_check("displayed mgf formula", f0, f0_formula, order))
     if c == 0:
         checks.append(op_check("c=0 reduction", gop, base.gop, order))
-    checks += _pipeline_checks("sheffer assoc", base.recurrence, gop, rec, c, min(order, 10))
+    pipe_checks, pipelines = _pipeline_checks("sheffer assoc: ", base.recurrence, f0, rec, c, min(order, 10))
+    checks += pipe_checks
     ensure(checks, strict)
-    return AssocResult("sheffer", c, gop, rec, f0, checks, base.recurrence)
+    return AssocResult("sheffer", c, gop, rec, f0, checks, pipelines)
 
 
 # -- associated ultraspherical ----------------------------------------------------------------
@@ -293,9 +293,10 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN, str
     if c == 0:
         checks.append(op_check("c=0 reduction", gop, base.gop, order))
     f0 = mgf_from_gop(gop).truncate(order)
-    checks += _pipeline_checks("ultraspherical assoc", base.recurrence, gop, rec, c, min(order, 10))
+    pipe_checks, pipelines = _pipeline_checks("ultraspherical assoc: ", base.recurrence, f0, rec, c, min(order, 10))
+    checks += pipe_checks
     ensure(checks, strict)
-    return AssocResult("ultraspherical", c, gop, rec, f0, checks, base.recurrence)
+    return AssocResult("ultraspherical", c, gop, rec, f0, checks, pipelines)
 
 
 # -- associated Jacobi ------------------------------------------------------------------------
@@ -375,9 +376,10 @@ def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN, str
     moment_form = f0.laplace()
     checks.append(series_check("weighted-series mgf formula", moment_form, weighted_form, order))
     checks.append(series_check("hypergeometric quotient mgf", moment_form, hyper_form, order))
-    checks += _pipeline_checks("jacobi assoc", base.recurrence, gop, rec, c, min(order, 10))
+    pipe_checks, pipelines = _pipeline_checks("jacobi assoc: ", base.recurrence, f0, rec, c, min(order, 10))
+    checks += pipe_checks
     ensure(checks, strict)
-    return AssocResult("jacobi", c, gop, rec, f0, checks, base.recurrence)
+    return AssocResult("jacobi", c, gop, rec, f0, checks, pipelines)
 
 
 # -- splitting of the shifted operator ------------------------------------------------------
@@ -499,10 +501,10 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN, str
         reduction = jacobi_assoc(JacobiParams(lam, a, p.rt), c, order, margin, strict)
         checks.append(op_check("h=0 reduction", gop, reduction.gop, order))
     f0 = mgf_from_gop(gop).truncate(order)
-    via_rec = moments_from_recurrence(rec, min(order, 10)).f0
-    checks.append(series_check("explicit vs extracted-recurrence mgf", f0, via_rec, min(order, 10)))
+    pipe_checks, pipelines = _pipeline_checks("", None, f0, rec, c, min(order, 10))
+    checks += pipe_checks
     ensure(checks, strict)
-    return AssocResult("wilson", c, gop, rec, f0, checks)
+    return AssocResult("wilson", c, gop, rec, f0, checks, pipelines)
 
 
 # -- probe operators ----------------------------------------------------------------------------

@@ -7,6 +7,7 @@ sorted keys, and nothing time- or path-dependent is written.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -16,10 +17,6 @@ from .associated import jacobi_assoc, sheffer_assoc, ultra_assoc, wilson_assoc
 from .binomial import INSTANCES, asym_compare
 from .errors import DegenerateB, EngineError, IdentityFailure, SingularParams
 from .families import (
-    JacobiParams,
-    MultiTermParams,
-    ShefferParams,
-    WilsonParams,
     hahn_family,
     hahn_mgf,
     jacobi_family,
@@ -28,17 +25,31 @@ from .families import (
     ultraspherical_family,
     wilson_family,
 )
-from .orthocore import (
-    Recurrence,
-    assoc_mgf_from_tails,
-    moments_from_recurrence,
-    recurrence_from_moments,
-)
+from .orthocore import Recurrence, moments_from_recurrence, recurrence_from_moments
 from .series import TruncSeries, as_rat
 from .verify import SUITES, RunConfig, run_suite
 
 USAGE_ERROR = 2
 IDENTITY_ERROR = 1
+
+# name -> builder; each builder's first argument is annotated with the
+# parameter record that declares its --params keys and defaults
+FAMILIES = {
+    "sheffer": sheffer_family,
+    "ultraspherical": ultraspherical_family,
+    "hahn": hahn_family,
+    "jacobi": jacobi_family,
+    "wilson": wilson_family,
+    "multiterm": multiterm_family,
+}
+ASSOCS = {
+    "sheffer": sheffer_assoc,
+    "ultraspherical": ultra_assoc,
+    "jacobi": jacobi_assoc,
+    "wilson": wilson_assoc,
+}
+# options whose value is a rational and may start with '-'
+RATIONAL_FLAGS = ("--c", "--alpha")
 
 
 def parse_params(text: str) -> dict:
@@ -55,6 +66,13 @@ def parse_params(text: str) -> dict:
     return out
 
 
+def params_for(builder, params: dict):
+    """The parameter record `builder` takes (the annotation of its first
+    argument), built from parsed --params."""
+    first = next(iter(inspect.signature(builder, eval_str=True).parameters.values()))
+    return first.annotation.from_params(params)
+
+
 def default_order() -> int:
     env = os.environ.get("UMBRAL_ORDER")
     if not env:
@@ -65,17 +83,11 @@ def default_order() -> int:
         raise ValueError(f"UMBRAL_ORDER must be an integer, got {env!r}") from None
 
 
-def build_config(args) -> RunConfig:
-    cfg = RunConfig(
-        order=default_order() if args.order is None else args.order,
-        seed=args.seed,
-        samples=args.samples,
-        fmt=args.format,
-        digits=args.digits,
-        params=parse_params(getattr(args, "params", "") or ""),
-    )
-    cfg.validate()
-    return cfg
+def resolve_order(args) -> int:
+    order = default_order() if args.order is None else args.order
+    if order < 4:
+        raise ValueError("order must be at least 4")
+    return order
 
 
 def emit(payload, args, csv_rows=None):
@@ -90,71 +102,29 @@ def emit(payload, args, csv_rows=None):
         sys.stdout.write(text)
 
 
-def _sheffer_params(params: dict) -> ShefferParams:
-    return ShefferParams(params.get("lambda", 0), params.get("a", 0), params.get("b", 0))
-
-
-def _jacobi_params(params: dict) -> JacobiParams:
-    return JacobiParams(params.get("lambda", 0), params.get("a", 0), params.get("r", 0))
-
-
-def _wilson_params(params: dict) -> WilsonParams:
-    rt = params.get("rtilde", params.get("rt", 0))
-    return WilsonParams(
-        params.get("lambda", 0), params.get("a", 0), params.get("r", 0), rt, params.get("h", 0)
-    )
-
-
-def _multiterm_params(params: dict) -> MultiTermParams:
-    n = params.get("n", 2)
-    if n != int(n):
-        raise ValueError(f"multiterm needs an integer n, got {n}")
-    n = int(n)
-    weights = []
-    for k in range(n + 1):
-        key = f"t{k}"
-        if key in params:
-            weights.append(params[key])
-    return MultiTermParams(n, params.get("lambda", 0), params.get("a", 0), tuple(weights))
-
-
 def cmd_family(args) -> int:
-    cfg = build_config(args)
-    params = cfg.params
-    name = args.name
-    if name == "sheffer":
-        fam = sheffer_family(_sheffer_params(params), cfg.order, strict=False)
-    elif name == "ultraspherical":
-        fam = ultraspherical_family(_sheffer_params(params), cfg.order, strict=False)
-    elif name == "hahn":
-        lam, a = params.get("lambda", 2), params.get("a", Fraction(1, 2))
-        s = params.get("s", Fraction(1, 2))
-        try:
-            fam = hahn_family(lam, a, s, cfg.order, strict=False)
-        except SingularParams:
-            if not (lam == 2 and a == Fraction(1, 2)):
-                raise
-            # integer s: only the closed-form mgf path exists
-            f0 = hahn_mgf(s, cfg.order)
-            rec = recurrence_from_moments(f0.laplace(), depth=max(1, int(s) - 1))
-            payload = {
-                "name": "hahn",
-                "path": "closed-form mgf (integer s)",
-                "s": str(s),
-                "f0": f0.to_json(),
-                "recurrence": rec.to_json(),
-            }
-            emit(payload, args, csv_rows=[["f0"] + [str(c) for c in f0.coeffs]])
-            return 0
-    elif name == "jacobi":
-        fam = jacobi_family(_jacobi_params(params), cfg.order, strict=False)
-    elif name == "wilson":
-        fam = wilson_family(_wilson_params(params), cfg.order, strict=False)
-    elif name == "multiterm":
-        fam = multiterm_family(_multiterm_params(params), cfg.order, strict=False)
-    else:
-        raise ValueError(f"unknown family {args.name!r}")
-    payload = fam.to_json(cfg.order)
+    order = resolve_order(args)
+    params = parse_params(args.params)
+    build = FAMILIES[args.name]
+    p = params_for(build, params)
+    try:
+        fam = build(p, order, strict=False)
+    except SingularParams:
+        if not (args.name == "hahn" and p.lam == 2 and p.a == Fraction(1, 2)):
+            raise
+        # integer s: only the closed-form mgf path exists
+        f0 = hahn_mgf(p.s, order)
+        rec = recurrence_from_moments(f0.laplace(), depth=max(1, int(p.s) - 1))
+        payload = {
+            "name": "hahn",
+            "path": "closed-form mgf (integer s)",
+            "s": str(p.s),
+            "f0": f0.to_json(),
+            "recurrence": rec.to_json(),
+        }
+        emit(payload, args, csv_rows=[["f0"] + [str(c) for c in f0.coeffs]])
+        return 0
+    payload = fam.to_json(order)
     payload["params"] = {k: str(v) for k, v in sorted(params.items())}
     rows = [
         ["a"] + [str(v) for v in fam.recurrence.a],
@@ -167,7 +137,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = build_config(args)
+    cfg = RunConfig(resolve_order(args), args.seed, args.samples, args.digits)
+    cfg.validate()
     checks = run_suite(args.suite, cfg)
     failed = [c for c in checks if not c.passed]
     payload = {
@@ -185,7 +156,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cfrac(args) -> int:
-    cfg = build_config(args)
+    order = resolve_order(args)
     with open(args.input) as fh:
         data = json.load(fh)
     payload = {"direction": args.direction}
@@ -196,7 +167,7 @@ def cmd_cfrac(args) -> int:
         payload["depth"] = rec.depth
         rows = [["a"] + [str(v) for v in rec.a], ["b"] + [str(v) for v in rec.b]]
         if args.round_trip:
-            back = moments_from_recurrence(rec, min(cfg.order, 2 * rec.depth - 2)).moment_gf
+            back = moments_from_recurrence(rec, min(order, 2 * rec.depth - 2)).moment_gf
             agree = back.agrees_with(gf)
             payload["round_trip"] = agree
             if not agree:
@@ -204,7 +175,7 @@ def cmd_cfrac(args) -> int:
                 return IDENTITY_ERROR
     else:
         rec = Recurrence.from_json(data)
-        gf = moments_from_recurrence(rec, cfg.order).moment_gf
+        gf = moments_from_recurrence(rec, order).moment_gf
         payload["moment_gf"] = gf.to_json()
         rows = [["moments"] + [str(c) for c in gf.coeffs]]
         if args.round_trip:
@@ -220,29 +191,14 @@ def cmd_cfrac(args) -> int:
 
 
 def cmd_assoc(args) -> int:
-    cfg = build_config(args)
-    params = cfg.params
+    order = resolve_order(args)
+    build = ASSOCS[args.name]
+    p = params_for(build, parse_params(args.params))
     c = as_rat(args.c)
-    name = args.name
-    if name == "sheffer":
-        res = sheffer_assoc(_sheffer_params(params), c, cfg.order, strict=False)
-    elif name == "ultraspherical":
-        res = ultra_assoc(_sheffer_params(params), c, cfg.order, strict=False)
-    elif name == "jacobi":
-        res = jacobi_assoc(_jacobi_params(params), c, cfg.order, strict=False)
-    elif name == "wilson":
-        res = wilson_assoc(_wilson_params(params), c, cfg.order, strict=False)
-    else:
-        raise ValueError(f"unknown associated family {args.name!r}")
-    payload = res.to_json(cfg.order)
-    pipelines = {"explicit": res.mgf.to_json()}
-    depth_ok = min(cfg.order, 10)
-    pipelines["recurrence"] = (
-        moments_from_recurrence(res.recurrence, depth_ok).f0.to_json()
-    )
-    if c.denominator == 1 and c >= 0 and res.base_recurrence is not None:
-        pipelines["tails"] = assoc_mgf_from_tails(res.base_recurrence, int(c), depth_ok).to_json()
-    payload["pipelines"] = pipelines
+    res = build(p, c, order, strict=False)
+    payload = res.to_json(order)
+    pipelines = {route: series.to_json() for route, series in res.pipelines.items()}
+    payload["pipelines"] = {"explicit": res.mgf.to_json(), **pipelines}
     if c == 0:
         payload["reduction"] = "identical to base"
     rows = [["f0(.,c)"] + [str(v) for v in res.mgf.coeffs]]
@@ -251,15 +207,26 @@ def cmd_assoc(args) -> int:
 
 
 def cmd_asym(args) -> int:
-    cfg = build_config(args)
     if args.instance not in INSTANCES:
         raise ValueError(f"unknown instance {args.instance!r}")
     inst = INSTANCES[args.instance]()
     s_values = [int(v) for v in args.s.split(",") if v]
-    report = asym_compare(inst, as_rat(args.alpha), s_values, args.level, digits=cfg.digits)
+    report = asym_compare(inst, as_rat(args.alpha), s_values, args.level, digits=args.digits)
     rows = [[r["s"], r["exact"], r["approx"], r["residual"]] for r in report["rows"]]
     emit(report, args, csv_rows=rows)
     return 0
+
+
+# every option a subcommand may take; each subcommand registers the ones it reads
+FLAGS = {
+    "--order": dict(type=int, default=None),  # None: resolved inside main's error handling
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=int, default=5),
+    "--params": dict(default=""),
+    "--digits": dict(type=int, default=60),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--out": dict(default=None),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -269,37 +236,31 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        # None: resolved by build_config, inside main's error handling
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=5)
-        p.add_argument("--params", default="")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--digits", type=int, default=60)
-        p.add_argument("--out", default=None)
+    def flags(p, *names):
+        for name in names:
+            p.add_argument(name, **FLAGS[name])
 
     p = sub.add_parser("family", help="build one family and emit its data")
-    p.add_argument("name", choices=("sheffer", "ultraspherical", "hahn", "jacobi", "wilson", "multiterm"))
-    common(p)
+    p.add_argument("name", choices=tuple(FAMILIES))
+    flags(p, "--order", "--params", "--format", "--out")
     p.set_defaults(fn=cmd_family)
 
     p = sub.add_parser("verify", help="run an identity suite")
     p.add_argument("suite", choices=tuple(SUITES) + ("all", "orthocore"))
-    common(p)
+    flags(p, "--order", "--seed", "--samples", "--digits", "--format", "--out")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("cfrac", help="convert between moments and recurrences")
     p.add_argument("direction", choices=("moments2rec", "rec2moments"))
     p.add_argument("input")
     p.add_argument("--round-trip", action="store_true")
-    common(p)
+    flags(p, "--order", "--format", "--out")
     p.set_defaults(fn=cmd_cfrac)
 
     p = sub.add_parser("assoc", help="build an associated family")
-    p.add_argument("name", choices=("sheffer", "ultraspherical", "jacobi", "wilson"))
+    p.add_argument("name", choices=tuple(ASSOCS))
     p.add_argument("--c", required=True)
-    common(p)
+    flags(p, "--order", "--params", "--format", "--out")
     p.set_defaults(fn=cmd_assoc)
 
     p = sub.add_parser("asym", help="compare exact log values with the expansion")
@@ -307,14 +268,27 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--s", required=True, help="comma-separated integer indices")
     p.add_argument("--level", type=int, default=2)
-    common(p)
+    flags(p, "--digits", "--format", "--out")
     p.set_defaults(fn=cmd_asym)
     return parser
 
 
+def attach_rationals(argv) -> list:
+    """`--c -1/3` -> `--c=-1/3`: argparse takes a word that starts with '-'
+    for an option unless it is a plain negative number, so a negative
+    fraction after a rational option would otherwise be rejected."""
+    out = []
+    for word in argv:
+        if out and out[-1] in RATIONAL_FLAGS and word[:1] == "-" and word[1:2].isdigit():
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(attach_rationals(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except DegenerateB as exc:

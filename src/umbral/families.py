@@ -8,15 +8,15 @@ default) a failed identity raises IdentityFailure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .checks import ensure, flag_check, op_check, series_check, value_check
 from .errors import SingularParams
-from .indexfn import IndexPoly, IndexRatio
+from .indexfn import IndexPoly, IndexRatio, poly_mul
 from .opalg import DiagSeq, OpMatrix, mgf_from_gop
-from .orthocore import ClosedFormRecurrence, Recurrence, moments_from_recurrence, poly_mul
+from .orthocore import ClosedFormRecurrence, Recurrence, moments_from_recurrence
 from .series import (
     TruncSeries,
     as_rat,
@@ -32,16 +32,39 @@ FAMILY_MARGIN = 4
 # -- parameters ---------------------------------------------------------------
 
 
+class FamilyParams:
+    """Base of the parameter records.
+
+    KEYS maps each `--params` key to its default, in field order.  The
+    Fraction fields are made exact on construction.
+    """
+
+    KEYS: dict = {}
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type == "Fraction":  # annotations are strings in this module
+                object.__setattr__(self, f.name, as_rat(getattr(self, f.name)))
+
+    @classmethod
+    def from_params(cls, params: dict):
+        """The record for a parsed `--params` dict; an undeclared key is an error."""
+        _check_keys(params, cls.KEYS)
+        return cls(*(params.get(key, default) for key, default in cls.KEYS.items()))
+
+
+def _check_keys(params: dict, accepted) -> None:
+    for key in params:
+        if key not in accepted:
+            raise ValueError(f"unknown parameter {key!r}; accepted: {', '.join(accepted)}")
+
+
 @dataclass(frozen=True)
-class ShefferParams:
+class ShefferParams(FamilyParams):
     lam: Fraction
     a: Fraction
     b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", as_rat(self.lam))
-        object.__setattr__(self, "a", as_rat(self.a))
-        object.__setattr__(self, "b", as_rat(self.b))
+    KEYS = {"lambda": 0, "a": 0, "b": 0}
 
     def guard(self, nw: int):
         if self.lam != 0:
@@ -51,17 +74,30 @@ class ShefferParams:
 
 
 @dataclass(frozen=True)
-class JacobiParams:
+class HahnParams(FamilyParams):
+    """The shifted-factorial deformation over the square case 4b = lam a^2."""
+
+    lam: Fraction
+    a: Fraction
+    s: Fraction
+    KEYS = {"lambda": 2, "a": Fraction(1, 2), "s": Fraction(1, 2)}
+
+    def guard(self, nw: int):
+        if self.s.denominator == 1 and 1 <= self.s <= nw:
+            raise SingularParams("(s-1)_theta", f"integer s={self.s} <= working order {nw}")
+
+
+@dataclass(frozen=True)
+class JacobiParams(FamilyParams):
     """The square case: the quadratic coefficient is fixed to lam*a^2/4."""
 
     lam: Fraction
     a: Fraction
     r: Fraction
+    KEYS = {"lambda": 0, "a": 0, "r": 0}
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", as_rat(self.lam))
-        object.__setattr__(self, "a", as_rat(self.a))
-        object.__setattr__(self, "r", as_rat(self.r))
+        super().__post_init__()
         if self.lam == 0:
             raise SingularParams("lambda=0", "kappa undefined")
         if self.lam == -2:
@@ -93,19 +129,16 @@ class JacobiParams:
 
 
 @dataclass(frozen=True)
-class WilsonParams:
+class WilsonParams(FamilyParams):
     lam: Fraction
     a: Fraction
     r: Fraction
     rt: Fraction
     h: Fraction
+    KEYS = {"lambda": 0, "a": 0, "r": 0, "rtilde": 0, "h": 0}
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", as_rat(self.lam))
-        object.__setattr__(self, "a", as_rat(self.a))
-        object.__setattr__(self, "r", as_rat(self.r))
-        object.__setattr__(self, "rt", as_rat(self.rt))
-        object.__setattr__(self, "h", as_rat(self.h))
+        super().__post_init__()
         if self.lam in (0, -2):
             raise SingularParams("lambda", "kappa undefined")
 
@@ -138,15 +171,15 @@ class WilsonParams:
 
 
 @dataclass(frozen=True)
-class MultiTermParams:
+class MultiTermParams(FamilyParams):
     n: int
     lam: Fraction
     a: Fraction
     t: tuple  # n weights (plus an optional extra one), summing to 1
+    KEYS = {"n": 2, "lambda": 0, "a": 0}  # and the weights t0 .. t{n}
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", as_rat(self.lam))
-        object.__setattr__(self, "a", as_rat(self.a))
+        super().__post_init__()
         object.__setattr__(self, "t", tuple(as_rat(v) for v in self.t))
         if self.n < 2:
             raise SingularParams("n", "need n >= 2")
@@ -156,6 +189,23 @@ class MultiTermParams:
             raise SingularParams("weights", f"need {self.n} or {self.n + 1} weights")
         if sum(self.t) != 1:
             raise SingularParams("weights", "must sum to 1")
+
+    @classmethod
+    def from_params(cls, params: dict) -> "MultiTermParams":
+        n = params.get("n", cls.KEYS["n"])
+        if n != int(n):
+            raise ValueError(f"multiterm needs an integer n, got {n}")
+        n = int(n)
+        # an input that holds fewer than n weights fails its weight count
+        # anyway, so the key list never needs to be longer than the input
+        weights = [f"t{k}" for k in range(min(n, len(params)) + 1)]
+        _check_keys(params, [*cls.KEYS, *weights])
+        return cls(
+            n,
+            params.get("lambda", cls.KEYS["lambda"]),
+            params.get("a", cls.KEYS["a"]),
+            tuple(params[key] for key in weights if key in params),
+        )
 
     @property
     def extended(self) -> bool:
@@ -275,20 +325,10 @@ def conjugation_trick_checks(core: ShefferCore, sigma, through: Optional[int] = 
     inv_diag = diag_values([1 + sigma * n for n in range(nw + 1)], nw, inverse=True)
     lhs = core.c_tf @ OpMatrix.x_op(nw) @ inv_diag @ core.c_tf.inverse()
     x_tf = OpMatrix.x_op(nw) @ OpMatrix.series_of_d(core.tf, nw)
-    middle = (
-        OpMatrix.x_op(nw)
-        @ OpMatrix.series_of_d(core.fprime.pow_fraction(-1 / sigma), nw)
-        @ (OpMatrix.identity(nw) + x_tf.scale(sigma)).inverse()
-        @ OpMatrix.series_of_d(core.fprime.pow_fraction(1 / sigma), nw)
-    )
-    rhs = (
-        OpMatrix.x_op(nw)
-        @ OpMatrix.series_of_d(core.fprime.pow_fraction(-1 / sigma), nw)
-        @ core.c_f
-        @ inv_diag
-        @ core.c_f.inverse()
-        @ OpMatrix.series_of_d(core.fprime.pow_fraction(1 / sigma), nw)
-    )
+    left = OpMatrix.x_op(nw) @ core.fpow(-1 / sigma)
+    right = core.fpow(1 / sigma)
+    middle = left @ (OpMatrix.identity(nw) + x_tf.scale(sigma)).inverse() @ right
+    rhs = left @ core.c_f @ inv_diag @ core.c_f.inverse() @ right
     return [
         op_check(f"conjugation-trick sigma={sigma} (resolvent form)", lhs, middle, through),
         op_check(f"conjugation-trick sigma={sigma} (composition form)", lhs, rhs, through),
@@ -495,15 +535,13 @@ def hahn_mgf(s, order: int) -> TruncSeries:
     return num / den
 
 
-def hahn_family(lam, a, s, order: int, margin: int = FAMILY_MARGIN, strict: bool = True) -> FamilyResult:
+def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN, strict: bool = True) -> FamilyResult:
     """Shifted-factorial deformation of the ultraspherical family (4b = lam a^2)."""
     nw = order + margin
-    lam, a, s = as_rat(lam), as_rat(a), as_rat(s)
-    if s.denominator == 1 and 1 <= s <= nw:
-        raise SingularParams("(s-1)_theta", f"integer s={s} <= working order {nw}")
+    p.guard(nw)
+    lam, a, s = p.lam, p.a, p.s
     b = lam * a * a / 4
     ultra = ultraspherical_family(ShefferParams(lam, a, b), order, margin, strict)
-    nw = ultra.gop.nw
     svals = DiagSeq.from_ratio(lambda n: s - 1 - n, nw + 1)
     delta = ((exp_series(2 * a, nw) - 1) / (2 * a)) if a != 0 else TruncSeries.x(nw)
     c_delta = OpMatrix.umbral_compose(delta, nw)

@@ -9,9 +9,36 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .series import as_rat
 
-def _as_rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+# -- polynomial helpers: coefficient lists, low degree first -------------------
+
+
+def poly_mul(p: Sequence, q: Sequence) -> list:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            if b != 0:
+                out[i + j] += a * b
+    return out
+
+
+def poly_add(p: Sequence, q: Sequence) -> list:
+    n = max(len(p), len(q))
+    return [
+        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
+        for i in range(n)
+    ]
+
+
+def poly_eval(p: Sequence, x) -> Fraction:
+    x = as_rat(x)
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 class IndexPoly:
@@ -20,7 +47,7 @@ class IndexPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = [_as_rat(c) for c in coeffs] or [Fraction(0)]
+        cs = [as_rat(c) for c in coeffs] or [Fraction(0)]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -34,11 +61,7 @@ class IndexPoly:
         return cls([0, 1])
 
     def __call__(self, n) -> Fraction:
-        x = _as_rat(n)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return poly_eval(self.coeffs, n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IndexPoly) and self.coeffs == other.coeffs
@@ -47,33 +70,22 @@ class IndexPoly:
         return hash(self.coeffs)
 
     def __add__(self, other) -> "IndexPoly":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return IndexPoly([x + y for x, y in zip(a, b)])
+        return IndexPoly(poly_add(self.coeffs, _as_poly(other).coeffs))
 
     def __sub__(self, other) -> "IndexPoly":
         return self + (-1) * _as_poly(other)
 
     def __mul__(self, other) -> "IndexPoly":
         if isinstance(other, (int, Fraction)):
-            return IndexPoly([c * _as_rat(other) for c in self.coeffs])
-        other = _as_poly(other)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IndexPoly(out)
+            return IndexPoly([c * other for c in self.coeffs])
+        return IndexPoly(poly_mul(self.coeffs, _as_poly(other).coeffs))
 
     __rmul__ = __mul__
     __radd__ = __add__
 
     def shift(self, offset) -> "IndexPoly":
         """P(theta + offset) by Horner in (theta + offset)."""
-        return self.substitute(IndexPoly([_as_rat(offset), Fraction(1)]))
+        return self.substitute(IndexPoly([as_rat(offset), Fraction(1)]))
 
     def substitute(self, inner: "IndexPoly") -> "IndexPoly":
         acc = IndexPoly.const(0)

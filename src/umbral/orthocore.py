@@ -23,7 +23,7 @@ from .errors import (
     NotPolynomialCoefficients,
     OrderExhausted,
 )
-from .indexfn import IndexPoly, IndexRatio
+from .indexfn import IndexPoly, IndexRatio, poly_add, poly_eval, poly_mul
 from .opalg import OpMatrix
 from .series import TruncSeries, as_rat
 
@@ -33,36 +33,9 @@ Poly = list  # univariate polynomial, low degree first
 # -- polynomial helpers -------------------------------------------------------
 
 
-def poly_mul(p: Sequence, q: Sequence) -> Poly:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b != 0:
-                out[i + j] += a * b
-    return out
-
-
-def poly_add(p: Sequence, q: Sequence) -> Poly:
-    n = max(len(p), len(q))
-    return [
-        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-        for i in range(n)
-    ]
-
-
 def poly_scale(p: Sequence, c) -> Poly:
     c = as_rat(c)
     return [c * v for v in p]
-
-
-def poly_eval(p: Sequence, x) -> Fraction:
-    x = as_rat(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def poly_trim(p: Sequence) -> Poly:

@@ -6,7 +6,7 @@ and the acceptance tests assert on them.  Every suite is deterministic in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -29,6 +29,7 @@ from .binomial import (
 from .checks import Check, flag_check, op_check, series_check, value_check
 from .errors import EngineError
 from .families import (
+    HahnParams,
     JacobiParams,
     ShefferParams,
     WilsonParams,
@@ -76,17 +77,11 @@ class RunConfig:
     order: int = 16
     seed: int = 0
     samples: int = 5
-    fmt: str = "json"
     digits: int = 60
-    params: dict = field(default_factory=dict)
 
     def validate(self):
-        if self.order < 4:
-            raise ValueError("order must be at least 4")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
 
 
 def _prefixed(prefix: str, checks) -> list:
@@ -155,7 +150,7 @@ def suite_hahn(cfg: RunConfig) -> list:
             if s.denominator > 1:
                 break
         tag = f"hahn[s={s}]"
-        fam = hahn_family(2, Fraction(1, 2), s, order, strict=False)
+        fam = hahn_family(HahnParams(2, Fraction(1, 2), s), order, strict=False)
         out += _prefixed(tag, fam.checks)
     # integer s=2 runs through the closed-form mgf path only
     f0 = hahn_mgf(2, order)
@@ -178,7 +173,7 @@ def suite_hahn(cfg: RunConfig) -> list:
                 break
         tag = f"hahn[{i} lam={p.lam},a={p.a},s={s}]"
         try:
-            fam = hahn_family(p.lam, p.a, s, order, strict=False)
+            fam = hahn_family(HahnParams(p.lam, p.a, s), order, strict=False)
         except EngineError as exc:
             out.append(flag_check(tag, False, str(exc)))
             continue

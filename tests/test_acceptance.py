@@ -23,6 +23,7 @@ from umbral.binomial import (
     lowering_check,
 )
 from umbral.families import (
+    HahnParams,
     JacobiParams,
     ShefferParams,
     WilsonParams,
@@ -120,7 +121,7 @@ def test_criterion_03_hahn():
     order = 14
     ok, detail = True, ""
     for s in (F(1, 2), F(5, 3), F(-3, 7)):
-        fam = hahn_family(2, F(1, 2), s, order, strict=False)
+        fam = hahn_family(HahnParams(2, F(1, 2), s), order, strict=False)
         if not fam.mgf.agrees_with(hahn_mgf(s, order), order):
             ok, detail = False, f"s={s}: closed-form mgf mismatch"
             break

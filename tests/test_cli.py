@@ -249,3 +249,60 @@ def test_assoc_pole_of_the_lowered_ratio(capsys, name, params):
 def test_config_guard(capsys):
     code, out, err = run(capsys, "family", "sheffer", "--params", "lambda=0,a=0,b=1", "--order", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, code",
+    [
+        (("assoc", "ultraspherical", "--params", "lambda=1/2,a=2/3,b=3/5", "--order", "6"), "--c", "-1/3", 0),
+        # -1/2 is outside the instance's radius: the value reaches asym_compare
+        (("asym", "falling-factorial", "--s", "40,80", "--level", "1"), "--alpha", "-1/2", 2),
+    ],
+)
+def test_negative_rational_flag_value(capsys, argv, flag, value, code):
+    spaced = run(capsys, *argv, flag, value)
+    assert spaced == run(capsys, *argv, f"{flag}={value}")
+    assert spaced[0] == code
+    assert "expected one argument" not in spaced[2]
+
+
+@pytest.mark.parametrize(
+    "command, name, params, key",
+    [
+        ("family", "sheffer", "lamda=1/2,a=1/3,b=2/5", "lamda"),
+        ("family", "ultraspherical", "lamda=1/3,a=1/2,b=1/4", "lamda"),
+        ("family", "hahn", "lamda=2,a=1/2,s=1/2", "lamda"),
+        ("family", "jacobi", "lamda=1/3,a=2/5,r=3/7", "lamda"),
+        ("family", "wilson", "lambda=2,a=1/3,r=1/2,rt=1/5,h=1/4", "rt"),
+        ("family", "multiterm", "n=2,lambda=1/2,a=1/3,t0=1/3,t1=2/3,t5=0", "t5"),
+        ("assoc", "sheffer", "lamda=1/2,a=1/3,b=2/5", "lamda"),
+        ("assoc", "ultraspherical", "lamda=1/3,a=1/2,b=1/4", "lamda"),
+        ("assoc", "jacobi", "lamda=1/3,a=2/5,r=3/7", "lamda"),
+        ("assoc", "wilson", "lambda=2,a=1/3,r=1/2,rt=1/5,h=1/4", "rt"),
+    ],
+)
+def test_unknown_params_key(capsys, command, name, params, key):
+    extra = ("--c", "1") if command == "assoc" else ()
+    code, out, err = run(capsys, command, name, "--params", params, "--order", "6", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: unknown parameter {key!r}; accepted:")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("family", "sheffer", "--params", "lambda=1/2,a=1/3,b=2/5", "--seed", "3"), "--seed"),
+        (("asym", "geometric", "--alpha", "1/5", "--s", "40,80", "--order", "8"), "--order"),
+        (("verify", "base", "--params", "a=1"), "--params"),
+        (("cfrac", "rec2moments", "rec.json", "--digits", "30"), "--digits"),
+        (("assoc", "sheffer", "--params", "lambda=1,a=1,b=1", "--c", "1", "--samples", "2"), "--samples"),
+    ],
+)
+def test_flag_the_command_does_not_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err

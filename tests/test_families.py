@@ -4,6 +4,7 @@ import pytest
 
 from umbral.errors import SingularParams
 from umbral.families import (
+    HahnParams,
     JacobiParams,
     MultiTermParams,
     ShefferParams,
@@ -87,13 +88,13 @@ def test_ultraspherical_rejects_lam_zero():
 
 
 def test_hahn_closed_form_mgf():
-    fam = all_pass(hahn_family(2, F(1, 2), F(7, 3), 12))
+    fam = all_pass(hahn_family(HahnParams(2, F(1, 2), F(7, 3)), 12))
     assert fam.mgf.agrees_with(hahn_mgf(F(7, 3), 12), 12)
 
 
 def test_hahn_rejects_small_integer_s():
     with pytest.raises(SingularParams):
-        hahn_family(2, F(1, 2), 2, 10)
+        hahn_family(HahnParams(2, F(1, 2), 2), 10)
 
 
 def test_hahn_carlitz_variance():
@@ -107,12 +108,12 @@ def test_hahn_carlitz_variance():
 def test_hahn_carlitz_b_display():
     # b_theta = theta(s^2 - theta^2)/(4(4 theta^2 - 1)) at theta = 1: (s^2-1)/12
     s = F(7, 3)
-    fam = hahn_family(2, F(1, 2), s, 10)
+    fam = hahn_family(HahnParams(2, F(1, 2), s), 10)
     assert fam.recurrence.b[0] == (s * s - 1) / 12
 
 
 def test_hahn_generic_parameters():
-    all_pass(hahn_family(F(1, 2), F(2, 3), F(5, 7), 10))
+    all_pass(hahn_family(HahnParams(F(1, 2), F(2, 3), F(5, 7)), 10))
 
 
 # ---- two-parameter deformation --------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Each row is an argv (split on whitespace), the exit code and the sha256 of
 stdout.  The table covers every README example (with `verify` at order 8 and
-2 samples per suite instead of `verify all --order 12`), every `family`, and
-every `assoc` at c = 0, 1 and 3/2.  A refactor of the construction code must
-leave all of them unchanged: a digest that moves means the JSON moved.
+2 samples per suite instead of `verify all --order 12`), every `family`,
+every `assoc` at c = 0, 1 and 3/2, and two rejected `--params` keys (exit 2,
+empty stdout).  A refactor of the construction code must leave all of them
+unchanged: a digest that moves means the JSON moved.
 """
 import hashlib
 import json
@@ -55,6 +56,8 @@ GOLDEN = [
     ("verify duality --order 8 --samples 2", 0, "7e9774dd274de7decac9447901aa91f37873a7f6a70fa65ed0503291fa8f31e6"),
     ("verify multiterm --order 8 --samples 2", 0, "908f3a945d33d8ecc340caab41073a15525b4450c6ad876c3349c26624f0d385"),
     ("verify orthocore --order 8 --samples 2", 0, "70e3e3947ad1e903f56a2c976bc4a4d8887aad095c2cd33268288df69f09c8bb"),
+    ("family sheffer --params lamda=1/2,a=1/3,b=2/5 --order 8", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("assoc wilson --params lambda=2,a=1/3,r=1/2,rt=1/5,h=1/4 --c 1 --order 8", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

@@ -282,6 +282,16 @@ def test_assoc_additivity_closed_form():
     assert one.equals(two)
 
 
+def test_index_poly_is_exact():
+    p = IndexPoly([1, 2]) * IndexPoly([F(1, 2), 1]) + 3
+    assert p.coeffs == (F(7, 2), 2, 2)
+    assert p(F(1, 2)) == F(5)
+    with pytest.raises(TypeError):
+        IndexPoly([0.1])
+    with pytest.raises(TypeError):
+        p(0.5)
+
+
 def test_assoc_requires_closed_form_for_rational_c():
     with pytest.raises(ClosedFormRequired):
         assoc_recurrence(chebyshev_rec(6), F(1, 2))
