@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .checks import Check, ensure, flag_check, op_check, series_check
+from .checks import Check, first_failure, flag_check, op_check, series_check
 from .errors import SingularParams
 from .families import (
     FAMILY_MARGIN,
@@ -29,6 +29,7 @@ from .families import (
     jacobi_closed_form,
     jacobi_dual_raising,
     jacobi_family,
+    jacobi_split_displays,
     riccati_core,
     sheffer_core,  # re-exported: bench/test_bench.py reads the traced name here
     sheffer_family,
@@ -84,7 +85,6 @@ def long_division_checks(
     order: int,
     t_samples: Sequence = (Fraction(1), Fraction(2, 3)),
     margin: int = FAMILY_MARGIN,
-    strict: bool = True,
 ) -> list:
     """All displayed forms of the long division lemma, verified exactly.
 
@@ -105,41 +105,36 @@ def long_division_checks(
         """w . L . w^(-1) applied to a series (multiplication conjugation)."""
         return (series_l(series_in / w) * w).truncate(series_in.order - 1)
 
+    cols = [TruncSeries.from_polynomial([0] * j + [1], nw) for j in range(order + 1)]
+    h_inv = DiagSeq(hvals[: nw + 1]).inverse_values()
+
+    def diagonalized(col, w):
+        """H^(-1) w L w^(-1) H applied to col."""
+        return mult_l_div(col.weighted(hvals), w).weighted(h_inv)
+
     # (1) H^(-1) (H.B) L (H.B)^(-1) H == (H_{theta+1}/H_theta) B L B^(-1), column by column
-    ok = True
-    witness = ""
-    for j in range(order + 1):
-        col = TruncSeries.from_polynomial([0] * j + [1], nw)
-        lhs = mult_l_div(col.weighted(hvals), hb).weighted(
-            DiagSeq(hvals[: nw + 1]).inverse_values()
+    name = "series-side diagonalization"
+    checks.append(first_failure(name, (
+        flag_check(
+            name,
+            diagonalized(col, hb).agrees_with(mult_l_div(col, b).weighted(ratio_vals), order - 1),
+            f"column {j}",
         )
-        rhs = mult_l_div(col, b).weighted(ratio_vals)
-        if not lhs.agrees_with(rhs, order - 1):
-            ok, witness = False, f"column {j}"
-            break
-    checks.append(flag_check("series-side diagonalization", ok, witness))
+        for j, col in enumerate(cols)
+    )))
 
     # factored form: (H_{theta+1}/H_theta) L - t (H_0-normalized ell) delta
     #   == H^(-1) (1 + t y (H.ell)) L (1 + t y (H.ell))^(-1) H, here with ell = B
-    ok = True
-    witness = ""
-    for t in t_samples:
-        t = as_rat(t)
-        w = (1 + (t * hb.shift_up(1)).truncate(nw)).truncate(nw)
-        for j in range(order + 1):
-            col = TruncSeries.from_polynomial([0] * j + [1], nw)
-            lhs = mult_l_div(col.weighted(hvals), w).weighted(
-                DiagSeq(hvals[: nw + 1]).inverse_values()
-            )
-            direct = series_l(col).weighted(ratio_vals) - (
-                (t * b) * col.coeffs[0]
-            ).truncate(nw - 1)
-            if not lhs.agrees_with(direct, order - 1):
-                ok, witness = False, f"t={t}, column {j}"
-                break
-        if not ok:
-            break
-    checks.append(flag_check("factored resolvent form", ok, witness))
+    def resolvent_cases(name):
+        for t in map(as_rat, t_samples):
+            w = (1 + (t * hb.shift_up(1)).truncate(nw)).truncate(nw)
+            for j, col in enumerate(cols):
+                direct = series_l(col).weighted(ratio_vals) - ((t * b) * col.coeffs[0]).truncate(nw - 1)
+                ok = diagonalized(col, w).agrees_with(direct, order - 1)
+                yield flag_check(name, ok, f"t={t}, column {j}")
+
+    name = "factored resolvent form"
+    checks.append(first_failure(name, resolvent_cases(name)))
 
     # (2) polynomial-domain version with ell(D) in place of multiplication
     ell_op = OpMatrix.series_of_d(b, nw)
@@ -154,10 +149,10 @@ def long_division_checks(
         @ diag_values(hvals[: nw + 1], nw, inverse=True)
     )
     checks.append(op_check("polynomial-domain form", lhs_op, rhs_op, order))
-    return ensure(checks, strict)
+    return checks
 
 
-def change_of_variable_check(f: TruncSeries, order: int, margin: int = FAMILY_MARGIN, strict: bool = True) -> Check:
+def change_of_variable_check(f: TruncSeries, order: int, margin: int = FAMILY_MARGIN) -> Check:
     """C_f x (1+theta)^(-1) C_f^(-1) == x (1+theta)^(-1) (D/f(D))."""
     nw = order + margin
     cf = OpMatrix.umbral_compose(f, nw)
@@ -165,9 +160,7 @@ def change_of_variable_check(f: TruncSeries, order: int, margin: int = FAMILY_MA
     lhs = cf @ x_over @ cf.inverse()
     y_over_f = (1 / f.shift_down(1)).truncate(nw - 1)
     rhs = x_over @ OpMatrix.series_of_d(TruncSeries.from_polynomial(list(y_over_f.coeffs), nw), nw)
-    check = op_check("change-of-variable form", lhs, rhs, order - 1)
-    ensure([check], strict)
-    return check
+    return op_check("change-of-variable form", lhs, rhs, order - 1)
 
 
 # -- associated result record ----------------------------------------------------------
@@ -223,14 +216,14 @@ def _pipeline_checks(prefix: str, base_rec: Optional[Recurrence], f0: TruncSerie
 # -- associated Sheffer -------------------------------------------------------------------
 
 
-def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN, strict: bool = True) -> AssocResult:
+def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
     nw = order + margin
     c = guard_shift(c, nw)
     p.guard(nw)
     if p.lam == 0:
         raise SingularParams("lambda=0", "the explicit shifted operator needs 1/lambda powers")
     lam, a, b = p.lam, p.a, p.b
-    base = sheffer_family(p, order, margin=margin, strict=strict)
+    base = sheffer_family(p, order, margin=margin)
     core = base.core
     y_over_f = (1 / riccati_series(lam, a, b, nw + 1).shift_down(1)).truncate(nw)
     fprime_pow = core.fprime.pow_fraction(Fraction(1) / lam)
@@ -256,14 +249,13 @@ def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN, s
         checks.append(op_check("c=0 reduction", gop, base.gop, order))
     pipe_checks, pipelines = _pipeline_checks("sheffer assoc: ", base.recurrence, f0, rec, c, min(order, 10))
     checks += pipe_checks
-    ensure(checks, strict)
     return AssocResult("sheffer", c, gop, rec, f0, checks, pipelines)
 
 
 # -- associated ultraspherical ----------------------------------------------------------------
 
 
-def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN, strict: bool = True) -> AssocResult:
+def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
     nw = order + margin
     c = guard_shift(c, nw)
     p.guard(nw)
@@ -273,7 +265,7 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN, str
     for k in range(nw + 2):
         if 1 + lam * (c + k) == 0:
             raise SingularParams("1+lambda*(c+k)", f"k={k}")
-    base = ultraspherical_family(p, order, margin=margin, strict=strict)
+    base = ultraspherical_family(p, order, margin=margin)
     core = base.core
     omega = t_and_omega(riccati_series(lam, a, b, nw + 1))[1]  # one order above the working block
     fprime_omega = core.fprime.compose(omega)
@@ -295,7 +287,6 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN, str
     f0 = mgf_from_gop(gop).truncate(order)
     pipe_checks, pipelines = _pipeline_checks("ultraspherical assoc: ", base.recurrence, f0, rec, c, min(order, 10))
     checks += pipe_checks
-    ensure(checks, strict)
     return AssocResult("ultraspherical", c, gop, rec, f0, checks, pipelines)
 
 
@@ -342,12 +333,12 @@ def jacobi_assoc_mgf_forms(p: JacobiParams, c, order: int, core: ShefferCore) ->
     return weighted_form, hyper_form
 
 
-def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN, strict: bool = True) -> AssocResult:
+def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
     nw = order + margin
     c = guard_shift(c, nw)
     p.guard(nw)
     lam = p.lam
-    base = jacobi_family(p, order, margin=margin, strict=strict)
+    base = jacobi_family(p, order, margin=margin)
     core = base.core
     f_c = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
     k_series = core.fprime.compose(core.omega).pow_fraction(c - 1 + Fraction(1) / lam).truncate(nw)
@@ -378,20 +369,18 @@ def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN, str
     checks.append(series_check("hypergeometric quotient mgf", moment_form, hyper_form, order))
     pipe_checks, pipelines = _pipeline_checks("jacobi assoc: ", base.recurrence, f0, rec, c, min(order, 10))
     checks += pipe_checks
-    ensure(checks, strict)
     return AssocResult("jacobi", c, gop, rec, f0, checks, pipelines)
 
 
 # -- splitting of the shifted operator ------------------------------------------------------
 
 
-def splitting_check(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN, strict: bool = True) -> list:
+def splitting_check(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> list:
     """The conjugated shifted raising operator splits into the lambda-part
     and kappa-part displays with weights r and 1-r."""
     nw = order + margin
     c = guard_shift(c, nw)
     p.guard(nw)
-    lam, kappa, a, r = p.lam, p.kappa, p.a, p.r
     u_c = jacobi_dual_raising(p, nw) if c == 0 else assoc_dual_raising(jacobi_closed_form(p), c, nw)
     f_c = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
     poch = DiagSeq.rising(c + 1, nw + 1)
@@ -404,36 +393,9 @@ def splitting_check(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN, 
         @ diag_values(fact_over_poch, nw)
         @ diag_values(f_c, nw, inverse=True)
     )
-
-    def lam_bracket():
-        xpart = x_times([(1 + n + c) / ((1 + n) * (1 + lam * (n + c))) for n in range(nw + 1)], nw)
-        const = diag_values([a] * (nw + 1), nw)
-        dpart = coeff_then_d(
-            [lam * a * a / 4 * (2 + lam * (n + c)) / (1 + lam * (1 + n + c)) for n in range(nw + 1)], nw
-        )
-        return xpart + const + dpart
-
-    def kappa_entry(n):
-        # 1/2 a (2+lam(n+c))/(1+kappa(n+c)) + 1/2 a lam (n+c)/(1+kappa(n+c-1));
-        # the second term is 0 * 0/0 at n+c = 0, which parameter continuity
-        # resolves to 0
-        first = a / 2 * (2 + lam * (n + c)) / (1 + kappa * (n + c))
-        if n + c == 0:
-            return first
-        return first + a / 2 * lam * (n + c) / (1 + kappa * (n + c - 1))
-
-    def kappa_bracket():
-        xpart = x_times([(1 + n + c) / ((1 + n) * (1 + kappa * (n + c))) for n in range(nw + 1)], nw)
-        const = diag_values([kappa_entry(n) for n in range(nw + 1)], nw)
-        dpart = coeff_then_d(
-            [lam * a * a / 4 * (2 + lam * (n + c)) / (1 + kappa * (n + c)) for n in range(nw + 1)], nw
-        )
-        return xpart + const + dpart
-
-    rhs = lam_bracket().scale(r) + kappa_bracket().scale(1 - r)
-    checks = [op_check(f"split of the shifted operator (c={c})", lhs, rhs, order)]
-    ensure(checks, strict)
-    return checks
+    lam_part, kappa_part = jacobi_split_displays(p, nw, c)
+    rhs = lam_part.scale(p.r) + kappa_part.scale(1 - p.r)
+    return [op_check(f"split of the shifted operator (c={c})", lhs, rhs, order)]
 
 
 # -- associated Wilson -------------------------------------------------------------------------
@@ -447,7 +409,7 @@ def factorization_column(ells: Sequence, n: int, order: int) -> TruncSeries:
     return (1 / den).shift_up(n).truncate(order)
 
 
-def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN, strict: bool = True) -> AssocResult:
+def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
     nw = order + margin
     c = guard_shift(c, nw)
     p.guard(nw)
@@ -478,15 +440,13 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN, str
     up, down = u.band_profile(order)
     checks.append(flag_check("shifted raising operator tridiagonal", up <= 1 and down <= 1, f"band ({up},{down})"))
     # column factorization of theta! bar(C2^(-1)) theta!^(-1)
-    ok, witness = True, ""
-    for n in range(min(order, 12) + 1):
-        col = TruncSeries.from_polynomial([0] * n + [1], nw)
-        got = apply_factorial_bar_inverse(bar_c2c_inv, col)
-        expected = factorization_column(ells, n, nw)
-        if not got.agrees_with(expected, order):
-            ok, witness = False, f"column {n}"
-            break
-    checks.append(flag_check("column factorization of the shift operator", ok, witness))
+    def factorization_cases(name):
+        for n in range(min(order, 12) + 1):
+            got = apply_factorial_bar_inverse(bar_c2c_inv, TruncSeries.from_polynomial([0] * n + [1], nw))
+            yield flag_check(name, got.agrees_with(factorization_column(ells, n, nw), order), f"column {n}")
+
+    name = "column factorization of the shift operator"
+    checks.append(first_failure(name, factorization_cases(name)))
     # conjugated square identity
     sq = diag_values([(1 + lam * (n + c)) ** 2 for n in range(nw + 1)], nw)
     display = sq - coeff_then_d(
@@ -495,15 +455,14 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN, str
     )
     checks.append(op_check("conjugated square identity", inner @ sq @ inner.inverse(), display, order))
     if c == 0:
-        base = wilson_family(p, order, margin=margin, strict=strict)
+        base = wilson_family(p, order, margin=margin)
         checks.append(op_check("c=0 reduction", gop, base.gop, order))
     if h == 0:
-        reduction = jacobi_assoc(JacobiParams(lam, a, p.rt), c, order, margin, strict)
+        reduction = jacobi_assoc(JacobiParams(lam, a, p.rt), c, order, margin)
         checks.append(op_check("h=0 reduction", gop, reduction.gop, order))
     f0 = mgf_from_gop(gop).truncate(order)
     pipe_checks, pipelines = _pipeline_checks("", None, f0, rec, c, min(order, 10))
     checks += pipe_checks
-    ensure(checks, strict)
     return AssocResult("wilson", c, gop, rec, f0, checks, pipelines)
 
 

@@ -14,7 +14,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .checks import ensure, flag_check
+from .checks import first_failure, flag_check
 from .errors import EvaluationDomain, NonpositiveArgument, OrderExhausted
 from .opalg import OpMatrix
 from .series import TruncSeries, as_rat
@@ -22,7 +22,7 @@ from .series import TruncSeries, as_rat
 # -- Lagrange inversion forms ---------------------------------------------------
 
 
-def lagrange_forms(f: TruncSeries, n: int, order: int, strict: bool = True) -> list:
+def lagrange_forms(f: TruncSeries, n: int, order: int) -> list:
     """Both inversion forms of the n-th binomial polynomial against the
     composition operator's column:
 
@@ -43,11 +43,10 @@ def lagrange_forms(f: TruncSeries, n: int, order: int, strict: bool = True) -> l
     fprime = f.derivative().truncate(nw)
     second = OpMatrix.series_of_d(fprime, nw) @ OpMatrix.series_of_d(ratio_n1, nw)
     form2 = second.apply_poly([0] * n + [1])
-    checks = [
+    return [
         flag_check(f"inversion form 1, degree {n}", form1 == reference, "columns differ"),
         flag_check(f"inversion form 2, degree {n}", form2 == reference, "columns differ"),
     ]
-    return ensure(checks, strict)
 
 
 # -- fractional index ----------------------------------------------------------------
@@ -91,7 +90,7 @@ def frac_index_p(f: TruncSeries, s, terms: int) -> FracIndexExpansion:
     return FracIndexExpansion(s, tuple(coeffs))
 
 
-def lowering_check(f: TruncSeries, s, terms: int, strict: bool = True) -> list:
+def lowering_check(f: TruncSeries, s, terms: int) -> list:
     """f applied to the index-lowering argument: f(D)p_s = s p_(s-1),
     compared coefficient-wise on the descending expansions."""
     s = as_rat(s)
@@ -109,16 +108,10 @@ def lowering_check(f: TruncSeries, s, terms: int, strict: bool = True) -> list:
             if fj != 0:
                 got[m] += c * fj * falling_product(s - k, j)
     expected = [s * c for c in p_sm1.coeffs[: terms + 1]]
-    checks = []
-    for m in range(terms + 1):
-        if got[m] != expected[m]:
-            checks.append(
-                flag_check(f"lowering relation s={s}", False, f"term {m}: {got[m]} != {expected[m]}")
-            )
-            break
-    else:
-        checks.append(flag_check(f"lowering relation s={s} to {terms} terms", True))
-    return ensure(checks, strict)
+    return [first_failure(f"lowering relation s={s} to {terms} terms", (
+        flag_check(f"lowering relation s={s}", got[m] == expected[m], f"term {m}: {got[m]} != {expected[m]}")
+        for m in range(terms + 1)
+    ))]
 
 
 # -- asymptotic instances ----------------------------------------------------------------

@@ -1,14 +1,13 @@
 """Named pass/fail records for verified identities.
 
-Construction functions verify the displays they are built from; with
-strict=True any failure raises immediately, otherwise the records are
-collected for reporting.
+Construction functions verify the displays they are built from and return
+the records; a failed identity never raises, it is a record with
+passed=False and a witness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IdentityFailure
 from .opalg import OpMatrix
 from .series import TruncSeries
 
@@ -51,9 +50,10 @@ def flag_check(name: str, ok: bool, witness: str = "") -> Check:
     return Check(name, bool(ok), "" if ok else witness)
 
 
-def ensure(checks: list, strict: bool):
-    if strict:
-        for c in checks:
-            if not c.passed:
-                raise IdentityFailure(f"{c.name}: {c.witness}")
-    return checks
+def first_failure(name: str, cases) -> Check:
+    """The first failed check among `cases`, a lazy iterable so that nothing
+    after a failure is evaluated, or one passing Check under `name`."""
+    for case in cases:
+        if not case.passed:
+            return case
+    return Check(name, True)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .associated import jacobi_assoc, sheffer_assoc, ultra_assoc, wilson_assoc
 from .binomial import INSTANCES, asym_compare
-from .errors import DegenerateB, EngineError, IdentityFailure, SingularParams
+from .errors import DegenerateB, EngineError, SingularParams
 from .families import (
     hahn_family,
     hahn_mgf,
@@ -62,7 +62,10 @@ def parse_params(text: str) -> dict:
         key, _, value = piece.partition("=")
         if not value:
             raise ValueError(f"malformed parameter {piece!r}")
-        out[key.strip()] = as_rat(value.strip())
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"parameter {key!r} given twice")
+        out[key] = as_rat(value.strip())
     return out
 
 
@@ -108,7 +111,7 @@ def cmd_family(args) -> int:
     build = FAMILIES[args.name]
     p = params_for(build, params)
     try:
-        fam = build(p, order, strict=False)
+        fam = build(p, order)
     except SingularParams:
         if not (args.name == "hahn" and p.lam == 2 and p.a == Fraction(1, 2)):
             raise
@@ -195,7 +198,7 @@ def cmd_assoc(args) -> int:
     build = ASSOCS[args.name]
     p = params_for(build, parse_params(args.params))
     c = as_rat(args.c)
-    res = build(p, c, order, strict=False)
+    res = build(p, c, order)
     payload = res.to_json(order)
     pipelines = {route: series.to_json() for route, series in res.pipelines.items()}
     payload["pipelines"] = {"explicit": res.mgf.to_json(), **pipelines}
@@ -246,7 +249,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_family)
 
     p = sub.add_parser("verify", help="run an identity suite")
-    p.add_argument("suite", choices=tuple(SUITES) + ("all", "orthocore"))
+    p.add_argument("suite", choices=tuple(SUITES) + ("all",))
     flags(p, "--order", "--seed", "--samples", "--digits", "--format", "--out")
     p.set_defaults(fn=cmd_verify)
 
@@ -293,9 +296,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except DegenerateB as exc:
         print(f"error: b = 0 at depth {exc.depth}", file=sys.stderr)
-        return IDENTITY_ERROR
-    except IdentityFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return IDENTITY_ERROR
     except SingularParams as exc:
         print(f"error: {exc}", file=sys.stderr)

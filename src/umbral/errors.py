@@ -77,10 +77,6 @@ class SingularParams(EngineError):
         super().__init__(f"{guard} invalid" + (f": {detail}" if detail else ""))
 
 
-class IdentityFailure(EngineError):
-    """A verified identity failed; the message carries the first witness."""
-
-
 class EvaluationDomain(EngineError):
     """Numeric evaluation requested outside the documented safe region."""
 

@@ -3,8 +3,8 @@
 Every constructor builds its basis-map operator from the defining product of
 elementary factors, then re-derives the three-term data, the moment
 generating function, and the closed-form displays independently and checks
-them against each other.  All checks are exact; with strict=True (the
-default) a failed identity raises IdentityFailure.
+them against each other.  All checks are exact; every builder returns its
+Check records and none raises on a failed identity.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .checks import ensure, flag_check, op_check, series_check, value_check
+from .checks import first_failure, flag_check, op_check, series_check, value_check
 from .errors import SingularParams
 from .indexfn import IndexPoly, IndexRatio, poly_mul
 from .opalg import DiagSeq, OpMatrix, mgf_from_gop
@@ -394,7 +394,7 @@ def _mgf_pipeline_check(name: str, gop: OpMatrix, rec: Recurrence, order: int) -
 # -- base family -----------------------------------------------------------------
 
 
-def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN, strict: bool = True) -> FamilyResult:
+def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
     """The base three-term family with raising data x + a(1+lam theta) + b(2+lam theta)D."""
     nw = order + margin
     p.guard(nw)
@@ -426,35 +426,34 @@ def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN, st
         IndexRatio(IndexPoly([a, a * lam])),
         IndexRatio(IndexPoly([b * (2 - lam), b * lam])),
     )
-    for n in range(1, min(order, rec.depth) + 1):
-        if closed.a_fn(n) != rec.a_at(n) or closed.b_fn(n) != rec.b_at(n):
-            checks.append(flag_check("closed-form recurrence", False, f"mismatch at n={n}"))
-            break
-    else:
-        checks.append(flag_check("closed-form recurrence", True))
+    name = "closed-form recurrence"
+    checks.append(first_failure(name, (
+        flag_check(
+            name, closed.a_fn(n) == rec.a_at(n) and closed.b_fn(n) == rec.b_at(n), f"mismatch at n={n}"
+        )
+        for n in range(1, min(order, rec.depth) + 1)
+    )))
     # generating function: column m of the bar transform against phi'^(1/lam) phi^m
     barg = gop.bar()
-    power = TruncSeries.one(nw)
-    for m in range(order + 1):
-        got = TruncSeries([barg.mat[i][m] for i in range(barg.reliable + 1)])
-        expect = (gen_weight * power).truncate(got.order)
-        c = series_check(f"generating function column {m}", got, expect, order)
-        if not c.passed:
-            checks.append(c)
-            break
-        power = power * phi
-    else:
-        checks.append(flag_check(f"generating function to bidegree ({order},{order})", True))
+
+    def columns():
+        power = TruncSeries.one(nw)
+        for m in range(order + 1):
+            got = TruncSeries([barg.mat[i][m] for i in range(barg.reliable + 1)])
+            expect = (gen_weight * power).truncate(got.order)
+            yield series_check(f"generating function column {m}", got, expect, order)
+            power = power * phi
+
+    checks.append(first_failure(f"generating function to bidegree ({order},{order})", columns()))
     f0, pipe = _mgf_pipeline_check("sheffer", gop, rec, min(order, 2 * (rec.depth // 2)))
     checks.append(pipe)
-    ensure(checks, strict)
     return FamilyResult("sheffer", gop, rec, f0, closed, checks, core)
 
 
 # -- first deformation --------------------------------------------------------------
 
 
-def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN, strict: bool = True) -> FamilyResult:
+def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
     nw = order + margin
     p.guard(nw)
     lam, a, b = p.lam, p.a, p.b
@@ -501,18 +500,16 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
     for k in range(nw):
         c_vals.append(c_vals[-1] * (1 + k * lam) / (k + 1))
     gen_through = min(order, 8)
-    ok = True
-    for m in range(gen_through + 1):
+
+    def column(m):
         got = TruncSeries([c_vals[n] * gop.mat[m][n] for n in range(gen_through + 1)])
         expect = amp.pow_fraction(Fraction(-1) / lam - m).truncate(gen_through).shift_up(m).truncate(gen_through)
         expect = (expect * c_vals[m]).truncate(gen_through)
-        c = series_check(f"generating function column {m}", got, expect)
-        if not c.passed:
-            checks.append(c)
-            ok = False
-            break
-    if ok:
-        checks.append(flag_check(f"generating function display to order {gen_through}", True))
+        return series_check(f"generating function column {m}", got, expect)
+
+    checks.append(first_failure(
+        f"generating function display to order {gen_through}", map(column, range(gen_through + 1))
+    ))
     closed = ClosedFormRecurrence(
         IndexRatio.const(a),
         IndexRatio(
@@ -520,7 +517,6 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
             IndexPoly([1 - lam, lam]) * IndexPoly([1, lam]),
         ),
     )
-    ensure(checks, strict)
     return FamilyResult("ultraspherical", gop, rec, f0, closed, checks, core)
 
 
@@ -528,20 +524,21 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
 
 
 def hahn_mgf(s, order: int) -> TruncSeries:
-    """(1/s)(e^{sx}-1)/(e^x-1), the closed-form mgf of the lam=2, a=1/2 case."""
+    """(1/s)(e^{sx}-1)/(e^x-1), the closed-form mgf of the lam=2, a=1/2 case;
+    at s = 0 the numerator is its limit x."""
     s = as_rat(s)
-    num = (exp_series(s, order + 1) - 1) / s
+    num = (exp_series(s, order + 1) - 1) / s if s != 0 else TruncSeries.x(order + 1)
     den = exp_series(1, order + 1) - 1
     return num / den
 
 
-def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN, strict: bool = True) -> FamilyResult:
+def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
     """Shifted-factorial deformation of the ultraspherical family (4b = lam a^2)."""
     nw = order + margin
     p.guard(nw)
     lam, a, s = p.lam, p.a, p.s
     b = lam * a * a / 4
-    ultra = ultraspherical_family(ShefferParams(lam, a, b), order, margin, strict)
+    ultra = ultraspherical_family(ShefferParams(lam, a, b), order, margin)
     svals = DiagSeq.from_ratio(lambda n: s - 1 - n, nw + 1)
     delta = ((exp_series(2 * a, nw) - 1) / (2 * a)) if a != 0 else TruncSeries.x(nw)
     c_delta = OpMatrix.umbral_compose(delta, nw)
@@ -576,7 +573,6 @@ def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN, strict: 
             IndexPoly([1 - lam, lam]) * IndexPoly([1, lam]),
         ),
     )
-    ensure(checks, strict)
     return FamilyResult("hahn", gop, rec, f0, closed, checks, ultra.core)
 
 
@@ -600,31 +596,32 @@ def jacobi_closed_form(p: JacobiParams) -> ClosedFormRecurrence:
     return ClosedFormRecurrence(a_fn, b_fn)
 
 
-def jacobi_split_displays(p: JacobiParams, nw: int) -> tuple[OpMatrix, OpMatrix]:
+def jacobi_split_displays(p: JacobiParams, nw: int, c=0) -> tuple[OpMatrix, OpMatrix]:
+    """The lambda-part and kappa-part displays whose mixture with weights r
+    and 1-r is the conjugated raising operator shifted by c."""
     lam, kappa, a = p.lam, p.kappa, p.a
     lam_part = (
-        x_times([1 / (1 + lam * n) for n in range(nw + 1)], nw)
+        x_times([(1 + n + c) / ((1 + n) * (1 + lam * (n + c))) for n in range(nw + 1)], nw)
         + diag_values([a] * (nw + 1), nw)
         + coeff_then_d(
-            [lam * a * a / 4 * (2 + lam * n) / (1 + lam * (n + 1)) for n in range(nw + 1)], nw
+            [lam * a * a / 4 * (2 + lam * (n + c)) / (1 + lam * (1 + n + c)) for n in range(nw + 1)], nw
         )
     )
-    # The kappa-part constant is a*(1-kappa)/(1-kappa) at theta=0: the
-    # cancellation lives in the parameter, so its value there is a even when
-    # kappa=1 makes the written form 0/0.
-    def kappa_const(n):
-        if n == 0:
-            return a
-        return (
-            a * (1 + kappa * (2 * n - 1) + lam * kappa * n * n)
-            / ((1 + kappa * (n - 1)) * (1 + kappa * n))
-        )
+
+    def kappa_entry(n):
+        # 1/2 a (2+lam(n+c))/(1+kappa(n+c)) + 1/2 a lam (n+c)/(1+kappa(n+c-1));
+        # the second term is 0 * 0/0 at n+c = 0, which parameter continuity
+        # resolves to 0
+        first = a / 2 * (2 + lam * (n + c)) / (1 + kappa * (n + c))
+        if n + c == 0:
+            return first
+        return first + a / 2 * lam * (n + c) / (1 + kappa * (n + c - 1))
 
     kappa_part = (
-        x_times([1 / (1 + kappa * n) for n in range(nw + 1)], nw)
-        + diag_values([kappa_const(n) for n in range(nw + 1)], nw)
+        x_times([(1 + n + c) / ((1 + n) * (1 + kappa * (n + c))) for n in range(nw + 1)], nw)
+        + diag_values([kappa_entry(n) for n in range(nw + 1)], nw)
         + coeff_then_d(
-            [lam * a * a / 4 * (2 + lam * n) / (1 + kappa * n) for n in range(nw + 1)], nw
+            [lam * a * a / 4 * (2 + lam * (n + c)) / (1 + kappa * (n + c)) for n in range(nw + 1)], nw
         )
     )
     return lam_part, kappa_part
@@ -662,7 +659,7 @@ def jacobi_dual_raising(p: JacobiParams, nw: int) -> OpMatrix:
     )
 
 
-def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN, strict: bool = True) -> FamilyResult:
+def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
     nw = order + margin
     p.guard(nw)
     lam, kappa, a = p.lam, p.kappa, p.a
@@ -683,28 +680,24 @@ def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN, stri
     form1, form2 = jacobi_mgf_forms(p, order)
     checks.append(series_check("mgf ratio-sum form", f0, form1, order))
     checks.append(series_check("mgf product form", f0, form2, order))
-    ensure(checks, strict)
     return FamilyResult("jacobi", gop, rec, f0, jacobi_closed_form(p), checks, core)
 
 
-def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN, strict: bool = True):
+def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
     """(1 + lam theta)^2 conjugated by the family operator: the closed form
     (1+lam theta)^2 - (2 a lam^2/kappa)(1+beta theta) D and its eigen-action."""
-    fam = jacobi_family(p, order, margin, strict)
+    fam = jacobi_family(p, order, margin)
     nw = fam.gop.nw
     lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
     sq = diag_values([(1 + lam * n) ** 2 for n in range(nw + 1)], nw)
     lhs = fam.gop @ sq @ fam.gop.inverse()
     rhs = sq - coeff_then_d([2 * a * lam * lam / kappa * (1 + beta * n) for n in range(nw + 1)], nw)
     checks = [op_check("second-order operator closed form", lhs, rhs, order)]
-    for n in range(min(order, lhs.reliable) + 1):
-        col = lhs.apply_poly(fam.gop.column_poly(n))
-        expected = [(1 + lam * n) ** 2 * v for v in fam.gop.column_poly(n)]
-        if col != expected:
-            checks.append(flag_check("eigen-action", False, f"column {n}"))
-            break
-    else:
-        checks.append(flag_check("eigen-action", True))
+    columns = (fam.gop.column_poly(n) for n in range(min(order, lhs.reliable) + 1))
+    checks.append(first_failure("eigen-action", (
+        flag_check("eigen-action", lhs.apply_poly(q) == [(1 + lam * n) ** 2 * v for v in q], f"column {n}")
+        for n, q in enumerate(columns)
+    )))
     # omega'(y)^(-2) = 1 - 2 lam a y
     omega_prime = fam.core.omega.derivative()
     checks.append(
@@ -714,14 +707,13 @@ def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN, s
             TruncSeries.from_polynomial([1, -2 * lam * a], nw - 1),
         )
     )
-    ensure(checks, strict)
     return lhs, fam, checks
 
 
 # -- the mixed deformation ---------------------------------------------------------------
 
 
-def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN, strict: bool = True) -> FamilyResult:
+def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
     nw = order + margin
     p.guard(nw)
     lam, kappa, beta = p.lam, p.kappa, p.beta
@@ -744,16 +736,15 @@ def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN, stri
     f0, pipe = _mgf_pipeline_check("wilson", gop, rec, order)
     checks.append(pipe)
     if h == 0:
-        reduction = jacobi_family(p.jacobi("betat"), order, margin, strict)
+        reduction = jacobi_family(p.jacobi("betat"), order, margin)
         checks.append(op_check("h=0 reduction", gop, reduction.gop, order))
-    ensure(checks, strict)
     return FamilyResult("wilson", gop, rec, f0, None, checks, core)
 
 
 # -- the higher-order generalization --------------------------------------------------------
 
 
-def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN, strict: bool = True) -> FamilyResult:
+def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
     nw = order + margin
     p.guard(nw)
     n, lam, a = p.n, p.lam, p.a
@@ -818,7 +809,6 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
     except Exception:
         rec = Recurrence((Fraction(0),), ())
     f0 = mgf_from_gop(gop)
-    ensure(checks, strict)
     return FamilyResult("multiterm", gop, rec, f0, None, checks, core)
 
 

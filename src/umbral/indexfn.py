@@ -121,10 +121,6 @@ class IndexRatio:
     def const(cls, value) -> "IndexRatio":
         return cls(IndexPoly.const(value))
 
-    @classmethod
-    def theta(cls) -> "IndexRatio":
-        return cls(IndexPoly.theta())
-
     def __call__(self, n) -> Fraction:
         d = self.den(n)
         if d == 0:

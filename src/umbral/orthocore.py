@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .checks import Check, flag_check
 from .errors import (
     ClosedFormRequired,
     DegenerateB,
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .indexfn import IndexPoly, IndexRatio, poly_add, poly_eval, poly_mul
 from .opalg import OpMatrix
-from .series import TruncSeries, as_rat
+from .series import TruncSeries, as_rat, rationals_from_json
 
 Poly = list  # univariate polynomial, low degree first
 
@@ -94,7 +95,10 @@ class Recurrence:
 
     @classmethod
     def from_json(cls, data: dict) -> "Recurrence":
-        return cls(tuple(data["a"]), tuple(data["b"]))
+        a = rationals_from_json(data, "a")
+        if not a:
+            raise ValueError("a recurrence needs at least a_0")
+        return cls(tuple(a), tuple(rationals_from_json(data, "b")))
 
 
 @dataclass(frozen=True)
@@ -570,17 +574,16 @@ def dual_recurrence(cf: ClosedFormRecurrence) -> ClosedFormRecurrence:
     return ClosedFormRecurrence(d[0], d[1])
 
 
-def dual_identity_check(cf: ClosedFormRecurrence, terms: int = 8) -> bool:
+def dual_identity_check(cf: ClosedFormRecurrence, name: str, terms: int = 8) -> Check:
     """The negative-index series of a family is the moment tail of its dual:
     both sides of sum_n n! B-hat_n / (p-hat_n p-hat_{n+1}) expanded in 1/x
     against the dual family's moment coefficients, to `terms` terms."""
-    dual = dual_recurrence(cf)
-    rec = dual.truncate(terms + 6)
-    fam = polys_from_recurrence(rec, terms + 4)
+    rec = dual_recurrence(cf).truncate(terms + 6)
+    fam = polys_from_recurrence(rec, terms + 2)
     gf = moments_from_recurrence(rec, terms + 3).moment_gf
     lhs = tail_from_moment_gf(gf, terms)
     rhs = tail_from_partial_fractions(fam, terms)
-    return lhs.coeffs == rhs.coeffs
+    return flag_check(name, lhs.coeffs == rhs.coeffs, f"{lhs.coeffs} != {rhs.coeffs}")
 
 
 @dataclass

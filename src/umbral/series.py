@@ -25,7 +25,6 @@ from .errors import (
     OrderExhausted,
 )
 
-Rat = Fraction
 _ZERO = Fraction(0)
 
 
@@ -36,8 +35,28 @@ def as_rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def rationals_from_json(data, key: str) -> list:
+    """The exact rationals listed under `key` in a parsed JSON object.
+
+    Each entry must be an integer or a string such as "3/2"; anything else
+    is a ValueError that names it.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {data!r:.60}")
+    values = data.get(key)
+    if not isinstance(values, list):
+        raise ValueError(f"{key!r} must be a list, got {values!r:.60}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, str)):
+            raise ValueError(f"{key!r} entry {v!r} is not an integer or a string such as \"3/2\"")
+    return [as_rat(v) for v in values]
 
 
 def _over_common_den(values) -> tuple[int, list[int]]:
@@ -380,7 +399,7 @@ class TruncSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "TruncSeries":
-        s = cls(data["coeffs"])
+        s = cls(rationals_from_json(data, "coeffs"))
         if s.order != data["order"]:
             raise ValueError("order field disagrees with coefficient count")
         return s

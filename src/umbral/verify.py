@@ -49,6 +49,7 @@ from .orthocore import (
     assoc_one_identity_holds,
     cd_kernel_identity_holds,
     determinant_identity_holds,
+    dual_identity_check,
     dual_recurrence,
     fn_family,
     gram_matrix,
@@ -56,8 +57,6 @@ from .orthocore import (
     numerator_functional_holds,
     polys_from_recurrence,
     recurrence_from_moments,
-    tail_from_moment_gf,
-    tail_from_partial_fractions,
 )
 from .sampling import (
     rng_for,
@@ -108,7 +107,7 @@ def suite_base(cfg: RunConfig) -> list:
     tuples += [sample_sheffer(rng, order + 6) for _ in range(cfg.samples)]
     for i, p in enumerate(tuples):
         tag = f"base[{i}] lam={p.lam},a={p.a},b={p.b}"
-        fam = sheffer_family(p, order, strict=False)
+        fam = sheffer_family(p, order)
         out += _prefixed(tag, fam.checks)
         out.append(_commutator_check(tag, fam.gop))
     return out
@@ -118,7 +117,7 @@ def suite_ultra(cfg: RunConfig) -> list:
     rng = rng_for(cfg.seed)
     order = min(cfg.order, 12)
     out = []
-    fam = ultraspherical_family(ShefferParams(1, 0, 1), order, strict=False)
+    fam = ultraspherical_family(ShefferParams(1, 0, 1), order)
     out += _prefixed("ultra[catalan]", fam.checks)
     cats = [1]
     for m in range(6):
@@ -132,9 +131,9 @@ def suite_ultra(cfg: RunConfig) -> list:
     for i in range(cfg.samples):
         p = sample_sheffer(rng, order + 6, nonzero_lam=True)
         tag = f"ultra[{i}] lam={p.lam},a={p.a},b={p.b}"
-        fam = ultraspherical_family(p, order, strict=False)
+        fam = ultraspherical_family(p, order)
         out += _prefixed(tag, fam.checks)
-        base = ultraspherical_family(ShefferParams(p.lam, 0, p.b), order, strict=False)
+        base = ultraspherical_family(ShefferParams(p.lam, 0, p.b), order)
         shifted = (exp_series(p.a, fam.mgf.order) * base.mgf).truncate(fam.mgf.order)
         out.append(series_check(f"{tag}: exponential factor law", fam.mgf, shifted))
     return out
@@ -150,7 +149,7 @@ def suite_hahn(cfg: RunConfig) -> list:
             if s.denominator > 1:
                 break
         tag = f"hahn[s={s}]"
-        fam = hahn_family(HahnParams(2, Fraction(1, 2), s), order, strict=False)
+        fam = hahn_family(HahnParams(2, Fraction(1, 2), s), order)
         out += _prefixed(tag, fam.checks)
     # integer s=2 runs through the closed-form mgf path only
     f0 = hahn_mgf(2, order)
@@ -173,7 +172,7 @@ def suite_hahn(cfg: RunConfig) -> list:
                 break
         tag = f"hahn[{i} lam={p.lam},a={p.a},s={s}]"
         try:
-            fam = hahn_family(HahnParams(p.lam, p.a, s), order, strict=False)
+            fam = hahn_family(HahnParams(p.lam, p.a, s), order)
         except EngineError as exc:
             out.append(flag_check(tag, False, str(exc)))
             continue
@@ -186,21 +185,21 @@ def suite_jacobi(cfg: RunConfig) -> list:
     order = min(cfg.order, 14)
     out = []
     legendre = JacobiParams(2, Fraction(1, 2), 1)
-    fam = jacobi_family(legendre, order, strict=False)
+    fam = jacobi_family(legendre, order)
     out += _prefixed("jacobi[shifted-legendre]", fam.checks)
     moments = fam.mgf.laplace()
     ok = all(moments.coeffs[n] == Fraction(1, n + 1) for n in range(order + 1))
     out.append(flag_check("jacobi[shifted-legendre]: uniform moments 1/(n+1)", ok))
     expected = (exp_series(1, order + 1) - 1).shift_down(1)
     out.append(series_check("jacobi[shifted-legendre]: mgf closed form", fam.mgf, expected, order))
-    _, _, dchecks = jacobi_diffeq_op(legendre, min(cfg.order, 12), strict=False)
+    _, _, dchecks = jacobi_diffeq_op(legendre, min(cfg.order, 12))
     out += _prefixed("jacobi[shifted-legendre] diffeq", dchecks)
     for i in range(cfg.samples):
         p = sample_jacobi(rng, order + 6)
         tag = f"jacobi[{i}] lam={p.lam},a={p.a},r={p.r}"
-        fam = jacobi_family(p, order, strict=False)
+        fam = jacobi_family(p, order)
         out += _prefixed(tag, fam.checks)
-        _, _, dchecks = jacobi_diffeq_op(p, min(cfg.order, 10), strict=False)
+        _, _, dchecks = jacobi_diffeq_op(p, min(cfg.order, 10))
         out += _prefixed(f"{tag} diffeq", dchecks)
     for name, band, ok in comment_generator_bands(JacobiParams(2, Fraction(1, 3), Fraction(2, 5)), 8):
         if ok is not None:
@@ -219,7 +218,7 @@ def suite_wilson(cfg: RunConfig) -> list:
     generics = [sample_wilson(rng, order + 6) for _ in range(max(1, cfg.samples - 2))]
     for i, p in enumerate(fixed + generics):
         tag = f"wilson[{i}] lam={p.lam},a={p.a},r={p.r},rt={p.rt},h={p.h}"
-        fam = wilson_family(p, order, strict=False)
+        fam = wilson_family(p, order)
         out += _prefixed(tag, fam.checks)
     return out
 
@@ -233,7 +232,7 @@ def suite_multiterm(cfg: RunConfig) -> list:
             for i in range(3):
                 p = sample_multiterm(rng, n, order + 4, extended=extended)
                 tag = f"multiterm[n={n},ext={extended},{i}]"
-                fam = multiterm_family(p, order, strict=False)
+                fam = multiterm_family(p, order)
                 out += _prefixed(tag, fam.checks)
     return out
 
@@ -253,12 +252,12 @@ def suite_longdiv(cfg: RunConfig) -> list:
             continue
         b = TruncSeries(sample_unit_series_coeffs(rng, order + 6))
         tag = f"longdiv[{made}] ratio={c0}+{c1}n"
-        checks = long_division_checks(lambda n: c0 + c1 * n, b, order, strict=False)
+        checks = long_division_checks(lambda n: c0 + c1 * n, b, order)
         out += _prefixed(tag, checks)
         made += 1
-    out.append(change_of_variable_check(exp_series(1, order + 6) - 1, order, strict=False))
+    out.append(change_of_variable_check(exp_series(1, order + 6) - 1, order))
     f = TruncSeries([Fraction(0), Fraction(1)] + sample_unit_series_coeffs(rng, order + 4)[1:])
-    out.append(change_of_variable_check(f, order, strict=False))
+    out.append(change_of_variable_check(f, order))
     return out
 
 
@@ -266,11 +265,11 @@ def suite_assoc_triangle(cfg: RunConfig) -> list:
     order = min(cfg.order, 10)
     out = []
     for c in (1, 2, 3):
-        r = sheffer_assoc(ShefferParams(1, 1, 1), c, order, strict=False)
+        r = sheffer_assoc(ShefferParams(1, 1, 1), c, order)
         out += _prefixed(f"assoc sheffer c={c}", r.checks)
-        r = ultra_assoc(ShefferParams(Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)), c, order, strict=False)
+        r = ultra_assoc(ShefferParams(Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)), c, order)
         out += _prefixed(f"assoc ultra c={c}", r.checks)
-        r = jacobi_assoc(JacobiParams(2, Fraction(1, 2), 1), c, order, strict=False)
+        r = jacobi_assoc(JacobiParams(2, Fraction(1, 2), 1), c, order)
         out += _prefixed(f"assoc jacobi c={c}", r.checks)
     return out
 
@@ -279,13 +278,14 @@ def suite_assoc_rational(cfg: RunConfig) -> list:
     order = min(cfg.order, 10)
     out = []
     for c in (Fraction(1, 2), Fraction(-1, 3)):
-        r = sheffer_assoc(ShefferParams(1, 0, 1), c, order, strict=False)
+        r = sheffer_assoc(ShefferParams(1, 0, 1), c, order)
         out += _prefixed(f"assoc sheffer c={c}", r.checks)
-        r = ultra_assoc(ShefferParams(Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)), c, order, strict=False)
+        r = ultra_assoc(ShefferParams(Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)), c, order)
         out += _prefixed(f"assoc ultra c={c}", r.checks)
-        out += _prefixed(f"assoc split c={c}", splitting_check(JacobiParams(2, Fraction(1, 2), Fraction(1, 2)), c, min(order, 8), strict=False))
+        split = splitting_check(JacobiParams(2, Fraction(1, 2), Fraction(1, 2)), c, min(order, 8))
+        out += _prefixed(f"assoc split c={c}", split)
     # additivity of the shift at the closed-form level
-    base = ultraspherical_family(ShefferParams(Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)), 6, strict=False).closed_form
+    base = ultraspherical_family(ShefferParams(Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)), 6).closed_form
     two_steps = base.assoc(Fraction(1, 2)).assoc(Fraction(1, 3))
     one_step = base.assoc(Fraction(5, 6))
     out.append(flag_check("assoc additivity (closed form)", two_steps.equals(one_step)))
@@ -296,11 +296,11 @@ def suite_assoc_wilson(cfg: RunConfig) -> list:
     order = min(cfg.order, 10)
     out = []
     p = WilsonParams(2, Fraction(1, 3), Fraction(1, 2), Fraction(1, 5), Fraction(1, 4))
-    r = wilson_assoc(p, Fraction(3, 2), order, strict=False)
+    r = wilson_assoc(p, Fraction(3, 2), order)
     out += _prefixed("assoc wilson c=3/2", r.checks)
-    r = wilson_assoc(p, 0, order, strict=False)
+    r = wilson_assoc(p, 0, order)
     out += _prefixed("assoc wilson c=0", r.checks)
-    r = wilson_assoc(WilsonParams(2, Fraction(1, 3), Fraction(1, 2), Fraction(1, 5), 0), Fraction(3, 2), order, strict=False)
+    r = wilson_assoc(WilsonParams(p.lam, p.a, p.r, p.rt, 0), Fraction(3, 2), order)
     out += _prefixed("assoc wilson h=0", r.checks)
     return out
 
@@ -382,25 +382,11 @@ def suite_duality(cfg: RunConfig) -> list:
         out.append(flag_check(f"duality[{i}]: involution", dual_recurrence(dual_recurrence(cf)).equals(cf)))
     cheb = ClosedFormRecurrence(IndexRatio.const(0), affine(0, 1).reciprocal())
     out.append(flag_check("duality: self-dual 1/theta family", dual_recurrence(cheb).equals(cheb)))
-    terms = 8
-    depth = terms + 2
     for name, cf in (
         ("1/theta family", cheb),
         ("constant-b family", ClosedFormRecurrence(IndexRatio.const(0), IndexRatio.const(1))),
     ):
-        dual = dual_recurrence(cf)
-        rec = dual.truncate(depth + 4)
-        fam = polys_from_recurrence(rec, depth)
-        gf = moments_from_recurrence(rec, terms + 3).moment_gf
-        lhs = tail_from_moment_gf(gf, terms)
-        rhs = tail_from_partial_fractions(fam, terms)
-        out.append(
-            flag_check(
-                f"duality: negative-index tail identity ({name})",
-                lhs.coeffs == rhs.coeffs,
-                f"{lhs.coeffs} != {rhs.coeffs}",
-            )
-        )
+        out.append(dual_identity_check(cf, f"duality: negative-index tail identity ({name})"))
     return out
 
 
@@ -409,14 +395,10 @@ def suite_binomial(cfg: RunConfig) -> list:
     em1 = exp_series(1, 14) - 1
     geo = TruncSeries.from_function(lambda i: 0 if i == 0 else 1, 14)
     for name, f in (("exp base", em1), ("geometric base", geo)):
-        ok = True
-        for n in range(1, 11):
-            if not all(c.passed for c in lagrange_forms(f, n, 12, strict=False)):
-                ok = False
-                break
+        ok = all(c.passed for n in range(1, 11) for c in lagrange_forms(f, n, 12))
         out.append(flag_check(f"binomial: inversion forms n<=10 ({name})", ok))
     for s in (Fraction(1, 2), Fraction(5, 3), Fraction(-2, 5)):
-        out += _prefixed("binomial", lowering_check(em1, s, 8, strict=False))
+        out += _prefixed("binomial", lowering_check(em1, s, 8))
     ff = falling_factorial_instance()
     r1 = asym_compare(ff, Fraction(1, 2), [40, 80], 1, digits=cfg.digits)
     est1 = Decimal(r1["order_estimate"])
@@ -463,18 +445,13 @@ SUITES = {
     "binomial": suite_binomial,
     "duality": suite_duality,
     "multiterm": suite_multiterm,
+    "orthocore": suite_orthocore,
 }
 
 
 def run_suite(name: str, cfg: RunConfig) -> list:
     if name == "all":
-        out = []
-        for key in list(SUITES) + ["orthocore"]:
-            fn = SUITES.get(key, suite_orthocore)
-            out += _prefixed(key, fn(cfg))
-        return out
-    if name == "orthocore":
-        return suite_orthocore(cfg)
+        return [c for key, fn in SUITES.items() for c in _prefixed(key, fn(cfg))]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     return SUITES[name](cfg)

@@ -87,7 +87,7 @@ def test_criterion_01_base_sheffer():
     tuples = [ShefferParams(0, 0, F(1, 2))] + [sample_sheffer(rng, order + 6) for _ in range(5)]
     bad = ""
     for p in tuples:
-        fam = sheffer_family(p, order, strict=False)
+        fam = sheffer_family(p, order)
         names = {c.name: c for c in fam.checks}
         display = names["dual raising display"]
         gen = [c for c in fam.checks if c.name.startswith("generating function")]
@@ -100,7 +100,7 @@ def test_criterion_01_base_sheffer():
 def test_criterion_02_ultraspherical():
     rng = rng_for(SEED)
     order = 12
-    fam = ultraspherical_family(ShefferParams(1, 0, 1), order, strict=False)
+    fam = ultraspherical_family(ShefferParams(1, 0, 1), order)
     cats = [1]
     for m in range(6):
         cats.append(sum(cats[i] * cats[m - i] for i in range(m + 1)))
@@ -110,7 +110,7 @@ def test_criterion_02_ultraspherical():
     if ok:
         for i in range(5):
             p = sample_sheffer(rng, order + 6, nonzero_lam=True)
-            f = ultraspherical_family(p, order, strict=False)
+            f = ultraspherical_family(p, order)
             if not all(c.passed for c in f.checks):
                 ok, detail = False, f"params {p}: {first_failure(f.checks)}"
                 break
@@ -121,7 +121,7 @@ def test_criterion_03_hahn():
     order = 14
     ok, detail = True, ""
     for s in (F(1, 2), F(5, 3), F(-3, 7)):
-        fam = hahn_family(HahnParams(2, F(1, 2), s), order, strict=False)
+        fam = hahn_family(HahnParams(2, F(1, 2), s), order)
         if not fam.mgf.agrees_with(hahn_mgf(s, order), order):
             ok, detail = False, f"s={s}: closed-form mgf mismatch"
             break
@@ -138,7 +138,7 @@ def test_criterion_03_hahn():
 
 def test_criterion_04_jacobi_mgf():
     order = 14
-    fam = jacobi_family(JacobiParams(2, F(1, 2), 1), order, strict=False)
+    fam = jacobi_family(JacobiParams(2, F(1, 2), 1), order)
     names = {c.name: c for c in fam.checks}
     ok = names["mgf ratio-sum form"].passed and names["mgf product form"].passed
     detail = first_failure(fam.checks)
@@ -153,13 +153,13 @@ def test_criterion_04_jacobi_mgf():
 
 def test_criterion_05_differential_operator():
     order = 12
-    _, _, checks = jacobi_diffeq_op(JacobiParams(2, F(1, 2), 1), order, strict=False)
+    _, _, checks = jacobi_diffeq_op(JacobiParams(2, F(1, 2), 1), order)
     ok = all(c.passed for c in checks)
     detail = first_failure(checks)
     if ok:
         rng = rng_for(SEED)
         p = sample_jacobi(rng, order + 6)
-        _, _, checks2 = jacobi_diffeq_op(p, order, strict=False)
+        _, _, checks2 = jacobi_diffeq_op(p, order)
         ok = all(c.passed for c in checks2)
         detail = "" if ok else f"params {p}: {first_failure(checks2)}"
     report(5, "second-order operator identity and eigen-action n<=10", ok, detail)
@@ -177,7 +177,7 @@ def test_criterion_06_wilson():
     ]
     ok, detail = True, ""
     for p in tuples:
-        fam = wilson_family(p, order, strict=False)
+        fam = wilson_family(p, order)
         if not all(c.passed for c in fam.checks):
             ok, detail = False, f"params {p}: {first_failure(fam.checks)}"
             break
@@ -200,7 +200,7 @@ def test_criterion_07_long_division():
         if any(c0 + c1 * n == 0 for n in range(order + 10)):
             continue
         b = TruncSeries(sample_unit_series_coeffs(rng, order + 6))
-        checks = long_division_checks(lambda n: c0 + c1 * n, b, order, strict=False)
+        checks = long_division_checks(lambda n: c0 + c1 * n, b, order)
         if not all(c.passed for c in checks):
             ok, detail = False, f"ratio {c0}+{c1}n: {first_failure(checks)}"
         made += 1
@@ -211,12 +211,12 @@ def test_criterion_08_pipeline_triangle():
     order = 10
     ok, detail = True, ""
     builders = (
-        ("base", lambda c: sheffer_assoc(ShefferParams(1, 1, 1), c, order, strict=False)),
+        ("base", lambda c: sheffer_assoc(ShefferParams(1, 1, 1), c, order)),
         (
             "ultraspherical",
-            lambda c: ultra_assoc(ShefferParams(F(1, 2), F(2, 3), F(3, 5)), c, order, strict=False),
+            lambda c: ultra_assoc(ShefferParams(F(1, 2), F(2, 3), F(3, 5)), c, order),
         ),
-        ("jacobi", lambda c: jacobi_assoc(JacobiParams(2, F(1, 2), 1), c, order, strict=False)),
+        ("jacobi", lambda c: jacobi_assoc(JacobiParams(2, F(1, 2), 1), c, order)),
     )
     for name, build in builders:
         for c in (1, 2, 3):
@@ -236,16 +236,16 @@ def test_criterion_09_rational_association():
         for name, build, closed in (
             (
                 "base",
-                lambda cc: sheffer_assoc(ShefferParams(1, 0, 1), cc, order, strict=False),
-                sheffer_family(ShefferParams(1, 0, 1), order, strict=False).closed_form,
+                lambda cc: sheffer_assoc(ShefferParams(1, 0, 1), cc, order),
+                sheffer_family(ShefferParams(1, 0, 1), order).closed_form,
             ),
             (
                 "ultraspherical",
                 lambda cc: ultra_assoc(
-                    ShefferParams(F(1, 2), F(2, 3), F(3, 5)), cc, order, strict=False
+                    ShefferParams(F(1, 2), F(2, 3), F(3, 5)), cc, order
                 ),
                 ultraspherical_family(
-                    ShefferParams(F(1, 2), F(2, 3), F(3, 5)), order, strict=False
+                    ShefferParams(F(1, 2), F(2, 3), F(3, 5)), order
                 ).closed_form,
             ),
         ):
@@ -261,7 +261,7 @@ def test_criterion_09_rational_association():
             break
     if ok:
         base = ultraspherical_family(
-            ShefferParams(F(1, 2), F(2, 3), F(3, 5)), 8, strict=False
+            ShefferParams(F(1, 2), F(2, 3), F(3, 5)), 8
         ).closed_form
         ok = base.assoc(F(1, 2)).assoc(F(1, 3)).equals(base.assoc(F(5, 6)))
         detail = "" if ok else "shift additivity failed"
@@ -273,12 +273,12 @@ def test_criterion_10_wilson_associated():
     p = WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), F(1, 4))
     ok, detail = True, ""
     for tag, res in (
-        ("generic c=3/2", wilson_assoc(p, F(3, 2), order, strict=False)),
-        ("c=0", wilson_assoc(p, 0, order, strict=False)),
+        ("generic c=3/2", wilson_assoc(p, F(3, 2), order)),
+        ("c=0", wilson_assoc(p, 0, order)),
         (
             "h=0",
             wilson_assoc(
-                WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), 0), F(3, 2), order, strict=False
+                WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), 0), F(3, 2), order
             ),
         ),
     ):
@@ -357,14 +357,14 @@ def test_criterion_13_binomial_extensions():
     geo = TruncSeries.from_function(lambda i: 0 if i == 0 else 1, 14)
     for f in (em1, geo):
         for n in range(1, 11):
-            if not all(c.passed for c in lagrange_forms(f, n, 12, strict=False)):
+            if not all(c.passed for c in lagrange_forms(f, n, 12)):
                 ok, detail = False, f"inversion forms at n={n}"
                 break
         if not ok:
             break
     if ok:
         for s in (F(1, 2), F(5, 3), F(-2, 5)):
-            if not all(c.passed for c in lowering_check(em1, s, 8, strict=False)):
+            if not all(c.passed for c in lowering_check(em1, s, 8)):
                 ok, detail = False, f"lowering at s={s}"
                 break
     if ok:
@@ -434,7 +434,7 @@ def test_criterion_14_multiterm():
         for extended in (False, True):
             for i in range(3):
                 p = sample_multiterm(rng, n, order + 4, extended=extended)
-                fam = multiterm_family(p, order, strict=False)
+                fam = multiterm_family(p, order)
                 if not all(c.passed for c in fam.checks):
                     ok, detail = False, f"n={n} ext={extended} #{i}: {first_failure(fam.checks)}"
                     break

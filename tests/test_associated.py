@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from umbral.associated import (
+    ASSOC_MARGIN,
     change_of_variable_check,
     factorization_column,
     harder_generator_bands,
@@ -15,7 +16,15 @@ from umbral.associated import (
     wilson_assoc,
 )
 from umbral.errors import DiagSingular, SingularParams
-from umbral.families import JacobiParams, ShefferParams, WilsonParams
+from umbral.families import (
+    JacobiParams,
+    ShefferParams,
+    WilsonParams,
+    jacobi_family,
+    sheffer_family,
+    ultraspherical_family,
+    wilson_family,
+)
 from umbral.opalg import DiagSeq, OpMatrix
 from umbral.orthocore import assoc_recurrence
 from umbral.series import TruncSeries, exp_series
@@ -25,6 +34,11 @@ def all_pass(checks):
     bad = [(c.name, c.witness) for c in checks if not c.passed]
     assert not bad, bad
 
+
+def nested_pass(build, *args):
+    """An assoc build does not report the checks of the builds it makes
+    inside itself; make each alone, with the same margin, and require them."""
+    all_pass(build(*args, margin=ASSOC_MARGIN).checks)
 
 
 def test_lowered_weights():
@@ -68,11 +82,13 @@ def test_change_of_variable_exponential():
 def test_sheffer_assoc_zero_reduction():
     res = sheffer_assoc(ShefferParams(1, 1, 1), 0, 10)
     all_pass(res.checks)
+    nested_pass(sheffer_family, ShefferParams(1, 1, 1), 10)
 
 
 def test_sheffer_assoc_laguerre_tails():
     res = sheffer_assoc(ShefferParams(1, 1, 0), 1, 12)
     all_pass(res.checks)
+    nested_pass(sheffer_family, ShefferParams(1, 1, 0), 12)
     names = [c.name for c in res.checks]
     assert any("tail" in n for n in names)
 
@@ -80,12 +96,10 @@ def test_sheffer_assoc_laguerre_tails():
 def test_sheffer_assoc_rational_c():
     res = sheffer_assoc(ShefferParams(1, 0, 1), F(1, 2), 10)
     all_pass(res.checks)
-    base = assoc_recurrence(
-        __import__("umbral.families", fromlist=["sheffer_family"]).sheffer_family(
-            ShefferParams(1, 0, 1), 10
-        ).closed_form,
-        F(1, 2),
-    )
+    nested_pass(sheffer_family, ShefferParams(1, 0, 1), 10)
+    fam = sheffer_family(ShefferParams(1, 0, 1), 10)
+    all_pass(fam.checks)
+    base = assoc_recurrence(fam.closed_form, F(1, 2))
     for n in range(1, 6):
         assert res.recurrence.b_at(n) == base.b_fn(n)
         assert res.recurrence.a_at(n) == base.a_fn(n)
@@ -102,18 +116,21 @@ def test_sheffer_assoc_guard():
 def test_ultra_assoc_chebyshev_self_similar():
     res = ultra_assoc(ShefferParams(1, 0, 1), 1, 10)
     all_pass(res.checks)
+    nested_pass(ultraspherical_family, ShefferParams(1, 0, 1), 10)
     assert res.recurrence.b[:5] == (1, F(1, 2), F(1, 3), F(1, 4), F(1, 5))
 
 
 def test_ultra_assoc_third():
     res = ultra_assoc(ShefferParams(1, 0, 1), F(1, 3), 10)
     all_pass(res.checks)
+    nested_pass(ultraspherical_family, ShefferParams(1, 0, 1), 10)
     assert res.recurrence.b[:6] == tuple(F(1, n) for n in range(1, 7))
 
 
 def test_ultra_assoc_generic_rational():
     res = ultra_assoc(ShefferParams(F(1, 2), F(2, 3), F(3, 5)), F(-1, 3), 10)
     all_pass(res.checks)
+    nested_pass(ultraspherical_family, ShefferParams(F(1, 2), F(2, 3), F(3, 5)), 10)
 
 
 # ---- splitting --------------------------------------------------------------------------
@@ -137,21 +154,25 @@ def test_splitting_generic():
 def test_jacobi_assoc_pipelines():
     res = jacobi_assoc(JacobiParams(2, F(1, 2), 1), 1, 10)
     all_pass(res.checks)
+    nested_pass(jacobi_family, JacobiParams(2, F(1, 2), 1), 10)
 
 
 def test_jacobi_assoc_integer_two_tails():
     res = jacobi_assoc(JacobiParams(2, F(1, 2), 1), 2, 10)
     all_pass(res.checks)
+    nested_pass(jacobi_family, JacobiParams(2, F(1, 2), 1), 10)
 
 
 def test_jacobi_assoc_c_zero_hypergeometric_collapse():
     res = jacobi_assoc(JacobiParams(2, F(1, 2), 1), 0, 10)
     all_pass(res.checks)
+    nested_pass(jacobi_family, JacobiParams(2, F(1, 2), 1), 10)
 
 
 def test_jacobi_assoc_rational_c():
     res = jacobi_assoc(JacobiParams(F(1, 3), F(2, 5), F(1, 2)), F(3, 2), 10)
     all_pass(res.checks)
+    nested_pass(jacobi_family, JacobiParams(F(1, 3), F(2, 5), F(1, 2)), 10)
 
 
 # ---- associated Wilson ----------------------------------------------------------------------
@@ -168,8 +189,11 @@ def test_wilson_assoc_generic():
 def test_wilson_assoc_reductions():
     res = wilson_assoc(WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), F(1, 4)), 0, 10)
     all_pass(res.checks)
+    nested_pass(wilson_family, WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), F(1, 4)), 10)
     res_h0 = wilson_assoc(WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), 0), F(3, 2), 10)
     all_pass(res_h0.checks)
+    nested_pass(jacobi_assoc, JacobiParams(2, F(1, 3), F(1, 5)), F(3, 2), 10)
+    nested_pass(jacobi_family, JacobiParams(2, F(1, 3), F(1, 5)), 10)
 
 
 def test_factorization_column_values():
@@ -183,10 +207,13 @@ def test_factorization_column_values():
 
 def test_assoc_recurrence_additivity_via_operators():
     p = ShefferParams(F(1, 2), F(2, 3), F(3, 5))
-    one = ultra_assoc(p, F(1, 2), 10).recurrence
-    from umbral.families import ultraspherical_family
-
-    closed = ultraspherical_family(p, 10).closed_form
+    res = ultra_assoc(p, F(1, 2), 10)
+    all_pass(res.checks)
+    nested_pass(ultraspherical_family, p, 10)
+    one = res.recurrence
+    fam = ultraspherical_family(p, 10)
+    all_pass(fam.checks)
+    closed = fam.closed_form
     two = closed.assoc(F(1, 4)).assoc(F(1, 4))
     for n in range(1, 6):
         assert one.b_at(n) == two.b_fn(n)

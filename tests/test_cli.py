@@ -306,3 +306,44 @@ def test_flag_the_command_does_not_read(capsys, argv, flag):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, name, params, key",
+    [
+        ("family", "sheffer", "lambda=1/2,lambda=1/3,a=1/3,b=2/5", "lambda"),
+        ("assoc", "jacobi", "lambda=1/3,a=2/5,r=3/7,a=1/2", "a"),
+    ],
+)
+def test_repeated_params_key(capsys, command, name, params, key):
+    extra = ("--c", "1") if command == "assoc" else ()
+    code, out, err = run(capsys, command, name, "--params", params, "--order", "4", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: parameter {key!r} given twice\n"
+
+
+@pytest.mark.parametrize(
+    "argv, data, bad",
+    [
+        (("family", "sheffer", "--params", "lambda=1/0"), None, "'1/0'"),
+        (("assoc", "sheffer", "--params", "lambda=1,a=1,b=1", "--c", "1/0"), None, "'1/0'"),
+        (("asym", "geometric", "--alpha", "1/0", "--s", "40,80"), None, "'1/0'"),
+        (("cfrac", "rec2moments"), [1, 2], "[1, 2]"),
+        (("cfrac", "rec2moments"), {"a": ["0"], "b": 5}, "got 5"),
+        (("cfrac", "moments2rec"), {"order": 1, "coeffs": ["1", 1.5]}, "1.5"),
+        (("cfrac", "rec2moments"), {"a": ["0", "1/0"], "b": ["1"]}, "'1/0'"),
+        (("cfrac", "rec2moments"), {"a": [], "b": []}, "a_0"),
+        (("cfrac", "rec2moments"), {"a": [True, "0"], "b": ["1"]}, "True"),
+    ],
+)
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, data, bad):
+    if data is not None:
+        src = tmp_path / "input.json"
+        src.write_text(json.dumps(data))
+        argv = (*argv, str(src))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and bad in err
+    assert "Traceback" not in err

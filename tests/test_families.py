@@ -75,7 +75,7 @@ def test_ultraspherical_catalan_moments():
 def test_ultraspherical_exponential_factor():
     p = ShefferParams(F(1, 2), F(2, 3), F(3, 5))
     fam = all_pass(ultraspherical_family(p, 10))
-    base = ultraspherical_family(ShefferParams(p.lam, 0, p.b), 10)
+    base = all_pass(ultraspherical_family(ShefferParams(p.lam, 0, p.b), 10))
     assert fam.mgf == (exp_series(p.a, fam.mgf.order) * base.mgf).truncate(fam.mgf.order)
 
 
@@ -108,8 +108,14 @@ def test_hahn_carlitz_variance():
 def test_hahn_carlitz_b_display():
     # b_theta = theta(s^2 - theta^2)/(4(4 theta^2 - 1)) at theta = 1: (s^2-1)/12
     s = F(7, 3)
-    fam = hahn_family(HahnParams(2, F(1, 2), s), 10)
+    fam = all_pass(hahn_family(HahnParams(2, F(1, 2), s), 10))
     assert fam.recurrence.b[0] == (s * s - 1) / 12
+
+
+def test_hahn_s_zero_limit():
+    # (e^{sx}-1)/s -> x as s -> 0, so the closed-form mgf is x/(e^x-1)
+    fam = all_pass(hahn_family(HahnParams(2, F(1, 2), 0), 4))
+    assert fam.mgf.coeffs == (1, F(-1, 2), F(1, 12), 0, F(-1, 720))
 
 
 def test_hahn_generic_parameters():
@@ -129,8 +135,8 @@ def test_jacobi_kappa_branch_reduces_to_ultraspherical():
     # beta = kappa makes the diagonal ratio collapse to the one-parameter case
     p = JacobiParams(F(1, 2), F(2, 3), 1)
     assert p.beta == p.kappa
-    fam = jacobi_family(p, 10)
-    ultra = ultraspherical_family(ShefferParams(p.lam, p.a, p.b), 10)
+    fam = all_pass(jacobi_family(p, 10))
+    ultra = all_pass(ultraspherical_family(ShefferParams(p.lam, p.a, p.b), 10))
     # recurrences agree even though the working chains differ
     assert fam.recurrence.a[:8] == ultra.recurrence.a[:8]
     assert fam.recurrence.b[:8] == ultra.recurrence.b[:8]
@@ -147,6 +153,7 @@ def test_jacobi_diffeq_eigenvalues():
     p = JacobiParams(2, F(1, 2), 1)
     lhs, fam, checks = jacobi_diffeq_op(p, 12)
     assert all(c.passed for c in checks)
+    all_pass(fam)
     # apply to p_1 = x - mu_1: eigenvalue (1+lam)^2 = 9
     col = lhs.apply_poly(fam.gop.column_poly(1))
     assert col[:2] == [9 * v for v in fam.gop.column_poly(1)[:2]]
@@ -173,7 +180,7 @@ def test_wilson_generic_tridiagonal():
 def test_wilson_h_zero_reduction():
     p = WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), 0)
     fam = all_pass(wilson_family(p, 10))
-    red = jacobi_family(JacobiParams(2, F(1, 3), F(1, 5)), 10)
+    red = all_pass(jacobi_family(JacobiParams(2, F(1, 3), F(1, 5)), 10))
     assert fam.gop.equals(red.gop, 10)
 
 
@@ -185,8 +192,8 @@ def test_wilson_h_one_same_mixture():
 
 
 def test_multiterm_reduces_to_jacobi():
-    m = multiterm_family(MultiTermParams(2, 2, F(1, 2), (F(1, 3), F(2, 3))), 10)
-    j = jacobi_family(JacobiParams(2, F(1, 2), F(1, 3)), 10)
+    m = all_pass(multiterm_family(MultiTermParams(2, 2, F(1, 2), (F(1, 3), F(2, 3))), 10))
+    j = all_pass(jacobi_family(JacobiParams(2, F(1, 2), F(1, 3)), 10))
     assert m.gop.equals(j.gop, 10)
 
 
@@ -231,7 +238,7 @@ def test_established_generators_are_tridiagonal():
     ],
 )
 def test_mgf_matches_recurrence_moments(build):
-    fam = build()
+    fam = all_pass(build())
     via_rec = moments_from_recurrence(fam.recurrence, 10).f0
     assert fam.mgf.agrees_with(via_rec, 10)
 
@@ -244,6 +251,7 @@ def test_raising_lowering_commutator_across_families():
         wilson_family(WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), F(1, 3)), 8),
     )
     for fam in builders:
+        all_pass(fam)
         nw = fam.gop.nw
         inv = fam.gop.inverse()
         u = fam.gop @ OpMatrix.x_op(nw) @ inv

@@ -3,8 +3,8 @@
 Each row is an argv (split on whitespace), the exit code and the sha256 of
 stdout.  The table covers every README example (with `verify` at order 8 and
 2 samples per suite instead of `verify all --order 12`), every `family`,
-every `assoc` at c = 0, 1 and 3/2, and two rejected `--params` keys (exit 2,
-empty stdout).  A refactor of the construction code must leave all of them
+every `assoc` at c = 0, 1 and 3/2, two rejected `--params` keys and one
+repeated key (exit 2, empty stdout).  A refactor of the construction code must leave all of them
 unchanged: a digest that moves means the JSON moved.
 """
 import hashlib
@@ -58,6 +58,8 @@ GOLDEN = [
     ("verify orthocore --order 8 --samples 2", 0, "70e3e3947ad1e903f56a2c976bc4a4d8887aad095c2cd33268288df69f09c8bb"),
     ("family sheffer --params lamda=1/2,a=1/3,b=2/5 --order 8", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("assoc wilson --params lambda=2,a=1/3,r=1/2,rt=1/5,h=1/4 --c 1 --order 8", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("family sheffer --params lambda=1/2,lambda=1/3,a=1/3,b=2/5 --order 4", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

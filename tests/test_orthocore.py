@@ -445,9 +445,9 @@ def test_dual_identity_check_wrapper():
     from umbral.orthocore import dual_identity_check
 
     cheb = ClosedFormRecurrence(IndexRatio.const(0), affine(0, 1).reciprocal())
-    assert dual_identity_check(cheb, terms=8)
+    assert dual_identity_check(cheb, "1/theta family", terms=8).passed
     hermite = ClosedFormRecurrence(IndexRatio.const(0), IndexRatio.const(1))
-    assert dual_identity_check(hermite, terms=8)
+    assert dual_identity_check(hermite, "constant-b family", terms=8).passed
 
 
 def test_assoc_zero_is_identity_on_closed_forms():
