@@ -4,8 +4,11 @@ Each row is an argv (split on whitespace), the exit code and the sha256 of
 stdout.  The table covers every README example (with `verify` at order 8 and
 2 samples per suite instead of `verify all --order 12`), every `family`,
 every `assoc` at c = 0, 1 and 3/2, two rejected `--params` keys and one
-repeated key (exit 2, empty stdout).  A refactor of the construction code must leave all of them
-unchanged: a digest that moves means the JSON moved.
+repeated key (exit 2, empty stdout), and the assoc paths that reuse another
+family's operator chain: Wilson at h = 0 (c = 0 and 3/2), Jacobi at c = 2
+and the ultraspherical c = 1/2 where 1 + lambda (c - 1) = 0.  A refactor
+of the construction code must leave all of them unchanged: a digest that
+moves means the JSON moved.
 """
 import hashlib
 import json
@@ -60,6 +63,14 @@ GOLDEN = [
     ("assoc wilson --params lambda=2,a=1/3,r=1/2,rt=1/5,h=1/4 --c 1 --order 8", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("family sheffer --params lambda=1/2,lambda=1/3,a=1/3,b=2/5 --order 4", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("assoc wilson --params lambda=2,a=1/3,r=1/2,rtilde=1/5,h=0 --c 0 --order 8", 0,
+     "45d1b4801ab0546628722791bd94fc61b8ea0d37cbe9389e1f5e3b9677b8924b"),
+    ("assoc wilson --params lambda=2,a=1/3,r=1/2,rtilde=1/5,h=0 --c 3/2 --order 8", 0,
+     "d128bd36327ecf457129b8ace13fbb2e460d74d586d496dab66affa60a6ea735"),
+    ("assoc jacobi --params lambda=1/3,a=2/5,r=3/7 --c 2 --order 8", 0,
+     "967c9a0a7e07ca8c1d49510cd01babd356dd4678431793efde38ff17c02aeca5"),
+    ("assoc ultraspherical --params lambda=2,a=1/2,b=1/8 --c 1/2 --order 8", 0,
+     "81db5ca1389460e01c43252ee196f4dbd70f3a68f51e307fc7e744539f325fbf"),
 ]
 
 
