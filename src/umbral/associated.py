@@ -5,7 +5,9 @@ by a multiplication conjugation; chaining it with the composition tricks of
 the base families yields explicit operators for the associated Sheffer,
 ultraspherical, Jacobi and Wilson families, each verified here against the
 recurrence shift it is supposed to produce and against the independent
-continued-fraction-tail pipeline for integer shift orders.
+continued-fraction-tail pipeline for integer shift orders.  The base
+family's operator, where a check needs it, comes from its operator function
+over the same core, not from the base family's builder.
 """
 from __future__ import annotations
 
@@ -23,18 +25,20 @@ from .families import (
     WilsonParams,
     coeff_then_d,
     d_then_coeff,
+    deformed_op,
     diag_conj,
     diag_values,
     extract_recurrence,
     jacobi_closed_form,
     jacobi_dual_raising,
-    jacobi_family,
     jacobi_split_displays,
     riccati_core,
+    sheffer_closed_form,
     sheffer_core,  # re-exported: bench/test_bench.py reads the traced name here
-    sheffer_family,
-    ultraspherical_family,
-    wilson_family,
+    sheffer_op,
+    ultraspherical_closed_form,
+    wilson_factors,
+    wilson_op,
     x_times,
 )
 from .opalg import DiagSeq, OpMatrix, mgf_from_gop
@@ -200,15 +204,21 @@ def assoc_dual_raising(cf: ClosedFormRecurrence, c, nw: int) -> OpMatrix:
     )
 
 
-def _pipeline_checks(prefix: str, base_rec: Optional[Recurrence], f0: TruncSeries, rec: Recurrence, c, order: int) -> tuple:
+def _tail_shift(c: Fraction) -> bool:
+    """Whether the tail pipeline covers the shift c: an integer c >= 0."""
+    return c.denominator == 1 and c >= 0
+
+
+def _pipeline_checks(prefix: str, base_gop: Optional[OpMatrix], f0: TruncSeries, rec: Recurrence, c, order: int) -> tuple:
     """The explicit-operator mgf f0 against the extracted recurrence's own
-    moments and, for integer shifts over a base recurrence, the tail
-    pipeline.  Returns the checks and the series each pipeline gave."""
+    moments and, for tail shifts over a base operator, the tail pipeline on
+    the recurrence read off that operator.  Returns the checks and the series
+    each pipeline gave."""
     f0 = f0.truncate(order)
     pipelines = {"recurrence": moments_from_recurrence(rec, order).f0}
     checks = [series_check(f"{prefix}explicit vs extracted-recurrence mgf", f0, pipelines["recurrence"])]
-    if base_rec is not None and c.denominator == 1 and c >= 0:
-        pipelines["tails"] = assoc_mgf_from_tails(base_rec, int(c), order)
+    if base_gop is not None and _tail_shift(c):
+        pipelines["tails"] = assoc_mgf_from_tails(extract_recurrence(base_gop)[1], int(c), order)
         checks.append(series_check(f"{prefix}explicit vs tail mgf", f0, pipelines["tails"]))
     return checks, pipelines
 
@@ -223,15 +233,15 @@ def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -
     if p.lam == 0:
         raise SingularParams("lambda=0", "the explicit shifted operator needs 1/lambda powers")
     lam, a, b = p.lam, p.a, p.b
-    base = sheffer_family(p, order, margin=margin)
-    core = base.core
+    core = riccati_core(lam, a, b, nw)
+    base = sheffer_op(core)
     y_over_f = (1 / riccati_series(lam, a, b, nw + 1).shift_down(1)).truncate(nw)
     fprime_pow = core.fprime.pow_fraction(Fraction(1) / lam)
     ell = (fprime_pow * y_over_f.pow_fraction(1 - c)).truncate(nw)
     hvals = DiagSeq.rising(c, nw + 1)
     poch = DiagSeq.rising(c + 1, nw + 1)
     fact = DiagSeq.factorial(nw + 1)
-    shifted = OpMatrix.series_of_d(y_over_f.pow_fraction(c), nw) @ core.fpow(Fraction(-1) / lam) @ core.c_f
+    shifted = OpMatrix.series_of_d(y_over_f.pow_fraction(c), nw) @ base
     gop = (
         diag_values(fact, nw)
         @ OpMatrix.series_of_d(ell.weighted(hvals), nw)
@@ -239,15 +249,15 @@ def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -
         @ diag_values(fact, nw, inverse=True)
     )
     u, rec = extract_recurrence(gop, order)
-    checks = [op_check("shifted dual raising display", u, assoc_dual_raising(base.closed_form, c, nw), order)]
+    checks = [op_check("shifted dual raising display", u, assoc_dual_raising(sheffer_closed_form(p), c, nw), order)]
     # displayed mgf: the ratio of the two weighted series
     num = (fprime_pow * y_over_f.pow_fraction(-c)).truncate(nw)
     f0_formula = (num.weighted(poch) / ell.weighted(hvals)).borel()
     f0 = mgf_from_gop(gop).truncate(order)
     checks.append(series_check("displayed mgf formula", f0, f0_formula, order))
     if c == 0:
-        checks.append(op_check("c=0 reduction", gop, base.gop, order))
-    pipe_checks, pipelines = _pipeline_checks("sheffer assoc: ", base.recurrence, f0, rec, c, min(order, 10))
+        checks.append(op_check("c=0 reduction", gop, base, order))
+    pipe_checks, pipelines = _pipeline_checks("sheffer assoc: ", base, f0, rec, c, min(order, 10))
     checks += pipe_checks
     return AssocResult("sheffer", c, gop, rec, f0, checks, pipelines)
 
@@ -265,13 +275,13 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     for k in range(nw + 2):
         if 1 + lam * (c + k) == 0:
             raise SingularParams("1+lambda*(c+k)", f"k={k}")
-    base = ultraspherical_family(p, order, margin=margin)
-    core = base.core
+    core = riccati_core(lam, a, b, nw)
+    base = deformed_op(core, p.ratio) if _tail_shift(c) else None
     omega = t_and_omega(riccati_series(lam, a, b, nw + 1))[1]  # one order above the working block
     fprime_omega = core.fprime.compose(omega)
     ell = (omega.derivative() * fprime_omega.pow_fraction(c + Fraction(1) / lam - 1)).truncate(nw)
     hvals = DiagSeq.rising(c, nw + 1)
-    fvals = DiagSeq.from_ratio(lambda m: 1 / (1 + lam * m), nw + 1, offset=c, strict=False)
+    fvals = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
     weights = [hvals[n] * fvals[n] for n in range(nw + 1)]
     fact = DiagSeq.factorial(nw + 1)
     gop = (
@@ -281,11 +291,11 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
         @ diag_values(fact, nw, inverse=True)
     )
     u, rec = extract_recurrence(gop, order)
-    checks = [op_check("shifted dual raising display", u, assoc_dual_raising(base.closed_form, c, nw), order)]
+    checks = [op_check("shifted dual raising display", u, assoc_dual_raising(ultraspherical_closed_form(p), c, nw), order)]
     if c == 0:
-        checks.append(op_check("c=0 reduction", gop, base.gop, order))
+        checks.append(op_check("c=0 reduction", gop, base, order))
     f0 = mgf_from_gop(gop).truncate(order)
-    pipe_checks, pipelines = _pipeline_checks("ultraspherical assoc: ", base.recurrence, f0, rec, c, min(order, 10))
+    pipe_checks, pipelines = _pipeline_checks("ultraspherical assoc: ", base, f0, rec, c, min(order, 10))
     checks += pipe_checks
     return AssocResult("ultraspherical", c, gop, rec, f0, checks, pipelines)
 
@@ -333,31 +343,38 @@ def jacobi_assoc_mgf_forms(p: JacobiParams, c, order: int, core: ShefferCore) ->
     return weighted_form, hyper_form
 
 
-def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
-    nw = order + margin
-    c = guard_shift(c, nw)
-    p.guard(nw)
-    lam = p.lam
-    base = jacobi_family(p, order, margin=margin)
-    core = base.core
+def jacobi_shifted_op(core: ShefferCore, p: JacobiParams, c) -> OpMatrix:
+    """The operator of the Jacobi family associated at c, over the core of the
+    square case 4b = lam a^2."""
+    nw = core.nw
     f_c = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
-    k_series = core.fprime.compose(core.omega).pow_fraction(c - 1 + Fraction(1) / lam).truncate(nw)
+    k_series = core.fprime_omega_pow(c - 1 + Fraction(1) / p.lam)
     fact = DiagSeq.factorial(nw + 1)
-    gop = (
+    return (
         diag_values(fact, nw)
         @ OpMatrix.series_of_d(k_series.weighted(lowered_weights(p.ratio, c, nw + 1)), nw)
         @ diag_conj(DiagSeq.rising(c + 1, nw + 1), diag_conj(f_c, core.inner(c)))
         @ diag_values(fact, nw, inverse=True)
     )
+
+
+def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
+    nw = order + margin
+    c = guard_shift(c, nw)
+    p.guard(nw)
+    lam = p.lam
+    core = riccati_core(lam, p.a, p.b, nw)
+    base = deformed_op(core, p.ratio) if _tail_shift(c) else None
+    gop = jacobi_shifted_op(core, p, c)
     u, rec = extract_recurrence(gop, order)
     checks = []
     if c != 0:
-        checks.append(op_check("shifted dual raising display", u, assoc_dual_raising(base.closed_form, c, nw), order))
+        checks.append(op_check("shifted dual raising display", u, assoc_dual_raising(jacobi_closed_form(p), c, nw), order))
     else:
-        checks.append(op_check("c=0 reduction", gop, base.gop, order))
+        checks.append(op_check("c=0 reduction", gop, base, order))
     # omega'-cancellation display: (1+lam(theta+c-1)) . f'(omega)^(c-1+1/lam)
     #   = (1+lam(c-1)) omega' f'(omega)^(c-1+1/lam), with theta acting as y d/dy
-    g = k_series
+    g = core.fprime_omega_pow(c - 1 + Fraction(1) / lam)
     theta_g = g.derivative().shift_up(1).truncate(g.order)
     lhs_series = ((1 + lam * (c - 1)) * g + lam * theta_g).truncate(g.order - 1)
     rhs_series = ((1 + lam * (c - 1)) * core.omega.derivative() * g).truncate(g.order - 1)
@@ -367,7 +384,7 @@ def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     moment_form = f0.laplace()
     checks.append(series_check("weighted-series mgf formula", moment_form, weighted_form, order))
     checks.append(series_check("hypergeometric quotient mgf", moment_form, hyper_form, order))
-    pipe_checks, pipelines = _pipeline_checks("jacobi assoc: ", base.recurrence, f0, rec, c, min(order, 10))
+    pipe_checks, pipelines = _pipeline_checks("jacobi assoc: ", base, f0, rec, c, min(order, 10))
     checks += pipe_checks
     return AssocResult("jacobi", c, gop, rec, f0, checks, pipelines)
 
@@ -413,17 +430,18 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     nw = order + margin
     c = guard_shift(c, nw)
     p.guard(nw)
-    lam, kappa, beta, a, h = p.lam, p.kappa, p.beta, p.a, p.h
+    lam, kappa, a = p.lam, p.kappa, p.a
+    # the square case 4b = lam a^2, shared with the Jacobi families
     core = riccati_core(lam, a, lam * a * a / 4, nw)
     h_c = DiagSeq.from_ratio(p.mixing_ratio, nw + 1, offset=c, strict=False)
     poch = DiagSeq.rising(c + 1, nw + 1)
     fact = DiagSeq.factorial(nw + 1)
-    ells = [2 * a * h * lam * lam / kappa * (1 + k + c) * (1 + beta * (k + c)) for k in range(nw + 1)]
-    c2c = OpMatrix.shifted_product(ells[:nw], nw)
+    ells = p.ells(nw + 1, c)
+    c2c = OpMatrix.shifted_product(ells, nw)
     bar_c2c_inv = c2c.inverse().bar()
     # s(c, y) = 1 + y * theta! bar(C2(c)^(-1)) theta!^(-1) L (c+theta-1)_theta
     #                 (H_{c-1}^(-1) H_{theta+c-1}) . f'(omega)^(c-1+1/lam)
-    k_series = core.fprime.compose(core.omega).pow_fraction(c - 1 + Fraction(1) / lam).truncate(nw)
+    k_series = core.fprime_omega_pow(c - 1 + Fraction(1) / lam)
     staged = series_l(k_series.weighted(lowered_weights(p.mixing_ratio, c, nw + 1)))
     staged = apply_factorial_bar_inverse(bar_c2c_inv, staged)
     s_series = (1 + staged.shift_up(1)).truncate(nw)
@@ -455,46 +473,10 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     )
     checks.append(op_check("conjugated square identity", inner @ sq @ inner.inverse(), display, order))
     if c == 0:
-        base = wilson_family(p, order, margin=margin)
-        checks.append(op_check("c=0 reduction", gop, base.gop, order))
-    if h == 0:
-        reduction = jacobi_assoc(JacobiParams(lam, a, p.rt), c, order, margin)
-        checks.append(op_check("h=0 reduction", gop, reduction.gop, order))
+        checks.append(op_check("c=0 reduction", gop, wilson_op(core, *wilson_factors(p, nw)), order))
+    if p.h == 0:
+        checks.append(op_check("h=0 reduction", gop, jacobi_shifted_op(core, p.jacobi("betat"), c), order))
     f0 = mgf_from_gop(gop).truncate(order)
     pipe_checks, pipelines = _pipeline_checks("", None, f0, rec, c, min(order, 10))
     checks += pipe_checks
     return AssocResult("wilson", c, gop, rec, f0, checks, pipelines)
-
-
-# -- probe operators ----------------------------------------------------------------------------
-
-
-def harder_generator_bands(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
-    """Band profiles of the probe operators that have no established
-    diagonalization; reported, never asserted."""
-    nw = order + margin
-    p.guard(nw)
-    lam = p.lam
-    core = riccati_core(lam, p.a, p.b, nw)
-    omega_prime = core.omega.derivative()
-    fprime_omega = core.fprime.compose(core.omega)
-    inv_lam = diag_values([1 + lam * n for n in range(nw + 1)], nw, inverse=True)
-    wp_op = OpMatrix.series_of_d(TruncSeries.from_polynomial(list(omega_prime.coeffs), nw), nw)
-    inv_wp_op = OpMatrix.series_of_d(TruncSeries.from_polynomial(list((1 / omega_prime).coeffs), nw), nw)
-    sigma = Fraction(1)
-    fw_plus = OpMatrix.series_of_d(
-        fprime_omega.pow_fraction(1 / sigma - 1 / lam).truncate(nw), nw
-    )
-    fw_minus = OpMatrix.series_of_d(
-        fprime_omega.pow_fraction(1 / lam - 1 / sigma).truncate(nw), nw
-    )
-    inv_sigma = diag_values([1 + sigma * n for n in range(nw + 1)], nw, inverse=True)
-    t_sample = Fraction(1, 2)
-    probes = {
-        "power-weighted shift": fw_plus @ OpMatrix.x_op(nw) @ inv_sigma @ fw_minus,
-        "left resolvent chain": OpMatrix.x_op(nw) @ inv_wp_op @ inv_lam @ wp_op @ inv_lam,
-        "double resolvent chain": OpMatrix.x_op(nw) @ inv_lam @ wp_op @ inv_lam @ wp_op @ inv_lam,
-        "resolvent mixture": OpMatrix.x_op(nw) @ inv_lam
-        + (diag_values([1 + lam * n for n in range(nw + 1)], nw) @ inv_wp_op).scale(t_sample),
-    }
-    return [(name, op.band_profile(order)) for name, op in probes.items()]

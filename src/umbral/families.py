@@ -1,10 +1,13 @@
 """Construction and verification of the named orthogonal families.
 
-Every constructor builds its basis-map operator from the defining product of
-elementary factors, then re-derives the three-term data, the moment
-generating function, and the closed-form displays independently and checks
-them against each other.  All checks are exact; every builder returns its
-Check records and none raises on a failed identity.
+Each family's basis-map operator is one function of a ShefferCore, the
+defining product of elementary factors (`sheffer_op`, `deformed_op`,
+`wilson_op`).  A builder calls that function, then re-derives the three-term
+data, the moment generating function, and the closed-form displays
+independently and checks them against each other; a build that needs
+another family's operator calls the function, not that family's builder.
+All checks are exact; every builder returns its Check records and none
+raises on a failed identity.
 """
 from __future__ import annotations
 
@@ -65,6 +68,10 @@ class ShefferParams(FamilyParams):
     a: Fraction
     b: Fraction
     KEYS = {"lambda": 0, "a": 0, "b": 0}
+
+    def ratio(self, m) -> Fraction:
+        """F_{m+1}/F_m = 1/(1 + lam m) of the ultraspherical deformation."""
+        return 1 / (1 + self.lam * m)
 
     def guard(self, nw: int):
         if self.lam != 0:
@@ -161,6 +168,11 @@ class WilsonParams(FamilyParams):
         lam, kappa = self.lam, self.kappa
         num = self.h * (1 + self.beta * n) * (1 + lam * (n + 1)) ** 2 + (1 - self.h) * (1 + self.beta_t * n)
         return num / ((1 + lam * n) * (1 + kappa * n))
+
+    def ells(self, count: int, c=0) -> list:
+        """The shift values 2 a h lam^2/kappa (1+k+c)(1+beta(k+c)), k < count."""
+        scale = 2 * self.a * self.h * self.lam * self.lam / self.kappa
+        return [scale * (1 + k + c) * (1 + self.beta * (k + c)) for k in range(count)]
 
     def guard(self, nw: int):
         self.jacobi("beta").guard(nw)
@@ -290,6 +302,10 @@ class ShefferCore:
         inner = self.inner()
         return inner.inverse() @ t @ inner
 
+    def fprime_omega_pow(self, alpha) -> TruncSeries:
+        """f'(omega)^alpha to the working order."""
+        return self.fprime.compose(self.omega).pow_fraction(alpha).truncate(self.nw)
+
 
 def sheffer_core(f: TruncSeries, fprime: TruncSeries, lam, nw: int) -> ShefferCore:
     tf, omega = t_and_omega(f)
@@ -309,6 +325,29 @@ def riccati_core(lam, a, b, nw: int) -> ShefferCore:
     """The core over the Riccati base f' = 1 + lam a f + lam b f^2."""
     f = riccati_series(lam, a, b, nw)
     return sheffer_core(f, (1 + lam * a * f + lam * b * (f * f)).truncate(nw), lam, nw)
+
+
+def sheffer_op(core: ShefferCore) -> OpMatrix:
+    """f'(D)^(-1/lam) C_f: the operator of the base family with lam != 0."""
+    return core.fpow(Fraction(-1) / core.lam) @ core.c_f
+
+
+def deformed_op(core: ShefferCore, ratio) -> OpMatrix:
+    """F^(-1) . inner . F for the diagonal F with F_{m+1}/F_m = ratio(m): the
+    ultraspherical and Jacobi operators at their parameters' ratio, and the
+    multiterm operator before its left factor."""
+    return diag_conj(DiagSeq.from_ratio(ratio, core.nw + 1, strict=False), core.inner())
+
+
+def wilson_factors(p: WilsonParams, nw: int) -> tuple[DiagSeq, OpMatrix]:
+    """The mixing weights H (H_{m+1}/H_m the mixing ratio) and the shift
+    operator C2 sending x^n to prod_{k<n} (x + ell_k)."""
+    return DiagSeq.from_ratio(p.mixing_ratio, nw + 1, strict=False), OpMatrix.shifted_product(p.ells(nw), nw)
+
+
+def wilson_op(core: ShefferCore, hvals: DiagSeq, c2: OpMatrix) -> OpMatrix:
+    """C2 . H^(-1) . inner . H: the Wilson operator from its `wilson_factors`."""
+    return c2 @ diag_conj(hvals, core.inner())
 
 
 def conjugation_trick_checks(core: ShefferCore, sigma, through: Optional[int] = None) -> list:
@@ -346,7 +385,6 @@ class FamilyResult:
     mgf: TruncSeries
     closed_form: Optional[ClosedFormRecurrence] = None
     checks: list = field(default_factory=list)
-    core: Optional[ShefferCore] = None
 
     @property
     def norms(self) -> list:
@@ -394,6 +432,13 @@ def _mgf_pipeline_check(name: str, gop: OpMatrix, rec: Recurrence, order: int) -
 # -- base family -----------------------------------------------------------------
 
 
+def sheffer_closed_form(p: ShefferParams) -> ClosedFormRecurrence:
+    return ClosedFormRecurrence(
+        IndexRatio(IndexPoly([p.a, p.a * p.lam])),
+        IndexRatio(IndexPoly([p.b * (2 - p.lam), p.b * p.lam])),
+    )
+
+
 def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
     """The base three-term family with raising data x + a(1+lam theta) + b(2+lam theta)D."""
     nw = order + margin
@@ -403,12 +448,11 @@ def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) ->
     if lam == 0:
         ell = TruncSeries.from_polynomial([0, -a, -b], nw).exp()
         gop = OpMatrix.series_of_d(ell, nw)
-        core = None
         gen_weight = ell
         phi = TruncSeries.x(nw)
     else:
         core = riccati_core(lam, a, b, nw)
-        gop = core.fpow(Fraction(-1) / lam) @ core.c_f
+        gop = sheffer_op(core)
         phi = core.f.reverse()
         phiprime = 1 / TruncSeries.from_polynomial([1, lam * a, lam * b], nw)
         gen_weight = phiprime.pow_fraction(Fraction(1) / lam)
@@ -422,10 +466,7 @@ def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) ->
         + coeff_then_d([b * (2 + lam * n) for n in range(nw + 1)], nw)
     )
     checks.append(op_check("dual raising display", u, expected, order))
-    closed = ClosedFormRecurrence(
-        IndexRatio(IndexPoly([a, a * lam])),
-        IndexRatio(IndexPoly([b * (2 - lam), b * lam])),
-    )
+    closed = sheffer_closed_form(p)
     name = "closed-form recurrence"
     checks.append(first_failure(name, (
         flag_check(
@@ -447,10 +488,18 @@ def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) ->
     checks.append(first_failure(f"generating function to bidegree ({order},{order})", columns()))
     f0, pipe = _mgf_pipeline_check("sheffer", gop, rec, min(order, 2 * (rec.depth // 2)))
     checks.append(pipe)
-    return FamilyResult("sheffer", gop, rec, f0, closed, checks, core)
+    return FamilyResult("sheffer", gop, rec, f0, closed, checks)
 
 
 # -- first deformation --------------------------------------------------------------
+
+
+def ultraspherical_closed_form(p: ShefferParams) -> ClosedFormRecurrence:
+    lam, b = p.lam, p.b
+    return ClosedFormRecurrence(
+        IndexRatio.const(p.a),
+        IndexRatio(IndexPoly([b * (2 - lam), b * lam]), IndexPoly([1 - lam, lam]) * IndexPoly([1, lam])),
+    )
 
 
 def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
@@ -461,8 +510,7 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
         raise SingularParams("lambda=0", "the deformed family needs invertible 1+lambda*theta")
     core = riccati_core(lam, a, b, nw)
     checks = conjugation_trick_checks(core, lam, order)
-    fvals = DiagSeq.from_ratio(lambda n: 1 / (1 + lam * n), nw + 2)
-    gop = diag_conj(fvals.values[: nw + 1], core.inner())
+    gop = deformed_op(core, p.ratio)
     u, rec = extract_recurrence(gop)
     expected_u = (
         OpMatrix.x_op(nw)
@@ -473,6 +521,7 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
     )
     checks.append(op_check("dual raising display", u, expected_u, order))
     # dual derivative display
+    fvals = DiagSeq.from_ratio(p.ratio, nw + 2)
     d_star = gop.inverse() @ OpMatrix.d_op(nw) @ gop
     resolvent = TruncSeries.from_function(
         lambda i: (lam * b) ** (i // 2) if i % 2 == 1 else 0, nw
@@ -510,14 +559,7 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
     checks.append(first_failure(
         f"generating function display to order {gen_through}", map(column, range(gen_through + 1))
     ))
-    closed = ClosedFormRecurrence(
-        IndexRatio.const(a),
-        IndexRatio(
-            IndexPoly([b * (2 - lam), b * lam]),
-            IndexPoly([1 - lam, lam]) * IndexPoly([1, lam]),
-        ),
-    )
-    return FamilyResult("ultraspherical", gop, rec, f0, closed, checks, core)
+    return FamilyResult("ultraspherical", gop, rec, f0, ultraspherical_closed_form(p), checks)
 
 
 # -- the factorial-shift deformation ---------------------------------------------------
@@ -573,7 +615,7 @@ def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> Famil
             IndexPoly([1 - lam, lam]) * IndexPoly([1, lam]),
         ),
     )
-    return FamilyResult("hahn", gop, rec, f0, closed, checks, ultra.core)
+    return FamilyResult("hahn", gop, rec, f0, closed, checks)
 
 
 # -- the two-parameter deformation ------------------------------------------------------
@@ -666,8 +708,7 @@ def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN) -> F
     core = riccati_core(lam, a, p.b, nw)
     checks = conjugation_trick_checks(core, lam, order)
     checks += conjugation_trick_checks(core, kappa, order)
-    fvals = DiagSeq.from_ratio(p.ratio, nw + 1, strict=False)
-    gop = diag_conj(fvals, core.inner())
+    gop = deformed_op(core, p.ratio)
     u, rec = extract_recurrence(gop)
     checks.append(op_check("dual raising closed form", u, jacobi_dual_raising(p, nw), order))
     # affine split of the conjugated generator x (F_{theta+1}/F_theta)
@@ -680,26 +721,29 @@ def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN) -> F
     form1, form2 = jacobi_mgf_forms(p, order)
     checks.append(series_check("mgf ratio-sum form", f0, form1, order))
     checks.append(series_check("mgf product form", f0, form2, order))
-    return FamilyResult("jacobi", gop, rec, f0, jacobi_closed_form(p), checks, core)
+    return FamilyResult("jacobi", gop, rec, f0, jacobi_closed_form(p), checks)
 
 
 def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
     """(1 + lam theta)^2 conjugated by the family operator: the closed form
-    (1+lam theta)^2 - (2 a lam^2/kappa)(1+beta theta) D and its eigen-action."""
-    fam = jacobi_family(p, order, margin)
-    nw = fam.gop.nw
+    (1+lam theta)^2 - (2 a lam^2/kappa)(1+beta theta) D and its eigen-action.
+    Returns the conjugated operator, the family operator and the checks."""
+    nw = order + margin
+    p.guard(nw)
     lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
+    core = riccati_core(lam, a, p.b, nw)
+    gop = deformed_op(core, p.ratio)
     sq = diag_values([(1 + lam * n) ** 2 for n in range(nw + 1)], nw)
-    lhs = fam.gop @ sq @ fam.gop.inverse()
+    lhs = gop @ sq @ gop.inverse()
     rhs = sq - coeff_then_d([2 * a * lam * lam / kappa * (1 + beta * n) for n in range(nw + 1)], nw)
     checks = [op_check("second-order operator closed form", lhs, rhs, order)]
-    columns = (fam.gop.column_poly(n) for n in range(min(order, lhs.reliable) + 1))
+    columns = (gop.column_poly(n) for n in range(min(order, lhs.reliable) + 1))
     checks.append(first_failure("eigen-action", (
         flag_check("eigen-action", lhs.apply_poly(q) == [(1 + lam * n) ** 2 * v for v in q], f"column {n}")
         for n, q in enumerate(columns)
     )))
     # omega'(y)^(-2) = 1 - 2 lam a y
-    omega_prime = fam.core.omega.derivative()
+    omega_prime = core.omega.derivative()
     checks.append(
         series_check(
             "omega derivative closed form",
@@ -707,7 +751,7 @@ def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
             TruncSeries.from_polynomial([1, -2 * lam * a], nw - 1),
         )
     )
-    return lhs, fam, checks
+    return lhs, gop, checks
 
 
 # -- the mixed deformation ---------------------------------------------------------------
@@ -716,29 +760,23 @@ def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
 def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
     nw = order + margin
     p.guard(nw)
-    lam, kappa, beta = p.lam, p.kappa, p.beta
-    a, h = p.a, p.h
-    core = riccati_core(lam, a, lam * a * a / 4, nw)
-    checks = conjugation_trick_checks(core, lam, order)
-    hvals = DiagSeq.from_ratio(p.mixing_ratio, nw + 1, strict=False)
-    ells = [2 * a * h * lam * lam / kappa * (1 + k) * (1 + beta * k) for k in range(nw)]
-    c2 = OpMatrix.shifted_product(ells, nw)
-    gop = c2 @ diag_conj(hvals, core.inner())
+    # the square case 4b = lam a^2, shared with the Jacobi families
+    core = riccati_core(p.lam, p.a, p.lam * p.a * p.a / 4, nw)
+    checks = conjugation_trick_checks(core, p.lam, order)
+    hvals, c2 = wilson_factors(p, nw)
+    gop = wilson_op(core, hvals, c2)
     u, rec = extract_recurrence(gop)
     up, down = u.band_profile(order)
     checks.append(flag_check("raising operator tridiagonal", up <= 1 and down <= 1, f"band ({up},{down})"))
     # bracket identity
     bracket = diag_values(hvals, nw) @ dual_raising(c2) @ diag_values(hvals, nw, inverse=True)
-    display = x_times([p.mixing_ratio(n) for n in range(nw + 1)], nw) - diag_values(
-        [2 * a * h * lam * lam / kappa * (1 + n) * (1 + beta * n) for n in range(nw + 1)], nw
-    )
+    display = x_times([p.mixing_ratio(n) for n in range(nw + 1)], nw) - diag_values(p.ells(nw + 1), nw)
     checks.append(op_check("bracket identity", bracket, display, order))
     f0, pipe = _mgf_pipeline_check("wilson", gop, rec, order)
     checks.append(pipe)
-    if h == 0:
-        reduction = jacobi_family(p.jacobi("betat"), order, margin)
-        checks.append(op_check("h=0 reduction", gop, reduction.gop, order))
-    return FamilyResult("wilson", gop, rec, f0, None, checks, core)
+    if p.h == 0:
+        checks.append(op_check("h=0 reduction", gop, deformed_op(core, p.jacobi("betat").ratio), order))
+    return FamilyResult("wilson", gop, rec, f0, None, checks)
 
 
 # -- the higher-order generalization --------------------------------------------------------
@@ -755,8 +793,7 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
         fprime = (fprime * base).truncate(nw)
     core = sheffer_core(f, fprime, lam, nw)
     checks = conjugation_trick_checks(core, lam, min(order, 8))
-    qvals = DiagSeq.from_ratio(p.ratio, nw + 1, strict=False)
-    inner = diag_conj(qvals, core.inner())
+    inner = deformed_op(core, p.ratio)
     if p.extended:
         cconst = -p.t[n] * lam * a * Fraction(n ** (n - 1), (n - 1) ** (n - 1))
         delta = ((exp_series(cconst, nw) - 1) / cconst) if cconst != 0 else TruncSeries.x(nw)
@@ -809,15 +846,15 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
     except Exception:
         rec = Recurrence((Fraction(0),), ())
     f0 = mgf_from_gop(gop)
-    return FamilyResult("multiterm", gop, rec, f0, None, checks, core)
+    return FamilyResult("multiterm", gop, rec, f0, None, checks)
 
 
 # -- generator band probes ---------------------------------------------------------------
 
 
 def comment_generator_bands(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
-    """Band profiles of the established generators (which must be tridiagonal
-    after conjugation) and of the harder probe operators (reported only)."""
+    """Band profiles of the established generators, which must be tridiagonal
+    after conjugation: rows (name, band, ok)."""
     nw = order + margin
     p.guard(nw)
     lam, kappa, a = p.lam, p.kappa, p.a
@@ -835,12 +872,4 @@ def comment_generator_bands(p: JacobiParams, order: int, margin: int = FAMILY_MA
     for name, t in established.items():
         band = core.conjugate_generator(t).band_profile(order)
         out.append((name, band, band <= (1, 1)))
-    omega_prime = core.omega.derivative()
-    inv_wp = (1 / omega_prime).truncate(nw - 1)
-    probes = {
-        "x/omega'(D)": OpMatrix.x_op(nw) @ OpMatrix.series_of_d(TruncSeries.from_polynomial(list(inv_wp.coeffs), nw), nw),
-    }
-    for name, t in probes.items():
-        band = core.conjugate_generator(t).band_profile(min(order, nw - 2))
-        out.append((name, band, None))
     return out

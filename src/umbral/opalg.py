@@ -51,7 +51,7 @@ class DiagSeq:
     __slots__ = ("values",)
 
     def __init__(self, values: Sequence):
-        self.values = tuple(as_rat(v) for v in values)
+        self.values = tuple([as_rat(v) for v in values])  # a list: see TruncSeries
 
     @classmethod
     def from_ratio(cls, ratio: Callable, count: int, offset=Fraction(0), strict: bool = True) -> "DiagSeq":
@@ -424,21 +424,6 @@ class OpMatrix:
 
     def equals(self, other: "OpMatrix", through: Optional[int] = None) -> bool:
         return self.first_difference(other, through) is None
-
-    # -- serialization --------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "nw": self.nw,
-            "raise": self.raised,
-            "reliable": self.reliable,
-            "mat": [[str(v) for v in row] for row in self.mat],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "OpMatrix":
-        mat = [[as_rat(v) for v in row] for row in data["mat"]]
-        return cls(mat, data["nw"], data["raise"], data["reliable"])
 
     def __repr__(self):
         return f"OpMatrix(nw={self.nw}, raised={self.raised}, reliable={self.reliable})"

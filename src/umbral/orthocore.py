@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .checks import Check, flag_check
+from .checks import Check, first_failure, flag_check
 from .errors import (
     ClosedFormRequired,
     DegenerateB,
@@ -323,13 +323,9 @@ def gram_matrix(fam: OrthoFamily, f0: TruncSeries, upto: int) -> list:
 # -- the dual series family --------------------------------------------------------
 
 
-def fn_family(fam: OrthoFamily, f0: TruncSeries, upto: int, verify: bool = True) -> list:
-    """The series f_n = p_n(d/dy) f0 / B_n, each in y^n + y^(n+1)C[[y]].
-
-    With verify on, the exponential expansion e^{xy} = sum p_n(x) f_n(y)/n!
-    and the addition theorem f0(y+t) = sum (B_n/n!) f_n(y) f_n(t) are checked
-    on the accessible truncation block.
-    """
+def fn_family(fam: OrthoFamily, f0: TruncSeries, upto: int) -> list:
+    """The series f_n = p_n(d/dy) f0 / B_n, each in y^n + y^(n+1)C[[y]];
+    `dual_series_checks` verifies them."""
     fns = []
     for n in range(upto + 1):
         acc = TruncSeries.zero(f0.order - n)
@@ -339,51 +335,48 @@ def fn_family(fam: OrthoFamily, f0: TruncSeries, upto: int, verify: bool = True)
                 acc = acc + c * deriv.truncate(f0.order - n)
             if k < len(fam.polys[n]) - 1:
                 deriv = deriv.derivative()
-        b_n = fam.norms[n] / math.factorial(n)
-        fn = acc / b_n
-        if verify:
-            if any(fn.coeffs[i] != 0 for i in range(min(n, fn.order + 1))):
-                raise AssertionError(f"f_{n} has terms below y^{n}")
-            if fn.order >= n and fn.coeffs[n] != 1:
-                raise AssertionError(f"f_{n} is not monic at y^{n}")
-        fns.append(fn)
-    if verify:
-        _verify_exponential_expansion(fam, fns, upto)
-        _verify_addition_theorem(fam, f0, fns, upto)
+        fns.append(acc / (fam.norms[n] / math.factorial(n)))
     return fns
 
 
-def _verify_exponential_expansion(fam: OrthoFamily, fns: list, upto: int):
-    """Coefficient of x^a y^b in sum_n p_n(x) f_n(y)/n! must be [a==b]/a!."""
-    for a in range(upto + 1):
-        for b in range(a, upto + 1):
-            acc = Fraction(0)
-            for n in range(a, min(b, upto) + 1):
-                pa = fam.polys[n][a] if a < len(fam.polys[n]) else Fraction(0)
-                if pa != 0 and b <= fns[n].order:
-                    acc += pa * fns[n].coeffs[b] / math.factorial(n)
-            expected = Fraction(1, math.factorial(a)) if a == b else Fraction(0)
-            if acc != expected:
-                raise AssertionError(f"exponential expansion fails at x^{a} y^{b}")
+def dual_series_checks(fam: OrthoFamily, f0: TruncSeries, fns: list) -> list:
+    """The identities of the series f_n from `fn_family`, on the accessible
+    truncation block: valuation n with leading coefficient 1, the exponential
+    expansion e^{xy} = sum p_n(x) f_n(y)/n!, and the addition theorem
+    f0(y+t) = sum (B_n/n!) f_n(y) f_n(t), compared through t^4."""
+    upto = len(fns) - 1
 
+    def leading(name):
+        for n, fn in enumerate(fns):
+            for i in range(min(n, fn.order) + 1):
+                yield flag_check(name, fn.coeffs[i] == (1 if i == n else 0), f"f_{n} has {fn.coeffs[i]} at y^{i}")
 
-def _verify_addition_theorem(fam: OrthoFamily, f0: TruncSeries, fns: list, upto: int, t_degree: int = 4):
-    """f0(y+t) = sum_n (B_n/n!) f_n(y) f_n(t), compared through t^t_degree.
+    def expansion(name):
+        # coefficient of x^a y^b in sum_n p_n(x) f_n(y)/n! must be [a==b]/a!
+        for a in range(upto + 1):
+            for b in range(a, upto + 1):
+                acc = Fraction(0)
+                for n in range(a, b + 1):
+                    pa = fam.polys[n][a] if a < len(fam.polys[n]) else Fraction(0)
+                    if pa != 0 and b <= fns[n].order:
+                        acc += pa * fns[n].coeffs[b] / math.factorial(n)
+                expected = Fraction(1, math.factorial(a)) if a == b else Fraction(0)
+                yield flag_check(name, acc == expected, f"x^{a} y^{b}: {acc} != {expected}")
 
-    The t^j coefficient of the left side is f0^(j)(y)/j!, i.e. binom(i+j,j)
-    times the (i+j)-th coefficient of f0; only terms with n <= j contribute
-    on the right because f_n has valuation n.
-    """
-    t_degree = min(t_degree, upto, f0.order // 2)
-    for j in range(t_degree + 1):
-        for i in range(f0.order - j + 1):
-            lhs = math.comb(i + j, j) * f0.coeffs[i + j]
-            acc = Fraction(0)
-            for n in range(j + 1):
-                b_n = fam.norms[n] / math.factorial(n)
-                acc += b_n / math.factorial(n) * fns[n].coeffs[i] * fns[n].coeffs[j]
-            if lhs != acc:
-                raise AssertionError(f"addition theorem fails at y^{i} t^{j}")
+    def addition(name):
+        # the t^j coefficient of the left side is f0^(j)(y)/j!, i.e. binom(i+j,j)
+        # times the (i+j)-th coefficient of f0; only n <= j contribute on the
+        # right because f_n has valuation n
+        for j in range(min(4, upto, f0.order // 2) + 1):
+            for i in range(f0.order - j + 1):
+                lhs = math.comb(i + j, j) * f0.coeffs[i + j]
+                acc = Fraction(0)
+                for n in range(j + 1):
+                    acc += fam.norms[n] / math.factorial(n) ** 2 * fns[n].coeffs[i] * fns[n].coeffs[j]
+                yield flag_check(name, lhs == acc, f"y^{i} t^{j}: {lhs} != {acc}")
+
+    names = ("dual series valuation and leading term", "exponential expansion", "addition theorem")
+    return [first_failure(name, cases(name)) for name, cases in zip(names, (leading, expansion, addition))]
 
 
 # -- Christoffel-Darboux ------------------------------------------------------------

@@ -92,7 +92,9 @@ class TruncSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = tuple(as_rat(c) for c in coeffs)
+        # from a list, not a generator: tuple() resizes a generator's result,
+        # and resized tuples pile up in the free list of their final size
+        cs = tuple([as_rat(c) for c in coeffs])
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         self.coeffs = cs

@@ -6,7 +6,6 @@ from umbral.associated import (
     ASSOC_MARGIN,
     change_of_variable_check,
     factorization_column,
-    harder_generator_bands,
     jacobi_assoc,
     long_division_checks,
     lowered_weights,
@@ -36,8 +35,10 @@ def all_pass(checks):
 
 
 def nested_pass(build, *args):
-    """An assoc build does not report the checks of the builds it makes
-    inside itself; make each alone, with the same margin, and require them."""
+    """An assoc build reuses its base family's operator chain over the same
+    core, not that family's checks; build the base family (or, for the
+    Wilson reductions, the family whose operator is reused) alone, with the
+    assoc margin, and require its checks."""
     all_pass(build(*args, margin=ASSOC_MARGIN).checks)
 
 
@@ -220,11 +221,36 @@ def test_assoc_recurrence_additivity_via_operators():
         assert one.a_at(n) == two.a_fn(n)
 
 
-# ---- probe bands ---------------------------------------------------------------------------------
+# ---- one construction path ---------------------------------------------------------------
 
 
-def test_harder_generator_bands_report_only():
-    rows = harder_generator_bands(JacobiParams(2, F(1, 3), F(2, 5)), 6)
-    assert len(rows) == 4
-    for name, band in rows:
-        assert isinstance(band, tuple) and len(band) == 2
+def test_no_builder_runs_another_builder(monkeypatch):
+    """A build that needs another family's operator calls its operator
+    function, never that family's builder.  With every *_family and *_assoc
+    name in families and associated replaced by a stub that raises, the
+    assoc builders, the Wilson h = 0 reduction and the Jacobi differential
+    operator still build with every check passing.  The one nesting allowed,
+    hahn_family -> ultraspherical_family (Hahn reports the ultraspherical
+    checks as its own), is not built here."""
+    import umbral.associated as associated
+    import umbral.families as families
+
+    def stub(name):
+        def raising(*args, **kwargs):
+            raise AssertionError(f"nested builder call: {name}")
+        return raising
+
+    builders = {}
+    for module in (families, associated):
+        for name in dir(module):
+            if name.endswith(("_family", "_assoc")) and callable(getattr(module, name)):
+                builders[name] = getattr(module, name)
+                monkeypatch.setattr(module, name, stub(name))
+    wilson_h0 = WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), 0)
+    for c in (0, 1):
+        all_pass(builders["sheffer_assoc"](ShefferParams(F(1, 2), F(1, 3), F(2, 5)), c, 8).checks)
+        all_pass(builders["ultra_assoc"](ShefferParams(F(1, 3), F(1, 2), F(1, 4)), c, 8).checks)
+        all_pass(builders["jacobi_assoc"](JacobiParams(F(1, 3), F(2, 5), F(3, 7)), c, 8).checks)
+        all_pass(builders["wilson_assoc"](wilson_h0, c, 8).checks)
+    all_pass(builders["wilson_family"](wilson_h0, 8).checks)
+    all_pass(families.jacobi_diffeq_op(JacobiParams(2, F(1, 2), 1), 8)[2])

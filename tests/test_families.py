@@ -151,12 +151,12 @@ def test_jacobi_lambda_guard():
 
 def test_jacobi_diffeq_eigenvalues():
     p = JacobiParams(2, F(1, 2), 1)
-    lhs, fam, checks = jacobi_diffeq_op(p, 12)
+    lhs, gop, checks = jacobi_diffeq_op(p, 12)
     assert all(c.passed for c in checks)
-    all_pass(fam)
+    all_pass(jacobi_family(p, 12))
     # apply to p_1 = x - mu_1: eigenvalue (1+lam)^2 = 9
-    col = lhs.apply_poly(fam.gop.column_poly(1))
-    assert col[:2] == [9 * v for v in fam.gop.column_poly(1)[:2]]
+    col = lhs.apply_poly(gop.column_poly(1))
+    assert col[:2] == [9 * v for v in gop.column_poly(1)[:2]]
 
 
 def test_jacobi_exceptional_constant_term():
@@ -221,9 +221,9 @@ def test_multiterm_weight_guard():
 
 def test_established_generators_are_tridiagonal():
     rows = comment_generator_bands(JacobiParams(2, F(1, 3), F(2, 5)), 8)
+    assert len(rows) == 4
     for name, band, ok in rows:
-        if ok is not None:
-            assert ok, (name, band)
+        assert ok, (name, band)
 
 
 # ---- two-pipeline moment checks across families ------------------------------------------------

@@ -267,13 +267,6 @@ def test_expand_in_family_stirling():
             assert xi.mat[k][n] == col[k]
 
 
-def test_json_round_trip():
-    op = OpMatrix.umbral_compose(riccati_series(1, 1, 0, 4), 4)
-    data = op.to_json()
-    back = OpMatrix.from_json(data)
-    assert back.equals(op) and back.raised == op.raised and back.reliable == op.reliable
-
-
 # ---- property: bar respects products on random diagonal/triangular pairs ------------
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)

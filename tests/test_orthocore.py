@@ -17,6 +17,7 @@ from umbral.orthocore import (
     christoffel_darboux,
     determinant_identity_holds,
     dual_recurrence,
+    dual_series_checks,
     fn_family,
     gram_matrix,
     inner_product,
@@ -175,6 +176,7 @@ def test_fn_family_hermite():
     fam = polys_from_recurrence(rec, 10)
     f0 = moments_from_recurrence(rec, 16).f0
     fns = fn_family(fam, f0, 6)
+    assert all(c.passed for c in dual_series_checks(fam, f0, fns))
     assert fns[0] == f0
     # f_1 = d/dy e^(y^2/2) = y e^(y^2/2)
     assert fns[1] == (f0 * TruncSeries.x(f0.order)).truncate(15)
@@ -185,7 +187,9 @@ def test_fn_leading_coefficients_random():
     rec = random_recurrence(rng, 9)
     fam = polys_from_recurrence(rec, 8)
     f0 = moments_from_recurrence(rec, 16).f0
-    for n, fn in enumerate(fn_family(fam, f0, 6)):
+    fns = fn_family(fam, f0, 6)
+    assert all(c.passed for c in dual_series_checks(fam, f0, fns))
+    for n, fn in enumerate(fns):
         assert fn.coeffs[n] == 1
 
 
