@@ -6,7 +6,9 @@ stdout.  The table covers every README example (with `verify` at order 8 and
 every `assoc` at c = 0, 1 and 3/2, two rejected `--params` keys and one
 repeated key (exit 2, empty stdout), and the assoc paths that reuse another
 family's operator chain: Wilson at h = 0 (c = 0 and 3/2), Jacobi at c = 2
-and the ultraspherical c = 1/2 where 1 + lambda (c - 1) = 0.  A refactor
+and the ultraspherical c = 1/2 where 1 + lambda (c - 1) = 0, a `cfrac`
+recurrence whose zero b ends the continued fraction early, and a Sheffer
+family at lambda = 0 with a != 0.  A refactor
 of the construction code must leave all of them unchanged: a digest that
 moves means the JSON moved.
 """
@@ -71,6 +73,10 @@ GOLDEN = [
      "967c9a0a7e07ca8c1d49510cd01babd356dd4678431793efde38ff17c02aeca5"),
     ("assoc ultraspherical --params lambda=2,a=1/2,b=1/8 --c 1/2 --order 8", 0,
      "81db5ca1389460e01c43252ee196f4dbd70f3a68f51e307fc7e744539f325fbf"),
+    ("cfrac rec2moments {degenerate} --order 10", 0,
+     "e50ccd60d75c4751fd92749e251eb9e92f713078b127b0e46cfd38b58434e7b3"),
+    ("family sheffer --params lambda=0,a=1/3,b=1/2 --order 8", 0,
+     "cc4fe5496c2320437e848f4e8763fb9134ccf6c98bc794ec346f710889cb06c9"),
 ]
 
 
@@ -84,7 +90,10 @@ def inputs(tmp_path):
     moments.write_text(json.dumps({"order": 14, "coeffs": coeffs}))
     rec = tmp_path / "recurrence.json"
     rec.write_text(json.dumps({"a": ["1/2"] * 8, "b": [f"1/{k}" for k in range(1, 8)]}))
-    return {"{moments}": str(moments), "{recurrence}": str(rec)}
+    # b_2 = 0 ends the continued fraction early, with trimmed convergents
+    degenerate = tmp_path / "degenerate.json"
+    degenerate.write_text(json.dumps({"a": ["1", "1/2", "3", "1"], "b": ["2", "0", "1"]}))
+    return {"{moments}": str(moments), "{recurrence}": str(rec), "{degenerate}": str(degenerate)}
 
 
 @pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[row[0] for row in GOLDEN])
