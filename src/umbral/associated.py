@@ -23,8 +23,8 @@ from .families import (
     ShefferCore,
     ShefferParams,
     WilsonParams,
+    closed_form_raising,
     coeff_then_d,
-    d_then_coeff,
     deformed_op,
     diag_conj,
     diag_values,
@@ -43,7 +43,6 @@ from .families import (
 )
 from .opalg import DiagSeq, OpMatrix, mgf_from_gop
 from .orthocore import (
-    ClosedFormRecurrence,
     Recurrence,
     assoc_mgf_from_tails,
     moments_from_recurrence,
@@ -192,18 +191,6 @@ class AssocResult:
         }
 
 
-def assoc_dual_raising(cf: ClosedFormRecurrence, c, nw: int) -> OpMatrix:
-    """x + a_{theta+c} + D b_theta(c) built from closed-form coefficients."""
-    c = as_rat(c)
-    shifted = cf.assoc(c)
-    bvals = [Fraction(0)] + [shifted.b_fn(n) for n in range(1, nw + 1)]
-    return (
-        OpMatrix.x_op(nw)
-        + diag_values([shifted.a_fn(n) for n in range(nw + 1)], nw)
-        + d_then_coeff(bvals, nw)
-    )
-
-
 def _tail_shift(c: Fraction) -> bool:
     """Whether the tail pipeline covers the shift c: an integer c >= 0."""
     return c.denominator == 1 and c >= 0
@@ -249,7 +236,8 @@ def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -
         @ diag_values(fact, nw, inverse=True)
     )
     u, rec = extract_recurrence(gop, order)
-    checks = [op_check("shifted dual raising display", u, assoc_dual_raising(sheffer_closed_form(p), c, nw), order)]
+    display = closed_form_raising(sheffer_closed_form(p).assoc(c), nw)
+    checks = [op_check("shifted dual raising display", u, display, order)]
     # displayed mgf: the ratio of the two weighted series
     num = (fprime_pow * y_over_f.pow_fraction(-c)).truncate(nw)
     f0_formula = (num.weighted(poch) / ell.weighted(hvals)).borel()
@@ -278,8 +266,7 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     core = riccati_core(lam, a, b, nw)
     base = deformed_op(core, p.ratio) if _tail_shift(c) else None
     omega = t_and_omega(riccati_series(lam, a, b, nw + 1))[1]  # one order above the working block
-    fprime_omega = core.fprime.compose(omega)
-    ell = (omega.derivative() * fprime_omega.pow_fraction(c + Fraction(1) / lam - 1)).truncate(nw)
+    ell = (omega.derivative() * core.fprime_omega_pow(c + Fraction(1) / lam - 1)).truncate(nw)
     hvals = DiagSeq.rising(c, nw + 1)
     fvals = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
     weights = [hvals[n] * fvals[n] for n in range(nw + 1)]
@@ -291,7 +278,8 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
         @ diag_values(fact, nw, inverse=True)
     )
     u, rec = extract_recurrence(gop, order)
-    checks = [op_check("shifted dual raising display", u, assoc_dual_raising(ultraspherical_closed_form(p), c, nw), order)]
+    display = closed_form_raising(ultraspherical_closed_form(p).assoc(c), nw)
+    checks = [op_check("shifted dual raising display", u, display, order)]
     if c == 0:
         checks.append(op_check("c=0 reduction", gop, base, order))
     f0 = mgf_from_gop(gop).truncate(order)
@@ -330,9 +318,8 @@ def jacobi_assoc_mgf_forms(p: JacobiParams, c, order: int, core: ShefferCore) ->
     nw = core.nw
     f_c = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
     poch = DiagSeq.rising(c + 1, nw + 1)
-    fprime_omega = core.fprime.compose(core.omega)
-    top = fprime_omega.pow_fraction(c + Fraction(1) / lam).weighted([poch[n] * f_c[n] for n in range(nw + 1)])
-    bot = fprime_omega.pow_fraction(c - 1 + Fraction(1) / lam).weighted(lowered_weights(p.ratio, c, nw + 1))
+    top = core.fprime_omega_pow(c + Fraction(1) / lam).weighted([poch[n] * f_c[n] for n in range(nw + 1)])
+    bot = core.fprime_omega_pow(c - 1 + Fraction(1) / lam).weighted(lowered_weights(p.ratio, c, nw + 1))
     weighted_form = (top / bot).truncate(order)
     # hypergeometric quotient: both series share the argument 2 beta a y / kappa,
     # written so that beta = 0 stays regular
@@ -369,7 +356,8 @@ def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     u, rec = extract_recurrence(gop, order)
     checks = []
     if c != 0:
-        checks.append(op_check("shifted dual raising display", u, assoc_dual_raising(jacobi_closed_form(p), c, nw), order))
+        display = closed_form_raising(jacobi_closed_form(p).assoc(c), nw)
+        checks.append(op_check("shifted dual raising display", u, display, order))
     else:
         checks.append(op_check("c=0 reduction", gop, base, order))
     # omega'-cancellation display: (1+lam(theta+c-1)) . f'(omega)^(c-1+1/lam)
@@ -398,7 +386,7 @@ def splitting_check(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) 
     nw = order + margin
     c = guard_shift(c, nw)
     p.guard(nw)
-    u_c = jacobi_dual_raising(p, nw) if c == 0 else assoc_dual_raising(jacobi_closed_form(p), c, nw)
+    u_c = jacobi_dual_raising(p, nw) if c == 0 else closed_form_raising(jacobi_closed_form(p).assoc(c), nw)
     f_c = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
     poch = DiagSeq.rising(c + 1, nw + 1)
     fact = DiagSeq.factorial(nw + 1)

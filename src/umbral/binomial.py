@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 from .checks import first_failure, flag_check
 from .errors import EvaluationDomain, NonpositiveArgument, OrderExhausted
+from .indexfn import Poly
 from .opalg import OpMatrix
 from .series import TruncSeries, as_rat
 
@@ -38,11 +39,11 @@ def lagrange_forms(f: TruncSeries, n: int, order: int) -> list:
     for _ in range(n):
         ratio_n = (ratio_n * y_over_f).truncate(nw)
     first = OpMatrix.x_op(nw) @ OpMatrix.series_of_d(ratio_n, nw)
-    form1 = first.apply_poly([0] * (n - 1) + [1]) if n >= 1 else [Fraction(1)] + [Fraction(0)] * nw
+    form1 = first.apply_poly(Poly([0] * (n - 1) + [1])) if n >= 1 else Poly.const(1)
     ratio_n1 = (ratio_n * y_over_f).truncate(nw)
     fprime = f.derivative().truncate(nw)
     second = OpMatrix.series_of_d(fprime, nw) @ OpMatrix.series_of_d(ratio_n1, nw)
-    form2 = second.apply_poly([0] * n + [1])
+    form2 = second.apply_poly(Poly([0] * n + [1]))
     return [
         flag_check(f"inversion form 1, degree {n}", form1 == reference, "columns differ"),
         flag_check(f"inversion form 2, degree {n}", form2 == reference, "columns differ"),
@@ -64,8 +65,7 @@ class FracIndexExpansion:
         if self.s.denominator != 1 or self.s < 0:
             raise EvaluationDomain("exact evaluation needs a nonnegative integer index")
         s = int(self.s)
-        x = as_rat(x)
-        return sum((c * x ** (s - k) for k, c in enumerate(self.coeffs[: s + 1])), Fraction(0))
+        return Poly(self.coeffs[: s + 1]).reflect(s)(x)
 
     def to_json(self) -> dict:
         return {"s": str(self.s), "coeffs": [str(c) for c in self.coeffs]}

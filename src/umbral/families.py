@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .checks import first_failure, flag_check, op_check, series_check, value_check
 from .errors import SingularParams
-from .indexfn import IndexPoly, IndexRatio, poly_mul
+from .indexfn import IndexRatio, Poly
 from .opalg import DiagSeq, OpMatrix, mgf_from_gop
 from .orthocore import ClosedFormRecurrence, Recurrence, moments_from_recurrence
 from .series import (
@@ -421,6 +421,17 @@ def extract_recurrence(gop: OpMatrix, through: Optional[int] = None) -> tuple:
     return u, Recurrence(tuple(a), tuple(b))
 
 
+def closed_form_raising(cf: ClosedFormRecurrence, nw: int, a0=None) -> OpMatrix:
+    """x + a_theta + D b_theta from closed-form coefficients; `a0`, when
+    given, replaces a_0 where the closed form is 0/0 and parameter
+    continuity fixes the value."""
+    return (
+        OpMatrix.x_op(nw)
+        + diag_values([cf.a_fn(0) if a0 is None else a0] + [cf.a_fn(n) for n in range(1, nw + 1)], nw)
+        + d_then_coeff([Fraction(0)] + [cf.b_fn(n) for n in range(1, nw + 1)], nw)
+    )
+
+
 def _mgf_pipeline_check(name: str, gop: OpMatrix, rec: Recurrence, order: int) -> tuple:
     """The two independent mgf pipelines: bar of the inverse operator versus
     moments of the extracted recurrence."""
@@ -434,8 +445,8 @@ def _mgf_pipeline_check(name: str, gop: OpMatrix, rec: Recurrence, order: int) -
 
 def sheffer_closed_form(p: ShefferParams) -> ClosedFormRecurrence:
     return ClosedFormRecurrence(
-        IndexRatio(IndexPoly([p.a, p.a * p.lam])),
-        IndexRatio(IndexPoly([p.b * (2 - p.lam), p.b * p.lam])),
+        IndexRatio(Poly([p.a, p.a * p.lam])),
+        IndexRatio(Poly([p.b * (2 - p.lam), p.b * p.lam])),
     )
 
 
@@ -460,13 +471,8 @@ def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) ->
             series_check("phi' closed form", phi.derivative(), phiprime)
         )
     u, rec = extract_recurrence(gop)
-    expected = (
-        OpMatrix.x_op(nw)
-        + diag_values([a * (1 + lam * n) for n in range(nw + 1)], nw)
-        + coeff_then_d([b * (2 + lam * n) for n in range(nw + 1)], nw)
-    )
-    checks.append(op_check("dual raising display", u, expected, order))
     closed = sheffer_closed_form(p)
+    checks.append(op_check("dual raising display", u, closed_form_raising(closed, nw), order))
     name = "closed-form recurrence"
     checks.append(first_failure(name, (
         flag_check(
@@ -498,7 +504,7 @@ def ultraspherical_closed_form(p: ShefferParams) -> ClosedFormRecurrence:
     lam, b = p.lam, p.b
     return ClosedFormRecurrence(
         IndexRatio.const(p.a),
-        IndexRatio(IndexPoly([b * (2 - lam), b * lam]), IndexPoly([1 - lam, lam]) * IndexPoly([1, lam])),
+        IndexRatio(Poly([b * (2 - lam), b * lam]), Poly([1 - lam, lam]) * Poly([1, lam])),
     )
 
 
@@ -512,14 +518,8 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
     checks = conjugation_trick_checks(core, lam, order)
     gop = deformed_op(core, p.ratio)
     u, rec = extract_recurrence(gop)
-    expected_u = (
-        OpMatrix.x_op(nw)
-        + diag_values([a] * (nw + 1), nw)
-        + coeff_then_d(
-            [b * (2 + lam * n) / ((1 + lam * n) * (1 + lam + lam * n)) for n in range(nw + 1)], nw
-        )
-    )
-    checks.append(op_check("dual raising display", u, expected_u, order))
+    closed = ultraspherical_closed_form(p)
+    checks.append(op_check("dual raising display", u, closed_form_raising(closed, nw), order))
     # dual derivative display
     fvals = DiagSeq.from_ratio(p.ratio, nw + 2)
     d_star = gop.inverse() @ OpMatrix.d_op(nw) @ gop
@@ -559,7 +559,7 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
     checks.append(first_failure(
         f"generating function display to order {gen_through}", map(column, range(gen_through + 1))
     ))
-    return FamilyResult("ultraspherical", gop, rec, f0, ultraspherical_closed_form(p), checks)
+    return FamilyResult("ultraspherical", gop, rec, f0, closed, checks)
 
 
 # -- the factorial-shift deformation ---------------------------------------------------
@@ -572,6 +572,17 @@ def hahn_mgf(s, order: int) -> TruncSeries:
     num = (exp_series(s, order + 1) - 1) / s if s != 0 else TruncSeries.x(order + 1)
     den = exp_series(1, order + 1) - 1
     return num / den
+
+
+def hahn_closed_form(p: HahnParams) -> ClosedFormRecurrence:
+    lam, a, s = p.lam, p.a, p.s
+    return ClosedFormRecurrence(
+        IndexRatio.const((s - 1) * a),
+        IndexRatio(
+            Fraction(1, 4) * a * a * Poly([2 - lam, lam]) * Poly([2 + lam * s - lam, lam]) * Poly([s, -1]),
+            Poly([1 - lam, lam]) * Poly([1, lam]),
+        ),
+    )
 
 
 def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
@@ -588,19 +599,8 @@ def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> Famil
     gop = c_delta @ law
     u, rec = extract_recurrence(gop)
     checks = list(ultra.checks)
-    expected_u = (
-        OpMatrix.x_op(nw)
-        + diag_values([(s - 1) * a] * (nw + 1), nw)
-        + coeff_then_d(
-            [
-                a * a / 4 * (2 + lam * n) * (2 + lam * (s + n)) * (s - 1 - n)
-                / ((1 + lam * n) * (1 + lam * (n + 1)))
-                for n in range(nw + 1)
-            ],
-            nw,
-        )
-    )
-    checks.append(op_check("dual raising display", u, expected_u, order))
+    closed = hahn_closed_form(p)
+    checks.append(op_check("dual raising display", u, closed_form_raising(closed, nw), order))
     # expansion law: coordinates in the shifted-exponential binomial basis
     xi = gop.expand_in(c_delta)
     checks.append(op_check("expansion in binomial basis", xi, law, order))
@@ -608,13 +608,6 @@ def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> Famil
     checks.append(pipe)
     if lam == 2 and a == Fraction(1, 2):
         checks.append(series_check("closed-form mgf", f0, hahn_mgf(s, order), order))
-    closed = ClosedFormRecurrence(
-        IndexRatio.const((s - 1) * a),
-        IndexRatio(
-            Fraction(1, 4) * a * a * IndexPoly([2 - lam, lam]) * IndexPoly([2 + lam * s - lam, lam]) * IndexPoly([s, -1]),
-            IndexPoly([1 - lam, lam]) * IndexPoly([1, lam]),
-        ),
-    )
     return FamilyResult("hahn", gop, rec, f0, closed, checks)
 
 
@@ -623,17 +616,17 @@ def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> Famil
 
 def jacobi_closed_form(p: JacobiParams) -> ClosedFormRecurrence:
     lam, kappa, beta, a, r = p.lam, p.kappa, p.beta, p.a, p.r
-    theta = IndexPoly.theta()
+    theta = Poly.theta()
     a_fn = IndexRatio.const(r * a) + IndexRatio(
-        (1 - r) * a * IndexPoly([1 - kappa, 2 * kappa]) + (1 - r) * a * lam * kappa * theta * theta,
-        IndexPoly([1 - kappa, kappa]) * IndexPoly([1, kappa]),
+        (1 - r) * a * Poly([1 - kappa, 2 * kappa]) + (1 - r) * a * lam * kappa * theta * theta,
+        Poly([1 - kappa, kappa]) * Poly([1, kappa]),
     )
     bpart = IndexRatio(
-        Fraction(1, 4) * lam * a * a * IndexPoly([2, lam])
-        * (r * IndexPoly([1, kappa]) + (1 - r) * IndexPoly([1 + lam, lam])),
-        IndexPoly([1 + lam, lam]) * IndexPoly([1, kappa]),
+        Fraction(1, 4) * lam * a * a * Poly([2, lam])
+        * (r * Poly([1, kappa]) + (1 - r) * Poly([1 + lam, lam])),
+        Poly([1 + lam, lam]) * Poly([1, kappa]),
     )
-    fr = IndexRatio(IndexPoly([1, beta]), IndexPoly([1, lam]) * IndexPoly([1, kappa]))
+    fr = IndexRatio(Poly([1, beta]), Poly([1, lam]) * Poly([1, kappa]))
     b_fn = (bpart * fr).shift(-1)
     return ClosedFormRecurrence(a_fn, b_fn)
 
@@ -693,12 +686,7 @@ def jacobi_dual_raising(p: JacobiParams, nw: int) -> OpMatrix:
     """x + a_theta + D b_theta from the closed form; the index-0 value of
     a_theta is a by parameter continuity (the display is 0/0 there when
     kappa=1)."""
-    closed = jacobi_closed_form(p)
-    return (
-        OpMatrix.x_op(nw)
-        + diag_values([p.a if n == 0 else closed.a_fn(n) for n in range(nw + 1)], nw)
-        + d_then_coeff([Fraction(0)] + [closed.b_fn(n) for n in range(1, nw + 1)], nw)
-    )
+    return closed_form_raising(jacobi_closed_form(p), nw, a0=p.a)
 
 
 def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
@@ -739,7 +727,7 @@ def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
     checks = [op_check("second-order operator closed form", lhs, rhs, order)]
     columns = (gop.column_poly(n) for n in range(min(order, lhs.reliable) + 1))
     checks.append(first_failure("eigen-action", (
-        flag_check("eigen-action", lhs.apply_poly(q) == [(1 + lam * n) ** 2 * v for v in q], f"column {n}")
+        flag_check("eigen-action", lhs.apply_poly(q) == (1 + lam * n) ** 2 * q, f"column {n}")
         for n, q in enumerate(columns)
     )))
     # omega'(y)^(-2) = 1 - 2 lam a y
@@ -819,22 +807,15 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
     target = TruncSeries.from_polynomial([0, Fraction(n ** (n - 1)) * lam * a], w.order)
     checks.append(series_check("omega algebraic relation", acc, target, min(order, w.order)))
     # P(y) = (n-1)^(n-1) + (y-1)(y+n-1)^(n-1): P(0) = 0 and P(1/omega') closed form
-    pcoeffs = [Fraction((n - 1) ** (n - 1))]
-    factor = [Fraction(n - 1), Fraction(1)]
-    acc_poly = [Fraction(-1), Fraction(1)]
+    poly = Poly([-1, 1])
     for _ in range(n - 1):
-        acc_poly = poly_mul(acc_poly, factor)
-    pcoeffs = [pcoeffs[0] + acc_poly[0]] + acc_poly[1:]
-    checks.append(value_check("P(0) = 0", pcoeffs[0], Fraction(0)))
-    pw = TruncSeries.constant(pcoeffs[0], w.order)
-    wpow = TruncSeries.one(w.order)
-    for c in pcoeffs[1:]:
-        wpow = (wpow * w).truncate(w.order)
-        pw = pw + c * wpow
+        poly = poly * Poly([n - 1, 1])
+    poly = poly + (n - 1) ** (n - 1)
+    checks.append(value_check("P(0) = 0", poly(0), Fraction(0)))
     checks.append(
         series_check(
             "P(1/omega') closed form",
-            pw,
+            poly(w),
             TruncSeries.from_polynomial(
                 [Fraction((n - 1) ** (n - 1)), -Fraction(n ** (n - 1)) * lam * a], w.order
             ),

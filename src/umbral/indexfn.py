@@ -1,109 +1,110 @@
-"""Polynomials and rational functions of an integer (or rational) index.
+"""Polynomials, and rational functions of an integer (or rational) index.
 
-These represent sequences like a_n = P(n)/Q(n) in closed form so they can be
-evaluated at shifted and non-integer arguments, compared exactly, and
-dualized by affine substitutions of the index.
+`Poly` is the one univariate polynomial type: the monic families and
+convergents of `orthocore`, operator columns, and closed-form coefficients
+a_n = P(n)/Q(n), which `IndexRatio` evaluates at shifted and non-integer
+arguments, compares exactly, and dualizes by affine substitutions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
 
-from .series import as_rat
+from .series import TruncSeries, as_rat
 
-# -- polynomial helpers: coefficient lists, low degree first -------------------
-
-
-def poly_mul(p: Sequence, q: Sequence) -> list:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b != 0:
-                out[i + j] += a * b
-    return out
+_ZERO = Fraction(0)
 
 
-def poly_add(p: Sequence, q: Sequence) -> list:
-    n = max(len(p), len(q))
-    return [
-        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-        for i in range(n)
-    ]
-
-
-def poly_eval(p: Sequence, x) -> Fraction:
-    x = as_rat(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-class IndexPoly:
-    """Polynomial in the index with Fraction coefficients, low degree first."""
+class Poly:
+    """Immutable polynomial with Fraction coefficients, low degree first and
+    trailing zeros trimmed; the zero polynomial has coeffs (0,)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = [as_rat(c) for c in coeffs] or [Fraction(0)]
+        cs = [as_rat(c) for c in coeffs] or [_ZERO]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Poly is immutable")
 
     @classmethod
-    def const(cls, value) -> "IndexPoly":
+    def const(cls, value) -> "Poly":
         return cls([value])
 
     @classmethod
-    def theta(cls) -> "IndexPoly":
+    def theta(cls) -> "Poly":
         return cls([0, 1])
 
-    def __call__(self, n) -> Fraction:
-        return poly_eval(self.coeffs, n)
+    def __call__(self, x):
+        """P(x) by Horner at a rational x, or at a series or a Poly x (then
+        P composed with x)."""
+        if not isinstance(x, (TruncSeries, Poly)):
+            x = as_rat(x)
+        acc = _ZERO
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IndexPoly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other) -> "IndexPoly":
-        return IndexPoly(poly_add(self.coeffs, _as_poly(other).coeffs))
+    def __add__(self, other) -> "Poly":
+        short, long = sorted((self.coeffs, _as_poly(other).coeffs), key=len)
+        out = list(long)
+        for i, c in enumerate(short):
+            out[i] += c
+        return Poly(out)
 
-    def __sub__(self, other) -> "IndexPoly":
+    def __sub__(self, other) -> "Poly":
         return self + (-1) * _as_poly(other)
 
-    def __mul__(self, other) -> "IndexPoly":
+    def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return IndexPoly([c * other for c in self.coeffs])
-        return IndexPoly(poly_mul(self.coeffs, _as_poly(other).coeffs))
+            return Poly([c * other for c in self.coeffs])
+        q = _as_poly(other).coeffs
+        out = [_ZERO] * (len(self.coeffs) + len(q) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a != 0:
+                for j, b in enumerate(q):
+                    if b != 0:
+                        out[i + j] += a * b
+        return Poly(out)
 
     __rmul__ = __mul__
     __radd__ = __add__
 
-    def shift(self, offset) -> "IndexPoly":
-        """P(theta + offset) by Horner in (theta + offset)."""
-        return self.substitute(IndexPoly([as_rat(offset), Fraction(1)]))
+    def shift(self, offset) -> "Poly":
+        """P(theta + offset)."""
+        return self.substitute(Poly([as_rat(offset), Fraction(1)]))
 
-    def substitute(self, inner: "IndexPoly") -> "IndexPoly":
-        acc = IndexPoly.const(0)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + IndexPoly.const(c)
-        return acc
+    def substitute(self, inner: "Poly") -> "Poly":
+        """P(inner(theta))."""
+        return self(inner)
+
+    def reflect(self, n: int) -> "Poly":
+        """x^n P(1/x), for n at least the degree."""
+        pad = n + 1 - len(self.coeffs)
+        if pad < 0:
+            raise ValueError(f"degree {len(self.coeffs) - 1} above {n}")
+        return Poly([0] * pad + list(reversed(self.coeffs)))
 
     def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
+        return self.coeffs == (_ZERO,)
 
     def __repr__(self):
-        return f"IndexPoly({list(self.coeffs)})"
+        return f"Poly({list(self.coeffs)})"
 
 
-def _as_poly(x) -> IndexPoly:
-    if isinstance(x, IndexPoly):
+def _as_poly(x) -> Poly:
+    if isinstance(x, Poly):
         return x
-    return IndexPoly([x])
+    return Poly([x])
 
 
 class IndexRatio:
@@ -119,7 +120,7 @@ class IndexRatio:
 
     @classmethod
     def const(cls, value) -> "IndexRatio":
-        return cls(IndexPoly.const(value))
+        return cls(Poly.const(value))
 
     def __call__(self, n) -> Fraction:
         d = self.den(n)
@@ -154,7 +155,7 @@ class IndexRatio:
     def shift(self, offset) -> "IndexRatio":
         return IndexRatio(self.num.shift(offset), self.den.shift(offset))
 
-    def substitute(self, inner: IndexPoly) -> "IndexRatio":
+    def substitute(self, inner: Poly) -> "IndexRatio":
         return IndexRatio(self.num.substitute(inner), self.den.substitute(inner))
 
     def equals(self, other: "IndexRatio") -> bool:
@@ -169,11 +170,11 @@ class IndexRatio:
 def _as_ratio(x) -> IndexRatio:
     if isinstance(x, IndexRatio):
         return x
-    if isinstance(x, IndexPoly):
+    if isinstance(x, Poly):
         return IndexRatio(x)
-    return IndexRatio(IndexPoly.const(x))
+    return IndexRatio(Poly.const(x))
 
 
 def affine(c0, c1=0) -> IndexRatio:
     """The ratio c0 + c1*theta."""
-    return IndexRatio(IndexPoly([c0, c1]))
+    return IndexRatio(Poly([c0, c1]))

@@ -34,6 +34,7 @@ from .errors import (
     OrderExhausted,
     ReliabilityExhausted,
 )
+from .indexfn import Poly
 from .series import TruncSeries, _append_over, _over_common_den, as_rat
 
 _ZERO = Fraction(0)
@@ -203,17 +204,12 @@ class OpMatrix:
         if len(vals) < nw:
             raise OrderExhausted("need nw shift values")
         m = cls._blank(nw)
-        poly = [_ONE]
-        m[0][0] = _ONE
-        for n in range(1, nw + 1):
-            ell = vals[n - 1]
-            nxt = [_ZERO] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                nxt[i + 1] += c
-                nxt[i] += c * ell
-            poly = nxt
-            for i, c in enumerate(poly):
+        poly = Poly.const(1)
+        for n in range(nw + 1):
+            for i, c in enumerate(poly.coeffs):
                 m[i][n] = c
+            if n < nw:
+                poly = poly * Poly([vals[n], 1])
         return cls(m, nw, 0, nw)
 
     # -- algebra ----------------------------------------------------------
@@ -331,21 +327,16 @@ class OpMatrix:
                     raised = row - col
         return OpMatrix(m, self.nw, raised, limit)
 
-    def apply_poly(self, coeffs: Sequence) -> list:
-        """Apply to a polynomial given by x-coefficients; exact when its
-        degree is within the reliable block."""
-        cs = [as_rat(c) for c in coeffs]
-        if len(cs) > self.nw + 1:
+    def apply_poly(self, p: Poly) -> Poly:
+        """The image of a polynomial, as the combination of columns its
+        coefficients weight; exact when its degree is within the reliable
+        block."""
+        if len(p.coeffs) > self.nw + 1:
             raise OrderExhausted("polynomial degree beyond working order")
-        n = self.nw + 1
-        out = [_ZERO] * n
-        for j, c in enumerate(cs):
-            if c == 0:
-                continue
-            for i in range(n):
-                v = self.mat[i][j]
-                if v != 0:
-                    out[i] += c * v
+        out = Poly.const(0)
+        for j, c in enumerate(p.coeffs):
+            if c != 0:
+                out = out + c * self.column_poly(j)
         return out
 
     def apply_series(self, s: TruncSeries) -> TruncSeries:
@@ -372,8 +363,9 @@ class OpMatrix:
             out.append(acc)
         return TruncSeries(out)
 
-    def column_poly(self, n: int) -> list:
-        return [self.mat[i][n] for i in range(self.nw + 1)]
+    def column_poly(self, n: int) -> Poly:
+        """The image of x^n."""
+        return Poly([row[n] for row in self.mat])
 
     # -- structure probes ------------------------------------------------------
 

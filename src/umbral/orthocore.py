@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .checks import Check, first_failure, flag_check
 from .errors import (
@@ -24,26 +24,9 @@ from .errors import (
     NotPolynomialCoefficients,
     OrderExhausted,
 )
-from .indexfn import IndexPoly, IndexRatio, poly_add, poly_eval, poly_mul
+from .indexfn import IndexRatio, Poly
 from .opalg import OpMatrix
 from .series import TruncSeries, as_rat, rationals_from_json
-
-Poly = list  # univariate polynomial, low degree first
-
-
-# -- polynomial helpers -------------------------------------------------------
-
-
-def poly_scale(p: Sequence, c) -> Poly:
-    c = as_rat(c)
-    return [c * v for v in p]
-
-
-def poly_trim(p: Sequence) -> Poly:
-    out = list(p)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
 
 
 # -- recurrence data ----------------------------------------------------------
@@ -119,10 +102,10 @@ class ClosedFormRecurrence:
         c = as_rat(c)
         if c == 0:
             return self
-        theta = IndexPoly.theta()
+        theta = Poly.theta()
         shifted_b = self.b_fn.shift(c)
         b_new = IndexRatio(
-            IndexPoly([c, Fraction(1)]) * shifted_b.num,
+            Poly([c, Fraction(1)]) * shifted_b.num,
             theta * shifted_b.den,
         )
         return ClosedFormRecurrence(self.a_fn.shift(c), b_new)
@@ -146,7 +129,7 @@ def assoc_recurrence(rec, c):
 
 @dataclass
 class OrthoFamily:
-    polys: list      # p_0..p_N as coefficient lists
+    polys: list      # p_0..p_N, each a Poly
     numerators: list  # R_0..R_N
     reversed_q: list  # Q_0..Q_N with p_n(x) = x^n Q_n(1/x)
     norms: list      # n! B_n
@@ -155,25 +138,15 @@ class OrthoFamily:
     def size(self) -> int:
         return len(self.polys) - 1
 
-    def poly_eval(self, n: int, x) -> Fraction:
-        return poly_eval(self.polys[n], x)
-
     def gop(self, nw: int) -> OpMatrix:
         """Operator sending x^n to p_n(x)."""
         if nw > self.size:
             raise OrderExhausted("family too short for requested working order")
         m = [[Fraction(0)] * (nw + 1) for _ in range(nw + 1)]
         for n in range(nw + 1):
-            for i, c in enumerate(self.polys[n]):
+            for i, c in enumerate(self.polys[n].coeffs):
                 m[i][n] = c
         return OpMatrix(m, nw, 0, nw)
-
-    def to_json(self) -> dict:
-        return {
-            "polys": [[str(c) for c in p] for p in self.polys],
-            "numerators": [[str(c) for c in p] for p in self.numerators],
-            "norms": [str(v) for v in self.norms],
-        }
 
 
 def polys_from_recurrence(rec: Recurrence, upto: int, cross_check: bool = True) -> OrthoFamily:
@@ -185,52 +158,38 @@ def polys_from_recurrence(rec: Recurrence, upto: int, cross_check: bool = True) 
     """
     if upto > rec.depth:
         raise OrderExhausted(f"recurrence depth {rec.depth} below requested {upto}")
-    r = [[Fraction(0)], [Fraction(0), Fraction(1)]]
-    q = [[Fraction(1)], [Fraction(1), -rec.a_at(0)]]
+    x = Poly([0, 1])
+    r = [Poly.const(0), x]
+    q = [Poly.const(1), Poly([1, -rec.a_at(0)])]
     for n in range(1, upto):
-        lin = [Fraction(1), -rec.a_at(n)]
-        quad = [Fraction(0), Fraction(0), -Fraction(n) * rec.b_at(n)]
-        r.append(poly_add(poly_mul(r[n], lin), poly_mul(quad, r[n - 1])))
-        q.append(poly_add(poly_mul(q[n], lin), poly_mul(quad, q[n - 1])))
-    r = [poly_trim(v) for v in r[: upto + 1]]
-    q = [poly_trim(v) for v in q[: upto + 1]]
-    polys = []
-    for n in range(upto + 1):
-        rev = [Fraction(0)] * (n + 1)
-        for i, c in enumerate(q[n]):
-            rev[n - i] = c
-        polys.append(rev)
+        lin = Poly([1, -rec.a_at(n)])
+        quad = Poly([0, 0, -n * rec.b_at(n)])
+        r.append(r[n] * lin + quad * r[n - 1])
+        q.append(q[n] * lin + quad * q[n - 1])
+    r, q = r[: upto + 1], q[: upto + 1]
     if cross_check and upto >= 1:
-        top = [[Fraction(0)], [Fraction(0), Fraction(1)]]
-        bot = [[Fraction(0), -rec.b_at(1)], [Fraction(1), -rec.a_at(0)]]
+        top = [Poly.const(0), x]
+        bot = [Poly([0, -rec.b_at(1)]), Poly([1, -rec.a_at(0)])]
         for n in range(2, upto + 1):
-            step_tl = [Fraction(0)]
-            step_tr = [Fraction(0), Fraction(1)]
-            step_bl = [Fraction(0), -Fraction(n) * rec.b_at(n)]
-            step_br = [Fraction(1), -rec.a_at(n - 1)]
-            new_top = [
-                poly_add(poly_mul(top[0], step_tl), poly_mul(top[1], step_bl)),
-                poly_add(poly_mul(top[0], step_tr), poly_mul(top[1], step_br)),
-            ]
-            new_bot = [
-                poly_add(poly_mul(bot[0], step_tl), poly_mul(bot[1], step_bl)),
-                poly_add(poly_mul(bot[0], step_tr), poly_mul(bot[1], step_br)),
-            ]
-            top, bot = new_top, new_bot
-            if poly_trim(top[1]) != r[n] or poly_trim(bot[1]) != q[n]:
+            step = ((Poly.const(0), x), (Poly([0, -n * rec.b_at(n)]), Poly([1, -rec.a_at(n - 1)])))
+            top, bot = [[row[0] * step[0][j] + row[1] * step[1][j] for j in (0, 1)] for row in (top, bot)]
+            if top[1] != r[n] or bot[1] != q[n]:
                 raise AssertionError(f"matrix-product convergent disagrees at level {n}")
     norms = [math.factorial(n) * bn for n, bn in enumerate(rec.norm_products(upto))]
-    return OrthoFamily(polys, r, q, norms)
+    return OrthoFamily([q[n].reflect(n) for n in range(upto + 1)], r, q, norms)
 
 
-def determinant_identity_holds(fam: OrthoFamily, rec: Recurrence, n: int) -> bool:
-    """R_{n+1} Q_n - R_n Q_{n+1} == n! B_n x^(2n+1)."""
-    lhs = poly_add(
-        poly_mul(fam.numerators[n + 1], fam.reversed_q[n]),
-        poly_scale(poly_mul(fam.numerators[n], fam.reversed_q[n + 1]), -1),
-    )
-    expected = [Fraction(0)] * (2 * n + 1) + [fam.norms[n]]
-    return poly_trim(lhs) == poly_trim(expected)
+def determinant_identity_check(fam: OrthoFamily, upto: int, name: str) -> Check:
+    """R_{n+1} Q_n - R_n Q_{n+1} == n! B_n x^(2n+1) for n <= upto."""
+    return first_failure(name, (
+        flag_check(
+            name,
+            fam.numerators[n + 1] * fam.reversed_q[n] - fam.numerators[n] * fam.reversed_q[n + 1]
+            == Poly([0] * (2 * n + 1) + [fam.norms[n]]),
+            f"n={n}",
+        )
+        for n in range(upto + 1)
+    ))
 
 
 # -- moments ------------------------------------------------------------------
@@ -262,8 +221,8 @@ def moments_from_recurrence(rec: Recurrence, order: int) -> MomentSeries:
             raise OrderExhausted(f"recurrence depth {rec.depth} cannot reach order {order}")
     num = fam.numerators[usable]
     den = fam.reversed_q[usable]
-    num_series = TruncSeries.from_polynomial(num, order + 1).shift_down(1)
-    den_series = TruncSeries.from_polynomial(den, order)
+    num_series = TruncSeries.from_polynomial(num.coeffs, order + 1).shift_down(1)
+    den_series = TruncSeries.from_polynomial(den.coeffs, order)
     gf = (num_series / den_series).truncate(order)
     return MomentSeries(gf.borel(), gf)
 
@@ -299,9 +258,9 @@ def recurrence_from_moments(moment_gf: TruncSeries, depth: Optional[int] = None)
 # -- inner products --------------------------------------------------------------
 
 
-def inner_product(h1: Sequence, h2: Sequence, f0: TruncSeries) -> Fraction:
+def inner_product(h1: Poly, h2: Poly, f0: TruncSeries) -> Fraction:
     """<h1, h2> = sum_k mu_k [x^k](h1 h2), with mu_k = k! [y^k] f0."""
-    prod = poly_mul(list(h1), list(h2))
+    prod = (h1 * h2).coeffs
     if len(prod) - 1 > f0.order:
         raise OrderExhausted("moment series too short for this product degree")
     acc = Fraction(0)
@@ -330,10 +289,10 @@ def fn_family(fam: OrthoFamily, f0: TruncSeries, upto: int) -> list:
     for n in range(upto + 1):
         acc = TruncSeries.zero(f0.order - n)
         deriv = f0
-        for k, c in enumerate(fam.polys[n]):
+        for k, c in enumerate(fam.polys[n].coeffs):
             if c != 0:
                 acc = acc + c * deriv.truncate(f0.order - n)
-            if k < len(fam.polys[n]) - 1:
+            if k < n:
                 deriv = deriv.derivative()
         fns.append(acc / (fam.norms[n] / math.factorial(n)))
     return fns
@@ -357,7 +316,7 @@ def dual_series_checks(fam: OrthoFamily, f0: TruncSeries, fns: list) -> list:
             for b in range(a, upto + 1):
                 acc = Fraction(0)
                 for n in range(a, b + 1):
-                    pa = fam.polys[n][a] if a < len(fam.polys[n]) else Fraction(0)
+                    pa = fam.polys[n].coeffs[a]
                     if pa != 0 and b <= fns[n].order:
                         acc += pa * fns[n].coeffs[b] / math.factorial(n)
                 expected = Fraction(1, math.factorial(a)) if a == b else Fraction(0)
@@ -382,9 +341,15 @@ def dual_series_checks(fam: OrthoFamily, f0: TruncSeries, fns: list) -> list:
 # -- Christoffel-Darboux ------------------------------------------------------------
 
 
-def cd_kernel_identity_holds(fam: OrthoFamily, n: int) -> bool:
+def cd_kernel_identity_check(fam: OrthoFamily, upto: int, name: str) -> Check:
     """(x-y) * sum_k (n! B_n / k! B_k) p_k(x) p_k(y) equals
-    p_n(y) p_{n+1}(x) - p_{n+1}(y) p_n(x), as bivariate polynomials.
+    p_n(y) p_{n+1}(x) - p_{n+1}(y) p_n(x), as bivariate polynomials, for
+    1 <= n <= upto."""
+    return first_failure(name, (flag_check(name, _cd_kernel_holds(fam, n), f"n={n}") for n in range(1, upto + 1)))
+
+
+def _cd_kernel_holds(fam: OrthoFamily, n: int) -> bool:
+    """The identity at one n, on nested coefficient tables (x-degree first).
 
     Multiplying the kernel sum by (x-y) instead of dividing the right side
     keeps everything polynomial."""
@@ -392,10 +357,11 @@ def cd_kernel_identity_holds(fam: OrthoFamily, n: int) -> bool:
     acc = [[Fraction(0)] * (size + 1) for _ in range(size + 1)]
     for k in range(n + 1):
         w = fam.norms[n] / fam.norms[k]
-        for i, ci in enumerate(fam.polys[k]):
+        pk = fam.polys[k].coeffs
+        for i, ci in enumerate(pk):
             if ci == 0:
                 continue
-            for j, cj in enumerate(fam.polys[k]):
+            for j, cj in enumerate(pk):
                 if cj != 0:
                     acc[i][j] += w * ci * cj
     lhs = [[Fraction(0)] * (size + 1) for _ in range(size + 1)]
@@ -406,11 +372,12 @@ def cd_kernel_identity_holds(fam: OrthoFamily, n: int) -> bool:
                 lhs[i + 1][j] += v
                 lhs[i][j + 1] -= v
     rhs = [[Fraction(0)] * (size + 1) for _ in range(size + 1)]
-    for j, cy in enumerate(fam.polys[n]):
-        for i, cx in enumerate(fam.polys[n + 1]):
+    pn, pn1 = fam.polys[n].coeffs, fam.polys[n + 1].coeffs
+    for j, cy in enumerate(pn):
+        for i, cx in enumerate(pn1):
             rhs[i][j] += cy * cx
-    for j, cy in enumerate(fam.polys[n + 1]):
-        for i, cx in enumerate(fam.polys[n]):
+    for j, cy in enumerate(pn1):
+        for i, cx in enumerate(pn):
             rhs[i][j] -= cy * cx
     return lhs == rhs
 
@@ -432,7 +399,7 @@ def christoffel_darboux(fam: OrthoFamily, rec: Recurrence, y0, nw: int) -> Kerne
     for n in range(nw + 3):
         if n >= len(fam.polys):
             raise OrderExhausted("family too short for kernel deformation")
-        v = fam.poly_eval(n, y0)
+        v = fam.polys[n](y0)
         if v == 0 and n <= nw + 2:
             raise NodeAtZeroOfP(f"p_{n}(y0) = 0")
         values.append(v)
@@ -461,27 +428,23 @@ def christoffel_darboux(fam: OrthoFamily, rec: Recurrence, y0, nw: int) -> Kerne
 # -- numerator functional -------------------------------------------------------------
 
 
-def numerator_functional_holds(fam: OrthoFamily, f0: TruncSeries, n: int) -> bool:
+def numerator_functional_check(fam: OrthoFamily, f0: TruncSeries, upto: int, name: str) -> Check:
     """y^n R_n(1/y) equals the moment functional applied to the divided
-    difference (p_n(x) - p_n(y))/(x - y) in x."""
-    p = fam.polys[n]
-    rhs = [Fraction(0)] * max(n, 1)
-    fact = [math.factorial(k) for k in range(len(p))]
-    for k in range(1, len(p)):
-        c = p[k]
-        if c == 0:
-            continue
-        for i in range(k):
-            j = k - 1 - i
-            mu_i = f0.coeffs[i] * fact[i] if i <= f0.order else None
-            if mu_i is None:
+    difference (p_n(x) - p_n(y))/(x - y) in x, for n <= upto."""
+
+    def holds(n):
+        p = fam.polys[n].coeffs
+        rhs = [Fraction(0)] * max(n, 1)
+        for k in range(1, len(p)):
+            if p[k] == 0:
+                continue
+            if k - 1 > f0.order:
                 raise OrderExhausted("moment series too short")
-            rhs[j] += c * mu_i
-    lhs = [Fraction(0)] * max(n, 1)
-    for k, c in enumerate(fam.numerators[n]):
-        if c != 0:
-            lhs[n - k] = c
-    return poly_trim(lhs) == poly_trim(rhs)
+            for i in range(k):
+                rhs[k - 1 - i] += p[k] * f0.coeffs[i] * math.factorial(i)
+        return Poly(rhs) == fam.numerators[n].reflect(n)
+
+    return first_failure(name, (flag_check(name, holds(n), f"n={n}") for n in range(upto + 1)))
 
 
 # -- continued-fraction tails ----------------------------------------------------------
@@ -517,18 +480,17 @@ def assoc_mgf_from_tails(rec: Recurrence, c: int, order: int) -> TruncSeries:
 # -- index-shift operator identity -------------------------------------------------------
 
 
-def assoc_one_identity_holds(rec: Recurrence, nw: int) -> bool:
+def assoc_one_identity_check(rec: Recurrence, nw: int, name: str) -> Check:
     """The operator moment_gf(L) . L . G . x sends x^n to the n-th polynomial
     of the first associated family, checked column by column."""
     fam = polys_from_recurrence(rec, min(rec.depth, 2 * nw))
     gf = moments_from_recurrence(rec, nw).moment_gf
     op = assoc_one_from_moment_operator(fam, gf, nw)
     assoc_fam = polys_from_recurrence(rec.shift(1), min(rec.depth - 1, nw))
-    for n in range(min(op.reliable, assoc_fam.size) + 1):
-        col = op.apply_poly([0] * n + [1])
-        if col[: n + 1] != assoc_fam.polys[n] or any(v != 0 for v in col[n + 1 :]):
-            return False
-    return True
+    return first_failure(name, (
+        flag_check(name, op.apply_poly(Poly([0] * n + [1])) == assoc_fam.polys[n], f"n={n}")
+        for n in range(min(op.reliable, assoc_fam.size) + 1)
+    ))
 
 
 def assoc_one_from_moment_operator(fam: OrthoFamily, moment_gf: TruncSeries, nw: int) -> OpMatrix:
@@ -557,7 +519,7 @@ def dual_coefficients(coeffs: dict) -> dict:
     for k, fn in coeffs.items():
         if not isinstance(fn, IndexRatio):
             raise NotPolynomialCoefficients("duality needs closed-form index functions")
-        flipped = fn.substitute(IndexPoly([Fraction(k - 1), Fraction(-1)]))
+        flipped = fn.substitute(Poly([k - 1, -1]))
         out[k] = flipped * Fraction((-1) ** k)
     return out
 
@@ -617,10 +579,10 @@ def tail_from_partial_fractions(fam: OrthoFamily, terms: int) -> LaurentTail:
         raise OrderExhausted("family too short for requested tail")
     acc = [Fraction(0)] * terms
     for n in range(needed):
-        prod = poly_mul(fam.polys[n], fam.polys[n + 1])
-        deg = len(prod) - 1  # 2n+1, monic
-        rev = list(reversed(prod))  # 1 + lower-order corrections in u = 1/x
-        inv = TruncSeries.one(terms - 1) / TruncSeries.from_polynomial(rev, terms - 1)
+        prod = fam.polys[n] * fam.polys[n + 1]
+        deg = len(prod.coeffs) - 1  # 2n+1, monic
+        rev = prod.reflect(deg)  # 1 + lower-order corrections in u = 1/x
+        inv = TruncSeries.one(terms - 1) / TruncSeries.from_polynomial(rev.coeffs, terms - 1)
         # 1/(p_n p_{n+1}) = u^deg * inv(u); coefficient j of the tail is u^(j+1)
         for j in range(deg - 1, terms):
             acc[j] += fam.norms[n] * inv.coeffs[j + 1 - deg]

@@ -173,14 +173,6 @@ class TruncSeries:
         tail = ", ..." if self.order > 5 else ""
         return f"TruncSeries([{head}{tail}], order={self.order})"
 
-    def eval_at(self, x) -> Fraction:
-        """Evaluate the truncated polynomial at a rational point."""
-        x = as_rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     # -- ring operations ----------------------------------------------
 
     def _aligned(self, other: "TruncSeries") -> int:

@@ -47,15 +47,15 @@ from .families import (
 from .opalg import OpMatrix
 from .orthocore import (
     ClosedFormRecurrence,
-    assoc_one_identity_holds,
-    cd_kernel_identity_holds,
-    determinant_identity_holds,
+    assoc_one_identity_check,
+    cd_kernel_identity_check,
+    determinant_identity_check,
     dual_identity_check,
     dual_recurrence,
     fn_family,
     gram_matrix,
     moments_from_recurrence,
-    numerator_functional_holds,
+    numerator_functional_check,
     polys_from_recurrence,
     recurrence_from_moments,
 )
@@ -335,24 +335,9 @@ def suite_orthocore(cfg: RunConfig) -> list:
             for j in range(upto + 1)
         )
         out.append(flag_check(f"{tag}: diagonal gram with norms n! B_n", ok))
-        out.append(
-            flag_check(
-                f"{tag}: kernel identity",
-                all(cd_kernel_identity_holds(fam, n) for n in range(1, upto + 1)),
-            )
-        )
-        out.append(
-            flag_check(
-                f"{tag}: numerator functional",
-                all(numerator_functional_holds(fam, gf.borel(), n) for n in range(upto + 1)),
-            )
-        )
-        out.append(
-            flag_check(
-                f"{tag}: determinant identity",
-                all(determinant_identity_holds(fam, rec, n) for n in range(upto + 1)),
-            )
-        )
+        out.append(cd_kernel_identity_check(fam, upto, f"{tag}: kernel identity"))
+        out.append(numerator_functional_check(fam, gf.borel(), upto, f"{tag}: numerator functional"))
+        out.append(determinant_identity_check(fam, upto, f"{tag}: determinant identity"))
         fns = fn_family(fam, gf.borel(), min(4, upto))
         out.append(
             flag_check(
@@ -361,23 +346,19 @@ def suite_orthocore(cfg: RunConfig) -> list:
             )
         )
         if i < 3:
-            out.append(
-                flag_check(
-                    f"{tag}: moment-operator route to the first associated family",
-                    assoc_one_identity_holds(rec, min(8, depth)),
-                )
-            )
+            name = f"{tag}: moment-operator route to the first associated family"
+            out.append(assoc_one_identity_check(rec, min(8, depth), name))
     return out
 
 
 def suite_duality(cfg: RunConfig) -> list:
-    from .indexfn import IndexPoly, IndexRatio, affine
+    from .indexfn import IndexRatio, Poly, affine
 
     rng = rng_for(cfg.seed)
     out = []
     for i in range(cfg.samples):
-        a_fn = IndexRatio(IndexPoly([sample_fraction(rng), sample_fraction(rng)]))
-        b_fn = IndexRatio(IndexPoly([sample_fraction(rng), sample_fraction(rng, nonzero=True)]))
+        a_fn = IndexRatio(Poly([sample_fraction(rng), sample_fraction(rng)]))
+        b_fn = IndexRatio(Poly([sample_fraction(rng), sample_fraction(rng, nonzero=True)]))
         cf = ClosedFormRecurrence(a_fn, b_fn)
         out.append(flag_check(f"duality[{i}]: involution", dual_recurrence(dual_recurrence(cf)).equals(cf)))
     cheb = ClosedFormRecurrence(IndexRatio.const(0), affine(0, 1).reciprocal())

@@ -155,8 +155,7 @@ def test_jacobi_diffeq_eigenvalues():
     assert all(c.passed for c in checks)
     all_pass(jacobi_family(p, 12))
     # apply to p_1 = x - mu_1: eigenvalue (1+lam)^2 = 9
-    col = lhs.apply_poly(gop.column_poly(1))
-    assert col[:2] == [9 * v for v in gop.column_poly(1)[:2]]
+    assert lhs.apply_poly(gop.column_poly(1)) == 9 * gop.column_poly(1)
 
 
 def test_jacobi_exceptional_constant_term():

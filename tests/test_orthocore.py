@@ -4,25 +4,25 @@ from fractions import Fraction as F
 import pytest
 
 from umbral.errors import ClosedFormRequired, DegenerateB, NodeAtZeroOfP
-from umbral.indexfn import IndexPoly, IndexRatio, affine
+from umbral.indexfn import IndexRatio, Poly, affine
 from umbral.orthocore import (
     ClosedFormRecurrence,
-    assoc_one_identity_holds,
+    assoc_one_identity_check,
     Recurrence,
     assoc_mgf_from_tails,
     assoc_one_from_moment_operator,
     assoc_recurrence,
-    cd_kernel_identity_holds,
+    cd_kernel_identity_check,
     cf_tails,
     christoffel_darboux,
-    determinant_identity_holds,
+    determinant_identity_check,
     dual_recurrence,
     dual_series_checks,
     fn_family,
     gram_matrix,
     inner_product,
     moments_from_recurrence,
-    numerator_functional_holds,
+    numerator_functional_check,
     polys_from_recurrence,
     recurrence_from_moments,
     tail_from_moment_gf,
@@ -64,22 +64,21 @@ def random_recurrence(rng, depth):
 
 def test_chebyshev_type_polynomials():
     fam = polys_from_recurrence(chebyshev_rec(6), 6)
-    assert fam.polys[2] == [F(-1), F(0), F(1)]          # x^2 - 1
-    assert fam.polys[3] == [F(0), F(-2), F(0), F(1)]    # x^3 - 2x
+    assert fam.polys[2].coeffs == (-1, 0, 1)          # x^2 - 1
+    assert fam.polys[3].coeffs == (0, -2, 0, 1)       # x^3 - 2x
 
 
 def test_hermite_polynomials():
     fam = polys_from_recurrence(hermite_rec(6), 6)
-    assert fam.polys[2] == [F(-1), F(0), F(1)]
-    assert fam.polys[3] == [F(0), F(-3), F(0), F(1)]    # x^3 - 3x
+    assert fam.polys[2].coeffs == (-1, 0, 1)
+    assert fam.polys[3].coeffs == (0, -3, 0, 1)       # x^3 - 3x
 
 
 def test_determinant_identity():
     rng = random.Random(3)
     rec = random_recurrence(rng, 8)
     fam = polys_from_recurrence(rec, 8)
-    for n in range(7):
-        assert determinant_identity_holds(fam, rec, n)
+    assert determinant_identity_check(fam, 6, "determinant").passed
 
 
 # ---- moments ---------------------------------------------------------------
@@ -146,7 +145,7 @@ def test_moment_round_trip_random():
 
 def test_inner_product_unit():
     f0 = moments_from_recurrence(chebyshev_rec(6), 8).f0
-    assert inner_product([1], [1], f0) == 1
+    assert inner_product(Poly([1]), Poly([1]), f0) == 1
 
 
 def test_chebyshev_norm():
@@ -198,15 +197,14 @@ def test_fn_leading_coefficients_random():
 
 def test_cd_kernel_chebyshev_small():
     fam = polys_from_recurrence(chebyshev_rec(6), 6)
-    assert cd_kernel_identity_holds(fam, 1)
+    assert cd_kernel_identity_check(fam, 1, "kernel").passed
 
 
 def test_cd_kernel_random():
     rng = random.Random(13)
     rec = random_recurrence(rng, 8)
     fam = polys_from_recurrence(rec, 8)
-    for n in range(1, 5):
-        assert cd_kernel_identity_holds(fam, n)
+    assert cd_kernel_identity_check(fam, 4, "kernel").passed
 
 
 def test_cd_deformation_matches_display():
@@ -234,8 +232,21 @@ def test_numerator_functional():
     rec = hermite_rec(9)
     fam = polys_from_recurrence(rec, 8)
     f0 = moments_from_recurrence(rec, 16).f0
-    for n in range(7):
-        assert numerator_functional_holds(fam, f0, n)
+    assert numerator_functional_check(fam, f0, 6, "numerator functional").passed
+
+
+def test_orthocore_checks_name_the_failing_n():
+    rec = hermite_rec(9)
+    fam = polys_from_recurrence(rec, 8)
+    f0 = moments_from_recurrence(rec, 16).f0
+    fam.polys[3] = fam.polys[3] + 1  # p_3 - p_3(y) divided by x - y does not see it
+    fam.numerators[4] = fam.numerators[4] + Poly([0, 1])
+    kernel = cd_kernel_identity_check(fam, 6, "kernel")
+    assert (kernel.passed, kernel.name, kernel.witness) == (False, "kernel", "n=2")
+    numerator = numerator_functional_check(fam, f0, 6, "numerator functional")
+    assert (numerator.passed, numerator.witness) == (False, "n=4")
+    determinant = determinant_identity_check(fam, 6, "determinant")
+    assert (determinant.passed, determinant.witness) == (False, "n=3")
 
 
 # ---- tails and association ---------------------------------------------------------------
@@ -278,8 +289,8 @@ def test_assoc_recurrence_closed_form():
 
 
 def test_assoc_additivity_closed_form():
-    a_fn = IndexRatio(IndexPoly([1, 2]))            # a_n = 1 + 2n
-    b_fn = IndexRatio(IndexPoly([3, 1]), IndexPoly([1, 1]))  # b_n = (3+n)/(1+n)
+    a_fn = IndexRatio(Poly([1, 2]))            # a_n = 1 + 2n
+    b_fn = IndexRatio(Poly([3, 1]), Poly([1, 1]))  # b_n = (3+n)/(1+n)
     cf = ClosedFormRecurrence(a_fn, b_fn)
     one = cf.assoc(F(1, 2)).assoc(F(1, 3))
     two = cf.assoc(F(5, 6))
@@ -287,13 +298,33 @@ def test_assoc_additivity_closed_form():
 
 
 def test_index_poly_is_exact():
-    p = IndexPoly([1, 2]) * IndexPoly([F(1, 2), 1]) + 3
+    p = Poly([1, 2]) * Poly([F(1, 2), 1]) + 3
     assert p.coeffs == (F(7, 2), 2, 2)
     assert p(F(1, 2)) == F(5)
     with pytest.raises(TypeError):
-        IndexPoly([0.1])
+        Poly([0.1])
     with pytest.raises(TypeError):
         p(0.5)
+    with pytest.raises(AttributeError):
+        p.coeffs = (1,)
+    # trailing zeros are trimmed, down to the zero polynomial (0,)
+    assert Poly([1, 2, 0, 0]).coeffs == (1, 2)
+    assert Poly([1, 2]) + Poly([0, -2]) == Poly([1])
+    assert Poly([]).coeffs == Poly([0, 0]).coeffs == (0,)
+    zero = p - p
+    assert zero.is_zero() and zero == Poly.const(0) and zero(7) == 0
+    assert (p * zero).is_zero() and (p * 0).is_zero()
+    # products, substitution and reflection
+    assert Poly([1, 1]) * Poly([-1, 1]) == Poly([-1, 0, 1])
+    assert Poly([0, 0, 1]).substitute(Poly([1, 2])) == Poly([1, 4, 4])
+    assert p.substitute(Poly([1, 1])) == p.shift(1)
+    assert p.shift(F(-1, 2))(F(1, 2)) == p(0)
+    assert Poly([1, 2]).reflect(3) == Poly([0, 0, 2, 1])
+    with pytest.raises(ValueError):
+        p.reflect(1)
+    # at a series the value is the composition
+    y = TruncSeries.x(4)
+    assert Poly([1, 0, 1])(y + 1) == TruncSeries.from_polynomial([2, 2, 1], 4)
 
 
 def test_assoc_requires_closed_form_for_rational_c():
@@ -320,13 +351,10 @@ def test_assoc_one_operator_hermite():
     op = assoc_one_from_moment_operator(fam, gf, 12)
     assoc_fam = polys_from_recurrence(assoc_recurrence(rec, 1), 12)
     # hand-checked values
-    assert op.apply_poly([1])[:1] == [F(1)]
-    got_p2 = op.apply_poly([0, 0, 1])
-    assert got_p2[:3] == [F(-2), F(0), F(1)]
+    assert op.apply_poly(Poly([1])) == Poly([1])
+    assert op.apply_poly(Poly([0, 0, 1])) == Poly([-2, 0, 1])
     for n in range(10):
-        col = op.apply_poly([0] * n + [1])
-        expected = assoc_fam.polys[n] + [F(0)] * (len(col) - n - 1)
-        assert col == expected
+        assert op.apply_poly(Poly([0] * n + [1])) == assoc_fam.polys[n]
 
 
 def test_assoc_one_operator_random():
@@ -337,16 +365,14 @@ def test_assoc_one_operator_random():
     op = assoc_one_from_moment_operator(fam, gf, 12)
     assoc_fam = polys_from_recurrence(assoc_recurrence(rec, 1), 12)
     for n in range(9):
-        col = op.apply_poly([0] * n + [1])
-        assert col[: n + 1] == assoc_fam.polys[n]
-        assert all(v == 0 for v in col[n + 1 :])
+        assert op.apply_poly(Poly([0] * n + [1])) == assoc_fam.polys[n]
 
 
 # ---- duality -------------------------------------------------------------------------------
 
 
 def test_duality_involution_polynomial():
-    cf = ClosedFormRecurrence(IndexRatio(IndexPoly([0, 1])), IndexRatio(IndexPoly([1, 1])))
+    cf = ClosedFormRecurrence(IndexRatio(Poly([0, 1])), IndexRatio(Poly([1, 1])))
     dd = dual_recurrence(dual_recurrence(cf))
     assert dd.equals(cf)
 
@@ -388,7 +414,7 @@ def test_negative_index_tail_identity_hermite_dual():
 
 def test_assoc_one_identity_wrapper():
     rng = random.Random(31)
-    assert assoc_one_identity_holds(random_recurrence(rng, 22), 10)
+    assert assoc_one_identity_check(random_recurrence(rng, 22), 10, "first associated family").passed
 
 
 def test_negative_index_tail_values():
@@ -455,7 +481,7 @@ def test_dual_identity_check_wrapper():
 
 
 def test_assoc_zero_is_identity_on_closed_forms():
-    cf = ClosedFormRecurrence(IndexRatio(IndexPoly([1, 2])), IndexRatio(IndexPoly([3, 1])))
+    cf = ClosedFormRecurrence(IndexRatio(Poly([1, 2])), IndexRatio(Poly([3, 1])))
     assert assoc_recurrence(cf, 0) is cf
     rec = chebyshev_rec(6)
     assert assoc_recurrence(rec, 0) is rec
@@ -529,3 +555,98 @@ def test_zero_b_raises_degenerate_at_its_depth(ab, data):
     with pytest.raises(DegenerateB) as err:
         recurrence_from_moments(TruncSeries(expected))
     assert err.value.depth == k
+
+
+# ---- Poly against the coefficient-list helpers it replaced -------------------------------
+# The list helpers and the list-based convergent loop, kept as independent
+# references for the Poly arithmetic and for polys_from_recurrence.
+
+
+def ref_poly_mul(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            if b != 0:
+                out[i + j] += a * b
+    return out
+
+
+def ref_poly_add(p, q):
+    n = max(len(p), len(q))
+    return [(p[i] if i < len(p) else F(0)) + (q[i] if i < len(q) else F(0)) for i in range(n)]
+
+
+def ref_poly_eval(p, x):
+    acc = F(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def ref_poly_scale(p, c):
+    return [c * v for v in p]
+
+
+def ref_poly_trim(p):
+    out = list(p)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def ref_convergents(rec, upto):
+    """(p_n, R_n, Q_n) for n <= upto as trimmed coefficient lists, the p_n
+    padded to degree n."""
+    r = [[F(0)], [F(0), F(1)]]
+    q = [[F(1)], [F(1), -rec.a_at(0)]]
+    for n in range(1, upto):
+        lin = [F(1), -rec.a_at(n)]
+        quad = [F(0), F(0), -F(n) * rec.b_at(n)]
+        r.append(ref_poly_add(ref_poly_mul(r[n], lin), ref_poly_mul(quad, r[n - 1])))
+        q.append(ref_poly_add(ref_poly_mul(q[n], lin), ref_poly_mul(quad, q[n - 1])))
+    r = [ref_poly_trim(v) for v in r[: upto + 1]]
+    q = [ref_poly_trim(v) for v in q[: upto + 1]]
+    polys = []
+    for n in range(upto + 1):
+        rev = [F(0)] * (n + 1)
+        for i, c in enumerate(q[n]):
+            rev[n - i] = c
+        polys.append(rev)
+    return polys, r, q
+
+
+coefficient_lists = st.lists(rational, min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_lists, coefficient_lists, rational)
+def test_poly_arithmetic_matches_list_reference(p, q, x):
+    def same(poly, ref):
+        assert poly.coeffs == tuple(ref_poly_trim(ref))
+
+    same(Poly(p), p)
+    same(Poly(p) * Poly(q), ref_poly_mul(p, q))
+    same(Poly(p) + Poly(q), ref_poly_add(p, q))
+    same(Poly(p) - Poly(q), ref_poly_add(p, ref_poly_scale(q, -1)))
+    same(Poly(p) * x, ref_poly_scale(p, x))
+    assert Poly(p)(x) == ref_poly_eval(p, x)
+
+
+@st.composite
+def recurrences_with_zero_bs(draw):
+    depth = draw(st.integers(0, 9))
+    a = draw(st.lists(rational, min_size=depth + 1, max_size=depth + 1))
+    b = draw(st.lists(st.one_of(st.just(F(0)), rational), min_size=depth, max_size=depth))
+    return Recurrence(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(recurrences_with_zero_bs())
+def test_convergents_match_list_reference(rec):
+    fam = polys_from_recurrence(rec, rec.depth)  # the matrix-product cross-check runs too
+    polys, r, q = ref_convergents(rec, rec.depth)
+    assert [p.coeffs for p in fam.polys] == [tuple(v) for v in polys]
+    assert [p.coeffs for p in fam.numerators] == [tuple(v) for v in r]
+    assert [p.coeffs for p in fam.reversed_q] == [tuple(v) for v in q]
