@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .checks import first_failure, flag_check, op_check, series_check, value_check
@@ -288,6 +289,7 @@ class ShefferCore:
     c_f: OpMatrix
     c_tf: OpMatrix
     nw: int
+    _omega_pows: dict = field(default_factory=dict, init=False, repr=False)  # alpha -> f'(omega)^alpha
 
     def fpow(self, alpha) -> OpMatrix:
         return OpMatrix.series_of_d(self.fprime.pow_fraction(alpha), self.nw)
@@ -302,9 +304,19 @@ class ShefferCore:
         inner = self.inner()
         return inner.inverse() @ t @ inner
 
+    @cached_property
+    def fprime_omega(self) -> TruncSeries:
+        """f'(omega), composed once per core."""
+        return self.fprime.compose(self.omega)
+
     def fprime_omega_pow(self, alpha) -> TruncSeries:
-        """f'(omega)^alpha to the working order."""
-        return self.fprime.compose(self.omega).pow_fraction(alpha).truncate(self.nw)
+        """f'(omega)^alpha to the working order, computed once per core and
+        alpha: the associated builds ask for the same power up to three
+        times."""
+        alpha = as_rat(alpha)
+        if alpha not in self._omega_pows:
+            self._omega_pows[alpha] = self.fprime_omega.pow_fraction(alpha).truncate(self.nw)
+        return self._omega_pows[alpha]
 
 
 def sheffer_core(f: TruncSeries, fprime: TruncSeries, lam, nw: int) -> ShefferCore:
@@ -395,9 +407,7 @@ class FamilyResult:
 
     def to_json(self, upto: Optional[int] = None) -> dict:
         upto = self.gop.reliable if upto is None else min(upto, self.gop.reliable)
-        polys = [
-            [str(self.gop.mat[i][n]) for i in range(n + 1)] for n in range(upto + 1)
-        ]
+        polys = [[str(v) for v in self.gop.column(n)[: n + 1]] for n in range(upto + 1)]
         return {
             "name": self.name,
             "order": upto,
@@ -486,7 +496,7 @@ def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) ->
     def columns():
         power = TruncSeries.one(nw)
         for m in range(order + 1):
-            got = TruncSeries([barg.mat[i][m] for i in range(barg.reliable + 1)])
+            got = TruncSeries(barg.column(m)[: barg.reliable + 1])
             expect = (gen_weight * power).truncate(got.order)
             yield series_check(f"generating function column {m}", got, expect, order)
             power = power * phi
@@ -551,7 +561,7 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
     gen_through = min(order, 8)
 
     def column(m):
-        got = TruncSeries([c_vals[n] * gop.mat[m][n] for n in range(gen_through + 1)])
+        got = TruncSeries([c_vals[n] * gop.entry(m, n) for n in range(gen_through + 1)])
         expect = amp.pow_fraction(Fraction(-1) / lam - m).truncate(gen_through).shift_up(m).truncate(gen_through)
         expect = (expect * c_vals[m]).truncate(gen_through)
         return series_check(f"generating function column {m}", got, expect)

@@ -1,11 +1,21 @@
 """Operators on the truncated polynomial space, in the monomial basis.
 
-An OpMatrix holds the (nw+1) x (nw+1) matrix of an operator T, with
-``mat[m][n]`` the coefficient of x^m in T.x^n, together with two pieces of
-truncation bookkeeping:
+An OpMatrix holds the (nw+1) x (nw+1) matrix of an operator T, entry (m, n)
+the coefficient of x^m in T.x^n.  It is stored by columns, as integers:
+``cols[n] = (den, nums)`` is the image of x^n, entry (m, n) = nums[m]/den,
+kept canonical (den > 0 and gcd(den, *nums) == 1, so a zero column is
+(1, [0, ...])).  Equal columns therefore have equal storage, and every
+kernel below (products, inverses, sums, bar, the constructors) reads and
+writes integers only, reducing each result column once.  Fractions are made
+only at the boundary: the ``OpMatrix(rows, ...)`` constructor takes them,
+and ``column``/``entry``/``column_poly``, ``three_term``, comparison
+witnesses and the ``mat`` property (a fresh row-major Fraction copy, read by
+tools such as the benchmark tracer) give them back.
+
+Next to the matrix sit two pieces of truncation bookkeeping:
 
 * ``raised`` — an upper bound r on the degree increase of T, guaranteed on
-  the reliable columns only: mat[m][n] == 0 whenever m > n + r and
+  the reliable columns only: entry (m, n) is 0 whenever m > n + r and
   n <= reliable.  The builders bound every column, but bar() looks at the
   reliable columns alone, so no code may rely on it beyond them (products
   keep the guarantee, because their reliable block shrinks by the raise);
@@ -23,6 +33,7 @@ matrices bar reverses products: bar(T1 T2) = bar(T2) bar(T1).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -35,10 +46,9 @@ from .errors import (
     ReliabilityExhausted,
 )
 from .indexfn import Poly
-from .series import TruncSeries, _append_over, _over_common_den, as_rat
+from .series import TruncSeries, _append_over, _int_powers, _over_common_den, _reduced, as_rat
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DiagSeq:
@@ -91,126 +101,148 @@ class DiagSeq:
 
 
 class OpMatrix:
-    __slots__ = ("mat", "nw", "raised", "reliable")
+    __slots__ = ("cols", "nw", "raised", "reliable")
 
-    def __init__(self, mat, nw: int, raised: int, reliable: int):
-        self.mat = mat
+    def __init__(self, rows, nw: int, raised: int, reliable: int):
+        """The operator whose ``rows[m][n]`` (exact rationals) is the
+        coefficient of x^m in T.x^n."""
+        self._set([_over_common_den([as_rat(v) for v in col]) for col in zip(*rows)], nw, raised, reliable)
+
+    def _set(self, cols: list, nw: int, raised: int, reliable: int):
+        if reliable < 0:
+            raise ReliabilityExhausted("no trustworthy columns remain")
+        self.cols = cols
         self.nw = nw
         self.raised = raised
         self.reliable = reliable
-        if reliable < 0:
-            raise ReliabilityExhausted("no trustworthy columns remain")
+
+    @classmethod
+    def _of(cls, cols: list, nw: int, raised: int, reliable: int) -> "OpMatrix":
+        """The operator with canonical columns `cols`, taken as they are."""
+        op = cls.__new__(cls)
+        op._set(cols, nw, raised, reliable)
+        return op
+
+    # -- Fraction views ---------------------------------------------------
+
+    def column(self, n: int) -> list:
+        """The image of x^n as nw+1 Fractions."""
+        den, nums = self.cols[n]
+        return [Fraction(v, den) if v else _ZERO for v in nums]
+
+    def entry(self, m: int, n: int) -> Fraction:
+        den, nums = self.cols[n]
+        return Fraction(nums[m], den)
+
+    @property
+    def mat(self) -> list:
+        """A fresh row-major Fraction copy: ``mat[m][n]`` = entry(m, n)."""
+        return [list(row) for row in zip(*[self.column(n) for n in range(self.nw + 1)])]
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _blank(cls, nw: int):
-        return [[_ZERO] * (nw + 1) for _ in range(nw + 1)]
+    def _one_per_column(cls, entries: Sequence, nw: int, raised: int = 0) -> "OpMatrix":
+        """The operator whose column n holds the single entry
+        entries[n] = (row, value), or nothing when entries[n] is None."""
+        cols = []
+        for entry in entries:
+            nums, den = [0] * (nw + 1), 1
+            if entry is not None:
+                row, v = entry
+                nums[row], den = as_rat(v).as_integer_ratio()
+            cols.append((den, nums))
+        return cls._of(cols, nw, raised, nw)
 
     @classmethod
     def identity(cls, nw: int) -> "OpMatrix":
-        m = cls._blank(nw)
-        for i in range(nw + 1):
-            m[i][i] = _ONE
-        return cls(m, nw, 0, nw)
+        return cls.diag_op([1] * (nw + 1), nw)
 
     @classmethod
     def x_op(cls, nw: int) -> "OpMatrix":
-        m = cls._blank(nw)
-        for n in range(nw):
-            m[n + 1][n] = _ONE
-        return cls(m, nw, 1, nw)
+        return cls._one_per_column([(n + 1, 1) for n in range(nw)] + [None], nw, raised=1)
 
     @classmethod
     def d_op(cls, nw: int) -> "OpMatrix":
-        m = cls._blank(nw)
-        for n in range(1, nw + 1):
-            m[n - 1][n] = Fraction(n)
-        return cls(m, nw, 0, nw)
+        return cls._one_per_column([None] + [(n - 1, n) for n in range(1, nw + 1)], nw)
 
     @classmethod
     def theta_op(cls, nw: int) -> "OpMatrix":
-        return cls.diag_op([Fraction(n) for n in range(nw + 1)], nw)
+        return cls.diag_op(range(nw + 1), nw)
 
     @classmethod
     def l_op(cls, nw: int) -> "OpMatrix":
         """The 0-derivative: x^n -> x^(n-1), 1 -> 0."""
-        m = cls._blank(nw)
-        for n in range(1, nw + 1):
-            m[n - 1][n] = _ONE
-        return cls(m, nw, 0, nw)
+        return cls._one_per_column([None] + [(n - 1, 1) for n in range(1, nw + 1)], nw)
 
     @classmethod
     def delta_op(cls, nw: int) -> "OpMatrix":
         """Evaluation at zero: 1 - x*L."""
-        m = cls._blank(nw)
-        m[0][0] = _ONE
-        return cls(m, nw, 0, nw)
+        return cls._one_per_column([(0, 1)] + [None] * nw, nw)
 
     @classmethod
     def diag_op(cls, values, nw: int) -> "OpMatrix":
-        vals = values.values if isinstance(values, DiagSeq) else [as_rat(v) for v in values]
+        vals = values.values if isinstance(values, DiagSeq) else list(values)
         if len(vals) < nw + 1:
             raise OrderExhausted("not enough diagonal values for working order")
-        m = cls._blank(nw)
-        for i in range(nw + 1):
-            m[i][i] = vals[i]
-        return cls(m, nw, 0, nw)
+        return cls._one_per_column([(n, vals[n]) for n in range(nw + 1)], nw)
 
     @classmethod
     def series_of_d(cls, ell: TruncSeries, nw: int) -> "OpMatrix":
-        """ell(D) for a series ell known at least to the working order."""
+        """ell(D) for a series ell known at least to the working order:
+        column n holds ell_k n!/(n-k)! in row n - k."""
         if ell.order < nw:
             raise OrderExhausted("series for ell(D) must reach the working order")
-        m = cls._blank(nw)
+        den, e = _over_common_den(ell.coeffs[: nw + 1])
+        cols = []
         for n in range(nw + 1):
-            fall = _ONE  # n!/(n-k)!
+            nums = [0] * (nw + 1)
+            fall = 1  # n!/(n-k)!
             for k in range(n + 1):
-                c = ell.coeffs[k]
-                if c != 0:
-                    m[n - k][n] += c * fall
+                if e[k]:
+                    nums[n - k] = e[k] * fall
                 fall *= n - k
-        return cls(m, nw, 0, nw)
+            cols.append(_reduced(den, nums))
+        return cls._of(cols, nw, 0, nw)
 
     @classmethod
     def umbral_compose(cls, f: TruncSeries, nw: int) -> "OpMatrix":
         """The composition operator of the binomial family generated by f.
 
-        Sends x^n to the n-th binomial polynomial; computed through the
-        series side as entry [a][b] = (b!/a!) [y^b] phi(y)^a with
-        phi = reverse(f).
+        Sends x^n to the n-th binomial polynomial, whose x^a coefficient is
+        (n!/a!) [y^n] phi(y)^a for phi = reverse(f).  By Lagrange inversion
+        that is ((n-1)!/(a-1)!) [y^(n-a)] (y/f)^n, so column n comes from the
+        n-th integer power of y/f alone.
         """
         if f.order < nw:
             raise OrderExhausted("series for the umbral operator must reach the working order")
-        phi = f.truncate(nw).reverse()
-        m = cls._blank(nw)
-        m[0][0] = _ONE
-        fact = [_ONE] * (nw + 1)
-        for i in range(1, nw + 1):
-            fact[i] = fact[i - 1] * i
-        power = TruncSeries.one(nw)
-        for a in range(1, nw + 1):
-            power = power * phi
-            for b in range(a, nw + 1):
-                c = power.coeffs[b]
-                if c != 0:
-                    m[a][b] = fact[b] / fact[a] * c
-        return cls(m, nw, 0, nw)
+        cols = [(1, [1] + [0] * nw)]
+        for n, (den, power) in enumerate(_int_powers(f.truncate(nw)._y_over_f(), nw), start=1):
+            nums = [0] * (nw + 1)
+            weight = 1  # (n-1)!/(a-1)!
+            for a in range(n, 0, -1):
+                if power[n - a]:
+                    nums[a] = weight * power[n - a]
+                weight *= a - 1
+            cols.append(_reduced(den, nums))
+        return cls._of(cols, nw, 0, nw)
 
     @classmethod
     def shifted_product(cls, ells: Sequence, nw: int) -> "OpMatrix":
-        """Operator sending x^n to prod_{k<n} (x + ells[k])."""
+        """Operator sending x^n to prod_{k<n} (x + ells[k]): with
+        ells = E/d over integers, the integer polynomial prod (d x + E_k)
+        over d^n."""
         vals = ells.values if isinstance(ells, DiagSeq) else [as_rat(v) for v in ells]
         if len(vals) < nw:
             raise OrderExhausted("need nw shift values")
-        m = cls._blank(nw)
-        poly = Poly.const(1)
+        d, e = _over_common_den(vals[:nw])
+        cols, poly, den = [], [1] + [0] * nw, 1
         for n in range(nw + 1):
-            for i, c in enumerate(poly.coeffs):
-                m[i][n] = c
+            cols.append(_reduced(den, poly))
             if n < nw:
-                poly = poly * Poly([vals[n], 1])
-        return cls(m, nw, 0, nw)
+                poly = [e[n] * poly[0]] + [e[n] * poly[i] + d * poly[i - 1] for i in range(1, nw + 1)]
+                den *= d
+        return cls._of(cols, nw, 0, nw)
 
     # -- algebra ----------------------------------------------------------
 
@@ -218,87 +250,102 @@ class OpMatrix:
         if self.nw != other.nw:
             raise ValueError("operators built at different working orders")
 
-    def __add__(self, other: "OpMatrix") -> "OpMatrix":
+    def _combine(self, other: "OpMatrix", sign: int) -> "OpMatrix":
+        """self + sign * other, column by column over the lcm of the two
+        denominators."""
         self._check_shape(other)
-        n = self.nw + 1
-        m = [[self.mat[i][j] + other.mat[i][j] for j in range(n)] for i in range(n)]
-        return OpMatrix(m, self.nw, max(self.raised, other.raised), min(self.reliable, other.reliable))
+        cols = []
+        for (da, xs), (db, ys) in zip(self.cols, other.cols):
+            den = math.lcm(da, db)
+            ka, kb = den // da, sign * (den // db)
+            cols.append(_reduced(den, [ka * x + kb * y for x, y in zip(xs, ys)]))
+        return OpMatrix._of(cols, self.nw, max(self.raised, other.raised), min(self.reliable, other.reliable))
+
+    def __add__(self, other: "OpMatrix") -> "OpMatrix":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
-        self._check_shape(other)
-        n = self.nw + 1
-        m = [[self.mat[i][j] - other.mat[i][j] for j in range(n)] for i in range(n)]
-        return OpMatrix(m, self.nw, max(self.raised, other.raised), min(self.reliable, other.reliable))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "OpMatrix":
-        return OpMatrix([[-v for v in row] for row in self.mat], self.nw, self.raised, self.reliable)
+        return self.scale(-1)
 
     def scale(self, c) -> "OpMatrix":
-        c = as_rat(c)
-        return OpMatrix([[c * v for v in row] for row in self.mat], self.nw, self.raised, self.reliable)
+        p, q = as_rat(c).as_integer_ratio()
+        cols = [_reduced(den * q, [p * v for v in nums]) for den, nums in self.cols]
+        return OpMatrix._of(cols, self.nw, self.raised, self.reliable)
 
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
         """Operator composition self . other (self applied second).
 
-        Fraction-free: each row of self sits over the lcm of its
-        denominators and each column of other over its own, so the inner
-        loop adds plain integer products and one Fraction is built per
-        nonzero entry.  The sparse rows skip every zero, which is what makes
-        triangular and banded factors cheap.
+        Fraction-free: column j of the product is sum_k A_k (b_kj / d_k)
+        over the columns A_k / d_k of self, so each column is summed in
+        integers over the lcm of the d_k it uses, times its own
+        denominator in other, and reduced once.  Zero entries are skipped,
+        which is what makes triangular and banded factors cheap.
         """
         self._check_shape(other)
-        cols = [_over_common_den(col) for col in zip(*other.mat)]
-        col_den = [d for d, _ in cols]
-        b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in zip(*[nums for _, nums in cols])]
+        a_dens = [d for d, _ in self.cols]
+        a_cols = [[(i, v) for i, v in enumerate(nums) if v] for _, nums in self.cols]
+        size = self.nw + 1
         out = []
-        for arow in self.mat:
-            row_den, nums = _over_common_den(arow)
-            acc = [0] * len(col_den)
-            for k, av in enumerate(nums):
-                if av:
-                    for j, bv in b_rows[k]:
-                        acc[j] += av * bv
-            out.append([Fraction(v, row_den * col_den[j]) if v else _ZERO for j, v in enumerate(acc)])
+        for b_den, b_nums in other.cols:
+            # b_kj / d_k in lowest terms keeps the common denominator small
+            terms = []
+            for k, b in enumerate(b_nums):
+                if b and a_cols[k]:
+                    g = math.gcd(b, a_dens[k])
+                    terms.append((a_cols[k], b // g, a_dens[k] // g))
+            den = math.lcm(*[d for _, _, d in terms])
+            acc = [0] * size
+            for col, b, d in terms:
+                w = b * (den // d)
+                for i, v in col:
+                    acc[i] += v * w
+            out.append(_reduced(den * b_den, acc))
         reliable = min(other.reliable, self.reliable - other.raised, self.nw - other.raised)
-        return OpMatrix(out, self.nw, self.raised + other.raised, reliable)
+        return OpMatrix._of(out, self.nw, self.raised + other.raised, reliable)
 
     def inverse(self) -> "OpMatrix":
         """Back-substitution inverse of a degree-non-raising operator.
 
         Only triangular inverses occur here; anything with entries above
-        the degree diagonal is rejected.  Fraction-free in the style of
-        Bareiss: row r is put over its common denominator d_r as integers
-        a_rj, and each column is solved in integers y_r over one running
-        denominator s, which grows by a_rr/gcd(num, a_rr) at row r.
+        the degree diagonal is rejected.  With self = N . diag(1/d) for the
+        integer matrix N of column numerators, the inverse is
+        diag(d) . N^(-1); N^(-1) is solved fraction-free in the style of
+        Bareiss, each column in integers y_r over one running denominator
+        s, which grows by N_rr/gcd(num, N_rr) at row r.
         """
         n = self.nw + 1
-        a = self.mat
-        for col in range(n):
+        for col, (_, nums) in enumerate(self.cols):
             for row in range(col + 1, n):
-                if a[row][col] != 0:
+                if nums[row]:
                     raise NotInvertible(f"degree-raising entry at ({row},{col})")
-            if a[col][col] == 0:
+            if nums[col] == 0:
                 raise NotInvertible(f"zero diagonal entry at {col}")
-        rows = []
-        for r, arow in enumerate(a):
-            den, nums = _over_common_den(arow)
-            rows.append((den, nums[r], [(j, v) for j, v in enumerate(nums) if v and j > r]))
-        inv = OpMatrix._blank(self.nw)
+        upper = [[] for _ in range(n)]  # row r of N right of the diagonal, as (j, N_rj)
+        for j, (_, nums) in enumerate(self.cols):
+            for r in range(j):
+                if nums[r]:
+                    upper[r].append((j, nums[r]))
+        diag = [nums[j] for j, (_, nums) in enumerate(self.cols)]
+        cols = []
         for colv in range(n):
-            # y[i] is the integer numerator of x_(colv - i), over s
+            # y[i] is the integer numerator of (N^(-1))[colv - i][colv], over s
             y, s = [], 1
             for row in range(colv, -1, -1):
-                den, diag, upper = rows[row]
-                num = den if row == colv else 0
-                for j, v in upper:
+                num = 1 if row == colv else 0
+                for j, v in upper[row]:
                     if j > colv:
                         break
                     num -= v * y[colv - j]
-                s = _append_over(y, s, num, diag)
+                s = _append_over(y, s, num, diag[row])
+            nums = [0] * n
             for i, v in enumerate(y):
                 if v:
-                    inv[colv - i][colv] = Fraction(v, s)
-        return OpMatrix(inv, self.nw, 0, self.reliable)
+                    nums[colv - i] = v * self.cols[colv - i][0]
+            cols.append(_reduced(s, nums))
+        return OpMatrix._of(cols, self.nw, 0, self.reliable)
 
     def expand_in(self, basis: "OpMatrix") -> "OpMatrix":
         """Coordinates of self's columns in the image basis of `basis`."""
@@ -308,24 +355,30 @@ class OpMatrix:
 
     def bar(self) -> "OpMatrix":
         """Factorial-weighted transpose; see the module docstring.  It is an
-        involution, so bar() also undoes bar()."""
+        involution, so bar() also undoes bar().  Entry (b, a) is
+        a! N_b[a] / (b! d_b) for the column N_b / d_b of self."""
         n = self.nw + 1
-        fact = [_ONE] * n
+        fact = [1] * n
         for i in range(1, n):
             fact[i] = fact[i - 1] * i
-        m = OpMatrix._blank(self.nw)
-        for b in range(n):
-            for a in range(n):
-                v = self.mat[a][b]
-                if v != 0:
-                    m[b][a] = fact[a] / fact[b] * v
+        row_dens = [fact[b] * d for b, (d, _) in enumerate(self.cols)]
+        cols = []
+        for a in range(n):
+            row = [(b, nums[a]) for b, (_, nums) in enumerate(self.cols) if nums[a]]
+            den = math.lcm(*[row_dens[b] for b, _ in row])
+            nums = [0] * n
+            for b, v in row:
+                nums[b] = fact[a] * v * (den // row_dens[b])
+            cols.append(_reduced(den, nums))
         raised = 0
         limit = min(self.reliable, self.nw - self.raised)
         for col in range(limit + 1):
-            for row in range(n):
-                if m[row][col] != 0 and row - col > raised:
+            nums = cols[col][1]
+            for row in range(n - 1, col + raised, -1):
+                if nums[row]:
                     raised = row - col
-        return OpMatrix(m, self.nw, raised, limit)
+                    break
+        return OpMatrix._of(cols, self.nw, raised, limit)
 
     def apply_poly(self, p: Poly) -> Poly:
         """The image of a polynomial, as the combination of columns its
@@ -344,28 +397,32 @@ class OpMatrix:
 
         Requires every stored entry above the degree diagonal to vanish
         (rows only consume coefficients of equal or lower index), which is
-        what bar() of a degree-non-raising operator produces.
+        what bar() of a degree-non-raising operator produces.  The sum runs
+        in integers over the series' denominator times the lcm of the
+        column denominators it uses.
         """
         order = min(self.nw, s.order)
-        mat = self.mat
-        for b in range(order + 1):
-            for a in range(b + 1, self.nw + 1):
-                if mat[b][a] != 0:
+        for a in range(1, self.nw + 1):
+            nums = self.cols[a][1]
+            for b in range(min(a, order + 1)):
+                if nums[b]:
                     raise NotInvertible("operator is not row-finite; cannot act on a series")
-        out = []
-        for b in range(order + 1):
-            acc = _ZERO
-            row = mat[b]
-            for a in range(b + 1):
-                v = row[a]
-                if v != 0:
-                    acc += v * s.coeffs[a]
-            out.append(acc)
-        return TruncSeries(out)
+        ds, xs = _over_common_den(s.coeffs[: order + 1])
+        used = [a for a in range(order + 1) if xs[a]]
+        den = math.lcm(*[self.cols[a][0] for a in used])
+        acc = [0] * (order + 1)
+        for a in used:
+            col_den, nums = self.cols[a]
+            w = xs[a] * (den // col_den)
+            for b in range(a, order + 1):
+                if nums[b]:
+                    acc[b] += nums[b] * w
+        den *= ds
+        return TruncSeries([Fraction(v, den) if v else _ZERO for v in acc])
 
     def column_poly(self, n: int) -> Poly:
         """The image of x^n."""
-        return Poly([row[n] for row in self.mat])
+        return Poly(self.column(n))
 
     # -- structure probes ------------------------------------------------------
 
@@ -374,10 +431,10 @@ class OpMatrix:
         hi = self.reliable if through is None else min(self.reliable, through)
         up = down = 0
         for ncol in range(hi + 1):
-            for row in range(self.nw + 1):
-                if self.mat[row][ncol] != 0:
-                    up = max(up, row - ncol)
-                    down = max(down, ncol - row)
+            rows = [row for row, v in enumerate(self.cols[ncol][1]) if v]
+            if rows:
+                up = max(up, rows[-1] - ncol)
+                down = max(down, ncol - rows[0])
         return up, down
 
     def three_term(self, through: Optional[int] = None):
@@ -389,29 +446,36 @@ class OpMatrix:
         hi = self.reliable if through is None else min(self.reliable, through)
         hi = min(hi, self.nw - 1)
         for ncol in range(hi + 1):
-            for row in range(self.nw + 1):
-                v = self.mat[row][ncol]
-                if v != 0 and not (ncol - 1 <= row <= ncol + 1):
+            for row, v in enumerate(self.cols[ncol][1]):
+                if v and not (ncol - 1 <= row <= ncol + 1):
                     raise NotThreeTerm(f"entry outside band at ({row},{ncol})")
         for ncol in range(hi + 1):
-            if self.mat[ncol + 1][ncol] != 1:
-                raise NotMonic(f"raising entry at column {ncol} is {self.mat[ncol + 1][ncol]}")
-        a = [self.mat[ncol][ncol] for ncol in range(hi + 1)]
-        b = [self.mat[ncol - 1][ncol] / ncol for ncol in range(1, hi + 1)]
+            den, nums = self.cols[ncol]
+            if nums[ncol + 1] != den:
+                raise NotMonic(f"raising entry at column {ncol} is {self.entry(ncol + 1, ncol)}")
+        a = [self.entry(ncol, ncol) for ncol in range(hi + 1)]
+        b = [self.entry(ncol - 1, ncol) / ncol for ncol in range(1, hi + 1)]
         return a, b
 
     # -- comparison --------------------------------------------------------------
 
     def first_difference(self, other: "OpMatrix", through: Optional[int] = None):
-        """First differing entry on the shared reliable block, or None."""
+        """First differing entry on the shared reliable block, or None.
+
+        Canonical columns are equal exactly when their entries are, so
+        columns are compared whole and entries only inside a differing one.
+        """
         self._check_shape(other)
         hi = min(self.reliable, other.reliable)
         if through is not None:
             hi = min(hi, through)
         for ncol in range(hi + 1):
-            for row in range(self.nw + 1):
-                if self.mat[row][ncol] != other.mat[row][ncol]:
-                    return row, ncol, self.mat[row][ncol], other.mat[row][ncol]
+            (da, xs), (db, ys) = self.cols[ncol], other.cols[ncol]
+            if da == db and xs == ys:
+                continue
+            for row, (x, y) in enumerate(zip(xs, ys)):
+                if x * db != y * da:
+                    return row, ncol, Fraction(x, da), Fraction(y, db)
         return None
 
     def equals(self, other: "OpMatrix", through: Optional[int] = None) -> bool:

@@ -6,10 +6,11 @@ smaller operand order; nothing here ever fabricates a coefficient.  All
 arithmetic is exact (fractions.Fraction), there is no floating point in this
 module.
 
-Products, division by a series and fractional powers are fraction-free: they
-put their inputs over common denominators, run on Python integers (division
-and powers over one running denominator) and build one canonical Fraction
-per result coefficient.
+Products, division by a series, fractional powers and reversion are
+fraction-free: they put their inputs over common denominators, run on Python
+integers (division and powers over one running denominator, reversion on
+the integer powers of y/f) and build one canonical Fraction per result
+coefficient.
 """
 from __future__ import annotations
 
@@ -68,6 +69,44 @@ def _over_common_den(values) -> tuple[int, list[int]]:
     pairs = [v.as_integer_ratio() for v in values]
     d = math.lcm(*[q for _, q in pairs])
     return d, [p * (d // q) for p, q in pairs]
+
+
+def _reduced(den: int, nums: list) -> tuple[int, list[int]]:
+    """(den, nums) divided by gcd(den, *nums), with den made positive: the
+    canonical integer form of the rationals nums[i]/den."""
+    # a loop of two-argument calls: on CPython 3.11 a star call such as
+    # gcd(den, *nums) left up to 2000 argument tuples per length in the
+    # tuple free list, which showed as peak RSS
+    g = abs(den)
+    for v in nums:
+        if g == 1:
+            break
+        g = math.gcd(g, v)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, nums
+    return den // g, [v // g for v in nums]
+
+
+def _int_powers(s: "TruncSeries", count: int):
+    """Yield s^1 .. s^count, each as canonical (den, nums) integers truncated
+    to the order of s.  Lagrange inversion reads reversions and binomial
+    composition operators off these powers, with no Fraction in between."""
+    n = s.order
+    d, base = _over_common_den(s.coeffs)
+    base = [(j, v) for j, v in enumerate(base) if v]
+    den, cur = 1, [1] + [0] * n
+    for _ in range(count):
+        acc = [0] * (n + 1)
+        for i, a in enumerate(cur):
+            if a:
+                for j, b in base:
+                    if i + j > n:
+                        break
+                    acc[i + j] += a * b
+        den, cur = _reduced(den * d, acc)
+        yield den, cur
 
 
 def _append_over(nums: list, s: int, acc: int, den: int) -> int:
@@ -294,18 +333,18 @@ class TruncSeries:
         [y^m] phi = (1/m) [y^(m-1)] (y/f)^m, valid whenever f(0)=0 and
         f'(0) != 0; this is exact through the input order.
         """
+        out = [_ZERO] * (self.order + 1)
+        for m, (den, nums) in enumerate(_int_powers(self._y_over_f(), self.order), start=1):
+            out[m] = Fraction(nums[m - 1], den * m)
+        return TruncSeries(out)
+
+    def _y_over_f(self) -> "TruncSeries":
+        """y/f, known through order - 1, for f with f(0) = 0 and f'(0) != 0."""
         if self.coeffs[0] != 0:
             raise NotReversible("series must vanish at 0")
         if self.order < 1 or self.coeffs[1] == 0:
             raise NotReversible("series must have nonzero linear term")
-        n = self.order
-        u = 1 / self.shift_down(1)  # y/f, constant term 1/f'(0), order n-1
-        out = [Fraction(0)] * (n + 1)
-        upow = TruncSeries.one(n - 1)
-        for m in range(1, n + 1):
-            upow = upow * u
-            out[m] = upow.coefficient(m - 1) / m
-        return TruncSeries(out)
+        return 1 / self.shift_down(1)
 
     # -- transcendental maps (coefficient recursions, exact) ------------
 
@@ -437,18 +476,20 @@ def solve_autonomous_ode(rhs_poly: Sequence, order: int) -> TruncSeries:
     """Unique series solution of f' = P(f) with f(0) = 0.
 
     `rhs_poly` holds the coefficients of the polynomial P.  Coefficient
-    recursion: (k+1) f_{k+1} = [y^k] P(f).
+    recursion: (k+1) f_{k+1} = [y^k] P(f) = sum_j p_j [y^k] f^j, where
+    [y^k] f^j = sum_{i=1..k} f_i [y^(k-i)] f^(j-1) needs only f_1 .. f_k.
     """
     p = [as_rat(c) for c in rhs_poly]
-    f = TruncSeries.zero(order)
-    coeffs = list(f.coeffs)
+    f = [_ZERO] * (order + 1)
+    # pows[j - 1][k] = [y^k] f^j for j = 1 .. deg P, filled one k at a time
+    pows = [f] + [[_ZERO] * (order + 1) for _ in range(len(p) - 2)]
     for k in range(order):
-        cur = TruncSeries(coeffs[: k + 1])
-        acc = TruncSeries.constant(p[-1], k)
-        for c in reversed(p[:-1]):
-            acc = acc * cur + c
-        coeffs[k + 1] = acc.coefficient(k) / (k + 1)
-    return TruncSeries(coeffs)
+        for j in range(1, len(pows)):
+            prev = pows[j - 1]
+            pows[j][k] = sum([f[i] * prev[k - i] for i in range(1, k + 1) if f[i] and prev[k - i]], _ZERO)
+        acc = sum([p[j] * pows[j - 1][k] for j in range(1, len(p))], p[0] if k == 0 else _ZERO)
+        f[k + 1] = acc / (k + 1)
+    return TruncSeries(f)
 
 
 def riccati_series(lam, a, b, order: int) -> TruncSeries:

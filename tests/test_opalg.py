@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,8 @@ from umbral.errors import (
 from umbral.indexfn import Poly
 from umbral.opalg import DiagSeq, OpMatrix, mgf_from_gop
 from umbral.series import TruncSeries, exp_series, riccati_series
+
+from test_series import reference_mul, reference_reverse
 
 NW = 10
 
@@ -411,6 +414,7 @@ def test_matmul_matches_fraction_loops(data):
     assert [[str(v) for v in row] for row in c.mat] == [[str(v) for v in row] for row in expected]
     assert (c.raised, c.reliable) == (a.raised + b.raised, reliable)
     assert true_raise(c.mat) <= c.raised
+    assert_canonical_columns(c)
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,7 +423,8 @@ def test_inverse_matches_back_substitution(data):
     nw = data.draw(st.integers(0, 7))
     op = data.draw(op_matrices(nw, invertible=True))
     inv = op.inverse()
-    assert inv.mat == reference_inverse(op.mat)
+    assert_same_entries(inv.mat, reference_inverse(op.mat))
+    assert_canonical_columns(inv)
     assert (inv.raised, inv.reliable) == (0, op.reliable)
     ident = OpMatrix.identity(nw).mat
     assert (op @ inv).mat == ident and (inv @ op).mat == ident
@@ -442,3 +447,142 @@ def test_inverse_still_rejects(data):
     singular[k][k] = F(0)
     with pytest.raises(NotInvertible, match="zero diagonal"):
         OpMatrix(singular, nw, 0, nw).inverse()
+
+
+# ---- differential tests: the column-integer kernels against Fraction loops ----------
+
+def assert_same_entries(got, expected):
+    assert got == expected
+    assert [[str(v) for v in row] for row in got] == [[str(v) for v in row] for row in expected]
+
+
+def assert_canonical_columns(op):
+    """Every stored column is (den, nums) with den > 0 and gcd(den, *nums) == 1."""
+    assert len(op.cols) == op.nw + 1
+    for den, nums in op.cols:
+        assert len(nums) == op.nw + 1
+        assert den > 0 and math.gcd(den, *nums) == 1
+
+
+def reference_series_of_d(cs, nw):
+    m = [[F(0)] * (nw + 1) for _ in range(nw + 1)]
+    for n in range(nw + 1):
+        fall = F(1)  # n!/(n-k)!
+        for k in range(n + 1):
+            if cs[k] != 0:
+                m[n - k][n] += cs[k] * fall
+            fall *= n - k
+    return m
+
+
+def reference_umbral_compose(fs, nw):
+    """(b!/a!) [y^b] phi^a for phi = reverse(f), from the powers of phi."""
+    phi = reference_reverse(fs[: nw + 1])
+    m = [[F(0)] * (nw + 1) for _ in range(nw + 1)]
+    m[0][0] = F(1)
+    fact = [F(math.factorial(i)) for i in range(nw + 1)]
+    power = [F(1)] + [F(0)] * nw
+    for a in range(1, nw + 1):
+        power = reference_mul(power, phi)
+        for b in range(a, nw + 1):
+            if power[b] != 0:
+                m[a][b] = fact[b] / fact[a] * power[b]
+    return m
+
+
+def reference_bar(mat, nw, raised, reliable):
+    """(bar matrix, raised, reliable) with bar[b][a] = (a!/b!) mat[a][b]."""
+    n = nw + 1
+    fact = [F(math.factorial(i)) for i in range(n)]
+    m = [[F(0)] * n for _ in range(n)]
+    for b in range(n):
+        for a in range(n):
+            if mat[a][b] != 0:
+                m[b][a] = fact[a] / fact[b] * mat[a][b]
+    out_raised = 0
+    limit = min(reliable, nw - raised)
+    for col in range(limit + 1):
+        for row in range(n):
+            if m[row][col] != 0 and row - col > out_raised:
+                out_raised = row - col
+    return m, out_raised, limit
+
+
+def reference_apply_series(mat, cs):
+    order = min(len(mat) - 1, len(cs) - 1)
+    return [sum((mat[b][a] * cs[a] for a in range(b + 1)), F(0)) for b in range(order + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 7), st.lists(wide, min_size=10, max_size=10), st.integers(0, 2))
+def test_series_of_d_matches_fraction_loops(nw, cs, extra):
+    ell = TruncSeries(cs[: nw + 1 + extra])
+    op = OpMatrix.series_of_d(ell, nw)
+    assert_same_entries(op.mat, reference_series_of_d(cs, nw))
+    assert (op.raised, op.reliable) == (0, nw)
+    assert_canonical_columns(op)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), nonzero_wide, st.lists(st.one_of(st.just(F(0)), wide), min_size=7, max_size=7))
+def test_umbral_compose_matches_powers_of_the_reversion(nw, lead, rest):
+    fs = [F(0), lead] + rest[: nw - 1]
+    op = OpMatrix.umbral_compose(TruncSeries(fs), nw)
+    assert_same_entries(op.mat, reference_umbral_compose(fs, nw))
+    assert (op.raised, op.reliable) == (0, nw)
+    assert_canonical_columns(op)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bar_matches_fraction_loops(data):
+    nw = data.draw(st.integers(0, 7))
+    op = data.draw(op_matrices(nw))
+    if op.raised > nw:
+        with pytest.raises(ReliabilityExhausted):
+            op.bar()
+        return
+    bar = op.bar()
+    mat, raised, reliable = reference_bar(op.mat, nw, op.raised, op.reliable)
+    assert_same_entries(bar.mat, mat)
+    assert (bar.raised, bar.reliable) == (raised, reliable)
+    assert_canonical_columns(bar)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_series_matches_fraction_loops(data):
+    nw = data.draw(st.integers(0, 7))
+    row_finite = data.draw(op_matrices(nw, invertible=True)).bar()
+    cs = data.draw(st.lists(wide, min_size=1, max_size=10))
+    got = row_finite.apply_series(TruncSeries(cs))
+    expected = reference_apply_series(row_finite.mat, cs)
+    assert list(got.coeffs) == expected
+    assert [str(v) for v in got.coeffs] == [str(v) for v in expected]
+    if nw >= 1 and len(cs) >= 2:
+        rows = row_finite.mat
+        rows[0][1] = data.draw(nonzero_wide)
+        with pytest.raises(NotInvertible, match="row-finite"):
+            OpMatrix(rows, nw, 1, nw).apply_series(TruncSeries(cs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sum_difference_and_scale_match_fraction_loops(data):
+    nw = data.draw(st.integers(0, 7))
+    a = data.draw(op_matrices(nw))
+    b = data.draw(op_matrices(nw))
+    c = data.draw(wide)
+    n = nw + 1
+    bookkeeping = (max(a.raised, b.raised), min(a.reliable, b.reliable))
+    for got, expected in (
+        (a + b, [[a.mat[i][j] + b.mat[i][j] for j in range(n)] for i in range(n)]),
+        (a - b, [[a.mat[i][j] - b.mat[i][j] for j in range(n)] for i in range(n)]),
+    ):
+        assert_same_entries(got.mat, expected)
+        assert (got.raised, got.reliable) == bookkeeping
+        assert_canonical_columns(got)
+    for got, expected in ((a.scale(c), [[c * v for v in row] for row in a.mat]), (-a, [[-v for v in row] for row in a.mat])):
+        assert_same_entries(got.mat, expected)
+        assert (got.raised, got.reliable) == (a.raised, a.reliable)
+        assert_canonical_columns(got)

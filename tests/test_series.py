@@ -16,6 +16,7 @@ from umbral.series import (
     geometric_series,
     log1p_series,
     riccati_series,
+    solve_autonomous_ode,
     t_and_omega,
     t_transform,
 )
@@ -411,3 +412,42 @@ alphas = st.one_of(
 def test_pow_fraction_matches_fraction_recursion(rest, alpha):
     fs = [F(1)] + rest
     assert_canonical(TruncSeries(fs).pow_fraction(alpha), reference_pow_fraction(fs, alpha))
+
+
+def reference_reverse(fs):
+    """Lagrange inversion [y^m] phi = (1/m) [y^(m-1)] (y/f)^m, with the
+    powers of y/f taken one Fraction product at a time."""
+    n = len(fs) - 1
+    u = reference_div([F(1)] + [F(0)] * (n - 1), fs[1:])
+    out = [F(0)] * (n + 1)
+    power = [F(1)] + [F(0)] * (n - 1)
+    for m in range(1, n + 1):
+        power = reference_mul(power, u)
+        out[m] = power[m - 1] / m
+    return out
+
+
+def reference_autonomous_ode(p, order):
+    """f' = P(f), f(0) = 0: (k+1) f_{k+1} = [y^k] P(f), with P(f) evaluated
+    by Horner's rule on the known coefficients for every k."""
+    coeffs = [F(0)] * (order + 1)
+    for k in range(order):
+        acc = [p[-1]] + [F(0)] * k
+        for c in reversed(p[:-1]):
+            acc = reference_mul(acc, coeffs[: k + 1])
+            acc[0] += c
+        coeffs[k + 1] = acc[k] / (k + 1)
+    return coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_fractions.filter(lambda v: v != 0), st.lists(wide_fractions, max_size=9))
+def test_reverse_matches_fraction_powers(lead, rest):
+    fs = [F(0), lead] + rest
+    assert_canonical(TruncSeries(fs).reverse(), reference_reverse(fs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(small_fractions, wide_fractions), min_size=1, max_size=4), st.integers(0, 8))
+def test_autonomous_ode_matches_horner_recursion(p, order):
+    assert_canonical(solve_autonomous_ode(p, order), reference_autonomous_ode(p, order))

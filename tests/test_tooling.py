@@ -1,0 +1,55 @@
+"""What bench/tracing.py reads from the engine, pinned from this side.
+
+The tracer wraps the engine from outside src/: it looks up the methods in
+its METHODS table by name, and its bit-height, product-count and repeat-key
+counters read ``OpMatrix.mat`` and ``TruncSeries.coeffs`` as Fraction
+values.  A refactor of the storage behind those names fails here, not in a
+benchmark run.
+"""
+import importlib
+import importlib.util
+from fractions import Fraction as F
+from pathlib import Path
+
+from umbral.opalg import OpMatrix
+from umbral.series import riccati_series
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_methods_resolve():
+    tracing = load_tracing()
+    assert tracing.METHODS
+    for module, cls, attr, name in tracing.METHODS:
+        owner = getattr(importlib.import_module(f"umbral.{module}"), cls)
+        assert attr in vars(owner), name  # the tracer wraps cls.__dict__[attr]
+        assert name.split(".", 1)[0] == tracing.LAYER_OF[module]
+
+
+def test_views_the_counters_read_are_fractions():
+    tracing = load_tracing()
+    nw = 6
+    f = riccati_series(F(1, 2), F(1, 3), F(2, 5), nw)
+    assert all(type(c) is F for c in f.coeffs)
+    cf = OpMatrix.umbral_compose(f, nw)
+    op = OpMatrix.x_op(nw) @ cf.inverse()
+    for m in (cf, op):
+        mat = m.mat
+        assert len(mat) == nw + 1 and all(len(row) == nw + 1 for row in mat)
+        assert all(type(v) is F for row in mat for v in row)
+        assert all(mat[i][j] == m.entry(i, j) for i in range(nw + 1) for j in range(nw + 1))
+        assert not hasattr(m, "coeffs")  # max_bits would read it first
+        bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for row in mat for v in row)
+        assert tracing.max_bits(m) == bits > 1
+    assert tracing.max_bits(f) > 1
+    nonzero = sum(1 for i in range(nw + 1) for k in range(nw + 1) for j in range(nw + 1)
+                  if op.mat[i][k] and cf.mat[k][j])
+    assert tracing.matmul_products(op, cf) == nonzero
+    assert tracing.inverse_key(cf) == tracing.inverse_key(OpMatrix(cf.mat, nw, 0, nw))
