@@ -60,13 +60,6 @@ class FracIndexExpansion:
     s: Fraction
     coeffs: tuple
 
-    def eval_at(self, x) -> Fraction:
-        """Only meaningful for nonnegative integer s (finite expansion)."""
-        if self.s.denominator != 1 or self.s < 0:
-            raise EvaluationDomain("exact evaluation needs a nonnegative integer index")
-        s = int(self.s)
-        return Poly(self.coeffs[: s + 1]).reflect(s)(x)
-
     def to_json(self) -> dict:
         return {"s": str(self.s), "coeffs": [str(c) for c in self.coeffs]}
 

@@ -246,25 +246,21 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="build one family and emit its data")
     p.add_argument("name", choices=tuple(FAMILIES))
     flags(p, "--order", "--params", "--format", "--out")
-    p.set_defaults(fn=cmd_family)
 
     p = sub.add_parser("verify", help="run an identity suite")
     p.add_argument("suite", choices=tuple(SUITES) + ("all",))
     flags(p, "--order", "--seed", "--samples", "--digits", "--format", "--out")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("cfrac", help="convert between moments and recurrences")
     p.add_argument("direction", choices=("moments2rec", "rec2moments"))
     p.add_argument("input")
     p.add_argument("--round-trip", action="store_true")
     flags(p, "--order", "--format", "--out")
-    p.set_defaults(fn=cmd_cfrac)
 
     p = sub.add_parser("assoc", help="build an associated family")
     p.add_argument("name", choices=tuple(ASSOCS))
     p.add_argument("--c", required=True)
     flags(p, "--order", "--params", "--format", "--out")
-    p.set_defaults(fn=cmd_assoc)
 
     p = sub.add_parser("asym", help="compare exact log values with the expansion")
     p.add_argument("instance", choices=tuple(INSTANCES))
@@ -272,8 +268,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True, help="comma-separated integer indices")
     p.add_argument("--level", type=int, default=2)
     flags(p, "--digits", "--format", "--out")
-    p.set_defaults(fn=cmd_asym)
     return parser
+
+
+COMMANDS = {"family": cmd_family, "verify": cmd_verify, "cfrac": cmd_cfrac, "assoc": cmd_assoc, "asym": cmd_asym}
+_parser = None  # built by the first `main` call and reused: a parser holds no results
 
 
 def attach_rationals(argv) -> list:
@@ -290,10 +289,12 @@ def attach_rationals(argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(attach_rationals(sys.argv[1:] if argv is None else argv))
+    global _parser
+    if _parser is None:
+        _parser = make_parser()
+    args = _parser.parse_args(attach_rationals(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        return COMMANDS[args.command](args)
     except DegenerateB as exc:
         print(f"error: b = 0 at depth {exc.depth}", file=sys.stderr)
         return IDENTITY_ERROR

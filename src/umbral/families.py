@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .checks import first_failure, flag_check, op_check, series_check, value_check
 from .errors import SingularParams
 from .indexfn import IndexRatio, Poly
-from .opalg import DiagSeq, OpMatrix, mgf_from_gop
+from .opalg import DiagSeq, OpMatrix, mgf_from_gop, umbral_compose_and_reverse
 from .orthocore import ClosedFormRecurrence, Recurrence, moments_from_recurrence
 from .series import (
     TruncSeries,
@@ -27,7 +27,7 @@ from .series import (
     exp_series,
     power_law_ode_series,
     riccati_series,
-    t_and_omega,
+    t_transform,
 )
 
 FAMILY_MARGIN = 4
@@ -320,17 +320,10 @@ class ShefferCore:
 
 
 def sheffer_core(f: TruncSeries, fprime: TruncSeries, lam, nw: int) -> ShefferCore:
-    tf, omega = t_and_omega(f)
-    return ShefferCore(
-        lam=as_rat(lam),
-        f=f,
-        fprime=fprime,
-        tf=tf,
-        omega=omega,
-        c_f=OpMatrix.umbral_compose(f, nw),
-        c_tf=OpMatrix.umbral_compose(tf, nw),
-        nw=nw,
-    )
+    tf = t_transform(f)
+    c_f = OpMatrix.umbral_compose(f, nw)
+    c_tf, omega = umbral_compose_and_reverse(tf, nw)  # omega = reverse(tf)
+    return ShefferCore(lam=as_rat(lam), f=f, fprime=fprime, tf=tf, omega=omega, c_f=c_f, c_tf=c_tf, nw=nw)
 
 
 def riccati_core(lam, a, b, nw: int) -> ShefferCore:

@@ -214,18 +214,7 @@ class OpMatrix:
         that is ((n-1)!/(a-1)!) [y^(n-a)] (y/f)^n, so column n comes from the
         n-th integer power of y/f alone.
         """
-        if f.order < nw:
-            raise OrderExhausted("series for the umbral operator must reach the working order")
-        cols = [(1, [1] + [0] * nw)]
-        for n, (den, power) in enumerate(_int_powers(f.truncate(nw)._y_over_f(), nw), start=1):
-            nums = [0] * (nw + 1)
-            weight = 1  # (n-1)!/(a-1)!
-            for a in range(n, 0, -1):
-                if power[n - a]:
-                    nums[a] = weight * power[n - a]
-                weight *= a - 1
-            cols.append(_reduced(den, nums))
-        return cls._of(cols, nw, 0, nw)
+        return umbral_compose_and_reverse(f, nw)[0]
 
     @classmethod
     def shifted_product(cls, ells: Sequence, nw: int) -> "OpMatrix":
@@ -493,3 +482,21 @@ def mgf_from_gop(gop: OpMatrix) -> TruncSeries:
     the bar transform of the inverse, applied to 1."""
     return gop.inverse().bar().apply_series(TruncSeries.one(gop.nw))
 
+
+def umbral_compose_and_reverse(f: TruncSeries, nw: int) -> tuple[OpMatrix, TruncSeries]:
+    """(OpMatrix.umbral_compose(f, nw), f.truncate(nw).reverse()), both read
+    off one pass over the integer powers of y/f by Lagrange inversion."""
+    if f.order < nw:
+        raise OrderExhausted("series for the umbral operator must reach the working order")
+    cols = [(1, [1] + [0] * nw)]
+    rev = [_ZERO] * (nw + 1)
+    for n, (den, power) in enumerate(_int_powers(f.truncate(nw)._y_over_f(), nw), start=1):
+        rev[n] = Fraction(power[n - 1], den * n)
+        nums = [0] * (nw + 1)
+        weight = 1  # (n-1)!/(a-1)!
+        for a in range(n, 0, -1):
+            if power[n - a]:
+                nums[a] = weight * power[n - a]
+            weight *= a - 1
+        cols.append(_reduced(den, nums))
+    return OpMatrix._of(cols, nw, 0, nw), TruncSeries(rev)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .indexfn import IndexRatio, Poly
 from .opalg import OpMatrix
-from .series import TruncSeries, as_rat, rationals_from_json
+from .series import TruncSeries, _over_common_den, _reduced, as_rat, rationals_from_json
 
 
 # -- recurrence data ----------------------------------------------------------
@@ -57,13 +58,6 @@ class Recurrence:
     @property
     def degenerate(self) -> bool:
         return any(v == 0 for v in self.b)
-
-    def norm_products(self, upto: int) -> list:
-        """B_n = b_1 ... b_n for 0 <= n <= upto."""
-        out = [Fraction(1)]
-        for n in range(1, upto + 1):
-            out.append(out[-1] * self.b_at(n))
-        return out
 
     def shift(self, k: int) -> "Recurrence":
         """Integer association: a_n -> a_{n+k}, b_n -> (k+n) b_{k+n} / n."""
@@ -149,12 +143,12 @@ class OrthoFamily:
         return OpMatrix(m, nw, 0, nw)
 
 
-def polys_from_recurrence(rec: Recurrence, upto: int, cross_check: bool = True) -> OrthoFamily:
+def polys_from_recurrence(rec: Recurrence, upto: int) -> OrthoFamily:
     """Monic family plus numerator/denominator convergent polynomials.
 
-    Computed by the direct three-term recurrences; when `cross_check` is on
-    the 2x2 matrix-product form of the convergents is evaluated as well and
-    must agree entry for entry.
+    Computed by the direct three-term recurrences; the 2x2 matrix-product
+    form of the convergents is evaluated as well and must agree entry for
+    entry.
     """
     if upto > rec.depth:
         raise OrderExhausted(f"recurrence depth {rec.depth} below requested {upto}")
@@ -167,7 +161,7 @@ def polys_from_recurrence(rec: Recurrence, upto: int, cross_check: bool = True) 
         r.append(r[n] * lin + quad * r[n - 1])
         q.append(q[n] * lin + quad * q[n - 1])
     r, q = r[: upto + 1], q[: upto + 1]
-    if cross_check and upto >= 1:
+    if upto >= 1:
         top = [Poly.const(0), x]
         bot = [Poly([0, -rec.b_at(1)]), Poly([1, -rec.a_at(0)])]
         for n in range(2, upto + 1):
@@ -175,7 +169,9 @@ def polys_from_recurrence(rec: Recurrence, upto: int, cross_check: bool = True) 
             top, bot = [[row[0] * step[0][j] + row[1] * step[1][j] for j in (0, 1)] for row in (top, bot)]
             if top[1] != r[n] or bot[1] != q[n]:
                 raise AssertionError(f"matrix-product convergent disagrees at level {n}")
-    norms = [math.factorial(n) * bn for n, bn in enumerate(rec.norm_products(upto))]
+    norms = [Fraction(1)]  # n! b_1 ... b_n
+    for n in range(1, upto + 1):
+        norms.append(norms[-1] * n * rec.b_at(n))
     return OrthoFamily([q[n].reflect(n) for n in range(upto + 1)], r, q, norms)
 
 
@@ -197,61 +193,79 @@ def determinant_identity_check(fam: OrthoFamily, upto: int, name: str) -> Check:
 
 @dataclass
 class MomentSeries:
-    f0: TruncSeries   # exponential-type generating function, f0(0) = 1
     moment_gf: TruncSeries  # ordinary generating function of the moments
 
     @property
     def moments(self) -> tuple:
         return self.moment_gf.coeffs
 
+    @cached_property
+    def f0(self) -> TruncSeries:  # exponential-type generating function, f0(0) = 1
+        return self.moment_gf.borel()
+
 
 def moments_from_recurrence(rec: Recurrence, order: int) -> MomentSeries:
-    """Moment generating function to the given order via a deep convergent.
-
-    The convergent R_m/(x Q_m) matches the moment series through order
-    2m - 1, so m is chosen with 2m > order.  Degenerate (b = 0) recurrences
-    terminate the continued fraction early and are fine here.
+    """Moments mu_0..mu_order by weighted Motzkin paths (Flajolet 1980;
+    Viennot 1983): mu_k sums the k-step paths from height 0 back to 0, an up
+    step weighing 1, a level step at height j a_j, a down step from j j b_j.
+    Each step is one table row, the weights at each height as integers over
+    one running denominator: O(order^2) operations.  Heights stop below m
+    with 2m > order, as in the convergent R_m/(x Q_m); degenerate (b = 0)
+    recurrences end the fraction early and are fine here.
     """
     m = order // 2 + 1
     usable = min(m, rec.depth)
-    fam = polys_from_recurrence(rec, usable, cross_check=False)
-    if usable < m:
+    if usable < m and not rec.degenerate:
         # the fraction terminated early only if the missing b's are zero
-        if not rec.degenerate:
-            raise OrderExhausted(f"recurrence depth {rec.depth} cannot reach order {order}")
-    num = fam.numerators[usable]
-    den = fam.reversed_q[usable]
-    num_series = TruncSeries.from_polynomial(num.coeffs, order + 1).shift_down(1)
-    den_series = TruncSeries.from_polynomial(den.coeffs, order)
-    gf = (num_series / den_series).truncate(order)
-    return MomentSeries(gf.borel(), gf)
+        raise OrderExhausted(f"recurrence depth {rec.depth} cannot reach order {order}")
+    d, nums = _over_common_den(list(rec.a[:usable]) + [n * rec.b_at(n) for n in range(1, usable)])
+    a, beta = nums[:usable], nums[usable:] + [0]  # a_j d and (j+1) b_{j+1} d; none above the top
+    den, row = 1, [1 if usable > 0 else 0]  # row[j]/den: paths ending at height j
+    mus = [Fraction(row[0])]
+    for step in range(1, order + 1):
+        # a height above order - step can no longer come back to 0
+        top = min(len(row), usable - 1, order - step)
+        r = [0] + row + [0, 0]  # r[j + 1] = row[j], zero off the reached heights
+        new = [d * r[j] + a[j] * r[j + 1] + beta[j] * r[j + 2] for j in range(top + 1)]
+        den, row = _reduced(den * d, new or [0])
+        mus.append(Fraction(row[0], den))
+    return MomentSeries(TruncSeries(mus[: order + 1]))  # empty, a ValueError, below order 0
 
 
 def recurrence_from_moments(moment_gf: TruncSeries, depth: Optional[int] = None) -> Recurrence:
-    """Peel the continued fraction 1/t_n = 1 - a_n x - (n+1) b_{n+1} x^2 t_{n+1}.
+    """J-fraction coefficients from N moments by the Chebyshev algorithm
+    (Gautschi, Orthogonal Polynomials, 2004, section 2.1.7), O(N^2).
 
-    Raises DegenerateB with the failing depth when a quadratic coefficient
-    vanishes (finitely supported or defective functional).
+    Row k holds sigma_{k,l} = <p_k, x^l>, l = k..N-k, as integers over one
+    denominator; a_k = sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1}
+    and k b_k = sigma_{k,k}/sigma_{k-1,k-1}.  Gives b_1..b_depth (by default
+    depth = (N - 1) // 2) and a trailing a when the moments reach it.  Raises
+    DegenerateB(k) when sigma_{k,k} = 0 (finitely supported or defective
+    functional), and DegenerateB(0) unless mu_0 = 1.
     """
     if moment_gf.coefficient(0) != 1:
         raise DegenerateB(0)
-    limit = (moment_gf.order - 1) // 2 if depth is None else depth
-    a, b = [], []
-    t = moment_gf
-    n = 0
-    while t.order >= 2 and n < limit:
-        u = 1 / t
-        a_n = -u.coefficient(1)
-        a.append(a_n)
-        rem = 1 - TruncSeries.from_polynomial([0, a_n], u.order) - u
-        coeff = rem.coefficient(2)
-        if coeff == 0:
-            raise DegenerateB(n + 1)
-        b.append(coeff / (n + 1))
-        t = rem.shift_down(2) / coeff
-        n += 1
-    if t.order >= 1 and len(a) == len(b):
-        a.append(-(1 / t).coefficient(1))
+    n = moment_gf.order
+    levels = max(0, min((n - 1) // 2 if depth is None else depth, n // 2))
+    hi = min(n, 2 * levels + 1)  # the highest moment the coefficients read
+    # row k as integers S over one denominator: sigma_{k,k+i} = S[i]/den
+    den, cur = _over_common_den(moment_gf.coeffs[: hi + 1])
+    prev = [1] + [0] * (hi + 1)  # row -1: zeros, with q = 1 below
+    a = [Fraction(cur[1], cur[0])] if hi >= 1 else []
+    b = []
+    for k in range(1, levels + 1):
+        # p = S_{k-1,k-1}, q = S_{k-2,k-2}, shift = pq a_{k-1}: row k is over den p q
+        p, q = cur[0], prev[0]
+        shift = cur[1] * q - prev[1] * p
+        pq, pp = p * q, p * p
+        new = [pq * cur[i + 2] - shift * cur[i + 1] - pp * prev[i + 2] for i in range(hi - 2 * k + 1)]
+        new_den, new = _reduced(den * pq, new)
+        if new[0] == 0:
+            raise DegenerateB(k)
+        b.append(Fraction(new[0] * den, new_den * p * k))
+        if len(new) > 1:
+            a.append(Fraction(new[1] * p - cur[1] * new[0], new[0] * p))
+        prev, cur, den = cur, new, new_den
     return Recurrence(tuple(a), tuple(b))
 
 
@@ -458,23 +472,15 @@ def cf_tails(rec: Recurrence, c: int, order: int) -> list:
     k-shifted recurrence.
     """
     tails = []
-    prev = None
     for k in range(c + 1):
         t_k = moments_from_recurrence(rec.shift(k), order).moment_gf
-        if k == 0:
-            cur = t_k
-        else:
-            cur = (prev * t_k).shift_up(1)
-        tails.append(cur)
-        prev = cur
+        tails.append((tails[-1] * t_k).shift_up(1) if tails else t_k)
     return tails
 
 
 def assoc_mgf_from_tails(rec: Recurrence, c: int, order: int) -> TruncSeries:
     """f0(y, c) = theta!^(-1) F_c / (y F_{c-1})."""
-    if c == 0:
-        return moments_from_recurrence(rec, order).f0
-    return moments_from_recurrence(rec.shift(c), order).moment_gf.borel()
+    return moments_from_recurrence(rec.shift(c), order).f0
 
 
 # -- index-shift operator identity -------------------------------------------------------

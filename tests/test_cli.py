@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import umbral.cli as cli
 from umbral.cli import main, parse_params
 
 
@@ -113,6 +118,43 @@ def test_cfrac_degenerate_exit(tmp_path, capsys):
     code, out, err = run(capsys, "cfrac", "moments2rec", str(src))
     assert code == 1
     assert "depth 1" in err
+
+
+def test_cfrac_round_trip_of_a_single_moment_is_a_usage_error(tmp_path, capsys):
+    # one moment gives an empty recurrence, whose round trip has no order left
+    src = tmp_path / "one.json"
+    src.write_text(json.dumps({"order": 0, "coeffs": ["1"]}))
+    code, out, err = run(capsys, "cfrac", "moments2rec", str(src), "--round-trip")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("UMBRAL_ORDER", raising=False)
+    built = []
+    make_parser = cli.make_parser
+    monkeypatch.setattr(cli, "make_parser", lambda: built.append(1) or make_parser())
+    monkeypatch.setattr(cli, "_parser", None)
+    rec = tmp_path / "rec.json"
+    rec.write_text(json.dumps({"a": ["1/2"] * 6, "b": ["1", "0", "2", "1", "1"]}))
+    argvs = [
+        ["family", "sheffer", "--params", "lambda=1/2,a=1/3,b=2/5", "--order", "6"],
+        ["cfrac", "rec2moments", str(rec), "--order", "8", "--round-trip"],
+        ["verify", "duality", "--order", "6", "--format", "csv"],
+        ["family", "sheffer", "--params", "lambda=1/2,b=2/5", "--order", "4"],
+    ]
+    together = []
+    for argv in argvs:
+        together.append(run(capsys, *argv))
+        with pytest.raises(SystemExit):  # a rejected argv leaves the parser as it was
+            main(["cfrac", "sideways", str(rec)])
+        capsys.readouterr()
+    assert built == [1]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("UMBRAL_ORDER", None)
+    for argv, got in zip(argvs, together):
+        alone = subprocess.run([sys.executable, "-m", "umbral.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert got == (alone.returncode, alone.stdout, alone.stderr)
 
 
 def test_assoc_pipeline_table(capsys):

@@ -15,6 +15,7 @@ from umbral.families import (
     jacobi_diffeq_op,
     jacobi_family,
     multiterm_family,
+    riccati_core,
     sheffer_family,
     ultraspherical_family,
     wilson_family,
@@ -257,3 +258,15 @@ def test_raising_lowering_commutator_across_families():
         d = fam.gop @ OpMatrix.d_op(nw) @ inv
         comm = d @ u - u @ d
         assert comm.equals(OpMatrix.identity(nw))
+
+
+# ---- the Sheffer core ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nw", [1, 2, 7, 16])
+@pytest.mark.parametrize("lam, a, b", [(1, 0, 1), (F(1, 2), F(1, 3), F(2, 5)), (2, F(-1, 2), F(1, 8)), (0, 1, 1)])
+def test_sheffer_core_reads_omega_and_c_tf_off_one_pass(lam, a, b, nw):
+    core = riccati_core(lam, a, b, nw)
+    assert core.omega == core.tf.reverse()
+    c_tf = OpMatrix.umbral_compose(core.tf, nw)
+    assert (core.c_tf.cols, core.c_tf.raised, core.c_tf.reliable) == (c_tf.cols, c_tf.raised, c_tf.reliable)

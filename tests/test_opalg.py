@@ -13,7 +13,7 @@ from umbral.errors import (
     ReliabilityExhausted,
 )
 from umbral.indexfn import Poly
-from umbral.opalg import DiagSeq, OpMatrix, mgf_from_gop
+from umbral.opalg import DiagSeq, OpMatrix, mgf_from_gop, umbral_compose_and_reverse
 from umbral.series import TruncSeries, exp_series, riccati_series
 
 from test_series import reference_mul, reference_reverse
@@ -586,3 +586,14 @@ def test_sum_difference_and_scale_match_fraction_loops(data):
         assert_same_entries(got.mat, expected)
         assert (got.raised, got.reliable) == (a.raised, a.reliable)
         assert_canonical_columns(got)
+
+
+@pytest.mark.parametrize("nw", [1, 4, NW])
+def test_umbral_compose_and_reverse_share_one_pass(nw):
+    # f known beyond the working order: both parts read it through nw only
+    f = riccati_series(F(1, 3), F(-2, 5), F(3, 4), NW + 3)
+    op, phi = umbral_compose_and_reverse(f, nw)
+    ref = OpMatrix.umbral_compose(f, nw)
+    assert (op.cols, op.raised, op.reliable) == (ref.cols, ref.raised, ref.reliable)
+    assert phi == f.truncate(nw).reverse()
+    assert list(phi.coeffs) == reference_reverse(list(f.coeffs))[: nw + 1]

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from umbral.errors import ClosedFormRequired, DegenerateB, NodeAtZeroOfP
+from umbral.errors import ClosedFormRequired, DegenerateB, NodeAtZeroOfP, OrderExhausted
 from umbral.indexfn import IndexRatio, Poly, affine
 from umbral.orthocore import (
     ClosedFormRecurrence,
@@ -434,7 +434,7 @@ def test_cd_zero_node_guard_at_origin():
         christoffel_darboux(fam, rec, 0, 8)  # p_1(0) = 0
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -650,3 +650,165 @@ def test_convergents_match_list_reference(rec):
     assert [p.coeffs for p in fam.polys] == [tuple(v) for v in polys]
     assert [p.coeffs for p in fam.numerators] == [tuple(v) for v in r]
     assert [p.coeffs for p in fam.reversed_q] == [tuple(v) for v in q]
+
+
+# ---- the moment maps against the routes they replaced --------------------------------
+# Before the Motzkin table and the Chebyshev algorithm, rec -> moments divided
+# the convergent R_m by x Q_m as series and moments -> rec peeled the continued
+# fraction one series inversion per level.  Both stay here as references.
+
+
+def ref_moments_by_convergent(rec, order):
+    m = order // 2 + 1
+    usable = min(m, rec.depth)
+    if usable < m and not rec.degenerate:
+        raise OrderExhausted(f"recurrence depth {rec.depth} cannot reach order {order}")
+    fam = polys_from_recurrence(rec, usable)
+    num = TruncSeries.from_polynomial(fam.numerators[usable].coeffs, order + 1).shift_down(1)
+    den = TruncSeries.from_polynomial(fam.reversed_q[usable].coeffs, order)
+    return (num / den).truncate(order)
+
+
+def ref_recurrence_by_peeling(gf, depth=None):
+    """Peel 1/t_n = 1 - a_n x - (n+1) b_{n+1} x^2 t_{n+1}."""
+    if gf.coefficient(0) != 1:
+        raise DegenerateB(0)
+    limit = (gf.order - 1) // 2 if depth is None else depth
+    a, b, t = [], [], gf
+    while t.order >= 2 and len(a) < limit:
+        u = 1 / t
+        a.append(-u.coefficient(1))
+        rem = 1 - TruncSeries.from_polynomial([0, a[-1]], u.order) - u
+        coeff = rem.coefficient(2)
+        if coeff == 0:
+            raise DegenerateB(len(a))
+        b.append(coeff / len(a))
+        t = rem.shift_down(2) / coeff
+    if t.order >= 1:
+        a.append(-(1 / t).coefficient(1))
+    return Recurrence(a, b)
+
+
+def outcome(fn, *args):
+    """The result, or the exception type and its depth (None if it has none)."""
+    try:
+        return fn(*args)
+    except (DegenerateB, OrderExhausted) as exc:
+        return type(exc), getattr(exc, "depth", None)
+
+
+signed_or_zero = st.one_of(st.just(F(0)), rational)
+
+
+@st.composite
+def signed_recurrences(draw):
+    """Entries of either sign with zero a's and zero b's; the b list may run
+    one past the a's or stop one short, so depth and degeneracy both vary."""
+    depth = draw(st.integers(0, 7))
+    a = draw(st.lists(signed_or_zero, min_size=depth + 1, max_size=depth + 1))
+    b = draw(st.lists(signed_or_zero, min_size=max(depth - 1, 0), max_size=depth + 1))
+    return Recurrence(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_recurrences(), st.integers(0, 15))
+@example(Recurrence([F(1)], [F(0)]), 3)  # depth 0 and degenerate: every moment is 0
+@example(Recurrence([F(-1), F(0), F(2)], [F(1, 2), F(0)]), 9)
+@example(Recurrence([F(1)], []), 0)
+def test_motzkin_table_equals_the_convergent_route(rec, order):
+    got = outcome(moments_from_recurrence, rec, order)
+    want = outcome(ref_moments_by_convergent, rec, order)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.moment_gf == want
+        assert got.f0 == want.borel()
+
+
+@st.composite
+def moment_series(draw):
+    """Moments of a signed recurrence (zero b's included), or an arbitrary
+    list that may leave some Hankel determinant zero or mu_0 != 1."""
+    order = draw(st.integers(0, 13))
+    if draw(st.booleans()):
+        rec = draw(signed_recurrences())
+        gf = outcome(ref_moments_by_convergent, rec, order)
+        if not isinstance(gf, tuple):
+            return gf
+    small = st.sampled_from([F(-1), F(0), F(1), F(2), F(1, 2)])
+    head = draw(st.sampled_from([F(1), F(1), F(1), F(0), F(2)]))
+    return TruncSeries([head] + draw(st.lists(small, min_size=order, max_size=order)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment_series(), st.one_of(st.none(), st.integers(-1, 8)))
+@example(TruncSeries([F(0), F(1), F(1)]), None)
+@example(TruncSeries([F(1), F(1), F(1), F(1)]), 0)
+@example(TruncSeries([F(1)]), None)  # moment orders 0..3: at most one level
+@example(TruncSeries([F(1), F(-1, 2)]), 0)
+@example(TruncSeries([F(1), F(-1, 2), F(3, 4)]), None)
+@example(TruncSeries([F(1), F(-1, 2), F(3, 4)]), 1)
+@example(TruncSeries([F(1), F(-1, 2), F(3, 4), F(-1, 8)]), 2)
+def test_chebyshev_algorithm_equals_the_series_peeling(gf, depth):
+    assert outcome(recurrence_from_moments, gf, depth) == outcome(ref_recurrence_by_peeling, gf, depth)
+
+
+# ---- Hankel determinants: an oracle with neither paths nor sigma rows ------------------
+
+
+def hankel_dets(mus, n, shifted=False):
+    """det(mu_{i+j})_{i,j<n}; shifted, the last column is mu_{i+n} instead."""
+    sympy = pytest.importorskip("sympy")
+    if n == 0:
+        return F(0) if shifted else F(1)
+    cols = list(range(n - 1)) + [n if shifted else n - 1]
+    m = sympy.Matrix(n, n, lambda i, j: sympy.Rational(mus[i + cols[j]].numerator, mus[i + cols[j]].denominator))
+    det = m.det(method="bareiss")
+    return F(int(det.p), int(det.q))
+
+
+def hankel_recurrence(mus):
+    """The a_n (2n + 1 <= N) and b_n (2n <= N) of mu_0..mu_N, from
+    n b_n = H_{n+1} H_{n-1} / H_n^2 and a_n = K_{n+1}/H_{n+1} - K_n/H_n with K
+    the shifted determinants, up to the first zero H_{n+1}.  Returns (a, b,
+    that n or None)."""
+    top = len(mus) - 1
+    h = [hankel_dets(mus, n) for n in range(top // 2 + 2)]
+    k = [hankel_dets(mus, n, shifted=True) for n in range((top + 1) // 2 + 1)]
+    a, b = [], []
+    for n in range(top // 2 + 1):
+        if n >= 1:
+            b.append(h[n + 1] * h[n - 1] / h[n] ** 2 / n)
+        if h[n + 1] == 0:
+            return a, b, n
+        if 2 * n + 1 <= top:
+            a.append(k[n + 1] / h[n + 1] - k[n] / h[n])
+    return a, b, None
+
+
+@st.composite
+def hankel_cases(draw):
+    depth = draw(st.integers(1, 5))
+    a = draw(st.lists(signed_or_zero, min_size=depth + 1, max_size=depth + 1))
+    b = draw(st.lists(st.one_of(nonzero_rational, st.just(F(0))), min_size=depth, max_size=depth))
+    return Recurrence(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hankel_cases())
+def test_hankel_determinants_against_both_directions(rec):
+    depth = rec.depth
+    gf = moments_from_recurrence(rec, 2 * depth - 1).moment_gf
+    a, b, stop = hankel_recurrence(gf.coeffs)
+    # 2 depth - 1 moments reach a_0..a_{depth-1} and b_1..b_{depth-1}; since
+    # H_{n+1} = n! b_1 ... b_n H_n, the first zero b_n is the first zero H_{n+1}
+    zero_b = next((n for n, v in enumerate(rec.b[: depth - 1], start=1) if v == 0), None)
+    assert stop == zero_b
+    assert a == list(rec.a[: len(a)]) and b == list(rec.b[: len(b)])
+    if stop is None:
+        assert len(a) == depth and len(b) == depth - 1
+        assert recurrence_from_moments(gf) == Recurrence(a, b)
+    else:
+        with pytest.raises(DegenerateB) as err:
+            recurrence_from_moments(gf)
+        assert err.value.depth == stop
