@@ -206,12 +206,12 @@ class MomentSeries:
 
 def moments_from_recurrence(rec: Recurrence, order: int) -> MomentSeries:
     """Moments mu_0..mu_order by weighted Motzkin paths (Flajolet 1980;
-    Viennot 1983): mu_k sums the k-step paths from height 0 back to 0, an up
-    step weighing 1, a level step at height j a_j, a down step from j j b_j.
-    Each step is one table row, the weights at each height as integers over
-    one running denominator: O(order^2) operations.  Heights stop below m
-    with 2m > order, as in the convergent R_m/(x Q_m); degenerate (b = 0)
-    recurrences end the fraction early and are fine here.
+    Viennot 1983): mu_k sums the k-step paths from height 0 back to 0, where
+    an up step weighs 1, a level step at height j a_j and a down step from
+    height j j b_j.  One table row per step holds the weights at each height
+    as integers over one running denominator: O(order^2) operations.  Heights
+    stop below m with 2m > order, as in the convergent R_m/(x Q_m); degenerate
+    (b = 0) recurrences end the fraction early and are fine here.
     """
     m = order // 2 + 1
     usable = min(m, rec.depth)
@@ -238,10 +238,10 @@ def recurrence_from_moments(moment_gf: TruncSeries, depth: Optional[int] = None)
 
     Row k holds sigma_{k,l} = <p_k, x^l>, l = k..N-k, as integers over one
     denominator; a_k = sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1}
-    and k b_k = sigma_{k,k}/sigma_{k-1,k-1}.  Gives b_1..b_depth (by default
-    depth = (N - 1) // 2) and a trailing a when the moments reach it.  Raises
-    DegenerateB(k) when sigma_{k,k} = 0 (finitely supported or defective
-    functional), and DegenerateB(0) unless mu_0 = 1.
+    and k b_k = sigma_{k,k}/sigma_{k-1,k-1}.  Gives b_1..b_depth as far as the
+    moments reach (depth = (N - 1) // 2 by default) and a_0..a_depth, the last
+    when they reach it.  Raises DegenerateB(k) when sigma_{k,k} = 0 (finitely
+    supported or defective functional), and DegenerateB(0) unless mu_0 = 1.
     """
     if moment_gf.coefficient(0) != 1:
         raise DegenerateB(0)
