@@ -236,36 +236,36 @@ def recurrence_from_moments(moment_gf: TruncSeries, depth: Optional[int] = None)
     """J-fraction coefficients from N moments by the Chebyshev algorithm
     (Gautschi, Orthogonal Polynomials, 2004, section 2.1.7), O(N^2).
 
-    Row k holds sigma_{k,l} = <p_k, x^l>, l = k..N-k, as integers over one
-    denominator; a_k = sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1}
-    and k b_k = sigma_{k,k}/sigma_{k-1,k-1}.  Gives b_1..b_depth as far as the
-    moments reach (depth = (N - 1) // 2 by default) and a_0..a_depth, the last
-    when they reach it.  Raises DegenerateB(k) when sigma_{k,k} = 0 (finitely
-    supported or defective functional), and DegenerateB(0) unless mu_0 = 1.
+    Row k holds tau_{k,l} = sigma_{k,l}/sigma_{k,k} (sigma_{k,l} = <p_k, x^l>,
+    l = k..N-k) as integers over one denominator, and k b_k tau_{k,l} =
+    tau_{k-1,l+1} - a_{k-1} tau_{k-1,l} - tau_{k-2,l}: at l = k that is k b_k =
+    sigma_{k,k}/sigma_{k-1,k-1}, and a_k = tau_{k,k+1} - tau_{k-1,k}.  Each
+    denominator is the last times the integers of a_{k-1} and k b_k, so rows
+    need no gcd.  Gives b_1..b_depth and a_0..a_depth as far as the moments
+    reach (depth = (N - 1) // 2 by default).  Raises DegenerateB(k) when
+    sigma_{k,k} = 0 (finite support, defective functional), or 0 if mu_0 != 1.
     """
     if moment_gf.coefficient(0) != 1:
         raise DegenerateB(0)
     n = moment_gf.order
     levels = max(0, min((n - 1) // 2 if depth is None else depth, n // 2))
     hi = min(n, 2 * levels + 1)  # the highest moment the coefficients read
-    # row k as integers S over one denominator: sigma_{k,k+i} = S[i]/den
-    den, cur = _over_common_den(moment_gf.coeffs[: hi + 1])
-    prev = [1] + [0] * (hi + 1)  # row -1: zeros, with q = 1 below
-    a = [Fraction(cur[1], cur[0])] if hi >= 1 else []
+    den, cur = _over_common_den(moment_gf.coeffs[: hi + 1])  # tau_{k,k+i} = cur[i]/den
+    prev_den, prev = 1, [0] * (hi + 1)  # row -1
+    a = [Fraction(cur[1], den)] if hi >= 1 else []
     b = []
     for k in range(1, levels + 1):
-        # p = S_{k-1,k-1}, q = S_{k-2,k-2}, shift = pq a_{k-1}: row k is over den p q
-        p, q = cur[0], prev[0]
-        shift = cur[1] * q - prev[1] * p
-        pq, pp = p * q, p * p
-        new = [pq * cur[i + 2] - shift * cur[i + 1] - pp * prev[i + 2] for i in range(hi - 2 * k + 1)]
-        new_den, new = _reduced(den * pq, new)
-        if new[0] == 0:
+        an, ad = a[-1].as_integer_ratio()
+        m = ad * (den // prev_den)  # prev_den divides den; rho/(den ad) = k b_k tau_{k,l}
+        rho = [ad * cur[i + 2] - an * cur[i + 1] - m * prev[i + 2] for i in range(hi - 2 * k + 1)]
+        if rho[0] == 0:
             raise DegenerateB(k)
-        b.append(Fraction(new[0] * den, new_den * p * k))
-        if len(new) > 1:
-            a.append(Fraction(new[1] * p - cur[1] * new[0], new[0] * p))
-        prev, cur, den = cur, new, new_den
+        beta = Fraction(rho[0], den * ad)
+        b.append(beta / k)
+        bn, bd = beta.as_integer_ratio()
+        if len(rho) > 1:
+            a.append(Fraction(rho[1] * bd - cur[1] * ad * bn, den * ad * bn))
+        prev_den, prev, den, cur = den, cur, den * ad * bn, [v * bd for v in rho]
     return Recurrence(tuple(a), tuple(b))
 
 
