@@ -29,10 +29,11 @@ from .families import (
     diag_conj,
     diag_values,
     extract_recurrence,
+    guarded_core,
     jacobi_closed_form,
     jacobi_dual_raising,
     jacobi_split_displays,
-    riccati_core,
+    mgf_pipeline_checks,
     sheffer_closed_form,
     sheffer_core,  # re-exported: bench/test_bench.py reads the traced name here
     sheffer_op,
@@ -42,11 +43,7 @@ from .families import (
     x_times,
 )
 from .opalg import DiagSeq, OpMatrix, mgf_from_gop
-from .orthocore import (
-    Recurrence,
-    assoc_mgf_from_tails,
-    moments_from_recurrence,
-)
+from .orthocore import Recurrence
 from .series import TruncSeries, as_rat, riccati_series, t_and_omega
 
 ASSOC_MARGIN = 8
@@ -196,96 +193,83 @@ def _tail_shift(c: Fraction) -> bool:
     return c.denominator == 1 and c >= 0
 
 
-def _pipeline_checks(prefix: str, base_gop: Optional[OpMatrix], f0: TruncSeries, rec: Recurrence, c, order: int) -> tuple:
-    """The explicit-operator mgf f0 against the extracted recurrence's own
-    moments and, for tail shifts over a base operator, the tail pipeline on
-    the recurrence read off that operator.  Returns the checks and the series
-    each pipeline gave."""
-    f0 = f0.truncate(order)
-    pipelines = {"recurrence": moments_from_recurrence(rec, order).f0}
-    checks = [series_check(f"{prefix}explicit vs extracted-recurrence mgf", f0, pipelines["recurrence"])]
-    if base_gop is not None and _tail_shift(c):
-        pipelines["tails"] = assoc_mgf_from_tails(extract_recurrence(base_gop)[1], int(c), order)
-        checks.append(series_check(f"{prefix}explicit vs tail mgf", f0, pipelines["tails"]))
-    return checks, pipelines
+def _assoc_result(name, prefix, c, gop, rec, f0, checks: list, order: int, base=None) -> AssocResult:
+    """The result of an associated build: its checks, then the explicit mgf
+    f0 against the extracted recurrence's own moments and, for tail shifts
+    over a base operator, against the tails of the recurrence read off it."""
+    tails = (extract_recurrence(base)[1], int(c)) if base is not None and _tail_shift(c) else None
+    names = (f"{prefix}explicit vs extracted-recurrence mgf", f"{prefix}explicit vs tail mgf")
+    pipe, pipelines = mgf_pipeline_checks(names, f0, rec, min(order, 10), tails)
+    return AssocResult(name, c, gop, rec, f0, checks + pipe, pipelines)
+
+
+def factorial_conj_op(ell: TruncSeries, x: OpMatrix, c) -> OpMatrix:
+    """theta! ell(D) (c+1)_theta^(-1) X (c+1)_theta theta!^(-1): the shape of
+    the associated Sheffer, ultraspherical and Jacobi operators."""
+    nw = x.nw
+    fact = DiagSeq.factorial(nw + 1)
+    return (
+        diag_values(fact, nw)
+        @ OpMatrix.series_of_d(ell, nw)
+        @ diag_conj(DiagSeq.rising(c + 1, nw + 1), x)
+        @ diag_values(fact, nw, inverse=True)
+    )
 
 
 # -- associated Sheffer -------------------------------------------------------------------
 
 
 def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
-    nw = order + margin
-    c = guard_shift(c, nw)
-    p.guard(nw)
-    if p.lam == 0:
+    c = guard_shift(c, order + margin)
+    if p.lam == 0:  # the guard passes at lam = 0
         raise SingularParams("lambda=0", "the explicit shifted operator needs 1/lambda powers")
+    nw, core = guarded_core(p, order, margin)
     lam, a, b = p.lam, p.a, p.b
-    core = riccati_core(lam, a, b, nw)
     base = sheffer_op(core)
     y_over_f = (1 / riccati_series(lam, a, b, nw + 1).shift_down(1)).truncate(nw)
     fprime_pow = core.fprime.pow_fraction(Fraction(1) / lam)
     ell = (fprime_pow * y_over_f.pow_fraction(1 - c)).truncate(nw)
     hvals = DiagSeq.rising(c, nw + 1)
-    poch = DiagSeq.rising(c + 1, nw + 1)
-    fact = DiagSeq.factorial(nw + 1)
-    shifted = OpMatrix.series_of_d(y_over_f.pow_fraction(c), nw) @ base
-    gop = (
-        diag_values(fact, nw)
-        @ OpMatrix.series_of_d(ell.weighted(hvals), nw)
-        @ diag_conj(poch, shifted)
-        @ diag_values(fact, nw, inverse=True)
-    )
+    gop = factorial_conj_op(ell.weighted(hvals), OpMatrix.series_of_d(y_over_f.pow_fraction(c), nw) @ base, c)
     u, rec = extract_recurrence(gop, order)
     display = closed_form_raising(sheffer_closed_form(p).assoc(c), nw)
     checks = [op_check("shifted dual raising display", u, display, order)]
     # displayed mgf: the ratio of the two weighted series
     num = (fprime_pow * y_over_f.pow_fraction(-c)).truncate(nw)
-    f0_formula = (num.weighted(poch) / ell.weighted(hvals)).borel()
+    f0_formula = (num.weighted(DiagSeq.rising(c + 1, nw + 1)) / ell.weighted(hvals)).borel()
     f0 = mgf_from_gop(gop).truncate(order)
     checks.append(series_check("displayed mgf formula", f0, f0_formula, order))
     if c == 0:
         checks.append(op_check("c=0 reduction", gop, base, order))
-    pipe_checks, pipelines = _pipeline_checks("sheffer assoc: ", base, f0, rec, c, min(order, 10))
-    checks += pipe_checks
-    return AssocResult("sheffer", c, gop, rec, f0, checks, pipelines)
+    return _assoc_result("sheffer", "sheffer assoc: ", c, gop, rec, f0, checks, order, base)
 
 
 # -- associated ultraspherical ----------------------------------------------------------------
 
 
 def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
-    nw = order + margin
-    c = guard_shift(c, nw)
-    p.guard(nw)
-    if p.lam == 0:
+    c = guard_shift(c, order + margin)
+    if p.lam == 0:  # the guard passes at lam = 0
         raise SingularParams("lambda=0", "deformation undefined")
+    nw, core = guarded_core(p, order, margin)
     lam, a, b = p.lam, p.a, p.b
     for k in range(nw + 2):
         if 1 + lam * (c + k) == 0:
             raise SingularParams("1+lambda*(c+k)", f"k={k}")
-    core = riccati_core(lam, a, b, nw)
     base = deformed_op(core, p.ratio) if _tail_shift(c) else None
     omega = t_and_omega(riccati_series(lam, a, b, nw + 1))[1]  # one order above the working block
     ell = (omega.derivative() * core.fprime_omega_pow(c + Fraction(1) / lam - 1)).truncate(nw)
     hvals = DiagSeq.rising(c, nw + 1)
     fvals = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
     weights = [hvals[n] * fvals[n] for n in range(nw + 1)]
-    fact = DiagSeq.factorial(nw + 1)
-    gop = (
-        diag_values(fact, nw)
-        @ OpMatrix.series_of_d(ell.weighted(weights), nw)
-        @ diag_conj(DiagSeq.rising(c + 1, nw + 1), diag_conj(fvals, core.inner(c)))
-        @ diag_values(fact, nw, inverse=True)
-    )
+    gop = factorial_conj_op(ell.weighted(weights), diag_conj(fvals, core.inner(c)), c)
     u, rec = extract_recurrence(gop, order)
     display = closed_form_raising(ultraspherical_closed_form(p).assoc(c), nw)
     checks = [op_check("shifted dual raising display", u, display, order)]
     if c == 0:
         checks.append(op_check("c=0 reduction", gop, base, order))
     f0 = mgf_from_gop(gop).truncate(order)
-    pipe_checks, pipelines = _pipeline_checks("ultraspherical assoc: ", base, f0, rec, c, min(order, 10))
-    checks += pipe_checks
-    return AssocResult("ultraspherical", c, gop, rec, f0, checks, pipelines)
+    return _assoc_result("ultraspherical", "ultraspherical assoc: ", c, gop, rec, f0, checks, order, base)
 
 
 # -- associated Jacobi ------------------------------------------------------------------------
@@ -335,22 +319,14 @@ def jacobi_shifted_op(core: ShefferCore, p: JacobiParams, c) -> OpMatrix:
     square case 4b = lam a^2."""
     nw = core.nw
     f_c = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
-    k_series = core.fprime_omega_pow(c - 1 + Fraction(1) / p.lam)
-    fact = DiagSeq.factorial(nw + 1)
-    return (
-        diag_values(fact, nw)
-        @ OpMatrix.series_of_d(k_series.weighted(lowered_weights(p.ratio, c, nw + 1)), nw)
-        @ diag_conj(DiagSeq.rising(c + 1, nw + 1), diag_conj(f_c, core.inner(c)))
-        @ diag_values(fact, nw, inverse=True)
-    )
+    ell = core.fprime_omega_pow(c - 1 + Fraction(1) / p.lam).weighted(lowered_weights(p.ratio, c, nw + 1))
+    return factorial_conj_op(ell, diag_conj(f_c, core.inner(c)), c)
 
 
 def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
-    nw = order + margin
-    c = guard_shift(c, nw)
-    p.guard(nw)
+    c = guard_shift(c, order + margin)
+    nw, core = guarded_core(p, order, margin)
     lam = p.lam
-    core = riccati_core(lam, p.a, p.b, nw)
     base = deformed_op(core, p.ratio) if _tail_shift(c) else None
     gop = jacobi_shifted_op(core, p, c)
     u, rec = extract_recurrence(gop, order)
@@ -372,9 +348,7 @@ def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     moment_form = f0.laplace()
     checks.append(series_check("weighted-series mgf formula", moment_form, weighted_form, order))
     checks.append(series_check("hypergeometric quotient mgf", moment_form, hyper_form, order))
-    pipe_checks, pipelines = _pipeline_checks("jacobi assoc: ", base, f0, rec, c, min(order, 10))
-    checks += pipe_checks
-    return AssocResult("jacobi", c, gop, rec, f0, checks, pipelines)
+    return _assoc_result("jacobi", "jacobi assoc: ", c, gop, rec, f0, checks, order, base)
 
 
 # -- splitting of the shifted operator ------------------------------------------------------
@@ -415,12 +389,9 @@ def factorization_column(ells: Sequence, n: int, order: int) -> TruncSeries:
 
 
 def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
-    nw = order + margin
-    c = guard_shift(c, nw)
-    p.guard(nw)
+    c = guard_shift(c, order + margin)
+    nw, core = guarded_core(p, order, margin)
     lam, kappa, a = p.lam, p.kappa, p.a
-    # the square case 4b = lam a^2, shared with the Jacobi families
-    core = riccati_core(lam, a, lam * a * a / 4, nw)
     h_c = DiagSeq.from_ratio(p.mixing_ratio, nw + 1, offset=c, strict=False)
     poch = DiagSeq.rising(c + 1, nw + 1)
     fact = DiagSeq.factorial(nw + 1)
@@ -464,7 +435,4 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
         checks.append(op_check("c=0 reduction", gop, wilson_op(core, *wilson_factors(p, nw)), order))
     if p.h == 0:
         checks.append(op_check("h=0 reduction", gop, jacobi_shifted_op(core, p.jacobi("betat"), c), order))
-    f0 = mgf_from_gop(gop).truncate(order)
-    pipe_checks, pipelines = _pipeline_checks("", None, f0, rec, c, min(order, 10))
-    checks += pipe_checks
-    return AssocResult("wilson", c, gop, rec, f0, checks, pipelines)
+    return _assoc_result("wilson", "", c, gop, rec, mgf_from_gop(gop).truncate(order), checks, order)

@@ -17,10 +17,10 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .checks import first_failure, flag_check, op_check, series_check, value_check
-from .errors import SingularParams
+from .errors import NotThreeTerm, SingularParams
 from .indexfn import IndexRatio, Poly
 from .opalg import DiagSeq, OpMatrix, mgf_from_gop, umbral_compose_and_reverse
-from .orthocore import ClosedFormRecurrence, Recurrence, moments_from_recurrence
+from .orthocore import ClosedFormRecurrence, Recurrence, assoc_mgf_from_tails, moments_from_recurrence
 from .series import (
     TruncSeries,
     as_rat,
@@ -162,6 +162,10 @@ class WilsonParams(FamilyParams):
     def beta_t(self) -> Fraction:
         return self.rt * self.kappa + (1 - self.rt) * self.lam
 
+    @property
+    def b(self) -> Fraction:
+        return self.lam * self.a * self.a / 4
+
     def jacobi(self, which: str = "beta") -> JacobiParams:
         return JacobiParams(self.lam, self.a, self.r if which == "beta" else self.rt)
 
@@ -279,7 +283,8 @@ def d_then_coeff(values: Sequence, nw: int) -> OpMatrix:
 
 @dataclass
 class ShefferCore:
-    """Series and operators shared by every deformation built over one f."""
+    """Series and operators shared by every deformation built over one f;
+    fpow, inner and fprime_omega_pow make each of their values once."""
 
     lam: Fraction
     f: TruncSeries
@@ -289,15 +294,21 @@ class ShefferCore:
     c_f: OpMatrix
     c_tf: OpMatrix
     nw: int
-    _omega_pows: dict = field(default_factory=dict, init=False, repr=False)  # alpha -> f'(omega)^alpha
+    _memo: dict = field(default_factory=dict, init=False, repr=False)  # (method, argument) -> value
+
+    def _once(self, method: str, arg, make):
+        key = (method, as_rat(arg))
+        if key not in self._memo:
+            self._memo[key] = make(key[1])
+        return self._memo[key]
 
     def fpow(self, alpha) -> OpMatrix:
-        return OpMatrix.series_of_d(self.fprime.pow_fraction(alpha), self.nw)
+        return self._once("fpow", alpha, lambda a: OpMatrix.series_of_d(self.fprime.pow_fraction(a), self.nw))
 
     def inner(self, c=0) -> OpMatrix:
         """C_tf^(-1) f'(D)^(-c-1/lam) C_f; at c = 0 the common core of the
         deformations, at c the core of their associated families."""
-        return self.c_tf.inverse() @ self.fpow(-c - Fraction(1) / self.lam) @ self.c_f
+        return self._once("inner", c, lambda c: self.c_tf.inverse() @ self.fpow(-c - 1 / self.lam) @ self.c_f)
 
     def conjugate_generator(self, t: OpMatrix) -> OpMatrix:
         """C_f^(-1) f'(D)^(1/lam) C_tf . T . C_tf^(-1) f'(D)^(-1/lam) C_f."""
@@ -310,13 +321,8 @@ class ShefferCore:
         return self.fprime.compose(self.omega)
 
     def fprime_omega_pow(self, alpha) -> TruncSeries:
-        """f'(omega)^alpha to the working order, computed once per core and
-        alpha: the associated builds ask for the same power up to three
-        times."""
-        alpha = as_rat(alpha)
-        if alpha not in self._omega_pows:
-            self._omega_pows[alpha] = self.fprime_omega.pow_fraction(alpha).truncate(self.nw)
-        return self._omega_pows[alpha]
+        """f'(omega)^alpha to the working order."""
+        return self._once("omega_pow", alpha, lambda a: self.fprime_omega.pow_fraction(a).truncate(self.nw))
 
 
 def sheffer_core(f: TruncSeries, fprime: TruncSeries, lam, nw: int) -> ShefferCore:
@@ -330,6 +336,14 @@ def riccati_core(lam, a, b, nw: int) -> ShefferCore:
     """The core over the Riccati base f' = 1 + lam a f + lam b f^2."""
     f = riccati_series(lam, a, b, nw)
     return sheffer_core(f, (1 + lam * a * f + lam * b * (f * f)).truncate(nw), lam, nw)
+
+
+def guarded_core(p, order: int, margin: int) -> tuple[int, ShefferCore]:
+    """The working order of a build over p's Riccati base, once p's guard
+    has passed at it, and the core over that base."""
+    nw = order + margin
+    p.guard(nw)
+    return nw, riccati_core(p.lam, p.a, p.b, nw)
 
 
 def sheffer_op(core: ShefferCore) -> OpMatrix:
@@ -435,12 +449,16 @@ def closed_form_raising(cf: ClosedFormRecurrence, nw: int, a0=None) -> OpMatrix:
     )
 
 
-def _mgf_pipeline_check(name: str, gop: OpMatrix, rec: Recurrence, order: int) -> tuple:
-    """The two independent mgf pipelines: bar of the inverse operator versus
-    moments of the extracted recurrence."""
-    f0 = mgf_from_gop(gop).truncate(order)
-    via_rec = moments_from_recurrence(rec, order).f0
-    return f0, series_check(f"{name}: mgf pipelines agree", f0, via_rec)
+def mgf_pipeline_checks(names, f0: TruncSeries, rec: Recurrence, order: int, tails=None) -> tuple:
+    """The bar-transform mgf f0 to `order` against the moments of rec, read
+    off the same operator, and, given tails = (base recurrence, c), the tails
+    of the base at the shift c: one check per pipeline, named from `names` in
+    that order, and the series of each pipeline by route."""
+    f0 = f0.truncate(order)
+    pipelines = {"recurrence": moments_from_recurrence(rec, order).f0}
+    if tails is not None:
+        pipelines["tails"] = assoc_mgf_from_tails(*tails, order)
+    return [series_check(name, f0, s) for name, s in zip(names, pipelines.values())], pipelines
 
 
 # -- base family -----------------------------------------------------------------
@@ -495,8 +513,9 @@ def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) ->
             power = power * phi
 
     checks.append(first_failure(f"generating function to bidegree ({order},{order})", columns()))
-    f0, pipe = _mgf_pipeline_check("sheffer", gop, rec, min(order, 2 * (rec.depth // 2)))
-    checks.append(pipe)
+    top = min(order, 2 * (rec.depth // 2))
+    f0 = mgf_from_gop(gop).truncate(top)
+    checks += mgf_pipeline_checks(["sheffer: mgf pipelines agree"], f0, rec, top)[0]
     return FamilyResult("sheffer", gop, rec, f0, closed, checks)
 
 
@@ -512,12 +531,10 @@ def ultraspherical_closed_form(p: ShefferParams) -> ClosedFormRecurrence:
 
 
 def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
-    nw = order + margin
-    p.guard(nw)
-    lam, a, b = p.lam, p.a, p.b
-    if lam == 0:
+    if p.lam == 0:  # the guard passes at lam = 0
         raise SingularParams("lambda=0", "the deformed family needs invertible 1+lambda*theta")
-    core = riccati_core(lam, a, b, nw)
+    nw, core = guarded_core(p, order, margin)
+    lam, a, b = p.lam, p.a, p.b
     checks = conjugation_trick_checks(core, lam, order)
     gop = deformed_op(core, p.ratio)
     u, rec = extract_recurrence(gop)
@@ -542,8 +559,8 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
         even[2 * n] = term
         term = term * b / ((n + 1) * (1 + lam * (n + 1)))
     boxed = (exp_series(a, nw) * TruncSeries(even)).truncate(order)
-    f0, pipe = _mgf_pipeline_check("ultraspherical", gop, rec, order)
-    checks.append(pipe)
+    f0 = mgf_from_gop(gop).truncate(order)
+    checks += mgf_pipeline_checks(["ultraspherical: mgf pipelines agree"], f0, rec, order)[0]
     checks.append(series_check("boxed mgf", f0, boxed, order))
     # generating function display, column by column:
     # sum_n c_n q_n(x) y^n has x^m coefficient c_m y^m (1+lam a y+lam b y^2)^(-1/lam-m)
@@ -607,8 +624,8 @@ def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> Famil
     # expansion law: coordinates in the shifted-exponential binomial basis
     xi = gop.expand_in(c_delta)
     checks.append(op_check("expansion in binomial basis", xi, law, order))
-    f0, pipe = _mgf_pipeline_check("hahn", gop, rec, order)
-    checks.append(pipe)
+    f0 = mgf_from_gop(gop).truncate(order)
+    checks += mgf_pipeline_checks(["hahn: mgf pipelines agree"], f0, rec, order)[0]
     if lam == 2 and a == Fraction(1, 2):
         checks.append(series_check("closed-form mgf", f0, hahn_mgf(s, order), order))
     return FamilyResult("hahn", gop, rec, f0, closed, checks)
@@ -693,12 +710,9 @@ def jacobi_dual_raising(p: JacobiParams, nw: int) -> OpMatrix:
 
 
 def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
-    nw = order + margin
-    p.guard(nw)
-    lam, kappa, a = p.lam, p.kappa, p.a
-    core = riccati_core(lam, a, p.b, nw)
-    checks = conjugation_trick_checks(core, lam, order)
-    checks += conjugation_trick_checks(core, kappa, order)
+    nw, core = guarded_core(p, order, margin)
+    checks = conjugation_trick_checks(core, p.lam, order)
+    checks += conjugation_trick_checks(core, p.kappa, order)
     gop = deformed_op(core, p.ratio)
     u, rec = extract_recurrence(gop)
     checks.append(op_check("dual raising closed form", u, jacobi_dual_raising(p, nw), order))
@@ -707,8 +721,8 @@ def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN) -> F
     combo = core.conjugate_generator(x_times([p.ratio(n) for n in range(nw + 1)], nw))
     split = lam_part.scale(p.r) + kappa_part.scale(1 - p.r)
     checks.append(op_check("three-term split", combo, split, order))
-    f0, pipe = _mgf_pipeline_check("jacobi", gop, rec, order)
-    checks.append(pipe)
+    f0 = mgf_from_gop(gop).truncate(order)
+    checks += mgf_pipeline_checks(["jacobi: mgf pipelines agree"], f0, rec, order)[0]
     form1, form2 = jacobi_mgf_forms(p, order)
     checks.append(series_check("mgf ratio-sum form", f0, form1, order))
     checks.append(series_check("mgf product form", f0, form2, order))
@@ -719,10 +733,8 @@ def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
     """(1 + lam theta)^2 conjugated by the family operator: the closed form
     (1+lam theta)^2 - (2 a lam^2/kappa)(1+beta theta) D and its eigen-action.
     Returns the conjugated operator, the family operator and the checks."""
-    nw = order + margin
-    p.guard(nw)
+    nw, core = guarded_core(p, order, margin)
     lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
-    core = riccati_core(lam, a, p.b, nw)
     gop = deformed_op(core, p.ratio)
     sq = diag_values([(1 + lam * n) ** 2 for n in range(nw + 1)], nw)
     lhs = gop @ sq @ gop.inverse()
@@ -749,10 +761,7 @@ def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
 
 
 def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
-    nw = order + margin
-    p.guard(nw)
-    # the square case 4b = lam a^2, shared with the Jacobi families
-    core = riccati_core(p.lam, p.a, p.lam * p.a * p.a / 4, nw)
+    nw, core = guarded_core(p, order, margin)
     checks = conjugation_trick_checks(core, p.lam, order)
     hvals, c2 = wilson_factors(p, nw)
     gop = wilson_op(core, hvals, c2)
@@ -763,8 +772,8 @@ def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> F
     bracket = diag_values(hvals, nw) @ dual_raising(c2) @ diag_values(hvals, nw, inverse=True)
     display = x_times([p.mixing_ratio(n) for n in range(nw + 1)], nw) - diag_values(p.ells(nw + 1), nw)
     checks.append(op_check("bracket identity", bracket, display, order))
-    f0, pipe = _mgf_pipeline_check("wilson", gop, rec, order)
-    checks.append(pipe)
+    f0 = mgf_from_gop(gop).truncate(order)
+    checks += mgf_pipeline_checks(["wilson: mgf pipelines agree"], f0, rec, order)[0]
     if p.h == 0:
         checks.append(op_check("h=0 reduction", gop, deformed_op(core, p.jacobi("betat").ratio), order))
     return FamilyResult("wilson", gop, rec, f0, None, checks)
@@ -827,7 +836,7 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
     try:
         at, bt = u.three_term(min(order, u.reliable))
         rec = Recurrence(tuple(at), tuple(bt))
-    except Exception:
+    except NotThreeTerm:
         rec = Recurrence((Fraction(0),), ())
     f0 = mgf_from_gop(gop)
     return FamilyResult("multiterm", gop, rec, f0, None, checks)
@@ -839,10 +848,8 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
 def comment_generator_bands(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
     """Band profiles of the established generators, which must be tridiagonal
     after conjugation: rows (name, band, ok)."""
-    nw = order + margin
-    p.guard(nw)
+    nw, core = guarded_core(p, order, margin)
     lam, kappa, a = p.lam, p.kappa, p.a
-    core = riccati_core(lam, a, p.b, nw)
     established = {
         "x/(1+lam theta)": x_times([1 / (1 + lam * k) for k in range(nw + 1)], nw),
         "x/(1+kappa theta)": x_times([1 / (1 + kappa * k) for k in range(nw + 1)], nw),

@@ -101,7 +101,7 @@ class DiagSeq:
 
 
 class OpMatrix:
-    __slots__ = ("cols", "nw", "raised", "reliable")
+    __slots__ = ("cols", "nw", "raised", "reliable", "_inverse")
 
     def __init__(self, rows, nw: int, raised: int, reliable: int):
         """The operator whose ``rows[m][n]`` (exact rationals) is the
@@ -115,6 +115,7 @@ class OpMatrix:
         self.nw = nw
         self.raised = raised
         self.reliable = reliable
+        self._inverse = None
 
     @classmethod
     def _of(cls, cols: list, nw: int, raised: int, reliable: int) -> "OpMatrix":
@@ -296,6 +297,13 @@ class OpMatrix:
         return OpMatrix._of(out, self.nw, self.raised + other.raised, reliable)
 
     def inverse(self) -> "OpMatrix":
+        """The inverse, computed on the first call and kept: one build
+        inverts the same operator from several factors and checks."""
+        if self._inverse is None:
+            self._inverse = self._invert()
+        return self._inverse
+
+    def _invert(self) -> "OpMatrix":
         """Back-substitution inverse of a degree-non-raising operator.
 
         Only triangular inverses occur here; anything with entries above

@@ -35,8 +35,8 @@ from .series import TruncSeries, _over_common_den, _reduced, as_rat, rationals_f
 
 @dataclass(frozen=True)
 class Recurrence:
-    """List-backed coefficients a_0..a_D and b_1..b_D (b may contain zeros,
-    in which case the family is flagged degenerate but still runnable)."""
+    """List-backed coefficients a_0..a_D and b_1..b_D (b may contain zeros:
+    a zero b_k ends the continued fraction at level k)."""
 
     a: tuple
     b: tuple
@@ -54,10 +54,6 @@ class Recurrence:
 
     def b_at(self, n: int) -> Fraction:
         return self.b[n - 1]
-
-    @property
-    def degenerate(self) -> bool:
-        return any(v == 0 for v in self.b)
 
     def shift(self, k: int) -> "Recurrence":
         """Integer association: a_n -> a_{n+k}, b_n -> (k+n) b_{k+n} / n."""
@@ -210,13 +206,13 @@ def moments_from_recurrence(rec: Recurrence, order: int) -> MomentSeries:
     an up step weighs 1, a level step at height j a_j and a down step from
     height j j b_j.  One table row per step holds the weights at each height
     as integers over one running denominator: O(order^2) operations.  Heights
-    stop below m with 2m > order, as in the convergent R_m/(x Q_m); degenerate
-    (b = 0) recurrences end the fraction early and are fine here.
+    stop below m with 2m > order, as in the convergent R_m/(x Q_m); a zero
+    b_k with k <= min(m, depth) ends the fraction early and is fine here.
     """
     m = order // 2 + 1
     usable = min(m, rec.depth)
-    if usable < m and not rec.degenerate:
-        # the fraction terminated early only if the missing b's are zero
+    if usable < m and 0 not in rec.b[:usable]:
+        # a fraction shorter than m levels must end at a zero b it can read
         raise OrderExhausted(f"recurrence depth {rec.depth} cannot reach order {order}")
     d, nums = _over_common_den(list(rec.a[:usable]) + [n * rec.b_at(n) for n in range(1, usable)])
     a, beta = nums[:usable], nums[usable:] + [0]  # a_j d and (j+1) b_{j+1} d; none above the top

@@ -29,22 +29,25 @@ from .binomial import (
 from .checks import Check, flag_check, op_check, series_check, value_check
 from .errors import EngineError
 from .families import (
+    FAMILY_MARGIN,
     HahnParams,
     JacobiParams,
     ShefferParams,
     WilsonParams,
     comment_generator_bands,
+    deformed_op,
     hahn_family,
     hahn_mgf,
     jacobi_diffeq_op,
     jacobi_family,
     multiterm_family,
+    riccati_core,
     sheffer_family,
     ultraspherical_closed_form,
     ultraspherical_family,
     wilson_family,
 )
-from .opalg import OpMatrix
+from .opalg import OpMatrix, mgf_from_gop
 from .orthocore import (
     ClosedFormRecurrence,
     assoc_one_identity_check,
@@ -134,8 +137,8 @@ def suite_ultra(cfg: RunConfig) -> list:
         tag = f"ultra[{i}] lam={p.lam},a={p.a},b={p.b}"
         fam = ultraspherical_family(p, order)
         out += _prefixed(tag, fam.checks)
-        base = ultraspherical_family(ShefferParams(p.lam, 0, p.b), order)
-        shifted = (exp_series(p.a, fam.mgf.order) * base.mgf).truncate(fam.mgf.order)
+        base = deformed_op(riccati_core(p.lam, 0, p.b, order + FAMILY_MARGIN), p.ratio)  # the family at a = 0
+        shifted = exp_series(p.a, order) * mgf_from_gop(base).truncate(order)
         out.append(series_check(f"{tag}: exponential factor law", fam.mgf, shifted))
     return out
 

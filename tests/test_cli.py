@@ -9,6 +9,8 @@ import pytest
 
 import umbral.cli as cli
 from umbral.cli import main, parse_params
+from umbral.errors import NotMonic
+from umbral.opalg import OpMatrix
 
 
 def run(capsys, *argv):
@@ -118,6 +120,19 @@ def test_cfrac_degenerate_exit(tmp_path, capsys):
     code, out, err = run(capsys, "cfrac", "moments2rec", str(src))
     assert code == 1
     assert "depth 1" in err
+
+
+@pytest.mark.parametrize(
+    "data, order",
+    [({"a": ["1"], "b": ["1", "0"]}, "4"), ({"a": ["1", "2"], "b": ["1", "3", "0"]}, "6")],
+)
+def test_rec2moments_past_the_depth_is_a_usage_error(tmp_path, capsys, data, order):
+    # the zero b lies past the depth, so it does not end the fraction early
+    src = tmp_path / "rec.json"
+    src.write_text(json.dumps(data))
+    code, out, err = run(capsys, "cfrac", "rec2moments", str(src), "--order", order)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: recurrence depth") and f"cannot reach order {order}" in err
 
 
 def test_cfrac_round_trip_of_a_single_moment_is_a_usage_error(tmp_path, capsys):
@@ -261,6 +276,19 @@ def test_multiterm_rejects_non_integer_n(capsys):
     )
     assert code == 0
     assert json.loads(out)["order"] == 6
+
+
+def test_multiterm_reports_an_extraction_error_other_than_the_band(capsys, monkeypatch):
+    # only NotThreeTerm falls back to the stand-in recurrence
+    def not_monic(self, through=None):
+        raise NotMonic("raising entry at column 0 is 2")
+
+    monkeypatch.setattr(OpMatrix, "three_term", not_monic)
+    code, out, err = run(
+        capsys, "family", "multiterm", "--params", "n=3,lambda=1,a=1,t0=1/3,t1=1/3,t2=1/3", "--order", "6"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: raising entry at column 0 is 2\n"
 
 
 def test_multiterm_rejects_zero_lambda(capsys):

@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from umbral.associated import jacobi_assoc, sheffer_assoc, ultra_assoc, wilson_assoc
 from umbral.errors import SingularParams
 from umbral.families import (
     HahnParams,
@@ -270,3 +272,52 @@ def test_sheffer_core_reads_omega_and_c_tf_off_one_pass(lam, a, b, nw):
     assert core.omega == core.tf.reverse()
     c_tf = OpMatrix.umbral_compose(core.tf, nw)
     assert (core.c_tf.cols, core.c_tf.raised, core.c_tf.reliable) == (c_tf.cols, c_tf.raised, c_tf.reliable)
+
+
+# ---- one computation per factor -------------------------------------------------------
+
+
+SHEFFER = ShefferParams(F(1, 3), F(2, 5), F(3, 7))
+JACOBI = JacobiParams(F(1, 3), F(2, 5), F(3, 7))
+
+
+def wilson(h):
+    return WilsonParams(F(1, 3), F(2, 5), F(3, 7), F(1, 2), h)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: sheffer_family(SHEFFER, 12), id="sheffer"),
+        pytest.param(lambda: ultraspherical_family(SHEFFER, 12), id="ultraspherical"),
+        pytest.param(lambda: hahn_family(HahnParams(2, F(1, 2), F(1, 2)), 12), id="hahn"),
+        pytest.param(lambda: jacobi_family(JACOBI, 12), id="jacobi"),
+        pytest.param(lambda: wilson_family(wilson(F(1, 4)), 12), id="wilson"),
+        pytest.param(lambda: sheffer_assoc(SHEFFER, 1, 12), id="sheffer_assoc"),
+        pytest.param(lambda: ultra_assoc(SHEFFER, 1, 12), id="ultra_assoc"),
+        pytest.param(lambda: jacobi_assoc(JACOBI, F(3, 2), 12), id="jacobi_assoc"),
+        pytest.param(lambda: wilson_assoc(wilson(F(1, 4)), F(3, 2), 12), id="wilson_assoc-h=1/4"),
+        pytest.param(lambda: wilson_assoc(wilson(0), F(3, 2), 12), id="wilson_assoc-h=0"),
+    ],
+)
+def test_one_build_inverts_each_operator_once(build, monkeypatch):
+    invert, seen = OpMatrix._invert, Counter()
+
+    def counted(op):
+        seen[op.nw, op.raised, op.reliable, tuple((den, tuple(nums)) for den, nums in op.cols)] += 1
+        return invert(op)
+
+    monkeypatch.setattr(OpMatrix, "_invert", counted)
+    all_pass(build())
+    assert seen and max(seen.values()) == 1, sorted(seen.values())
+
+
+def test_the_core_makes_each_factor_once():
+    core = riccati_core(F(1, 3), F(2, 5), F(3, 7), 8)
+    assert core.inner(F(3, 2)) is core.inner(F(3, 2))
+    assert core.inner() is core.inner(0)
+    assert core.fpow(F(-3)) is core.fpow(-3)
+    assert core.fprime_omega_pow(F(1, 2)) is core.fprime_omega_pow(F(1, 2))
+    inv = core.c_tf.inverse()
+    assert core.c_tf.inverse() is inv
+    assert inv._inverse is None  # the inverse holds no reference back to its operator

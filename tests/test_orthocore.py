@@ -105,6 +105,13 @@ def test_degenerate_b_is_point_mass():
     assert ms.f0 == exp_series(F(2, 3), 6)
 
 
+@pytest.mark.parametrize("a, b, order", [([1], [1, 0], 4), ([1, 2], [1, 3, 0], 6)])
+def test_a_zero_b_past_the_depth_does_not_end_the_fraction(a, b, order):
+    # depths 0 and 1 reach orders 1 and 3; the zero b lies past what they read
+    with pytest.raises(OrderExhausted):
+        moments_from_recurrence(Recurrence(a, b), order)
+
+
 def test_recurrence_from_catalan_gf():
     gf = TruncSeries.from_function(lambda i: catalan(6)[i // 2] if i % 2 == 0 else 0, 12)
     rec = recurrence_from_moments(gf)
@@ -661,7 +668,7 @@ def test_convergents_match_list_reference(rec):
 def ref_moments_by_convergent(rec, order):
     m = order // 2 + 1
     usable = min(m, rec.depth)
-    if usable < m and not rec.degenerate:
+    if usable < m and 0 not in rec.b[:usable]:
         raise OrderExhausted(f"recurrence depth {rec.depth} cannot reach order {order}")
     fam = polys_from_recurrence(rec, usable)
     num = TruncSeries.from_polynomial(fam.numerators[usable].coeffs, order + 1).shift_down(1)
@@ -712,7 +719,7 @@ def signed_recurrences(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(signed_recurrences(), st.integers(0, 15))
-@example(Recurrence([F(1)], [F(0)]), 3)  # depth 0 and degenerate: every moment is 0
+@example(Recurrence([F(1)], [F(0)]), 3)  # depth 0; its zero b_1 lies past it: OrderExhausted
 @example(Recurrence([F(-1), F(0), F(2)], [F(1, 2), F(0)]), 9)
 @example(Recurrence([F(1)], []), 0)
 def test_motzkin_table_equals_the_convergent_route(rec, order):

@@ -8,9 +8,11 @@ benchmark run.
 """
 import importlib
 import importlib.util
+import inspect
 from fractions import Fraction as F
 from pathlib import Path
 
+from umbral import associated, cli, families
 from umbral.opalg import OpMatrix
 from umbral.series import riccati_series
 
@@ -53,3 +55,16 @@ def test_views_the_counters_read_are_fractions():
                   if op.mat[i][k] and cf.mat[k][j])
     assert tracing.matmul_products(op, cf) == nonzero
     assert tracing.inverse_key(cf) == tracing.inverse_key(OpMatrix(cf.mat, nw, 0, nw))
+
+
+def test_names_the_tracer_keys_on():
+    # spans are classified as builds by the families.*_family and
+    # associated.*_assoc names, and the CLI tables are swapped only when
+    # their values are functions
+    for table, module, suffix in ((cli.FAMILIES, families, "_family"), (cli.ASSOCS, associated, "_assoc")):
+        for build in table.values():
+            assert inspect.isfunction(build) and build.__module__ == module.__name__, build
+            assert build.__name__.endswith(suffix) and getattr(module, build.__name__) is build
+    assert inspect.isfunction(families.conjugation_trick_checks)
+    assert associated.sheffer_core is families.sheffer_core
+    assert families.riccati_series is associated.riccati_series is riccati_series
