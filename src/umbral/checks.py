@@ -31,13 +31,10 @@ def op_check(name: str, lhs: OpMatrix, rhs: OpMatrix, through=None) -> Check:
 
 
 def series_check(name: str, lhs: TruncSeries, rhs: TruncSeries, through=None) -> Check:
-    n = min(lhs.order, rhs.order)
-    if through is not None:
-        n = min(n, through)
-    for i in range(n + 1):
-        if lhs.coeffs[i] != rhs.coeffs[i]:
-            return Check(name, False, f"coefficient {i}: {lhs.coeffs[i]} != {rhs.coeffs[i]}")
-    return Check(name, True)
+    i = lhs.first_difference(rhs, through)
+    if i is None:
+        return Check(name, True)
+    return Check(name, False, f"coefficient {i}: {lhs.coefficient(i)} != {rhs.coefficient(i)}")
 
 
 def value_check(name: str, lhs, rhs) -> Check:

@@ -50,6 +50,9 @@ ASSOCS = {
 }
 # options whose value is a rational and may start with '-'
 RATIONAL_FLAGS = ("--c", "--alpha")
+# the largest working order: above every golden row and benchmark job (cfrac
+# at --order 96); cost grows about 14x from order 16 to 64
+MAX_ORDER = 256
 
 
 def parse_params(text: str) -> dict:
@@ -90,6 +93,8 @@ def resolve_order(args) -> int:
     order = default_order() if args.order is None else args.order
     if order < 4:
         raise ValueError("order must be at least 4")
+    if order > MAX_ORDER:
+        raise ValueError(f"order must be at most {MAX_ORDER}")
     return order
 
 
@@ -168,7 +173,7 @@ def cmd_cfrac(args) -> int:
         rec = recurrence_from_moments(gf)
         payload["recurrence"] = rec.to_json()
         payload["depth"] = rec.depth
-        rows = [["a"] + [str(v) for v in rec.a], ["b"] + [str(v) for v in rec.b]]
+        rows = [["a"] + payload["recurrence"]["a"], ["b"] + payload["recurrence"]["b"]]
         if args.round_trip:
             back = moments_from_recurrence(rec, min(order, 2 * rec.depth - 2)).moment_gf
             agree = back.agrees_with(gf)
@@ -180,7 +185,7 @@ def cmd_cfrac(args) -> int:
         rec = Recurrence.from_json(data)
         gf = moments_from_recurrence(rec, order).moment_gf
         payload["moment_gf"] = gf.to_json()
-        rows = [["moments"] + [str(c) for c in gf.coeffs]]
+        rows = [["moments"] + payload["moment_gf"]["coeffs"]]
         if args.round_trip:
             back = recurrence_from_moments(gf)
             d = min(len(back.a) - 1, len(back.b), rec.depth)

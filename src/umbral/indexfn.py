@@ -3,29 +3,38 @@
 `Poly` is the one univariate polynomial type: the monic families and
 convergents of `orthocore`, operator columns, and closed-form coefficients
 a_n = P(n)/Q(n), which `IndexRatio` evaluates at shifted and non-integer
-arguments, compares exactly, and dualizes by affine substitutions.
+arguments, compares exactly, and dualizes by affine substitutions.  A Poly
+is stored as series are (`series.CommonDen`), and its arithmetic, Horner
+evaluation and composition run on those integers.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
-from .series import TruncSeries, as_rat
+from .series import CommonDen, TruncSeries, _conv, _over_common_den, as_rat
 
 _ZERO = Fraction(0)
 
 
-class Poly:
-    """Immutable polynomial with Fraction coefficients, low degree first and
-    trailing zeros trimmed; the zero polynomial has coeffs (0,)."""
+class Poly(CommonDen):
+    """Immutable polynomial, low degree first, with trailing zeros trimmed;
+    the zero polynomial is (1, (0,))."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence):
-        cs = [as_rat(c) for c in coeffs] or [_ZERO]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._set(*_over_common_den([as_rat(c) for c in coeffs] or [_ZERO]))
+
+    def _set(self, den: int, nums):
+        end = len(nums)
+        while end > 1 and not nums[end - 1]:
+            end -= 1
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(nums[:end]))
+        object.__setattr__(self, "_coeffs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -36,52 +45,70 @@ class Poly:
 
     @classmethod
     def theta(cls) -> "Poly":
-        return cls([0, 1])
+        return cls._of(1, (0, 1))
 
     def __call__(self, x):
         """P(x) by Horner at a rational x, or at a series or a Poly x (then
         P composed with x)."""
-        if not isinstance(x, (TruncSeries, Poly)):
-            x = as_rat(x)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if isinstance(x, Poly):
+            return self._compose(x)
+        if isinstance(x, TruncSeries):
+            acc = _ZERO
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        return Fraction(*self._at(as_rat(x)))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+    def _at(self, x: Fraction) -> tuple[int, int]:
+        """(N, D) with P(x) = N/D, not reduced: for x = p/q and degree d,
+        N = sum v_i p^i q^(d-i) by Horner's rule and D = den q^d."""
+        p, q = x.as_integer_ratio()
+        nums = self.nums
+        acc, qk = nums[-1], 1
+        for i in range(len(nums) - 2, -1, -1):
+            qk *= q
+            acc = acc * p + nums[i] * qk
+        return acc, self.den * qk
 
-    def __hash__(self):
-        return hash(self.coeffs)
+    def _compose(self, inner: "Poly") -> "Poly":
+        """P(inner) by Horner's rule on integers: with inner = Q/e, the
+        partial sums are integer polynomials over e^k, A -> A.Q + v_i e^k."""
+        e, q = inner.den, inner.nums
+        nums = self.nums
+        acc, ek = [nums[-1]], 1
+        for i in range(len(nums) - 2, -1, -1):
+            ek *= e
+            acc = _conv(acc, q)
+            acc[0] += nums[i] * ek
+        return Poly._make(self.den * ek, acc)
+
+    def _combine(self, other, sign: int) -> "Poly":
+        """self + sign * other, over the lcm of the two denominators."""
+        other = _as_poly(other)
+        den = math.lcm(self.den, other.den)
+        ka, kb = den // self.den, sign * (den // other.den)
+        return Poly._make(den, [ka * x + kb * y for x, y in zip_longest(self.nums, other.nums, fillvalue=0)])
 
     def __add__(self, other) -> "Poly":
-        short, long = sorted((self.coeffs, _as_poly(other).coeffs), key=len)
-        out = list(long)
-        for i, c in enumerate(short):
-            out[i] += c
-        return Poly(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other) -> "Poly":
-        return self + (-1) * _as_poly(other)
+        return self._combine(other, -1)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        q = _as_poly(other).coeffs
-        out = [_ZERO] * (len(self.coeffs) + len(q) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a != 0:
-                for j, b in enumerate(q):
-                    if b != 0:
-                        out[i + j] += a * b
-        return Poly(out)
+            p, q = other.as_integer_ratio()
+            return Poly._make(self.den * q, [p * v for v in self.nums])
+        other = _as_poly(other)
+        return Poly._make(self.den * other.den, _conv(self.nums, other.nums))
 
     __rmul__ = __mul__
     __radd__ = __add__
 
     def shift(self, offset) -> "Poly":
         """P(theta + offset)."""
-        return self.substitute(Poly([as_rat(offset), Fraction(1)]))
+        p, q = as_rat(offset).as_integer_ratio()
+        return self._compose(Poly._of(q, (p, q)))
 
     def substitute(self, inner: "Poly") -> "Poly":
         """P(inner(theta))."""
@@ -89,13 +116,13 @@ class Poly:
 
     def reflect(self, n: int) -> "Poly":
         """x^n P(1/x), for n at least the degree."""
-        pad = n + 1 - len(self.coeffs)
+        pad = n + 1 - len(self.nums)
         if pad < 0:
-            raise ValueError(f"degree {len(self.coeffs) - 1} above {n}")
-        return Poly([0] * pad + list(reversed(self.coeffs)))
+            raise ValueError(f"degree {len(self.nums) - 1} above {n}")
+        return Poly._of(self.den, (0,) * pad + self.nums[::-1])
 
     def is_zero(self) -> bool:
-        return self.coeffs == (_ZERO,)
+        return self.nums == (0,)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
@@ -123,13 +150,15 @@ class IndexRatio:
         return cls(Poly.const(value))
 
     def __call__(self, n) -> Fraction:
-        d = self.den(n)
-        if d == 0:
+        x = as_rat(n)
+        dn, dd = self.den._at(x)
+        if dn == 0:
             # A 0/0 here usually marks an exceptional index whose value is
             # fixed by parameter continuity, not by cancelling in the index;
             # callers must decide, so evaluation stays strict.
             raise ZeroDivisionError(f"index ratio pole at {n}")
-        return self.num(n) / d
+        nn, nd = self.num._at(x)
+        return Fraction(nn * dd, nd * dn)
 
     def __add__(self, other) -> "IndexRatio":
         other = _as_ratio(other)

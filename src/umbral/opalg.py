@@ -6,11 +6,12 @@ the coefficient of x^m in T.x^n.  It is stored by columns, as integers:
 kept canonical (den > 0 and gcd(den, *nums) == 1, so a zero column is
 (1, [0, ...])).  Equal columns therefore have equal storage, and every
 kernel below (products, inverses, sums, bar, the constructors) reads and
-writes integers only, reducing each result column once.  Fractions are made
-only at the boundary: the ``OpMatrix(rows, ...)`` constructor takes them,
-and ``column``/``entry``/``column_poly``, ``three_term``, comparison
-witnesses and the ``mat`` property (a fresh row-major Fraction copy, read by
-tools such as the benchmark tracer) give them back.
+writes integers only, reducing each result column once; polynomials and
+series (``column_poly``, ``apply_poly``, ``apply_series``) share that
+storage.  Fractions are made only at the boundary: the ``OpMatrix(rows,
+...)`` constructor takes them, and ``column``/``entry``, ``three_term``,
+comparison witnesses and the ``mat`` property (a fresh row-major Fraction
+copy, read by tools such as the benchmark tracer) give them back.
 
 Next to the matrix sit two pieces of truncation bookkeeping:
 
@@ -46,7 +47,7 @@ from .errors import (
     ReliabilityExhausted,
 )
 from .indexfn import Poly
-from .series import TruncSeries, _append_over, _int_powers, _over_common_den, _reduced, as_rat
+from .series import TruncSeries, _append_over, _from_ratios, _int_powers, _over_common_den, _reduced, as_rat
 
 _ZERO = Fraction(0)
 
@@ -194,7 +195,7 @@ class OpMatrix:
         column n holds ell_k n!/(n-k)! in row n - k."""
         if ell.order < nw:
             raise OrderExhausted("series for ell(D) must reach the working order")
-        den, e = _over_common_den(ell.coeffs[: nw + 1])
+        den, e = ell._head(nw)
         cols = []
         for n in range(nw + 1):
             nums = [0] * (nw + 1)
@@ -381,13 +382,9 @@ class OpMatrix:
         """The image of a polynomial, as the combination of columns its
         coefficients weight; exact when its degree is within the reliable
         block."""
-        if len(p.coeffs) > self.nw + 1:
+        if len(p.nums) > self.nw + 1:
             raise OrderExhausted("polynomial degree beyond working order")
-        out = Poly.const(0)
-        for j, c in enumerate(p.coeffs):
-            if c != 0:
-                out = out + c * self.column_poly(j)
-        return out
+        return Poly._make(*self._combine_columns(p.den, p.nums))
 
     def apply_series(self, s: TruncSeries) -> TruncSeries:
         """Apply a row-finite series-side operator to a series.
@@ -404,22 +401,27 @@ class OpMatrix:
             for b in range(min(a, order + 1)):
                 if nums[b]:
                     raise NotInvertible("operator is not row-finite; cannot act on a series")
-        ds, xs = _over_common_den(s.coeffs[: order + 1])
-        used = [a for a in range(order + 1) if xs[a]]
-        den = math.lcm(*[self.cols[a][0] for a in used])
-        acc = [0] * (order + 1)
-        for a in used:
-            col_den, nums = self.cols[a]
-            w = xs[a] * (den // col_den)
-            for b in range(a, order + 1):
-                if nums[b]:
-                    acc[b] += nums[b] * w
-        den *= ds
-        return TruncSeries([Fraction(v, den) if v else _ZERO for v in acc])
+        ds, xs = s._head(order)
+        den, acc = self._combine_columns(ds, xs)
+        return TruncSeries._make(den, acc[: order + 1])
+
+    def _combine_columns(self, den: int, weights) -> tuple[int, list]:
+        """sum_j (weights[j]/den) column_j, as integers over den times the
+        lcm of the column denominators it uses."""
+        used = [(j, w) for j, w in enumerate(weights) if w]
+        lcm = math.lcm(*[self.cols[j][0] for j, _ in used])
+        acc = [0] * (self.nw + 1)
+        for j, w in used:
+            col_den, nums = self.cols[j]
+            w *= lcm // col_den
+            for i, v in enumerate(nums):
+                if v:
+                    acc[i] += v * w
+        return den * lcm, acc
 
     def column_poly(self, n: int) -> Poly:
         """The image of x^n."""
-        return Poly(self.column(n))
+        return Poly._of(*self.cols[n])
 
     # -- structure probes ------------------------------------------------------
 
@@ -497,9 +499,9 @@ def umbral_compose_and_reverse(f: TruncSeries, nw: int) -> tuple[OpMatrix, Trunc
     if f.order < nw:
         raise OrderExhausted("series for the umbral operator must reach the working order")
     cols = [(1, [1] + [0] * nw)]
-    rev = [_ZERO] * (nw + 1)
+    rev = [(0, 1)]
     for n, (den, power) in enumerate(_int_powers(f.truncate(nw)._y_over_f(), nw), start=1):
-        rev[n] = Fraction(power[n - 1], den * n)
+        rev.append((power[n - 1], den * n))
         nums = [0] * (nw + 1)
         weight = 1  # (n-1)!/(a-1)!
         for a in range(n, 0, -1):
@@ -507,4 +509,4 @@ def umbral_compose_and_reverse(f: TruncSeries, nw: int) -> tuple[OpMatrix, Trunc
                 nums[a] = weight * power[n - a]
             weight *= a - 1
         cols.append(_reduced(den, nums))
-    return OpMatrix._of(cols, nw, 0, nw), TruncSeries(rev)
+    return OpMatrix._of(cols, nw, 0, nw), TruncSeries._of(*_from_ratios(rev))

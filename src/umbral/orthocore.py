@@ -27,7 +27,7 @@ from .errors import (
 )
 from .indexfn import IndexRatio, Poly
 from .opalg import OpMatrix
-from .series import TruncSeries, _over_common_den, _reduced, as_rat, rationals_from_json
+from .series import TruncSeries, _from_ratios, _over_common_den, _reduced, as_rat, rationals_from_json
 
 
 # -- recurrence data ----------------------------------------------------------
@@ -132,11 +132,9 @@ class OrthoFamily:
         """Operator sending x^n to p_n(x)."""
         if nw > self.size:
             raise OrderExhausted("family too short for requested working order")
-        m = [[Fraction(0)] * (nw + 1) for _ in range(nw + 1)]
-        for n in range(nw + 1):
-            for i, c in enumerate(self.polys[n].coeffs):
-                m[i][n] = c
-        return OpMatrix(m, nw, 0, nw)
+        # a canonical Poly padded with zeros is a canonical column
+        cols = [(p.den, list(p.nums) + [0] * (nw + 1 - len(p.nums))) for p in self.polys[: nw + 1]]
+        return OpMatrix._of(cols, nw, 0, nw)
 
 
 def polys_from_recurrence(rec: Recurrence, upto: int) -> OrthoFamily:
@@ -217,15 +215,15 @@ def moments_from_recurrence(rec: Recurrence, order: int) -> MomentSeries:
     d, nums = _over_common_den(list(rec.a[:usable]) + [n * rec.b_at(n) for n in range(1, usable)])
     a, beta = nums[:usable], nums[usable:] + [0]  # a_j d and (j+1) b_{j+1} d; none above the top
     den, row = 1, [1 if usable > 0 else 0]  # row[j]/den: paths ending at height j
-    mus = [Fraction(row[0])]
+    mus = [(row[0], 1)]
     for step in range(1, order + 1):
         # a height above order - step can no longer come back to 0
         top = min(len(row), usable - 1, order - step)
         r = [0] + row + [0, 0]  # r[j + 1] = row[j], zero off the reached heights
         new = [d * r[j] + a[j] * r[j + 1] + beta[j] * r[j + 2] for j in range(top + 1)]
         den, row = _reduced(den * d, new or [0])
-        mus.append(Fraction(row[0], den))
-    return MomentSeries(TruncSeries(mus[: order + 1]))  # empty, a ValueError, below order 0
+        mus.append((row[0], den))
+    return MomentSeries(TruncSeries._of(*_from_ratios(mus[: order + 1])))  # empty, a ValueError, below order 0
 
 
 def recurrence_from_moments(moment_gf: TruncSeries, depth: Optional[int] = None) -> Recurrence:
@@ -241,12 +239,12 @@ def recurrence_from_moments(moment_gf: TruncSeries, depth: Optional[int] = None)
     reach (depth = (N - 1) // 2 by default).  Raises DegenerateB(k) when
     sigma_{k,k} = 0 (finite support, defective functional), or 0 if mu_0 != 1.
     """
-    if moment_gf.coefficient(0) != 1:
+    if moment_gf.nums[0] != moment_gf.den:
         raise DegenerateB(0)
     n = moment_gf.order
     levels = max(0, min((n - 1) // 2 if depth is None else depth, n // 2))
     hi = min(n, 2 * levels + 1)  # the highest moment the coefficients read
-    den, cur = _over_common_den(moment_gf.coeffs[: hi + 1])  # tau_{k,k+i} = cur[i]/den
+    den, cur = moment_gf._head(hi)  # tau_{k,k+i} = cur[i]/den
     prev_den, prev = 1, [0] * (hi + 1)  # row -1
     a = [Fraction(cur[1], den)] if hi >= 1 else []
     b = []
@@ -270,16 +268,16 @@ def recurrence_from_moments(moment_gf: TruncSeries, depth: Optional[int] = None)
 
 def inner_product(h1: Poly, h2: Poly, f0: TruncSeries) -> Fraction:
     """<h1, h2> = sum_k mu_k [x^k](h1 h2), with mu_k = k! [y^k] f0."""
-    prod = (h1 * h2).coeffs
-    if len(prod) - 1 > f0.order:
+    prod = h1 * h2
+    if len(prod.nums) - 1 > f0.order:
         raise OrderExhausted("moment series too short for this product degree")
-    acc = Fraction(0)
+    acc = 0
     fact = 1
-    for k, c in enumerate(prod):
-        if c != 0:
-            acc += c * f0.coeffs[k] * fact
+    for k, c in enumerate(prod.nums):
+        if c:
+            acc += c * f0.nums[k] * fact
         fact *= k + 1
-    return acc
+    return Fraction(acc, prod.den * f0.den)
 
 
 def gram_matrix(fam: OrthoFamily, f0: TruncSeries, upto: int) -> list:
@@ -359,37 +357,20 @@ def cd_kernel_identity_check(fam: OrthoFamily, upto: int, name: str) -> Check:
 
 
 def _cd_kernel_holds(fam: OrthoFamily, n: int) -> bool:
-    """The identity at one n, on nested coefficient tables (x-degree first).
-
+    """The identity at one n, as polynomials in x for each power y^j: the
+    left side's is x A_j - A_(j-1), A_j = sum_k (n! B_n / k! B_k) [y^j]p_k p_k.
     Multiplying the kernel sum by (x-y) instead of dividing the right side
     keeps everything polynomial."""
-    size = n + 2  # max degree in either variable after multiplying by (x-y)
-    acc = [[Fraction(0)] * (size + 1) for _ in range(size + 1)]
-    for k in range(n + 1):
-        w = fam.norms[n] / fam.norms[k]
-        pk = fam.polys[k].coeffs
-        for i, ci in enumerate(pk):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(pk):
-                if cj != 0:
-                    acc[i][j] += w * ci * cj
-    lhs = [[Fraction(0)] * (size + 1) for _ in range(size + 1)]
-    for i in range(size):
-        for j in range(size):
-            v = acc[i][j]
-            if v != 0:
-                lhs[i + 1][j] += v
-                lhs[i][j + 1] -= v
-    rhs = [[Fraction(0)] * (size + 1) for _ in range(size + 1)]
-    pn, pn1 = fam.polys[n].coeffs, fam.polys[n + 1].coeffs
-    for j, cy in enumerate(pn):
-        for i, cx in enumerate(pn1):
-            rhs[i][j] += cy * cx
-    for j, cy in enumerate(pn1):
-        for i, cx in enumerate(pn):
-            rhs[i][j] -= cy * cx
-    return lhs == rhs
+    pn, pn1 = fam.polys[n], fam.polys[n + 1]
+    prev = Poly.const(0)
+    for j in range(n + 2):
+        acc = Poly.const(0)
+        for k in range(j, n + 1):  # p_k has degree k
+            acc = acc + fam.polys[k] * (fam.norms[n] / fam.norms[k] * fam.polys[k].coeffs[j])
+        if Poly.theta() * acc - prev != pn1 * (pn.coeffs[j] if j <= n else 0) - pn * pn1.coeffs[j]:
+            return False
+        prev = acc
+    return True
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -417,3 +418,48 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, data, bad):
     assert out == ""
     assert err.startswith("error:") and bad in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "data, witness",
+    [
+        ({"coeffs": ["1", "1", "2"]}, "'order' must be an integer, got None"),
+        ({"order": "2", "coeffs": ["1", "1", "2"]}, "'order' must be an integer, got '2'"),
+        ({"order": True, "coeffs": ["1", "1", "2"]}, "'order' must be an integer, got True"),
+        ({"order": True, "coeffs": ["1", "1"]}, "'order' must be an integer, got True"),
+        ({"order": 3, "coeffs": ["1", "1", "2"]}, "order field disagrees with coefficient count"),
+    ],
+)
+def test_moments_order_field_errors_name_the_field(tmp_path, capsys, data, witness):
+    src = tmp_path / "moments.json"
+    src.write_text(json.dumps(data))
+    code, out, err = run(capsys, "cfrac", "moments2rec", str(src))
+    assert (code, out, err) == (2, "", f"error: {witness}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "sheffer", "--params", "lambda=1/2,a=1/3,b=2/5"],
+        ["verify", "all"],
+        ["assoc", "jacobi", "--params", "lambda=2/3,a=1/2,r=1", "--c", "1/2"],
+        ["cfrac", "rec2moments", "no-such-file.json"],
+    ],
+)
+def test_order_above_the_bound_is_a_usage_error_before_any_work(capsys, monkeypatch, argv):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a build started past the order bound")
+
+    monkeypatch.setattr(cli, "run_suite", no_build)
+    monkeypatch.setattr(cli, "moments_from_recurrence", no_build)
+    monkeypatch.setitem(cli.FAMILIES, "sheffer", no_build)
+    monkeypatch.setitem(cli.ASSOCS, "jacobi", no_build)
+    code, out, err = run(capsys, *argv, "--order", str(cli.MAX_ORDER + 1))
+    assert (code, out, err) == (2, "", f"error: order must be at most {cli.MAX_ORDER}\n")
+    monkeypatch.setenv("UMBRAL_ORDER", str(cli.MAX_ORDER + 1))
+    assert run(capsys, *argv) == (2, "", f"error: order must be at most {cli.MAX_ORDER}\n")
+
+
+def test_the_order_bound_itself_is_accepted(monkeypatch):
+    monkeypatch.delenv("UMBRAL_ORDER", raising=False)
+    assert cli.resolve_order(argparse.Namespace(order=cli.MAX_ORDER)) == cli.MAX_ORDER == 256
