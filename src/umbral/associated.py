@@ -33,6 +33,7 @@ from .families import (
     jacobi_closed_form,
     jacobi_dual_raising,
     jacobi_split_displays,
+    linear_guard,
     mgf_pipeline_checks,
     sheffer_closed_form,
     sheffer_core,  # re-exported: bench/test_bench.py reads the traced name here
@@ -51,9 +52,8 @@ ASSOC_MARGIN = 8
 
 def guard_shift(c, nw: int):
     c = as_rat(c)
-    for k in range(1, nw + 1):
-        if c + k == 0:
-            raise SingularParams("c+k", f"k={k}")
+    if c.denominator == 1 and -nw <= c <= -1:
+        raise SingularParams("c+k", f"k={-c}")
     return c
 
 
@@ -253,9 +253,7 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
         raise SingularParams("lambda=0", "deformation undefined")
     nw, core = guarded_core(p, order, margin)
     lam, a, b = p.lam, p.a, p.b
-    for k in range(nw + 2):
-        if 1 + lam * (c + k) == 0:
-            raise SingularParams("1+lambda*(c+k)", f"k={k}")
+    linear_guard([("1+lambda*(c+k)", 1 + lam * c, lam)], nw + 2)
     base = deformed_op(core, p.ratio) if _tail_shift(c) else None
     omega = t_and_omega(riccati_series(lam, a, b, nw + 1))[1]  # one order above the working block
     ell = (omega.derivative() * core.fprime_omega_pow(c + Fraction(1) / lam - 1)).truncate(nw)
@@ -434,5 +432,5 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     if c == 0:
         checks.append(op_check("c=0 reduction", gop, wilson_op(core, *wilson_factors(p, nw)), order))
     if p.h == 0:
-        checks.append(op_check("h=0 reduction", gop, jacobi_shifted_op(core, p.jacobi("betat"), c), order))
+        checks.append(op_check("h=0 reduction", gop, jacobi_shifted_op(core, JacobiParams(p.lam, p.a, p.rt), c), order))
     return _assoc_result("wilson", "", c, gop, rec, mgf_from_gop(gop).truncate(order), checks, order)

@@ -18,7 +18,7 @@ from .checks import first_failure, flag_check
 from .errors import EvaluationDomain, NonpositiveArgument, OrderExhausted
 from .indexfn import Poly
 from .opalg import OpMatrix
-from .series import TruncSeries, as_rat
+from .series import TruncSeries, as_rat, exp_series
 
 # -- Lagrange inversion forms ---------------------------------------------------
 
@@ -64,22 +64,17 @@ class FracIndexExpansion:
         return {"s": str(self.s), "coeffs": [str(c) for c in self.coeffs]}
 
 
-def falling_product(s: Fraction, k: int) -> Fraction:
-    """(s)(s-1)...(s-k+1)."""
-    acc = Fraction(1)
-    for j in range(k):
-        acc *= s - j
-    return acc
-
-
 def frac_index_p(f: TruncSeries, s, terms: int) -> FracIndexExpansion:
     """Descending expansion with c_k = [y^k](y/f)^s * (s-1)(s-2)...(s-k)."""
     s = as_rat(s)
     if terms > f.order:
         raise OrderExhausted("need the base series beyond the term count")
     y_over_f = (1 / f.shift_down(1)).truncate(terms)
-    weight = y_over_f.pow_fraction(s)
-    coeffs = [weight.coeffs[k] * falling_product(s - 1, k) for k in range(terms + 1)]
+    weight = y_over_f.pow_fraction(s).coeffs
+    coeffs, fall = [weight[0]], Fraction(1)  # fall = (s-1)...(s-k)
+    for k in range(1, terms + 1):
+        fall *= s - k
+        coeffs.append(weight[k] * fall)
     return FracIndexExpansion(s, tuple(coeffs))
 
 
@@ -93,13 +88,11 @@ def lowering_check(f: TruncSeries, s, terms: int) -> list:
     for k, c in enumerate(p_s.coeffs):
         if c == 0:
             continue
-        for j in range(1, f.order + 1):
-            m = k + j - 1
-            if m > terms:
-                break
-            fj = f.coeffs[j]
-            if fj != 0:
-                got[m] += c * fj * falling_product(s - k, j)
+        fall = Fraction(1)  # (s-k)(s-k-1)...(s-k-j+1)
+        for j in range(1, min(f.order, terms + 1 - k) + 1):
+            fall *= s - k - j + 1
+            if f.coeffs[j]:
+                got[k + j - 1] += c * f.coeffs[j] * fall
     expected = [s * c for c in p_sm1.coeffs[: terms + 1]]
     return [first_failure(f"lowering relation s={s} to {terms} terms", (
         flag_check(f"lowering relation s={s}", got[m] == expected[m], f"term {m}: {got[m]} != {expected[m]}")
@@ -147,8 +140,6 @@ def falling_factorial_instance() -> AsymptoticInstance:
     """
 
     def base(order):
-        from .series import exp_series
-
         return exp_series(1, order) - 1
 
     def exact_value(s: int, x: Fraction) -> Fraction:
@@ -195,12 +186,12 @@ def geometric_instance() -> AsymptoticInstance:
         # c_k = binom(s, k)(-1)^k (s-1)_k from (y/f)^s = (1-y)^s
         if s == 0:
             return Fraction(1)
-        acc = Fraction(0)
         power = x**s
-        for k in range(s):
-            c = Fraction(math.comb(s, k)) * (-1) ** k * falling_product(Fraction(s - 1), k)
-            acc += c * power
+        acc, fall = power, 1  # fall = (s-1)(s-2)...(s-k)
+        for k in range(1, s):
+            fall *= s - k
             power /= x
+            acc += math.comb(s, k) * (-1) ** k * fall * power
         return acc
 
     one = Decimal(1)

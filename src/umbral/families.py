@@ -63,6 +63,17 @@ def _check_keys(params: dict, accepted) -> None:
             raise ValueError(f"unknown parameter {key!r}; accepted: {', '.join(accepted)}")
 
 
+def linear_guard(forms, count: int, detail: str = "k={}") -> None:
+    """Raise SingularParams(name, detail) at the least integer k < count with
+    c + v k = 0 for a form (name, c, v), the first form listed on a tie.  The
+    one candidate per form is k = -c/v; a form with v = 0 is taken as nonzero
+    (its c is)."""
+    hits = [(k, i) for i, (_, c, v) in enumerate(forms) if v and (k := -c / v).denominator == 1 and 0 <= k < count]
+    if hits:
+        k, i = min(hits)
+        raise SingularParams(forms[i][0], detail.format(k.numerator))
+
+
 @dataclass(frozen=True)
 class ShefferParams(FamilyParams):
     lam: Fraction
@@ -70,15 +81,13 @@ class ShefferParams(FamilyParams):
     b: Fraction
     KEYS = {"lambda": 0, "a": 0, "b": 0}
 
-    def ratio(self, m) -> Fraction:
+    @cached_property
+    def ratio(self) -> IndexRatio:
         """F_{m+1}/F_m = 1/(1 + lam m) of the ultraspherical deformation."""
-        return 1 / (1 + self.lam * m)
+        return IndexRatio(1, Poly([1, self.lam]))
 
     def guard(self, nw: int):
-        if self.lam != 0:
-            for k in range(nw + 2):
-                if 1 + self.lam * k == 0:
-                    raise SingularParams("1+lambda*k", f"k={k}")
+        linear_guard([("1+lambda*k", 1, self.lam)], nw + 2)
 
 
 @dataclass(frozen=True)
@@ -95,8 +104,30 @@ class HahnParams(FamilyParams):
             raise SingularParams("(s-1)_theta", f"integer s={self.s} <= working order {nw}")
 
 
+class SquareCaseParams(FamilyParams):
+    """kappa, beta and b of the square case, each made once per record from
+    the fields lam, a and r."""
+
+    @cached_property
+    def kappa(self) -> Fraction:
+        return 2 * self.lam / (2 + self.lam)
+
+    @cached_property
+    def beta(self) -> Fraction:
+        return self.r * self.kappa + (1 - self.r) * self.lam
+
+    @cached_property
+    def b(self) -> Fraction:
+        return self.lam * self.a * self.a / 4
+
+    def _guard_at(self, beta, nw: int):
+        lam, kappa = self.lam, self.kappa
+        forms = [("1+lambda*k", 1, lam), ("1+kappa*k", 1, kappa), ("1+beta*k", 1, beta), ("2+kappa*k", 2, kappa)]
+        linear_guard(forms, nw + 2)
+
+
 @dataclass(frozen=True)
-class JacobiParams(FamilyParams):
+class JacobiParams(SquareCaseParams):
     """The square case: the quadratic coefficient is fixed to lam*a^2/4."""
 
     lam: Fraction
@@ -111,33 +142,17 @@ class JacobiParams(FamilyParams):
         if self.lam == -2:
             raise SingularParams("lambda=-2", "kappa infinite")
 
-    @property
-    def kappa(self) -> Fraction:
-        return 2 * self.lam / (2 + self.lam)
-
-    @property
-    def beta(self) -> Fraction:
-        return self.r * self.kappa + (1 - self.r) * self.lam
-
-    @property
-    def b(self) -> Fraction:
-        return self.lam * self.a * self.a / 4
-
-    def ratio(self, m) -> Fraction:
+    @cached_property
+    def ratio(self) -> IndexRatio:
         """F_{m+1}/F_m = (1 + beta m)/((1 + lam m)(1 + kappa m))."""
-        return (1 + self.beta * m) / ((1 + self.lam * m) * (1 + self.kappa * m))
+        return IndexRatio(Poly([1, self.beta]), Poly([1, self.lam]) * Poly([1, self.kappa]))
 
     def guard(self, nw: int):
-        for k in range(nw + 2):
-            for name, v in (("1+lambda*k", self.lam), ("1+kappa*k", self.kappa), ("1+beta*k", self.beta)):
-                if 1 + v * k == 0:
-                    raise SingularParams(name, f"k={k}")
-            if 2 + self.kappa * k == 0:
-                raise SingularParams("2+kappa*k", f"k={k}")
+        self._guard_at(self.beta, nw)
 
 
 @dataclass(frozen=True)
-class WilsonParams(FamilyParams):
+class WilsonParams(SquareCaseParams):
     lam: Fraction
     a: Fraction
     r: Fraction
@@ -150,29 +165,17 @@ class WilsonParams(FamilyParams):
         if self.lam in (0, -2):
             raise SingularParams("lambda", "kappa undefined")
 
-    @property
-    def kappa(self) -> Fraction:
-        return 2 * self.lam / (2 + self.lam)
-
-    @property
-    def beta(self) -> Fraction:
-        return self.r * self.kappa + (1 - self.r) * self.lam
-
-    @property
+    @cached_property
     def beta_t(self) -> Fraction:
         return self.rt * self.kappa + (1 - self.rt) * self.lam
 
-    @property
-    def b(self) -> Fraction:
-        return self.lam * self.a * self.a / 4
-
-    def jacobi(self, which: str = "beta") -> JacobiParams:
-        return JacobiParams(self.lam, self.a, self.r if which == "beta" else self.rt)
-
-    def mixing_ratio(self, n) -> Fraction:
-        lam, kappa = self.lam, self.kappa
-        num = self.h * (1 + self.beta * n) * (1 + lam * (n + 1)) ** 2 + (1 - self.h) * (1 + self.beta_t * n)
-        return num / ((1 + lam * n) * (1 + kappa * n))
+    @cached_property
+    def mixing_ratio(self) -> IndexRatio:
+        """H_{n+1}/H_n = (h (1+beta n)(1+lam(n+1))^2 + (1-h)(1+beta_t n))/((1+lam n)(1+kappa n))."""
+        lam, h = self.lam, self.h
+        shifted = Poly([1 + lam, lam])
+        num = h * Poly([1, self.beta]) * shifted * shifted + (1 - h) * Poly([1, self.beta_t])
+        return IndexRatio(num, Poly([1, lam]) * Poly([1, self.kappa]))
 
     def ells(self, count: int, c=0) -> list:
         """The shift values 2 a h lam^2/kappa (1+k+c)(1+beta(k+c)), k < count."""
@@ -180,11 +183,11 @@ class WilsonParams(FamilyParams):
         return [scale * (1 + k + c) * (1 + self.beta * (k + c)) for k in range(count)]
 
     def guard(self, nw: int):
-        self.jacobi("beta").guard(nw)
-        self.jacobi("betat").guard(nw)
-        for k in range(nw + 1):
-            if self.mixing_ratio(k) == 0:
-                raise SingularParams("mixing ratio", f"zero at k={k}")
+        self._guard_at(self.beta, nw)
+        self._guard_at(self.beta_t, nw)
+        k = self.mixing_ratio.num.first_root(nw + 1)
+        if k is not None:
+            raise SingularParams("mixing ratio", f"zero at k={k}")
 
 
 @dataclass(frozen=True)
@@ -228,27 +231,33 @@ class MultiTermParams(FamilyParams):
     def extended(self) -> bool:
         return len(self.t) == self.n + 1
 
-    def lam_k(self, k: int) -> Fraction:
-        den = self.n + k * self.lam
-        if den == 0:
-            raise SingularParams("lambda_k", f"k={k}")
-        return Fraction(self.n) * self.lam / den
+    @cached_property
+    def lam_ks(self) -> tuple:
+        """lambda_k = n lam/(n + k lam) for k < n, None where n + k lam = 0."""
+        n, lam = self.n, self.lam
+        return tuple(n * lam / (n + k * lam) if n + k * lam else None for k in range(n))
 
-    def ratio(self, m) -> Fraction:
-        acc = self.t[self.n] if self.extended else Fraction(0)
+    def _lam_k(self, k: int) -> Fraction:
+        if self.lam_ks[k] is None:
+            raise SingularParams("lambda_k", f"k={k}")
+        return self.lam_ks[k]
+
+    @cached_property
+    def ratio(self) -> IndexRatio:
+        """sum_k t_k/(1 + lambda_k m), plus t_n when extended, over the common
+        denominator prod_k (1 + lambda_k m)."""
+        num, den = Poly([self.t[self.n] if self.extended else 0]), Poly([1])
         for k in range(self.n):
-            acc += self.t[k] / (1 + self.lam_k(k) * m)
-        return acc
+            factor = Poly([1, self._lam_k(k)])
+            num, den = num * factor + self.t[k] * den, den * factor
+        return IndexRatio(num, den)
 
     def guard(self, nw: int):
         for k in range(self.n):
-            lk = self.lam_k(k)
-            for m in range(nw + 2):
-                if 1 + lk * m == 0:
-                    raise SingularParams("1+lambda_k*m", f"k={k}, m={m}")
-        for m in range(nw + 1):
-            if self.ratio(m) == 0:
-                raise SingularParams("weight ratio", f"zero at m={m}")
+            linear_guard([("1+lambda_k*m", 1, self._lam_k(k))], nw + 2, f"k={k}, m={{}}")
+        m = self.ratio.num.first_root(nw + 1)
+        if m is not None:
+            raise SingularParams("weight ratio", f"zero at m={m}")
 
 
 # -- shared operator kit ---------------------------------------------------------
@@ -291,6 +300,7 @@ class ShefferCore:
     fprime: TruncSeries
     tf: TruncSeries
     omega: TruncSeries
+    phi: TruncSeries
     c_f: OpMatrix
     c_tf: OpMatrix
     nw: int
@@ -327,9 +337,9 @@ class ShefferCore:
 
 def sheffer_core(f: TruncSeries, fprime: TruncSeries, lam, nw: int) -> ShefferCore:
     tf = t_transform(f)
-    c_f = OpMatrix.umbral_compose(f, nw)
+    c_f, phi = umbral_compose_and_reverse(f, nw)  # phi = reverse(f)
     c_tf, omega = umbral_compose_and_reverse(tf, nw)  # omega = reverse(tf)
-    return ShefferCore(lam=as_rat(lam), f=f, fprime=fprime, tf=tf, omega=omega, c_f=c_f, c_tf=c_tf, nw=nw)
+    return ShefferCore(lam=as_rat(lam), f=f, fprime=fprime, tf=tf, omega=omega, phi=phi, c_f=c_f, c_tf=c_tf, nw=nw)
 
 
 def riccati_core(lam, a, b, nw: int) -> ShefferCore:
@@ -485,7 +495,7 @@ def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) ->
     else:
         core = riccati_core(lam, a, b, nw)
         gop = sheffer_op(core)
-        phi = core.f.reverse()
+        phi = core.phi
         phiprime = 1 / TruncSeries.from_polynomial([1, lam * a, lam * b], nw)
         gen_weight = phiprime.pow_fraction(Fraction(1) / lam)
         checks.append(
@@ -687,12 +697,10 @@ def jacobi_mgf_forms(p: JacobiParams, order: int) -> tuple[TruncSeries, TruncSer
     ratio-weighted central-binomial sum and the hypergeometric-style one."""
     lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
     fvals = DiagSeq.from_ratio(p.ratio, order + 1, strict=False)
-    coeffs = []
-    binom = Fraction(1)  # binom(2/lam + 2n, n) rebuilt per n below
+    x, binom, coeffs = 2 / lam, Fraction(1), []  # binom = binom(x + 2n, n)
     for n in range(order + 1):
-        binom = Fraction(1)
-        for j in range(1, n + 1):
-            binom = binom * (2 / lam + n + j) / j
+        if n:  # x + n vanishes only where 2 + kappa (n-1) does, a divisor of form2 too
+            binom = binom * (x + 2 * n - 1) * (x + 2 * n) / ((x + n) * n)
         coeffs.append(fvals[n] / (1 + lam * n) * binom * (lam * a / 2) ** n)
     form1 = TruncSeries(coeffs)
     moments = [Fraction(1)]
@@ -775,7 +783,7 @@ def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> F
     f0 = mgf_from_gop(gop).truncate(order)
     checks += mgf_pipeline_checks(["wilson: mgf pipelines agree"], f0, rec, order)[0]
     if p.h == 0:
-        checks.append(op_check("h=0 reduction", gop, deformed_op(core, p.jacobi("betat").ratio), order))
+        checks.append(op_check("h=0 reduction", gop, deformed_op(core, JacobiParams(p.lam, p.a, p.rt).ratio), order))
     return FamilyResult("wilson", gop, rec, f0, None, checks)
 
 

@@ -70,6 +70,10 @@ class Poly(CommonDen):
             acc = acc * p + nums[i] * qk
         return acc, self.den * qk
 
+    def first_root(self, count: int):
+        """The least integer m in [0, count) with P(m) = 0, or None; no Fraction is made."""
+        return next((m for m in range(count) if not self._at(m)[0]), None)
+
     def _compose(self, inner: "Poly") -> "Poly":
         """P(inner) by Horner's rule on integers: with inner = Q/e, the
         partial sums are integer polynomials over e^k, A -> A.Q + v_i e^k."""

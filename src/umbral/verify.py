@@ -47,6 +47,7 @@ from .families import (
     ultraspherical_family,
     wilson_family,
 )
+from .indexfn import IndexRatio, Poly, affine
 from .opalg import OpMatrix, mgf_from_gop
 from .orthocore import (
     ClosedFormRecurrence,
@@ -355,8 +356,6 @@ def suite_orthocore(cfg: RunConfig) -> list:
 
 
 def suite_duality(cfg: RunConfig) -> list:
-    from .indexfn import IndexRatio, Poly, affine
-
     rng = rng_for(cfg.seed)
     out = []
     for i in range(cfg.samples):

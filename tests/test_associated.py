@@ -1,11 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbral.associated import (
     ASSOC_MARGIN,
     change_of_variable_check,
     factorization_column,
+    guard_shift,
     jacobi_assoc,
     long_division_checks,
     lowered_weights,
@@ -254,3 +257,21 @@ def test_no_builder_runs_another_builder(monkeypatch):
         all_pass(builders["wilson_assoc"](wilson_h0, c, 8).checks)
     all_pass(builders["wilson_family"](wilson_h0, 8).checks)
     all_pass(families.jacobi_diffeq_op(JacobiParams(2, F(1, 2), 1), 8)[2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(-25, 3, max_denominator=3), st.integers(0, 24))
+def test_guard_shift_matches_the_loop(c, nw):
+    def loop():
+        for k in range(1, nw + 1):
+            if c + k == 0:
+                raise SingularParams("c+k", f"k={k}")
+        return c
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except SingularParams as e:
+            return e.guard, str(e)
+
+    assert outcome(guard_shift, c, nw) == outcome(loop)

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -171,6 +172,24 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     for argv, got in zip(argvs, together):
         alone = subprocess.run([sys.executable, "-m", "umbral.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
         assert got == (alone.returncode, alone.stdout, alone.stderr)
+
+
+def test_a_fresh_import_of_the_package_leaves_the_first_one_working(capsys, monkeypatch):
+    # a second checkout imported into the same process replaces the
+    # umbral.* entries of sys.modules; the first import's suites must have
+    # bound their names already, or duality reads the other IndexRatio
+    monkeypatch.delenv("UMBRAL_ORDER", raising=False)
+    first = {n: m for n, m in sys.modules.items() if n.partition(".")[0] == "umbral"}
+    try:
+        for name in first:
+            del sys.modules[name]
+        importlib.import_module("umbral.cli")
+        for suite in ("duality", "binomial"):
+            assert first["umbral.cli"].main(["verify", suite, "--order", "6"]) == 0, capsys.readouterr().err
+    finally:
+        for name in [n for n in sys.modules if n.partition(".")[0] == "umbral"]:
+            del sys.modules[name]
+        sys.modules.update(first)
 
 
 def test_assoc_pipeline_table(capsys):

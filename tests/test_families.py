@@ -2,6 +2,8 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from umbral.associated import jacobi_assoc, sheffer_assoc, ultra_assoc, wilson_assoc
 from umbral.errors import SingularParams
@@ -16,6 +18,7 @@ from umbral.families import (
     hahn_mgf,
     jacobi_diffeq_op,
     jacobi_family,
+    linear_guard,
     multiterm_family,
     riccati_core,
     sheffer_family,
@@ -24,6 +27,7 @@ from umbral.families import (
 )
 from umbral.opalg import OpMatrix
 from umbral.orthocore import moments_from_recurrence, recurrence_from_moments
+from umbral.sampling import rng_for, sample_jacobi, sample_multiterm, sample_wilson
 from umbral.series import TruncSeries, exp_series
 
 
@@ -321,3 +325,230 @@ def test_the_core_makes_each_factor_once():
     inv = core.c_tf.inverse()
     assert core.c_tf.inverse() is inv
     assert inv._inverse is None  # the inverse holds no reference back to its operator
+
+
+# ---- parameter records against the loop guards and Fraction ratios ---------------------
+# The references below evaluate every linear guard k by k and every ratio in
+# Fraction arithmetic, recomputing kappa and beta on each read.
+
+
+def ref_kappa(lam):
+    return 2 * lam / (2 + lam)
+
+
+def ref_beta(lam, r):
+    return r * ref_kappa(lam) + (1 - r) * lam
+
+
+def ref_sheffer_guard(p, nw):
+    if p.lam != 0:
+        for k in range(nw + 2):
+            if 1 + p.lam * k == 0:
+                raise SingularParams("1+lambda*k", f"k={k}")
+
+
+def ref_sheffer_ratio(p, m):
+    return 1 / (1 + p.lam * m)
+
+
+def ref_jacobi_guard(p, nw, r=None):
+    lam, kappa, beta = p.lam, ref_kappa(p.lam), ref_beta(p.lam, p.r if r is None else r)
+    for k in range(nw + 2):
+        for name, v in (("1+lambda*k", lam), ("1+kappa*k", kappa), ("1+beta*k", beta)):
+            if 1 + v * k == 0:
+                raise SingularParams(name, f"k={k}")
+        if 2 + kappa * k == 0:
+            raise SingularParams("2+kappa*k", f"k={k}")
+
+
+def ref_jacobi_ratio(p, m):
+    return (1 + ref_beta(p.lam, p.r) * m) / ((1 + p.lam * m) * (1 + ref_kappa(p.lam) * m))
+
+
+def ref_mixing_ratio(p, n):
+    lam = p.lam
+    num = p.h * (1 + ref_beta(lam, p.r) * n) * (1 + lam * (n + 1)) ** 2 + (1 - p.h) * (1 + ref_beta(lam, p.rt) * n)
+    return num / ((1 + lam * n) * (1 + ref_kappa(lam) * n))
+
+
+def ref_wilson_guard(p, nw):
+    ref_jacobi_guard(p, nw)
+    ref_jacobi_guard(p, nw, p.rt)
+    for k in range(nw + 1):
+        if ref_mixing_ratio(p, k) == 0:
+            raise SingularParams("mixing ratio", f"zero at k={k}")
+
+
+def ref_lam_k(p, k):
+    den = p.n + k * p.lam
+    if den == 0:
+        raise SingularParams("lambda_k", f"k={k}")
+    return F(p.n) * p.lam / den
+
+
+def ref_multiterm_ratio(p, m):
+    acc = p.t[p.n] if p.extended else F(0)
+    for k in range(p.n):
+        acc += p.t[k] / (1 + ref_lam_k(p, k) * m)
+    return acc
+
+
+def ref_multiterm_guard(p, nw):
+    for k in range(p.n):
+        lk = ref_lam_k(p, k)
+        for m in range(nw + 2):
+            if 1 + lk * m == 0:
+                raise SingularParams("1+lambda_k*m", f"k={k}, m={m}")
+    for m in range(nw + 1):
+        if ref_multiterm_ratio(p, m) == 0:
+            raise SingularParams("weight ratio", f"zero at m={m}")
+
+
+def outcome(fn, *args):
+    """fn's value, or the type of its error with a SingularParams' name and message."""
+    try:
+        return fn(*args)
+    except SingularParams as e:
+        return SingularParams, e.guard, str(e)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def assert_ratio_matches(new, ref, nw, slopes):
+    """new and ref agree at integer offsets, at c = 3/2 past them, and at the
+    poles -1/v of the linear factors 1 + v m."""
+    points = [*range(-2, nw + 3), *(F(3, 2) + m for m in range(-2, nw + 3)), *(-1 / v for v in slopes if v)]
+    for m in points:
+        assert outcome(new, m) == outcome(ref, m), m
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.fractions(-3, 3, max_denominator=4), st.integers(1, 30), st.booleans()), min_size=1, max_size=4),
+    st.integers(0, 30),
+)
+def test_linear_guard_matches_the_loop(drawn, count):
+    # half the slopes v = -c/j put a root at j; c = 0 puts one at k = 0
+    forms = [(f"form{i}", c, -c / j if hit and c else F(j, 7)) for i, (c, j, hit) in enumerate(drawn)]
+
+    def loop():
+        for k in range(count):
+            for name, c, v in forms:
+                if c + v * k == 0:
+                    raise SingularParams(name, f"k={k}")
+
+    assert outcome(linear_guard, forms, count) == outcome(loop)
+
+# -1/k and -2/k cover lambda = -1/k and the lambdas -2/(k+1), -2/(2k+1) at
+# which 2 + kappa k or 1 + kappa k vanishes
+LAMS = st.one_of(SMALL, st.builds(lambda c, k: F(-c, k), st.integers(1, 2), st.integers(1, 24)))
+NWS = st.integers(0, 20)
+
+
+def draw_r(draw, lam):
+    """r, chosen for beta = r kappa + (1-r) lam = -1/k half the time (kappa != lam whenever lam != 0)."""
+    if draw(st.booleans()):
+        return (F(-1, draw(st.integers(1, 24))) - lam) / (ref_kappa(lam) - lam)
+    return draw(SMALL)
+
+
+@st.composite
+def square_case_fields(draw):
+    lam = draw(LAMS)
+    assume(lam not in (0, -2))
+    return lam, draw(SMALL), draw_r(draw, lam)
+
+
+@st.composite
+def wilson_params(draw):
+    """Records with beta or beta_t = -1/k, or with h zeroing the mixing numerator at k0, often."""
+    lam, a, r = draw(square_case_fields())
+    rt, h = draw_r(draw, lam), draw(SMALL)
+    if draw(st.booleans()):
+        k0 = draw(st.integers(0, 12))
+        lhs = (1 + ref_beta(lam, r) * k0) * (1 + lam * (k0 + 1)) ** 2
+        rhs = 1 + ref_beta(lam, rt) * k0
+        if lhs != rhs:
+            h = rhs / (rhs - lhs)
+    return WilsonParams(lam, a, r, rt, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(LAMS, SMALL, SMALL, NWS)
+def test_sheffer_guard_and_ratio_match_the_loop_references(lam, a, b, nw):
+    p = ShefferParams(lam, a, b)
+    assert outcome(p.guard, nw) == outcome(ref_sheffer_guard, p, nw)
+    assert_ratio_matches(p.ratio, lambda m: ref_sheffer_ratio(p, m), nw, [lam])
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_case_fields(), NWS)
+def test_jacobi_guard_and_ratio_match_the_loop_references(fields, nw):
+    p = JacobiParams(*fields)
+    lam, r = p.lam, p.r
+    assert (p.kappa, p.beta, p.b) == (ref_kappa(lam), ref_beta(lam, r), lam * p.a * p.a / 4)
+    assert outcome(p.guard, nw) == outcome(ref_jacobi_guard, p, nw)
+    assert_ratio_matches(p.ratio, lambda m: ref_jacobi_ratio(p, m), nw, [lam, p.kappa, p.beta])
+
+
+@settings(max_examples=100, deadline=None)
+@given(wilson_params(), NWS)
+@example(WilsonParams(1, 1, 0, 0, F(-1, 3)), 20)  # the mixing numerator vanishes at k = 0
+def test_wilson_guard_and_mixing_ratio_match_the_loop_references(p, nw):
+    assert p.beta_t == ref_beta(p.lam, p.rt)
+    assert outcome(p.guard, nw) == outcome(ref_wilson_guard, p, nw)
+    assert_ratio_matches(p.mixing_ratio, lambda m: ref_mixing_ratio(p, m), nw, [p.lam, p.kappa])
+
+
+@st.composite
+def multiterm_params(draw):
+    """Records whose lambda makes some lambda_k or 1 + lambda_k m vanish, or
+    whose last two weights zero the weight ratio at m0, often."""
+    n = draw(st.integers(2, 4))
+    k, m = draw(st.integers(0, n - 1)), draw(st.integers(0, 12))
+    lam = draw(st.one_of(SMALL, st.just(F(-n, n * m + k) if n * m + k else F(-n, 1))))
+    assume(lam != 0)
+    count = n + draw(st.integers(0, 1))
+    t = [draw(SMALL) for _ in range(count - 2)]
+    u = [1 / (1 + n * lam / (n + j * lam) * m) if n + j * lam and n * lam * m + n + j * lam else None for j in range(n)]
+    u = (u + [F(1)])[:count]  # the extra weight enters the ratio as t_n * 1
+    if draw(st.booleans()) and None not in u and u[-2] != u[-1]:
+        rest = 1 - sum(t)
+        tail = (-sum(tk * uk for tk, uk in zip(t, u)) - u[-1] * rest) / (u[-2] - u[-1])
+        t += [tail, rest - tail]
+    else:
+        t += [draw(SMALL)]
+        t.append(1 - sum(t))
+    return MultiTermParams(n, lam, draw(SMALL), tuple(t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(multiterm_params(), NWS)
+def test_multiterm_guard_and_ratio_match_the_loop_references(p, nw):
+    assert outcome(p.guard, nw) == outcome(ref_multiterm_guard, p, nw)
+    singular = [k for k in range(p.n) if p.n + k * p.lam == 0]
+    if singular:  # no ratio exists; reading it names the first singular k
+        assert outcome(lambda: p.ratio) == outcome(ref_lam_k, p, singular[0])
+        return
+    assert p.lam_ks == tuple(ref_lam_k(p, k) for k in range(p.n))
+    assert_ratio_matches(p.ratio, lambda m: ref_multiterm_ratio(p, m), nw, p.lam_ks)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_samplers_draw_the_records_the_loop_guards_drew(seed, monkeypatch):
+    def draws():
+        rng = rng_for(seed)
+        return [
+            *(sample_jacobi(rng, nw) for nw in (18, 3)),
+            *(sample_wilson(rng, nw, h) for nw, h in ((18, None), (18, 0), (18, 1), (4, None))),
+            *(sample_multiterm(rng, n, nw, extended) for n, nw, extended in ((2, 16, False), (3, 16, True), (4, 5, False))),
+        ]
+
+    new = draws()
+    monkeypatch.setattr(JacobiParams, "guard", ref_jacobi_guard)
+    monkeypatch.setattr(WilsonParams, "guard", ref_wilson_guard)
+    monkeypatch.setattr(MultiTermParams, "guard", ref_multiterm_guard)
+    assert draws() == new
