@@ -19,7 +19,7 @@ from .families import (
     ultraspherical_family,
     wilson_family,
 )
-from .opalg import DiagSeq, OpMatrix, mgf_from_gop
+from .opalg import OpMatrix, mgf_from_gop
 from .orthocore import (
     ClosedFormRecurrence,
     MomentSeries,
@@ -34,7 +34,6 @@ from .series import TruncSeries, as_rat, riccati_series, t_and_omega
 
 __all__ = [
     "ClosedFormRecurrence",
-    "DiagSeq",
     "EngineError",
     "HahnParams",
     "JacobiParams",

@@ -27,7 +27,6 @@ from .families import (
     coeff_then_d,
     deformed_op,
     diag_conj,
-    diag_values,
     extract_recurrence,
     guarded_core,
     jacobi_closed_form,
@@ -43,7 +42,8 @@ from .families import (
     wilson_op,
     x_times,
 )
-from .opalg import DiagSeq, OpMatrix, mgf_from_gop
+from .indexfn import IndexRatio, Poly, affine
+from .opalg import OpMatrix, mgf_from_gop
 from .orthocore import Recurrence
 from .series import TruncSeries, as_rat, riccati_series, t_and_omega
 
@@ -57,13 +57,23 @@ def guard_shift(c, nw: int):
     return c
 
 
-def lowered_weights(ratio, c, count: int) -> DiagSeq:
+def lowered_weights(ratio: IndexRatio, c, count: int) -> tuple:
     """(c)_theta prod_{j<theta} ratio(c-1+j): the shift to c-1 of a quotient
     sequence, weighted by the rising factorial H_theta = (c)_theta.  At c = 0
     that factor vanishes past theta = 0, so ratio(-1) is never evaluated."""
     if c == 0:
-        return DiagSeq([1] + [0] * (count - 1))
-    return DiagSeq.from_ratio(lambda m: (m + 1) * ratio(m), count, offset=c - 1, strict=False)
+        return (Fraction(1),) + (Fraction(0),) * (count - 1)
+    return (ratio * affine(1, 1)).products(count, c - 1)
+
+
+def poch_over_fact(c) -> IndexRatio:
+    """(c+1+theta)/(1+theta), the ratio of the sequence (c+1)_theta/theta!."""
+    return IndexRatio(Poly([c + 1, 1]), Poly([1, 1]))
+
+
+def factorial_conj(op: OpMatrix) -> OpMatrix:
+    """theta! . op . theta!^(-1)."""
+    return diag_conj(IndexRatio(1, Poly([1, 1])).products(op.nw + 1), op)
 
 
 def series_l(s: TruncSeries) -> TruncSeries:
@@ -80,7 +90,7 @@ def apply_factorial_bar_inverse(op_inv_bar: OpMatrix, s: TruncSeries) -> TruncSe
 
 
 def long_division_checks(
-    h_ratio,
+    h_ratio: IndexRatio,
     b_series: TruncSeries,
     order: int,
     t_samples: Sequence = (Fraction(1), Fraction(2, 3)),
@@ -92,8 +102,8 @@ def long_division_checks(
     """
     nw = order + margin
     checks = []
-    hvals = DiagSeq.from_ratio(h_ratio, nw + 2, strict=False).values
-    ratio_vals = [as_rat(h_ratio(n)) for n in range(nw + 1)]
+    hvals = h_ratio.products(nw + 2)
+    ratio_vals = [h_ratio(n) for n in range(nw + 1)]
     if any(v == 0 for v in hvals):
         raise SingularParams("H_theta", "sequence not invertible")
     b = b_series.truncate(nw) if b_series.order >= nw else None
@@ -106,7 +116,7 @@ def long_division_checks(
         return (series_l(series_in / w) * w).truncate(series_in.order - 1)
 
     cols = [TruncSeries.from_polynomial([0] * j + [1], nw) for j in range(order + 1)]
-    h_inv = DiagSeq(hvals[: nw + 1]).inverse_values()
+    h_inv = h_ratio.reciprocal().products(nw + 1)
 
     def diagonalized(col, w):
         """H^(-1) w L w^(-1) H applied to col."""
@@ -140,14 +150,8 @@ def long_division_checks(
     ell_op = OpMatrix.series_of_d(b, nw)
     hb_op = OpMatrix.series_of_d(hb, nw)
     x_over = x_times([Fraction(1, 1 + n) for n in range(nw + 1)], nw)
-    lhs_op = ell_op.inverse() @ x_over @ ell_op @ diag_values(ratio_vals, nw)
-    rhs_op = (
-        diag_values(hvals[: nw + 1], nw)
-        @ hb_op.inverse()
-        @ x_over
-        @ hb_op
-        @ diag_values(hvals[: nw + 1], nw, inverse=True)
-    )
+    lhs_op = ell_op.inverse() @ x_over @ ell_op @ OpMatrix.diag_op(ratio_vals, nw)
+    rhs_op = diag_conj(h_inv, hb_op.inverse() @ x_over @ hb_op)  # H . (...) . H^(-1)
     checks.append(op_check("polynomial-domain form", lhs_op, rhs_op, order))
     return checks
 
@@ -207,13 +211,7 @@ def factorial_conj_op(ell: TruncSeries, x: OpMatrix, c) -> OpMatrix:
     """theta! ell(D) (c+1)_theta^(-1) X (c+1)_theta theta!^(-1): the shape of
     the associated Sheffer, ultraspherical and Jacobi operators."""
     nw = x.nw
-    fact = DiagSeq.factorial(nw + 1)
-    return (
-        diag_values(fact, nw)
-        @ OpMatrix.series_of_d(ell, nw)
-        @ diag_conj(DiagSeq.rising(c + 1, nw + 1), x)
-        @ diag_values(fact, nw, inverse=True)
-    )
+    return factorial_conj(OpMatrix.series_of_d(ell, nw)) @ diag_conj(poch_over_fact(c).products(nw + 1), x)
 
 
 # -- associated Sheffer -------------------------------------------------------------------
@@ -229,14 +227,14 @@ def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -
     y_over_f = (1 / riccati_series(lam, a, b, nw + 1).shift_down(1)).truncate(nw)
     fprime_pow = core.fprime.pow_fraction(Fraction(1) / lam)
     ell = (fprime_pow * y_over_f.pow_fraction(1 - c)).truncate(nw)
-    hvals = DiagSeq.rising(c, nw + 1)
+    hvals = affine(c, 1).products(nw + 1)  # (c)_theta
     gop = factorial_conj_op(ell.weighted(hvals), OpMatrix.series_of_d(y_over_f.pow_fraction(c), nw) @ base, c)
     u, rec = extract_recurrence(gop, order)
     display = closed_form_raising(sheffer_closed_form(p).assoc(c), nw)
     checks = [op_check("shifted dual raising display", u, display, order)]
     # displayed mgf: the ratio of the two weighted series
     num = (fprime_pow * y_over_f.pow_fraction(-c)).truncate(nw)
-    f0_formula = (num.weighted(DiagSeq.rising(c + 1, nw + 1)) / ell.weighted(hvals)).borel()
+    f0_formula = (num.weighted(affine(c + 1, 1).products(nw + 1)) / ell.weighted(hvals)).borel()
     f0 = mgf_from_gop(gop).truncate(order)
     checks.append(series_check("displayed mgf formula", f0, f0_formula, order))
     if c == 0:
@@ -257,9 +255,8 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     base = deformed_op(core, p.ratio) if _tail_shift(c) else None
     omega = t_and_omega(riccati_series(lam, a, b, nw + 1))[1]  # one order above the working block
     ell = (omega.derivative() * core.fprime_omega_pow(c + Fraction(1) / lam - 1)).truncate(nw)
-    hvals = DiagSeq.rising(c, nw + 1)
-    fvals = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
-    weights = [hvals[n] * fvals[n] for n in range(nw + 1)]
+    fvals = p.ratio.products(nw + 1, c)
+    weights = (affine(0, 1) * p.ratio).products(nw + 1, c)  # (c)_theta F_{c+theta}/F_c
     gop = factorial_conj_op(ell.weighted(weights), diag_conj(fvals, core.inner(c)), c)
     u, rec = extract_recurrence(gop, order)
     display = closed_form_raising(ultraspherical_closed_form(p).assoc(c), nw)
@@ -298,9 +295,7 @@ def jacobi_assoc_mgf_forms(p: JacobiParams, c, order: int, core: ShefferCore) ->
     lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
     c = as_rat(c)
     nw = core.nw
-    f_c = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
-    poch = DiagSeq.rising(c + 1, nw + 1)
-    top = core.fprime_omega_pow(c + Fraction(1) / lam).weighted([poch[n] * f_c[n] for n in range(nw + 1)])
+    top = core.fprime_omega_pow(c + Fraction(1) / lam).weighted((affine(1, 1) * p.ratio).products(nw + 1, c))
     bot = core.fprime_omega_pow(c - 1 + Fraction(1) / lam).weighted(lowered_weights(p.ratio, c, nw + 1))
     weighted_form = (top / bot).truncate(order)
     # hypergeometric quotient: both series share the argument 2 beta a y / kappa,
@@ -316,7 +311,7 @@ def jacobi_shifted_op(core: ShefferCore, p: JacobiParams, c) -> OpMatrix:
     """The operator of the Jacobi family associated at c, over the core of the
     square case 4b = lam a^2."""
     nw = core.nw
-    f_c = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
+    f_c = p.ratio.products(nw + 1, c)
     ell = core.fprime_omega_pow(c - 1 + Fraction(1) / p.lam).weighted(lowered_weights(p.ratio, c, nw + 1))
     return factorial_conj_op(ell, diag_conj(f_c, core.inner(c)), c)
 
@@ -359,17 +354,8 @@ def splitting_check(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) 
     c = guard_shift(c, nw)
     p.guard(nw)
     u_c = jacobi_dual_raising(p, nw) if c == 0 else closed_form_raising(jacobi_closed_form(p).assoc(c), nw)
-    f_c = DiagSeq.from_ratio(p.ratio, nw + 1, offset=c, strict=False)
-    poch = DiagSeq.rising(c + 1, nw + 1)
-    fact = DiagSeq.factorial(nw + 1)
-    fact_over_poch = [fact[n] / poch[n] for n in range(nw + 1)]
-    lhs = (
-        diag_values(f_c, nw)
-        @ diag_values(fact_over_poch, nw, inverse=True)
-        @ u_c
-        @ diag_values(fact_over_poch, nw)
-        @ diag_values(f_c, nw, inverse=True)
-    )
+    # W . u_c . W^(-1) for W = F_{c+theta}/F_c (c+1)_theta/theta!
+    lhs = diag_conj((p.ratio.shift(c) * poch_over_fact(c)).reciprocal().products(nw + 1), u_c)
     lam_part, kappa_part = jacobi_split_displays(p, nw, c)
     rhs = lam_part.scale(p.r) + kappa_part.scale(1 - p.r)
     return [op_check(f"split of the shifted operator (c={c})", lhs, rhs, order)]
@@ -390,9 +376,7 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     c = guard_shift(c, order + margin)
     nw, core = guarded_core(p, order, margin)
     lam, kappa, a = p.lam, p.kappa, p.a
-    h_c = DiagSeq.from_ratio(p.mixing_ratio, nw + 1, offset=c, strict=False)
-    poch = DiagSeq.rising(c + 1, nw + 1)
-    fact = DiagSeq.factorial(nw + 1)
+    h_c = p.mixing_ratio.products(nw + 1, c)
     ells = p.ells(nw + 1, c)
     c2c = OpMatrix.shifted_product(ells, nw)
     bar_c2c_inv = c2c.inverse().bar()
@@ -404,11 +388,9 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     s_series = (1 + staged.shift_up(1)).truncate(nw)
     inner = core.inner(c)
     gop = (
-        diag_values(fact, nw)
-        @ OpMatrix.series_of_d(s_series, nw)
-        @ diag_values(fact, nw, inverse=True)
+        factorial_conj(OpMatrix.series_of_d(s_series, nw))
         @ c2c
-        @ diag_conj([poch[n] / fact[n] for n in range(nw + 1)], diag_conj(h_c, inner))
+        @ diag_conj(poch_over_fact(c).products(nw + 1), diag_conj(h_c, inner))
     )
     u, rec = extract_recurrence(gop, order)
     checks = []
@@ -423,7 +405,7 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     name = "column factorization of the shift operator"
     checks.append(first_failure(name, factorization_cases(name)))
     # conjugated square identity
-    sq = diag_values([(1 + lam * (n + c)) ** 2 for n in range(nw + 1)], nw)
+    sq = OpMatrix.diag_op([(1 + lam * (n + c)) ** 2 for n in range(nw + 1)], nw)
     display = sq - coeff_then_d(
         [2 * a * lam * lam / kappa * (1 + lam * (n + c)) * (1 + kappa * (n + c)) for n in range(nw + 1)],
         nw,

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .checks import first_failure, flag_check
 from .errors import EvaluationDomain, NonpositiveArgument, OrderExhausted
-from .indexfn import Poly
+from .indexfn import Poly, affine
 from .opalg import OpMatrix
 from .series import TruncSeries, as_rat, exp_series
 
@@ -71,11 +71,8 @@ def frac_index_p(f: TruncSeries, s, terms: int) -> FracIndexExpansion:
         raise OrderExhausted("need the base series beyond the term count")
     y_over_f = (1 / f.shift_down(1)).truncate(terms)
     weight = y_over_f.pow_fraction(s).coeffs
-    coeffs, fall = [weight[0]], Fraction(1)  # fall = (s-1)...(s-k)
-    for k in range(1, terms + 1):
-        fall *= s - k
-        coeffs.append(weight[k] * fall)
-    return FracIndexExpansion(s, tuple(coeffs))
+    fall = affine(s - 1, -1).products(terms + 1)  # (s-1)...(s-k)
+    return FracIndexExpansion(s, tuple(weight[k] * fall[k] for k in range(terms + 1)))
 
 
 def lowering_check(f: TruncSeries, s, terms: int) -> list:
@@ -88,11 +85,11 @@ def lowering_check(f: TruncSeries, s, terms: int) -> list:
     for k, c in enumerate(p_s.coeffs):
         if c == 0:
             continue
-        fall = Fraction(1)  # (s-k)(s-k-1)...(s-k-j+1)
-        for j in range(1, min(f.order, terms + 1 - k) + 1):
-            fall *= s - k - j + 1
+        top = min(f.order, terms + 1 - k)
+        fall = affine(s - k, -1).products(top + 1)  # (s-k)(s-k-1)...(s-k-j+1)
+        for j in range(1, top + 1):
             if f.coeffs[j]:
-                got[k + j - 1] += c * f.coeffs[j] * fall
+                got[k + j - 1] += c * f.coeffs[j] * fall[j]
     expected = [s * c for c in p_sm1.coeffs[: terms + 1]]
     return [first_failure(f"lowering relation s={s} to {terms} terms", (
         flag_check(f"lowering relation s={s}", got[m] == expected[m], f"term {m}: {got[m]} != {expected[m]}")

@@ -17,9 +17,9 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .checks import first_failure, flag_check, op_check, series_check, value_check
-from .errors import NotThreeTerm, SingularParams
-from .indexfn import IndexRatio, Poly
-from .opalg import DiagSeq, OpMatrix, mgf_from_gop, umbral_compose_and_reverse
+from .errors import DiagSingular, NotThreeTerm, SingularParams
+from .indexfn import IndexRatio, Poly, affine
+from .opalg import OpMatrix, mgf_from_gop, umbral_compose_and_reverse
 from .orthocore import ClosedFormRecurrence, Recurrence, assoc_mgf_from_tails, moments_from_recurrence
 from .series import (
     TruncSeries,
@@ -122,8 +122,7 @@ class SquareCaseParams(FamilyParams):
 
     def _guard_at(self, beta, nw: int):
         lam, kappa = self.lam, self.kappa
-        forms = [("1+lambda*k", 1, lam), ("1+kappa*k", 1, kappa), ("1+beta*k", 1, beta), ("2+kappa*k", 2, kappa)]
-        linear_guard(forms, nw + 2)
+        linear_guard([("1+lambda*k", 1, lam), ("1+kappa*k", 1, kappa), ("1+beta*k", 1, beta)], nw + 2)
 
 
 @dataclass(frozen=True)
@@ -263,31 +262,28 @@ class MultiTermParams(FamilyParams):
 # -- shared operator kit ---------------------------------------------------------
 
 
-def diag_values(values: Sequence, nw: int, inverse: bool = False) -> OpMatrix:
-    """Diagonal operator with the given values (or their reciprocals)."""
-    if inverse:
-        values = DiagSeq(list(values)).inverse_values()
-    return OpMatrix.diag_op(list(values), nw)
-
-
 def diag_conj(values: Sequence, op: OpMatrix) -> OpMatrix:
-    """v^(-1) . op . v for the diagonal operator v with the given values."""
-    return diag_values(values, op.nw, inverse=True) @ op @ diag_values(values, op.nw)
+    """v^(-1) . op . v for the diagonal operator v with the given values: the
+    one place a diagonal is inverted."""
+    for n, v in enumerate(values):
+        if v == 0:
+            raise DiagSingular(n, "cannot invert zero diagonal value")
+    return OpMatrix.diag_op([1 / as_rat(v) for v in values], op.nw) @ op @ OpMatrix.diag_op(values, op.nw)
 
 
 def x_times(values: Sequence, nw: int) -> OpMatrix:
     """x * g(theta): multiply then shift degree up."""
-    return OpMatrix.x_op(nw) @ diag_values(values, nw)
+    return OpMatrix.x_op(nw) @ OpMatrix.diag_op(values, nw)
 
 
 def coeff_then_d(values: Sequence, nw: int) -> OpMatrix:
     """g(theta) * D in display order (D acts first)."""
-    return diag_values(values, nw) @ OpMatrix.d_op(nw)
+    return OpMatrix.diag_op(values, nw) @ OpMatrix.d_op(nw)
 
 
 def d_then_coeff(values: Sequence, nw: int) -> OpMatrix:
     """D * b_theta in the canonical order (the coefficient acts first)."""
-    return OpMatrix.d_op(nw) @ diag_values(values, nw)
+    return OpMatrix.d_op(nw) @ OpMatrix.diag_op(values, nw)
 
 
 @dataclass
@@ -361,20 +357,20 @@ def sheffer_op(core: ShefferCore) -> OpMatrix:
     return core.fpow(Fraction(-1) / core.lam) @ core.c_f
 
 
-def deformed_op(core: ShefferCore, ratio) -> OpMatrix:
+def deformed_op(core: ShefferCore, ratio: IndexRatio) -> OpMatrix:
     """F^(-1) . inner . F for the diagonal F with F_{m+1}/F_m = ratio(m): the
     ultraspherical and Jacobi operators at their parameters' ratio, and the
     multiterm operator before its left factor."""
-    return diag_conj(DiagSeq.from_ratio(ratio, core.nw + 1, strict=False), core.inner())
+    return diag_conj(ratio.products(core.nw + 1), core.inner())
 
 
-def wilson_factors(p: WilsonParams, nw: int) -> tuple[DiagSeq, OpMatrix]:
+def wilson_factors(p: WilsonParams, nw: int) -> tuple[tuple, OpMatrix]:
     """The mixing weights H (H_{m+1}/H_m the mixing ratio) and the shift
     operator C2 sending x^n to prod_{k<n} (x + ell_k)."""
-    return DiagSeq.from_ratio(p.mixing_ratio, nw + 1, strict=False), OpMatrix.shifted_product(p.ells(nw), nw)
+    return p.mixing_ratio.products(nw + 1), OpMatrix.shifted_product(p.ells(nw), nw)
 
 
-def wilson_op(core: ShefferCore, hvals: DiagSeq, c2: OpMatrix) -> OpMatrix:
+def wilson_op(core: ShefferCore, hvals: tuple, c2: OpMatrix) -> OpMatrix:
     """C2 . H^(-1) . inner . H: the Wilson operator from its `wilson_factors`."""
     return c2 @ diag_conj(hvals, core.inner())
 
@@ -390,7 +386,7 @@ def conjugation_trick_checks(core: ShefferCore, sigma, through: Optional[int] = 
     """
     sigma = as_rat(sigma)
     nw = core.nw
-    inv_diag = diag_values([1 + sigma * n for n in range(nw + 1)], nw, inverse=True)
+    inv_diag = OpMatrix.diag_op([1 / (1 + sigma * n) for n in range(nw + 1)], nw)
     lhs = core.c_tf @ OpMatrix.x_op(nw) @ inv_diag @ core.c_tf.inverse()
     x_tf = OpMatrix.x_op(nw) @ OpMatrix.series_of_d(core.tf, nw)
     left = OpMatrix.x_op(nw) @ core.fpow(-1 / sigma)
@@ -417,10 +413,7 @@ class FamilyResult:
 
     @property
     def norms(self) -> list:
-        out = [Fraction(1)]
-        for n in range(1, len(self.recurrence.b) + 1):
-            out.append(out[-1] * n * self.recurrence.b_at(n))
-        return out
+        return self.recurrence.norms(len(self.recurrence.b))
 
     def to_json(self, upto: Optional[int] = None) -> dict:
         upto = self.gop.reliable if upto is None else min(upto, self.gop.reliable)
@@ -454,7 +447,7 @@ def closed_form_raising(cf: ClosedFormRecurrence, nw: int, a0=None) -> OpMatrix:
     continuity fixes the value."""
     return (
         OpMatrix.x_op(nw)
-        + diag_values([cf.a_fn(0) if a0 is None else a0] + [cf.a_fn(n) for n in range(1, nw + 1)], nw)
+        + OpMatrix.diag_op([cf.a_fn(0) if a0 is None else a0] + [cf.a_fn(n) for n in range(1, nw + 1)], nw)
         + d_then_coeff([Fraction(0)] + [cf.b_fn(n) for n in range(1, nw + 1)], nw)
     )
 
@@ -550,24 +543,19 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
     u, rec = extract_recurrence(gop)
     closed = ultraspherical_closed_form(p)
     checks.append(op_check("dual raising display", u, closed_form_raising(closed, nw), order))
-    # dual derivative display
-    fvals = DiagSeq.from_ratio(p.ratio, nw + 2)
+    # dual derivative display F_{theta+1}^(-1) . resolvent(D) . F_theta, where
+    # F_{theta+1}^(-1) = (1 + lam theta) F_theta^(-1)
     d_star = gop.inverse() @ OpMatrix.d_op(nw) @ gop
     resolvent = TruncSeries.from_function(
         lambda i: (lam * b) ** (i // 2) if i % 2 == 1 else 0, nw
     )  # y/(1 - lam b y^2)
-    expected_d = (
-        diag_values(fvals.values[1 : nw + 2], nw, inverse=True)
-        @ OpMatrix.series_of_d(resolvent, nw)
-        @ diag_values(fvals.values[: nw + 1], nw)
+    expected_d = OpMatrix.diag_op([1 + lam * n for n in range(nw + 1)], nw) @ diag_conj(
+        p.ratio.products(nw + 1), OpMatrix.series_of_d(resolvent, nw)
     )
     checks.append(op_check("dual derivative display", d_star, expected_d, order))
     # boxed mgf: e^{ay} * sum_n prod-ratio terms y^(2n)
     even = [Fraction(0)] * (nw + 1)
-    term = Fraction(1)
-    for n in range(nw // 2 + 1):
-        even[2 * n] = term
-        term = term * b / ((n + 1) * (1 + lam * (n + 1)))
+    even[::2] = IndexRatio(b, Poly([1, 1]) * Poly([1 + lam, lam])).products(nw // 2 + 1)
     boxed = (exp_series(a, nw) * TruncSeries(even)).truncate(order)
     f0 = mgf_from_gop(gop).truncate(order)
     checks += mgf_pipeline_checks(["ultraspherical: mgf pipelines agree"], f0, rec, order)[0]
@@ -575,9 +563,7 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
     # generating function display, column by column:
     # sum_n c_n q_n(x) y^n has x^m coefficient c_m y^m (1+lam a y+lam b y^2)^(-1/lam-m)
     amp = TruncSeries.from_polynomial([1, lam * a, lam * b], nw)
-    c_vals = [Fraction(1)]
-    for k in range(nw):
-        c_vals.append(c_vals[-1] * (1 + k * lam) / (k + 1))
+    c_vals = IndexRatio(Poly([1, lam]), Poly([1, 1])).products(nw + 1)
     gen_through = min(order, 8)
 
     def column(m):
@@ -622,7 +608,7 @@ def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> Famil
     lam, a, s = p.lam, p.a, p.s
     b = lam * a * a / 4
     ultra = ultraspherical_family(ShefferParams(lam, a, b), order, margin)
-    svals = DiagSeq.from_ratio(lambda n: s - 1 - n, nw + 1)
+    svals = affine(s - 1, -1).products(nw + 1)
     delta = ((exp_series(2 * a, nw) - 1) / (2 * a)) if a != 0 else TruncSeries.x(nw)
     c_delta = OpMatrix.umbral_compose(delta, nw)
     law = diag_conj(svals, ultra.gop)
@@ -667,7 +653,7 @@ def jacobi_split_displays(p: JacobiParams, nw: int, c=0) -> tuple[OpMatrix, OpMa
     lam, kappa, a = p.lam, p.kappa, p.a
     lam_part = (
         x_times([(1 + n + c) / ((1 + n) * (1 + lam * (n + c))) for n in range(nw + 1)], nw)
-        + diag_values([a] * (nw + 1), nw)
+        + OpMatrix.diag_op([a] * (nw + 1), nw)
         + coeff_then_d(
             [lam * a * a / 4 * (2 + lam * (n + c)) / (1 + lam * (1 + n + c)) for n in range(nw + 1)], nw
         )
@@ -684,7 +670,7 @@ def jacobi_split_displays(p: JacobiParams, nw: int, c=0) -> tuple[OpMatrix, OpMa
 
     kappa_part = (
         x_times([(1 + n + c) / ((1 + n) * (1 + kappa * (n + c))) for n in range(nw + 1)], nw)
-        + diag_values([kappa_entry(n) for n in range(nw + 1)], nw)
+        + OpMatrix.diag_op([kappa_entry(n) for n in range(nw + 1)], nw)
         + coeff_then_d(
             [lam * a * a / 4 * (2 + lam * (n + c)) / (1 + kappa * (n + c)) for n in range(nw + 1)], nw
         )
@@ -696,17 +682,14 @@ def jacobi_mgf_forms(p: JacobiParams, order: int) -> tuple[TruncSeries, TruncSer
     """The two product-form expressions for the moment series: the
     ratio-weighted central-binomial sum and the hypergeometric-style one."""
     lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
-    fvals = DiagSeq.from_ratio(p.ratio, order + 1, strict=False)
-    x, binom, coeffs = 2 / lam, Fraction(1), []  # binom = binom(x + 2n, n)
-    for n in range(order + 1):
-        if n:  # x + n vanishes only where 2 + kappa (n-1) does, a divisor of form2 too
-            binom = binom * (x + 2 * n - 1) * (x + 2 * n) / ((x + n) * n)
-        coeffs.append(fvals[n] / (1 + lam * n) * binom * (lam * a / 2) ** n)
-    form1 = TruncSeries(coeffs)
-    moments = [Fraction(1)]
-    for n in range(order):
-        moments.append(moments[-1] * 2 * a * (1 + beta * n) / (2 + kappa * n))
-    form2 = TruncSeries(moments).borel()
+    # form1_n = F_n/(1 + lam n) binom(x + 2n, n) (lam a/2)^n with x = 2/lam,
+    # one product of the ratios of its factors
+    x = 2 / lam
+    central = IndexRatio(Poly([x + 1, 2]) * Poly([x + 2, 2]), Poly([x + 1, 1]) * Poly([1, 1]))
+    weight = IndexRatio(Poly([1, lam]), Poly([1 + lam, lam]))  # (1 + lam n)/(1 + lam (n+1))
+    form1 = TruncSeries((p.ratio * weight * central * (lam * a / 2)).products(order + 1))
+    # moments with ratio 2a(1 + beta n)/(2 + kappa n)
+    form2 = TruncSeries(IndexRatio(Poly([2 * a, 2 * a * beta]), Poly([2, kappa])).products(order + 1)).borel()
     return form1, form2
 
 
@@ -744,7 +727,7 @@ def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
     nw, core = guarded_core(p, order, margin)
     lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
     gop = deformed_op(core, p.ratio)
-    sq = diag_values([(1 + lam * n) ** 2 for n in range(nw + 1)], nw)
+    sq = OpMatrix.diag_op([(1 + lam * n) ** 2 for n in range(nw + 1)], nw)
     lhs = gop @ sq @ gop.inverse()
     rhs = sq - coeff_then_d([2 * a * lam * lam / kappa * (1 + beta * n) for n in range(nw + 1)], nw)
     checks = [op_check("second-order operator closed form", lhs, rhs, order)]
@@ -777,8 +760,8 @@ def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> F
     up, down = u.band_profile(order)
     checks.append(flag_check("raising operator tridiagonal", up <= 1 and down <= 1, f"band ({up},{down})"))
     # bracket identity
-    bracket = diag_values(hvals, nw) @ dual_raising(c2) @ diag_values(hvals, nw, inverse=True)
-    display = x_times([p.mixing_ratio(n) for n in range(nw + 1)], nw) - diag_values(p.ells(nw + 1), nw)
+    bracket = diag_conj(p.mixing_ratio.reciprocal().products(nw + 1), dual_raising(c2))  # H . U . H^(-1)
+    display = x_times([p.mixing_ratio(n) for n in range(nw + 1)], nw) - OpMatrix.diag_op(p.ells(nw + 1), nw)
     checks.append(op_check("bracket identity", bracket, display, order))
     f0 = mgf_from_gop(gop).truncate(order)
     checks += mgf_pipeline_checks(["wilson: mgf pipelines agree"], f0, rec, order)[0]
@@ -861,10 +844,10 @@ def comment_generator_bands(p: JacobiParams, order: int, margin: int = FAMILY_MA
     established = {
         "x/(1+lam theta)": x_times([1 / (1 + lam * k) for k in range(nw + 1)], nw),
         "x/(1+kappa theta)": x_times([1 / (1 + kappa * k) for k in range(nw + 1)], nw),
-        "x - 2 lam a theta": OpMatrix.x_op(nw) - diag_values([2 * lam * a * k for k in range(nw + 1)], nw),
+        "x - 2 lam a theta": OpMatrix.x_op(nw) - OpMatrix.diag_op([2 * lam * a * k for k in range(nw + 1)], nw),
         "x(1+lam theta) - lam a(2-lam+2 lam theta)theta": (
             x_times([1 + lam * k for k in range(nw + 1)], nw)
-            - diag_values([a * lam * (2 - lam + 2 * lam * k) * k for k in range(nw + 1)], nw)
+            - OpMatrix.diag_op([a * lam * (2 - lam + 2 * lam * k) * k for k in range(nw + 1)], nw)
         ),
     }
     out = []

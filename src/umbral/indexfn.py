@@ -3,7 +3,9 @@
 `Poly` is the one univariate polynomial type: the monic families and
 convergents of `orthocore`, operator columns, and closed-form coefficients
 a_n = P(n)/Q(n), which `IndexRatio` evaluates at shifted and non-integer
-arguments, compares exactly, and dualizes by affine substitutions.  A Poly
+arguments, compares exactly, and dualizes by affine substitutions.  An
+IndexRatio is also a consecutive-ratio rule: `products` builds the sequence
+it generates, the one way the engine builds a product sequence.  A Poly
 is stored as series are (`series.CommonDen`), and its arithmetic, Horner
 evaluation and composition run on those integers.
 """
@@ -14,6 +16,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
+from .errors import DiagSingular
 from .series import CommonDen, TruncSeries, _conv, _over_common_den, as_rat
 
 _ZERO = Fraction(0)
@@ -57,12 +60,11 @@ class Poly(CommonDen):
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
-        return Fraction(*self._at(as_rat(x)))
+        return Fraction(*self._at(*as_rat(x).as_integer_ratio()))
 
-    def _at(self, x: Fraction) -> tuple[int, int]:
-        """(N, D) with P(x) = N/D, not reduced: for x = p/q and degree d,
+    def _at(self, p: int, q: int = 1) -> tuple[int, int]:
+        """(N, D) with P(p/q) = N/D, not reduced: for q > 0 and degree d,
         N = sum v_i p^i q^(d-i) by Horner's rule and D = den q^d."""
-        p, q = x.as_integer_ratio()
         nums = self.nums
         acc, qk = nums[-1], 1
         for i in range(len(nums) - 2, -1, -1):
@@ -154,15 +156,32 @@ class IndexRatio:
         return cls(Poly.const(value))
 
     def __call__(self, n) -> Fraction:
-        x = as_rat(n)
-        dn, dd = self.den._at(x)
+        p, q = as_rat(n).as_integer_ratio()
+        dn, dd = self.den._at(p, q)
         if dn == 0:
             # A 0/0 here usually marks an exceptional index whose value is
             # fixed by parameter continuity, not by cancelling in the index;
             # callers must decide, so evaluation stays strict.
             raise ZeroDivisionError(f"index ratio pole at {n}")
-        nn, nd = self.num._at(x)
+        nn, nd = self.num._at(p, q)
         return Fraction(nn * dd, nd * dn)
+
+    def products(self, count: int, offset=0) -> tuple:
+        """v_0 = 1 and v_{n+1} = v_n * self(offset + n), `count` values, each
+        ratio by integer Horner and each value one Fraction.  A zero ratio
+        leaves zeros after it; a pole at any index, 0/0 included, raises
+        DiagSingular(n)."""
+        p, q = as_rat(offset).as_integer_ratio()
+        vals, v = [Fraction(1)], Fraction(1)
+        for n in range(count - 1):
+            x = p + n * q
+            dn, dd = self.den._at(x, q)
+            if dn == 0:
+                raise DiagSingular(n, f"the ratio has a pole at {Fraction(x, q)}")
+            nn, nd = self.num._at(x, q)
+            v = Fraction(v.numerator * nn * dd, v.denominator * nd * dn)
+            vals.append(v)
+        return tuple(vals)
 
     def __add__(self, other) -> "IndexRatio":
         other = _as_ratio(other)

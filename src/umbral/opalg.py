@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
-    DiagSingular,
     NotInvertible,
     NotMonic,
     NotThreeTerm,
@@ -47,58 +46,9 @@ from .errors import (
     ReliabilityExhausted,
 )
 from .indexfn import Poly
-from .series import TruncSeries, _append_over, _from_ratios, _int_powers, _over_common_den, _reduced, as_rat
+from .series import TruncSeries, _append_over, _from_pairs, _int_powers, _over_common_den, _reduced, as_rat
 
 _ZERO = Fraction(0)
-
-
-class DiagSeq:
-    """Diagonal operator v_theta, stored by its values with v_0 = 1.
-
-    Built either from explicit values or from a consecutive-ratio rule
-    v_{n+1} = v_n * ratio(offset + n); ratios are evaluated exactly and a
-    zero or pole below the working order fails fast.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Sequence):
-        self.values = tuple([as_rat(v) for v in values])  # a list: see TruncSeries
-
-    @classmethod
-    def from_ratio(cls, ratio: Callable, count: int, offset=Fraction(0), strict: bool = True) -> "DiagSeq":
-        offset = as_rat(offset)
-        vals = [Fraction(1)]
-        for n in range(count - 1):
-            try:
-                r = as_rat(ratio(offset + n))
-            except ZeroDivisionError:
-                raise DiagSingular(n, f"the ratio has a pole at {offset + n}") from None
-            if strict and r == 0:
-                raise DiagSingular(n, "ratio vanishes")
-            vals.append(vals[-1] * r)
-        return cls(vals)
-
-    @classmethod
-    def factorial(cls, count: int) -> "DiagSeq":
-        return cls.from_ratio(lambda n: n + 1, count)
-
-    @classmethod
-    def rising(cls, c, count: int) -> "DiagSeq":
-        """(c)_n = c (c+1) ... (c+n-1); all zero past n = 0 when c = 0."""
-        return cls.from_ratio(lambda m: m, count, offset=c, strict=False)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, n):
-        return self.values[n]
-
-    def inverse_values(self) -> tuple:
-        for n, v in enumerate(self.values):
-            if v == 0:
-                raise DiagSingular(n, "cannot invert zero diagonal value")
-        return tuple(1 / v for v in self.values)
 
 
 class OpMatrix:
@@ -184,7 +134,7 @@ class OpMatrix:
 
     @classmethod
     def diag_op(cls, values, nw: int) -> "OpMatrix":
-        vals = values.values if isinstance(values, DiagSeq) else list(values)
+        vals = list(values)
         if len(vals) < nw + 1:
             raise OrderExhausted("not enough diagonal values for working order")
         return cls._one_per_column([(n, vals[n]) for n in range(nw + 1)], nw)
@@ -223,7 +173,7 @@ class OpMatrix:
         """Operator sending x^n to prod_{k<n} (x + ells[k]): with
         ells = E/d over integers, the integer polynomial prod (d x + E_k)
         over d^n."""
-        vals = ells.values if isinstance(ells, DiagSeq) else [as_rat(v) for v in ells]
+        vals = [as_rat(v) for v in ells]
         if len(vals) < nw:
             raise OrderExhausted("need nw shift values")
         d, e = _over_common_den(vals[:nw])
@@ -509,4 +459,4 @@ def umbral_compose_and_reverse(f: TruncSeries, nw: int) -> tuple[OpMatrix, Trunc
                 nums[a] = weight * power[n - a]
             weight *= a - 1
         cols.append(_reduced(den, nums))
-    return OpMatrix._of(cols, nw, 0, nw), TruncSeries._of(*_from_ratios(rev))
+    return OpMatrix._of(cols, nw, 0, nw), TruncSeries._of(*_from_pairs(rev))

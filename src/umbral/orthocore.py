@@ -27,7 +27,7 @@ from .errors import (
 )
 from .indexfn import IndexRatio, Poly
 from .opalg import OpMatrix
-from .series import TruncSeries, _from_ratios, _over_common_den, _reduced, as_rat, rationals_from_json
+from .series import TruncSeries, _from_pairs, _over_common_den, _reduced, as_rat, rationals_from_json
 
 
 # -- recurrence data ----------------------------------------------------------
@@ -54,6 +54,13 @@ class Recurrence:
 
     def b_at(self, n: int) -> Fraction:
         return self.b[n - 1]
+
+    def norms(self, upto: int) -> list:
+        """n! b_1 ... b_n for n = 0 .. upto."""
+        out = [Fraction(1)]
+        for n in range(1, upto + 1):
+            out.append(out[-1] * n * self.b_at(n))
+        return out
 
     def shift(self, k: int) -> "Recurrence":
         """Integer association: a_n -> a_{n+k}, b_n -> (k+n) b_{k+n} / n."""
@@ -163,10 +170,7 @@ def polys_from_recurrence(rec: Recurrence, upto: int) -> OrthoFamily:
             top, bot = [[row[0] * step[0][j] + row[1] * step[1][j] for j in (0, 1)] for row in (top, bot)]
             if top[1] != r[n] or bot[1] != q[n]:
                 raise AssertionError(f"matrix-product convergent disagrees at level {n}")
-    norms = [Fraction(1)]  # n! b_1 ... b_n
-    for n in range(1, upto + 1):
-        norms.append(norms[-1] * n * rec.b_at(n))
-    return OrthoFamily([q[n].reflect(n) for n in range(upto + 1)], r, q, norms)
+    return OrthoFamily([q[n].reflect(n) for n in range(upto + 1)], r, q, rec.norms(upto))
 
 
 def determinant_identity_check(fam: OrthoFamily, upto: int, name: str) -> Check:
@@ -223,7 +227,7 @@ def moments_from_recurrence(rec: Recurrence, order: int) -> MomentSeries:
         new = [d * r[j] + a[j] * r[j + 1] + beta[j] * r[j + 2] for j in range(top + 1)]
         den, row = _reduced(den * d, new or [0])
         mus.append((row[0], den))
-    return MomentSeries(TruncSeries._of(*_from_ratios(mus[: order + 1])))  # empty, a ValueError, below order 0
+    return MomentSeries(TruncSeries._of(*_from_pairs(mus[: order + 1])))  # empty, a ValueError, below order 0
 
 
 def recurrence_from_moments(moment_gf: TruncSeries, depth: Optional[int] = None) -> Recurrence:

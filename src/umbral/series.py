@@ -67,7 +67,7 @@ def _over_common_den(values) -> tuple[int, list[int]]:
     return d, [p * (d // q) for p, q in pairs]
 
 
-def _from_ratios(pairs) -> tuple[int, list[int]]:
+def _from_pairs(pairs) -> tuple[int, list[int]]:
     """The canonical (den, nums) of the rationals p/q given as integer pairs
     (q != 0, any sign, not necessarily in lowest terms): over the lcm of the
     q, then reduced once, which is cheaper than a gcd per pair."""
@@ -347,7 +347,7 @@ class TruncSeries(CommonDen):
 
     def integral(self, constant=0) -> "TruncSeries":
         pairs = [(v, self.den * (i + 1)) for i, v in enumerate(self.nums)]
-        return TruncSeries._of(*_from_ratios([as_rat(constant).as_integer_ratio()] + pairs))
+        return TruncSeries._of(*_from_pairs([as_rat(constant).as_integer_ratio()] + pairs))
 
     def shift_up(self, k: int = 1) -> "TruncSeries":
         """Multiply by y^k; the result is known through order + k."""
@@ -387,7 +387,7 @@ class TruncSeries(CommonDen):
         pairs = [(0, 1)]
         for m, (den, nums) in enumerate(_int_powers(self._y_over_f(), self.order), start=1):
             pairs.append((nums[m - 1], den * m))
-        return TruncSeries._of(*_from_ratios(pairs))
+        return TruncSeries._of(*_from_pairs(pairs))
 
     def _y_over_f(self) -> "TruncSeries":
         """y/f, known through order - 1, for f with f(0) = 0 and f'(0) != 0."""
@@ -478,19 +478,19 @@ class TruncSeries(CommonDen):
 def exp_series(c, order: int) -> TruncSeries:
     """exp(c*y) truncated."""
     p, q = as_rat(c).as_integer_ratio()
-    return TruncSeries._of(*_from_ratios([(p**i, q**i * math.factorial(i)) for i in range(order + 1)]))
+    return TruncSeries._of(*_from_pairs([(p**i, q**i * math.factorial(i)) for i in range(order + 1)]))
 
 
 def geometric_series(c, order: int) -> TruncSeries:
     """1/(1 - c*y) truncated."""
     p, q = as_rat(c).as_integer_ratio()
-    return TruncSeries._of(*_from_ratios([(p**i, q**i) for i in range(order + 1)]))
+    return TruncSeries._of(*_from_pairs([(p**i, q**i) for i in range(order + 1)]))
 
 
 def log1p_series(c, order: int) -> TruncSeries:
     """log(1 + c*y) truncated."""
     p, q = as_rat(c).as_integer_ratio()
-    return TruncSeries._of(*_from_ratios([(0, 1)] + [((-1) ** (i + 1) * p**i, q**i * i) for i in range(1, order + 1)]))
+    return TruncSeries._of(*_from_pairs([(0, 1)] + [((-1) ** (i + 1) * p**i, q**i * i) for i in range(1, order + 1)]))
 
 
 def solve_autonomous_ode(rhs_poly: Sequence, order: int) -> TruncSeries:

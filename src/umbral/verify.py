@@ -256,7 +256,7 @@ def suite_longdiv(cfg: RunConfig) -> list:
             continue
         b = TruncSeries(sample_unit_series_coeffs(rng, order + 6))
         tag = f"longdiv[{made}] ratio={c0}+{c1}n"
-        checks = long_division_checks(lambda n: c0 + c1 * n, b, order)
+        checks = long_division_checks(affine(c0, c1), b, order)
         out += _prefixed(tag, checks)
         made += 1
     out.append(change_of_variable_check(exp_series(1, order + 6) - 1, order))

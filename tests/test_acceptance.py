@@ -200,7 +200,7 @@ def test_criterion_07_long_division():
         if any(c0 + c1 * n == 0 for n in range(order + 10)):
             continue
         b = TruncSeries(sample_unit_series_coeffs(rng, order + 6))
-        checks = long_division_checks(lambda n: c0 + c1 * n, b, order)
+        checks = long_division_checks(affine(c0, c1), b, order)
         if not all(c.passed for c in checks):
             ok, detail = False, f"ratio {c0}+{c1}n: {first_failure(checks)}"
         made += 1

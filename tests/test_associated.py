@@ -27,7 +27,8 @@ from umbral.families import (
     ultraspherical_family,
     wilson_family,
 )
-from umbral.opalg import DiagSeq, OpMatrix
+from umbral.indexfn import IndexRatio, Poly, affine
+from umbral.opalg import OpMatrix
 from umbral.orthocore import assoc_recurrence
 from umbral.series import TruncSeries, exp_series
 
@@ -48,14 +49,14 @@ def nested_pass(build, *args):
 def test_lowered_weights():
     p = JacobiParams(F(1, 3), F(2, 5), F(3, 7))
     c = F(3, 2)
-    rising = DiagSeq.rising(c, 6)
-    lowered = DiagSeq.from_ratio(p.ratio, 6, offset=c - 1, strict=False)
+    rising = affine(c, 1).products(6)
+    lowered = p.ratio.products(6, c - 1)
     got = lowered_weights(p.ratio, c, 6)
-    assert got.values == tuple(rising[n] * lowered[n] for n in range(6))
+    assert got == tuple(rising[n] * lowered[n] for n in range(6))
     # at c = 0 the rising factor kills everything past the constant, even
     # when the ratio has a pole at -1 (lambda = 1)
     pole = JacobiParams(1, F(1, 2), F(1, 3))
-    assert lowered_weights(pole.ratio, 0, 5).values == (1, 0, 0, 0, 0)
+    assert lowered_weights(pole.ratio, 0, 5) == (1, 0, 0, 0, 0)
     with pytest.raises(DiagSingular):
         # 1 + lambda (c - 1) = 0
         lowered_weights(JacobiParams(2, F(1, 2), 1).ratio, F(1, 2), 5)
@@ -64,16 +65,16 @@ def test_lowered_weights():
 
 
 def test_long_division_trivial_weight():
-    all_pass(long_division_checks(lambda n: 1, TruncSeries.from_polynomial([1, 1], 20), 8))
+    all_pass(long_division_checks(IndexRatio.const(1), TruncSeries.from_polynomial([1, 1], 20), 8))
 
 
 def test_long_division_affine_weight():
-    all_pass(long_division_checks(lambda n: F(2) + n, TruncSeries.from_polynomial([1, 1], 20), 8))
+    all_pass(long_division_checks(affine(2, 1), TruncSeries.from_polynomial([1, 1], 20), 8))
 
 
 def test_long_division_generic():
     b = TruncSeries([1, F(1, 2), F(-1, 3), 2, F(1, 7), 0, 1] + [F(1, 5)] * 10)
-    all_pass(long_division_checks(lambda n: (F(3, 2) + n) / (1 + 2 * n), b, 8))
+    all_pass(long_division_checks(IndexRatio(Poly([F(3, 2), 1]), Poly([1, 2])), b, 8))
 
 
 def test_change_of_variable_exponential():

@@ -211,6 +211,17 @@ def test_assoc_pipeline_table(capsys):
     assert pipes["explicit"]["coeffs"][:9] == pipes["tails"]["coeffs"][:9]
 
 
+def test_assoc_jacobi_c_zero_where_the_lower_2f1_is_0_over_0(capsys):
+    # lambda = 2 gives kappa = 1, so at c = 0 the lower 2F1 has a1 + n = 0 and
+    # a zero lower parameter at n = 0; the zero wins and the build passes
+    code, out, _ = run(
+        capsys, "assoc", "jacobi", "--params", "lambda=2,a=1/2,r=1", "--c", "0", "--order", "8"
+    )
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 6 and all(c["pass"] for c in checks)
+
+
 def test_assoc_zero_reduction_report(capsys):
     code, out, _ = run(
         capsys, "assoc", "sheffer", "--params", "lambda=1,a=1,b=1", "--c", "0", "--order", "8"

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from umbral.errors import (
     DiagSingular,
+    EngineError,
     NotInvertible,
     NotMonic,
     NotThreeTerm,
     ReliabilityExhausted,
 )
-from umbral.indexfn import Poly
-from umbral.opalg import DiagSeq, OpMatrix, mgf_from_gop, umbral_compose_and_reverse
+from umbral.families import diag_conj
+from umbral.indexfn import IndexRatio, Poly, affine
+from umbral.opalg import OpMatrix, mgf_from_gop, umbral_compose_and_reverse
 from umbral.series import TruncSeries, exp_series, riccati_series
 
 from test_series import reference_mul, reference_reverse
@@ -56,23 +58,27 @@ def test_delta_evaluates_at_zero():
 def test_l_shifts_down_and_factorial_conjugation():
     l = OpMatrix.l_op(NW)
     assert l.apply_poly(Poly([0, 0, 0, 0, 0, 1])) == Poly([0, 0, 0, 0, 1])  # x^5 -> x^4
-    fact = OpMatrix.diag_op(DiagSeq.factorial(NW + 1), NW)
+    fact = OpMatrix.diag_op(affine(1, 1).products(NW + 1), NW)
     conj = fact @ OpMatrix.d_op(NW) @ fact.inverse()
     assert conj.equals(l)
 
 
 def test_diag_ratio_guard():
     with pytest.raises(DiagSingular, match="pole at 3"):
-        DiagSeq.from_ratio(lambda n: F(1) / (n - 3), NW)
-    with pytest.raises(DiagSingular):
-        DiagSeq.from_ratio(lambda n: n - 3, NW)  # zero value at n=3
-
+        IndexRatio(1, Poly([-3, 1])).products(NW)
+    # a zero ratio at n=3 gives zero values, and inverting that diagonal fails
+    vals = affine(-3, 1).products(NW + 1)
+    assert vals[3] != 0 and vals[4] == 0
+    with pytest.raises(EngineError):
+        diag_conj(vals, OpMatrix.identity(NW))
 
 
 def test_diag_rising_factorial():
-    assert DiagSeq.rising(F(1, 2), 4).values == (1, F(1, 2), F(3, 4), F(15, 8))
-    assert DiagSeq.rising(1, 6).values == DiagSeq.factorial(6).values
-    assert DiagSeq.rising(0, 4).values == (1, 0, 0, 0)
+    rising = IndexRatio(Poly.theta())  # (c)_n: ratio m at offset c
+    factorial = affine(1, 1)
+    assert rising.products(4, F(1, 2)) == (1, F(1, 2), F(3, 4), F(15, 8))
+    assert rising.products(6, 1) == factorial.products(6)
+    assert rising.products(4, 0) == (1, 0, 0, 0)
 
 # ---- umbral composition operator ---------------------------------------------
 

@@ -11,9 +11,10 @@ from fractions import Fraction as F
 from itertools import zip_longest
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from umbral.errors import DiagSingular
 from umbral.indexfn import IndexRatio, Poly
 from umbral.opalg import OpMatrix
 from umbral.orthocore import Recurrence, inner_product, moments_from_recurrence, polys_from_recurrence
@@ -276,6 +277,60 @@ def test_index_ratio_evaluation(ns, ds, x):
             ratio(x)
     else:
         assert ratio(x) == ref_poly_at(ns, F(x)) / den_value
+
+
+def ref_products(ratio, count, offset):
+    """The Fraction loop IndexRatio.products replaced: v_0 = 1 and
+    v_{n+1} = v_n * ratio(offset + n), a pole raising DiagSingular(n)."""
+    vals = [F(1)]
+    for n in range(count - 1):
+        try:
+            r = ratio(offset + n)
+        except ZeroDivisionError:
+            raise DiagSingular(n, f"the ratio has a pole at {offset + n}") from None
+        vals.append(vals[-1] * r)
+    return vals
+
+
+@st.composite
+def product_cases(draw):
+    """(num, den, offset): polynomials with roots at offset + k for small
+    integers k as well as anywhere, so that zeros, poles and 0/0 fall on
+    the evaluated indices; the numerator may be the zero polynomial."""
+    offset = F(draw(st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6))))
+    near = st.integers(-2, 8).map(lambda k: offset + k)
+
+    def factored():
+        cs = [draw(st.sampled_from([F(1), F(-2), F(3, 5)]))]
+        for root in draw(st.lists(st.one_of(near, rationals), max_size=3)):
+            cs = ref_poly_mul(cs, [-root, F(1)])
+        return cs
+
+    num = draw(st.sampled_from(["zero", "factored", "coeffs"]))
+    ns = [F(0)] if num == "zero" else factored() if num == "factored" else draw(coeff_lists)
+    ds = factored() if draw(st.booleans()) else draw(coeff_lists)
+    assume(Poly(ds) != Poly([0]))
+    return ns, ds, offset
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_cases(), st.integers(0, 10))
+@example(([F(-3), F(1)], [F(1)], F(0)), 8)  # a zero ratio at n = 3
+@example(([F(1)], [F(-7, 2), F(1)], F(1, 2)), 8)  # a pole at 7/2, index 3
+@example(([F(-5, 2), F(1)], [F(-5, 2), F(1)], F(1, 2)), 8)  # 0/0 at 5/2, index 2
+def test_products_against_the_fraction_loop(case, count):
+    ns, ds, offset = case
+    ratio = IndexRatio(Poly(ns), Poly(ds))
+    try:
+        expected = ref_products(lambda x: ref_poly_at(ns, x) / ref_poly_at(ds, x), count, offset)
+    except DiagSingular as exc:
+        with pytest.raises(DiagSingular) as got:
+            ratio.products(count, offset)
+        assert got.value.index == exc.index and str(got.value) == str(exc)
+    else:
+        got = ratio.products(count, offset)
+        assert type(got) is tuple and all(type(v) is F for v in got)
+        assert list(got) == expected
 
 
 # ---- boundary helpers: storage to storage ---------------------------------------------

@@ -68,3 +68,13 @@ def test_names_the_tracer_keys_on():
     assert inspect.isfunction(families.conjugation_trick_checks)
     assert associated.sheffer_core is families.sheffer_core
     assert families.riccati_series is associated.riccati_series is riccati_series
+
+
+def test_public_names_resolve_and_star_import():
+    import umbral
+
+    for name in umbral.__all__:
+        assert hasattr(umbral, name), name
+    namespace = {}
+    exec("from umbral import *", namespace)
+    assert set(umbral.__all__) <= set(namespace)
