@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .checks import Check, first_failure, flag_check, op_check, series_check
+from .checks import Check, conjugation_check, first_failure, flag_check, op_check, series_check
 from .errors import SingularParams
 from .families import (
     FAMILY_MARGIN,
@@ -157,14 +157,14 @@ def long_division_checks(
 
 
 def change_of_variable_check(f: TruncSeries, order: int, margin: int = FAMILY_MARGIN) -> Check:
-    """C_f x (1+theta)^(-1) C_f^(-1) == x (1+theta)^(-1) (D/f(D))."""
+    """C_f x (1+theta)^(-1) C_f^(-1) == x (1+theta)^(-1) (D/f(D)), compared
+    crossed as C_f x (1+theta)^(-1) == x (1+theta)^(-1) (D/f(D)) C_f."""
     nw = order + margin
     cf = OpMatrix.umbral_compose(f, nw)
     x_over = x_times([Fraction(1, 1 + n) for n in range(nw + 1)], nw)
-    lhs = cf @ x_over @ cf.inverse()
     y_over_f = (1 / f.shift_down(1)).truncate(nw - 1)
     rhs = x_over @ OpMatrix.series_of_d(TruncSeries.from_polynomial(list(y_over_f.coeffs), nw), nw)
-    return op_check("change-of-variable form", lhs, rhs, order - 1)
+    return conjugation_check("change-of-variable form", cf, rhs, x_over, order - 1)
 
 
 # -- associated result record ----------------------------------------------------------
@@ -404,13 +404,14 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
 
     name = "column factorization of the shift operator"
     checks.append(first_failure(name, factorization_cases(name)))
-    # conjugated square identity
+    # conjugated square identity inner sq inner^(-1) == display, compared crossed
+    # as display inner == inner sq
     sq = OpMatrix.diag_op([(1 + lam * (n + c)) ** 2 for n in range(nw + 1)], nw)
     display = sq - coeff_then_d(
         [2 * a * lam * lam / kappa * (1 + lam * (n + c)) * (1 + kappa * (n + c)) for n in range(nw + 1)],
         nw,
     )
-    checks.append(op_check("conjugated square identity", inner @ sq @ inner.inverse(), display, order))
+    checks.append(conjugation_check("conjugated square identity", inner, display, sq, order))
     if c == 0:
         checks.append(op_check("c=0 reduction", gop, wilson_op(core, *wilson_factors(p, nw)), order))
     if p.h == 0:

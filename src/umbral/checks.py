@@ -30,6 +30,16 @@ def op_check(name: str, lhs: OpMatrix, rhs: OpMatrix, through=None) -> Check:
     return Check(name, False, f"entry ({m},{n}): {a} != {b}")
 
 
+def conjugation_check(name: str, m: OpMatrix, a: OpMatrix, b: OpMatrix, through=None) -> Check:
+    """m^(-1) a m == b, or equally a == m b m^(-1), compared cross-multiplied
+    as a m == m b with no inverse, for m upper triangular (degree-non-raising)
+    with a nonzero diagonal: a m - m b = m (m^(-1) a m - b) = (a - m b m^(-1)) m.
+    Column j of m E is m E_j, zero exactly when E_j is, and column j of E m is
+    sum_{k<=j} E_k m_kj with m_jj != 0, so all three forms first fail in the
+    same column."""
+    return op_check(name, a @ m, m @ b, through)
+
+
 def series_check(name: str, lhs: TruncSeries, rhs: TruncSeries, through=None) -> Check:
     i = lhs.first_difference(rhs, through)
     if i is None:

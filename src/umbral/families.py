@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .checks import first_failure, flag_check, op_check, series_check, value_check
+from .checks import conjugation_check, first_failure, flag_check, op_check, series_check, value_check
 from .errors import DiagSingular, NotThreeTerm, SingularParams
 from .indexfn import IndexRatio, Poly, affine
 from .opalg import OpMatrix, mgf_from_gop, umbral_compose_and_reverse
@@ -289,7 +289,7 @@ def d_then_coeff(values: Sequence, nw: int) -> OpMatrix:
 @dataclass
 class ShefferCore:
     """Series and operators shared by every deformation built over one f;
-    fpow, inner and fprime_omega_pow make each of their values once."""
+    fpow, tf_inv_fpow, inner and fprime_omega_pow make each of their values once."""
 
     lam: Fraction
     f: TruncSeries
@@ -311,15 +311,14 @@ class ShefferCore:
     def fpow(self, alpha) -> OpMatrix:
         return self._once("fpow", alpha, lambda a: OpMatrix.series_of_d(self.fprime.pow_fraction(a), self.nw))
 
+    def tf_inv_fpow(self, alpha) -> OpMatrix:
+        """C_tf^(-1) f'(D)^alpha, read by inner() and the conjugation checks."""
+        return self._once("tf_inv_fpow", alpha, lambda a: self.c_tf.inverse() @ self.fpow(a))
+
     def inner(self, c=0) -> OpMatrix:
         """C_tf^(-1) f'(D)^(-c-1/lam) C_f; at c = 0 the common core of the
         deformations, at c the core of their associated families."""
-        return self._once("inner", c, lambda c: self.c_tf.inverse() @ self.fpow(-c - 1 / self.lam) @ self.c_f)
-
-    def conjugate_generator(self, t: OpMatrix) -> OpMatrix:
-        """C_f^(-1) f'(D)^(1/lam) C_tf . T . C_tf^(-1) f'(D)^(-1/lam) C_f."""
-        inner = self.inner()
-        return inner.inverse() @ t @ inner
+        return self._once("inner", c, lambda c: self.tf_inv_fpow(-c - 1 / self.lam) @ self.c_f)
 
     @cached_property
     def fprime_omega(self) -> TruncSeries:
@@ -382,20 +381,26 @@ def conjugation_trick_checks(core: ShefferCore, sigma, through: Optional[int] = 
           = x f'(D)^(-1/sigma) (1 + sigma x (f/f')(D))^(-1) f'(D)^(1/sigma)
           = x f'(D)^(-1/sigma) C_f (1+sigma theta)^(-1) C_f^(-1) f'(D)^(1/sigma)
 
-    verified as exact matrix equalities before each construction uses it.
+    verified as exact matrix equalities before each construction uses it,
+    cross-multiplied with no new inverse: for F = f'(D)^(-1/sigma) and
+    R = 1 + sigma x (f/f')(D), as lhs F R == x F and lhs F C_f == x F C_f
+    (1+sigma theta)^(-1).  F R and F C_f are invertible upper triangular and
+    F^(-1) = f'(D)^(1/sigma) exactly, so each crossed form first fails in the
+    column its displayed form does (see `checks.conjugation_check`).  Both
+    share lhs F = C_tf x (1+sigma theta)^(-1) (C_tf^(-1) F), whose last factor
+    the core keeps for inner(); R's book-kept raise of 1 trims one reliable
+    column, below which every caller's `through` lies.
     """
     sigma = as_rat(sigma)
-    nw = core.nw
-    inv_diag = OpMatrix.diag_op([1 / (1 + sigma * n) for n in range(nw + 1)], nw)
-    lhs = core.c_tf @ OpMatrix.x_op(nw) @ inv_diag @ core.c_tf.inverse()
-    x_tf = OpMatrix.x_op(nw) @ OpMatrix.series_of_d(core.tf, nw)
-    left = OpMatrix.x_op(nw) @ core.fpow(-1 / sigma)
-    right = core.fpow(1 / sigma)
-    middle = left @ (OpMatrix.identity(nw) + x_tf.scale(sigma)).inverse() @ right
-    rhs = left @ core.c_f @ inv_diag @ core.c_f.inverse() @ right
+    nw, c_f = core.nw, core.c_f
+    x, inv_diag = OpMatrix.x_op(nw), OpMatrix.diag_op(IndexRatio(1, Poly([1, sigma])).values(nw + 1), nw)
+    lhs_f = core.c_tf @ x @ inv_diag @ core.tf_inv_fpow(-1 / sigma)
+    x_f = x @ core.fpow(-1 / sigma)
+    resolvent = OpMatrix.identity(nw) + (x @ OpMatrix.series_of_d(core.tf, nw)).scale(sigma)
+    name = f"conjugation-trick sigma={sigma}"
     return [
-        op_check(f"conjugation-trick sigma={sigma} (resolvent form)", lhs, middle, through),
-        op_check(f"conjugation-trick sigma={sigma} (composition form)", lhs, rhs, through),
+        op_check(f"{name} (resolvent form)", lhs_f @ resolvent, x_f, through),
+        op_check(f"{name} (composition form)", lhs_f @ c_f, x_f @ c_f @ inv_diag, through),
     ]
 
 
@@ -649,31 +654,25 @@ def jacobi_closed_form(p: JacobiParams) -> ClosedFormRecurrence:
 
 def jacobi_split_displays(p: JacobiParams, nw: int, c=0) -> tuple[OpMatrix, OpMatrix]:
     """The lambda-part and kappa-part displays whose mixture with weights r
-    and 1-r is the conjugated raising operator shifted by c."""
+    and 1-r is the conjugated raising operator shifted by c; m = n + c below."""
     lam, kappa, a = p.lam, p.kappa, p.a
+    count = nw + 1
+    one_m, two_lam = Poly([1 + c, 1]), Poly([2 + lam * c, lam])  # 1 + m, 2 + lam m
+    one_lam, one_kappa = Poly([1 + lam * c, lam]), Poly([1 + kappa * c, kappa])  # 1 + lam m, 1 + kappa m
+    coeff = lam * a * a / 4 * two_lam
     lam_part = (
-        x_times([(1 + n + c) / ((1 + n) * (1 + lam * (n + c))) for n in range(nw + 1)], nw)
-        + OpMatrix.diag_op([a] * (nw + 1), nw)
-        + coeff_then_d(
-            [lam * a * a / 4 * (2 + lam * (n + c)) / (1 + lam * (1 + n + c)) for n in range(nw + 1)], nw
-        )
+        x_times(IndexRatio(one_m, Poly([1, 1]) * one_lam).values(count), nw)
+        + OpMatrix.diag_op([a] * count, nw)
+        + coeff_then_d(IndexRatio(coeff, one_lam + lam).values(count), nw)
     )
-
-    def kappa_entry(n):
-        # 1/2 a (2+lam(n+c))/(1+kappa(n+c)) + 1/2 a lam (n+c)/(1+kappa(n+c-1));
-        # the second term is 0 * 0/0 at n+c = 0, which parameter continuity
-        # resolves to 0
-        first = a / 2 * (2 + lam * (n + c)) / (1 + kappa * (n + c))
-        if n + c == 0:
-            return first
-        return first + a / 2 * lam * (n + c) / (1 + kappa * (n + c - 1))
-
+    # a/2 (2+lam m)/(1+kappa m) + a/2 lam m/(1+kappa(m-1)); the second term is
+    # 0 * 0/0 at m = 0, which parameter continuity resolves to 0
+    first = IndexRatio(a / 2 * two_lam, one_kappa)
+    diag = first + IndexRatio(a / 2 * lam * Poly([c, 1]), one_kappa - kappa)
     kappa_part = (
-        x_times([(1 + n + c) / ((1 + n) * (1 + kappa * (n + c))) for n in range(nw + 1)], nw)
-        + OpMatrix.diag_op([kappa_entry(n) for n in range(nw + 1)], nw)
-        + coeff_then_d(
-            [lam * a * a / 4 * (2 + lam * (n + c)) / (1 + kappa * (n + c)) for n in range(nw + 1)], nw
-        )
+        x_times(IndexRatio(one_m, Poly([1, 1]) * one_kappa).values(count), nw)
+        + OpMatrix.diag_op([first(n) if n + c == 0 else diag(n) for n in range(count)], nw)
+        + coeff_then_d(IndexRatio(coeff, one_kappa).values(count), nw)
     )
     return lam_part, kappa_part
 
@@ -707,11 +706,11 @@ def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN) -> F
     gop = deformed_op(core, p.ratio)
     u, rec = extract_recurrence(gop)
     checks.append(op_check("dual raising closed form", u, jacobi_dual_raising(p, nw), order))
-    # affine split of the conjugated generator x (F_{theta+1}/F_theta)
+    # affine split of inner^(-1) x (F_{theta+1}/F_theta) inner, crossed: t inner == inner split
     lam_part, kappa_part = jacobi_split_displays(p, nw)
-    combo = core.conjugate_generator(x_times([p.ratio(n) for n in range(nw + 1)], nw))
     split = lam_part.scale(p.r) + kappa_part.scale(1 - p.r)
-    checks.append(op_check("three-term split", combo, split, order))
+    t = x_times(p.ratio.values(nw + 1), nw)
+    checks.append(conjugation_check("three-term split", core.inner(), t, split, order))
     f0 = mgf_from_gop(gop).truncate(order)
     checks += mgf_pipeline_checks(["jacobi: mgf pipelines agree"], f0, rec, order)[0]
     form1, form2 = jacobi_mgf_forms(p, order)
@@ -759,10 +758,9 @@ def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> F
     u, rec = extract_recurrence(gop)
     up, down = u.band_profile(order)
     checks.append(flag_check("raising operator tridiagonal", up <= 1 and down <= 1, f"band ({up},{down})"))
-    # bracket identity
-    bracket = diag_conj(p.mixing_ratio.reciprocal().products(nw + 1), dual_raising(c2))  # H . U . H^(-1)
-    display = x_times([p.mixing_ratio(n) for n in range(nw + 1)], nw) - OpMatrix.diag_op(p.ells(nw + 1), nw)
-    checks.append(op_check("bracket identity", bracket, display, order))
+    # bracket identity H C2^(-1) x C2 H^(-1) == display, crossed: x C2 == C2 H^(-1) display H
+    display = x_times(p.mixing_ratio.values(nw + 1), nw) - OpMatrix.diag_op(p.ells(nw + 1), nw)
+    checks.append(conjugation_check("bracket identity", c2, OpMatrix.x_op(nw), diag_conj(hvals, display), order))
     f0 = mgf_from_gop(gop).truncate(order)
     checks += mgf_pipeline_checks(["wilson: mgf pipelines agree"], f0, rec, order)[0]
     if p.h == 0:
@@ -793,12 +791,8 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
     else:
         gop = inner
     u = dual_raising(gop)
-    band = u.band_profile(order)
-    checks.append(
-        flag_check(
-            f"band profile (1,{n - 1})", band == (1, n - 1), f"got {band}"
-        )
-    )
+    band, down = u.band_profile(order), n - 1 if a else 0  # at a = 0, f = y: the monomials
+    checks.append(flag_check(f"band profile (1,{down})", band == (1, down), f"got {band}"))
     # algebraic relation for the inverse transform:
     # (1 - 1/omega')(1/omega' + n - 1)^(n-1) = n^(n-1) lam a y
     w = 1 / core.omega.derivative()
@@ -838,20 +832,19 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
 
 def comment_generator_bands(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
     """Band profiles of the established generators, which must be tridiagonal
-    after conjugation: rows (name, band, ok)."""
+    after conjugation by the inner operator: rows (name, band, ok)."""
     nw, core = guarded_core(p, order, margin)
     lam, kappa, a = p.lam, p.kappa, p.a
+    count = nw + 1
     established = {
-        "x/(1+lam theta)": x_times([1 / (1 + lam * k) for k in range(nw + 1)], nw),
-        "x/(1+kappa theta)": x_times([1 / (1 + kappa * k) for k in range(nw + 1)], nw),
-        "x - 2 lam a theta": OpMatrix.x_op(nw) - OpMatrix.diag_op([2 * lam * a * k for k in range(nw + 1)], nw),
+        "x/(1+lam theta)": x_times(IndexRatio(1, Poly([1, lam])).values(count), nw),
+        "x/(1+kappa theta)": x_times(IndexRatio(1, Poly([1, kappa])).values(count), nw),
+        "x - 2 lam a theta": OpMatrix.x_op(nw) - OpMatrix.diag_op(affine(0, 2 * lam * a).values(count), nw),
         "x(1+lam theta) - lam a(2-lam+2 lam theta)theta": (
-            x_times([1 + lam * k for k in range(nw + 1)], nw)
-            - OpMatrix.diag_op([a * lam * (2 - lam + 2 * lam * k) * k for k in range(nw + 1)], nw)
+            x_times(affine(1, lam).values(count), nw)
+            - OpMatrix.diag_op(IndexRatio(a * lam * Poly([0, 2 - lam, 2 * lam])).values(count), nw)
         ),
     }
-    out = []
-    for name, t in established.items():
-        band = core.conjugate_generator(t).band_profile(order)
-        out.append((name, band, band <= (1, 1)))
-    return out
+    inner = core.inner()
+    bands = {name: (inner.inverse() @ t @ inner).band_profile(order) for name, t in established.items()}
+    return [(name, band, band <= (1, 1)) for name, band in bands.items()]

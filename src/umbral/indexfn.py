@@ -156,7 +156,7 @@ class IndexRatio:
         return cls(Poly.const(value))
 
     def __call__(self, n) -> Fraction:
-        p, q = as_rat(n).as_integer_ratio()
+        p, q = n.as_integer_ratio() if isinstance(n, int) else as_rat(n).as_integer_ratio()
         dn, dd = self.den._at(p, q)
         if dn == 0:
             # A 0/0 here usually marks an exceptional index whose value is
@@ -165,6 +165,10 @@ class IndexRatio:
             raise ZeroDivisionError(f"index ratio pole at {n}")
         nn, nd = self.num._at(p, q)
         return Fraction(nn * dd, nd * dn)
+
+    def values(self, count: int) -> list:
+        """self(0), ..., self(count - 1): integer Horner and one Fraction each."""
+        return [self(n) for n in range(count)]
 
     def products(self, count: int, offset=0) -> tuple:
         """v_0 = 1 and v_{n+1} = v_n * self(offset + n), `count` values, each

@@ -322,6 +322,20 @@ def test_multiterm_reports_an_extraction_error_other_than_the_band(capsys, monke
     assert err == "error: raising entry at column 0 is 2\n"
 
 
+@pytest.mark.parametrize("params", [
+    "n=2,lambda=2,a=0,t0=1/3,t1=1/3,t2=1/3",
+    "n=3,lambda=1/2,a=0,t0=1/3,t1=1/3,t2=1/3",
+])
+def test_multiterm_at_a_zero_is_the_monomials(capsys, params):
+    # at a = 0, f = y and the family is x^n: the dual raising operator is x, band (1, 0)
+    code, out, err = run(capsys, "family", "multiterm", "--params", params, "--order", "4")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert all(c["pass"] for c in data["checks"]), data["checks"]
+    assert "band profile (1,0)" in [c["name"] for c in data["checks"]]
+    assert data["polys"][3] == ["0", "0", "0", "1"]
+
+
 def test_multiterm_rejects_zero_lambda(capsys):
     code, out, err = run(
         capsys, "family", "multiterm", "--params", "n=2,t0=1/3,t1=2/3", "--order", "4"

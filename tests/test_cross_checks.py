@@ -1,0 +1,357 @@
+"""The cross-multiplied identity checks against their uncrossed forms.
+
+Each check that once inverted an operator only to compare with it now
+compares a cross-multiplied form (`checks.conjugation_check`,
+`families.conjugation_trick_checks`).  The uncrossed forms are kept here as
+references, written as the checks were before: under random parameters the
+two give the same outcome, and with one entry of one factor perturbed they
+fail in the same first column.
+"""
+import dataclasses
+import re
+from collections import Counter
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from umbral import associated, families
+from umbral.associated import ASSOC_MARGIN, change_of_variable_check, coeff_then_d, wilson_assoc
+from umbral.checks import conjugation_check, op_check
+from umbral.errors import SingularParams
+from umbral.families import (
+    FAMILY_MARGIN,
+    JacobiParams,
+    ShefferParams,
+    WilsonParams,
+    conjugation_trick_checks,
+    diag_conj,
+    guarded_core,
+    jacobi_family,
+    jacobi_split_displays,
+    ultraspherical_family,
+    wilson_factors,
+    wilson_family,
+    x_times,
+)
+from umbral.opalg import OpMatrix
+from umbral.series import TruncSeries, exp_series
+
+ORDER = 5
+SHEFFER = ShefferParams(F(1, 2), F(1, 3), F(2, 5))
+JACOBI = JacobiParams(F(1, 3), F(2, 5), F(3, 7))
+WILSON = WilsonParams(F(1, 2), F(1, 3), F(1, 2), F(1, 3), F(1, 4))
+ASSOC_C = F(3, 2)
+
+
+# -- the uncrossed references --------------------------------------------------------
+
+
+def ref_conjugation_trick_checks(core, sigma, through=None):
+    sigma = F(sigma)
+    nw = core.nw
+    inv_diag = OpMatrix.diag_op([1 / (1 + sigma * n) for n in range(nw + 1)], nw)
+    lhs = core.c_tf @ OpMatrix.x_op(nw) @ inv_diag @ core.c_tf.inverse()
+    x_tf = OpMatrix.x_op(nw) @ OpMatrix.series_of_d(core.tf, nw)
+    left = OpMatrix.x_op(nw) @ core.fpow(-1 / sigma)
+    right = core.fpow(1 / sigma)
+    middle = left @ (OpMatrix.identity(nw) + x_tf.scale(sigma)).inverse() @ right
+    rhs = left @ core.c_f @ inv_diag @ core.c_f.inverse() @ right
+    return [op_check("resolvent form", lhs, middle, through), op_check("composition form", lhs, rhs, through)]
+
+
+def ref_split(f, order):
+    """inner^(-1) t inner == r lam_part + (1-r) kappa_part."""
+    split = f["lam_part"].scale(f["r"]) + f["kappa_part"].scale(1 - f["r"])
+    return op_check("three-term split", f["inner"].inverse() @ f["t"] @ f["inner"], split, order)
+
+
+def ref_bracket(f, order):
+    """H . C2^(-1) x C2 . H^(-1) == display."""
+    c2 = f["c2"]
+    u = c2.inverse() @ OpMatrix.x_op(c2.nw) @ c2
+    return op_check("bracket identity", diag_conj([1 / h for h in f["hvals"]], u), f["display"], order)
+
+
+def ref_square(f, order):
+    """inner . sq . inner^(-1) == display."""
+    return op_check("conjugated square identity", f["inner"] @ f["sq"] @ f["inner"].inverse(), f["display"], order)
+
+
+def ref_change(f, order):
+    """C_f x (1+theta)^(-1) C_f^(-1) == x (1+theta)^(-1) (D/f(D))."""
+    return op_check("change-of-variable form", f["cf"] @ f["x_over"] @ f["cf"].inverse(), f["rhs"], order - 1)
+
+
+# -- the factors each build compares, and its crossed check on them --------------------
+
+
+def split_factors(p, order):
+    nw, core = guarded_core(p, order, FAMILY_MARGIN)
+    lam_part, kappa_part = jacobi_split_displays(p, nw)
+    t = x_times([p.ratio(n) for n in range(nw + 1)], nw)
+    return {"inner": core.inner(), "t": t, "lam_part": lam_part, "kappa_part": kappa_part, "r": p.r}
+
+
+def split_args(f, order):
+    split = f["lam_part"].scale(f["r"]) + f["kappa_part"].scale(1 - f["r"])
+    return "three-term split", f["inner"], f["t"], split, order
+
+
+def bracket_factors(p, order):
+    nw = order + FAMILY_MARGIN
+    hvals, c2 = wilson_factors(p, nw)
+    display = x_times([p.mixing_ratio(n) for n in range(nw + 1)], nw) - OpMatrix.diag_op(p.ells(nw + 1), nw)
+    return {"c2": c2, "hvals": hvals, "display": display}
+
+
+def bracket_args(f, order):
+    c2 = f["c2"]
+    return "bracket identity", c2, OpMatrix.x_op(c2.nw), diag_conj(f["hvals"], f["display"]), order
+
+
+def square_factors(p, c, order):
+    nw, core = guarded_core(p, order, ASSOC_MARGIN)
+    lam, kappa, a = p.lam, p.kappa, p.a
+    sq = OpMatrix.diag_op([(1 + lam * (n + c)) ** 2 for n in range(nw + 1)], nw)
+    display = sq - coeff_then_d(
+        [2 * a * lam * lam / kappa * (1 + lam * (n + c)) * (1 + kappa * (n + c)) for n in range(nw + 1)], nw
+    )
+    return {"inner": core.inner(c), "sq": sq, "display": display}
+
+
+def square_args(f, order):
+    return "conjugated square identity", f["inner"], f["display"], f["sq"], order
+
+
+def change_factors(f, order):
+    nw = order + FAMILY_MARGIN
+    x_over = x_times([F(1, 1 + n) for n in range(nw + 1)], nw)
+    y_over_f = (1 / f.shift_down(1)).truncate(nw - 1)
+    rhs = x_over @ OpMatrix.series_of_d(TruncSeries.from_polynomial(list(y_over_f.coeffs), nw), nw)
+    return {"cf": OpMatrix.umbral_compose(f, nw), "x_over": x_over, "rhs": rhs}
+
+
+def change_args(f, order):
+    return "change-of-variable form", f["cf"], f["rhs"], f["x_over"], order - 1
+
+
+def crossed(site, f, order):
+    """The crossed check of a site: conjugation_check on the arguments its build passes."""
+    return conjugation_check(*SITES[site][1](f, order))
+
+
+EXP = exp_series(1, ORDER + 6) - 1
+SITES = {  # site -> (its factors at the pinned parameters, its check's arguments, its reference)
+    "split": (lambda: split_factors(JACOBI, ORDER), split_args, ref_split),
+    "bracket": (lambda: bracket_factors(WILSON, ORDER), bracket_args, ref_bracket),
+    "square": (lambda: square_factors(WILSON, ASSOC_C, ORDER), square_args, ref_square),
+    "change": (lambda: change_factors(EXP, ORDER), change_args, ref_change),
+}
+
+
+# -- the builds compare exactly these factors ------------------------------------------
+
+
+def same_op(x, y):
+    return (x.cols, x.raised, x.reliable) == (y.cols, y.raised, y.reliable)
+
+
+@pytest.mark.parametrize("site, build, module", [
+    ("split", lambda: jacobi_family(JACOBI, ORDER), families),
+    ("bracket", lambda: wilson_family(WILSON, ORDER), families),
+    ("square", lambda: wilson_assoc(WILSON, ASSOC_C, ORDER), associated),
+    ("change", lambda: [change_of_variable_check(EXP, ORDER)], associated),
+])
+def test_each_build_compares_the_factors_of_its_crossed_check(site, build, module, monkeypatch):
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return conjugation_check(*args)
+
+    monkeypatch.setattr(module, "conjugation_check", spy)
+    result = build()
+    make, args, _ = SITES[site]
+    expected = args(make(), ORDER)
+    (got,) = seen
+    assert got[0] == expected[0] and got[4] == expected[4]
+    assert all(same_op(x, y) for x, y in zip(got[1:4], expected[1:4]))
+    checks = result if isinstance(result, list) else result.checks
+    assert [c for c in checks if c.name == got[0]] == [conjugation_check(*expected)]
+    assert checks and all(c.passed for c in checks)
+
+
+# -- same outcome under random parameters -----------------------------------------------
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+positive = st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6)
+
+
+def passed(checks):
+    return [c.passed for c in checks]
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small, small, small)
+def test_riccati_conjugation_trick_matches_the_reference(lam, a, b):
+    assume(lam != 0)
+    p = ShefferParams(lam, a, b)
+    try:
+        _, core = guarded_core(p, 4, FAMILY_MARGIN)
+    except SingularParams:
+        assume(False)
+    assert passed(conjugation_trick_checks(core, lam, 4)) == passed(ref_conjugation_trick_checks(core, lam, 4))
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(positive, small, st.fractions(min_value=0, max_value=1, max_denominator=5))
+def test_jacobi_checks_match_the_references(lam, a, r):
+    try:
+        p = JacobiParams(lam, a, r)
+        f = split_factors(p, 4)
+        _, core = guarded_core(p, 4, FAMILY_MARGIN)
+    except SingularParams:
+        assume(False)
+    assert crossed("split", f, 4).passed == ref_split(f, 4).passed
+    for sigma in (p.lam, p.kappa):
+        assert passed(conjugation_trick_checks(core, sigma, 4)) == passed(ref_conjugation_trick_checks(core, sigma, 4))
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(positive, small, *[st.fractions(min_value=0, max_value=1, max_denominator=5)] * 3)
+def test_wilson_checks_match_the_references(lam, a, r, rt, h):
+    try:
+        p = WilsonParams(lam, a, r, rt, h)
+        p.guard(4 + ASSOC_MARGIN)
+        bracket, square = bracket_factors(p, 4), square_factors(p, ASSOC_C, 4)
+    except SingularParams:
+        assume(False)
+    assert crossed("bracket", bracket, 4).passed == ref_bracket(bracket, 4).passed
+    assert crossed("square", square, 4).passed == ref_square(square, 4).passed
+
+
+# -- a planted entry fails both forms in the same first column ---------------------------
+
+
+def first_column(check):
+    """The column of the first differing entry, or None for a passing check."""
+    if check.passed:
+        return None
+    return int(re.match(r"entry \((\d+),(\d+)\)", check.witness).group(2))
+
+
+def planted(op, m, n, delta=F(7, 3)):
+    rows = op.mat
+    rows[m][n] += delta if rows[m][n] + delta else 2 * delta
+    return OpMatrix(rows, op.nw, op.raised, op.reliable)
+
+
+def entries(op):
+    """Every entry on or above the diagonal, and for a raising operator the
+    one below it: a planted factor keeps its degree bounds, and an inverted
+    one its inverse."""
+    nw = op.nw
+    return [(m, n) for n in range(nw + 1) for m in range(min(n + op.raised, nw) + 1)]
+
+
+def assert_same_columns(pairs):
+    """Crossed and reference checks fail together, in the same first column;
+    returns how many failed."""
+    pairs = list(pairs)
+    mismatched = [(where, first_column(c), first_column(r)) for where, c, r in pairs
+                  if first_column(c) != first_column(r)]
+    assert not mismatched, mismatched[:5]
+    return sum(not r.passed for _, _, r in pairs)
+
+
+def trick_pairs(core, sigma, through, plant):
+    """(where, crossed, reference) for both forms of the lemma over `plant(core)`
+    for each planted core it yields."""
+    for where, bad in plant(core):
+        for crossed, ref in zip(conjugation_trick_checks(bad, sigma, through),
+                                ref_conjugation_trick_checks(bad, sigma, through)):
+            yield where, crossed, ref
+
+
+def plant_field(name):
+    def plant(core):
+        for m, n in entries(getattr(core, name)):
+            yield (m, n), dataclasses.replace(core, **{name: planted(getattr(core, name), m, n)})
+    return plant
+
+
+def plant_fpow(sigma):
+    """F = f'(D)^(-1/sigma) planted, and f'(D)^(1/sigma) read as its inverse."""
+    def plant(core):
+        fpow = core.fpow(-1 / sigma)
+        for m, n in entries(fpow):
+            bad = dataclasses.replace(core)
+            bad._memo[("fpow", -1 / sigma)] = f = planted(fpow, m, n)
+            bad._memo[("fpow", 1 / sigma)] = f.inverse()
+            yield (m, n), bad
+    return plant
+
+
+def plant_tf(core):
+    for k in range(1, core.nw + 1):  # a constant term would make x tf(D) raise the degree
+        coeffs = list(core.tf.coeffs)
+        coeffs[k] += F(7, 3)
+        yield k, dataclasses.replace(core, tf=TruncSeries(coeffs))
+
+
+@pytest.mark.parametrize("factor", ["c_tf", "c_f", "fpow", "tf"])
+@pytest.mark.parametrize("p, sigma", [(SHEFFER, SHEFFER.lam), (JACOBI, JACOBI.kappa)], ids=["ultra", "jacobi-kappa"])
+def test_planted_conjugation_trick_factor_fails_in_the_reference_column(factor, p, sigma):
+    _, core = guarded_core(p, ORDER, FAMILY_MARGIN)
+    plant = {"c_tf": plant_field("c_tf"), "c_f": plant_field("c_f"), "fpow": plant_fpow(sigma), "tf": plant_tf}[factor]
+    failures = assert_same_columns(trick_pairs(core, sigma, ORDER, plant))
+    assert failures > 0
+
+
+def site_pairs(site, slot):
+    make, _, ref = SITES[site]
+    factors = make()
+    for m, n in entries(factors[slot]):
+        bad = dict(factors, **{slot: planted(factors[slot], m, n)})
+        yield (m, n), crossed(site, bad, ORDER), ref(bad, ORDER)
+
+
+@pytest.mark.parametrize("site, slot", [
+    ("split", "inner"), ("split", "lam_part"), ("split", "kappa_part"),
+    ("bracket", "c2"), ("bracket", "display"),
+    ("square", "inner"), ("square", "display"),
+    ("change", "cf"), ("change", "rhs"),
+])
+def test_planted_factor_fails_in_the_reference_column(site, slot):
+    assert assert_same_columns(site_pairs(site, slot)) > 0
+
+
+# -- what one build costs ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, products", [
+    pytest.param(lambda: ultraspherical_family(SHEFFER, 8), 23, id="ultraspherical"),
+    pytest.param(lambda: jacobi_family(JACOBI, 8), 36, id="jacobi"),
+    pytest.param(lambda: wilson_family(WILSON, 8), 23, id="wilson"),
+])
+def test_a_build_inverts_at_most_two_operators(build, products, monkeypatch):
+    """The inner operator's C_tf and the family operator; `products` is the
+    count of operator products before the checks were crossed."""
+    count = Counter()
+    invert, matmul = OpMatrix._invert, OpMatrix.__matmul__
+
+    def counted_invert(op):
+        count["inverse"] += 1
+        return invert(op)
+
+    def counted_matmul(a, b):
+        count["product"] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(OpMatrix, "_invert", counted_invert)
+    monkeypatch.setattr(OpMatrix, "__matmul__", counted_matmul)
+    assert all(c.passed for c in build().checks)
+    assert count["inverse"] <= 2 and count["product"] <= products, count
