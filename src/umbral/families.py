@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .checks import conjugation_check, first_failure, flag_check, op_check, series_check, value_check
 from .errors import DiagSingular, NotThreeTerm, SingularParams
 from .indexfn import IndexRatio, Poly, affine
-from .opalg import OpMatrix, mgf_from_gop, umbral_compose_and_reverse
+from .opalg import OpMatrix, dual_raising, mgf_from_gop, tridiagonal_raising, umbral_compose_and_reverse
 from .orthocore import ClosedFormRecurrence, Recurrence, assoc_mgf_from_tails, moments_from_recurrence
 from .series import (
     TruncSeries,
@@ -289,16 +289,15 @@ def d_then_coeff(values: Sequence, nw: int) -> OpMatrix:
 @dataclass
 class ShefferCore:
     """Series and operators shared by every deformation built over one f;
-    fpow, tf_inv_fpow, inner and fprime_omega_pow make each of their values once."""
+    fpow, tf_inv_fpow, inner and fprime_omega_pow make each of their values
+    once, and c_tf_inv, c_tf and omega are made on first use."""
 
     lam: Fraction
     f: TruncSeries
     fprime: TruncSeries
     tf: TruncSeries
-    omega: TruncSeries
     phi: TruncSeries
     c_f: OpMatrix
-    c_tf: OpMatrix
     nw: int
     _memo: dict = field(default_factory=dict, init=False, repr=False)  # (method, argument) -> value
 
@@ -308,12 +307,31 @@ class ShefferCore:
             self._memo[key] = make(key[1])
         return self._memo[key]
 
+    @cached_property
+    def c_tf_inv(self) -> OpMatrix:
+        """C_tf^(-1), built from the powers of tf/y with no inverse."""
+        return OpMatrix.umbral_compose_inverse(self.tf, self.nw)
+
+    @cached_property
+    def c_tf(self) -> OpMatrix:
+        """C_tf, made by inverting c_tf_inv once, which it keeps as its
+        inverse; like every inverse, c_tf_inv keeps no reference back."""
+        c_tf = self.c_tf_inv._invert()
+        c_tf._inverse = self.c_tf_inv
+        return c_tf
+
+    @cached_property
+    def omega(self) -> TruncSeries:
+        """omega = reverse(tf), row 1 of C_tf: omega_n = C_tf[1][n]/n!, solved
+        from c_tf_inv without making C_tf."""
+        return self.c_tf_inv.inverse_row_egf(1)
+
     def fpow(self, alpha) -> OpMatrix:
         return self._once("fpow", alpha, lambda a: OpMatrix.series_of_d(self.fprime.pow_fraction(a), self.nw))
 
     def tf_inv_fpow(self, alpha) -> OpMatrix:
         """C_tf^(-1) f'(D)^alpha, read by inner() and the conjugation checks."""
-        return self._once("tf_inv_fpow", alpha, lambda a: self.c_tf.inverse() @ self.fpow(a))
+        return self._once("tf_inv_fpow", alpha, lambda a: self.c_tf_inv @ self.fpow(a))
 
     def inner(self, c=0) -> OpMatrix:
         """C_tf^(-1) f'(D)^(-c-1/lam) C_f; at c = 0 the common core of the
@@ -331,10 +349,8 @@ class ShefferCore:
 
 
 def sheffer_core(f: TruncSeries, fprime: TruncSeries, lam, nw: int) -> ShefferCore:
-    tf = t_transform(f)
     c_f, phi = umbral_compose_and_reverse(f, nw)  # phi = reverse(f)
-    c_tf, omega = umbral_compose_and_reverse(tf, nw)  # omega = reverse(tf)
-    return ShefferCore(lam=as_rat(lam), f=f, fprime=fprime, tf=tf, omega=omega, phi=phi, c_f=c_f, c_tf=c_tf, nw=nw)
+    return ShefferCore(lam=as_rat(lam), f=f, fprime=fprime, tf=t_transform(f), phi=phi, c_f=c_f, nw=nw)
 
 
 def riccati_core(lam, a, b, nw: int) -> ShefferCore:
@@ -434,14 +450,9 @@ class FamilyResult:
         }
 
 
-def dual_raising(gop: OpMatrix) -> OpMatrix:
-    """gop^(-1) x gop: multiplication by x in the family's own basis."""
-    return gop.inverse() @ OpMatrix.x_op(gop.nw) @ gop
-
-
 def extract_recurrence(gop: OpMatrix, through: Optional[int] = None) -> tuple:
     """The dual raising operator of gop and the recurrence read off it."""
-    u = dual_raising(gop)
+    u = tridiagonal_raising(gop)
     a, b = u.three_term(through)
     return u, Recurrence(tuple(a), tuple(b))
 
@@ -548,16 +559,15 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
     u, rec = extract_recurrence(gop)
     closed = ultraspherical_closed_form(p)
     checks.append(op_check("dual raising display", u, closed_form_raising(closed, nw), order))
-    # dual derivative display F_{theta+1}^(-1) . resolvent(D) . F_theta, where
-    # F_{theta+1}^(-1) = (1 + lam theta) F_theta^(-1)
-    d_star = gop.inverse() @ OpMatrix.d_op(nw) @ gop
+    # dual derivative display gop^(-1) D gop == F_{theta+1}^(-1) . resolvent(D)
+    # . F_theta, where F_{theta+1}^(-1) = (1 + lam theta) F_theta^(-1)
     resolvent = TruncSeries.from_function(
         lambda i: (lam * b) ** (i // 2) if i % 2 == 1 else 0, nw
     )  # y/(1 - lam b y^2)
     expected_d = OpMatrix.diag_op([1 + lam * n for n in range(nw + 1)], nw) @ diag_conj(
         p.ratio.products(nw + 1), OpMatrix.series_of_d(resolvent, nw)
     )
-    checks.append(op_check("dual derivative display", d_star, expected_d, order))
+    checks.append(conjugation_check("dual derivative display", gop, OpMatrix.d_op(nw), expected_d, order))
     # boxed mgf: e^{ay} * sum_n prod-ratio terms y^(2n)
     even = [Fraction(0)] * (nw + 1)
     even[::2] = IndexRatio(b, Poly([1, 1]) * Poly([1 + lam, lam])).products(nw // 2 + 1)

@@ -9,9 +9,10 @@ kernel below (products, inverses, sums, bar, the constructors) reads and
 writes integers only, reducing each result column once; polynomials and
 series (``column_poly``, ``apply_poly``, ``apply_series``) share that
 storage.  Fractions are made only at the boundary: the ``OpMatrix(rows,
-...)`` constructor takes them, and ``column``/``entry``, ``three_term``,
+...)`` constructor takes them, ``column``/``entry``, ``three_term``,
 comparison witnesses and the ``mat`` property (a fresh row-major Fraction
-copy, read by tools such as the benchmark tracer) give them back.
+copy, read by tools such as the benchmark tracer) give them back, and
+``top_diagonals_raising`` works in them on the O(nw) entries it reads.
 
 Next to the matrix sit two pieces of truncation bookkeeping:
 
@@ -35,6 +36,7 @@ matrices bar reverses products: bar(T1 T2) = bar(T2) bar(T1).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -46,7 +48,7 @@ from .errors import (
     ReliabilityExhausted,
 )
 from .indexfn import Poly
-from .series import TruncSeries, _append_over, _from_pairs, _int_powers, _over_common_den, _reduced, as_rat
+from .series import TruncSeries, _append_over, _conv, _from_pairs, _int_powers, _over_common_den, _reduced, as_rat
 
 _ZERO = Fraction(0)
 
@@ -169,6 +171,41 @@ class OpMatrix:
         return umbral_compose_and_reverse(f, nw)[0]
 
     @classmethod
+    def umbral_compose_inverse(cls, g: TruncSeries, nw: int) -> "OpMatrix":
+        """umbral_compose(g, nw).inverse(), built directly: x^n goes to
+        n! [y^n] e^(x g(y)), whose x^a coefficient is (n!/a!) [y^(n-a)] (g/y)^a.
+
+        Row a comes from the a-th power of g/y, needed only to degree nw - a.
+        Each power is dropped once its row is read; the numerators wait in
+        their columns until every power's denominator is known, and each
+        column is then put over the lcm of the denominators it uses.
+        """
+        if g.order < nw:
+            raise OrderExhausted("series for the umbral operator must reach the working order")
+        g._require_reversible()
+        den_g, nums_g = g._head(nw)
+        step = nums_g[1:]  # g/y over den_g
+        dens, raw = [1], [[1]] + [[0] for _ in range(nw)]  # raw[n][a]: numerator of [y^(n-a)] (g/y)^a
+        den, power = 1, [1]
+        for a in range(1, nw + 1):
+            den, power = _reduced(den * den_g, _conv(power, step, nw - a))
+            dens.append(den)
+            for k, v in enumerate(power):
+                raw[a + k].append(v)
+        cols, lcm = [], 1
+        for n in range(nw + 1):
+            lcm = math.lcm(lcm, dens[n])
+            nums = [0] * (nw + 1)
+            weight = 1  # n!/a!
+            for a in range(n, -1, -1):
+                if raw[n][a]:
+                    nums[a] = weight * raw[n][a] * (lcm // dens[a])
+                weight *= a
+            raw[n] = None
+            cols.append(_reduced(lcm, nums))
+        return cls._of(cols, nw, 0, nw)
+
+    @classmethod
     def shifted_product(cls, ells: Sequence, nw: int) -> "OpMatrix":
         """Operator sending x^n to prod_{k<n} (x + ells[k]): with
         ells = E/d over integers, the integer polynomial prod (d x + E_k)
@@ -254,16 +291,10 @@ class OpMatrix:
             self._inverse = self._invert()
         return self._inverse
 
-    def _invert(self) -> "OpMatrix":
-        """Back-substitution inverse of a degree-non-raising operator.
-
-        Only triangular inverses occur here; anything with entries above
-        the degree diagonal is rejected.  With self = N . diag(1/d) for the
-        integer matrix N of column numerators, the inverse is
-        diag(d) . N^(-1); N^(-1) is solved fraction-free in the style of
-        Bareiss, each column in integers y_r over one running denominator
-        s, which grows by N_rr/gcd(num, N_rr) at row r.
-        """
+    def _require_invertible(self):
+        """Raise NotInvertible unless self is upper triangular with a nonzero
+        diagonal: only triangular inverses occur here, and anything with
+        entries above the degree diagonal is rejected."""
         n = self.nw + 1
         for col, (_, nums) in enumerate(self.cols):
             for row in range(col + 1, n):
@@ -271,6 +302,18 @@ class OpMatrix:
                     raise NotInvertible(f"degree-raising entry at ({row},{col})")
             if nums[col] == 0:
                 raise NotInvertible(f"zero diagonal entry at {col}")
+
+    def _invert(self) -> "OpMatrix":
+        """Back-substitution inverse of a degree-non-raising operator.
+
+        With self = N . diag(1/d) for the integer matrix N of column
+        numerators, the inverse is diag(d) . N^(-1); N^(-1) is solved
+        fraction-free in the style of Bareiss, each column in integers y_r
+        over one running denominator s, which grows by N_rr/gcd(num, N_rr)
+        at row r.
+        """
+        self._require_invertible()
+        n = self.nw + 1
         upper = [[] for _ in range(n)]  # row r of N right of the diagonal, as (j, N_rj)
         for j, (_, nums) in enumerate(self.cols):
             for r in range(j):
@@ -294,6 +337,24 @@ class OpMatrix:
                     nums[colv - i] = v * self.cols[colv - i][0]
             cols.append(_reduced(s, nums))
         return OpMatrix._of(cols, self.nw, 0, self.reliable)
+
+    def inverse_row_egf(self, r: int) -> TruncSeries:
+        """sum_n (T^(-1))[r][n] y^n/n!, to order nw, with no inverse: row r of
+        T^(-1) solves y T = e_r, so with column n of T = N_n/d_n,
+        y_n = (d_n [n == r] - sum_{k<n} y_k N_n[k]) / N_n[n], solved forward
+        in integers over one running denominator in O(nw^2).  Raises what
+        inverse() raises."""
+        self._require_invertible()
+        ys, s = [], 1
+        for n, (d, nums) in enumerate(self.cols):
+            acc = (d * s if n == r else 0) - sum(map(operator.mul, ys, nums))
+            s = _append_over(ys, s, acc, nums[n])
+        weight = 1  # nw!/n!, then nw!
+        for n in range(self.nw, 0, -1):
+            ys[n] *= weight
+            weight *= n
+        ys[0] *= weight
+        return TruncSeries._make(s * weight, ys)
 
     def expand_in(self, basis: "OpMatrix") -> "OpMatrix":
         """Coordinates of self's columns in the image basis of `basis`."""
@@ -438,9 +499,60 @@ class OpMatrix:
 
 
 def mgf_from_gop(gop: OpMatrix) -> TruncSeries:
-    """Moment generating function of the family with operator `gop`:
-    the bar transform of the inverse, applied to 1."""
-    return gop.inverse().bar().apply_series(TruncSeries.one(gop.nw))
+    """Moment generating function of the family with operator `gop`: the bar
+    transform of the inverse, applied to 1.  Its coefficient b is
+    bar(gop^(-1))[b][0] = (gop^(-1))[0][b]/b!, so only row 0 of the inverse
+    is solved."""
+    return gop.inverse_row_egf(0)
+
+
+def dual_raising(gop: OpMatrix) -> OpMatrix:
+    """gop^(-1) x gop: multiplication by x in the family's own basis."""
+    return gop.inverse() @ OpMatrix.x_op(gop.nw) @ gop
+
+
+def tridiagonal_raising(gop: OpMatrix) -> OpMatrix:
+    """dual_raising(gop), read off the top three diagonals of gop whenever it
+    is tridiagonal on its reliable block, with no inverse.
+
+    The candidate U of `top_diagonals_raising` is compared cross-multiplied,
+    x gop == gop U.  gop is upper triangular with a nonzero diagonal, so
+    column j of x gop - gop U = gop (u - U) vanishes exactly when column j
+    of u - U does: U equals u on u's reliable block exactly when the
+    comparison passes there.  When it fails the dense u is returned, so
+    three_term() raises on it as it always did.
+    """
+    u = top_diagonals_raising(gop)
+    if (OpMatrix.x_op(gop.nw) @ gop).equals(gop @ u):
+        return u
+    return dual_raising(gop)
+
+
+def top_diagonals_raising(gop: OpMatrix) -> OpMatrix:
+    """The tridiagonal U that u = gop^(-1) x gop is if it is tridiagonal.
+
+    Write p_n for column n of gop.  Then x p_n = alpha_n p_(n+1) + a_n p_n
+    + c_n p_(n-1), and matching x^(n+1), x^n and x^(n-1) gives alpha_n, a_n
+    and c_n in O(1) per column.  U carries u's raised and reliable, and its
+    columns past reliable are left zero.  Raises what inverse() raises.
+    """
+    gop._require_invertible()
+    nw, raised = gop.nw, gop.raised + 1
+    reliable = min(gop.reliable, nw) - raised
+    entry = gop.entry
+    cols = []
+    for n in range(reliable + 1):
+        lead, below = entry(n, n), entry(n - 1, n) if n else 0
+        alpha = lead / entry(n + 1, n + 1)
+        a = (below - alpha * entry(n, n + 1)) / lead
+        col = [0] * (nw + 1)
+        col[n + 1], col[n] = alpha, a
+        if n:
+            low = entry(n - 2, n) if n > 1 else 0
+            col[n - 1] = (low - alpha * entry(n - 1, n + 1) - a * below) / entry(n - 1, n - 1)
+        cols.append(_over_common_den(col))
+    cols += [(1, [0] * (nw + 1)) for _ in range(len(cols), nw + 1)]
+    return OpMatrix._of(cols, nw, raised, reliable)
 
 
 def umbral_compose_and_reverse(f: TruncSeries, nw: int) -> tuple[OpMatrix, TruncSeries]:

@@ -391,11 +391,14 @@ class TruncSeries(CommonDen):
 
     def _y_over_f(self) -> "TruncSeries":
         """y/f, known through order - 1, for f with f(0) = 0 and f'(0) != 0."""
+        self._require_reversible()
+        return 1 / self.shift_down(1)
+
+    def _require_reversible(self):
         if self.nums[0] != 0:
             raise NotReversible("series must vanish at 0")
         if self.order < 1 or self.nums[1] == 0:
             raise NotReversible("series must have nonzero linear term")
-        return 1 / self.shift_down(1)
 
     # -- transcendental maps (coefficient recursions, exact) ------------
 

@@ -2,10 +2,11 @@
 
 Each check that once inverted an operator only to compare with it now
 compares a cross-multiplied form (`checks.conjugation_check`,
-`families.conjugation_trick_checks`).  The uncrossed forms are kept here as
-references, written as the checks were before: under random parameters the
-two give the same outcome, and with one entry of one factor perturbed they
-fail in the same first column.
+`families.conjugation_trick_checks`), and the recurrence is read off the top
+diagonals of the family operator (`opalg.tridiagonal_raising`).  The
+uncrossed forms are kept here as references, written as the checks were
+before: under random parameters the two give the same outcome, and with one
+entry of one factor perturbed they fail in the same first column.
 """
 import dataclasses
 import re
@@ -19,23 +20,28 @@ from hypothesis import strategies as st
 from umbral import associated, families
 from umbral.associated import ASSOC_MARGIN, change_of_variable_check, coeff_then_d, wilson_assoc
 from umbral.checks import conjugation_check, op_check
-from umbral.errors import SingularParams
+from umbral.errors import EngineError, NotInvertible, NotMonic, NotThreeTerm, SingularParams
 from umbral.families import (
     FAMILY_MARGIN,
+    HahnParams,
     JacobiParams,
     ShefferParams,
     WilsonParams,
     conjugation_trick_checks,
+    deformed_op,
     diag_conj,
     guarded_core,
+    hahn_family,
     jacobi_family,
     jacobi_split_displays,
+    sheffer_op,
     ultraspherical_family,
     wilson_factors,
     wilson_family,
+    wilson_op,
     x_times,
 )
-from umbral.opalg import OpMatrix
+from umbral.opalg import OpMatrix, dual_raising, top_diagonals_raising, tridiagonal_raising
 from umbral.series import TruncSeries, exp_series
 
 ORDER = 5
@@ -277,9 +283,16 @@ def trick_pairs(core, sigma, through, plant):
 
 
 def plant_field(name):
+    """The core with one entry of its factor `name` planted.  C_tf is made on
+    first use and the core reads C_tf^(-1) as a factor of its own, so a
+    planted C_tf comes with its inverse as that factor."""
     def plant(core):
         for m, n in entries(getattr(core, name)):
-            yield (m, n), dataclasses.replace(core, **{name: planted(getattr(core, name), m, n)})
+            bad = dataclasses.replace(core)
+            setattr(bad, name, planted(getattr(core, name), m, n))
+            if name == "c_tf":
+                bad.c_tf_inv = bad.c_tf.inverse()
+            yield (m, n), bad
     return plant
 
 
@@ -329,17 +342,104 @@ def test_planted_factor_fails_in_the_reference_column(site, slot):
     assert assert_same_columns(site_pairs(site, slot)) > 0
 
 
+# -- the recurrence read off the top diagonals of the family operator ------------------
+
+
+def riccati_gop(p, order):
+    return sheffer_op(guarded_core(p, order, FAMILY_MARGIN)[1])
+
+
+def jacobi_gop(p, order):
+    return deformed_op(guarded_core(p, order, FAMILY_MARGIN)[1], p.ratio)
+
+
+def wilson_gop(p, order):
+    nw, core = guarded_core(p, order, FAMILY_MARGIN)
+    return wilson_op(core, *wilson_factors(p, nw))
+
+
+def hahn_gop(p, order):
+    return hahn_family(p, order).gop
+
+
+unit = st.fractions(min_value=0, max_value=1, max_denominator=5)
+GOPS = {  # family -> (its drawn parameters, its operator, pinned parameters)
+    "riccati": (st.builds(ShefferParams, small.filter(bool), small, small), riccati_gop, SHEFFER),
+    "jacobi": (st.builds(JacobiParams, positive, small, unit), jacobi_gop, JACOBI),
+    "wilson": (st.builds(WilsonParams, positive, small, unit, unit, unit), wilson_gop, WILSON),
+    "hahn": (st.builds(HahnParams, positive, small, small), hahn_gop, HahnParams(2, F(1, 2), F(1, 2))),
+}
+
+
+def recurrence_outcome(raising, gop):
+    """The recurrence, raise and reliable block of raising(gop), or the error
+    it raises on the way."""
+    try:
+        u = raising(gop)
+        return u.three_term(), u.raised, u.reliable
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("family", GOPS)
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_the_reader_matches_the_dense_reference(family, data):
+    params, make, _ = GOPS[family]
+    try:
+        gop = make(data.draw(params), 4)
+    except EngineError:
+        assume(False)
+    assert recurrence_outcome(tridiagonal_raising, gop) == recurrence_outcome(dual_raising, gop)
+    u, ref = tridiagonal_raising(gop), dual_raising(gop)
+    assert u.first_difference(ref) is None and (u.raised, u.reliable) == (ref.raised, ref.reliable)
+
+
+def outside_band_column(outcome):
+    """The column three_term() names for an entry outside the band, or None."""
+    if outcome[0] is not NotThreeTerm:
+        return None
+    return int(re.match(r"entry outside band at \((\d+),(\d+)\)", outcome[1]).group(2))
+
+
+def crossed_column(gop):
+    """The first column where x gop == gop U fails for the top-diagonal U."""
+    try:
+        u = top_diagonals_raising(gop)
+    except NotInvertible:
+        return None
+    diff = (OpMatrix.x_op(gop.nw) @ gop).first_difference(gop @ u)
+    return None if diff is None else diff[1]
+
+
+@pytest.mark.parametrize("family", GOPS)
+def test_a_planted_gop_entry_fails_the_reader_in_the_reference_column(family):
+    _, make, p = GOPS[family]
+    gop = make(p, ORDER)
+    outcomes = Counter()
+    for n in range(gop.reliable + 1):
+        for m in range(gop.nw + 1):
+            bad = planted(gop, m, n)
+            ref = recurrence_outcome(dual_raising, bad)
+            assert recurrence_outcome(tridiagonal_raising, bad) == ref, (m, n)
+            assert crossed_column(bad) == outside_band_column(ref), (m, n)
+            outcomes[ref[0] if isinstance(ref[0], type) else "passed"] += 1
+    assert outcomes[NotThreeTerm] and outcomes[NotMonic] and outcomes[NotInvertible], outcomes
+
+
 # -- what one build costs ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("build, products", [
-    pytest.param(lambda: ultraspherical_family(SHEFFER, 8), 23, id="ultraspherical"),
-    pytest.param(lambda: jacobi_family(JACOBI, 8), 36, id="jacobi"),
-    pytest.param(lambda: wilson_family(WILSON, 8), 23, id="wilson"),
+    pytest.param(lambda: ultraspherical_family(SHEFFER, 8), 21, id="ultraspherical"),
+    pytest.param(lambda: jacobi_family(JACOBI, 8), 33, id="jacobi"),
+    pytest.param(lambda: wilson_family(WILSON, 8), 21, id="wilson"),
 ])
-def test_a_build_inverts_at_most_two_operators(build, products, monkeypatch):
-    """The inner operator's C_tf and the family operator; `products` is the
-    count of operator products before the checks were crossed."""
+def test_a_build_inverts_one_operator(build, products, monkeypatch):
+    """C_tf^(-1), once, to make the C_tf of the conjugation-trick checks: the
+    family operator is never inverted.  `products` is the count of operator
+    products with every check crossed and the recurrence read off the top
+    diagonals of the family operator."""
     count = Counter()
     invert, matmul = OpMatrix._invert, OpMatrix.__matmul__
 
@@ -354,4 +454,4 @@ def test_a_build_inverts_at_most_two_operators(build, products, monkeypatch):
     monkeypatch.setattr(OpMatrix, "_invert", counted_invert)
     monkeypatch.setattr(OpMatrix, "__matmul__", counted_matmul)
     assert all(c.passed for c in build().checks)
-    assert count["inverse"] <= 2 and count["product"] <= products, count
+    assert count["inverse"] == 1 and count["product"] <= products, count

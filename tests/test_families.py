@@ -5,12 +5,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from umbral import families, opalg
 from umbral.associated import jacobi_assoc, sheffer_assoc, ultra_assoc, wilson_assoc
 from umbral.errors import SingularParams
 from umbral.families import (
     HahnParams,
     JacobiParams,
     MultiTermParams,
+    ShefferCore,
     ShefferParams,
     WilsonParams,
     comment_generator_bands,
@@ -29,6 +31,7 @@ from umbral.opalg import OpMatrix
 from umbral.orthocore import moments_from_recurrence, recurrence_from_moments
 from umbral.sampling import rng_for, sample_jacobi, sample_multiterm, sample_wilson
 from umbral.series import TruncSeries, exp_series
+from umbral.verify import RunConfig, suite_base
 
 
 def all_pass(result):
@@ -272,10 +275,16 @@ def test_raising_lowering_commutator_across_families():
 @pytest.mark.parametrize("nw", [1, 2, 7, 16])
 @pytest.mark.parametrize("lam, a, b", [(1, 0, 1), (F(1, 2), F(1, 3), F(2, 5)), (2, F(-1, 2), F(1, 8)), (0, 1, 1)])
 def test_sheffer_core_reads_omega_and_c_tf_off_one_pass(lam, a, b, nw):
+    """C_tf^(-1) is built from the powers of tf/y, C_tf is its inverse and
+    omega is row 1 of C_tf."""
     core = riccati_core(lam, a, b, nw)
     assert core.omega == core.tf.reverse()
     c_tf = OpMatrix.umbral_compose(core.tf, nw)
+    c_tf_inv = c_tf.inverse()
     assert (core.c_tf.cols, core.c_tf.raised, core.c_tf.reliable) == (c_tf.cols, c_tf.raised, c_tf.reliable)
+    assert (core.c_tf_inv.cols, core.c_tf_inv.raised, core.c_tf_inv.reliable) == (
+        c_tf_inv.cols, c_tf_inv.raised, c_tf_inv.reliable
+    )
 
 
 # ---- one computation per factor -------------------------------------------------------
@@ -307,13 +316,22 @@ def wilson(h):
 def test_one_build_inverts_each_operator_once(build, monkeypatch):
     invert, seen = OpMatrix._invert, Counter()
 
+    def key(op):
+        return op.nw, op.raised, op.reliable, tuple((den, tuple(nums)) for den, nums in op.cols)
+
     def counted(op):
-        seen[op.nw, op.raised, op.reliable, tuple((den, tuple(nums)) for den, nums in op.cols)] += 1
+        seen[key(op)] += 1
         return invert(op)
 
     monkeypatch.setattr(OpMatrix, "_invert", counted)
     all_pass(build())
-    assert seen and max(seen.values()) == 1, sorted(seen.values())
+    built = Counter(seen)
+    # some builds invert nothing at all; a fresh operator's inverse shows
+    # that every inversion would have been counted
+    probe = OpMatrix.diag_op([1, 2, 3], 2)
+    probe.inverse()
+    assert seen[key(probe)] == 1 and sum(seen.values()) == sum(built.values()) + 1
+    assert max(built.values(), default=1) == 1, sorted(built.values())
 
 
 def test_the_core_makes_each_factor_once():
@@ -322,9 +340,64 @@ def test_the_core_makes_each_factor_once():
     assert core.inner() is core.inner(0)
     assert core.fpow(F(-3)) is core.fpow(-3)
     assert core.fprime_omega_pow(F(1, 2)) is core.fprime_omega_pow(F(1, 2))
+    assert core.c_tf is core.c_tf and core.c_tf_inv is core.c_tf_inv and core.omega is core.omega
     inv = core.c_tf.inverse()
-    assert core.c_tf.inverse() is inv
+    assert core.c_tf.inverse() is inv is core.c_tf_inv  # C_tf is made from C_tf^(-1), not inverted again
     assert inv._inverse is None  # the inverse holds no reference back to its operator
+
+
+def spy_on_c_tf(monkeypatch) -> list:
+    """(name, nw) for each C_tf or C_tf^(-1) a core makes from here on."""
+    made = []
+    for name in ("c_tf", "c_tf_inv"):
+        make = vars(ShefferCore)[name].func
+
+        def spy(core, make=make, name=name):
+            made.append((name, core.nw))
+            return make(core)
+
+        monkeypatch.setattr(ShefferCore, name, property(spy))
+    return made
+
+
+def test_sheffer_builds_never_make_c_tf(monkeypatch):
+    made = spy_on_c_tf(monkeypatch)
+    composed = []
+    compose = families.umbral_compose_and_reverse
+    monkeypatch.setattr(families, "umbral_compose_and_reverse", lambda f, nw: composed.append(f) or compose(f, nw))
+    all_pass(sheffer_family(SHEFFER, 12))
+    assert len(composed) == 1  # C_f alone, where C_tf was once composed next to it
+    checks = suite_base(RunConfig(order=8, seed=1, samples=2))
+    assert checks and all(c.passed for c in checks)
+    assert not made, made
+    ultraspherical_family(SHEFFER, 4)  # the spy is live: this build reads C_tf
+    assert ("c_tf", 8) in made
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: sheffer_family(SHEFFER, 8), id="sheffer"),
+    pytest.param(lambda: ultraspherical_family(SHEFFER, 8), id="ultraspherical"),
+    pytest.param(lambda: jacobi_family(JACOBI, 8), id="jacobi"),
+    pytest.param(lambda: wilson_family(wilson(F(1, 4)), 8), id="wilson"),
+])
+def test_a_build_never_inverts_its_family_operator(build, monkeypatch):
+    invert, inverted = OpMatrix._invert, []
+
+    def counted(op):
+        inverted.append(op)
+        return invert(op)
+
+    def dense(gop):
+        raise AssertionError("dense dual raising operator built")
+
+    monkeypatch.setattr(OpMatrix, "_invert", counted)
+    monkeypatch.setattr(opalg, "dual_raising", dense)
+    monkeypatch.setattr(families, "dual_raising", dense)
+    fam = all_pass(build())
+    assert fam.gop._inverse is None
+    assert not [op for op in inverted if op is fam.gop or op.cols == fam.gop.cols]
+    fam.gop.inverse()
+    assert inverted[-1] is fam.gop  # the hook sees the family operator
 
 
 # ---- parameter records against the loop guards and Fraction ratios ---------------------

@@ -603,3 +603,65 @@ def test_umbral_compose_and_reverse_share_one_pass(nw):
     assert (op.cols, op.raised, op.reliable) == (ref.cols, ref.raised, ref.reliable)
     assert phi == f.truncate(nw).reverse()
     assert list(phi.coeffs) == reference_reverse(list(f.coeffs))[: nw + 1]
+
+
+# ---- rows of an inverse and the inverse of C_f, with no inverse ----------------------
+
+
+def raised_messages(*calls):
+    """The (type, text) each call raises, or None where it returns."""
+    out = []
+    for call in calls:
+        try:
+            call()
+            out.append(None)
+        except EngineError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mgf_from_gop_matches_bar_of_the_inverse_applied_to_one(data):
+    nw = data.draw(st.integers(0, 7))
+    gop = data.draw(op_matrices(nw, invertible=True))
+    expected = gop.inverse().bar().apply_series(TruncSeries.one(nw))
+    gop._inverse = None
+    assert mgf_from_gop(gop) == expected
+    assert gop._inverse is None  # solved from row 0 alone
+    r = data.draw(st.integers(0, nw))
+    assert gop.inverse_row_egf(r).coeffs == tuple(v / math.factorial(n) for n, v in enumerate(gop.inverse().mat[r]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_mgf_from_gop_rejects_as_the_inverse_does(data):
+    nw = data.draw(st.integers(1, 7))
+    rows = data.draw(op_matrices(nw, invertible=True)).mat
+    col = data.draw(st.integers(0, nw - 1))
+    raising = [list(r) for r in rows]
+    raising[data.draw(st.integers(col + 1, nw))][col] = data.draw(nonzero_wide)
+    k = data.draw(st.integers(0, nw))
+    singular = [list(r) for r in rows]
+    singular[k][k] = F(0)
+    for bad in (OpMatrix(raising, nw, nw, nw), OpMatrix(singular, nw, 0, nw)):
+        got, expected = raised_messages(lambda: mgf_from_gop(bad), bad.inverse)
+        assert got == expected and got[0] is NotInvertible
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), nonzero_wide, st.lists(st.one_of(st.just(F(0)), wide), min_size=9, max_size=9), st.integers(0, 2))
+def test_umbral_compose_inverse_is_built_without_an_inverse(nw, lead, rest, extra):
+    t = TruncSeries([F(0), lead] + rest[: nw + extra])  # known to nw, or beyond it
+    got = OpMatrix.umbral_compose_inverse(t, nw)
+    ref = OpMatrix.umbral_compose(t, nw).inverse()
+    assert (got.cols, got.raised, got.reliable) == (ref.cols, ref.raised, ref.reliable)
+    assert got.inverse_row_egf(1) == t.truncate(nw).reverse()
+
+
+def test_umbral_compose_inverse_rejects_as_umbral_compose_does():
+    for t, nw in ((TruncSeries([1, 1, 2]), 2), (TruncSeries([0, 0, 2]), 2), (TruncSeries([0, 1]), 2)):
+        got, expected = raised_messages(
+            lambda: OpMatrix.umbral_compose_inverse(t, nw), lambda: OpMatrix.umbral_compose(t, nw)
+        )
+        assert got == expected and got[0] is not None
