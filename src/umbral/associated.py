@@ -146,12 +146,16 @@ def long_division_checks(
     name = "factored resolvent form"
     checks.append(first_failure(name, resolvent_cases(name)))
 
-    # (2) polynomial-domain version with ell(D) in place of multiplication
-    ell_op = OpMatrix.series_of_d(b, nw)
-    hb_op = OpMatrix.series_of_d(hb, nw)
+    # (2) polynomial-domain version with ell(D) in place of multiplication;
+    # D is nilpotent on the truncated space, so ell(D)^(-1) = (1/ell)(D) exactly
     x_over = x_times([Fraction(1, 1 + n) for n in range(nw + 1)], nw)
-    lhs_op = ell_op.inverse() @ x_over @ ell_op @ OpMatrix.diag_op(ratio_vals, nw)
-    rhs_op = diag_conj(h_inv, hb_op.inverse() @ x_over @ hb_op)  # H . (...) . H^(-1)
+
+    def conj(ell):
+        """ell(D)^(-1) x_over ell(D)."""
+        return OpMatrix.series_of_d(1 / ell, nw) @ x_over @ OpMatrix.series_of_d(ell, nw)
+
+    lhs_op = conj(b) @ OpMatrix.diag_op(ratio_vals, nw)
+    rhs_op = diag_conj(h_inv, conj(hb))  # H . (...) . H^(-1)
     checks.append(op_check("polynomial-domain form", lhs_op, rhs_op, order))
     return checks
 

@@ -280,6 +280,8 @@ def asym_compare(
         raise EvaluationDomain(f"alpha={alpha} outside documented radius {inst.radius}")
     if level not in (0, 1, 2, 3):
         raise EvaluationDomain("level must be 0..3")
+    if not s_values:
+        raise EvaluationDomain("the expansion needs at least one index s")
     if any(s < 1 for s in s_values):
         raise EvaluationDomain("the expansion needs indices s >= 1")
     if len(set(s_values)) != len(s_values):

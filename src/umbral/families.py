@@ -314,11 +314,8 @@ class ShefferCore:
 
     @cached_property
     def c_tf(self) -> OpMatrix:
-        """C_tf, made by inverting c_tf_inv once, which it keeps as its
-        inverse; like every inverse, c_tf_inv keeps no reference back."""
-        c_tf = self.c_tf_inv._invert()
-        c_tf._inverse = self.c_tf_inv
-        return c_tf
+        """C_tf, made by inverting c_tf_inv once."""
+        return self.c_tf_inv.inverse()
 
     @cached_property
     def omega(self) -> TruncSeries:
@@ -632,8 +629,9 @@ def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> Famil
     checks = list(ultra.checks)
     closed = hahn_closed_form(p)
     checks.append(op_check("dual raising display", u, closed_form_raising(closed, nw), order))
-    # expansion law: coordinates in the shifted-exponential binomial basis
-    xi = gop.expand_in(c_delta)
+    # expansion law: coordinates in the shifted-exponential binomial basis,
+    # with C_delta^(-1) from the powers of delta/y (Lagrange inversion)
+    xi = OpMatrix.umbral_compose_inverse(delta, nw) @ gop
     checks.append(op_check("expansion in binomial basis", xi, law, order))
     f0 = mgf_from_gop(gop).truncate(order)
     checks += mgf_pipeline_checks(["hahn: mgf pipelines agree"], f0, rec, order)[0]
@@ -731,18 +729,18 @@ def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN) -> F
 
 def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
     """(1 + lam theta)^2 conjugated by the family operator: the closed form
-    (1+lam theta)^2 - (2 a lam^2/kappa)(1+beta theta) D and its eigen-action.
-    Returns the conjugated operator, the family operator and the checks."""
+    (1+lam theta)^2 - (2 a lam^2/kappa)(1+beta theta) D, checked crossed as
+    rhs gop == gop (1+lam theta)^2, and its eigen-action on gop's columns.
+    Returns the closed form, the family operator and the checks."""
     nw, core = guarded_core(p, order, margin)
     lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
     gop = deformed_op(core, p.ratio)
     sq = OpMatrix.diag_op([(1 + lam * n) ** 2 for n in range(nw + 1)], nw)
-    lhs = gop @ sq @ gop.inverse()
     rhs = sq - coeff_then_d([2 * a * lam * lam / kappa * (1 + beta * n) for n in range(nw + 1)], nw)
-    checks = [op_check("second-order operator closed form", lhs, rhs, order)]
-    columns = (gop.column_poly(n) for n in range(min(order, lhs.reliable) + 1))
+    checks = [conjugation_check("second-order operator closed form", gop, rhs, sq, order)]
+    columns = (gop.column_poly(n) for n in range(min(order, gop.reliable) + 1))
     checks.append(first_failure("eigen-action", (
-        flag_check("eigen-action", lhs.apply_poly(q) == (1 + lam * n) ** 2 * q, f"column {n}")
+        flag_check("eigen-action", rhs.apply_poly(q) == (1 + lam * n) ** 2 * q, f"column {n}")
         for n, q in enumerate(columns)
     )))
     # omega'(y)^(-2) = 1 - 2 lam a y
@@ -754,7 +752,7 @@ def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
             TruncSeries.from_polynomial([1, -2 * lam * a], nw - 1),
         )
     )
-    return lhs, gop, checks
+    return rhs, gop, checks
 
 
 # -- the mixed deformation ---------------------------------------------------------------
@@ -856,5 +854,6 @@ def comment_generator_bands(p: JacobiParams, order: int, margin: int = FAMILY_MA
         ),
     }
     inner = core.inner()
-    bands = {name: (inner.inverse() @ t @ inner).band_profile(order) for name, t in established.items()}
+    inner_inv = inner.inverse()
+    bands = {name: (inner_inv @ t @ inner).band_profile(order) for name, t in established.items()}
     return [(name, band, band <= (1, 1)) for name, band in bands.items()]

@@ -13,6 +13,8 @@ storage.  Fractions are made only at the boundary: the ``OpMatrix(rows,
 comparison witnesses and the ``mat`` property (a fresh row-major Fraction
 copy, read by tools such as the benchmark tracer) give them back, and
 ``top_diagonals_raising`` works in them on the O(nw) entries it reads.
+An OpMatrix keeps nothing else: ``inverse()`` solves afresh on every call,
+so a caller that needs an inverse twice holds it.
 
 Next to the matrix sit two pieces of truncation bookkeeping:
 
@@ -54,7 +56,7 @@ _ZERO = Fraction(0)
 
 
 class OpMatrix:
-    __slots__ = ("cols", "nw", "raised", "reliable", "_inverse")
+    __slots__ = ("cols", "nw", "raised", "reliable")
 
     def __init__(self, rows, nw: int, raised: int, reliable: int):
         """The operator whose ``rows[m][n]`` (exact rationals) is the
@@ -68,7 +70,6 @@ class OpMatrix:
         self.nw = nw
         self.raised = raised
         self.reliable = reliable
-        self._inverse = None
 
     @classmethod
     def _of(cls, cols: list, nw: int, raised: int, reliable: int) -> "OpMatrix":
@@ -284,13 +285,6 @@ class OpMatrix:
         reliable = min(other.reliable, self.reliable - other.raised, self.nw - other.raised)
         return OpMatrix._of(out, self.nw, self.raised + other.raised, reliable)
 
-    def inverse(self) -> "OpMatrix":
-        """The inverse, computed on the first call and kept: one build
-        inverts the same operator from several factors and checks."""
-        if self._inverse is None:
-            self._inverse = self._invert()
-        return self._inverse
-
     def _require_invertible(self):
         """Raise NotInvertible unless self is upper triangular with a nonzero
         diagonal: only triangular inverses occur here, and anything with
@@ -303,7 +297,7 @@ class OpMatrix:
             if nums[col] == 0:
                 raise NotInvertible(f"zero diagonal entry at {col}")
 
-    def _invert(self) -> "OpMatrix":
+    def inverse(self) -> "OpMatrix":
         """Back-substitution inverse of a degree-non-raising operator.
 
         With self = N . diag(1/d) for the integer matrix N of column
@@ -355,10 +349,6 @@ class OpMatrix:
             weight *= n
         ys[0] *= weight
         return TruncSeries._make(s * weight, ys)
-
-    def expand_in(self, basis: "OpMatrix") -> "OpMatrix":
-        """Coordinates of self's columns in the image basis of `basis`."""
-        return basis.inverse() @ self
 
     # -- transforms ---------------------------------------------------------
 

@@ -26,7 +26,7 @@ from .binomial import (
     lagrange_forms,
     lowering_check,
 )
-from .checks import Check, flag_check, op_check, series_check, value_check
+from .checks import Check, conjugation_check, flag_check, series_check, value_check
 from .errors import EngineError
 from .families import (
     FAMILY_MARGIN,
@@ -93,12 +93,11 @@ def _prefixed(prefix: str, checks) -> list:
 
 
 def _commutator_check(name: str, gop: OpMatrix) -> Check:
+    """[gop D gop^(-1), gop x gop^(-1)] == 1, that is gop^(-1) 1 gop == D x - x D,
+    compared crossed."""
     nw = gop.nw
-    inv = gop.inverse()
-    u = gop @ OpMatrix.x_op(nw) @ inv
-    d = gop @ OpMatrix.d_op(nw) @ inv
-    comm = d @ u - u @ d
-    return op_check(f"{name}: raising/lowering commutator", comm, OpMatrix.identity(nw))
+    x, d = OpMatrix.x_op(nw), OpMatrix.d_op(nw)
+    return conjugation_check(f"{name}: raising/lowering commutator", gop, OpMatrix.identity(nw), d @ x - x @ d)
 
 
 # -- family suites ------------------------------------------------------------------
@@ -373,6 +372,15 @@ def suite_duality(cfg: RunConfig) -> list:
     return out
 
 
+def _order_check(name: str, report: dict, order: int) -> Check:
+    """The asym report's order estimate within 0.3 of `order`; with no
+    estimate (every residual rounds to 0 at the working digits) it fails."""
+    if report["order_estimate"] is None:
+        return flag_check(name, False, f"no order estimate: the residuals round to 0 at {report['digits']} digits")
+    est = Decimal(report["order_estimate"])
+    return flag_check(name, abs(est - order) < Decimal("0.3"), f"estimate {est}")
+
+
 def suite_binomial(cfg: RunConfig) -> list:
     out = []
     em1 = exp_series(1, 14) - 1
@@ -384,36 +392,15 @@ def suite_binomial(cfg: RunConfig) -> list:
         out += _prefixed("binomial", lowering_check(em1, s, 8))
     ff = falling_factorial_instance()
     r1 = asym_compare(ff, Fraction(1, 2), [40, 80], 1, digits=cfg.digits)
-    est1 = Decimal(r1["order_estimate"])
-    out.append(
-        flag_check(
-            "binomial asym: falling-factorial level 1 order -1",
-            abs(est1 + 1) < Decimal("0.3"),
-            f"estimate {est1}",
-        )
-    )
+    out.append(_order_check("binomial asym: falling-factorial level 1 order -1", r1, -1))
     # the s^(-2) coefficient vanishes identically for this base (the 4th
     # derivative of alpha(1-alpha) is zero), so level 2 gains an extra order
     r2 = asym_compare(ff, Fraction(1, 2), [40, 80], 2, digits=cfg.digits)
-    est2 = Decimal(r2["order_estimate"])
-    out.append(
-        flag_check(
-            "binomial asym: falling-factorial level 2 order -3 (vanishing s^-2 term)",
-            abs(est2 + 3) < Decimal("0.3"),
-            f"estimate {est2}",
-        )
-    )
+    out.append(_order_check("binomial asym: falling-factorial level 2 order -3 (vanishing s^-2 term)", r2, -3))
     ge = geometric_instance()
     for level in (1, 2):
         r = asym_compare(ge, Fraction(1, 5), [40, 80], level, digits=cfg.digits)
-        est = Decimal(r["order_estimate"])
-        out.append(
-            flag_check(
-                f"binomial asym: geometric level {level} order {-level}",
-                abs(est + level) < Decimal("0.3"),
-                f"estimate {est}",
-            )
-        )
+        out.append(_order_check(f"binomial asym: geometric level {level} order {-level}", r, -level))
     return out
 
 

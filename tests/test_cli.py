@@ -295,6 +295,29 @@ def test_asym_rejects_repeated_index(capsys, s_values):
     assert err.startswith("error:") and "distinct" in err
 
 
+@pytest.mark.parametrize("s_values", [",", ",,"])
+def test_asym_rejects_an_empty_index_list(capsys, s_values):
+    code, out, err = run(capsys, "asym", "falling-factorial", "--alpha", "1/2", "--s", s_values, "--level", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "at least one index" in err
+
+
+def test_verify_binomial_at_few_digits_names_the_missing_estimate(capsys):
+    # at 8 digits the level-2 residuals of the falling factorials round to 0,
+    # so there is no order estimate: a failed check, not a traceback
+    code, out, err = run(capsys, "verify", "binomial", "--digits", "8")
+    assert code == 1 and err == ""
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 9
+    failed = [c for c in checks if not c["pass"]]
+    assert failed == [{
+        "name": "binomial asym: falling-factorial level 2 order -3 (vanishing s^-2 term)",
+        "pass": False,
+        "witness": "no order estimate: the residuals round to 0 at 8 digits",
+    }]
+
+
 def test_multiterm_rejects_non_integer_n(capsys):
     code, out, err = run(
         capsys, "family", "multiterm", "--params", "n=5/2,lambda=2,a=1/2,t0=1/3,t1=2/3", "--order", "6"

@@ -1,14 +1,17 @@
-"""The cross-multiplied identity checks against their uncrossed forms.
+"""The inverse-free identity checks against their dense forms.
 
 Each check that once inverted an operator only to compare with it now
 compares a cross-multiplied form (`checks.conjugation_check`,
-`families.conjugation_trick_checks`), and the recurrence is read off the top
-diagonals of the family operator (`opalg.tridiagonal_raising`).  The
-uncrossed forms are kept here as references, written as the checks were
-before: under random parameters the two give the same outcome, and with one
-entry of one factor perturbed they fail in the same first column.
+`families.conjugation_trick_checks`) or builds the inverse it needs from a
+series (C_delta^(-1) by Lagrange inversion, ell(D)^(-1) as (1/ell)(D)), and
+the recurrence is read off the top diagonals of the family operator
+(`opalg.tridiagonal_raising`).  The dense forms are kept here as references,
+written as the checks were before: under random parameters the two give the
+same outcome, and with one entry of one factor perturbed they fail in the
+same first column.
 """
 import dataclasses
+import inspect
 import re
 from collections import Counter
 from fractions import Fraction as F
@@ -17,8 +20,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from umbral import associated, families
-from umbral.associated import ASSOC_MARGIN, change_of_variable_check, coeff_then_d, wilson_assoc
+from umbral import associated, families, verify
+from umbral.associated import ASSOC_MARGIN, change_of_variable_check, coeff_then_d, long_division_checks, wilson_assoc
 from umbral.checks import conjugation_check, op_check
 from umbral.errors import EngineError, NotInvertible, NotMonic, NotThreeTerm, SingularParams
 from umbral.families import (
@@ -32,6 +35,7 @@ from umbral.families import (
     diag_conj,
     guarded_core,
     hahn_family,
+    jacobi_diffeq_op,
     jacobi_family,
     jacobi_split_displays,
     sheffer_op,
@@ -41,14 +45,19 @@ from umbral.families import (
     wilson_op,
     x_times,
 )
+from umbral.indexfn import IndexRatio, Poly, affine
 from umbral.opalg import OpMatrix, dual_raising, top_diagonals_raising, tridiagonal_raising
 from umbral.series import TruncSeries, exp_series
+from umbral.verify import RunConfig, _commutator_check, suite_base, suite_longdiv
 
 ORDER = 5
 SHEFFER = ShefferParams(F(1, 2), F(1, 3), F(2, 5))
 JACOBI = JacobiParams(F(1, 3), F(2, 5), F(3, 7))
 WILSON = WilsonParams(F(1, 2), F(1, 3), F(1, 2), F(1, 3), F(1, 4))
+HAHN = HahnParams(2, F(1, 2), F(1, 2))
 ASSOC_C = F(3, 2)
+H_RATIO = IndexRatio(Poly([F(3, 2), 1]), Poly([1, 2]))
+B = TruncSeries([1, F(1, 3), F(-2, 5), F(1, 7)] + [0] * 8)
 
 
 # -- the uncrossed references --------------------------------------------------------
@@ -88,6 +97,36 @@ def ref_square(f, order):
 def ref_change(f, order):
     """C_f x (1+theta)^(-1) C_f^(-1) == x (1+theta)^(-1) (D/f(D))."""
     return op_check("change-of-variable form", f["cf"] @ f["x_over"] @ f["cf"].inverse(), f["rhs"], order - 1)
+
+
+def ref_commutator(f, order):
+    """[gop D gop^(-1), gop x gop^(-1)] == 1."""
+    gop = f["gop"]
+    nw = gop.nw
+    inv = gop.inverse()
+    u = gop @ OpMatrix.x_op(nw) @ inv
+    d = gop @ OpMatrix.d_op(nw) @ inv
+    return op_check("raising/lowering commutator", d @ u - u @ d, OpMatrix.identity(nw))
+
+
+def ref_diffeq(f, order):
+    """gop . sq . gop^(-1) == the closed form."""
+    return op_check("second-order operator closed form", f["gop"] @ f["sq"] @ f["gop"].inverse(), f["rhs"], order)
+
+
+def ref_hahn(f, order):
+    """C_delta^(-1) gop == law, with C_delta composed and then inverted."""
+    c_delta = OpMatrix.umbral_compose(f["delta"], f["gop"].nw)
+    return op_check("expansion in binomial basis", c_delta.inverse() @ f["gop"], f["law"], order)
+
+
+def ref_longdiv(f, order):
+    """ell(D)^(-1) x_over ell(D) ratio == H (H.B)(D)^(-1) x_over (H.B)(D) H^(-1), with ell = B."""
+    nw = f["x_over"].nw
+    ell_op, hb_op = OpMatrix.series_of_d(f["ell"], nw), OpMatrix.series_of_d(f["hb"], nw)
+    lhs = ell_op.inverse() @ f["x_over"] @ ell_op @ OpMatrix.diag_op(f["ratio_vals"], nw)
+    rhs = diag_conj(f["h_inv"], hb_op.inverse() @ f["x_over"] @ hb_op)
+    return op_check("polynomial-domain form", lhs, rhs, order)
 
 
 # -- the factors each build compares, and its crossed check on them --------------------
@@ -143,17 +182,80 @@ def change_args(f, order):
     return "change-of-variable form", f["cf"], f["rhs"], f["x_over"], order - 1
 
 
+def commutator_factors(p, order):
+    return {"gop": riccati_gop(p, order)}
+
+
+def commutator_args(f, order):
+    nw = f["gop"].nw
+    x, d = OpMatrix.x_op(nw), OpMatrix.d_op(nw)
+    return "base: raising/lowering commutator", f["gop"], OpMatrix.identity(nw), d @ x - x @ d, None
+
+
+def diffeq_factors(p, order):
+    nw = order + FAMILY_MARGIN
+    lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
+    sq = OpMatrix.diag_op([(1 + lam * n) ** 2 for n in range(nw + 1)], nw)
+    rhs = sq - coeff_then_d([2 * a * lam * lam / kappa * (1 + beta * n) for n in range(nw + 1)], nw)
+    return {"gop": jacobi_gop(p, order), "sq": sq, "rhs": rhs}
+
+
+def diffeq_args(f, order):
+    return "second-order operator closed form", f["gop"], f["rhs"], f["sq"], order
+
+
+def hahn_factors(p, order):
+    nw = order + FAMILY_MARGIN
+    square = ShefferParams(p.lam, p.a, p.lam * p.a * p.a / 4)
+    ultra_gop = deformed_op(guarded_core(square, order, FAMILY_MARGIN)[1], square.ratio)
+    law = diag_conj(affine(p.s - 1, -1).products(nw + 1), ultra_gop)
+    delta = (exp_series(2 * p.a, nw) - 1) / (2 * p.a)
+    return {"gop": OpMatrix.umbral_compose(delta, nw) @ law, "delta": delta, "law": law}
+
+
+def hahn_args(f, order):
+    xi = OpMatrix.umbral_compose_inverse(f["delta"], f["gop"].nw) @ f["gop"]
+    return "expansion in binomial basis", xi, f["law"], order
+
+
+def longdiv_factors(h_ratio, b, order):
+    nw = order + FAMILY_MARGIN
+    ell = b.truncate(nw)
+    return {
+        "ell": ell,
+        "hb": ell.weighted(h_ratio.products(nw + 1)),
+        "x_over": x_times([F(1, 1 + n) for n in range(nw + 1)], nw),
+        "ratio_vals": [h_ratio(n) for n in range(nw + 1)],
+        "h_inv": h_ratio.reciprocal().products(nw + 1),
+    }
+
+
+def longdiv_args(f, order):
+    nw = f["x_over"].nw
+
+    def conj(ell):
+        return OpMatrix.series_of_d(1 / ell, nw) @ f["x_over"] @ OpMatrix.series_of_d(ell, nw)
+
+    lhs = conj(f["ell"]) @ OpMatrix.diag_op(f["ratio_vals"], nw)
+    return "polynomial-domain form", lhs, diag_conj(f["h_inv"], conj(f["hb"])), order
+
+
 def crossed(site, f, order):
-    """The crossed check of a site: conjugation_check on the arguments its build passes."""
-    return conjugation_check(*SITES[site][1](f, order))
+    """The inverse-free check of a site, on the arguments its build passes."""
+    _, args, _, check = SITES[site]
+    return check(*args(f, order))
 
 
 EXP = exp_series(1, ORDER + 6) - 1
-SITES = {  # site -> (its factors at the pinned parameters, its check's arguments, its reference)
-    "split": (lambda: split_factors(JACOBI, ORDER), split_args, ref_split),
-    "bracket": (lambda: bracket_factors(WILSON, ORDER), bracket_args, ref_bracket),
-    "square": (lambda: square_factors(WILSON, ASSOC_C, ORDER), square_args, ref_square),
-    "change": (lambda: change_factors(EXP, ORDER), change_args, ref_change),
+SITES = {  # site -> (its factors at the pinned parameters, its check's arguments, its reference, its check)
+    "split": (lambda: split_factors(JACOBI, ORDER), split_args, ref_split, conjugation_check),
+    "bracket": (lambda: bracket_factors(WILSON, ORDER), bracket_args, ref_bracket, conjugation_check),
+    "square": (lambda: square_factors(WILSON, ASSOC_C, ORDER), square_args, ref_square, conjugation_check),
+    "change": (lambda: change_factors(EXP, ORDER), change_args, ref_change, conjugation_check),
+    "commutator": (lambda: commutator_factors(SHEFFER, ORDER), commutator_args, ref_commutator, conjugation_check),
+    "diffeq": (lambda: diffeq_factors(JACOBI, ORDER), diffeq_args, ref_diffeq, conjugation_check),
+    "hahn": (lambda: hahn_factors(HAHN, ORDER), hahn_args, ref_hahn, op_check),
+    "longdiv": (lambda: longdiv_factors(H_RATIO, B, ORDER), longdiv_args, ref_longdiv, op_check),
 }
 
 
@@ -169,23 +271,30 @@ def same_op(x, y):
     ("bracket", lambda: wilson_family(WILSON, ORDER), families),
     ("square", lambda: wilson_assoc(WILSON, ASSOC_C, ORDER), associated),
     ("change", lambda: [change_of_variable_check(EXP, ORDER)], associated),
+    ("commutator", lambda: [_commutator_check("base", riccati_gop(SHEFFER, ORDER))], verify),
+    ("diffeq", lambda: jacobi_diffeq_op(JACOBI, ORDER)[2], families),
+    ("hahn", lambda: hahn_family(HAHN, ORDER), families),
+    ("longdiv", lambda: long_division_checks(H_RATIO, B, ORDER), associated),
 ])
 def test_each_build_compares_the_factors_of_its_crossed_check(site, build, module, monkeypatch):
+    make, args, _, check = SITES[site]
+    expected = args(make(), ORDER)
     seen = []
 
-    def spy(*args):
-        seen.append(args)
-        return conjugation_check(*args)
+    def spy(*given, **named):
+        bound = inspect.signature(check).bind(*given, **named)
+        bound.apply_defaults()
+        if bound.arguments["name"] == expected[0]:
+            seen.append(tuple(bound.arguments.values()))
+        return check(*given, **named)
 
-    monkeypatch.setattr(module, "conjugation_check", spy)
+    monkeypatch.setattr(module, check.__name__, spy)
     result = build()
-    make, args, _ = SITES[site]
-    expected = args(make(), ORDER)
     (got,) = seen
-    assert got[0] == expected[0] and got[4] == expected[4]
-    assert all(same_op(x, y) for x, y in zip(got[1:4], expected[1:4]))
+    assert got[-1] == expected[-1]
+    assert all(same_op(x, y) for x, y in zip(got[1:-1], expected[1:-1]))
     checks = result if isinstance(result, list) else result.checks
-    assert [c for c in checks if c.name == got[0]] == [conjugation_check(*expected)]
+    assert [c for c in checks if c.name == got[0]] == [check(*expected)]
     assert checks and all(c.passed for c in checks)
 
 
@@ -308,11 +417,18 @@ def plant_fpow(sigma):
     return plant
 
 
+def planted_coeffs(s, bump=F(7, 3)):
+    """(k, s with bump added to its y^k coefficient) for each k >= 1; the
+    constant term stays, as tf and delta must stay reversible and ell a unit."""
+    for k in range(1, s.order + 1):
+        coeffs = list(s.coeffs)
+        coeffs[k] += bump
+        yield k, TruncSeries(coeffs)
+
+
 def plant_tf(core):
-    for k in range(1, core.nw + 1):  # a constant term would make x tf(D) raise the degree
-        coeffs = list(core.tf.coeffs)
-        coeffs[k] += F(7, 3)
-        yield k, dataclasses.replace(core, tf=TruncSeries(coeffs))
+    for k, tf in planted_coeffs(core.tf):
+        yield k, dataclasses.replace(core, tf=tf)
 
 
 @pytest.mark.parametrize("factor", ["c_tf", "c_f", "fpow", "tf"])
@@ -325,11 +441,18 @@ def test_planted_conjugation_trick_factor_fails_in_the_reference_column(factor, 
 
 
 def site_pairs(site, slot):
-    make, _, ref = SITES[site]
+    """One entry of an operator factor planted, or one coefficient of a
+    series factor (C_delta is read through delta, ell(D) through ell)."""
+    make, _, ref, _ = SITES[site]
     factors = make()
-    for m, n in entries(factors[slot]):
-        bad = dict(factors, **{slot: planted(factors[slot], m, n)})
-        yield (m, n), crossed(site, bad, ORDER), ref(bad, ORDER)
+    value = factors[slot]
+    if isinstance(value, TruncSeries):
+        plants = planted_coeffs(value)
+    else:
+        plants = (((m, n), planted(value, m, n)) for m, n in entries(value))
+    for where, bad_value in plants:
+        bad = dict(factors, **{slot: bad_value})
+        yield where, crossed(site, bad, ORDER), ref(bad, ORDER)
 
 
 @pytest.mark.parametrize("site, slot", [
@@ -337,9 +460,31 @@ def site_pairs(site, slot):
     ("bracket", "c2"), ("bracket", "display"),
     ("square", "inner"), ("square", "display"),
     ("change", "cf"), ("change", "rhs"),
+    ("diffeq", "gop"), ("diffeq", "rhs"),
+    ("hahn", "delta"), ("hahn", "law"),
+    ("longdiv", "ell"), ("longdiv", "hb"),
 ])
 def test_planted_factor_fails_in_the_reference_column(site, slot):
     assert assert_same_columns(site_pairs(site, slot)) > 0
+
+
+def test_a_planted_gop_fails_neither_commutator_form():
+    """[gop D gop^(-1), gop x gop^(-1)] = 1 holds for every invertible
+    triangular gop, so the check tests the operator kernels, not gop."""
+    assert assert_same_columns(site_pairs("commutator", "gop")) == 0
+
+
+def test_a_planted_closed_form_fails_the_eigen_action(monkeypatch):
+    """The eigen-action applies the closed form itself to gop's columns, so
+    one wrong entry of it in the compared block fails that check too."""
+    make = families.coeff_then_d  # the -(2 a lam^2/kappa)(1+beta theta) D part of the closed form
+    plants = [(m, n) for m, n in entries(diffeq_factors(JACOBI, ORDER)["rhs"]) if n <= ORDER]
+    assert plants
+    for m, n in plants:
+        monkeypatch.setattr(families, "coeff_then_d", lambda values, nw: planted(make(values, nw), m, n))
+        checks = {c.name: c for c in jacobi_diffeq_op(JACOBI, ORDER)[2]}
+        assert not checks["second-order operator closed form"].passed, (m, n)
+        assert not checks["eigen-action"].passed, (m, n)
 
 
 # -- the recurrence read off the top diagonals of the family operator ------------------
@@ -434,6 +579,7 @@ def test_a_planted_gop_entry_fails_the_reader_in_the_reference_column(family):
     pytest.param(lambda: ultraspherical_family(SHEFFER, 8), 21, id="ultraspherical"),
     pytest.param(lambda: jacobi_family(JACOBI, 8), 33, id="jacobi"),
     pytest.param(lambda: wilson_family(WILSON, 8), 21, id="wilson"),
+    pytest.param(lambda: hahn_family(HAHN, 8), 28, id="hahn"),
 ])
 def test_a_build_inverts_one_operator(build, products, monkeypatch):
     """C_tf^(-1), once, to make the C_tf of the conjugation-trick checks: the
@@ -441,7 +587,7 @@ def test_a_build_inverts_one_operator(build, products, monkeypatch):
     products with every check crossed and the recurrence read off the top
     diagonals of the family operator."""
     count = Counter()
-    invert, matmul = OpMatrix._invert, OpMatrix.__matmul__
+    invert, matmul = OpMatrix.inverse, OpMatrix.__matmul__
 
     def counted_invert(op):
         count["inverse"] += 1
@@ -451,7 +597,19 @@ def test_a_build_inverts_one_operator(build, products, monkeypatch):
         count["product"] += 1
         return matmul(a, b)
 
-    monkeypatch.setattr(OpMatrix, "_invert", counted_invert)
+    monkeypatch.setattr(OpMatrix, "inverse", counted_invert)
     monkeypatch.setattr(OpMatrix, "__matmul__", counted_matmul)
     assert all(c.passed for c in build().checks)
     assert count["inverse"] == 1 and count["product"] <= products, count
+
+
+@pytest.mark.parametrize("suite", [suite_base, suite_longdiv], ids=["base", "longdiv"])
+def test_a_suite_with_no_c_tf_inverts_nothing(suite, monkeypatch):
+    """The commutator and the polynomial-domain long division form compare
+    with no inverse, so these sweeps, which never read C_tf, invert nothing."""
+    def refuse(op):
+        raise AssertionError("an operator was inverted")
+
+    monkeypatch.setattr(OpMatrix, "inverse", refuse)
+    checks = suite(RunConfig(order=12, seed=1))
+    assert checks and all(c.passed for c in checks)

@@ -314,7 +314,7 @@ def wilson(h):
     ],
 )
 def test_one_build_inverts_each_operator_once(build, monkeypatch):
-    invert, seen = OpMatrix._invert, Counter()
+    invert, seen = OpMatrix.inverse, Counter()
 
     def key(op):
         return op.nw, op.raised, op.reliable, tuple((den, tuple(nums)) for den, nums in op.cols)
@@ -323,7 +323,7 @@ def test_one_build_inverts_each_operator_once(build, monkeypatch):
         seen[key(op)] += 1
         return invert(op)
 
-    monkeypatch.setattr(OpMatrix, "_invert", counted)
+    monkeypatch.setattr(OpMatrix, "inverse", counted)
     all_pass(build())
     built = Counter(seen)
     # some builds invert nothing at all; a fresh operator's inverse shows
@@ -334,16 +334,17 @@ def test_one_build_inverts_each_operator_once(build, monkeypatch):
     assert max(built.values(), default=1) == 1, sorted(built.values())
 
 
-def test_the_core_makes_each_factor_once():
+def test_the_core_makes_each_factor_once(monkeypatch):
     core = riccati_core(F(1, 3), F(2, 5), F(3, 7), 8)
     assert core.inner(F(3, 2)) is core.inner(F(3, 2))
     assert core.inner() is core.inner(0)
     assert core.fpow(F(-3)) is core.fpow(-3)
     assert core.fprime_omega_pow(F(1, 2)) is core.fprime_omega_pow(F(1, 2))
+    invert, inverted = OpMatrix.inverse, []
+    monkeypatch.setattr(OpMatrix, "inverse", lambda op: inverted.append(op) or invert(op))
     assert core.c_tf is core.c_tf and core.c_tf_inv is core.c_tf_inv and core.omega is core.omega
-    inv = core.c_tf.inverse()
-    assert core.c_tf.inverse() is inv is core.c_tf_inv  # C_tf is made from C_tf^(-1), not inverted again
-    assert inv._inverse is None  # the inverse holds no reference back to its operator
+    assert inverted == [core.c_tf_inv]  # C_tf is made once, by inverting C_tf^(-1)
+    assert (core.c_tf @ core.c_tf_inv).equals(OpMatrix.identity(8))
 
 
 def spy_on_c_tf(monkeypatch) -> list:
@@ -381,7 +382,7 @@ def test_sheffer_builds_never_make_c_tf(monkeypatch):
     pytest.param(lambda: wilson_family(wilson(F(1, 4)), 8), id="wilson"),
 ])
 def test_a_build_never_inverts_its_family_operator(build, monkeypatch):
-    invert, inverted = OpMatrix._invert, []
+    invert, inverted = OpMatrix.inverse, []
 
     def counted(op):
         inverted.append(op)
@@ -390,11 +391,10 @@ def test_a_build_never_inverts_its_family_operator(build, monkeypatch):
     def dense(gop):
         raise AssertionError("dense dual raising operator built")
 
-    monkeypatch.setattr(OpMatrix, "_invert", counted)
+    monkeypatch.setattr(OpMatrix, "inverse", counted)
     monkeypatch.setattr(opalg, "dual_raising", dense)
     monkeypatch.setattr(families, "dual_raising", dense)
     fam = all_pass(build())
-    assert fam.gop._inverse is None
     assert not [op for op in inverted if op is fam.gop or op.cols == fam.gop.cols]
     fam.gop.inverse()
     assert inverted[-1] is fam.gop  # the hook sees the family operator
