@@ -11,6 +11,7 @@ raises on a failed identity.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
@@ -290,7 +291,8 @@ def d_then_coeff(values: Sequence, nw: int) -> OpMatrix:
 class ShefferCore:
     """Series and operators shared by every deformation built over one f;
     fpow, tf_inv_fpow, inner and fprime_omega_pow make each of their values
-    once, and c_tf_inv, c_tf and omega are made on first use."""
+    once, and c_tf_inv and omega are made on first use.  No core makes C_tf
+    or inverts an operator (see `conjugation_trick_checks`)."""
 
     lam: Fraction
     f: TruncSeries
@@ -313,14 +315,9 @@ class ShefferCore:
         return OpMatrix.umbral_compose_inverse(self.tf, self.nw)
 
     @cached_property
-    def c_tf(self) -> OpMatrix:
-        """C_tf, made by inverting c_tf_inv once."""
-        return self.c_tf_inv.inverse()
-
-    @cached_property
     def omega(self) -> TruncSeries:
         """omega = reverse(tf), row 1 of C_tf: omega_n = C_tf[1][n]/n!, solved
-        from c_tf_inv without making C_tf."""
+        forward from c_tf_inv with no inverse."""
         return self.c_tf_inv.inverse_row_egf(1)
 
     def fpow(self, alpha) -> OpMatrix:
@@ -395,29 +392,37 @@ def conjugation_trick_checks(core: ShefferCore, sigma, through: Optional[int] = 
           = x f'(D)^(-1/sigma) C_f (1+sigma theta)^(-1) C_f^(-1) f'(D)^(1/sigma)
 
     verified as exact matrix equalities before each construction uses it,
-    cross-multiplied with no new inverse: for F = f'(D)^(-1/sigma) and
-    R = 1 + sigma x (f/f')(D), as lhs F R == x F and lhs F C_f == x F C_f
-    (1+sigma theta)^(-1).  F R and F C_f are invertible upper triangular and
-    F^(-1) = f'(D)^(1/sigma) exactly, so each crossed form first fails in the
-    column its displayed form does (see `checks.conjugation_check`).  Both
-    share lhs F = C_tf x (1+sigma theta)^(-1) (C_tf^(-1) F), whose last factor
-    the core keeps for inner(); R's book-kept raise of 1 trims one reliable
-    column, below which every caller's `through` lies.
+    with no inverse: for F = f'(D)^(-1/sigma), R = 1 + sigma x (f/f')(D) and
+    Dg = (1+sigma theta)^(-1), as x Dg (T R) == Y and x Dg (T C_f) == Y C_f Dg
+    with T = C_tf^(-1) F, Y = C_tf^(-1) x F and T C_f = inner(1/sigma - 1/lam),
+    the core's inner() at sigma = lam.  These are C_tf^(-1) E F R = 0 and
+    C_tf^(-1) E F C_f = 0 for each displayed difference E.  F R and F C_f are
+    invertible upper triangular and C_tf^(-1) is upper triangular with
+    diagonal tf'(0)^n = 1, so each form first fails in the column its
+    displayed form does (see `checks.conjugation_check`).  Both sides keep
+    reliable >= nw - 1 (R's book-kept raise of 1 trims one column), so the
+    compared block is columns 0..through for every caller's `through`.
     """
     sigma = as_rat(sigma)
     nw, c_f = core.nw, core.c_f
-    x, inv_diag = OpMatrix.x_op(nw), OpMatrix.diag_op(IndexRatio(1, Poly([1, sigma])).values(nw + 1), nw)
-    lhs_f = core.c_tf @ x @ inv_diag @ core.tf_inv_fpow(-1 / sigma)
-    x_f = x @ core.fpow(-1 / sigma)
+    x, dg = OpMatrix.x_op(nw), OpMatrix.diag_op(IndexRatio(1, Poly([1, sigma])).values(nw + 1), nw)
+    x_dg = x @ dg
+    y = core.c_tf_inv @ (x @ core.fpow(-1 / sigma))
     resolvent = OpMatrix.identity(nw) + (x @ OpMatrix.series_of_d(core.tf, nw)).scale(sigma)
     name = f"conjugation-trick sigma={sigma}"
     return [
-        op_check(f"{name} (resolvent form)", lhs_f @ resolvent, x_f, through),
-        op_check(f"{name} (composition form)", lhs_f @ c_f, x_f @ c_f @ inv_diag, through),
+        op_check(f"{name} (resolvent form)", x_dg @ (core.tf_inv_fpow(-1 / sigma) @ resolvent), y, through),
+        op_check(f"{name} (composition form)", x_dg @ core.inner(1 / sigma - 1 / core.lam), y @ c_f @ dg, through),
     ]
 
 
 # -- family result record -----------------------------------------------------------
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, reduced with one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 @dataclass
@@ -435,7 +440,7 @@ class FamilyResult:
 
     def to_json(self, upto: Optional[int] = None) -> dict:
         upto = self.gop.reliable if upto is None else min(upto, self.gop.reliable)
-        polys = [[str(v) for v in self.gop.column(n)[: n + 1]] for n in range(upto + 1)]
+        polys = [[_ratio_str(v, den) for v in nums[: n + 1]] for n, (den, nums) in enumerate(self.gop.cols[: upto + 1])]
         return {
             "name": self.name,
             "order": upto,
@@ -487,6 +492,25 @@ def sheffer_closed_form(p: ShefferParams) -> ClosedFormRecurrence:
     )
 
 
+def generating_function_check(barg: OpMatrix, gen_weight: TruncSeries, phi: TruncSeries, order: int):
+    """Column m <= order of the bar transform barg against gen_weight phi^m
+    through coefficient order, as column 0 against gen_weight and column m
+    against column m-1 times phi: coefficient i of a product reads only
+    coefficients <= i of its factors, so this gives the first failure, and
+    its witness, of the comparison with gen_weight phi^m."""
+    top = min(order, barg.reliable)
+
+    def columns():
+        expect = gen_weight
+        for m in range(order + 1):
+            den, nums = barg.cols[m]
+            got = TruncSeries._make(den, nums[: top + 1])
+            yield series_check(f"generating function column {m}", got, expect, order)
+            expect = got * phi
+
+    return first_failure(f"generating function to bidegree ({order},{order})", columns())
+
+
 def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
     """The base three-term family with raising data x + a(1+lam theta) + b(2+lam theta)D."""
     nw = order + margin
@@ -517,18 +541,7 @@ def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) ->
         )
         for n in range(1, min(order, rec.depth) + 1)
     )))
-    # generating function: column m of the bar transform against phi'^(1/lam) phi^m
-    barg = gop.bar()
-
-    def columns():
-        power = TruncSeries.one(nw)
-        for m in range(order + 1):
-            got = TruncSeries(barg.column(m)[: barg.reliable + 1])
-            expect = (gen_weight * power).truncate(got.order)
-            yield series_check(f"generating function column {m}", got, expect, order)
-            power = power * phi
-
-    checks.append(first_failure(f"generating function to bidegree ({order},{order})", columns()))
+    checks.append(generating_function_check(gop.bar(), gen_weight, phi, order))
     top = min(order, 2 * (rec.depth // 2))
     f0 = mgf_from_gop(gop).truncate(top)
     checks += mgf_pipeline_checks(["sheffer: mgf pipelines agree"], f0, rec, top)[0]
@@ -574,14 +587,14 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
     checks.append(series_check("boxed mgf", f0, boxed, order))
     # generating function display, column by column:
     # sum_n c_n q_n(x) y^n has x^m coefficient c_m y^m (1+lam a y+lam b y^2)^(-1/lam-m)
-    amp = TruncSeries.from_polynomial([1, lam * a, lam * b], nw)
-    c_vals = IndexRatio(Poly([1, lam]), Poly([1, 1])).products(nw + 1)
+    # (coefficient i of amp^alpha reads amp's coefficients <= i alone)
     gen_through = min(order, 8)
+    amp = TruncSeries.from_polynomial([1, lam * a, lam * b], gen_through)
+    c_vals = IndexRatio(Poly([1, lam]), Poly([1, 1])).products(nw + 1)
 
     def column(m):
         got = TruncSeries([c_vals[n] * gop.entry(m, n) for n in range(gen_through + 1)])
-        expect = amp.pow_fraction(Fraction(-1) / lam - m).truncate(gen_through).shift_up(m).truncate(gen_through)
-        expect = (expect * c_vals[m]).truncate(gen_through)
+        expect = (amp.pow_fraction(Fraction(-1) / lam - m) * c_vals[m]).shift_up(m).truncate(gen_through)
         return series_check(f"generating function column {m}", got, expect)
 
     checks.append(first_failure(

@@ -17,12 +17,12 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from umbral import associated, families, verify
 from umbral.associated import ASSOC_MARGIN, change_of_variable_check, coeff_then_d, long_division_checks, wilson_assoc
-from umbral.checks import conjugation_check, op_check
+from umbral.checks import conjugation_check, first_failure, op_check, series_check
 from umbral.errors import EngineError, NotInvertible, NotMonic, NotThreeTerm, SingularParams
 from umbral.families import (
     FAMILY_MARGIN,
@@ -33,11 +33,13 @@ from umbral.families import (
     conjugation_trick_checks,
     deformed_op,
     diag_conj,
+    generating_function_check,
     guarded_core,
     hahn_family,
     jacobi_diffeq_op,
     jacobi_family,
     jacobi_split_displays,
+    sheffer_family,
     sheffer_op,
     ultraspherical_family,
     wilson_factors,
@@ -48,7 +50,7 @@ from umbral.families import (
 from umbral.indexfn import IndexRatio, Poly, affine
 from umbral.opalg import OpMatrix, dual_raising, top_diagonals_raising, tridiagonal_raising
 from umbral.series import TruncSeries, exp_series
-from umbral.verify import RunConfig, _commutator_check, suite_base, suite_longdiv
+from umbral.verify import RunConfig, _commutator_check, suite_base, suite_hahn, suite_longdiv, suite_ultra, suite_wilson
 
 ORDER = 5
 SHEFFER = ShefferParams(F(1, 2), F(1, 3), F(2, 5))
@@ -64,10 +66,12 @@ B = TruncSeries([1, F(1, 3), F(-2, 5), F(1, 7)] + [0] * 8)
 
 
 def ref_conjugation_trick_checks(core, sigma, through=None):
+    """Both displayed forms of the lemma, with C_tf made by inverting the
+    core's C_tf^(-1)."""
     sigma = F(sigma)
     nw = core.nw
     inv_diag = OpMatrix.diag_op([1 / (1 + sigma * n) for n in range(nw + 1)], nw)
-    lhs = core.c_tf @ OpMatrix.x_op(nw) @ inv_diag @ core.c_tf.inverse()
+    lhs = core.c_tf_inv.inverse() @ OpMatrix.x_op(nw) @ inv_diag @ core.c_tf_inv
     x_tf = OpMatrix.x_op(nw) @ OpMatrix.series_of_d(core.tf, nw)
     left = OpMatrix.x_op(nw) @ core.fpow(-1 / sigma)
     right = core.fpow(1 / sigma)
@@ -392,15 +396,12 @@ def trick_pairs(core, sigma, through, plant):
 
 
 def plant_field(name):
-    """The core with one entry of its factor `name` planted.  C_tf is made on
-    first use and the core reads C_tf^(-1) as a factor of its own, so a
-    planted C_tf comes with its inverse as that factor."""
+    """The core with one entry of its factor `name` planted; a planted
+    C_tf^(-1) is also the one the reference inverts to make C_tf."""
     def plant(core):
         for m, n in entries(getattr(core, name)):
             bad = dataclasses.replace(core)
             setattr(bad, name, planted(getattr(core, name), m, n))
-            if name == "c_tf":
-                bad.c_tf_inv = bad.c_tf.inverse()
             yield (m, n), bad
     return plant
 
@@ -431,11 +432,13 @@ def plant_tf(core):
         yield k, dataclasses.replace(core, tf=tf)
 
 
-@pytest.mark.parametrize("factor", ["c_tf", "c_f", "fpow", "tf"])
+@pytest.mark.parametrize("factor", ["c_tf_inv", "c_f", "fpow", "tf"])
 @pytest.mark.parametrize("p, sigma", [(SHEFFER, SHEFFER.lam), (JACOBI, JACOBI.kappa)], ids=["ultra", "jacobi-kappa"])
 def test_planted_conjugation_trick_factor_fails_in_the_reference_column(factor, p, sigma):
     _, core = guarded_core(p, ORDER, FAMILY_MARGIN)
-    plant = {"c_tf": plant_field("c_tf"), "c_f": plant_field("c_f"), "fpow": plant_fpow(sigma), "tf": plant_tf}[factor]
+    plant = {"c_tf_inv": plant_field("c_tf_inv"), "c_f": plant_field("c_f"), "fpow": plant_fpow(sigma), "tf": plant_tf}[
+        factor
+    ]
     failures = assert_same_columns(trick_pairs(core, sigma, ORDER, plant))
     assert failures > 0
 
@@ -485,6 +488,67 @@ def test_a_planted_closed_form_fails_the_eigen_action(monkeypatch):
         checks = {c.name: c for c in jacobi_diffeq_op(JACOBI, ORDER)[2]}
         assert not checks["second-order operator closed form"].passed, (m, n)
         assert not checks["eigen-action"].passed, (m, n)
+
+
+# -- the Sheffer generating function, each column from the last ------------------------
+
+
+def ref_generating_function_check(barg, gen_weight, phi, order):
+    """Column m of barg against gen_weight phi^m, each power of phi made in
+    turn, as the check was before it built each column from the last."""
+    def columns():
+        power = TruncSeries.one(barg.nw)
+        for m in range(order + 1):
+            got = TruncSeries(barg.column(m)[: barg.reliable + 1])
+            expect = (gen_weight * power).truncate(got.order)
+            yield series_check(f"generating function column {m}", got, expect, order)
+            power = power * phi
+
+    return first_failure(f"generating function to bidegree ({order},{order})", columns())
+
+
+def generating_inputs(p, order):
+    """A Sheffer build and the arguments it passes its generating-function check."""
+    seen, check = [], families.generating_function_check
+    families.generating_function_check = lambda *args: seen.append(args) or check(*args)
+    try:
+        fam = sheffer_family(p, order)
+    finally:
+        families.generating_function_check = check
+    (args,) = seen
+    return fam, args
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small, small, small)
+@example(F(0), F(1, 3), F(2, 5))
+def test_the_generating_function_matches_the_power_form(lam, a, b):
+    try:
+        fam, args = generating_inputs(ShefferParams(lam, a, b), 4)
+    except SingularParams:
+        assume(False)
+    record = generating_function_check(*args)
+    assert record == ref_generating_function_check(*args)
+    assert record in fam.checks and record.passed
+
+
+@pytest.mark.parametrize("p", [SHEFFER, ShefferParams(0, F(1, 3), F(2, 5))], ids=["riccati", "lam=0"])
+def test_a_planted_bar_entry_gives_the_power_form_record(p):
+    """Each entry of the compared block (coefficient i of column m, both up
+    to the order) planted in turn: both forms return the same record, failed
+    in that column at that coefficient; a plant just outside the block
+    passes both."""
+    _, (barg, gen_weight, phi, order) = generating_inputs(p, ORDER)
+    for m in range(order + 2):
+        for i in range(order + 2):
+            bad = planted(barg, i, m)
+            record = generating_function_check(bad, gen_weight, phi, order)
+            assert record == ref_generating_function_check(bad, gen_weight, phi, order), (i, m)
+            inside = i <= order and m <= order
+            assert record.passed != inside, (i, m)
+            if inside:
+                assert record.name == f"generating function column {m}", (i, m)
+                assert record.witness.startswith(f"coefficient {i}:"), (i, m)
 
 
 # -- the recurrence read off the top diagonals of the family operator ------------------
@@ -577,15 +641,17 @@ def test_a_planted_gop_entry_fails_the_reader_in_the_reference_column(family):
 
 @pytest.mark.parametrize("build, products", [
     pytest.param(lambda: ultraspherical_family(SHEFFER, 8), 21, id="ultraspherical"),
-    pytest.param(lambda: jacobi_family(JACOBI, 8), 33, id="jacobi"),
+    pytest.param(lambda: jacobi_family(JACOBI, 8), 34, id="jacobi"),
     pytest.param(lambda: wilson_family(WILSON, 8), 21, id="wilson"),
     pytest.param(lambda: hahn_family(HAHN, 8), 28, id="hahn"),
 ])
-def test_a_build_inverts_one_operator(build, products, monkeypatch):
-    """C_tf^(-1), once, to make the C_tf of the conjugation-trick checks: the
-    family operator is never inverted.  `products` is the count of operator
-    products with every check crossed and the recurrence read off the top
-    diagonals of the family operator."""
+def test_a_build_inverts_no_operator(build, products, monkeypatch):
+    """The conjugation lemma is compared on C_tf^(-1)'s side, so no build
+    makes C_tf, and the family operator is never inverted.  `products` is the
+    count of operator products with every check crossed and the recurrence
+    read off the top diagonals of the family operator; at sigma = kappa the
+    lemma's composition form makes inner(1/kappa - 1/lam) as a product of its
+    own, which at sigma = lam is the core's inner()."""
     count = Counter()
     invert, matmul = OpMatrix.inverse, OpMatrix.__matmul__
 
@@ -600,13 +666,15 @@ def test_a_build_inverts_one_operator(build, products, monkeypatch):
     monkeypatch.setattr(OpMatrix, "inverse", counted_invert)
     monkeypatch.setattr(OpMatrix, "__matmul__", counted_matmul)
     assert all(c.passed for c in build().checks)
-    assert count["inverse"] == 1 and count["product"] <= products, count
+    assert count["inverse"] == 0 and count["product"] <= products, count
 
 
-@pytest.mark.parametrize("suite", [suite_base, suite_longdiv], ids=["base", "longdiv"])
+@pytest.mark.parametrize("suite", [suite_base, suite_longdiv, suite_ultra, suite_hahn, suite_wilson],
+                         ids=["base", "longdiv", "ultra", "hahn", "wilson"])
 def test_a_suite_with_no_c_tf_inverts_nothing(suite, monkeypatch):
-    """The commutator and the polynomial-domain long division form compare
-    with no inverse, so these sweeps, which never read C_tf, invert nothing."""
+    """The commutator, the polynomial-domain long division form and the
+    conjugation lemma compare with no inverse, and no build makes C_tf, so
+    these sweeps invert nothing."""
     def refuse(op):
         raise AssertionError("an operator was inverted")
 

@@ -275,13 +275,10 @@ def test_raising_lowering_commutator_across_families():
 @pytest.mark.parametrize("nw", [1, 2, 7, 16])
 @pytest.mark.parametrize("lam, a, b", [(1, 0, 1), (F(1, 2), F(1, 3), F(2, 5)), (2, F(-1, 2), F(1, 8)), (0, 1, 1)])
 def test_sheffer_core_reads_omega_and_c_tf_off_one_pass(lam, a, b, nw):
-    """C_tf^(-1) is built from the powers of tf/y, C_tf is its inverse and
-    omega is row 1 of C_tf."""
+    """C_tf^(-1) is built from the powers of tf/y, and omega is row 1 of C_tf."""
     core = riccati_core(lam, a, b, nw)
     assert core.omega == core.tf.reverse()
-    c_tf = OpMatrix.umbral_compose(core.tf, nw)
-    c_tf_inv = c_tf.inverse()
-    assert (core.c_tf.cols, core.c_tf.raised, core.c_tf.reliable) == (c_tf.cols, c_tf.raised, c_tf.reliable)
+    c_tf_inv = OpMatrix.umbral_compose(core.tf, nw).inverse()
     assert (core.c_tf_inv.cols, core.c_tf_inv.raised, core.c_tf_inv.reliable) == (
         c_tf_inv.cols, c_tf_inv.raised, c_tf_inv.reliable
     )
@@ -335,34 +332,34 @@ def test_one_build_inverts_each_operator_once(build, monkeypatch):
 
 
 def test_the_core_makes_each_factor_once(monkeypatch):
+    invert, inverted = OpMatrix.inverse, []
+    monkeypatch.setattr(OpMatrix, "inverse", lambda op: inverted.append(op) or invert(op))
     core = riccati_core(F(1, 3), F(2, 5), F(3, 7), 8)
     assert core.inner(F(3, 2)) is core.inner(F(3, 2))
     assert core.inner() is core.inner(0)
     assert core.fpow(F(-3)) is core.fpow(-3)
     assert core.fprime_omega_pow(F(1, 2)) is core.fprime_omega_pow(F(1, 2))
-    invert, inverted = OpMatrix.inverse, []
-    monkeypatch.setattr(OpMatrix, "inverse", lambda op: inverted.append(op) or invert(op))
-    assert core.c_tf is core.c_tf and core.c_tf_inv is core.c_tf_inv and core.omega is core.omega
-    assert inverted == [core.c_tf_inv]  # C_tf is made once, by inverting C_tf^(-1)
-    assert (core.c_tf @ core.c_tf_inv).equals(OpMatrix.identity(8))
+    assert core.c_tf_inv is core.c_tf_inv and core.omega is core.omega
+    assert core.tf_inv_fpow(F(-3)) is core.tf_inv_fpow(-3)
+    assert not inverted and not hasattr(core, "c_tf")  # the core inverts nothing and keeps no C_tf
 
 
-def spy_on_c_tf(monkeypatch) -> list:
-    """(name, nw) for each C_tf or C_tf^(-1) a core makes from here on."""
+def spy_on_c_tf_inv(monkeypatch) -> list:
+    """The working order of each C_tf^(-1) a core makes from here on."""
     made = []
-    for name in ("c_tf", "c_tf_inv"):
-        make = vars(ShefferCore)[name].func
+    make = vars(ShefferCore)["c_tf_inv"].func
 
-        def spy(core, make=make, name=name):
-            made.append((name, core.nw))
-            return make(core)
+    def spy(core):
+        made.append(core.nw)
+        return make(core)
 
-        monkeypatch.setattr(ShefferCore, name, property(spy))
+    monkeypatch.setattr(ShefferCore, "c_tf_inv", property(spy))
     return made
 
 
 def test_sheffer_builds_never_make_c_tf(monkeypatch):
-    made = spy_on_c_tf(monkeypatch)
+    """No core makes C_tf, and a Sheffer build never reads C_tf^(-1) either."""
+    made = spy_on_c_tf_inv(monkeypatch)
     composed = []
     compose = families.umbral_compose_and_reverse
     monkeypatch.setattr(families, "umbral_compose_and_reverse", lambda f, nw: composed.append(f) or compose(f, nw))
@@ -371,8 +368,8 @@ def test_sheffer_builds_never_make_c_tf(monkeypatch):
     checks = suite_base(RunConfig(order=8, seed=1, samples=2))
     assert checks and all(c.passed for c in checks)
     assert not made, made
-    ultraspherical_family(SHEFFER, 4)  # the spy is live: this build reads C_tf
-    assert ("c_tf", 8) in made
+    ultraspherical_family(SHEFFER, 4)  # the spy is live: this build reads C_tf^(-1)
+    assert 8 in made
 
 
 @pytest.mark.parametrize("build", [
