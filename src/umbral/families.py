@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .checks import conjugation_check, first_failure, flag_check, op_check, series_check, value_check
 from .errors import DiagSingular, NotThreeTerm, SingularParams
 from .indexfn import IndexRatio, Poly, affine
-from .opalg import OpMatrix, dual_raising, mgf_from_gop, tridiagonal_raising, umbral_compose_and_reverse
+from .opalg import OpMatrix, conjugate, mgf_from_gop, umbral_compose_and_reverse
 from .orthocore import ClosedFormRecurrence, Recurrence, assoc_mgf_from_tails, moments_from_recurrence
 from .series import (
     TruncSeries,
@@ -454,7 +454,7 @@ class FamilyResult:
 
 def extract_recurrence(gop: OpMatrix, through: Optional[int] = None) -> tuple:
     """The dual raising operator of gop and the recurrence read off it."""
-    u = tridiagonal_raising(gop)
+    u = conjugate(gop, OpMatrix.x_op(gop.nw))
     a, b = u.three_term(through)
     return u, Recurrence(tuple(a), tuple(b))
 
@@ -811,7 +811,7 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
         gop = c_delta @ inner
     else:
         gop = inner
-    u = dual_raising(gop)
+    u = conjugate(gop, OpMatrix.x_op(nw))
     band, down = u.band_profile(order), n - 1 if a else 0  # at a = 0, f = y: the monomials
     checks.append(flag_check(f"band profile (1,{down})", band == (1, down), f"got {band}"))
     # algebraic relation for the inverse transform:
@@ -867,6 +867,5 @@ def comment_generator_bands(p: JacobiParams, order: int, margin: int = FAMILY_MA
         ),
     }
     inner = core.inner()
-    inner_inv = inner.inverse()
-    bands = {name: (inner_inv @ t @ inner).band_profile(order) for name, t in established.items()}
-    return [(name, band, band <= (1, 1)) for name, band in bands.items()]
+    bands = {name: conjugate(inner, t).band_profile(order) for name, t in established.items()}
+    return [(name, (up, down), up <= 1 and down <= 1) for name, (up, down) in bands.items()]

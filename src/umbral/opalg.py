@@ -11,8 +11,7 @@ series (``column_poly``, ``apply_poly``, ``apply_series``) share that
 storage.  Fractions are made only at the boundary: the ``OpMatrix(rows,
 ...)`` constructor takes them, ``column``/``entry``, ``three_term``,
 comparison witnesses and the ``mat`` property (a fresh row-major Fraction
-copy, read by tools such as the benchmark tracer) give them back, and
-``top_diagonals_raising`` works in them on the O(nw) entries it reads.
+copy, read by tools such as the benchmark tracer) give them back.
 An OpMatrix keeps nothing else: ``inverse()`` solves afresh on every call,
 so a caller that needs an inverse twice holds it.
 
@@ -496,53 +495,43 @@ def mgf_from_gop(gop: OpMatrix) -> TruncSeries:
     return gop.inverse_row_egf(0)
 
 
-def dual_raising(gop: OpMatrix) -> OpMatrix:
-    """gop^(-1) x gop: multiplication by x in the family's own basis."""
-    return gop.inverse() @ OpMatrix.x_op(gop.nw) @ gop
+def conjugate(m: OpMatrix, t: OpMatrix) -> OpMatrix:
+    """m^(-1) t m for m upper triangular with a nonzero diagonal, with the
+    raised and reliable of that product and the same entries on its reliable
+    block; columns past it are left zero.  Raises what inverse() raises.
 
-
-def tridiagonal_raising(gop: OpMatrix) -> OpMatrix:
-    """dual_raising(gop), read off the top three diagonals of gop whenever it
-    is tridiagonal on its reliable block, with no inverse.
-
-    The candidate U of `top_diagonals_raising` is compared cross-multiplied,
-    x gop == gop U.  gop is upper triangular with a nonzero diagonal, so
-    column j of x gop - gop U = gop (u - U) vanishes exactly when column j
-    of u - U does: U equals u on u's reliable block exactly when the
-    comparison passes there.  When it fails the dense u is returned, so
-    three_term() raises on it as it always did.
+    Column n solves m v = (t m)_n by back substitution, in integers over one
+    running denominator as inverse() does, from the top nonzero row of
+    (t m)_n down to row 0.  Only the nonzero v_k enter each row's sum, so a
+    banded result costs O(nw) per column, and every row below the band,
+    whose numerator must then come out 0, is the cross-multiplied check
+    (t m - m v)_r == 0 of that column; a column that is not banded is
+    solved in full by the same loop.
     """
-    u = top_diagonals_raising(gop)
-    if (OpMatrix.x_op(gop.nw) @ gop).equals(gop @ u):
-        return u
-    return dual_raising(gop)
-
-
-def top_diagonals_raising(gop: OpMatrix) -> OpMatrix:
-    """The tridiagonal U that u = gop^(-1) x gop is if it is tridiagonal.
-
-    Write p_n for column n of gop.  Then x p_n = alpha_n p_(n+1) + a_n p_n
-    + c_n p_(n-1), and matching x^(n+1), x^n and x^(n-1) gives alpha_n, a_n
-    and c_n in O(1) per column.  U carries u's raised and reliable, and its
-    columns past reliable are left zero.  Raises what inverse() raises.
-    """
-    gop._require_invertible()
-    nw, raised = gop.nw, gop.raised + 1
-    reliable = min(gop.reliable, nw) - raised
-    entry = gop.entry
+    m._check_shape(t)
+    m._require_invertible()
+    nw = m.nw
+    reliable = min(t.reliable, m.reliable - t.raised, nw - t.raised)
+    reliable = min(m.reliable, reliable - m.raised, nw - m.raised)
+    m_cols = [nums for _, nums in m.cols]
+    tm = (t @ m).cols
     cols = []
     for n in range(reliable + 1):
-        lead, below = entry(n, n), entry(n - 1, n) if n else 0
-        alpha = lead / entry(n + 1, n + 1)
-        a = (below - alpha * entry(n, n + 1)) / lead
-        col = [0] * (nw + 1)
-        col[n + 1], col[n] = alpha, a
-        if n:
-            low = entry(n - 2, n) if n > 1 else 0
-            col[n - 1] = (low - alpha * entry(n - 1, n + 1) - a * below) / entry(n - 1, n - 1)
-        cols.append(_over_common_den(col))
+        # with column k of m = N_k/d_k, N z = w gives v_k = z_k d_k / w_den;
+        # z_r = ys[i]/s for the rows[i] where z is nonzero
+        w_den, w = tm[n]
+        rows, ys, s = [], [], 1
+        for r in range(max((i for i, v in enumerate(w) if v), default=-1), -1, -1):
+            acc = w[r] * s - sum(m_cols[k][r] * y for k, y in zip(rows, ys))
+            if acc:
+                rows.append(r)
+                s = _append_over(ys, s, acc, m_cols[r][r])
+        nums = [0] * (nw + 1)
+        for k, y in zip(rows, ys):
+            nums[k] = y * m.cols[k][0]
+        cols.append(_reduced(s * w_den, nums))
     cols += [(1, [0] * (nw + 1)) for _ in range(len(cols), nw + 1)]
-    return OpMatrix._of(cols, nw, raised, reliable)
+    return OpMatrix._of(cols, nw, t.raised + m.raised, reliable)
 
 
 def umbral_compose_and_reverse(f: TruncSeries, nw: int) -> tuple[OpMatrix, TruncSeries]:

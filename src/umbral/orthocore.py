@@ -26,7 +26,7 @@ from .errors import (
     OrderExhausted,
 )
 from .indexfn import IndexRatio, Poly
-from .opalg import OpMatrix, tridiagonal_raising
+from .opalg import OpMatrix, conjugate
 from .series import TruncSeries, _from_pairs, _over_common_den, _reduced, as_rat, rationals_from_json
 
 
@@ -407,7 +407,7 @@ def christoffel_darboux(fam: OrthoFamily, rec: Recurrence, y0, nw: int) -> Kerne
         @ geom
         @ OpMatrix.diag_op([1 / v for v in diag], nw)
     )
-    a, b = tridiagonal_raising(gq).three_term()
+    a, b = conjugate(gq, OpMatrix.x_op(nw)).three_term()
     expected_a = [
         rec.a_at(n + 1) - values[n + 1] / values[n] + values[n + 2] / values[n + 1]
         for n in range(len(a))

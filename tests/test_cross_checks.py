@@ -4,11 +4,11 @@ Each check that once inverted an operator only to compare with it now
 compares a cross-multiplied form (`checks.conjugation_check`,
 `families.conjugation_trick_checks`) or builds the inverse it needs from a
 series (C_delta^(-1) by Lagrange inversion, ell(D)^(-1) as (1/ell)(D)), and
-the recurrence is read off the top diagonals of the family operator
-(`opalg.tridiagonal_raising`).  The dense forms are kept here as references,
-written as the checks were before: under random parameters the two give the
-same outcome, and with one entry of one factor perturbed they fail in the
-same first column.
+every conjugate m^(-1) t m, the recurrence's raising operator among them,
+is solved by back substitution (`opalg.conjugate`).  The dense forms are
+kept here as references, written as the checks were before: under random
+parameters the two give the same outcome, and with one entry of one factor
+perturbed they fail in the same first column.
 """
 import dataclasses
 import inspect
@@ -28,8 +28,10 @@ from umbral.families import (
     FAMILY_MARGIN,
     HahnParams,
     JacobiParams,
+    MultiTermParams,
     ShefferParams,
     WilsonParams,
+    comment_generator_bands,
     conjugation_trick_checks,
     deformed_op,
     diag_conj,
@@ -39,6 +41,7 @@ from umbral.families import (
     jacobi_diffeq_op,
     jacobi_family,
     jacobi_split_displays,
+    multiterm_family,
     sheffer_family,
     sheffer_op,
     ultraspherical_family,
@@ -48,15 +51,26 @@ from umbral.families import (
     x_times,
 )
 from umbral.indexfn import IndexRatio, Poly, affine
-from umbral.opalg import OpMatrix, dual_raising, top_diagonals_raising, tridiagonal_raising
+from umbral.opalg import OpMatrix, conjugate
 from umbral.series import TruncSeries, exp_series
-from umbral.verify import RunConfig, _commutator_check, suite_base, suite_hahn, suite_longdiv, suite_ultra, suite_wilson
+from umbral.verify import (
+    RunConfig,
+    _commutator_check,
+    suite_base,
+    suite_hahn,
+    suite_jacobi,
+    suite_longdiv,
+    suite_multiterm,
+    suite_ultra,
+    suite_wilson,
+)
 
 ORDER = 5
 SHEFFER = ShefferParams(F(1, 2), F(1, 3), F(2, 5))
 JACOBI = JacobiParams(F(1, 3), F(2, 5), F(3, 7))
 WILSON = WilsonParams(F(1, 2), F(1, 3), F(1, 2), F(1, 3), F(1, 4))
 HAHN = HahnParams(2, F(1, 2), F(1, 2))
+MULTITERM = MultiTermParams(3, F(1, 2), F(1, 3), (F(1, 3), F(1, 3), F(1, 6), F(1, 6)))
 ASSOC_C = F(3, 2)
 H_RATIO = IndexRatio(Poly([F(3, 2), 1]), Poly([1, 2]))
 B = TruncSeries([1, F(1, 3), F(-2, 5), F(1, 7)] + [0] * 8)
@@ -551,7 +565,12 @@ def test_a_planted_bar_entry_gives_the_power_form_record(p):
                 assert record.witness.startswith(f"coefficient {i}:"), (i, m)
 
 
-# -- the recurrence read off the top diagonals of the family operator ------------------
+# -- every conjugate m^(-1) t m solved by back substitution --------------------------------
+
+
+def dense_conjugate(m, t):
+    """m^(-1) t m as the plain product: the reference for opalg.conjugate."""
+    return m.inverse() @ t @ m
 
 
 def riccati_gop(p, order):
@@ -580,28 +599,78 @@ GOPS = {  # family -> (its drawn parameters, its operator, pinned parameters)
 }
 
 
-def recurrence_outcome(raising, gop):
-    """The recurrence, raise and reliable block of raising(gop), or the error
+@st.composite
+def multiterm_params(draw):
+    """n = 2..4 weights, or n + 1 for the extended family, summing to 1; a = 0
+    (the monomials, band (1, 0)) included."""
+    n = draw(st.integers(2, 4))
+    t = [draw(small) for _ in range(n - 1 + draw(st.integers(0, 1)))]
+    return MultiTermParams(n, draw(small.filter(bool)), draw(small), (*t, 1 - sum(t)))
+
+
+def raising_pair(make):
+    """The family operator of `make` with x: the dual raising operator."""
+    def pairs(p, order):
+        gop = make(p, order)
+        return [(gop, OpMatrix.x_op(gop.nw))]
+    return pairs
+
+
+def generator_pairs(p, order):
+    """The (inner, generator) pairs that comment_generator_bands conjugates."""
+    seen = []
+
+    def spy(m, t):
+        seen.append((m, t))
+        return conjugate(m, t)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families, "conjugate", spy)
+        comment_generator_bands(p, order)
+    assert len(seen) == 4
+    return seen
+
+
+CONJUGATES = {  # case -> (its drawn parameters, the (m, t) pairs it conjugates)
+    **{family: (params, raising_pair(make)) for family, (params, make, _) in GOPS.items()},
+    "multiterm": (multiterm_params(), raising_pair(lambda p, order: multiterm_family(p, order).gop)),
+    "generators": (GOPS["jacobi"][0], generator_pairs),
+}
+
+
+def recurrence_outcome(reader, m, t):
+    """The recurrence, raise and reliable block of reader(m, t), or the error
     it raises on the way."""
     try:
-        u = raising(gop)
+        u = reader(m, t)
         return u.three_term(), u.raised, u.reliable
     except EngineError as exc:
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("family", GOPS)
+@pytest.mark.parametrize("case", CONJUGATES)
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_the_reader_matches_the_dense_reference(family, data):
-    params, make, _ = GOPS[family]
+def test_the_reader_matches_the_dense_reference(case, data):
+    params, make = CONJUGATES[case]
     try:
-        gop = make(data.draw(params), 4)
+        pairs = make(data.draw(params), 4)
     except EngineError:
         assume(False)
-    assert recurrence_outcome(tridiagonal_raising, gop) == recurrence_outcome(dual_raising, gop)
-    u, ref = tridiagonal_raising(gop), dual_raising(gop)
-    assert u.first_difference(ref) is None and (u.raised, u.reliable) == (ref.raised, ref.reliable)
+    for m, t in pairs:
+        assert recurrence_outcome(conjugate, m, t) == recurrence_outcome(dense_conjugate, m, t)
+        u, ref = conjugate(m, t), dense_conjugate(m, t)
+        assert u.first_difference(ref) is None and (u.raised, u.reliable) == (ref.raised, ref.reliable)
+
+
+def test_the_reader_keeps_a_declared_raise():
+    """A raise declared on m shrinks the reliable block as in the dense
+    product, although m is triangular."""
+    gop = jacobi_gop(JACOBI, ORDER)
+    m, x = OpMatrix(gop.mat, gop.nw, 2, gop.reliable), OpMatrix.x_op(gop.nw)
+    u, ref = conjugate(m, x), dense_conjugate(m, x)
+    assert (u.raised, u.reliable) == (ref.raised, ref.reliable) == (3, gop.reliable - 3)
+    assert u.first_difference(ref) is None
 
 
 def outside_band_column(outcome):
@@ -612,12 +681,15 @@ def outside_band_column(outcome):
 
 
 def crossed_column(gop):
-    """The first column where x gop == gop U fails for the top-diagonal U."""
+    """The first column the reader cannot leave on its three diagonals: where
+    x gop == gop U fails for U its result cut to rows n - 1 .. n + 1."""
     try:
-        u = top_diagonals_raising(gop)
+        u = conjugate(gop, OpMatrix.x_op(gop.nw))
     except NotInvertible:
         return None
-    diff = (OpMatrix.x_op(gop.nw) @ gop).first_difference(gop @ u)
+    rows = [[v if abs(m - n) <= 1 else 0 for n, v in enumerate(row)] for m, row in enumerate(u.mat)]
+    cut = OpMatrix(rows, u.nw, u.raised, u.reliable)
+    diff = (OpMatrix.x_op(gop.nw) @ gop).first_difference(gop @ cut)
     return None if diff is None else diff[1]
 
 
@@ -625,12 +697,13 @@ def crossed_column(gop):
 def test_a_planted_gop_entry_fails_the_reader_in_the_reference_column(family):
     _, make, p = GOPS[family]
     gop = make(p, ORDER)
+    x = OpMatrix.x_op(gop.nw)
     outcomes = Counter()
     for n in range(gop.reliable + 1):
         for m in range(gop.nw + 1):
             bad = planted(gop, m, n)
-            ref = recurrence_outcome(dual_raising, bad)
-            assert recurrence_outcome(tridiagonal_raising, bad) == ref, (m, n)
+            ref = recurrence_outcome(dense_conjugate, bad, x)
+            assert recurrence_outcome(conjugate, bad, x) == ref, (m, n)
             assert crossed_column(bad) == outside_band_column(ref), (m, n)
             outcomes[ref[0] if isinstance(ref[0], type) else "passed"] += 1
     assert outcomes[NotThreeTerm] and outcomes[NotMonic] and outcomes[NotInvertible], outcomes
@@ -640,18 +713,20 @@ def test_a_planted_gop_entry_fails_the_reader_in_the_reference_column(family):
 
 
 @pytest.mark.parametrize("build, products", [
-    pytest.param(lambda: ultraspherical_family(SHEFFER, 8), 21, id="ultraspherical"),
-    pytest.param(lambda: jacobi_family(JACOBI, 8), 34, id="jacobi"),
-    pytest.param(lambda: wilson_family(WILSON, 8), 21, id="wilson"),
-    pytest.param(lambda: hahn_family(HAHN, 8), 28, id="hahn"),
+    pytest.param(lambda: ultraspherical_family(SHEFFER, 8), 20, id="ultraspherical"),
+    pytest.param(lambda: jacobi_family(JACOBI, 8), 33, id="jacobi"),
+    pytest.param(lambda: wilson_family(WILSON, 8), 20, id="wilson"),
+    pytest.param(lambda: hahn_family(HAHN, 8), 26, id="hahn"),
+    pytest.param(lambda: multiterm_family(MULTITERM, 8), 15, id="multiterm"),
 ])
 def test_a_build_inverts_no_operator(build, products, monkeypatch):
     """The conjugation lemma is compared on C_tf^(-1)'s side, so no build
     makes C_tf, and the family operator is never inverted.  `products` is the
-    count of operator products with every check crossed and the recurrence
-    read off the top diagonals of the family operator; at sigma = kappa the
-    lemma's composition form makes inner(1/kappa - 1/lam) as a product of its
-    own, which at sigma = lam is the core's inner()."""
+    count of operator products with every check crossed and the raising
+    operator solved by back substitution, which takes the one product x gop;
+    at sigma = kappa the lemma's composition form makes inner(1/kappa -
+    1/lam) as a product of its own, which at sigma = lam is the core's
+    inner()."""
     count = Counter()
     invert, matmul = OpMatrix.inverse, OpMatrix.__matmul__
 
@@ -669,12 +744,16 @@ def test_a_build_inverts_no_operator(build, products, monkeypatch):
     assert count["inverse"] == 0 and count["product"] <= products, count
 
 
-@pytest.mark.parametrize("suite", [suite_base, suite_longdiv, suite_ultra, suite_hahn, suite_wilson],
-                         ids=["base", "longdiv", "ultra", "hahn", "wilson"])
+@pytest.mark.parametrize(
+    "suite",
+    [suite_base, suite_longdiv, suite_ultra, suite_hahn, suite_wilson, suite_jacobi, suite_multiterm],
+    ids=["base", "longdiv", "ultra", "hahn", "wilson", "jacobi", "multiterm"],
+)
 def test_a_suite_with_no_c_tf_inverts_nothing(suite, monkeypatch):
     """The commutator, the polynomial-domain long division form and the
-    conjugation lemma compare with no inverse, and no build makes C_tf, so
-    these sweeps invert nothing."""
+    conjugation lemma compare with no inverse, no build makes C_tf, and every
+    conjugate m^(-1) t m is solved by back substitution, so these sweeps
+    invert nothing."""
     def refuse(op):
         raise AssertionError("an operator was inverted")
 
