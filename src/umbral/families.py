@@ -802,7 +802,7 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
     for _ in range(n):
         fprime = (fprime * base).truncate(nw)
     core = sheffer_core(f, fprime, lam, nw)
-    checks = conjugation_trick_checks(core, lam, min(order, 8))
+    checks = conjugation_trick_checks(core, lam, order)
     inner = deformed_op(core, p.ratio)
     if p.extended:
         cconst = -p.t[n] * lam * a * Fraction(n ** (n - 1), (n - 1) ** (n - 1))

@@ -5,15 +5,16 @@ the coefficient of x^m in T.x^n.  It is stored by columns, as integers:
 ``cols[n] = (den, nums)`` is the image of x^n, entry (m, n) = nums[m]/den,
 kept canonical (den > 0 and gcd(den, *nums) == 1, so a zero column is
 (1, [0, ...])).  Equal columns therefore have equal storage, and every
-kernel below (products, inverses, sums, bar, the constructors) reads and
-writes integers only, reducing each result column once; polynomials and
-series (``column_poly``, ``apply_poly``, ``apply_series``) share that
-storage.  Fractions are made only at the boundary: the ``OpMatrix(rows,
-...)`` constructor takes them, ``column``/``entry``, ``three_term``,
-comparison witnesses and the ``mat`` property (a fresh row-major Fraction
-copy, read by tools such as the benchmark tracer) give them back.
-An OpMatrix keeps nothing else: ``inverse()`` solves afresh on every call,
-so a caller that needs an inverse twice holds it.
+kernel below (products, sums, bar, back substitution, the constructors)
+reads and writes integers only, reducing each result column once;
+polynomials and series (``column_poly``, ``apply_poly``, ``apply_series``)
+share that storage.  Fractions are made only at the boundary: the
+``OpMatrix(rows, ...)`` constructor takes them, ``column``/``entry``,
+``three_term``, comparison witnesses and the ``mat`` property (a fresh
+row-major Fraction copy, read by tools such as the benchmark tracer) give
+them back.  An OpMatrix keeps nothing else, and no engine path inverts one:
+``inverse()`` is the tests' reference for the solvers that read only what
+they need.
 
 Next to the matrix sit two pieces of truncation bookkeeping:
 
@@ -121,18 +122,9 @@ class OpMatrix:
         return cls._one_per_column([None] + [(n - 1, n) for n in range(1, nw + 1)], nw)
 
     @classmethod
-    def theta_op(cls, nw: int) -> "OpMatrix":
-        return cls.diag_op(range(nw + 1), nw)
-
-    @classmethod
     def l_op(cls, nw: int) -> "OpMatrix":
         """The 0-derivative: x^n -> x^(n-1), 1 -> 0."""
         return cls._one_per_column([None] + [(n - 1, 1) for n in range(1, nw + 1)], nw)
-
-    @classmethod
-    def delta_op(cls, nw: int) -> "OpMatrix":
-        """Evaluation at zero: 1 - x*L."""
-        return cls._one_per_column([(0, 1)] + [None] * nw, nw)
 
     @classmethod
     def diag_op(cls, values, nw: int) -> "OpMatrix":
@@ -299,6 +291,9 @@ class OpMatrix:
     def inverse(self) -> "OpMatrix":
         """Back-substitution inverse of a degree-non-raising operator.
 
+        No engine path calls it; it is kept as the tests' reference, and the
+        benchmark tracer wraps it by name.
+
         With self = N . diag(1/d) for the integer matrix N of column
         numerators, the inverse is diag(d) . N^(-1); N^(-1) is solved
         fraction-free in the style of Bareiss, each column in integers y_r
@@ -393,7 +388,8 @@ class OpMatrix:
         (rows only consume coefficients of equal or lower index), which is
         what bar() of a degree-non-raising operator produces.  The sum runs
         in integers over the series' denominator times the lcm of the
-        column denominators it uses.
+        column denominators it uses.  Kept, like inverse(), as the tests'
+        reference and for the benchmark tracer, which wraps it by name.
         """
         order = min(self.nw, s.order)
         for a in range(1, self.nw + 1):

@@ -24,6 +24,7 @@ from .errors import (
     NodeAtZeroOfP,
     NotPolynomialCoefficients,
     OrderExhausted,
+    SingularParams,
 )
 from .indexfn import IndexRatio, Poly
 from .opalg import OpMatrix, conjugate
@@ -90,6 +91,11 @@ class ClosedFormRecurrence:
     b_fn: IndexRatio
 
     def truncate(self, depth: int) -> Recurrence:
+        """a_0..a_depth and b_1..b_depth; a pole in that range raises SingularParams."""
+        for label, fn, start in (("a", self.a_fn, 0), ("b", self.b_fn, 1)):
+            pole = fn.den.shift(start).first_root(depth + 1 - start)
+            if pole is not None:
+                raise SingularParams(f"{label}_n", f"index ratio pole at {pole + start}")
         return Recurrence(
             tuple(self.a_fn(n) for n in range(depth + 1)),
             tuple(self.b_fn(n) for n in range(1, depth + 1)),
@@ -388,7 +394,8 @@ class KernelDeformation:
 
 def christoffel_darboux(fam: OrthoFamily, rec: Recurrence, y0, nw: int) -> KernelDeformation:
     """Deformed family operator G . diag(p(y0)/B) (1-D)^(-1) diag(B/p(y0)),
-    with its extracted three-term data against the closed-form display."""
+    with its extracted three-term data against the closed-form display; only
+    tests call it, kept for a spectral-transforms suite to reuse."""
     y0 = as_rat(y0)
     values = []
     for n in range(nw + 3):
@@ -545,17 +552,6 @@ def tail_from_moment_gf(moment_gf: TruncSeries, terms: int) -> LaurentTail:
     if moment_gf.order < terms - 1:
         raise OrderExhausted("moment series too short for requested tail")
     return LaurentTail(moment_gf.coeffs[:terms])
-
-
-def negative_index_tail(rec: Recurrence, n: int, terms: int, order: int = None) -> LaurentTail:
-    """Formal negative-index series y^(-1) F_n(1/y) of the n-th tail, i.e.
-    the coefficient list of x^(-k-1); the Laplace-integral reading of the
-    same object is out of scope and only this formal identity is shipped."""
-    order = terms + n if order is None else order
-    f_n = cf_tails(rec, n, order)[n]
-    if f_n.order < terms - 1:
-        raise OrderExhausted("tail series too short")
-    return LaurentTail(f_n.coeffs[:terms])
 
 
 def tail_from_partial_fractions(fam: OrthoFamily, terms: int) -> LaurentTail:

@@ -485,13 +485,13 @@ def exp_series(c, order: int) -> TruncSeries:
 
 
 def geometric_series(c, order: int) -> TruncSeries:
-    """1/(1 - c*y) truncated."""
+    """1/(1 - c*y) truncated; kept as the series tests' closed-form reference."""
     p, q = as_rat(c).as_integer_ratio()
     return TruncSeries._of(*_from_pairs([(p**i, q**i) for i in range(order + 1)]))
 
 
 def log1p_series(c, order: int) -> TruncSeries:
-    """log(1 + c*y) truncated."""
+    """log(1 + c*y) truncated; kept as the series tests' closed-form reference."""
     p, q = as_rat(c).as_integer_ratio()
     return TruncSeries._of(*_from_pairs([(0, 1)] + [((-1) ** (i + 1) * p**i, q**i * i) for i in range(1, order + 1)]))
 

@@ -4,20 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import umbral.associated as associated
 from umbral.associated import (
     ASSOC_MARGIN,
     change_of_variable_check,
-    factorization_column,
     guard_shift,
     jacobi_assoc,
     long_division_checks,
     lowered_weights,
+    newton_expansion,
     sheffer_assoc,
     splitting_check,
     ultra_assoc,
     wilson_assoc,
 )
-from umbral.errors import DiagSingular, SingularParams
+from umbral.cli import main
+from umbral.errors import DiagSingular, NotThreeTerm, SingularParams
 from umbral.families import (
     JacobiParams,
     ShefferParams,
@@ -201,10 +203,101 @@ def test_wilson_assoc_reductions():
     nested_pass(jacobi_family, JacobiParams(2, F(1, 3), F(1, 5)), 10)
 
 
+def factorization_column(ells, n, order):
+    """y^n / ((1+y ell_0) ... (1+y ell_n)), the displayed column factorization,
+    by multiplying out the denominator and dividing once."""
+    den = TruncSeries.one(order)
+    for k in range(n + 1):
+        den = (den * TruncSeries.from_polynomial([1, ells[k]], order)).truncate(order)
+    return (1 / den).shift_up(n).truncate(order)
+
+
+def apply_factorial_bar_inverse(op_inv_bar, s):
+    """theta! bar(T) theta!^(-1) applied to a series, via borel/laplace: with
+    T = C2^(-1) from inverse(), the reference route for the Newton expansion."""
+    return op_inv_bar.apply_series(s.borel()).laplace()
+
+
 def test_factorization_column_values():
     # y^1/((1+y)(1+2y)) = y(1 - 3y + 7y^2 - 15y^3 + ...)
     got = factorization_column([F(1), F(2)], 1, 5)
     assert got.coeffs[:5] == (0, 1, -3, 7, -15)
+    assert newton_expansion(TruncSeries.from_polynomial([0, 1], 5), [F(1), F(2)] + [F(9)] * 4) == got
+
+
+shift_values = st.one_of(st.just(F(0)), st.fractions(-4, 4, max_denominator=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_newton_expansion_matches_the_inverse_route(data):
+    """The Horner expansion equals theta! bar(C2^(-1)) theta!^(-1) applied
+    through the inverse, for shifts with zeros and negatives and a series
+    known to order nw - 1 (as the build gives it) or nw; each unit series
+    gives its displayed column y^n / prod_{k<=n} (1 + y ell_k)."""
+    nw = data.draw(st.integers(1, 24), label="nw")
+    ells = data.draw(st.lists(shift_values, min_size=nw + 1, max_size=nw + 1), label="ells")
+    order = data.draw(st.sampled_from([nw - 1, nw]), label="order")
+    s = TruncSeries(data.draw(st.lists(shift_values, min_size=order + 1, max_size=order + 1), label="s"))
+    bar_inv = OpMatrix.shifted_product(ells, nw).inverse().bar()
+    assert newton_expansion(s, ells) == apply_factorial_bar_inverse(bar_inv, s)
+    for n in range(order + 1):
+        unit = TruncSeries.from_polynomial([0] * n + [1], order)
+        assert newton_expansion(unit, ells) == factorization_column(ells, n, order)
+
+
+WILSON = WilsonParams(F(1, 3), F(2, 5), F(3, 7), F(1, 4), F(2, 9))
+WILSON_ARGV = ["assoc", "wilson", "--c", "3/2", "--params", "lambda=1/3,a=2/5,r=3/7,rtilde=1/4,h=2/9", "--order", "12"]
+
+
+def factorization(res):
+    return next(c for c in res.checks if c.name == "column factorization of the shift operator")
+
+
+def planted_expansion(monkeypatch, k, staged=True):
+    """Make wilson_assoc's expansion wrong: staged coefficient k off by 1/7,
+    or, with staged=False, the expansion run over ell_k + 1."""
+    expand = associated.newton_expansion
+
+    def planted(s, ells):
+        if not staged:
+            return expand(s, [v + (i == k) for i, v in enumerate(ells)])
+        coeffs = list(expand(s, ells).coeffs)
+        coeffs[k] += F(1, 7)
+        return TruncSeries(coeffs)
+
+    monkeypatch.setattr(associated, "newton_expansion", planted)
+
+
+@pytest.mark.parametrize("k", [13, 19])
+def test_planted_staged_coefficient_fails_the_crossed_check(k, monkeypatch, capsys):
+    """At order 12 the expansion runs to order 19.  One wrong staged
+    coefficient k past the order fails the crossed check at column k (C2
+    transposed is unit triangular) and no other check, and the CLI exits 1."""
+    assert factorization(wilson_assoc(WILSON, F(3, 2), 12)).passed
+    planted_expansion(monkeypatch, k)
+    res = wilson_assoc(WILSON, F(3, 2), 12)
+    assert [(c.name, c.witness) for c in res.checks if not c.passed] == [
+        ("column factorization of the shift operator", f"column {k}")
+    ]
+    assert main(WILSON_ARGV) == 1
+    capsys.readouterr()
+
+
+def test_planted_shift_value_fails_the_crossed_check(monkeypatch):
+    """An expansion over a wrong ell_k agrees with C2 through column k and
+    fails at column k + 1, the first column of C2 that reads ell_k."""
+    planted_expansion(monkeypatch, 15, staged=False)
+    assert factorization(wilson_assoc(WILSON, F(3, 2), 12)).witness == "column 16"
+
+
+@pytest.mark.parametrize("staged", [True, False])
+def test_a_planted_fault_through_the_order_stops_the_build(staged, monkeypatch):
+    """A wrong staged coefficient or shift value at k <= order breaks the
+    raising operator's band, which three_term reports before any check."""
+    planted_expansion(monkeypatch, 5, staged)
+    with pytest.raises(NotThreeTerm):
+        wilson_assoc(WILSON, F(3, 2), 12)
 
 
 # ---- additivity across the explicit operators --------------------------------------------------

@@ -222,6 +222,28 @@ def test_assoc_jacobi_c_zero_where_the_lower_2f1_is_0_over_0(capsys):
     assert len(checks) == 6 and all(c["pass"] for c in checks)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all", "--order", "8", "--seed", "1"],
+        ["assoc", "wilson", "--c", "3/2", "--params", "lambda=1/3,a=2/5,r=3/7,rtilde=1/4,h=2/9", "--order", "12"],
+    ],
+    ids=["verify-all", "assoc-wilson"],
+)
+def test_no_engine_path_inverts_an_operator(capsys, monkeypatch, argv):
+    """OpMatrix.inverse is only the tests' reference: with it made to raise
+    (an AssertionError, which the CLI does not catch), every suite and the
+    associated Wilson build still run with every check passing."""
+    def refuse(op):
+        raise AssertionError("OpMatrix.inverse called")
+
+    monkeypatch.setattr(OpMatrix, "inverse", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["pass"] for c in checks)
+
+
 def test_assoc_zero_reduction_report(capsys):
     code, out, _ = run(
         capsys, "assoc", "sheffer", "--params", "lambda=1,a=1,b=1", "--c", "0", "--order", "8"

@@ -51,11 +51,6 @@ def test_commutator_d_x_is_identity():
     assert comm.reliable == NW - 1
 
 
-def test_delta_evaluates_at_zero():
-    delta = OpMatrix.delta_op(NW)
-    assert delta.apply_poly(Poly([3, 2, 1])) == Poly([3])
-
-
 def test_l_shifts_down_and_factorial_conjugation():
     l = OpMatrix.l_op(NW)
     assert l.apply_poly(Poly([0, 0, 0, 0, 0, 1])) == Poly([0, 0, 0, 0, 1])  # x^5 -> x^4
@@ -157,7 +152,7 @@ def test_inverse_rejects_raising():
 
 def test_inverse_rejects_zero_diagonal():
     with pytest.raises(NotInvertible):
-        OpMatrix.theta_op(NW).inverse()
+        OpMatrix.diag_op(range(NW + 1), NW).inverse()
 
 
 def test_exp_type_conjugation_of_x():
@@ -220,7 +215,7 @@ def test_mgf_of_hermite_type():
 
 def test_three_term_extraction():
     x = OpMatrix.x_op(NW)
-    a_diag = OpMatrix.theta_op(NW)
+    a_diag = OpMatrix.diag_op(range(NW + 1), NW)
     b_vals = [2 * F(n) for n in range(NW + 1)]
     t = x + a_diag + OpMatrix.d_op(NW) @ OpMatrix.diag_op(b_vals, NW)
     a, b = t.three_term()

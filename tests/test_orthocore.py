@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from umbral.errors import ClosedFormRequired, DegenerateB, NodeAtZeroOfP, OrderExhausted
+from umbral.errors import ClosedFormRequired, DegenerateB, NodeAtZeroOfP, OrderExhausted, SingularParams
+from umbral.families import JacobiParams, ShefferParams, jacobi_closed_form, ultraspherical_closed_form
 from umbral.indexfn import IndexRatio, Poly, affine
 from umbral.orthocore import (
     ClosedFormRecurrence,
@@ -424,16 +425,6 @@ def test_assoc_one_identity_wrapper():
     assert assoc_one_identity_check(random_recurrence(rng, 22), 10, "first associated family").passed
 
 
-def test_negative_index_tail_values():
-    from umbral.orthocore import negative_index_tail
-
-    rec = chebyshev_rec(16)
-    t0 = negative_index_tail(rec, 0, 8)
-    assert t0.coeffs == moments_from_recurrence(rec, 7).moment_gf.coeffs[:8]
-    t1 = negative_index_tail(rec, 1, 8)
-    assert t1.coeffs[0] == 0 and t1.coeffs[1] == 1
-
-
 def test_cd_zero_node_guard_at_origin():
     rec = hermite_rec(16)
     fam = polys_from_recurrence(rec, 16)
@@ -485,6 +476,34 @@ def test_dual_identity_check_wrapper():
     assert dual_identity_check(cheb, "1/theta family", terms=8).passed
     hermite = ClosedFormRecurrence(IndexRatio.const(0), IndexRatio.const(1))
     assert dual_identity_check(hermite, "constant-b family", terms=8).passed
+
+
+@pytest.mark.parametrize(
+    "closed_form, pole",
+    [
+        pytest.param(lambda: ultraspherical_closed_form(ShefferParams(F(1, 2), F(1, 3), F(2, 5))), 1, id="ultraspherical"),
+        pytest.param(lambda: jacobi_closed_form(JacobiParams(F(1, 3), F(2, 5), F(3, 7))), 2, id="jacobi"),
+    ],
+)
+def test_dual_pole_is_a_named_error(closed_form, pole):
+    """A dual whose b has a pole inside the truncation raises SingularParams,
+    an EngineError that names the index, not a bare ZeroDivisionError."""
+    from umbral.orthocore import dual_identity_check
+
+    dual = dual_recurrence(closed_form())
+    with pytest.raises(SingularParams, match=f"b_n invalid: index ratio pole at {pole}$"):
+        dual_identity_check(closed_form(), "dual")
+    with pytest.raises(SingularParams):
+        dual.truncate(pole)
+    assert dual.truncate(pole - 1).depth == pole - 1
+
+
+def test_truncate_names_a_pole_in_a_and_ignores_b_at_zero():
+    # a_n = 1/(n - 3) has a pole at 3; b_n = 1/n has one at 0, never evaluated
+    cf = ClosedFormRecurrence(IndexRatio(1, Poly([-3, 1])), affine(0, 1).reciprocal())
+    assert cf.truncate(2).b == (1, F(1, 2))
+    with pytest.raises(SingularParams, match="a_n invalid: index ratio pole at 3$"):
+        cf.truncate(3)
 
 
 def test_assoc_zero_is_identity_on_closed_forms():
