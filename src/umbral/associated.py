@@ -259,7 +259,7 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     gop = factorial_conj_op(ell.weighted(weights), diag_conj(fvals, core.inner(c)), c)
     u, rec = extract_recurrence(gop, order)
     display = closed_form_raising(ultraspherical_closed_form(p).assoc(c), nw)
-    checks = [op_check("shifted dual raising display", u, display, order)]
+    checks = [op_check("shifted dual raising display", u, display, order)]  # covers inner(c), read off psi
     if c == 0:
         checks.append(op_check("c=0 reduction", gop, base, order))
     f0 = mgf_from_gop(gop).truncate(order)
@@ -325,7 +325,7 @@ def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     checks = []
     if c != 0:
         display = closed_form_raising(jacobi_closed_form(p).assoc(c), nw)
-        checks.append(op_check("shifted dual raising display", u, display, order))
+        checks.append(op_check("shifted dual raising display", u, display, order))  # covers inner(c)
     else:
         checks.append(op_check("c=0 reduction", gop, base, order))
     # omega'-cancellation display: (1+lam(theta+c-1)) . f'(omega)^(c-1+1/lam)
@@ -409,7 +409,7 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     )
     checks.append(first_failure(name, (flag_check(name, not d, f"column {a}") for a, d in enumerate(crossed))))
     # conjugated square identity inner sq inner^(-1) == display, compared crossed
-    # as display inner == inner sq
+    # as display inner == inner sq; it covers inner(c), read off psi
     sq = OpMatrix.diag_op([(1 + lam * (n + c)) ** 2 for n in range(nw + 1)], nw)
     display = sq - coeff_then_d(
         [2 * a * lam * lam / kappa * (1 + lam * (n + c)) * (1 + kappa * (n + c)) for n in range(nw + 1)],

@@ -20,14 +20,14 @@ from typing import Optional, Sequence
 from .checks import conjugation_check, first_failure, flag_check, op_check, series_check, value_check
 from .errors import DiagSingular, NotThreeTerm, SingularParams
 from .indexfn import IndexRatio, Poly, affine
-from .opalg import OpMatrix, conjugate, mgf_from_gop, umbral_compose_and_reverse
+from .opalg import OpMatrix, conjugate, mgf_from_gop
 from .orthocore import ClosedFormRecurrence, Recurrence, assoc_mgf_from_tails, moments_from_recurrence
 from .series import (
     TruncSeries,
     as_rat,
     exp_series,
-    power_law_ode_series,
     riccati_series,
+    solve_autonomous_ode,
     t_transform,
 )
 
@@ -289,17 +289,18 @@ def d_then_coeff(values: Sequence, nw: int) -> OpMatrix:
 
 @dataclass
 class ShefferCore:
-    """Series and operators shared by every deformation built over one f;
-    fpow, tf_inv_fpow, inner and fprime_omega_pow make each of their values
-    once, and c_tf_inv and omega are made on first use.  No core makes C_tf
-    or inverts an operator (see `conjugation_trick_checks`)."""
+    """Series and operators shared by every deformation built over one base
+    f' = psi(f), psi a polynomial with psi(0) = 1; C_f and each inner(c) are
+    read off psi in O(nw^2).  fpow, inner and fprime_omega_pow make each of
+    their values once, and c_f, c_tf_inv and omega are made on first use.
+    No core makes C_tf or inverts an operator (see
+    `conjugation_trick_checks`)."""
 
     lam: Fraction
     f: TruncSeries
+    psi: Poly
     fprime: TruncSeries
     tf: TruncSeries
-    phi: TruncSeries
-    c_f: OpMatrix
     nw: int
     _memo: dict = field(default_factory=dict, init=False, repr=False)  # (method, argument) -> value
 
@@ -308,6 +309,10 @@ class ShefferCore:
         if key not in self._memo:
             self._memo[key] = make(key[1])
         return self._memo[key]
+
+    @cached_property
+    def c_f(self) -> OpMatrix:
+        return OpMatrix.umbral_compose_ode(self.psi, self.nw)
 
     @cached_property
     def c_tf_inv(self) -> OpMatrix:
@@ -323,14 +328,13 @@ class ShefferCore:
     def fpow(self, alpha) -> OpMatrix:
         return self._once("fpow", alpha, lambda a: OpMatrix.series_of_d(self.fprime.pow_fraction(a), self.nw))
 
-    def tf_inv_fpow(self, alpha) -> OpMatrix:
-        """C_tf^(-1) f'(D)^alpha, read by inner() and the conjugation checks."""
-        return self._once("tf_inv_fpow", alpha, lambda a: self.c_tf_inv @ self.fpow(a))
-
     def inner(self, c=0) -> OpMatrix:
-        """C_tf^(-1) f'(D)^(-c-1/lam) C_f; at c = 0 the common core of the
-        deformations, at c the core of their associated families."""
-        return self._once("inner", c, lambda c: self.tf_inv_fpow(-c - 1 / self.lam) @ self.c_f)
+        """C_tf^(-1) f'(D)^alpha C_f with alpha = -c - 1/lam: at c = 0 the
+        common core of the deformations, at c the core of their associated
+        families.  C_f sends e^(xt) to e^(x phi), f'(D)^alpha multiplies that
+        by f'(phi)^alpha = psi^alpha and C_tf^(-1) puts tf(phi) = y/psi for
+        y: the pair (psi^alpha, y/psi)."""
+        return self._once("inner", c, lambda c: OpMatrix.sheffer_pair(self.psi, -c - 1 / self.lam, self.nw))
 
     @cached_property
     def fprime_omega(self) -> TruncSeries:
@@ -342,15 +346,14 @@ class ShefferCore:
         return self._once("omega_pow", alpha, lambda a: self.fprime_omega.pow_fraction(a).truncate(self.nw))
 
 
-def sheffer_core(f: TruncSeries, fprime: TruncSeries, lam, nw: int) -> ShefferCore:
-    c_f, phi = umbral_compose_and_reverse(f, nw)  # phi = reverse(f)
-    return ShefferCore(lam=as_rat(lam), f=f, fprime=fprime, tf=t_transform(f), phi=phi, c_f=c_f, nw=nw)
+def sheffer_core(f: TruncSeries, psi: Poly, lam, nw: int) -> ShefferCore:
+    """The core over f with f' = psi(f), f known to order nw."""
+    return ShefferCore(lam=as_rat(lam), f=f, psi=psi, fprime=psi(f), tf=t_transform(f), nw=nw)
 
 
 def riccati_core(lam, a, b, nw: int) -> ShefferCore:
     """The core over the Riccati base f' = 1 + lam a f + lam b f^2."""
-    f = riccati_series(lam, a, b, nw)
-    return sheffer_core(f, (1 + lam * a * f + lam * b * (f * f)).truncate(nw), lam, nw)
+    return sheffer_core(riccati_series(lam, a, b, nw), Poly([1, lam * a, lam * b]), lam, nw)
 
 
 def guarded_core(p, order: int, margin: int) -> tuple[int, ShefferCore]:
@@ -393,26 +396,30 @@ def conjugation_trick_checks(core: ShefferCore, sigma, through: Optional[int] = 
 
     verified as exact matrix equalities before each construction uses it,
     with no inverse: for F = f'(D)^(-1/sigma), R = 1 + sigma x (f/f')(D) and
-    Dg = (1+sigma theta)^(-1), as x Dg (T R) == Y and x Dg (T C_f) == Y C_f Dg
-    with T = C_tf^(-1) F, Y = C_tf^(-1) x F and T C_f = inner(1/sigma - 1/lam),
-    the core's inner() at sigma = lam.  These are C_tf^(-1) E F R = 0 and
-    C_tf^(-1) E F C_f = 0 for each displayed difference E.  F R and F C_f are
-    invertible upper triangular and C_tf^(-1) is upper triangular with
-    diagonal tf'(0)^n = 1, so each form first fails in the column its
-    displayed form does (see `checks.conjugation_check`).  Both sides keep
+    Dg = (1+sigma theta)^(-1), as x Dg C_tf^(-1) F R == Y and
+    x Dg inner(1/sigma - 1/lam) == Y C_f Dg with Y = C_tf^(-1) x F: these are
+    C_tf^(-1) E F R = 0 and C_tf^(-1) E F C_f = 0 for each displayed
+    difference E.  F R and F C_f are invertible upper triangular and
+    C_tf^(-1) is upper triangular with diagonal tf'(0)^n = 1, so each form
+    first fails in the column its displayed form does (see
+    `checks.conjugation_check`).  inner is read off psi, so the composition
+    form also compares it with its product route.  Both sides keep
     reliable >= nw - 1 (R's book-kept raise of 1 trims one column), so the
-    compared block is columns 0..through for every caller's `through`.
+    compared block, the only columns computed (`OpMatrix.cut`), is columns
+    0..through for every caller's `through`.
     """
     sigma = as_rat(sigma)
-    nw, c_f = core.nw, core.c_f
+    nw = core.nw
     x, dg = OpMatrix.x_op(nw), OpMatrix.diag_op(IndexRatio(1, Poly([1, sigma])).values(nw + 1), nw)
     x_dg = x @ dg
-    y = core.c_tf_inv @ (x @ core.fpow(-1 / sigma))
+    fpow = core.fpow(-1 / sigma)
+    y = core.c_tf_inv @ (x @ fpow).cut(through)
     resolvent = OpMatrix.identity(nw) + (x @ OpMatrix.series_of_d(core.tf, nw)).scale(sigma)
     name = f"conjugation-trick sigma={sigma}"
+    inner = core.inner(1 / sigma - 1 / core.lam).cut(through)
     return [
-        op_check(f"{name} (resolvent form)", x_dg @ (core.tf_inv_fpow(-1 / sigma) @ resolvent), y, through),
-        op_check(f"{name} (composition form)", x_dg @ core.inner(1 / sigma - 1 / core.lam), y @ c_f @ dg, through),
+        op_check(f"{name} (resolvent form)", x_dg @ (core.c_tf_inv @ (fpow @ resolvent.cut(through))), y, through),
+        op_check(f"{name} (composition form)", x_dg @ inner, y @ core.c_f.cut(through) @ dg, through),
     ]
 
 
@@ -525,7 +532,7 @@ def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) ->
     else:
         core = riccati_core(lam, a, b, nw)
         gop = sheffer_op(core)
-        phi = core.phi
+        phi = core.f.reverse()  # by Lagrange inversion, apart from the C_f read off psi
         phiprime = 1 / TruncSeries.from_polynomial([1, lam * a, lam * b], nw)
         gen_weight = phiprime.pow_fraction(Fraction(1) / lam)
         checks.append(
@@ -541,7 +548,7 @@ def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) ->
         )
         for n in range(1, min(order, rec.depth) + 1)
     )))
-    checks.append(generating_function_check(gop.bar(), gen_weight, phi, order))
+    checks.append(generating_function_check(gop.bar(), gen_weight, phi, order))  # covers C_f
     top = min(order, 2 * (rec.depth // 2))
     f0 = mgf_from_gop(gop).truncate(top)
     checks += mgf_pipeline_checks(["sheffer: mgf pipelines agree"], f0, rec, top)[0]
@@ -796,12 +803,8 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
     nw = order + margin
     p.guard(nw)
     n, lam, a = p.n, p.lam, p.a
-    f = power_law_ode_series(n, lam, a, nw)
-    fprime = TruncSeries.one(nw)
-    base = 1 + (lam * a / n) * f
-    for _ in range(n):
-        fprime = (fprime * base).truncate(nw)
-    core = sheffer_core(f, fprime, lam, nw)
+    psi = Poly([math.comb(n, j) * (lam * a / n) ** j for j in range(n + 1)])  # (1 + lam a y/n)^n
+    core = sheffer_core(solve_autonomous_ode(psi.coeffs, nw), psi, lam, nw)
     checks = conjugation_trick_checks(core, lam, order)
     inner = deformed_op(core, p.ratio)
     if p.extended:

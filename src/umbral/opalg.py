@@ -28,7 +28,14 @@ Next to the matrix sit two pieces of truncation bookkeeping:
   past the matrix edge, so products shrink this: for C = A.B,
   reliable(C) = min(reliable(B), reliable(A) - raised(B), nw - raised(B)).
 
-Comparisons and extractions only ever look at columns up to ``reliable``.
+Comparisons and extractions only ever look at columns up to ``reliable``,
+and ``cut`` drops the columns past a comparison's bound from a product's
+right factor, so that only the compared columns are computed.
+
+Binomial composition operators come from the powers of y/f by Lagrange
+inversion (``umbral_compose``); where f' = psi(f) for a polynomial psi, the
+same operator and the pair (psi^alpha, y/psi) are read off psi alone in
+O(nw^2) (``umbral_compose_ode``, ``sheffer_pair``).
 
 The bar transform is the unique series-side operator with
 T_x e^{xy} = bar(T)_y e^{xy}; matching coefficients of x^m y^b gives the
@@ -43,6 +50,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
+    NonUnitBase,
     NotInvertible,
     NotMonic,
     NotThreeTerm,
@@ -50,7 +58,7 @@ from .errors import (
     ReliabilityExhausted,
 )
 from .indexfn import Poly
-from .series import TruncSeries, _append_over, _conv, _from_pairs, _int_powers, _over_common_den, _reduced, as_rat
+from .series import TruncSeries, _append_over, _conv, _int_powers, _over_common_den, _reduced, as_rat
 
 _ZERO = Fraction(0)
 
@@ -160,7 +168,67 @@ class OpMatrix:
         that is ((n-1)!/(a-1)!) [y^(n-a)] (y/f)^n, so column n comes from the
         n-th integer power of y/f alone.
         """
-        return umbral_compose_and_reverse(f, nw)[0]
+        if f.order < nw:
+            raise OrderExhausted("series for the umbral operator must reach the working order")
+        cols = [(1, [1] + [0] * nw)]
+        for n, (den, power) in enumerate(_int_powers(f.truncate(nw)._y_over_f(), nw), start=1):
+            nums = [0] * (nw + 1)
+            weight = 1  # (n-1)!/(a-1)!
+            for a in range(n, 0, -1):
+                if power[n - a]:
+                    nums[a] = weight * power[n - a]
+                weight *= a - 1
+            cols.append(_reduced(den, nums))
+        return cls._of(cols, nw, 0, nw)
+
+    @classmethod
+    def umbral_compose_ode(cls, psi: Poly, nw: int) -> "OpMatrix":
+        """umbral_compose(f, nw) for the f with f' = psi(f), f(0) = 0, from the
+        polynomial psi alone: phi = reverse(f) has phi' = 1/psi, so the
+        columns' generating function e^(x phi(y)) solves psi(y) dG/dy = x G,
+        and column k+1 = x (column k) - sum_{j>=1} psi_j k!/(k-j)! (column
+        k+1-j), O(deg(psi) nw^2) in all.  With y = c z (`_scaled`), c^k
+        (column k) is an integer polynomial."""
+        c, p = _scaled(psi)
+        scaled = [[1] + [0] * nw]
+        for k in range(nw):
+            col = [0] + [c * v for v in scaled[k][:nw]]
+            fall = 1  # k!/(k-j)!
+            for j in range(1, min(len(p) - 1, k) + 1):
+                fall *= k - j + 1
+                w = p[j] * fall
+                for i, v in enumerate(scaled[k + 1 - j]):
+                    if v:
+                        col[i] -= w * v
+            scaled.append(col)
+        return cls._of([_reduced(c**k, col) for k, col in enumerate(scaled)], nw, 0, nw)
+
+    @classmethod
+    def sheffer_pair(cls, psi: Poly, alpha, nw: int) -> "OpMatrix":
+        """The operator whose columns have the generating function
+        psi(y)^alpha e^(x y/psi(y)): entry (a, n) is (n!/a!) [y^(n-a)]
+        psi^(alpha-a).  With y = c z (`_scaled`), psi~^alpha is made once over
+        one denominator, and each next row psi~^(alpha-a) by exact division
+        by the integer polynomial psi~, over the same one: O(deg(psi) nw^2)."""
+        c, p = _scaled(psi)
+        power = TruncSeries._of(1, tuple(p[: nw + 1]) + (0,) * (nw + 1 - len(p))).pow_fraction(alpha)
+        rows = [list(power.nums)]
+        for a in range(1, nw + 1):
+            prev, row = rows[-1], []
+            for k in range(nw + 1 - a):
+                acc = prev[k]
+                for j in range(1, min(len(p) - 1, k) + 1):
+                    acc -= p[j] * row[k - j]
+                row.append(acc)
+            rows.append(row)
+        c_pows, cols = [c**a for a in range(nw + 1)], []
+        for n in range(nw + 1):  # entry (a, n) = (n!/a!) c^(a-n) rows[a][n-a] / den
+            nums, weight = [0] * (nw + 1), 1  # n!/a!
+            for a in range(n, -1, -1):
+                nums[a] = weight * c_pows[a] * rows[a][n - a]
+                weight *= a
+            cols.append(_reduced(power.den * c_pows[n], nums))
+        return cls._of(cols, nw, 0, nw)
 
     @classmethod
     def umbral_compose_inverse(cls, g: TruncSeries, nw: int) -> "OpMatrix":
@@ -476,11 +544,28 @@ class OpMatrix:
     def equals(self, other: "OpMatrix", through: Optional[int] = None) -> bool:
         return self.first_difference(other, through) is None
 
+    def cut(self, through: Optional[int]) -> "OpMatrix":
+        """Columns 0..through, the rest zero, reliable at most through: column
+        j of A.B reads column j of B alone, so A.B.cut(t) computes only the
+        columns a comparison through t reads, and those exactly."""
+        if through is None or through >= self.nw:
+            return self
+        zeros = [(1, [0] * (self.nw + 1)) for _ in range(through, self.nw)]
+        return OpMatrix._of(self.cols[: through + 1] + zeros, self.nw, self.raised, min(self.reliable, through))
+
     def __repr__(self):
         return f"OpMatrix(nw={self.nw}, raised={self.raised}, reliable={self.reliable})"
 
 
 # -- helpers -------------------------------------------------------------------
+
+
+def _scaled(psi: Poly) -> tuple[int, list]:
+    """(c, psi(c z)) for psi(0) = 1 and the denominator c of psi: the integers
+    psi_j c^j = nums_j c^(j-1)."""
+    if psi.nums[0] != psi.den:
+        raise NonUnitBase("the base polynomial needs psi(0) = 1")
+    return psi.den, [1] + [v * psi.den ** (j - 1) for j, v in enumerate(psi.nums) if j]
 
 
 def mgf_from_gop(gop: OpMatrix) -> TruncSeries:
@@ -529,21 +614,3 @@ def conjugate(m: OpMatrix, t: OpMatrix) -> OpMatrix:
     cols += [(1, [0] * (nw + 1)) for _ in range(len(cols), nw + 1)]
     return OpMatrix._of(cols, nw, t.raised + m.raised, reliable)
 
-
-def umbral_compose_and_reverse(f: TruncSeries, nw: int) -> tuple[OpMatrix, TruncSeries]:
-    """(OpMatrix.umbral_compose(f, nw), f.truncate(nw).reverse()), both read
-    off one pass over the integer powers of y/f by Lagrange inversion."""
-    if f.order < nw:
-        raise OrderExhausted("series for the umbral operator must reach the working order")
-    cols = [(1, [1] + [0] * nw)]
-    rev = [(0, 1)]
-    for n, (den, power) in enumerate(_int_powers(f.truncate(nw)._y_over_f(), nw), start=1):
-        rev.append((power[n - 1], den * n))
-        nums = [0] * (nw + 1)
-        weight = 1  # (n-1)!/(a-1)!
-        for a in range(n, 0, -1):
-            if power[n - a]:
-                nums[a] = weight * power[n - a]
-            weight *= a - 1
-        cols.append(_reduced(den, nums))
-    return OpMatrix._of(cols, nw, 0, nw), TruncSeries._of(*_from_pairs(rev))

@@ -539,14 +539,6 @@ def riccati_series(lam, a, b, order: int) -> TruncSeries:
     return solve_autonomous_ode([Fraction(1), lam * a, lam * b], order)
 
 
-def power_law_ode_series(n: int, lam, a, order: int) -> TruncSeries:
-    """Series solution of f' = (1 + lam*a*f/n)^n, f(0) = 0."""
-    lam, a = as_rat(lam), as_rat(a)
-    c = lam * a / n
-    poly = [math.comb(n, j) * c**j for j in range(n + 1)]
-    return solve_autonomous_ode(poly, order)
-
-
 def t_transform(f: TruncSeries) -> TruncSeries:
     """f / f' for f with f(0)=0, f'(0)=1; exact through the order of f."""
     if f.nums[0] != 0 or f.order < 1 or f.nums[1] != f.den:

@@ -338,7 +338,7 @@ def test_the_core_makes_each_factor_once(monkeypatch):
     assert core.fpow(F(-3)) is core.fpow(-3)
     assert core.fprime_omega_pow(F(1, 2)) is core.fprime_omega_pow(F(1, 2))
     assert core.c_tf_inv is core.c_tf_inv and core.omega is core.omega
-    assert core.tf_inv_fpow(F(-3)) is core.tf_inv_fpow(-3)
+    assert core.c_f is core.c_f
     assert not inverted and not hasattr(core, "c_tf")  # the core inverts nothing and keeps no C_tf
 
 
@@ -356,13 +356,15 @@ def spy_on_c_tf_inv(monkeypatch) -> list:
 
 
 def test_sheffer_builds_never_make_c_tf(monkeypatch):
-    """No core makes C_tf, and a Sheffer build never reads C_tf^(-1) either."""
+    """No core makes C_tf, and a Sheffer build never reads C_tf^(-1) either:
+    it reads C_f off psi once and makes no operator by Lagrange inversion."""
     made = spy_on_c_tf_inv(monkeypatch)
-    composed = []
-    compose = families.umbral_compose_and_reverse
-    monkeypatch.setattr(families, "umbral_compose_and_reverse", lambda f, nw: composed.append(f) or compose(f, nw))
+    composed = {"umbral_compose": [], "umbral_compose_ode": []}
+    for name, calls in composed.items():
+        make = getattr(OpMatrix, name)
+        monkeypatch.setattr(OpMatrix, name, staticmethod(lambda g, nw, make=make, calls=calls: calls.append(nw) or make(g, nw)))
     all_pass(sheffer_family(SHEFFER, 12))
-    assert len(composed) == 1  # C_f alone, where C_tf was once composed next to it
+    assert composed == {"umbral_compose": [], "umbral_compose_ode": [16]}  # C_f alone, where C_tf was once composed next to it
     checks = suite_base(RunConfig(order=8, seed=1, samples=2))
     assert checks and all(c.passed for c in checks)
     assert not made, made

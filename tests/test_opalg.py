@@ -16,7 +16,7 @@ from umbral.errors import (
 )
 from umbral.families import diag_conj
 from umbral.indexfn import IndexRatio, Poly, affine
-from umbral.opalg import OpMatrix, mgf_from_gop, umbral_compose_and_reverse
+from umbral.opalg import OpMatrix, mgf_from_gop
 from umbral.series import TruncSeries, exp_series, riccati_series
 
 from test_series import reference_mul, reference_reverse
@@ -590,15 +590,37 @@ def test_sum_difference_and_scale_match_fraction_loops(data):
         assert_canonical_columns(got)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cut_keeps_the_columns_through_its_bound_and_zeroes_the_rest(data):
+    nw = data.draw(st.integers(0, 7))
+    a, b = data.draw(op_matrices(nw)), data.draw(op_matrices(nw))
+    through = data.draw(st.integers(0, nw + 1))
+    cut = b.cut(through)
+    assert b.cut(None) is b and (cut is b) == (through >= nw)
+    assert_same_entries(cut.mat, [[v if n <= through else F(0) for n, v in enumerate(row)] for row in b.mat])
+    assert (cut.raised, cut.reliable) == (b.raised, min(b.reliable, through))
+    assert_canonical_columns(cut)
+    # a product with a cut right factor: the same columns through the bound
+    try:
+        full = a @ b
+    except ReliabilityExhausted:
+        with pytest.raises(ReliabilityExhausted):
+            a @ cut
+        return
+    part = a @ cut
+    assert (part.raised, part.reliable) == (full.raised, min(full.reliable, through))
+    assert [row[: through + 1] for row in part.mat] == [row[: through + 1] for row in full.mat]
+
+
 @pytest.mark.parametrize("nw", [1, 4, NW])
-def test_umbral_compose_and_reverse_share_one_pass(nw):
-    # f known beyond the working order: both parts read it through nw only
+def test_umbral_compose_reads_f_through_the_working_order(nw):
+    # f known beyond the working order: the operator reads it through nw only
     f = riccati_series(F(1, 3), F(-2, 5), F(3, 4), NW + 3)
-    op, phi = umbral_compose_and_reverse(f, nw)
-    ref = OpMatrix.umbral_compose(f, nw)
+    op = OpMatrix.umbral_compose(f, nw)
+    ref = OpMatrix.umbral_compose(f.truncate(nw), nw)
     assert (op.cols, op.raised, op.reliable) == (ref.cols, ref.raised, ref.reliable)
-    assert phi == f.truncate(nw).reverse()
-    assert list(phi.coeffs) == reference_reverse(list(f.coeffs))[: nw + 1]
+    assert_same_entries(op.mat, reference_umbral_compose(list(f.coeffs), nw))
 
 
 # ---- rows of an inverse and the inverse of C_f, with no inverse ----------------------

@@ -1,0 +1,205 @@
+"""The operators a ShefferCore reads off its base polynomial psi, against the
+routes they replace.
+
+C_f comes from psi column by column (`OpMatrix.umbral_compose_ode`) and
+inner(c) as the operator of the pair (psi^alpha, y/psi)
+(`OpMatrix.sheffer_pair`).  The routes they replace are the references
+here: C_f by Lagrange inversion (`OpMatrix.umbral_compose(f)`) and inner(c)
+as the product C_tf^(-1) f'(D)^alpha C_f.  Each build that reads a
+psi-built operator compares it with a product route in a named check, and
+one planted coefficient of psi fails that check in the column where the
+operator first departs from its reference.
+"""
+import re
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from umbral import associated, families
+from umbral.associated import jacobi_assoc, ultra_assoc, wilson_assoc
+from umbral.errors import NotThreeTerm
+from umbral.families import (
+    JacobiParams,
+    MultiTermParams,
+    ShefferParams,
+    WilsonParams,
+    jacobi_family,
+    multiterm_family,
+    riccati_core,
+    sheffer_family,
+    ultraspherical_family,
+    wilson_family,
+)
+from umbral.indexfn import Poly
+from umbral.opalg import OpMatrix, conjugate
+from umbral.orthocore import Recurrence
+from umbral.series import as_rat
+
+ORDER = 5
+SHEFFER = ShefferParams(F(1, 2), F(1, 3), F(2, 5))
+JACOBI = JacobiParams(F(1, 3), F(2, 5), F(3, 7))
+WILSON = WilsonParams(F(1, 2), F(1, 3), F(1, 2), F(1, 3), F(1, 4))
+ASSOC_C = F(3, 2)
+STUB = Recurrence((F(0), F(0)), (F(0),))  # b_1 = 0 ends the fraction at once
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+nonzero = small.filter(lambda v: v != 0)
+
+
+def multiterm(n):
+    return MultiTermParams(n, F(1, 2), F(1, 3), (F(1, n),) * n)
+
+
+def same_op(x, y):
+    return (x.cols, x.raised, x.reliable) == (y.cols, y.raised, y.reliable)
+
+
+def lagrange_c_f(core):
+    return OpMatrix.umbral_compose(core.f, core.nw)
+
+
+def product_inner(core, c):
+    """C_tf^(-1) f'(D)^alpha C_f with alpha = -c - 1/lam, as a product with
+    C_f by Lagrange inversion: the reference for inner(c)."""
+    return core.c_tf_inv @ core.fpow(-as_rat(c) - 1 / core.lam) @ lagrange_c_f(core)
+
+
+def cores_of(build, monkeypatch) -> list:
+    """The cores `build` makes, after it ran."""
+    made, make = [], families.sheffer_core
+    monkeypatch.setattr(families, "sheffer_core", lambda *args: made.append(make(*args)) or made[-1])
+    build()
+    return made
+
+
+# -- the psi-built operators equal their references on the whole matrix ------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(small, small, small, st.integers(1, 12))
+@example(F(-1), 0, 0, 8)
+@example(F(-3, 2), 0, F(1, 2), 8)
+@example(F(2), F(-1, 2), 0, 8)
+def test_psi_built_c_f_matches_the_lagrange_pass(lam, a, b, nw):
+    core = riccati_core(lam, a, b, nw)
+    assert same_op(core.c_f, lagrange_c_f(core))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nonzero, small, small, st.integers(1, 10), st.sampled_from([0, F(1, 2), 2, F(-2, 3)]))
+@example(F(-1), 0, 0, 8, F(1, 2))
+@example(F(1, 3), F(2, 5), 0, 8, 2)
+def test_psi_built_inner_matches_the_product_route(lam, a, b, nw, c):
+    core = riccati_core(lam, a, b, nw)
+    assert same_op(core.inner(c), product_inner(core, c))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_multiterm_core_reads_the_same_operators_off_psi(n, monkeypatch):
+    (core,) = cores_of(lambda: multiterm_family(multiterm(n), 8), monkeypatch)
+    psi = Poly([1])
+    for _ in range(n):
+        psi = psi * Poly([1, core.lam * F(1, 3) / n])
+    assert core.psi == psi
+    assert core.fprime.agrees_with(core.f.derivative())  # f' = psi(f)
+    assert same_op(core.c_f, lagrange_c_f(core))
+    for c in (0, F(1, 2), 2):
+        assert same_op(core.inner(c), product_inner(core, c))
+
+
+# -- a planted coefficient of psi fails the covering check in the reference column --------
+
+
+def planted_psis(psi, bump=F(7, 3)):
+    """(k, psi with bump added to its y^k coefficient) for k = 1 .. deg + 1."""
+    for k in range(1, len(psi.nums) + 1):
+        coeffs = list(psi.coeffs) + [F(0)]
+        coeffs[k] += bump
+        yield k, Poly(coeffs)
+
+
+def plant_c_f(core, psi):
+    """C_f read off psi; returns (planted, reference)."""
+    core.c_f = OpMatrix.umbral_compose_ode(psi, core.nw)
+    return core.c_f, lagrange_c_f(core)
+
+
+def plant_inner(c):
+    def plant(core, psi):
+        """inner(c) read off psi; returns (planted, reference)."""
+        bad = core._memo[("inner", as_rat(c))] = OpMatrix.sheffer_pair(psi, -as_rat(c) - 1 / core.lam, core.nw)
+        return bad, product_inner(core, c)
+    return plant
+
+
+def check_column(check):
+    """The operator column of a failed check's first witness: n of entry
+    (m,n), or the coefficient of a generating-function column."""
+    found = re.match(r"entry \(\d+,(\d+)\)|coefficient (\d+)", check.witness)
+    return int(found.group(1) or found.group(2))
+
+
+def planted_build(build, plant, k, monkeypatch):
+    """The checks of `build` with psi's coefficient k planted in one operator
+    of its core, and the first column where that operator departs from its
+    reference.  A planted gop is seldom three-term, so where the reader
+    rejects it the recurrence falls back to a stub, and every check runs."""
+    departs = []
+    make, extract = families.sheffer_core, families.extract_recurrence
+
+    def planted_core(*args):
+        core = make(*args)
+        bad, ref = plant(core, dict(planted_psis(core.psi))[k])
+        departs.append(bad.first_difference(ref)[1])
+        return core
+
+    def tolerant(gop, through=None):
+        try:
+            return extract(gop, through)
+        except NotThreeTerm:
+            return conjugate(gop, OpMatrix.x_op(gop.nw)), STUB
+
+    with monkeypatch.context() as m:
+        m.setattr(families, "sheffer_core", planted_core)
+        for module in (families, associated):
+            m.setattr(module, "extract_recurrence", tolerant)
+        result = build()
+    assert len(set(departs)) == 1
+    return result.checks, departs[0]
+
+
+def trick(sigma):
+    return f"conjugation-trick sigma={sigma} (composition form)"
+
+
+COVERING = [  # id -> (build, planted operator, its covering check, columns the check reads ahead)
+    ("sheffer-c_f", lambda: sheffer_family(SHEFFER, ORDER), plant_c_f, "generating function", 0),
+    ("ultra-c_f", lambda: ultraspherical_family(SHEFFER, ORDER), plant_c_f, trick(SHEFFER.lam), 0),
+    ("ultra-inner", lambda: ultraspherical_family(SHEFFER, ORDER), plant_inner(0), trick(SHEFFER.lam), 0),
+    ("jacobi-c_f", lambda: jacobi_family(JACOBI, ORDER), plant_c_f, trick(JACOBI.kappa), 0),
+    ("jacobi-inner-kappa", lambda: jacobi_family(JACOBI, ORDER), plant_inner(1 / JACOBI.kappa - 1 / JACOBI.lam),
+     trick(JACOBI.kappa), 0),
+    ("wilson-inner", lambda: wilson_family(WILSON, ORDER), plant_inner(0), trick(WILSON.lam), 0),
+    ("multiterm-c_f", lambda: multiterm_family(multiterm(3), ORDER), plant_c_f, trick(F(1, 2)), 0),
+    # column n of the raising operator reads gop's column n + 1
+    ("ultra_assoc-inner", lambda: ultra_assoc(SHEFFER, ASSOC_C, ORDER), plant_inner(ASSOC_C),
+     "shifted dual raising display", 1),
+    ("jacobi_assoc-inner", lambda: jacobi_assoc(JACOBI, ASSOC_C, ORDER), plant_inner(ASSOC_C),
+     "shifted dual raising display", 1),
+    ("wilson_assoc-inner", lambda: wilson_assoc(WILSON, ASSOC_C, ORDER), plant_inner(ASSOC_C),
+     "conjugated square identity", 0),
+]
+
+
+@pytest.mark.parametrize("build, plant, name, ahead", [case[1:] for case in COVERING], ids=[c[0] for c in COVERING])
+def test_a_planted_psi_coefficient_fails_the_covering_check_in_the_reference_column(build, plant, name, ahead, monkeypatch):
+    checks = build().checks
+    (clean,) = [c for c in checks if c.name.startswith(name)]
+    assert clean.passed
+    for k in (1, 2, 3):
+        checks, departs = planted_build(build, plant, k, monkeypatch)
+        (got,) = [c for c in checks if c.name.startswith(name)]
+        assert departs - ahead <= ORDER
+        assert not got.passed and check_column(got) == departs - ahead, (k, departs, got)
