@@ -30,7 +30,7 @@ from .orthocore import (
     polys_from_recurrence,
     recurrence_from_moments,
 )
-from .series import TruncSeries, as_rat, riccati_series, t_and_omega
+from .series import TruncSeries, as_rat, riccati_series
 
 __all__ = [
     "ClosedFormRecurrence",
@@ -58,7 +58,6 @@ __all__ = [
     "riccati_series",
     "sheffer_assoc",
     "sheffer_family",
-    "t_and_omega",
     "ultra_assoc",
     "ultraspherical_family",
     "wilson_assoc",

@@ -45,7 +45,7 @@ from .families import (
 from .indexfn import IndexRatio, Poly, affine
 from .opalg import OpMatrix, mgf_from_gop
 from .orthocore import Recurrence
-from .series import TruncSeries, as_rat, riccati_series, t_and_omega
+from .series import TruncSeries, as_rat, riccati_series
 
 ASSOC_MARGIN = 8
 
@@ -249,11 +249,10 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     if p.lam == 0:  # the guard passes at lam = 0
         raise SingularParams("lambda=0", "deformation undefined")
     nw, core = guarded_core(p, order, margin)
-    lam, a, b = p.lam, p.a, p.b
+    lam = p.lam
     linear_guard([("1+lambda*(c+k)", 1 + lam * c, lam)], nw + 2)
     base = deformed_op(core, p.ratio) if _tail_shift(c) else None
-    omega = t_and_omega(riccati_series(lam, a, b, nw + 1))[1]  # one order above the working block
-    ell = (omega.derivative() * core.fprime_omega_pow(c + Fraction(1) / lam - 1)).truncate(nw)
+    ell = core.omega_prime * core.fprime_omega_pow(c + Fraction(1) / lam - 1)
     fvals = p.ratio.products(nw + 1, c)
     weights = (affine(0, 1) * p.ratio).products(nw + 1, c)  # (c)_theta F_{c+theta}/F_c
     gop = factorial_conj_op(ell.weighted(weights), diag_conj(fvals, core.inner(c)), c)
@@ -333,7 +332,7 @@ def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     g = core.fprime_omega_pow(c - 1 + Fraction(1) / lam)
     theta_g = g.derivative().shift_up(1).truncate(g.order)
     lhs_series = ((1 + lam * (c - 1)) * g + lam * theta_g).truncate(g.order - 1)
-    rhs_series = ((1 + lam * (c - 1)) * core.omega.derivative() * g).truncate(g.order - 1)
+    rhs_series = ((1 + lam * (c - 1)) * core.omega_prime * g).truncate(g.order - 1)
     checks.append(series_check("omega'-cancellation display", lhs_series, rhs_series, order))
     f0 = mgf_from_gop(gop).truncate(order)
     weighted_form, hyper_form = jacobi_assoc_mgf_forms(p, c, order, core)

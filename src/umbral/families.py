@@ -26,6 +26,7 @@ from .series import (
     TruncSeries,
     as_rat,
     exp_series,
+    psi_diagonal,
     riccati_series,
     solve_autonomous_ode,
     t_transform,
@@ -290,11 +291,12 @@ def d_then_coeff(values: Sequence, nw: int) -> OpMatrix:
 @dataclass
 class ShefferCore:
     """Series and operators shared by every deformation built over one base
-    f' = psi(f), psi a polynomial with psi(0) = 1; C_f and each inner(c) are
-    read off psi in O(nw^2).  fpow, inner and fprime_omega_pow make each of
-    their values once, and c_f, c_tf_inv and omega are made on first use.
-    No core makes C_tf or inverts an operator (see
-    `conjugation_trick_checks`)."""
+    f' = psi(f), psi a polynomial with psi(0) = 1; C_f, each inner(c),
+    omega' and each f'(omega)^alpha are read off psi in O(nw^2).  fpow,
+    inner and fprime_omega_pow make each of their values once, and c_f,
+    c_tf_inv and omega_prime are made on first use.  No core makes C_tf or
+    inverts an operator (see `conjugation_trick_checks`), and only that lemma
+    reads C_tf^(-1)."""
 
     lam: Fraction
     f: TruncSeries
@@ -320,10 +322,10 @@ class ShefferCore:
         return OpMatrix.umbral_compose_inverse(self.tf, self.nw)
 
     @cached_property
-    def omega(self) -> TruncSeries:
-        """omega = reverse(tf), row 1 of C_tf: omega_n = C_tf[1][n]/n!, solved
-        forward from c_tf_inv with no inverse."""
-        return self.c_tf_inv.inverse_row_egf(1)
+    def omega_prime(self) -> TruncSeries:
+        """omega' for omega = reverse(tf), to order nw: `psi_diagonal` at
+        alpha = 0."""
+        return psi_diagonal(self.psi, 0, self.nw)
 
     def fpow(self, alpha) -> OpMatrix:
         return self._once("fpow", alpha, lambda a: OpMatrix.series_of_d(self.fprime.pow_fraction(a), self.nw))
@@ -336,14 +338,9 @@ class ShefferCore:
         y: the pair (psi^alpha, y/psi)."""
         return self._once("inner", c, lambda c: OpMatrix.sheffer_pair(self.psi, -c - 1 / self.lam, self.nw))
 
-    @cached_property
-    def fprime_omega(self) -> TruncSeries:
-        """f'(omega), composed once per core."""
-        return self.fprime.compose(self.omega)
-
     def fprime_omega_pow(self, alpha) -> TruncSeries:
-        """f'(omega)^alpha to the working order."""
-        return self._once("omega_pow", alpha, lambda a: self.fprime_omega.pow_fraction(a).truncate(self.nw))
+        """f'(omega)^alpha to order nw: `psi_diagonal` at alpha over omega'."""
+        return self._once("omega_pow", alpha, lambda a: psi_diagonal(self.psi, a, self.nw) / self.omega_prime)
 
 
 def sheffer_core(f: TruncSeries, psi: Poly, lam, nw: int) -> ShefferCore:
@@ -641,8 +638,8 @@ def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> Famil
     b = lam * a * a / 4
     ultra = ultraspherical_family(ShefferParams(lam, a, b), order, margin)
     svals = affine(s - 1, -1).products(nw + 1)
-    delta = ((exp_series(2 * a, nw) - 1) / (2 * a)) if a != 0 else TruncSeries.x(nw)
-    c_delta = OpMatrix.umbral_compose(delta, nw)
+    # delta = (e^(2 a y) - 1)/(2 a) has the base delta' = 1 + 2 a delta
+    c_delta = OpMatrix.umbral_compose_ode(Poly([1, 2 * a]), nw)
     law = diag_conj(svals, ultra.gop)
     gop = c_delta @ law
     u, rec = extract_recurrence(gop)
@@ -650,7 +647,9 @@ def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> Famil
     closed = hahn_closed_form(p)
     checks.append(op_check("dual raising display", u, closed_form_raising(closed, nw), order))
     # expansion law: coordinates in the shifted-exponential binomial basis,
-    # with C_delta^(-1) from the powers of delta/y (Lagrange inversion)
+    # with C_delta^(-1) from the powers of delta/y, against C_delta read off
+    # its base
+    delta = ((exp_series(2 * a, nw) - 1) / (2 * a)) if a != 0 else TruncSeries.x(nw)
     xi = OpMatrix.umbral_compose_inverse(delta, nw) @ gop
     checks.append(op_check("expansion in binomial basis", xi, law, order))
     f0 = mgf_from_gop(gop).truncate(order)
@@ -764,13 +763,9 @@ def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
         for n, q in enumerate(columns)
     )))
     # omega'(y)^(-2) = 1 - 2 lam a y
-    omega_prime = core.omega.derivative()
+    w = 1 / core.omega_prime
     checks.append(
-        series_check(
-            "omega derivative closed form",
-            (1 / omega_prime) * (1 / omega_prime),
-            TruncSeries.from_polynomial([1, -2 * lam * a], nw - 1),
-        )
+        series_check("omega derivative closed form", w * w, TruncSeries.from_polynomial([1, -2 * lam * a], nw - 1))
     )
     return rhs, gop, checks
 
@@ -809,9 +804,8 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
     inner = deformed_op(core, p.ratio)
     if p.extended:
         cconst = -p.t[n] * lam * a * Fraction(n ** (n - 1), (n - 1) ** (n - 1))
-        delta = ((exp_series(cconst, nw) - 1) / cconst) if cconst != 0 else TruncSeries.x(nw)
-        c_delta = OpMatrix.umbral_compose(delta, nw)
-        gop = c_delta @ inner
+        # delta = (e^(cconst y) - 1)/cconst has the base delta' = 1 + cconst delta
+        gop = OpMatrix.umbral_compose_ode(Poly([1, cconst]), nw) @ inner
     else:
         gop = inner
     u = conjugate(gop, OpMatrix.x_op(nw))
@@ -819,7 +813,7 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
     checks.append(flag_check(f"band profile (1,{down})", band == (1, down), f"got {band}"))
     # algebraic relation for the inverse transform:
     # (1 - 1/omega')(1/omega' + n - 1)^(n-1) = n^(n-1) lam a y
-    w = 1 / core.omega.derivative()
+    w = 1 / core.omega_prime
     rel = (1 - w)
     powterm = w + (n - 1)
     acc = rel

@@ -50,7 +50,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
-    NonUnitBase,
     NotInvertible,
     NotMonic,
     NotThreeTerm,
@@ -58,7 +57,7 @@ from .errors import (
     ReliabilityExhausted,
 )
 from .indexfn import Poly
-from .series import TruncSeries, _append_over, _conv, _int_powers, _over_common_den, _reduced, as_rat
+from .series import TruncSeries, _append_over, _conv, _int_powers, _over_common_den, _reduced, _scaled, as_rat
 
 _ZERO = Fraction(0)
 
@@ -558,14 +557,6 @@ class OpMatrix:
 
 
 # -- helpers -------------------------------------------------------------------
-
-
-def _scaled(psi: Poly) -> tuple[int, list]:
-    """(c, psi(c z)) for psi(0) = 1 and the denominator c of psi: the integers
-    psi_j c^j = nums_j c^(j-1)."""
-    if psi.nums[0] != psi.den:
-        raise NonUnitBase("the base polynomial needs psi(0) = 1")
-    return psi.den, [1] + [v * psi.den ** (j - 1) for j, v in enumerate(psi.nums) if j]
 
 
 def mgf_from_gop(gop: OpMatrix) -> TruncSeries:

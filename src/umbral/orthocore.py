@@ -451,22 +451,9 @@ def numerator_functional_check(fam: OrthoFamily, f0: TruncSeries, upto: int, nam
 # -- continued-fraction tails ----------------------------------------------------------
 
 
-def cf_tails(rec: Recurrence, c: int, order: int) -> list:
-    """Tail generating functions F_0..F_c, each in y^k + y^(k+1)C[[y]].
-
-    F_k/(y F_{k-1}) continues the fraction from level k (with F_{-1} = 1/y),
-    so F_k = y F_{k-1} T_k where T_k is the moment generating function of the
-    k-shifted recurrence.
-    """
-    tails = []
-    for k in range(c + 1):
-        t_k = moments_from_recurrence(rec.shift(k), order).moment_gf
-        tails.append((tails[-1] * t_k).shift_up(1) if tails else t_k)
-    return tails
-
-
 def assoc_mgf_from_tails(rec: Recurrence, c: int, order: int) -> TruncSeries:
-    """f0(y, c) = theta!^(-1) F_c / (y F_{c-1})."""
+    """The mgf f0 of rec.shift(c), to `order`: the continued fraction of rec
+    from level c on, read as the moment series of the family associated at c."""
     return moments_from_recurrence(rec.shift(c), order).f0
 
 

@@ -547,7 +547,26 @@ def t_transform(f: TruncSeries) -> TruncSeries:
     return (fy / f.derivative()).shift_up(1)
 
 
-def t_and_omega(f: TruncSeries) -> tuple[TruncSeries, TruncSeries]:
-    """Return (f/f', reverse(f/f')); the central pair of conjugation series."""
-    tf = t_transform(f)
-    return tf, tf.reverse()
+def _scaled(psi) -> tuple[int, list]:
+    """(c, psi(c z)) for a polynomial psi with psi(0) = 1 and denominator c:
+    the integers psi_j c^j = nums_j c^(j-1)."""
+    if psi.nums[0] != psi.den:
+        raise NonUnitBase("the base polynomial needs psi(0) = 1")
+    return psi.den, [1] + [v * psi.den ** (j - 1) for j, v in enumerate(psi.nums) if j]
+
+
+def psi_diagonal(psi, alpha, order: int) -> TruncSeries:
+    """sum_n y^n [w^n] psi(w)^(alpha+n) to `order`, for a polynomial psi with
+    psi(0) = 1.  For f' = psi(f) and omega = reverse(f/f'), rho = f(omega)
+    solves rho = y psi(rho), and by Lagrange-Buermann inversion (Gessel 2016)
+    this diagonal is f'(omega)^alpha omega'.  With w = c z (`_scaled`),
+    [w^n] psi^beta = c^(-n) [z^n] psi~^beta: psi~^alpha is made once over one
+    denominator and each next power by the integer polynomial psi~, in
+    O(deg(psi) order^2)."""
+    c, p = _scaled(psi)
+    power = TruncSeries._of(1, tuple(p[: order + 1]) + (0,) * (order + 1 - len(p))).pow_fraction(alpha)
+    cur, nums = list(power.nums), []
+    for n in range(order + 1):
+        nums.append(cur[n] * c ** (order - n))
+        cur = _conv(cur, p, order)
+    return TruncSeries._make(power.den * c**order, nums)

@@ -13,7 +13,7 @@ from umbral.binomial import (
 )
 from umbral.errors import EvaluationDomain
 from umbral.indexfn import Poly
-from umbral.series import TruncSeries, exp_series, t_and_omega
+from umbral.series import TruncSeries, exp_series, t_transform
 
 
 def exp_minus_one(order):
@@ -125,7 +125,7 @@ def test_instance_series_cross_check():
         inst = make()
         order = 16
         f = inst.base_series(order)
-        _, omega = t_and_omega(f)
+        omega = t_transform(f).reverse()
         alpha = F(1, 10)
         bound = Decimal(2) / 5 ** Decimal(1)
         bound = (Decimal(2) / Decimal(5)) ** (order + 1) / (1 - Decimal(2) / Decimal(5))
@@ -149,7 +149,7 @@ def test_integral_evaluator_against_series():
         order = 18
         f = inst.base_series(order)
         fprime = f.derivative()
-        _, omega = t_and_omega(f)
+        omega = t_transform(f).reverse()
         logf = (fprime.truncate(order - 1).compose(omega.truncate(order - 1))).log()
         anti = logf.integral()
         alpha = F(1, 10)

@@ -29,7 +29,7 @@ from umbral.families import (
 from umbral.opalg import OpMatrix
 from umbral.orthocore import moments_from_recurrence, recurrence_from_moments
 from umbral.sampling import rng_for, sample_jacobi, sample_multiterm, sample_wilson
-from umbral.series import TruncSeries, exp_series
+from umbral.series import TruncSeries, exp_series, riccati_series, t_transform
 from umbral.verify import RunConfig, suite_base
 
 
@@ -282,9 +282,11 @@ def test_raising_lowering_commutator_across_families():
 @pytest.mark.parametrize("nw", [1, 2, 7, 16])
 @pytest.mark.parametrize("lam, a, b", [(1, 0, 1), (F(1, 2), F(1, 3), F(2, 5)), (2, F(-1, 2), F(1, 8)), (0, 1, 1)])
 def test_sheffer_core_reads_omega_and_c_tf_off_one_pass(lam, a, b, nw):
-    """C_tf^(-1) is built from the powers of tf/y, and omega is row 1 of C_tf."""
+    """omega' comes from psi, one order above omega = reverse(tf), and C_tf^(-1)
+    is built from the powers of tf/y."""
     core = riccati_core(lam, a, b, nw)
-    assert core.omega == core.tf.reverse()
+    assert core.omega_prime == t_transform(riccati_series(lam, a, b, nw + 1)).reverse().derivative()
+    assert core.omega_prime.truncate(nw - 1) == core.tf.reverse().derivative()
     c_tf_inv = OpMatrix.umbral_compose(core.tf, nw).inverse()
     assert (core.c_tf_inv.cols, core.c_tf_inv.raised, core.c_tf_inv.reliable) == (
         c_tf_inv.cols, c_tf_inv.raised, c_tf_inv.reliable
@@ -337,7 +339,7 @@ def test_the_core_makes_each_factor_once(monkeypatch):
     assert core.inner() is core.inner(0)
     assert core.fpow(F(-3)) is core.fpow(-3)
     assert core.fprime_omega_pow(F(1, 2)) is core.fprime_omega_pow(F(1, 2))
-    assert core.c_tf_inv is core.c_tf_inv and core.omega is core.omega
+    assert core.c_tf_inv is core.c_tf_inv and core.omega_prime is core.omega_prime
     assert core.c_f is core.c_f
     assert not inverted and not hasattr(core, "c_tf")  # the core inverts nothing and keeps no C_tf
 

@@ -14,7 +14,6 @@ from umbral.orthocore import (
     assoc_one_from_moment_operator,
     assoc_recurrence,
     cd_kernel_identity_check,
-    cf_tails,
     christoffel_darboux,
     determinant_identity_check,
     dual_recurrence,
@@ -262,23 +261,12 @@ def test_orthocore_checks_name_the_failing_n():
 
 def test_tails_level_zero_is_moment_gf():
     rec = chebyshev_rec(12)
-    tails = cf_tails(rec, 0, 10)
-    assert tails[0] == moments_from_recurrence(rec, 10).moment_gf
     assert assoc_mgf_from_tails(rec, 0, 10) == moments_from_recurrence(rec, 10).f0
 
 
 def test_chebyshev_self_similarity():
     rec = chebyshev_rec(14)
     assert assoc_mgf_from_tails(rec, 1, 10) == assoc_mgf_from_tails(rec, 0, 10)
-
-
-def test_tails_have_correct_valuation():
-    rng = random.Random(17)
-    rec = random_recurrence(rng, 14)
-    tails = cf_tails(rec, 3, 10)
-    for k, t in enumerate(tails):
-        assert t.valuation() == k
-        assert t.coeffs[k] == 1
 
 
 def test_assoc_recurrence_integer():

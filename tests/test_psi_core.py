@@ -1,5 +1,5 @@
-"""The operators a ShefferCore reads off its base polynomial psi, against the
-routes they replace.
+"""The operators and series a ShefferCore reads off its base polynomial psi,
+against the routes they replace.
 
 C_f comes from psi column by column (`OpMatrix.umbral_compose_ode`) and
 inner(c) as the operator of the pair (psi^alpha, y/psi)
@@ -9,6 +9,12 @@ as the product C_tf^(-1) f'(D)^alpha C_f.  Each build that reads a
 psi-built operator compares it with a product route in a named check, and
 one planted coefficient of psi fails that check in the column where the
 operator first departs from its reference.
+
+omega' and f'(omega)^alpha, for omega = reverse(f/f'), come from one
+Lagrange-Buermann diagonal of psi's powers (`series.psi_diagonal`); their
+references are the reversion of f/f' and the composition f'(omega).  The
+binomial operator C_delta of delta = (e^(k y) - 1)/k is read off its base
+1 + k y the same way C_f is.
 """
 import re
 from fractions import Fraction as F
@@ -25,6 +31,7 @@ from umbral.families import (
     MultiTermParams,
     ShefferParams,
     WilsonParams,
+    jacobi_diffeq_op,
     jacobi_family,
     multiterm_family,
     riccati_core,
@@ -35,7 +42,14 @@ from umbral.families import (
 from umbral.indexfn import Poly
 from umbral.opalg import OpMatrix, conjugate
 from umbral.orthocore import Recurrence
-from umbral.series import as_rat
+from umbral.series import (
+    TruncSeries,
+    as_rat,
+    exp_series,
+    riccati_series,
+    solve_autonomous_ode,
+    t_transform,
+)
 
 ORDER = 5
 SHEFFER = ShefferParams(F(1, 2), F(1, 3), F(2, 5))
@@ -141,19 +155,10 @@ def check_column(check):
     return int(found.group(1) or found.group(2))
 
 
-def planted_build(build, plant, k, monkeypatch):
-    """The checks of `build` with psi's coefficient k planted in one operator
-    of its core, and the first column where that operator departs from its
-    reference.  A planted gop is seldom three-term, so where the reader
-    rejects it the recurrence falls back to a stub, and every check runs."""
-    departs = []
-    make, extract = families.sheffer_core, families.extract_recurrence
-
-    def planted_core(*args):
-        core = make(*args)
-        bad, ref = plant(core, dict(planted_psis(core.psi))[k])
-        departs.append(bad.first_difference(ref)[1])
-        return core
+def tolerant_reader(monkeypatch):
+    """Let a build whose gop is not three-term run all its checks, with a
+    stub recurrence."""
+    extract = families.extract_recurrence
 
     def tolerant(gop, through=None):
         try:
@@ -161,10 +166,27 @@ def planted_build(build, plant, k, monkeypatch):
         except NotThreeTerm:
             return conjugate(gop, OpMatrix.x_op(gop.nw)), STUB
 
+    for module in (families, associated):
+        monkeypatch.setattr(module, "extract_recurrence", tolerant)
+
+
+def planted_build(build, plant, k, monkeypatch):
+    """The checks of `build` with psi's coefficient k planted in one operator
+    of its core, and the first column where that operator departs from its
+    reference.  A planted gop is seldom three-term, so where the reader
+    rejects it the recurrence falls back to a stub, and every check runs."""
+    departs = []
+    make = families.sheffer_core
+
+    def planted_core(*args):
+        core = make(*args)
+        bad, ref = plant(core, dict(planted_psis(core.psi))[k])
+        departs.append(bad.first_difference(ref)[1])
+        return core
+
     with monkeypatch.context() as m:
         m.setattr(families, "sheffer_core", planted_core)
-        for module in (families, associated):
-            m.setattr(module, "extract_recurrence", tolerant)
+        tolerant_reader(m)
         result = build()
     assert len(set(departs)) == 1
     return result.checks, departs[0]
@@ -203,3 +225,113 @@ def test_a_planted_psi_coefficient_fails_the_covering_check_in_the_reference_col
         (got,) = [c for c in checks if c.name.startswith(name)]
         assert departs - ahead <= ORDER
         assert not got.passed and check_column(got) == departs - ahead, (k, departs, got)
+
+
+# -- omega' and f'(omega)^alpha from one diagonal of psi's powers ------------------------
+
+
+def diagonal_alphas(lam, nw):
+    """0, 1/2, -1/lam, 1 + 1/lam, and a negative integer alpha with alpha + n = 0
+    for an n <= nw, where psi^(alpha+n) = 1."""
+    return [F(0), F(1, 2), -1 / lam, 1 + 1 / lam, F(-((nw + 1) // 2))]
+
+
+def assert_diagonal_matches_the_reversion_route(core, f_above):
+    """omega' = G_0 against the derivative of reverse(f/f') made one order
+    above nw from f_above, and f'(omega)^alpha = G_alpha/G_0 against
+    f'.compose(omega)^alpha, for the diagonal G of `series.psi_diagonal`."""
+    assert core.omega_prime == t_transform(f_above).reverse().derivative()
+    fprime_omega = core.fprime.compose(core.tf.reverse())
+    for alpha in diagonal_alphas(core.lam, core.nw):
+        assert core.fprime_omega_pow(alpha) == fprime_omega.pow_fraction(alpha), alpha
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonzero, small, small, st.integers(1, 12))
+@example(F(-1), 0, 0, 8)
+@example(F(-3, 2), 0, F(1, 2), 8)
+@example(F(2), F(-1, 2), 0, 8)
+@example(F(-1, 3), F(2, 5), F(-3, 7), 12)
+def test_the_psi_diagonal_matches_the_reversion_route(lam, a, b, nw):
+    core = riccati_core(lam, a, b, nw)
+    assert_diagonal_matches_the_reversion_route(core, riccati_series(lam, a, b, nw + 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_multiterm_diagonal_matches_the_reversion_route(n, monkeypatch):
+    (core,) = cores_of(lambda: multiterm_family(multiterm(n), 8), monkeypatch)
+    assert_diagonal_matches_the_reversion_route(core, solve_autonomous_ode(core.psi.coeffs, core.nw + 1))
+
+
+@pytest.mark.parametrize("nw", [8, 18, 32])
+@pytest.mark.parametrize("k", [1, F(2, 3), F(-1, 2), 0, F(-27, 4)])
+def test_c_delta_read_off_its_base_matches_the_lagrange_pass(k, nw):
+    delta = (exp_series(k, nw) - 1) / k if k else TruncSeries.x(nw)
+    assert same_op(OpMatrix.umbral_compose_ode(Poly([1, k]), nw), OpMatrix.umbral_compose(delta, nw))
+
+
+SERIES_SIDE_BUILDS = [  # the builds that read omega' or f'(omega)^alpha and not the lemma
+    pytest.param(lambda: jacobi_diffeq_op(JACOBI, ORDER)[2], id="jacobi_diffeq_op"),
+    pytest.param(lambda: ultra_assoc(SHEFFER, ASSOC_C, ORDER).checks, id="ultra_assoc"),
+    pytest.param(lambda: jacobi_assoc(JACOBI, ASSOC_C, ORDER).checks, id="jacobi_assoc"),
+    pytest.param(lambda: wilson_assoc(WILSON, ASSOC_C, ORDER).checks, id="wilson_assoc"),
+]
+
+
+@pytest.mark.parametrize("build", SERIES_SIDE_BUILDS)
+def test_series_side_builds_neither_compose_nor_build_c_tf_inv(build, monkeypatch):
+    seen = []
+    inverse, compose = OpMatrix.umbral_compose_inverse, TruncSeries.compose
+    monkeypatch.setattr(OpMatrix, "umbral_compose_inverse", staticmethod(lambda g, nw: seen.append("C^-1") or inverse(g, nw)))
+    monkeypatch.setattr(TruncSeries, "compose", lambda s, g: seen.append("compose") or compose(s, g))
+    assert all(c.passed for c in build())
+    assert not seen, seen
+    # both spies are live
+    riccati_core(1, 1, 1, 4).c_tf_inv
+    TruncSeries.x(3).compose(TruncSeries.x(3))
+    assert seen == ["C^-1", "compose"]
+
+
+def planted_diagonal(k, bump=F(7, 3)):
+    """psi_diagonal with bump added to coefficient k of every series it makes."""
+    make = families.psi_diagonal
+
+    def planted(psi, alpha, order):
+        coeffs = list(make(psi, alpha, order).coeffs)
+        coeffs[k] += bump
+        return TruncSeries(coeffs)
+
+    return planted
+
+
+@pytest.mark.parametrize("k", range(1, ORDER + 1))
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda: jacobi_diffeq_op(JACOBI, ORDER)[2], "omega derivative closed form", id="jacobi_diffeq_op"),
+    pytest.param(lambda: multiterm_family(multiterm(3), ORDER).checks, "omega algebraic relation", id="multiterm"),
+    pytest.param(lambda: jacobi_assoc(JACOBI, ASSOC_C, ORDER).checks, "omega'-cancellation display", id="jacobi_assoc"),
+])
+def test_a_planted_diagonal_coefficient_fails_the_omega_check_at_that_coefficient(build, name, k, monkeypatch):
+    (clean,) = [c for c in build() if c.name == name]
+    assert clean.passed
+    tolerant_reader(monkeypatch)  # jacobi_assoc's gop reads f'(omega)^alpha too
+    monkeypatch.setattr(families, "psi_diagonal", planted_diagonal(k))
+    (got,) = [c for c in build() if c.name == name]
+    assert not got.passed and check_column(got) == k, got
+
+
+@pytest.mark.parametrize("k", range(1, ORDER + 1))
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda: ultra_assoc(SHEFFER, ASSOC_C, ORDER).checks, "shifted dual raising display", id="ultra_assoc"),
+    pytest.param(lambda: wilson_assoc(WILSON, ASSOC_C, ORDER).checks, "shifted raising operator tridiagonal",
+                 id="wilson_assoc"),
+])
+def test_a_planted_diagonal_coefficient_in_gop_stops_the_recurrence_reader(build, name, k, monkeypatch):
+    """Here the fault enters gop alone, and `extract_recurrence` raises
+    NotThreeTerm before any check compares gop; the named check fails only
+    under a reader that lets the build go on."""
+    monkeypatch.setattr(families, "psi_diagonal", planted_diagonal(k))
+    with pytest.raises(NotThreeTerm):
+        build()
+    tolerant_reader(monkeypatch)
+    (got,) = [c for c in build() if c.name == name]
+    assert not got.passed

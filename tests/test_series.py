@@ -17,7 +17,6 @@ from umbral.series import (
     log1p_series,
     riccati_series,
     solve_autonomous_ode,
-    t_and_omega,
     t_transform,
 )
 
@@ -213,7 +212,8 @@ def test_riccati_square_case_moebius_inverse():
 def test_t_transform_exp():
     n = 8
     f = exp_series(1, n) - 1
-    tf, omega = t_and_omega(f)
+    tf = t_transform(f)
+    omega = tf.reverse()
     # f/f' = 1 - e^(-y)
     assert tf == -(exp_series(-1, n) - 1)
     # omega = -log(1 - t)
@@ -222,7 +222,8 @@ def test_t_transform_exp():
 
 def test_t_transform_identity():
     n = 6
-    tf, omega = t_and_omega(TruncSeries.x(n))
+    tf = t_transform(TruncSeries.x(n))
+    omega = tf.reverse()
     assert tf == TruncSeries.x(n) and omega == TruncSeries.x(n)
 
 
@@ -231,7 +232,8 @@ def test_t_transform_jacobi_case():
     # omega = 1 - sqrt(1 - 2t) = t + t^2/2 + t^3/2 + ...
     n = 8
     f = riccati_series(2, F(1, 2), F(1, 8), n)
-    tf, omega = t_and_omega(f)
+    tf = t_transform(f)
+    omega = tf.reverse()
     assert tf == TruncSeries.from_polynomial([0, 1, F(-1, 2)], n)
     sqrt = TruncSeries.from_polynomial([1, -2], n).pow_fraction(F(1, 2))
     assert omega == 1 - sqrt

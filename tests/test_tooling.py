@@ -1,4 +1,5 @@
-"""What bench/tracing.py reads from the engine, pinned from this side.
+"""What bench/tracing.py reads from the engine, pinned from this side, and
+the names in src/ that no code in src/ reads.
 
 The tracer wraps the engine from outside src/: it looks up the methods in
 its METHODS table by name, and its bit-height, product-count and repeat-key
@@ -6,6 +7,7 @@ counters read ``OpMatrix.mat`` and ``TruncSeries.coeffs`` as Fraction
 values.  A refactor of the storage behind those names fails here, not in a
 benchmark run.
 """
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -17,6 +19,7 @@ from umbral.opalg import OpMatrix
 from umbral.series import riccati_series
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+SRC = Path(__file__).resolve().parent.parent / "src" / "umbral"
 
 
 def load_tracing():
@@ -78,3 +81,49 @@ def test_public_names_resolve_and_star_import():
     namespace = {}
     exec("from umbral import *", namespace)
     assert set(umbral.__all__) <= set(namespace)
+
+
+# Functions and methods of src/ that no code in src/ reads, each with the
+# reason it stays.
+UNREAD_IN_SRC = {
+    "opalg.OpMatrix.inverse": "the tests' reference for the solvers; bench/tracing.py METHODS wraps it",
+    "opalg.OpMatrix.apply_series": "the tests' reference; bench/tracing.py METHODS wraps it",
+    "opalg.OpMatrix.mat": "the Fraction view the bench/tracing.py counters read",
+    "series.TruncSeries.compose": "bench/tracing.py METHODS wraps it; the tests' reference for f'(omega)",
+    "series.TruncSeries.log": "bench/tracing.py METHODS wraps it",
+    "series.geometric_series": "the series tests' closed-form reference",
+    "series.log1p_series": "the series tests' closed-form reference",
+    "orthocore.assoc_recurrence": "a public name in umbral.__all__",
+    "orthocore.dual_series_checks": "kept for ROADMAP item 7 (index duality over every family)",
+    "orthocore.christoffel_darboux": "kept for ROADMAP item 8 (spectral transforms)",
+}
+
+
+def unread_in_src() -> set:
+    """The module-level functions and methods of src/umbral whose name no
+    Name or Attribute node in src/ reads, so a mention in a docstring or a
+    comment is no reference; dunder methods, which Python calls, are left
+    out."""
+    defined, read = set(), set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            owner, members = path.stem, [node]
+            if isinstance(node, ast.ClassDef):
+                owner, members = f"{path.stem}.{node.name}", node.body
+            for m in members:
+                if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__")):
+                    defined.add((owner, m.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return {f"{owner}.{name}" for owner, name in defined if name not in read}
+
+
+def test_every_function_no_code_in_src_reads_is_allowed_by_name():
+    assert unread_in_src() == set(UNREAD_IN_SRC)
+    traced = {attr for _, _, attr, _ in load_tracing().METHODS}
+    for name, reason in UNREAD_IN_SRC.items():
+        assert "METHODS" not in reason or name.rsplit(".", 1)[1] in traced, name
