@@ -5,7 +5,10 @@ by a multiplication conjugation; chaining it with the composition tricks of
 the base families yields explicit operators for the associated Sheffer,
 ultraspherical, Jacobi and Wilson families, each verified here against the
 recurrence shift it is supposed to produce and against the independent
-continued-fraction-tail pipeline for integer shift orders.  The base
+continued-fraction-tail pipeline for integer shift orders.  An associated
+deformation is the deformation at shift c, ell(L) W^(-1) inner(c) W
+(`shifted_op`): `families.deformed_op` over the record's ratio, and one
+psi-read ell (`shifted_ell`); Wilson puts C2(c) in between.  The base
 family's operator, where a check needs it, comes from its operator function
 over the same core, not from the base family's builder.
 """
@@ -34,18 +37,18 @@ from .families import (
     jacobi_split_displays,
     linear_guard,
     mgf_pipeline_checks,
+    poch_over_fact,
     sheffer_closed_form,
     sheffer_core,  # re-exported: bench/test_bench.py reads the traced name here
     sheffer_op,
     ultraspherical_closed_form,
-    wilson_factors,
     wilson_op,
     x_times,
 )
 from .indexfn import IndexRatio, Poly, affine
 from .opalg import OpMatrix, mgf_from_gop
 from .orthocore import Recurrence
-from .series import TruncSeries, as_rat, riccati_series
+from .series import TruncSeries, as_rat, riccati_series  # riccati_series: read here by bench/test_bench.py
 
 ASSOC_MARGIN = 8
 
@@ -55,25 +58,6 @@ def guard_shift(c, nw: int):
     if c.denominator == 1 and -nw <= c <= -1:
         raise SingularParams("c+k", f"k={-c}")
     return c
-
-
-def lowered_weights(ratio: IndexRatio, c, count: int) -> tuple:
-    """(c)_theta prod_{j<theta} ratio(c-1+j): the shift to c-1 of a quotient
-    sequence, weighted by the rising factorial H_theta = (c)_theta.  At c = 0
-    that factor vanishes past theta = 0, so ratio(-1) is never evaluated."""
-    if c == 0:
-        return (Fraction(1),) + (Fraction(0),) * (count - 1)
-    return (ratio * affine(1, 1)).products(count, c - 1)
-
-
-def poch_over_fact(c) -> IndexRatio:
-    """(c+1+theta)/(1+theta), the ratio of the sequence (c+1)_theta/theta!."""
-    return IndexRatio(Poly([c + 1, 1]), Poly([1, 1]))
-
-
-def factorial_conj(op: OpMatrix) -> OpMatrix:
-    """theta! . op . theta!^(-1)."""
-    return diag_conj(IndexRatio(1, Poly([1, 1])).products(op.nw + 1), op)
 
 
 def series_l(s: TruncSeries) -> TruncSeries:
@@ -206,11 +190,24 @@ def _assoc_result(name, prefix, c, gop, rec, f0, checks: list, order: int, base=
     return AssocResult(name, c, gop, rec, f0, checks + pipe, pipelines)
 
 
-def factorial_conj_op(ell: TruncSeries, x: OpMatrix, c) -> OpMatrix:
-    """theta! ell(D) (c+1)_theta^(-1) X (c+1)_theta theta!^(-1): the shape of
-    the associated Sheffer, ultraspherical and Jacobi operators."""
-    nw = x.nw
-    return factorial_conj(OpMatrix.series_of_d(ell, nw)) @ diag_conj(poch_over_fact(c).products(nw + 1), x)
+def shifted_ell(core: ShefferCore, tilde: IndexRatio, c) -> TruncSeries:
+    """ell of the family over the ratio tilde(m)/(1+lam m) associated at c:
+    G_alpha, alpha = c-1+1/lam, weighted by (c)_theta prod_{k<theta}
+    tilde(c-1+k)/(1+lam(c+k)).  By the omega'-cancellation identity that is
+    f'(omega)^alpha (c)_theta F_{c-1+theta}/F_{c-1} with 1+lam(c-1)
+    cancelled, regular where it is 0.  At c = 0 it is 1 (no tilde(-1))."""
+    if c == 0:
+        return TruncSeries.one(core.nw)
+    lam = core.lam
+    weight = IndexRatio(Poly([1, 1]) * tilde.num, tilde.den * Poly([1 + lam, lam]))  # at m = c-1+k
+    return core.diagonal(c - 1 + 1 / lam).weighted(weight.products(core.nw + 1, c - 1))
+
+
+def shifted_op(core: ShefferCore, p, c) -> OpMatrix:
+    """ell(L) W^(-1) inner(c) W, the family over p's ratio associated at c;
+    W first, so a pole of the ratio is reported by W."""
+    op = deformed_op(core, p.ratio, c)
+    return OpMatrix.series_of_l(shifted_ell(core, p.tilde, c), core.nw) @ op
 
 
 # -- associated Sheffer -------------------------------------------------------------------
@@ -221,13 +218,13 @@ def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -
     if p.lam == 0:  # the guard passes at lam = 0
         raise SingularParams("lambda=0", "the explicit shifted operator needs 1/lambda powers")
     nw, core = guarded_core(p, order, margin)
-    lam, a, b = p.lam, p.a, p.b
     base = sheffer_op(core)
-    y_over_f = (1 / riccati_series(lam, a, b, nw + 1).shift_down(1)).truncate(nw)
-    fprime_pow = core.fprime.pow_fraction(Fraction(1) / lam)
+    y_over_f = (1 / core.fprime.integral().shift_down(1)).truncate(nw)  # f to nw + 1 from f' = psi(f)
+    fprime_pow = core.fprime.pow_fraction(Fraction(1) / p.lam)
     ell = (fprime_pow * y_over_f.pow_fraction(1 - c)).truncate(nw)
     hvals = affine(c, 1).products(nw + 1)  # (c)_theta
-    gop = factorial_conj_op(ell.weighted(hvals), OpMatrix.series_of_d(y_over_f.pow_fraction(c), nw) @ base, c)
+    x = OpMatrix.series_of_d(y_over_f.pow_fraction(c), nw) @ base
+    gop = OpMatrix.series_of_l(ell.weighted(hvals), nw) @ diag_conj(poch_over_fact(c).products(nw + 1), x)
     u, rec = extract_recurrence(gop, order)
     display = closed_form_raising(sheffer_closed_form(p).assoc(c), nw)
     checks = [op_check("shifted dual raising display", u, display, order)]
@@ -251,11 +248,8 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     nw, core = guarded_core(p, order, margin)
     lam = p.lam
     linear_guard([("1+lambda*(c+k)", 1 + lam * c, lam)], nw + 2)
-    base = deformed_op(core, p.ratio) if _tail_shift(c) else None
-    ell = core.omega_prime * core.fprime_omega_pow(c + Fraction(1) / lam - 1)
-    fvals = p.ratio.products(nw + 1, c)
-    weights = (affine(0, 1) * p.ratio).products(nw + 1, c)  # (c)_theta F_{c+theta}/F_c
-    gop = factorial_conj_op(ell.weighted(weights), diag_conj(fvals, core.inner(c)), c)
+    base = deformed_op(core, p.ratio, 0) if _tail_shift(c) else None
+    gop = shifted_op(core, p, c)
     u, rec = extract_recurrence(gop, order)
     display = closed_form_raising(ultraspherical_closed_form(p).assoc(c), nw)
     checks = [op_check("shifted dual raising display", u, display, order)]  # covers inner(c), read off psi
@@ -290,11 +284,9 @@ def hyp2f1_scaled(a1, beta_term, c1, z, order: int, c_shift) -> TruncSeries:
 def jacobi_assoc_mgf_forms(p: JacobiParams, c, order: int, core: ShefferCore) -> tuple[TruncSeries, TruncSeries]:
     """Moment-series of the shifted family: the ratio of weighted series and
     the ratio of two hypergeometric truncations, both built from products."""
-    lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
+    kappa, beta, a = p.kappa, p.beta, p.a
     c = as_rat(c)
-    nw = core.nw
-    top = core.fprime_omega_pow(c + Fraction(1) / lam).weighted((affine(1, 1) * p.ratio).products(nw + 1, c))
-    bot = core.fprime_omega_pow(c - 1 + Fraction(1) / lam).weighted(lowered_weights(p.ratio, c, nw + 1))
+    top, bot = shifted_ell(core, p.tilde, c + 1), shifted_ell(core, p.tilde, c)
     weighted_form = (top / bot).truncate(order)
     # hypergeometric quotient: both series share the argument 2 beta a y / kappa,
     # written so that beta = 0 stays regular
@@ -305,21 +297,12 @@ def jacobi_assoc_mgf_forms(p: JacobiParams, c, order: int, core: ShefferCore) ->
     return weighted_form, hyper_form
 
 
-def jacobi_shifted_op(core: ShefferCore, p: JacobiParams, c) -> OpMatrix:
-    """The operator of the Jacobi family associated at c, over the core of the
-    square case 4b = lam a^2."""
-    nw = core.nw
-    f_c = p.ratio.products(nw + 1, c)
-    ell = core.fprime_omega_pow(c - 1 + Fraction(1) / p.lam).weighted(lowered_weights(p.ratio, c, nw + 1))
-    return factorial_conj_op(ell, diag_conj(f_c, core.inner(c)), c)
-
-
 def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
     c = guard_shift(c, order + margin)
     nw, core = guarded_core(p, order, margin)
     lam = p.lam
-    base = deformed_op(core, p.ratio) if _tail_shift(c) else None
-    gop = jacobi_shifted_op(core, p, c)
+    base = deformed_op(core, p.ratio, 0) if _tail_shift(c) else None
+    gop = shifted_op(core, p, c)
     u, rec = extract_recurrence(gop, order)
     checks = []
     if c != 0:
@@ -378,21 +361,14 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     c = guard_shift(c, order + margin)
     nw, core = guarded_core(p, order, margin)
     lam, kappa, a = p.lam, p.kappa, p.a
-    h_c = p.mixing_ratio.products(nw + 1, c)
+    op = deformed_op(core, p.mixing_ratio, c)  # before ell: a pole of the ratio is reported here
     ells = p.ells(nw + 1, c)
     c2c = OpMatrix.shifted_product(ells, nw)
-    # s(c, y) = 1 + y * theta! bar(C2(c)^(-1)) theta!^(-1) L (c+theta-1)_theta
-    #                 (H_{c-1}^(-1) H_{theta+c-1}) . f'(omega)^(c-1+1/lam)
-    k_series = core.fprime_omega_pow(c - 1 + Fraction(1) / lam)
-    lowered = series_l(k_series.weighted(lowered_weights(p.mixing_ratio, c, nw + 1)))
+    # s(c, y) = 1 + y * theta! bar(C2(c)^(-1)) theta!^(-1) L ell over the mixing ratio
+    lowered = series_l(shifted_ell(core, p.mixing_tilde, c))
     staged = newton_expansion(lowered, ells)
     s_series = (1 + staged.shift_up(1)).truncate(nw)
-    inner = core.inner(c)
-    gop = (
-        factorial_conj(OpMatrix.series_of_d(s_series, nw))
-        @ c2c
-        @ diag_conj(poch_over_fact(c).products(nw + 1), diag_conj(h_c, inner))
-    )
+    gop = OpMatrix.series_of_l(s_series, nw) @ c2c @ op
     u, rec = extract_recurrence(gop, order)
     checks = []
     up, down = u.band_profile(order)
@@ -414,9 +390,9 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
         [2 * a * lam * lam / kappa * (1 + lam * (n + c)) * (1 + kappa * (n + c)) for n in range(nw + 1)],
         nw,
     )
-    checks.append(conjugation_check("conjugated square identity", inner, display, sq, order))
+    checks.append(conjugation_check("conjugated square identity", core.inner(c), display, sq, order))
     if c == 0:
-        checks.append(op_check("c=0 reduction", gop, wilson_op(core, *wilson_factors(p, nw)), order))
+        checks.append(op_check("c=0 reduction", gop, wilson_op(core, p, c2c), order))
     if p.h == 0:
-        checks.append(op_check("h=0 reduction", gop, jacobi_shifted_op(core, JacobiParams(p.lam, p.a, p.rt), c), order))
+        checks.append(op_check("h=0 reduction", gop, shifted_op(core, JacobiParams(p.lam, p.a, p.rt), c), order))
     return _assoc_result("wilson", "", c, gop, rec, mgf_from_gop(gop).truncate(order), checks, order)

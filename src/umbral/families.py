@@ -65,6 +65,11 @@ def _check_keys(params: dict, accepted) -> None:
             raise ValueError(f"unknown parameter {key!r}; accepted: {', '.join(accepted)}")
 
 
+def over_lam(tilde: IndexRatio, lam) -> IndexRatio:
+    """tilde(m)/(1 + lam m): a ratio from the part kept by `shifted_ell`."""
+    return tilde * IndexRatio(1, Poly([1, lam]))
+
+
 def linear_guard(forms, count: int, detail: str = "k={}") -> None:
     """Raise SingularParams(name, detail) at the least integer k < count with
     c + v k = 0 for a form (name, c, v), the first form listed on a tie.  The
@@ -82,11 +87,12 @@ class ShefferParams(FamilyParams):
     a: Fraction
     b: Fraction
     KEYS = {"lambda": 0, "a": 0, "b": 0}
+    tilde = IndexRatio.const(1)
 
     @cached_property
     def ratio(self) -> IndexRatio:
         """F_{m+1}/F_m = 1/(1 + lam m) of the ultraspherical deformation."""
-        return IndexRatio(1, Poly([1, self.lam]))
+        return over_lam(self.tilde, self.lam)
 
     def guard(self, nw: int):
         linear_guard([("1+lambda*k", 1, self.lam)], nw + 2)
@@ -144,9 +150,13 @@ class JacobiParams(SquareCaseParams):
             raise SingularParams("lambda=-2", "kappa infinite")
 
     @cached_property
+    def tilde(self) -> IndexRatio:
+        return IndexRatio(Poly([1, self.beta]), Poly([1, self.kappa]))
+
+    @cached_property
     def ratio(self) -> IndexRatio:
         """F_{m+1}/F_m = (1 + beta m)/((1 + lam m)(1 + kappa m))."""
-        return IndexRatio(Poly([1, self.beta]), Poly([1, self.lam]) * Poly([1, self.kappa]))
+        return over_lam(self.tilde, self.lam)
 
     def guard(self, nw: int):
         self._guard_at(self.beta, nw)
@@ -171,12 +181,17 @@ class WilsonParams(SquareCaseParams):
         return self.rt * self.kappa + (1 - self.rt) * self.lam
 
     @cached_property
-    def mixing_ratio(self) -> IndexRatio:
-        """H_{n+1}/H_n = (h (1+beta n)(1+lam(n+1))^2 + (1-h)(1+beta_t n))/((1+lam n)(1+kappa n))."""
+    def mixing_tilde(self) -> IndexRatio:
+        """(h (1+beta n)(1+lam(n+1))^2 + (1-h)(1+beta_t n))/(1+kappa n)."""
         lam, h = self.lam, self.h
         shifted = Poly([1 + lam, lam])
         num = h * Poly([1, self.beta]) * shifted * shifted + (1 - h) * Poly([1, self.beta_t])
-        return IndexRatio(num, Poly([1, lam]) * Poly([1, self.kappa]))
+        return IndexRatio(num, Poly([1, self.kappa]))
+
+    @cached_property
+    def mixing_ratio(self) -> IndexRatio:
+        """H_{n+1}/H_n = mixing_tilde(n)/(1+lam n)."""
+        return over_lam(self.mixing_tilde, self.lam)
 
     def ells(self, count: int, c=0) -> list:
         """The shift values 2 a h lam^2/kappa (1+k+c)(1+beta(k+c)), k < count."""
@@ -291,10 +306,10 @@ def d_then_coeff(values: Sequence, nw: int) -> OpMatrix:
 @dataclass
 class ShefferCore:
     """Series and operators shared by every deformation built over one base
-    f' = psi(f), psi a polynomial with psi(0) = 1; C_f, each inner(c),
-    omega' and each f'(omega)^alpha are read off psi in O(nw^2).  fpow,
-    inner and fprime_omega_pow make each of their values once, and c_f,
-    c_tf_inv and omega_prime are made on first use.  No core makes C_tf or
+    f' = psi(f), psi a polynomial with psi(0) = 1; C_f, each inner(c) and
+    each diagonal G_alpha = f'(omega)^alpha omega' are read off psi in
+    O(nw^2).  fpow, inner, diagonal and fprime_omega_pow make each value
+    once, c_f and c_tf_inv are made on first use.  No core makes C_tf or
     inverts an operator (see `conjugation_trick_checks`), and only that lemma
     reads C_tf^(-1)."""
 
@@ -321,11 +336,13 @@ class ShefferCore:
         """C_tf^(-1), built from the powers of tf/y with no inverse."""
         return OpMatrix.umbral_compose_inverse(self.tf, self.nw)
 
-    @cached_property
+    def diagonal(self, alpha) -> TruncSeries:
+        """G_alpha = f'(omega)^alpha omega', omega = reverse(tf): `psi_diagonal`."""
+        return self._once("diagonal", alpha, lambda a: psi_diagonal(self.psi, a, self.nw))
+
+    @property
     def omega_prime(self) -> TruncSeries:
-        """omega' for omega = reverse(tf), to order nw: `psi_diagonal` at
-        alpha = 0."""
-        return psi_diagonal(self.psi, 0, self.nw)
+        return self.diagonal(0)
 
     def fpow(self, alpha) -> OpMatrix:
         return self._once("fpow", alpha, lambda a: OpMatrix.series_of_d(self.fprime.pow_fraction(a), self.nw))
@@ -340,7 +357,7 @@ class ShefferCore:
 
     def fprime_omega_pow(self, alpha) -> TruncSeries:
         """f'(omega)^alpha to order nw: `psi_diagonal` at alpha over omega'."""
-        return self._once("omega_pow", alpha, lambda a: psi_diagonal(self.psi, a, self.nw) / self.omega_prime)
+        return self._once("omega_pow", alpha, lambda a: self.diagonal(a) / self.omega_prime)
 
 
 def sheffer_core(f: TruncSeries, psi: Poly, lam, nw: int) -> ShefferCore:
@@ -366,22 +383,24 @@ def sheffer_op(core: ShefferCore) -> OpMatrix:
     return core.fpow(Fraction(-1) / core.lam) @ core.c_f
 
 
-def deformed_op(core: ShefferCore, ratio: IndexRatio) -> OpMatrix:
-    """F^(-1) . inner . F for the diagonal F with F_{m+1}/F_m = ratio(m): the
-    ultraspherical and Jacobi operators at their parameters' ratio, and the
-    multiterm operator before its left factor."""
-    return diag_conj(ratio.products(core.nw + 1), core.inner())
+def poch_over_fact(c) -> IndexRatio:
+    """(c+1+theta)/(1+theta), the ratio of the sequence (c+1)_theta/theta!."""
+    return IndexRatio(Poly([c + 1, 1]), Poly([1, 1]))
 
 
-def wilson_factors(p: WilsonParams, nw: int) -> tuple[tuple, OpMatrix]:
-    """The mixing weights H (H_{m+1}/H_m the mixing ratio) and the shift
-    operator C2 sending x^n to prod_{k<n} (x + ell_k)."""
-    return p.mixing_ratio.products(nw + 1), OpMatrix.shifted_product(p.ells(nw), nw)
+def deformed_op(core: ShefferCore, ratio: IndexRatio, c) -> OpMatrix:
+    """W^(-1) . inner(c) . W for W_theta = (c+1)_theta/theta! F_{c+theta}/F_c,
+    F_{m+1}/F_m = ratio(m): at c = 0 the ultraspherical, Jacobi, Wilson
+    (before C2) and multiterm (before its left factor) operators, at c their
+    associated ones before ell(L).  W's ratio is read at m = c + theta."""
+    weights = (poch_over_fact(c).shift(-c) * ratio).products(core.nw + 1, c)
+    return diag_conj(weights, core.inner(c))
 
 
-def wilson_op(core: ShefferCore, hvals: tuple, c2: OpMatrix) -> OpMatrix:
-    """C2 . H^(-1) . inner . H: the Wilson operator from its `wilson_factors`."""
-    return c2 @ diag_conj(hvals, core.inner())
+def wilson_op(core: ShefferCore, p: WilsonParams, c2: OpMatrix) -> OpMatrix:
+    """C2 . H^(-1) . inner . H with H_{m+1}/H_m the mixing ratio and C2 the
+    shift operator sending x^n to prod_{k<n} (x + ell_k)."""
+    return c2 @ deformed_op(core, p.mixing_ratio, 0)
 
 
 def conjugation_trick_checks(core: ShefferCore, sigma, through: Optional[int] = None) -> list:
@@ -569,7 +588,7 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
     nw, core = guarded_core(p, order, margin)
     lam, a, b = p.lam, p.a, p.b
     checks = conjugation_trick_checks(core, lam, order)
-    gop = deformed_op(core, p.ratio)
+    gop = deformed_op(core, p.ratio, 0)
     u, rec = extract_recurrence(gop)
     closed = ultraspherical_closed_form(p)
     checks.append(op_check("dual raising display", u, closed_form_raising(closed, nw), order))
@@ -730,7 +749,7 @@ def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN) -> F
     nw, core = guarded_core(p, order, margin)
     checks = conjugation_trick_checks(core, p.lam, order)
     checks += conjugation_trick_checks(core, p.kappa, order)
-    gop = deformed_op(core, p.ratio)
+    gop = deformed_op(core, p.ratio, 0)
     u, rec = extract_recurrence(gop)
     checks.append(op_check("dual raising closed form", u, jacobi_dual_raising(p, nw), order))
     # affine split of inner^(-1) x (F_{theta+1}/F_theta) inner, crossed: t inner == inner split
@@ -753,7 +772,7 @@ def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
     Returns the closed form, the family operator and the checks."""
     nw, core = guarded_core(p, order, margin)
     lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
-    gop = deformed_op(core, p.ratio)
+    gop = deformed_op(core, p.ratio, 0)
     sq = OpMatrix.diag_op([(1 + lam * n) ** 2 for n in range(nw + 1)], nw)
     rhs = sq - coeff_then_d([2 * a * lam * lam / kappa * (1 + beta * n) for n in range(nw + 1)], nw)
     checks = [conjugation_check("second-order operator closed form", gop, rhs, sq, order)]
@@ -776,18 +795,19 @@ def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
 def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
     nw, core = guarded_core(p, order, margin)
     checks = conjugation_trick_checks(core, p.lam, order)
-    hvals, c2 = wilson_factors(p, nw)
-    gop = wilson_op(core, hvals, c2)
+    c2 = OpMatrix.shifted_product(p.ells(nw), nw)
+    gop = wilson_op(core, p, c2)
     u, rec = extract_recurrence(gop)
     up, down = u.band_profile(order)
     checks.append(flag_check("raising operator tridiagonal", up <= 1 and down <= 1, f"band ({up},{down})"))
     # bracket identity H C2^(-1) x C2 H^(-1) == display, crossed: x C2 == C2 H^(-1) display H
     display = x_times(p.mixing_ratio.values(nw + 1), nw) - OpMatrix.diag_op(p.ells(nw + 1), nw)
+    hvals = p.mixing_ratio.products(nw + 1)
     checks.append(conjugation_check("bracket identity", c2, OpMatrix.x_op(nw), diag_conj(hvals, display), order))
     f0 = mgf_from_gop(gop).truncate(order)
     checks += mgf_pipeline_checks(["wilson: mgf pipelines agree"], f0, rec, order)[0]
     if p.h == 0:
-        checks.append(op_check("h=0 reduction", gop, deformed_op(core, JacobiParams(p.lam, p.a, p.rt).ratio), order))
+        checks.append(op_check("h=0 reduction", gop, deformed_op(core, JacobiParams(p.lam, p.a, p.rt).ratio, 0), order))
     return FamilyResult("wilson", gop, rec, f0, None, checks)
 
 
@@ -801,7 +821,7 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
     psi = Poly([math.comb(n, j) * (lam * a / n) ** j for j in range(n + 1)])  # (1 + lam a y/n)^n
     core = sheffer_core(solve_autonomous_ode(psi.coeffs, nw), psi, lam, nw)
     checks = conjugation_trick_checks(core, lam, order)
-    inner = deformed_op(core, p.ratio)
+    inner = deformed_op(core, p.ratio, 0)
     if p.extended:
         cconst = -p.t[n] * lam * a * Fraction(n ** (n - 1), (n - 1) ** (n - 1))
         # delta = (e^(cconst y) - 1)/cconst has the base delta' = 1 + cconst delta

@@ -159,6 +159,17 @@ class OpMatrix:
         return cls._of(cols, nw, 0, nw)
 
     @classmethod
+    def series_of_l(cls, ell: TruncSeries, nw: int) -> "OpMatrix":
+        """ell(L) = theta! ell(D) theta!^(-1) for the 0-derivative L and a
+        series ell known at least to the working order: Toeplitz, column n
+        holds ell_k in row n - k."""
+        if ell.order < nw:
+            raise OrderExhausted("series for ell(L) must reach the working order")
+        den, e = ell._head(nw)
+        cols = [_reduced(den, [*e[n::-1]] + [0] * (nw - n)) for n in range(nw + 1)]
+        return cls._of(cols, nw, 0, nw)
+
+    @classmethod
     def umbral_compose(cls, f: TruncSeries, nw: int) -> "OpMatrix":
         """The composition operator of the binomial family generated by f.
 
@@ -393,24 +404,6 @@ class OpMatrix:
             cols.append(_reduced(s, nums))
         return OpMatrix._of(cols, self.nw, 0, self.reliable)
 
-    def inverse_row_egf(self, r: int) -> TruncSeries:
-        """sum_n (T^(-1))[r][n] y^n/n!, to order nw, with no inverse: row r of
-        T^(-1) solves y T = e_r, so with column n of T = N_n/d_n,
-        y_n = (d_n [n == r] - sum_{k<n} y_k N_n[k]) / N_n[n], solved forward
-        in integers over one running denominator in O(nw^2).  Raises what
-        inverse() raises."""
-        self._require_invertible()
-        ys, s = [], 1
-        for n, (d, nums) in enumerate(self.cols):
-            acc = (d * s if n == r else 0) - sum(map(operator.mul, ys, nums))
-            s = _append_over(ys, s, acc, nums[n])
-        weight = 1  # nw!/n!, then nw!
-        for n in range(self.nw, 0, -1):
-            ys[n] *= weight
-            weight *= n
-        ys[0] *= weight
-        return TruncSeries._make(s * weight, ys)
-
     # -- transforms ---------------------------------------------------------
 
     def bar(self) -> "OpMatrix":
@@ -561,10 +554,21 @@ class OpMatrix:
 
 def mgf_from_gop(gop: OpMatrix) -> TruncSeries:
     """Moment generating function of the family with operator `gop`: the bar
-    transform of the inverse, applied to 1.  Its coefficient b is
-    bar(gop^(-1))[b][0] = (gop^(-1))[0][b]/b!, so only row 0 of the inverse
-    is solved."""
-    return gop.inverse_row_egf(0)
+    transform of the inverse, applied to 1, sum_n (gop^(-1))[0][n] y^n/n!.
+    Row 0 of gop^(-1) solves y gop = e_0: with column n of gop = N_n/d_n,
+    y_n = (d_n [n == 0] - sum_{k<n} y_k N_n[k]) / N_n[n], forward in integers
+    over one running denominator, O(nw^2).  Raises what inverse() raises."""
+    gop._require_invertible()
+    ys, s = [], 1
+    for n, (d, nums) in enumerate(gop.cols):
+        acc = (d * s if n == 0 else 0) - sum(map(operator.mul, ys, nums))
+        s = _append_over(ys, s, acc, nums[n])
+    weight = 1  # nw!/n!, then nw!
+    for n in range(gop.nw, 0, -1):
+        ys[n] *= weight
+        weight *= n
+    ys[0] *= weight
+    return TruncSeries._make(s * weight, ys)
 
 
 def conjugate(m: OpMatrix, t: OpMatrix) -> OpMatrix:

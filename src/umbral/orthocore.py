@@ -476,17 +476,7 @@ def assoc_one_identity_check(rec: Recurrence, nw: int, name: str) -> Check:
 def assoc_one_from_moment_operator(fam: OrthoFamily, moment_gf: TruncSeries, nw: int) -> OpMatrix:
     """The first associated family operator written through the 0-derivative:
     moment_gf(L) . L . G . x."""
-    if moment_gf.order < nw:
-        raise OrderExhausted("moment series must reach the working order")
-    l = OpMatrix.l_op(nw)
-    f0_of_l = OpMatrix.identity(nw).scale(moment_gf.coefficient(0))
-    power = OpMatrix.identity(nw)
-    for k in range(1, min(moment_gf.order, nw) + 1):
-        power = power @ l
-        ck = moment_gf.coefficient(k)
-        if ck != 0:
-            f0_of_l = f0_of_l + power.scale(ck)
-    return f0_of_l @ l @ fam.gop(nw) @ OpMatrix.x_op(nw)
+    return OpMatrix.series_of_l(moment_gf, nw) @ OpMatrix.l_op(nw) @ fam.gop(nw) @ OpMatrix.x_op(nw)
 
 
 # -- duality ------------------------------------------------------------------------------

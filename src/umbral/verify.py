@@ -137,7 +137,7 @@ def suite_ultra(cfg: RunConfig) -> list:
         tag = f"ultra[{i}] lam={p.lam},a={p.a},b={p.b}"
         fam = ultraspherical_family(p, order)
         out += _prefixed(tag, fam.checks)
-        base = deformed_op(riccati_core(p.lam, 0, p.b, order + FAMILY_MARGIN), p.ratio)  # the family at a = 0
+        base = deformed_op(riccati_core(p.lam, 0, p.b, order + FAMILY_MARGIN), p.ratio, 0)  # the family at a = 0
         shifted = exp_series(p.a, order) * mgf_from_gop(base).truncate(order)
         out.append(series_check(f"{tag}: exponential factor law", fam.mgf, shifted))
     return out

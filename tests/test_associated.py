@@ -1,19 +1,22 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import umbral.associated as associated
+import umbral.series as series
 from umbral.associated import (
     ASSOC_MARGIN,
     change_of_variable_check,
     guard_shift,
     jacobi_assoc,
+    jacobi_assoc_mgf_forms,
     long_division_checks,
-    lowered_weights,
     newton_expansion,
     sheffer_assoc,
+    shifted_ell,
+    shifted_op,
     splitting_check,
     ultra_assoc,
     wilson_assoc,
@@ -24,7 +27,11 @@ from umbral.families import (
     JacobiParams,
     ShefferParams,
     WilsonParams,
+    deformed_op,
+    diag_conj,
     jacobi_family,
+    poch_over_fact,
+    riccati_core,
     sheffer_family,
     ultraspherical_family,
     wilson_family,
@@ -48,20 +55,175 @@ def nested_pass(build, *args):
     all_pass(build(*args, margin=ASSOC_MARGIN).checks)
 
 
-def test_lowered_weights():
-    p = JacobiParams(F(1, 3), F(2, 5), F(3, 7))
-    c = F(3, 2)
-    rising = affine(c, 1).products(6)
-    lowered = p.ratio.products(6, c - 1)
-    got = lowered_weights(p.ratio, c, 6)
-    assert got == tuple(rising[n] * lowered[n] for n in range(6))
-    # at c = 0 the rising factor kills everything past the constant, even
-    # when the ratio has a pole at -1 (lambda = 1)
-    pole = JacobiParams(1, F(1, 2), F(1, 3))
-    assert lowered_weights(pole.ratio, 0, 5) == (1, 0, 0, 0, 0)
+# ---- the replaced routes, kept as references --------------------------------------------
+#
+# Each associated operator was built as theta! ell(D) theta!^(-1) times two
+# nested diagonal conjugations of inner(c), with an ell per family: the
+# ultraspherical one omega' f'(omega)^(c-1+1/lam) weighted by (c)_theta
+# F_{c+theta}/F_c, the Jacobi and Wilson ones f'(omega)^(c-1+1/lam) weighted
+# by (c)_theta F_{c-1+theta}/F_{c-1}.  The one route that replaced them must
+# give the same storage wherever the old ones were defined.
+
+
+def lowered_form(core, ratio, c):
+    """f'(omega)^(c-1+1/lam) (c)_theta prod_{j<theta} ratio(c-1+j); at c = 0
+    the rising factor leaves the constant 1 alone."""
+    count = core.nw + 1
+    if c == 0:
+        weights = (F(1),) + (F(0),) * (count - 1)
+    else:
+        weights = (ratio * affine(1, 1)).products(count, c - 1)
+    return core.fprime_omega_pow(c - 1 + 1 / core.lam).weighted(weights)
+
+
+def ultra_form(core, ratio, c):
+    """omega' f'(omega)^(c+1/lam-1) weighted by (c)_theta F_{c+theta}/F_c."""
+    ell = core.omega_prime * core.fprime_omega_pow(c + 1 / core.lam - 1)
+    return ell.weighted((affine(0, 1) * ratio).products(core.nw + 1, c))
+
+
+def nested_op(core, ratio, c):
+    """(c+1)_theta/theta! and F_{c+theta}/F_c conjugating inner(c) in turn."""
+    nw = core.nw
+    return diag_conj(poch_over_fact(c).products(nw + 1), diag_conj(ratio.products(nw + 1, c), core.inner(c)))
+
+
+def outcome(make):
+    """What make() returns, or the DiagSingular message it raises."""
+    try:
+        return make()
+    except DiagSingular as exc:
+        return str(exc)
+
+
+def same_storage(a, b):
+    return (a.cols, a.raised, a.reliable) == (b.cols, b.raised, b.reliable)
+
+
+small = st.fractions(-3, 3, max_denominator=4)
+nonzero = small.filter(lambda v: v != 0)
+shifts = small.filter(lambda v: v.denominator > 1 or v >= 0)
+NW = 8
+
+
+def with_ratios(p):
+    """(record, tilde, ratio): the mixing pair for a Wilson record."""
+    if isinstance(p, WilsonParams):
+        return p, p.mixing_tilde, p.mixing_ratio
+    return p, p.tilde, p.ratio
+
+
+@st.composite
+def shift_records(draw):
+    """An ultraspherical, Jacobi or Wilson record whose guard passes at NW,
+    with its tilde and ratio."""
+    kind = draw(st.sampled_from([ShefferParams, JacobiParams, WilsonParams]))
+    lam = draw(nonzero.filter(lambda v: v != -2))
+    rest = draw(st.lists(small, min_size=4, max_size=4))
+    try:
+        p = kind(lam, *rest[: len(kind.KEYS) - 1])
+        p.guard(NW)
+    except SingularParams:
+        assume(False)
+    return with_ratios(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shift_records(), shifts)
+@example(with_ratios(JacobiParams(2, F(1, 2), 1)), F(1, 2))
+@example(with_ratios(WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), F(1, 4))), F(1, 2))
+@example(with_ratios(JacobiParams(1, F(1, 2), F(1, 3))), F(0))
+def test_shifted_ell_is_the_lowered_form_where_that_is_defined(record, c):
+    """The lowered form's one extra pole is 1 + lam (c - 1) = 0, where the
+    factor it shares with the diagonal cancels; at c = 0 neither evaluates
+    the ratio at -1, which may be a pole (lam = 1 above).  Where both have
+    a pole, a build reports the one of F_{c+theta} first (see
+    `test_deformed_op_is_the_nested_conjugation`).  top = shifted_ell(c + 1)
+    is f'(omega)^(c+1/lam) (c+1)_theta F_{c+theta}/F_c."""
+    p, tilde, ratio = record
+    core = riccati_core(p.lam, p.a, p.b, NW)
+    got = outcome(lambda: shifted_ell(core, tilde, c))
+    ref = outcome(lambda: lowered_form(core, ratio, c))
+    if isinstance(ref, str):
+        assert isinstance(got, str) or 1 + p.lam * (c - 1) == 0
+    else:
+        assert got == ref
+    if 1 + p.lam * (c - 1) == 0 and c != 0:
+        assert isinstance(ref, str)
+    if c != 0:
+        top = outcome(lambda: core.fprime_omega_pow(c + 1 / p.lam).weighted(
+            (affine(1, 1) * ratio).products(NW + 1, c)))
+        if not isinstance(top, str):
+            assert shifted_ell(core, tilde, c + 1) == top
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero, small, small, shifts)
+def test_ultraspherical_shifted_ell_is_omega_prime_times_the_power(lam, a, b, c):
+    p = ShefferParams(lam, a, b)
+    try:
+        p.guard(NW)
+        ref = ultra_form(riccati_core(lam, a, b, NW), p.ratio, c)
+    except (SingularParams, DiagSingular):
+        assume(False)
+    assert shifted_ell(riccati_core(lam, a, b, NW), p.tilde, c) == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(shift_records(), shifts)
+def test_deformed_op_is_the_nested_conjugation(record, c):
+    """One diag_conj by W = (c+1)_theta/theta! F_{c+theta}/F_c against the
+    nested pair, a pole of F reported alike; and, where the lowered ell is
+    defined, the associated operator against theta! ell(D) theta!^(-1) over
+    the nested pair."""
+    p, tilde, ratio = record
+    core = riccati_core(p.lam, p.a, p.b, NW)
+    ref = outcome(lambda: nested_op(core, ratio, c))
+    got = outcome(lambda: deformed_op(core, ratio, c))
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    assert same_storage(got, ref)
+    ell = outcome(lambda: lowered_form(core, ratio, c))
+    if isinstance(p, WilsonParams) or isinstance(ell, str):
+        return
+    factorial = IndexRatio(1, Poly([1, 1])).products(NW + 1)
+    old = diag_conj(factorial, OpMatrix.series_of_d(ell, NW)) @ ref
+    assert same_storage(shifted_op(core, p, c), old)
+
+
+def test_the_pole_of_the_lowered_ratio_builds():
+    """1 + lam (c - 1) = 0 at lam = 2, c = 1/2: the Jacobi and Wilson builds
+    go through, as the ultraspherical one at the same point does, and
+    Jacobi's two mgf forms agree there."""
+    for res in (
+        ultra_assoc(ShefferParams(2, F(1, 2), F(1, 8)), F(1, 2), 10),
+        jacobi_assoc(JacobiParams(2, F(1, 2), 1), F(1, 2), 10),
+        wilson_assoc(WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), F(1, 4)), F(1, 2), 10),
+        wilson_assoc(WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), 0), F(1, 2), 10),
+    ):
+        all_pass(res.checks)
+    p = JacobiParams(2, F(1, 2), 1)
+    core = riccati_core(p.lam, p.a, p.b, 18)
     with pytest.raises(DiagSingular):
-        # 1 + lambda (c - 1) = 0
-        lowered_weights(JacobiParams(2, F(1, 2), 1).ratio, F(1, 2), 5)
+        lowered_form(core, p.ratio, F(1, 2))
+    weighted, hyper = jacobi_assoc_mgf_forms(p, F(1, 2), 10, core)
+    assert weighted == hyper
+
+
+def test_sheffer_assoc_solves_the_riccati_series_once(monkeypatch):
+    """f to order nw + 1 is the integral of the core's f' = psi(f), so one
+    build solves f' = psi(f) once, for its core."""
+    calls = []
+    solve = series.solve_autonomous_ode
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(series, "solve_autonomous_ode", counted)
+    all_pass(sheffer_assoc(ShefferParams(F(1, 2), F(1, 3), F(2, 5)), F(3, 2), 10).checks)
+    assert len(calls) == 1
 
 # ---- long division lemma --------------------------------------------------------
 

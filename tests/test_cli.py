@@ -398,12 +398,13 @@ def test_multiterm_rejects_zero_lambda(capsys):
     ],
 )
 def test_assoc_pole_of_the_lowered_ratio(capsys, name, params):
-    # 1 + lambda (c - 1) = 0: the ratio behind H_{theta+c-1} has a pole at theta = 0
+    # 1 + lambda (c - 1) = 0: the ratio behind H_{theta+c-1} has a pole at
+    # theta = 0, a factor the shifted ell cancels, so the build goes through
     code, out, err = run(capsys, "assoc", name, "--params", params, "--c", "1/2", "--order", "8")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: diagonal ratio singular at index 0")
-    assert "pole at -1/2" in err
+    assert code == 0
+    assert err == ""
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["pass"] for c in checks)
 
 
 def test_config_guard(capsys):

@@ -21,7 +21,16 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from umbral import associated, families, verify
-from umbral.associated import ASSOC_MARGIN, change_of_variable_check, coeff_then_d, long_division_checks, wilson_assoc
+from umbral.associated import (
+    ASSOC_MARGIN,
+    change_of_variable_check,
+    coeff_then_d,
+    jacobi_assoc,
+    long_division_checks,
+    sheffer_assoc,
+    ultra_assoc,
+    wilson_assoc,
+)
 from umbral.checks import conjugation_check, first_failure, op_check, series_check
 from umbral.errors import EngineError, NotInvertible, NotMonic, NotThreeTerm, SingularParams
 from umbral.families import (
@@ -45,7 +54,6 @@ from umbral.families import (
     sheffer_family,
     sheffer_op,
     ultraspherical_family,
-    wilson_factors,
     wilson_family,
     wilson_op,
     x_times,
@@ -164,7 +172,7 @@ def split_args(f, order):
 
 def bracket_factors(p, order):
     nw = order + FAMILY_MARGIN
-    hvals, c2 = wilson_factors(p, nw)
+    hvals, c2 = p.mixing_ratio.products(nw + 1), OpMatrix.shifted_product(p.ells(nw), nw)
     display = x_times([p.mixing_ratio(n) for n in range(nw + 1)], nw) - OpMatrix.diag_op(p.ells(nw + 1), nw)
     return {"c2": c2, "hvals": hvals, "display": display}
 
@@ -225,7 +233,7 @@ def diffeq_args(f, order):
 def hahn_factors(p, order):
     nw = order + FAMILY_MARGIN
     square = ShefferParams(p.lam, p.a, p.lam * p.a * p.a / 4)
-    ultra_gop = deformed_op(guarded_core(square, order, FAMILY_MARGIN)[1], square.ratio)
+    ultra_gop = deformed_op(guarded_core(square, order, FAMILY_MARGIN)[1], square.ratio, 0)
     law = diag_conj(affine(p.s - 1, -1).products(nw + 1), ultra_gop)
     delta = (exp_series(2 * p.a, nw) - 1) / (2 * p.a)
     return {"gop": OpMatrix.umbral_compose(delta, nw) @ law, "delta": delta, "law": law}
@@ -614,12 +622,12 @@ def riccati_gop(p, order):
 
 
 def jacobi_gop(p, order):
-    return deformed_op(guarded_core(p, order, FAMILY_MARGIN)[1], p.ratio)
+    return deformed_op(guarded_core(p, order, FAMILY_MARGIN)[1], p.ratio, 0)
 
 
 def wilson_gop(p, order):
     nw, core = guarded_core(p, order, FAMILY_MARGIN)
-    return wilson_op(core, *wilson_factors(p, nw))
+    return wilson_op(core, p, OpMatrix.shifted_product(p.ells(nw), nw))
 
 
 def hahn_gop(p, order):
@@ -754,6 +762,10 @@ def test_a_planted_gop_entry_fails_the_reader_in_the_reference_column(family):
     pytest.param(lambda: wilson_family(WILSON, 8), 20, id="wilson"),
     pytest.param(lambda: hahn_family(HAHN, 8), 26, id="hahn"),
     pytest.param(lambda: multiterm_family(MULTITERM, 8), 15, id="multiterm"),
+    pytest.param(lambda: sheffer_assoc(SHEFFER, ASSOC_C, 10), 7, id="sheffer_assoc"),
+    pytest.param(lambda: ultra_assoc(SHEFFER, ASSOC_C, 10), 5, id="ultra_assoc"),
+    pytest.param(lambda: jacobi_assoc(JACOBI, ASSOC_C, 10), 5, id="jacobi_assoc"),
+    pytest.param(lambda: wilson_assoc(WILSON, ASSOC_C, 10), 8, id="wilson_assoc"),
 ])
 def test_a_build_inverts_no_operator(build, products, monkeypatch):
     """The conjugation lemma is compared on C_tf^(-1)'s side, so no build
@@ -762,7 +774,10 @@ def test_a_build_inverts_no_operator(build, products, monkeypatch):
     operator solved by back substitution, which takes the one product x gop;
     at sigma = kappa the lemma's composition form makes inner(1/kappa -
     1/lam) as a product of its own, which at sigma = lam is the core's
-    inner()."""
+    inner().  An associated build is ell(L) times W^(-1) inner(c) W, three
+    products (Wilson puts C2(c) between them, and Sheffer multiplies its
+    base operator by ((y/f)^c)(D) first), and reads ell(L) as a Toeplitz
+    operator, not as theta! ell(D) theta!^(-1)."""
     count = Counter()
     invert, matmul = OpMatrix.inverse, OpMatrix.__matmul__
 

@@ -6,11 +6,11 @@ stdout.  The table covers every README example (with `verify` at order 8 and
 every `assoc` at c = 0, 1 and 3/2, two rejected `--params` keys and one
 repeated key (exit 2, empty stdout), and the assoc paths that reuse another
 family's operator chain: Wilson at h = 0 (c = 0 and 3/2), Jacobi at c = 2
-and the ultraspherical c = 1/2 where 1 + lambda (c - 1) = 0, a `cfrac`
-recurrence whose zero b ends the continued fraction early, and a Sheffer
-family at lambda = 0 with a != 0.  A refactor
-of the construction code must leave all of them unchanged: a digest that
-moves means the JSON moved.
+and the ultraspherical, Jacobi and Wilson c = 1/2 where 1 + lambda (c - 1)
+= 0, a `cfrac` recurrence whose zero b ends the continued fraction early,
+and a Sheffer family at lambda = 0 with a != 0.  A refactor of the
+construction code must leave all of them unchanged: a digest that moves
+means the JSON moved.
 """
 import hashlib
 import json
@@ -73,6 +73,10 @@ GOLDEN = [
      "967c9a0a7e07ca8c1d49510cd01babd356dd4678431793efde38ff17c02aeca5"),
     ("assoc ultraspherical --params lambda=2,a=1/2,b=1/8 --c 1/2 --order 8", 0,
      "81db5ca1389460e01c43252ee196f4dbd70f3a68f51e307fc7e744539f325fbf"),
+    ("assoc jacobi --params lambda=2,a=1/2,r=1 --c 1/2 --order 8", 0,
+     "297e44036f1e5f6f7e16e87d12b0d0d89910552bc46669d99a62676d0f5cc2d8"),
+    ("assoc wilson --params lambda=2,a=1/3,r=1/2,rtilde=1/5,h=1/4 --c 1/2 --order 8", 0,
+     "857272725e98abe0a90e023b89e73f52af666bc8c8f0eb0f000d14f8ee59e3c7"),
     ("cfrac rec2moments {degenerate} --order 10", 0,
      "e50ccd60d75c4751fd92749e251eb9e92f713078b127b0e46cfd38b58434e7b3"),
     ("family sheffer --params lambda=0,a=1/3,b=1/2 --order 8", 0,

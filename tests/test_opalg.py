@@ -12,6 +12,7 @@ from umbral.errors import (
     NotInvertible,
     NotMonic,
     NotThreeTerm,
+    OrderExhausted,
     ReliabilityExhausted,
 )
 from umbral.families import diag_conj
@@ -526,6 +527,20 @@ def test_series_of_d_matches_fraction_loops(nw, cs, extra):
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.integers(0, 7), st.lists(st.one_of(st.just(F(0)), wide), min_size=10, max_size=10), st.integers(0, 2))
+def test_series_of_l_is_the_factorial_conjugate_of_series_of_d(nw, cs, extra):
+    # the route it replaced: theta! ell(D) theta!^(-1), two diagonal products
+    ell = TruncSeries(cs[: nw + 1 + extra])
+    op = OpMatrix.series_of_l(ell, nw)
+    ref = diag_conj(IndexRatio(1, Poly([1, 1])).products(nw + 1), OpMatrix.series_of_d(ell, nw))
+    assert (op.cols, op.raised, op.reliable) == (ref.cols, ref.raised, ref.reliable)
+    assert all(op.entry(m, n) == (cs[n - m] if m <= n else 0) for m in range(nw + 1) for n in range(nw + 1))
+    if nw:
+        with pytest.raises(OrderExhausted):
+            OpMatrix.series_of_l(ell.truncate(nw - 1), nw)
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(1, 7), nonzero_wide, st.lists(st.one_of(st.just(F(0)), wide), min_size=7, max_size=7))
 def test_umbral_compose_matches_powers_of_the_reversion(nw, lead, rest):
     fs = [F(0), lead] + rest[: nw - 1]
@@ -645,9 +660,9 @@ def test_mgf_from_gop_matches_bar_of_the_inverse_applied_to_one(data):
     gop = data.draw(op_matrices(nw, invertible=True))
     expected = gop.inverse().bar().apply_series(TruncSeries.one(nw))
     with mock.patch.object(OpMatrix, "inverse", side_effect=AssertionError("inverted")):
-        assert mgf_from_gop(gop) == expected  # solved from row 0 alone
-    r = data.draw(st.integers(0, nw))
-    assert gop.inverse_row_egf(r).coeffs == tuple(v / math.factorial(n) for n, v in enumerate(gop.inverse().mat[r]))
+        got = mgf_from_gop(gop)  # solved from row 0 alone
+    assert got == expected
+    assert got.coeffs == tuple(v / math.factorial(n) for n, v in enumerate(gop.inverse().mat[0]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -673,7 +688,8 @@ def test_umbral_compose_inverse_is_built_without_an_inverse(nw, lead, rest, extr
     got = OpMatrix.umbral_compose_inverse(t, nw)
     ref = OpMatrix.umbral_compose(t, nw).inverse()
     assert (got.cols, got.raised, got.reliable) == (ref.cols, ref.raised, ref.reliable)
-    assert got.inverse_row_egf(1) == t.truncate(nw).reverse()
+    # row 1 of C_t: the x coefficients of the binomial polynomials, n! [y^n] reverse(t)
+    assert TruncSeries([v / math.factorial(n) for n, v in enumerate(got.inverse().mat[1])]) == t.truncate(nw).reverse()
 
 
 def test_umbral_compose_inverse_rejects_as_umbral_compose_does():
