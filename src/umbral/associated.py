@@ -38,6 +38,7 @@ from .families import (
     linear_guard,
     mgf_pipeline_checks,
     poch_over_fact,
+    raising_check,
     sheffer_closed_form,
     sheffer_core,  # re-exported: bench/test_bench.py reads the traced name here
     sheffer_op,
@@ -183,10 +184,16 @@ def _tail_shift(c: Fraction) -> bool:
 def _assoc_result(name, prefix, c, gop, rec, f0, checks: list, order: int, base=None) -> AssocResult:
     """The result of an associated build: its checks, then the explicit mgf
     f0 against the extracted recurrence's own moments and, for tail shifts
-    over a base operator, against the tails of the recurrence read off it."""
-    tails = (extract_recurrence(base)[1], int(c)) if base is not None and _tail_shift(c) else None
+    over a base operator, against the tails of the recurrence read off it;
+    a fault of that reading fails the tail check."""
+    tails, fault = None, ""
+    if base is not None and _tail_shift(c):
+        _, base_rec, fault = extract_recurrence(base)
+        tails = (base_rec, int(c))
     names = (f"{prefix}explicit vs extracted-recurrence mgf", f"{prefix}explicit vs tail mgf")
     pipe, pipelines = mgf_pipeline_checks(names, f0, rec, min(order, 10), tails)
+    if fault:
+        pipe[1] = raising_check(names[1], fault)
     return AssocResult(name, c, gop, rec, f0, checks + pipe, pipelines)
 
 
@@ -225,9 +232,9 @@ def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -
     hvals = affine(c, 1).products(nw + 1)  # (c)_theta
     x = OpMatrix.series_of_d(y_over_f.pow_fraction(c), nw) @ base
     gop = OpMatrix.series_of_l(ell.weighted(hvals), nw) @ diag_conj(poch_over_fact(c).products(nw + 1), x)
-    u, rec = extract_recurrence(gop, order)
+    u, rec, fault = extract_recurrence(gop, order)
     display = closed_form_raising(sheffer_closed_form(p).assoc(c), nw)
-    checks = [op_check("shifted dual raising display", u, display, order)]
+    checks = [raising_check("shifted dual raising display", fault, u, display, order)]
     # displayed mgf: the ratio of the two weighted series
     num = (fprime_pow * y_over_f.pow_fraction(-c)).truncate(nw)
     f0_formula = (num.weighted(affine(c + 1, 1).products(nw + 1)) / ell.weighted(hvals)).borel()
@@ -250,9 +257,9 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     linear_guard([("1+lambda*(c+k)", 1 + lam * c, lam)], nw + 2)
     base = deformed_op(core, p.ratio, 0) if _tail_shift(c) else None
     gop = shifted_op(core, p, c)
-    u, rec = extract_recurrence(gop, order)
+    u, rec, fault = extract_recurrence(gop, order)
     display = closed_form_raising(ultraspherical_closed_form(p).assoc(c), nw)
-    checks = [op_check("shifted dual raising display", u, display, order)]  # covers inner(c), read off psi
+    checks = [raising_check("shifted dual raising display", fault, u, display, order)]  # covers inner(c), read off psi
     if c == 0:
         checks.append(op_check("c=0 reduction", gop, base, order))
     f0 = mgf_from_gop(gop).truncate(order)
@@ -303,13 +310,12 @@ def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     lam = p.lam
     base = deformed_op(core, p.ratio, 0) if _tail_shift(c) else None
     gop = shifted_op(core, p, c)
-    u, rec = extract_recurrence(gop, order)
-    checks = []
+    u, rec, fault = extract_recurrence(gop, order)
     if c != 0:
         display = closed_form_raising(jacobi_closed_form(p).assoc(c), nw)
-        checks.append(op_check("shifted dual raising display", u, display, order))  # covers inner(c)
+        checks = [raising_check("shifted dual raising display", fault, u, display, order)]  # covers inner(c)
     else:
-        checks.append(op_check("c=0 reduction", gop, base, order))
+        checks = [raising_check("c=0 reduction", fault, gop, base, order)]
     # omega'-cancellation display: (1+lam(theta+c-1)) . f'(omega)^(c-1+1/lam)
     #   = (1+lam(c-1)) omega' f'(omega)^(c-1+1/lam), with theta acting as y d/dy
     g = core.fprime_omega_pow(c - 1 + Fraction(1) / lam)
@@ -369,14 +375,11 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     staged = newton_expansion(lowered, ells)
     s_series = (1 + staged.shift_up(1)).truncate(nw)
     gop = OpMatrix.series_of_l(s_series, nw) @ c2c @ op
-    u, rec = extract_recurrence(gop, order)
-    checks = []
-    up, down = u.band_profile(order)
-    checks.append(flag_check("shifted raising operator tridiagonal", up <= 1 and down <= 1, f"band ({up},{down})"))
+    _, rec, fault = extract_recurrence(gop, order)
+    checks = [raising_check("shifted raising operator tridiagonal", fault)]
     # the expansion crossed, C2^T staged == lowered in integers: with column a of
     # C2 = N_a/d_a, sum_b N_a[b] staged_b = d_a lowered_a.  C2^T is unit triangular,
-    # so this pins every staged coefficient in gop, also those past `order`, where
-    # three_term does not see a fault first
+    # so this pins every staged coefficient in gop, also those past `order`
     name = "column factorization of the shift operator"
     crossed = (
         sum(x * y for x, y in zip(nums, staged.nums)) * lowered.den - lowered.nums[a] * den * staged.den

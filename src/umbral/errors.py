@@ -37,14 +37,6 @@ class ReliabilityExhausted(EngineError):
     """Truncation losses left no trustworthy block to work on."""
 
 
-class NotThreeTerm(EngineError):
-    """Operator has entries outside the tridiagonal band on its reliable block."""
-
-
-class NotMonic(EngineError):
-    """Degree-raising entries of a would-be three-term operator are not all 1."""
-
-
 class DegenerateB(EngineError):
     """Continued-fraction extraction hit b == 0 (finitely supported functional)."""
 

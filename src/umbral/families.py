@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .checks import conjugation_check, first_failure, flag_check, op_check, series_check, value_check
-from .errors import DiagSingular, NotThreeTerm, SingularParams
+from .checks import Check, conjugation_check, first_failure, flag_check, op_check, series_check, value_check
+from .errors import DiagSingular, SingularParams
 from .indexfn import IndexRatio, Poly, affine
 from .opalg import OpMatrix, conjugate, mgf_from_gop
 from .orthocore import ClosedFormRecurrence, Recurrence, assoc_mgf_from_tails, moments_from_recurrence
@@ -476,21 +476,30 @@ class FamilyResult:
 
 
 def extract_recurrence(gop: OpMatrix, through: Optional[int] = None) -> tuple:
-    """The dual raising operator of gop and the recurrence read off it."""
+    """The dual raising operator of gop, the recurrence read off it and the
+    reader's fault ("" when the operator is three-term)."""
     u = conjugate(gop, OpMatrix.x_op(gop.nw))
-    a, b = u.three_term(through)
-    return u, Recurrence(tuple(a), tuple(b))
+    a, b, fault = u.three_term(through)
+    return u, Recurrence(tuple(a), tuple(b)), fault
+
+
+def raising_check(name: str, fault: str, u: Optional[OpMatrix] = None, display=None, through=None) -> Check:
+    """The check `name` over a dual raising operator u: u against its
+    display, or passed with none, and failed with the reader's fault as its
+    witness where that passes.  A three-term display has no entry outside
+    the band and raising entries 1, so the comparison fails first, in the
+    column where u departs from it, when the fault is in a compared column."""
+    check = Check(name, True) if display is None else op_check(name, u, display, through)
+    return Check(name, False, fault) if check.passed and fault else check
 
 
 def closed_form_raising(cf: ClosedFormRecurrence, nw: int, a0=None) -> OpMatrix:
     """x + a_theta + D b_theta from closed-form coefficients; `a0`, when
     given, replaces a_0 where the closed form is 0/0 and parameter
-    continuity fixes the value."""
-    return (
-        OpMatrix.x_op(nw)
-        + OpMatrix.diag_op([cf.a_fn(0) if a0 is None else a0] + [cf.a_fn(n) for n in range(1, nw + 1)], nw)
-        + d_then_coeff([Fraction(0)] + [cf.b_fn(n) for n in range(1, nw + 1)], nw)
-    )
+    continuity fixes the value.  A pole at an index <= nw raises
+    SingularParams."""
+    rec = cf.truncate(nw, a0)
+    return OpMatrix.x_op(nw) + OpMatrix.diag_op(rec.a, nw) + d_then_coeff((0,) + rec.b, nw)
 
 
 def mgf_pipeline_checks(names, f0: TruncSeries, rec: Recurrence, order: int, tails=None) -> tuple:
@@ -554,9 +563,9 @@ def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) ->
         checks.append(
             series_check("phi' closed form", phi.derivative(), phiprime)
         )
-    u, rec = extract_recurrence(gop)
+    u, rec, fault = extract_recurrence(gop)
     closed = sheffer_closed_form(p)
-    checks.append(op_check("dual raising display", u, closed_form_raising(closed, nw), order))
+    checks.append(raising_check("dual raising display", fault, u, closed_form_raising(closed, nw), order))
     name = "closed-form recurrence"
     checks.append(first_failure(name, (
         flag_check(
@@ -589,9 +598,9 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
     lam, a, b = p.lam, p.a, p.b
     checks = conjugation_trick_checks(core, lam, order)
     gop = deformed_op(core, p.ratio, 0)
-    u, rec = extract_recurrence(gop)
+    u, rec, fault = extract_recurrence(gop)
     closed = ultraspherical_closed_form(p)
-    checks.append(op_check("dual raising display", u, closed_form_raising(closed, nw), order))
+    checks.append(raising_check("dual raising display", fault, u, closed_form_raising(closed, nw), order))
     # dual derivative display gop^(-1) D gop == F_{theta+1}^(-1) . resolvent(D)
     # . F_theta, where F_{theta+1}^(-1) = (1 + lam theta) F_theta^(-1)
     resolvent = TruncSeries.from_function(
@@ -661,10 +670,10 @@ def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> Famil
     c_delta = OpMatrix.umbral_compose_ode(Poly([1, 2 * a]), nw)
     law = diag_conj(svals, ultra.gop)
     gop = c_delta @ law
-    u, rec = extract_recurrence(gop)
+    u, rec, fault = extract_recurrence(gop)
     checks = list(ultra.checks)
     closed = hahn_closed_form(p)
-    checks.append(op_check("dual raising display", u, closed_form_raising(closed, nw), order))
+    checks.append(raising_check("dual raising display", fault, u, closed_form_raising(closed, nw), order))
     # expansion law: coordinates in the shifted-exponential binomial basis,
     # with C_delta^(-1) from the powers of delta/y, against C_delta read off
     # its base
@@ -750,8 +759,8 @@ def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN) -> F
     checks = conjugation_trick_checks(core, p.lam, order)
     checks += conjugation_trick_checks(core, p.kappa, order)
     gop = deformed_op(core, p.ratio, 0)
-    u, rec = extract_recurrence(gop)
-    checks.append(op_check("dual raising closed form", u, jacobi_dual_raising(p, nw), order))
+    u, rec, fault = extract_recurrence(gop)
+    checks.append(raising_check("dual raising closed form", fault, u, jacobi_dual_raising(p, nw), order))
     # affine split of inner^(-1) x (F_{theta+1}/F_theta) inner, crossed: t inner == inner split
     lam_part, kappa_part = jacobi_split_displays(p, nw)
     split = lam_part.scale(p.r) + kappa_part.scale(1 - p.r)
@@ -797,9 +806,8 @@ def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> F
     checks = conjugation_trick_checks(core, p.lam, order)
     c2 = OpMatrix.shifted_product(p.ells(nw), nw)
     gop = wilson_op(core, p, c2)
-    u, rec = extract_recurrence(gop)
-    up, down = u.band_profile(order)
-    checks.append(flag_check("raising operator tridiagonal", up <= 1 and down <= 1, f"band ({up},{down})"))
+    _, rec, fault = extract_recurrence(gop)
+    checks.append(raising_check("raising operator tridiagonal", fault))
     # bracket identity H C2^(-1) x C2 H^(-1) == display, crossed: x C2 == C2 H^(-1) display H
     display = x_times(p.mixing_ratio.values(nw + 1), nw) - OpMatrix.diag_op(p.ells(nw + 1), nw)
     hvals = p.mixing_ratio.products(nw + 1)
@@ -830,7 +838,10 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
         gop = inner
     u = conjugate(gop, OpMatrix.x_op(nw))
     band, down = u.band_profile(order), n - 1 if a else 0  # at a = 0, f = y: the monomials
-    checks.append(flag_check(f"band profile (1,{down})", band == (1, down), f"got {band}"))
+    # an (n+1)-term family has no three-term recurrence to read: a stand-in
+    at, bt, fault = u.three_term(order) if down <= 1 else ([0], [], "")
+    rec = Recurrence(tuple(at), tuple(bt))
+    checks.append(flag_check(f"band profile (1,{down})", band == (1, down) and not fault, fault or f"got {band}"))
     # algebraic relation for the inverse transform:
     # (1 - 1/omega')(1/omega' + n - 1)^(n-1) = n^(n-1) lam a y
     w = 1 / core.omega_prime
@@ -856,11 +867,6 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
             ),
         )
     )
-    try:
-        at, bt = u.three_term(min(order, u.reliable))
-        rec = Recurrence(tuple(at), tuple(bt))
-    except NotThreeTerm:
-        rec = Recurrence((Fraction(0),), ())
     f0 = mgf_from_gop(gop)
     return FamilyResult("multiterm", gop, rec, f0, None, checks)
 

@@ -31,6 +31,9 @@ Next to the matrix sit two pieces of truncation bookkeeping:
 Comparisons and extractions only ever look at columns up to ``reliable``,
 and ``cut`` drops the columns past a comparison's bound from a product's
 right factor, so that only the compared columns are computed.
+``three_term`` reads a recurrence off the three diagonals and returns with
+it, for the caller to report as a failed check, the first column's fault:
+an entry outside the band, or a raising entry other than 1.
 
 Binomial composition operators come from the powers of y/f by Lagrange
 inversion (``umbral_compose``); where f' = psi(f) for a polynomial psi, the
@@ -49,13 +52,7 @@ import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (
-    NotInvertible,
-    NotMonic,
-    NotThreeTerm,
-    OrderExhausted,
-    ReliabilityExhausted,
-)
+from .errors import NotInvertible, OrderExhausted, ReliabilityExhausted
 from .indexfn import Poly
 from .series import TruncSeries, _append_over, _conv, _int_powers, _over_common_den, _reduced, _scaled, as_rat
 
@@ -493,24 +490,30 @@ class OpMatrix:
         return up, down
 
     def three_term(self, through: Optional[int] = None):
-        """Extract canonical coefficients (a_n, b_n) of x + a_theta + D b_theta.
+        """Canonical coefficients (a_n, b_n) of x + a_theta + D b_theta, and
+        the fault that keeps self from that shape.
 
-        Returns (a, b) with a[n] = a_n for 0 <= n <= hi and b[n-1] = b_n for
-        1 <= n <= hi, where hi is the reliable column bound.
+        Returns (a, b, fault) with a[n] = a_n for 0 <= n <= hi and b[n-1] =
+        b_n for 1 <= n <= hi, where hi is the reliable column bound, read off
+        the three diagonals; fault is "" or the first column's fault, an entry
+        outside the band or a raising entry other than 1, for the caller to
+        report as a failed check.
         """
         hi = self.reliable if through is None else min(self.reliable, through)
         hi = min(hi, self.nw - 1)
-        for ncol in range(hi + 1):
-            for row, v in enumerate(self.cols[ncol][1]):
-                if v and not (ncol - 1 <= row <= ncol + 1):
-                    raise NotThreeTerm(f"entry outside band at ({row},{ncol})")
+        fault = ""
         for ncol in range(hi + 1):
             den, nums = self.cols[ncol]
-            if nums[ncol + 1] != den:
-                raise NotMonic(f"raising entry at column {ncol} is {self.entry(ncol + 1, ncol)}")
+            outside = [row for row, v in enumerate(nums) if v and abs(row - ncol) > 1]
+            if outside:
+                fault = f"entry outside band at ({outside[0]},{ncol})"
+            elif nums[ncol + 1] != den:
+                fault = f"raising entry at column {ncol} is {self.entry(ncol + 1, ncol)}"
+            if fault:
+                break
         a = [self.entry(ncol, ncol) for ncol in range(hi + 1)]
         b = [self.entry(ncol - 1, ncol) / ncol for ncol in range(1, hi + 1)]
-        return a, b
+        return a, b, fault
 
     # -- comparison --------------------------------------------------------------
 

@@ -90,14 +90,17 @@ class ClosedFormRecurrence:
     a_fn: IndexRatio
     b_fn: IndexRatio
 
-    def truncate(self, depth: int) -> Recurrence:
-        """a_0..a_depth and b_1..b_depth; a pole in that range raises SingularParams."""
-        for label, fn, start in (("a", self.a_fn, 0), ("b", self.b_fn, 1)):
+    def truncate(self, depth: int, a0=None) -> Recurrence:
+        """a_0..a_depth and b_1..b_depth; a pole in that range raises
+        SingularParams.  `a0`, when given, is a_0, where the closed form is
+        0/0 and parameter continuity fixes the value."""
+        first = [] if a0 is None else [a0]
+        for label, fn, start in (("a", self.a_fn, len(first)), ("b", self.b_fn, 1)):
             pole = fn.den.shift(start).first_root(depth + 1 - start)
             if pole is not None:
                 raise SingularParams(f"{label}_n", f"index ratio pole at {pole + start}")
         return Recurrence(
-            tuple(self.a_fn(n) for n in range(depth + 1)),
+            tuple(first + [self.a_fn(n) for n in range(len(first), depth + 1)]),
             tuple(self.b_fn(n) for n in range(1, depth + 1)),
         )
 
@@ -151,12 +154,8 @@ class OrthoFamily:
 
 
 def polys_from_recurrence(rec: Recurrence, upto: int) -> OrthoFamily:
-    """Monic family plus numerator/denominator convergent polynomials.
-
-    Computed by the direct three-term recurrences; the 2x2 matrix-product
-    form of the convergents is evaluated as well and must agree entry for
-    entry.
-    """
+    """Monic family plus numerator/denominator convergent polynomials, by the
+    direct three-term recurrences."""
     if upto > rec.depth:
         raise OrderExhausted(f"recurrence depth {rec.depth} below requested {upto}")
     x = Poly([0, 1])
@@ -168,14 +167,6 @@ def polys_from_recurrence(rec: Recurrence, upto: int) -> OrthoFamily:
         r.append(r[n] * lin + quad * r[n - 1])
         q.append(q[n] * lin + quad * q[n - 1])
     r, q = r[: upto + 1], q[: upto + 1]
-    if upto >= 1:
-        top = [Poly.const(0), x]
-        bot = [Poly([0, -rec.b_at(1)]), Poly([1, -rec.a_at(0)])]
-        for n in range(2, upto + 1):
-            step = ((Poly.const(0), x), (Poly([0, -n * rec.b_at(n)]), Poly([1, -rec.a_at(n - 1)])))
-            top, bot = [[row[0] * step[0][j] + row[1] * step[1][j] for j in (0, 1)] for row in (top, bot)]
-            if top[1] != r[n] or bot[1] != q[n]:
-                raise AssertionError(f"matrix-product convergent disagrees at level {n}")
     return OrthoFamily([q[n].reflect(n) for n in range(upto + 1)], r, q, rec.norms(upto))
 
 
@@ -390,6 +381,7 @@ class KernelDeformation:
     b: list
     expected_a: list
     expected_b: list
+    fault: str  # the reader's, "" when the deformed raising operator is three-term
 
 
 def christoffel_darboux(fam: OrthoFamily, rec: Recurrence, y0, nw: int) -> KernelDeformation:
@@ -414,7 +406,7 @@ def christoffel_darboux(fam: OrthoFamily, rec: Recurrence, y0, nw: int) -> Kerne
         @ geom
         @ OpMatrix.diag_op([1 / v for v in diag], nw)
     )
-    a, b = conjugate(gq, OpMatrix.x_op(nw)).three_term()
+    a, b, fault = conjugate(gq, OpMatrix.x_op(nw)).three_term()
     expected_a = [
         rec.a_at(n + 1) - values[n + 1] / values[n] + values[n + 2] / values[n + 1]
         for n in range(len(a))
@@ -423,7 +415,7 @@ def christoffel_darboux(fam: OrthoFamily, rec: Recurrence, y0, nw: int) -> Kerne
         values[n + 1] * values[n - 1] * rec.b_at(n) / values[n] ** 2
         for n in range(1, len(b) + 1)
     ]
-    return KernelDeformation(gq, a, b, expected_a, expected_b)
+    return KernelDeformation(gq, a, b, expected_a, expected_b, fault)
 
 
 # -- numerator functional -------------------------------------------------------------

@@ -22,7 +22,7 @@ from umbral.associated import (
     wilson_assoc,
 )
 from umbral.cli import main
-from umbral.errors import DiagSingular, NotThreeTerm, SingularParams
+from umbral.errors import DiagSingular, SingularParams
 from umbral.families import (
     JacobiParams,
     ShefferParams,
@@ -453,13 +453,18 @@ def test_planted_shift_value_fails_the_crossed_check(monkeypatch):
     assert factorization(wilson_assoc(WILSON, F(3, 2), 12)).witness == "column 16"
 
 
-@pytest.mark.parametrize("staged", [True, False])
-def test_a_planted_fault_through_the_order_stops_the_build(staged, monkeypatch):
-    """A wrong staged coefficient or shift value at k <= order breaks the
-    raising operator's band, which three_term reports before any check."""
+@pytest.mark.parametrize("staged, column", [(True, 5), (False, 6)])
+def test_a_planted_fault_through_the_order_fails_the_tridiagonal_flag(staged, column, monkeypatch, capsys):
+    """A wrong staged coefficient or shift value at k = 5 <= order breaks the
+    raising operator's band in the column where the crossed check fails
+    (k + 1 for a shift value): the tridiagonal flag fails with the reader's
+    fault as its witness, and the CLI exits 1 with nothing on stderr."""
     planted_expansion(monkeypatch, 5, staged)
-    with pytest.raises(NotThreeTerm):
-        wilson_assoc(WILSON, F(3, 2), 12)
+    failed = {c.name: c.witness for c in wilson_assoc(WILSON, F(3, 2), 12).checks if not c.passed}
+    assert failed["shifted raising operator tridiagonal"] == f"entry outside band at (0,{column})"
+    assert failed["column factorization of the shift operator"] == f"column {column}"
+    assert main(WILSON_ARGV) == 1
+    assert capsys.readouterr().err == ""
 
 
 # ---- additivity across the explicit operators --------------------------------------------------

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import umbral.cli as cli
+from umbral import families
 from umbral.cli import main, parse_params
-from umbral.errors import NotMonic
 from umbral.opalg import OpMatrix
+from umbral.series import TruncSeries
 
 
 def run(capsys, *argv):
@@ -354,17 +355,55 @@ def test_multiterm_rejects_non_integer_n(capsys):
     assert json.loads(out)["order"] == 6
 
 
-def test_multiterm_reports_an_extraction_error_other_than_the_band(capsys, monkeypatch):
-    # only NotThreeTerm falls back to the stand-in recurrence
-    def not_monic(self, through=None):
-        raise NotMonic("raising entry at column 0 is 2")
+def test_multiterm_reports_a_raising_fault_under_the_band_check(capsys, monkeypatch):
+    # a raising entry other than 1 leaves the band (1,1) as it is: the band
+    # check fails with the reader's fault as its witness
+    solve = families.conjugate
 
-    monkeypatch.setattr(OpMatrix, "three_term", not_monic)
+    def raising_two_in_column_2(m, t):
+        u = solve(m, t)
+        rows = u.mat
+        rows[3][2] = F(2)
+        return OpMatrix(rows, u.nw, u.raised, u.reliable)
+
+    monkeypatch.setattr(families, "conjugate", raising_two_in_column_2)
     code, out, err = run(
-        capsys, "family", "multiterm", "--params", "n=3,lambda=1,a=1,t0=1/3,t1=1/3,t2=1/3", "--order", "6"
+        capsys, "family", "multiterm", "--params", "n=2,lambda=2,a=1/2,t0=1/3,t1=2/3", "--order", "6"
     )
-    assert (code, out) == (2, "")
-    assert err == "error: raising entry at column 0 is 2\n"
+    assert (code, err) == (1, "")
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert failed == [{"name": "band profile (1,1)", "pass": False, "witness": "raising entry at column 2 is 2"}]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["assoc", "ultraspherical", "--params", "lambda=1/2,a=1/3,b=2/5"], "shifted dual raising display"),
+    (["assoc", "wilson", "--params", "lambda=1/2,a=1/3,r=1/2,rtilde=1/3,h=1/4"], "shifted raising operator tridiagonal"),
+])
+def test_assoc_reports_a_fault_of_the_raising_operator_as_a_failed_check(argv, name, capsys, monkeypatch):
+    # a planted coefficient of every psi diagonal enters gop through ell(L)
+    # and takes the raising operator off its three diagonals
+    make = families.psi_diagonal
+
+    def planted(psi, alpha, order):
+        coeffs = list(make(psi, alpha, order).coeffs)
+        coeffs[3] += F(7, 3)
+        return TruncSeries(coeffs)
+
+    argv += ["--c", "3/2", "--order", "6"]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(families, "psi_diagonal", planted)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]][0] == name
+
+
+def test_a_pole_of_the_associated_display_is_a_usage_error(capsys):
+    # 1 + lambda (c + n) = 0 at n = order + 8, the working order: the closed
+    # form's pole is found before any value is taken there
+    code, out, err = run(
+        capsys, "assoc", "jacobi", "--params", "lambda=-7/5,a=1/2,r=1/3", "--c=-121/7", "--order", "10"
+    )
+    assert (code, out, err) == (2, "", "error: b_n invalid: index ratio pole at 18\n")
 
 
 @pytest.mark.parametrize("params", [

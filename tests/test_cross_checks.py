@@ -32,7 +32,7 @@ from umbral.associated import (
     wilson_assoc,
 )
 from umbral.checks import conjugation_check, first_failure, op_check, series_check
-from umbral.errors import EngineError, NotInvertible, NotMonic, NotThreeTerm, SingularParams
+from umbral.errors import EngineError, NotInvertible, SingularParams
 from umbral.families import (
     FAMILY_MARGIN,
     HahnParams,
@@ -683,8 +683,8 @@ CONJUGATES = {  # case -> (its drawn parameters, the (m, t) pairs it conjugates)
 
 
 def recurrence_outcome(reader, m, t):
-    """The recurrence, raise and reliable block of reader(m, t), or the error
-    it raises on the way."""
+    """The recurrence and its fault, raise and reliable block of reader(m, t),
+    or the error it raises on the way."""
     try:
         u = reader(m, t)
         return u.three_term(), u.raised, u.reliable
@@ -717,11 +717,17 @@ def test_the_reader_keeps_a_declared_raise():
     assert u.first_difference(ref) is None
 
 
-def outside_band_column(outcome):
-    """The column three_term() names for an entry outside the band, or None."""
-    if outcome[0] is not NotThreeTerm:
-        return None
-    return int(re.match(r"entry outside band at \((\d+),(\d+)\)", outcome[1]).group(2))
+def reader_fault(outcome):
+    """("band", n) or ("raising", n) for the fault three_term() names in
+    column n, ("passed", None) when it names none, or (the error raised on
+    the way, None)."""
+    if isinstance(outcome[0], type):
+        return outcome[0], None
+    fault = outcome[0][2]
+    if not fault:
+        return "passed", None
+    found = re.fullmatch(r"entry outside band at \(\d+,(\d+)\)|raising entry at column (\d+) is .*", fault)
+    return ("band", int(found.group(1))) if found.group(1) else ("raising", int(found.group(2)))
 
 
 def crossed_column(gop):
@@ -748,9 +754,73 @@ def test_a_planted_gop_entry_fails_the_reader_in_the_reference_column(family):
             bad = planted(gop, m, n)
             ref = recurrence_outcome(dense_conjugate, bad, x)
             assert recurrence_outcome(conjugate, bad, x) == ref, (m, n)
-            assert crossed_column(bad) == outside_band_column(ref), (m, n)
-            outcomes[ref[0] if isinstance(ref[0], type) else "passed"] += 1
-    assert outcomes[NotThreeTerm] and outcomes[NotMonic] and outcomes[NotInvertible], outcomes
+            kind, column = reader_fault(ref)
+            crossed = crossed_column(bad)
+            if kind == "band":
+                assert crossed == column, (m, n)
+            elif kind == "raising":  # the band holds through its column
+                assert crossed is None or crossed > column, (m, n)
+            else:
+                assert crossed is None, (m, n)
+            outcomes[kind] += 1
+    assert outcomes["band"] and outcomes["raising"] and outcomes[NotInvertible], outcomes
+
+
+# -- a fault of the reader fails each build under its named check ------------------------
+
+MULTITERM_TRIDIAGONAL = MultiTermParams(2, F(1, 2), F(1, 3), (F(1, 2), F(1, 2)))
+READERS = [  # build -> the checks a fault of the reader in column 3 fails, with that column as witness
+    pytest.param(lambda c: sheffer_family(SHEFFER, ORDER), ["dual raising display"], id="sheffer_family"),
+    pytest.param(lambda c: ultraspherical_family(SHEFFER, ORDER), ["dual raising display"], id="ultraspherical_family"),
+    pytest.param(lambda c: hahn_family(HAHN, ORDER), ["dual raising display"] * 2, id="hahn_family"),  # and ultra's
+    pytest.param(lambda c: jacobi_family(JACOBI, ORDER), ["dual raising closed form"], id="jacobi_family"),
+    pytest.param(lambda c: wilson_family(WILSON, ORDER), ["raising operator tridiagonal"], id="wilson_family"),
+    pytest.param(lambda c: multiterm_family(MULTITERM_TRIDIAGONAL, ORDER), ["band profile (1,1)"],
+                 id="multiterm_family"),
+    pytest.param(lambda c: sheffer_assoc(SHEFFER, c, ORDER),
+                 ["shifted dual raising display", "sheffer assoc: explicit vs tail mgf"], id="sheffer_assoc"),
+    pytest.param(lambda c: ultra_assoc(SHEFFER, c, ORDER),
+                 ["shifted dual raising display", "ultraspherical assoc: explicit vs tail mgf"], id="ultra_assoc"),
+    pytest.param(lambda c: jacobi_assoc(JACOBI, c, ORDER),
+                 ["shifted dual raising display", "jacobi assoc: explicit vs tail mgf"], id="jacobi_assoc"),
+    pytest.param(lambda c: jacobi_assoc(JACOBI, 0, ORDER), ["c=0 reduction", "jacobi assoc: explicit vs tail mgf"],
+                 id="jacobi_assoc-c0"),
+    pytest.param(lambda c: wilson_assoc(WILSON, c, ORDER), ["shifted raising operator tridiagonal"],
+                 id="wilson_assoc"),
+]
+
+
+@pytest.mark.parametrize("build, names", READERS)
+@pytest.mark.parametrize("row, kind", [(0, "entry outside band at (0,3)"), (4, "raising entry at column 3 is 10/3")])
+def test_a_fault_of_the_reader_fails_the_build_under_its_named_check(build, names, row, kind, monkeypatch):
+    """Every raising operator a build reads, its base's for the tail pipeline
+    among them, gets entry (row, 3) planted: an entry outside the band or a
+    raising entry other than 1.  The build returns; the checks that read the
+    raising operator fail in column 3, a display comparison with its own
+    witness and the others with the reader's fault.  The planted entry is
+    off the three diagonals the recurrence is read from, so no other check
+    fails."""
+    assert all(c.passed for c in build(1).checks)
+    solve = families.conjugate
+    monkeypatch.setattr(families, "conjugate", lambda m, t: planted(solve(m, t), row, 3))
+    failed = [c for c in build(1).checks if not c.passed]
+    assert [c.name for c in failed] == names, failed
+    assert all(c.witness == kind or c.witness.startswith(f"entry ({row},3): ") for c in failed), failed
+
+
+@pytest.mark.parametrize("n", range(2, ORDER + 2))
+def test_a_planted_gop_entry_fails_the_wilson_tridiagonal_flag(n, monkeypatch):
+    """wilson_family compares its raising operator u with no display, only
+    the flag.  An entry (m, n) of gop planted above the diagonal puts
+    entries outside the band into u from column n - 1 on (column n - 1 of
+    u reads column n of gop), and columns 0 and 1 have no row outside it,
+    so the flag fails with the reader's fault in column max(n - 1, 2)."""
+    make = families.wilson_op
+    for m in range(n):
+        monkeypatch.setattr(families, "wilson_op", lambda *args: planted(make(*args), m, n))
+        (flag,) = [c for c in wilson_family(WILSON, ORDER).checks if c.name == "raising operator tridiagonal"]
+        assert re.fullmatch(rf"entry outside band at \(\d+,{max(n - 1, 2)}\)", flag.witness), (m, flag)
+        assert not flag.passed
 
 
 # -- what one build costs ----------------------------------------------------------------

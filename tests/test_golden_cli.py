@@ -8,7 +8,8 @@ repeated key (exit 2, empty stdout), and the assoc paths that reuse another
 family's operator chain: Wilson at h = 0 (c = 0 and 3/2), Jacobi at c = 2
 and the ultraspherical, Jacobi and Wilson c = 1/2 where 1 + lambda (c - 1)
 = 0, a `cfrac` recurrence whose zero b ends the continued fraction early,
-and a Sheffer family at lambda = 0 with a != 0.  A refactor of the
+a Sheffer family at lambda = 0 with a != 0, and an associated Jacobi
+display with a pole of b_n at the working order (exit 2, empty stdout).  A refactor of the
 construction code must leave all of them unchanged: a digest that moves
 means the JSON moved.
 """
@@ -81,6 +82,8 @@ GOLDEN = [
      "e50ccd60d75c4751fd92749e251eb9e92f713078b127b0e46cfd38b58434e7b3"),
     ("family sheffer --params lambda=0,a=1/3,b=1/2 --order 8", 0,
      "cc4fe5496c2320437e848f4e8763fb9134ccf6c98bc794ec346f710889cb06c9"),
+    ("assoc jacobi --params lambda=-7/5,a=1/2,r=1/3 --c=-121/7 --order 10", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

@@ -10,8 +10,6 @@ from umbral.errors import (
     DiagSingular,
     EngineError,
     NotInvertible,
-    NotMonic,
-    NotThreeTerm,
     OrderExhausted,
     ReliabilityExhausted,
 )
@@ -219,27 +217,43 @@ def test_three_term_extraction():
     a_diag = OpMatrix.diag_op(range(NW + 1), NW)
     b_vals = [2 * F(n) for n in range(NW + 1)]
     t = x + a_diag + OpMatrix.d_op(NW) @ OpMatrix.diag_op(b_vals, NW)
-    a, b = t.three_term()
+    a, b, fault = t.three_term()
     assert a == [F(n) for n in range(len(a))]
     assert b == [2 * F(n) for n in range(1, len(b) + 1)]
+    assert fault == ""
     assert t.apply_poly(Poly([0, 1])) == Poly([2, 1, 1])  # t.x = x^2 + x + 2
 
 
 def test_three_term_degenerate_x_only():
-    a, b = OpMatrix.x_op(NW).three_term()
-    assert all(v == 0 for v in a) and all(v == 0 for v in b)
+    a, b, fault = OpMatrix.x_op(NW).three_term()
+    assert all(v == 0 for v in a) and all(v == 0 for v in b) and fault == ""
 
 
-def test_three_term_band_violation():
+def test_three_term_reports_an_entry_outside_the_band():
     t = OpMatrix.x_op(NW) @ OpMatrix.x_op(NW)
-    with pytest.raises((NotThreeTerm, NotMonic)):
-        t.three_term()
+    a, b, fault = t.three_term()
+    assert fault == "entry outside band at (2,0)"
+    assert a == [0] * NW and b == [0] * (NW - 1)  # read off the diagonals all the same
 
 
-def test_not_monic():
-    t = OpMatrix.x_op(NW).scale(2)
-    with pytest.raises(NotMonic):
-        t.three_term()
+def test_three_term_reports_a_raising_entry_other_than_one():
+    a, b, fault = OpMatrix.x_op(NW).scale(2).three_term()
+    assert fault == "raising entry at column 0 is 2"
+    assert a == [0] * NW and b == [0] * (NW - 1)
+
+
+def test_three_term_reports_the_first_faulty_column():
+    """A raising fault in column 2 comes before an entry outside the band in
+    column 4, and neither is seen past `through`."""
+    rows = [[F(0)] * (NW + 1) for _ in range(NW + 1)]
+    for n in range(NW):
+        rows[n + 1][n] = F(1)
+    rows[3][2], rows[0][4] = F(1, 3), F(5)
+    t = OpMatrix(rows, NW, 1, NW)
+    assert t.three_term()[2] == "raising entry at column 2 is 1/3"
+    rows[3][2] = F(1)
+    assert OpMatrix(rows, NW, 1, NW).three_term()[2] == "entry outside band at (0,4)"
+    assert OpMatrix(rows, NW, 1, NW).three_term(3)[2] == ""
 
 
 # ---- diagonal shift rule ----------------------------------------------------------

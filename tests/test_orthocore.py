@@ -218,6 +218,7 @@ def test_cd_deformation_matches_display():
     rec = hermite_rec(16)
     fam = polys_from_recurrence(rec, 16)
     kd = christoffel_darboux(fam, rec, F(1, 3), 8)
+    assert kd.fault == ""
     assert kd.a == kd.expected_a
     assert kd.b == kd.expected_b
     # theta = 0 diagonal entry: a_1 - p_1(y0) + p_2(y0)/p_1(y0)
@@ -659,11 +660,34 @@ def recurrences_with_zero_bs(draw):
 @settings(max_examples=60, deadline=None)
 @given(recurrences_with_zero_bs())
 def test_convergents_match_list_reference(rec):
-    fam = polys_from_recurrence(rec, rec.depth)  # the matrix-product cross-check runs too
+    fam = polys_from_recurrence(rec, rec.depth)
     polys, r, q = ref_convergents(rec, rec.depth)
     assert [p.coeffs for p in fam.polys] == [tuple(v) for v in polys]
     assert [p.coeffs for p in fam.numerators] == [tuple(v) for v in r]
     assert [p.coeffs for p in fam.reversed_q] == [tuple(v) for v in q]
+
+
+def ref_matrix_convergents(rec, upto):
+    """(R_n, Q_n) for 1 <= n <= upto as the second column of a product of
+    2x2 polynomial matrices, one step matrix per level."""
+    if upto < 1:
+        return []
+    x = Poly([0, 1])
+    top, bot = [Poly.const(0), x], [Poly([0, -rec.b_at(1)]), Poly([1, -rec.a_at(0)])]
+    out = [(top[1], bot[1])]
+    for n in range(2, upto + 1):
+        step = ((Poly.const(0), x), (Poly([0, -n * rec.b_at(n)]), Poly([1, -rec.a_at(n - 1)])))
+        top, bot = [[row[0] * step[0][j] + row[1] * step[1][j] for j in (0, 1)] for row in (top, bot)]
+        out.append((top[1], bot[1]))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(recurrences_with_zero_bs())
+@example(Recurrence([1, F(1, 2), 3, 1], [2, 0, 1]))  # b_2 = 0 ends the continued fraction early
+def test_convergents_match_the_matrix_product_reference(rec):
+    fam = polys_from_recurrence(rec, rec.depth)
+    assert list(zip(fam.numerators, fam.reversed_q))[1:] == ref_matrix_convergents(rec, rec.depth)
 
 
 # ---- the moment maps against the routes they replaced --------------------------------

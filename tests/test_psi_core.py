@@ -23,9 +23,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from umbral import associated, families
+from umbral import families
 from umbral.associated import jacobi_assoc, ultra_assoc, wilson_assoc
-from umbral.errors import NotThreeTerm
 from umbral.families import (
     JacobiParams,
     MultiTermParams,
@@ -40,8 +39,7 @@ from umbral.families import (
     wilson_family,
 )
 from umbral.indexfn import Poly
-from umbral.opalg import OpMatrix, conjugate
-from umbral.orthocore import Recurrence
+from umbral.opalg import OpMatrix
 from umbral.series import (
     TruncSeries,
     as_rat,
@@ -56,7 +54,6 @@ SHEFFER = ShefferParams(F(1, 2), F(1, 3), F(2, 5))
 JACOBI = JacobiParams(F(1, 3), F(2, 5), F(3, 7))
 WILSON = WilsonParams(F(1, 2), F(1, 3), F(1, 2), F(1, 3), F(1, 4))
 ASSOC_C = F(3, 2)
-STUB = Recurrence((F(0), F(0)), (F(0),))  # b_1 = 0 ends the fraction at once
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 nonzero = small.filter(lambda v: v != 0)
@@ -150,31 +147,19 @@ def plant_inner(c):
 
 def check_column(check):
     """The operator column of a failed check's first witness: n of entry
-    (m,n), or the coefficient of a generating-function column."""
-    found = re.match(r"entry \(\d+,(\d+)\)|coefficient (\d+)", check.witness)
-    return int(found.group(1) or found.group(2))
-
-
-def tolerant_reader(monkeypatch):
-    """Let a build whose gop is not three-term run all its checks, with a
-    stub recurrence."""
-    extract = families.extract_recurrence
-
-    def tolerant(gop, through=None):
-        try:
-            return extract(gop, through)
-        except NotThreeTerm:
-            return conjugate(gop, OpMatrix.x_op(gop.nw)), STUB
-
-    for module in (families, associated):
-        monkeypatch.setattr(module, "extract_recurrence", tolerant)
+    (m,n) or of the reader's fault in column n, or the coefficient of a
+    generating-function column."""
+    found = re.match(
+        r"entry (?:outside band at )?\(\d+,(\d+)\)|raising entry at column (\d+)|coefficient (\d+)", check.witness
+    )
+    return int(next(g for g in found.groups() if g))
 
 
 def planted_build(build, plant, k, monkeypatch):
     """The checks of `build` with psi's coefficient k planted in one operator
     of its core, and the first column where that operator departs from its
-    reference.  A planted gop is seldom three-term, so where the reader
-    rejects it the recurrence falls back to a stub, and every check runs."""
+    reference.  A planted gop is seldom three-term; the build returns all
+    the same, and its raising operator fails the check that compares it."""
     departs = []
     make = families.sheffer_core
 
@@ -186,7 +171,6 @@ def planted_build(build, plant, k, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(families, "sheffer_core", planted_core)
-        tolerant_reader(m)
         result = build()
     assert len(set(departs)) == 1
     return result.checks, departs[0]
@@ -313,25 +297,24 @@ def planted_diagonal(k, bump=F(7, 3)):
 def test_a_planted_diagonal_coefficient_fails_the_omega_check_at_that_coefficient(build, name, k, monkeypatch):
     (clean,) = [c for c in build() if c.name == name]
     assert clean.passed
-    tolerant_reader(monkeypatch)  # jacobi_assoc's gop reads f'(omega)^alpha too
-    monkeypatch.setattr(families, "psi_diagonal", planted_diagonal(k))
+    monkeypatch.setattr(families, "psi_diagonal", planted_diagonal(k))  # jacobi_assoc's gop reads it too
     (got,) = [c for c in build() if c.name == name]
     assert not got.passed and check_column(got) == k, got
 
 
 @pytest.mark.parametrize("k", range(1, ORDER + 1))
-@pytest.mark.parametrize("build, name", [
-    pytest.param(lambda: ultra_assoc(SHEFFER, ASSOC_C, ORDER).checks, "shifted dual raising display", id="ultra_assoc"),
-    pytest.param(lambda: wilson_assoc(WILSON, ASSOC_C, ORDER).checks, "shifted raising operator tridiagonal",
+@pytest.mark.parametrize("build, name, first", [
+    pytest.param(lambda: ultra_assoc(SHEFFER, ASSOC_C, ORDER).checks, "shifted dual raising display", 0,
+                 id="ultra_assoc"),
+    pytest.param(lambda: wilson_assoc(WILSON, ASSOC_C, ORDER).checks, "shifted raising operator tridiagonal", 2,
                  id="wilson_assoc"),
 ])
-def test_a_planted_diagonal_coefficient_in_gop_stops_the_recurrence_reader(build, name, k, monkeypatch):
-    """Here the fault enters gop alone, and `extract_recurrence` raises
-    NotThreeTerm before any check compares gop; the named check fails only
-    under a reader that lets the build go on."""
+def test_a_planted_diagonal_coefficient_in_gop_fails_the_raising_check(build, name, first, k, monkeypatch):
+    """Here the fault enters gop alone, through coefficient k of ell, and the
+    raising operator departs in column k - 1, which reads gop's column k.
+    The ultraspherical display fails there.  Wilson's flag, with no display,
+    fails with the reader's fault in the first column that leaves the band,
+    k - 1 or 2: columns 0 and 1 have no row outside it."""
     monkeypatch.setattr(families, "psi_diagonal", planted_diagonal(k))
-    with pytest.raises(NotThreeTerm):
-        build()
-    tolerant_reader(monkeypatch)
     (got,) = [c for c in build() if c.name == name]
-    assert not got.passed
+    assert not got.passed and check_column(got) == max(k - 1, first), got

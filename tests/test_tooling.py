@@ -1,5 +1,5 @@
-"""What bench/tracing.py reads from the engine, pinned from this side, and
-the names in src/ that no code in src/ reads.
+"""What bench/tracing.py reads from the engine, pinned from this side, the
+names in src/ that no code in src/ reads, and the errors src/ raises.
 
 The tracer wraps the engine from outside src/: it looks up the methods in
 its METHODS table by name, and its bit-height, product-count and repeat-key
@@ -14,7 +14,7 @@ import inspect
 from fractions import Fraction as F
 from pathlib import Path
 
-from umbral import associated, cli, families
+from umbral import associated, cli, errors, families
 from umbral.opalg import OpMatrix
 from umbral.series import riccati_series
 
@@ -129,3 +129,38 @@ def test_every_function_no_code_in_src_reads_is_allowed_by_name():
     traced = {attr for _, _, attr, _ in load_tracing().METHODS}
     for name, reason in UNREAD_IN_SRC.items():
         assert "METHODS" not in reason or name.rsplit(".", 1)[1] in traced, name
+
+
+# Nothing in src/ raises on a failed identity: a failed identity is a Check
+# record, and an exception is one of the EngineError types, each for an input
+# or a state the engine cannot work with.
+
+
+def raised_names() -> set:
+    """The name of what each raise statement in src/ raises."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                names.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return names
+
+
+def test_every_engine_error_is_raised_in_src():
+    defined = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.EngineError) and value is not errors.EngineError
+    }
+    assert defined and defined <= raised_names(), defined - raised_names()
+
+
+def test_no_code_in_src_asserts():
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+    assert "AssertionError" not in raised_names()
