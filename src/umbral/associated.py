@@ -185,15 +185,15 @@ def _assoc_result(name, prefix, c, gop, rec, f0, checks: list, order: int, base=
     """The result of an associated build: its checks, then the explicit mgf
     f0 against the extracted recurrence's own moments and, for tail shifts
     over a base operator, against the tails of the recurrence read off it;
-    a fault of that reading fails the tail check."""
+    a fault of that reading fails the tail check, and no tails are read."""
     tails, fault = None, ""
     if base is not None and _tail_shift(c):
         _, base_rec, fault = extract_recurrence(base)
-        tails = (base_rec, int(c))
+        tails = None if fault else (base_rec, int(c))
     names = (f"{prefix}explicit vs extracted-recurrence mgf", f"{prefix}explicit vs tail mgf")
     pipe, pipelines = mgf_pipeline_checks(names, f0, rec, min(order, 10), tails)
     if fault:
-        pipe[1] = raising_check(names[1], fault)
+        pipe.append(flag_check(names[1], False, fault))
     return AssocResult(name, c, gop, rec, f0, checks + pipe, pipelines)
 
 
@@ -376,7 +376,7 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     s_series = (1 + staged.shift_up(1)).truncate(nw)
     gop = OpMatrix.series_of_l(s_series, nw) @ c2c @ op
     _, rec, fault = extract_recurrence(gop, order)
-    checks = [raising_check("shifted raising operator tridiagonal", fault)]
+    checks = [flag_check("shifted raising operator tridiagonal", not fault, fault)]
     # the expansion crossed, C2^T staged == lowered in integers: with column a of
     # C2 = N_a/d_a, sum_b N_a[b] staged_b = d_a lowered_a.  C2^T is unit triangular,
     # so this pins every staged coefficient in gop, also those past `order`

@@ -483,14 +483,13 @@ def extract_recurrence(gop: OpMatrix, through: Optional[int] = None) -> tuple:
     return u, Recurrence(tuple(a), tuple(b)), fault
 
 
-def raising_check(name: str, fault: str, u: Optional[OpMatrix] = None, display=None, through=None) -> Check:
-    """The check `name` over a dual raising operator u: u against its
-    display, or passed with none, and failed with the reader's fault as its
-    witness where that passes.  A three-term display has no entry outside
-    the band and raising entries 1, so the comparison fails first, in the
-    column where u departs from it, when the fault is in a compared column."""
-    check = Check(name, True) if display is None else op_check(name, u, display, through)
-    return Check(name, False, fault) if check.passed and fault else check
+def raising_check(name: str, fault: str, u: OpMatrix, display: OpMatrix, through: Optional[int]) -> Check:
+    """The check `name` of a dual raising operator u against its display,
+    failed with the reader's fault as its witness where that comparison
+    passes.  A three-term display has no entry outside the band and raising
+    entries 1, so the comparison fails first, in the column where u departs
+    from it, when the fault is in a compared column."""
+    return first_failure(name, (op_check(name, u, display, through), flag_check(name, not fault, fault)))
 
 
 def closed_form_raising(cf: ClosedFormRecurrence, nw: int, a0=None) -> OpMatrix:
@@ -807,7 +806,7 @@ def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> F
     c2 = OpMatrix.shifted_product(p.ells(nw), nw)
     gop = wilson_op(core, p, c2)
     _, rec, fault = extract_recurrence(gop)
-    checks.append(raising_check("raising operator tridiagonal", fault))
+    checks.append(flag_check("raising operator tridiagonal", not fault, fault))
     # bracket identity H C2^(-1) x C2 H^(-1) == display, crossed: x C2 == C2 H^(-1) display H
     display = x_times(p.mixing_ratio.values(nw + 1), nw) - OpMatrix.diag_op(p.ells(nw + 1), nw)
     hvals = p.mixing_ratio.products(nw + 1)

@@ -718,16 +718,12 @@ def test_the_reader_keeps_a_declared_raise():
 
 
 def reader_fault(outcome):
-    """("band", n) or ("raising", n) for the fault three_term() names in
-    column n, ("passed", None) when it names none, or (the error raised on
-    the way, None)."""
+    """"band" or "raising" for the fault three_term() names, "passed" when it
+    names none, or the error raised on the way."""
     if isinstance(outcome[0], type):
-        return outcome[0], None
+        return outcome[0]
     fault = outcome[0][2]
-    if not fault:
-        return "passed", None
-    found = re.fullmatch(r"entry outside band at \(\d+,(\d+)\)|raising entry at column (\d+) is .*", fault)
-    return ("band", int(found.group(1))) if found.group(1) else ("raising", int(found.group(2)))
+    return "band" if fault.startswith("entry outside band") else "raising" if fault else "passed"
 
 
 def crossed_column(gop):
@@ -743,6 +739,18 @@ def crossed_column(gop):
     return None if diff is None else diff[1]
 
 
+def outside_band_column(gop):
+    """The first column n <= hi, the reader's column bound, of the reader's
+    u = gop^(-1) x gop with a nonzero entry off its three diagonals, found
+    from u's entries whatever fault three_term() names, or None."""
+    try:
+        u = conjugate(gop, OpMatrix.x_op(gop.nw))
+    except NotInvertible:
+        return None
+    hi = min(u.reliable, u.nw - 1)
+    return next((n for n in range(hi + 1) if any(u.mat[m][n] for m in range(u.nw + 1) if abs(m - n) > 1)), None)
+
+
 @pytest.mark.parametrize("family", GOPS)
 def test_a_planted_gop_entry_fails_the_reader_in_the_reference_column(family):
     _, make, p = GOPS[family]
@@ -754,15 +762,8 @@ def test_a_planted_gop_entry_fails_the_reader_in_the_reference_column(family):
             bad = planted(gop, m, n)
             ref = recurrence_outcome(dense_conjugate, bad, x)
             assert recurrence_outcome(conjugate, bad, x) == ref, (m, n)
-            kind, column = reader_fault(ref)
-            crossed = crossed_column(bad)
-            if kind == "band":
-                assert crossed == column, (m, n)
-            elif kind == "raising":  # the band holds through its column
-                assert crossed is None or crossed > column, (m, n)
-            else:
-                assert crossed is None, (m, n)
-            outcomes[kind] += 1
+            assert crossed_column(bad) == outside_band_column(bad), (m, n)
+            outcomes[reader_fault(ref)] += 1
     assert outcomes["band"] and outcomes["raising"] and outcomes[NotInvertible], outcomes
 
 
@@ -799,13 +800,15 @@ def test_a_fault_of_the_reader_fails_the_build_under_its_named_check(build, name
     raising operator fail in column 3, a display comparison with its own
     witness and the others with the reader's fault.  The planted entry is
     off the three diagonals the recurrence is read from, so no other check
-    fails."""
+    fails, and a failed tail check exports no tail series."""
     assert all(c.passed for c in build(1).checks)
     solve = families.conjugate
     monkeypatch.setattr(families, "conjugate", lambda m, t: planted(solve(m, t), row, 3))
-    failed = [c for c in build(1).checks if not c.passed]
+    result = build(1)
+    failed = [c for c in result.checks if not c.passed]
     assert [c.name for c in failed] == names, failed
     assert all(c.witness == kind or c.witness.startswith(f"entry ({row},3): ") for c in failed), failed
+    assert "tails" not in getattr(result, "pipelines", {})  # none is read off a faulty base
 
 
 @pytest.mark.parametrize("n", range(2, ORDER + 2))
