@@ -25,7 +25,6 @@ from .orthocore import (
     MomentSeries,
     OrthoFamily,
     Recurrence,
-    assoc_recurrence,
     moments_from_recurrence,
     polys_from_recurrence,
     recurrence_from_moments,
@@ -46,7 +45,6 @@ __all__ = [
     "TruncSeries",
     "WilsonParams",
     "as_rat",
-    "assoc_recurrence",
     "hahn_family",
     "jacobi_assoc",
     "jacobi_family",

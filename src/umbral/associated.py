@@ -36,19 +36,17 @@ from .families import (
     jacobi_dual_raising,
     jacobi_split_displays,
     linear_guard,
-    mgf_pipeline_checks,
     poch_over_fact,
     raising_check,
     sheffer_closed_form,
     sheffer_core,  # re-exported: bench/test_bench.py reads the traced name here
     sheffer_op,
     ultraspherical_closed_form,
-    wilson_op,
     x_times,
 )
 from .indexfn import IndexRatio, Poly, affine
 from .opalg import OpMatrix, mgf_from_gop
-from .orthocore import Recurrence
+from .orthocore import Recurrence, moments_from_recurrence
 from .series import TruncSeries, as_rat, riccati_series  # riccati_series: read here by bench/test_bench.py
 
 ASSOC_MARGIN = 8
@@ -184,17 +182,21 @@ def _tail_shift(c: Fraction) -> bool:
 def _assoc_result(name, prefix, c, gop, rec, f0, checks: list, order: int, base=None) -> AssocResult:
     """The result of an associated build: its checks, then the explicit mgf
     f0 against the extracted recurrence's own moments and, for tail shifts
-    over a base operator, against the tails of the recurrence read off it;
-    a fault of that reading fails the tail check, and no tails are read."""
-    tails, fault = None, ""
+    over a base operator, against the tails of the recurrence read off it,
+    the moments of its shift by c; a fault of that reading fails the tail
+    check, and no tails are read.  `pipelines` holds the mgf of each route."""
+    order = min(order, 10)
+    pipelines = {"recurrence": moments_from_recurrence(rec, order).f0}
+    checks = checks + [series_check(f"{prefix}explicit vs extracted-recurrence mgf", f0, pipelines["recurrence"])]
     if base is not None and _tail_shift(c):
         _, base_rec, fault = extract_recurrence(base)
-        tails = None if fault else (base_rec, int(c))
-    names = (f"{prefix}explicit vs extracted-recurrence mgf", f"{prefix}explicit vs tail mgf")
-    pipe, pipelines = mgf_pipeline_checks(names, f0, rec, min(order, 10), tails)
-    if fault:
-        pipe.append(flag_check(names[1], False, fault))
-    return AssocResult(name, c, gop, rec, f0, checks + pipe, pipelines)
+        tail_name = f"{prefix}explicit vs tail mgf"
+        if fault:
+            checks.append(flag_check(tail_name, False, fault))
+        else:
+            pipelines["tails"] = moments_from_recurrence(base_rec.shift(int(c)), order).f0
+            checks.append(series_check(tail_name, f0, pipelines["tails"]))
+    return AssocResult(name, c, gop, rec, f0, checks, pipelines)
 
 
 def shifted_ell(core: ShefferCore, tilde: IndexRatio, c) -> TruncSeries:
@@ -210,10 +212,11 @@ def shifted_ell(core: ShefferCore, tilde: IndexRatio, c) -> TruncSeries:
     return core.diagonal(c - 1 + 1 / lam).weighted(weight.products(core.nw + 1, c - 1))
 
 
-def shifted_op(core: ShefferCore, p, c) -> OpMatrix:
+def shifted_op(core: ShefferCore, p, c, op: Optional[OpMatrix] = None) -> OpMatrix:
     """ell(L) W^(-1) inner(c) W, the family over p's ratio associated at c;
-    W first, so a pole of the ratio is reported by W."""
-    op = deformed_op(core, p.ratio, c)
+    W first, so a pole of the ratio is reported by W.  `op`, when given, is
+    that W^(-1) inner(c) W, already built."""
+    op = deformed_op(core, p.ratio, c) if op is None else op
     return OpMatrix.series_of_l(shifted_ell(core, p.tilde, c), core.nw) @ op
 
 
@@ -256,7 +259,7 @@ def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     lam = p.lam
     linear_guard([("1+lambda*(c+k)", 1 + lam * c, lam)], nw + 2)
     base = deformed_op(core, p.ratio, 0) if _tail_shift(c) else None
-    gop = shifted_op(core, p, c)
+    gop = shifted_op(core, p, c, base if c == 0 else None)
     u, rec, fault = extract_recurrence(gop, order)
     display = closed_form_raising(ultraspherical_closed_form(p).assoc(c), nw)
     checks = [raising_check("shifted dual raising display", fault, u, display, order)]  # covers inner(c), read off psi
@@ -309,7 +312,7 @@ def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     nw, core = guarded_core(p, order, margin)
     lam = p.lam
     base = deformed_op(core, p.ratio, 0) if _tail_shift(c) else None
-    gop = shifted_op(core, p, c)
+    gop = shifted_op(core, p, c, base if c == 0 else None)
     u, rec, fault = extract_recurrence(gop, order)
     if c != 0:
         display = closed_form_raising(jacobi_closed_form(p).assoc(c), nw)
@@ -395,7 +398,7 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     )
     checks.append(conjugation_check("conjugated square identity", core.inner(c), display, sq, order))
     if c == 0:
-        checks.append(op_check("c=0 reduction", gop, wilson_op(core, p, c2c), order))
+        checks.append(op_check("c=0 reduction", gop, c2c @ op, order))  # wilson_op, with op at c = 0
     if p.h == 0:
         checks.append(op_check("h=0 reduction", gop, shifted_op(core, JacobiParams(p.lam, p.a, p.rt), c), order))
     return _assoc_result("wilson", "", c, gop, rec, mgf_from_gop(gop).truncate(order), checks, order)

@@ -53,26 +53,16 @@ def lagrange_forms(f: TruncSeries, n: int, order: int) -> list:
 # -- fractional index ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FracIndexExpansion:
-    """p_s(x) = sum_k c_k x^(s-k), descending powers, c_0 = 1."""
-
-    s: Fraction
-    coeffs: tuple
-
-    def to_json(self) -> dict:
-        return {"s": str(self.s), "coeffs": [str(c) for c in self.coeffs]}
-
-
-def frac_index_p(f: TruncSeries, s, terms: int) -> FracIndexExpansion:
-    """Descending expansion with c_k = [y^k](y/f)^s * (s-1)(s-2)...(s-k)."""
+def frac_index_p(f: TruncSeries, s, terms: int) -> tuple:
+    """The coefficients c_0 = 1, c_1, ..., c_terms of the descending expansion
+    p_s(x) = sum_k c_k x^(s-k), with c_k = [y^k](y/f)^s * (s-1)(s-2)...(s-k)."""
     s = as_rat(s)
     if terms > f.order:
         raise OrderExhausted("need the base series beyond the term count")
     y_over_f = (1 / f.shift_down(1)).truncate(terms)
     weight = y_over_f.pow_fraction(s).coeffs
     fall = affine(s - 1, -1).products(terms + 1)  # (s-1)...(s-k)
-    return FracIndexExpansion(s, tuple(weight[k] * fall[k] for k in range(terms + 1)))
+    return tuple(weight[k] * fall[k] for k in range(terms + 1))
 
 
 def lowering_check(f: TruncSeries, s, terms: int) -> list:
@@ -82,7 +72,7 @@ def lowering_check(f: TruncSeries, s, terms: int) -> list:
     p_s = frac_index_p(f, s, terms + 1)
     p_sm1 = frac_index_p(f, s - 1, terms)
     got = [Fraction(0)] * (terms + 1)
-    for k, c in enumerate(p_s.coeffs):
+    for k, c in enumerate(p_s):
         if c == 0:
             continue
         top = min(f.order, terms + 1 - k)
@@ -90,7 +80,7 @@ def lowering_check(f: TruncSeries, s, terms: int) -> list:
         for j in range(1, top + 1):
             if f.coeffs[j]:
                 got[k + j - 1] += c * f.coeffs[j] * fall[j]
-    expected = [s * c for c in p_sm1.coeffs[: terms + 1]]
+    expected = [s * c for c in p_sm1[: terms + 1]]
     return [first_failure(f"lowering relation s={s} to {terms} terms", (
         flag_check(f"lowering relation s={s}", got[m] == expected[m], f"term {m}: {got[m]} != {expected[m]}")
         for m in range(terms + 1)

@@ -303,9 +303,6 @@ def main(argv=None) -> int:
     except DegenerateB as exc:
         print(f"error: b = 0 at depth {exc.depth}", file=sys.stderr)
         return IDENTITY_ERROR
-    except SingularParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except (ValueError, OSError, KeyError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

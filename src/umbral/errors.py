@@ -53,14 +53,6 @@ class NodeAtZeroOfP(EngineError):
     """Kernel-deformation point is a zero of one of the polynomials."""
 
 
-class ClosedFormRequired(EngineError):
-    """Non-integer association needs coefficients as functions of the index."""
-
-
-class NotPolynomialCoefficients(EngineError):
-    """Duality needs recurrence coefficients in closed form."""
-
-
 class SingularParams(EngineError):
     """Family parameters violate an invertibility guard."""
 

@@ -21,7 +21,7 @@ from .checks import Check, conjugation_check, first_failure, flag_check, op_chec
 from .errors import DiagSingular, SingularParams
 from .indexfn import IndexRatio, Poly, affine
 from .opalg import OpMatrix, conjugate, mgf_from_gop
-from .orthocore import ClosedFormRecurrence, Recurrence, assoc_mgf_from_tails, moments_from_recurrence
+from .orthocore import ClosedFormRecurrence, Recurrence, moments_from_recurrence
 from .series import (
     TruncSeries,
     as_rat,
@@ -501,18 +501,6 @@ def closed_form_raising(cf: ClosedFormRecurrence, nw: int, a0=None) -> OpMatrix:
     return OpMatrix.x_op(nw) + OpMatrix.diag_op(rec.a, nw) + d_then_coeff((0,) + rec.b, nw)
 
 
-def mgf_pipeline_checks(names, f0: TruncSeries, rec: Recurrence, order: int, tails=None) -> tuple:
-    """The bar-transform mgf f0 to `order` against the moments of rec, read
-    off the same operator, and, given tails = (base recurrence, c), the tails
-    of the base at the shift c: one check per pipeline, named from `names` in
-    that order, and the series of each pipeline by route."""
-    f0 = f0.truncate(order)
-    pipelines = {"recurrence": moments_from_recurrence(rec, order).f0}
-    if tails is not None:
-        pipelines["tails"] = assoc_mgf_from_tails(*tails, order)
-    return [series_check(name, f0, s) for name, s in zip(names, pipelines.values())], pipelines
-
-
 # -- base family -----------------------------------------------------------------
 
 
@@ -575,7 +563,7 @@ def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) ->
     checks.append(generating_function_check(gop.bar(), gen_weight, phi, order))  # covers C_f
     top = min(order, 2 * (rec.depth // 2))
     f0 = mgf_from_gop(gop).truncate(top)
-    checks += mgf_pipeline_checks(["sheffer: mgf pipelines agree"], f0, rec, top)[0]
+    checks.append(series_check("sheffer: mgf pipelines agree", f0, moments_from_recurrence(rec, top).f0))
     return FamilyResult("sheffer", gop, rec, f0, closed, checks)
 
 
@@ -614,7 +602,7 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
     even[::2] = IndexRatio(b, Poly([1, 1]) * Poly([1 + lam, lam])).products(nw // 2 + 1)
     boxed = (exp_series(a, nw) * TruncSeries(even)).truncate(order)
     f0 = mgf_from_gop(gop).truncate(order)
-    checks += mgf_pipeline_checks(["ultraspherical: mgf pipelines agree"], f0, rec, order)[0]
+    checks.append(series_check("ultraspherical: mgf pipelines agree", f0, moments_from_recurrence(rec, order).f0))
     checks.append(series_check("boxed mgf", f0, boxed, order))
     # generating function display, column by column:
     # sum_n c_n q_n(x) y^n has x^m coefficient c_m y^m (1+lam a y+lam b y^2)^(-1/lam-m)
@@ -680,7 +668,7 @@ def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> Famil
     xi = OpMatrix.umbral_compose_inverse(delta, nw) @ gop
     checks.append(op_check("expansion in binomial basis", xi, law, order))
     f0 = mgf_from_gop(gop).truncate(order)
-    checks += mgf_pipeline_checks(["hahn: mgf pipelines agree"], f0, rec, order)[0]
+    checks.append(series_check("hahn: mgf pipelines agree", f0, moments_from_recurrence(rec, order).f0))
     if lam == 2 and a == Fraction(1, 2):
         checks.append(series_check("closed-form mgf", f0, hahn_mgf(s, order), order))
     return FamilyResult("hahn", gop, rec, f0, closed, checks)
@@ -766,7 +754,7 @@ def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN) -> F
     t = x_times(p.ratio.values(nw + 1), nw)
     checks.append(conjugation_check("three-term split", core.inner(), t, split, order))
     f0 = mgf_from_gop(gop).truncate(order)
-    checks += mgf_pipeline_checks(["jacobi: mgf pipelines agree"], f0, rec, order)[0]
+    checks.append(series_check("jacobi: mgf pipelines agree", f0, moments_from_recurrence(rec, order).f0))
     form1, form2 = jacobi_mgf_forms(p, order)
     checks.append(series_check("mgf ratio-sum form", f0, form1, order))
     checks.append(series_check("mgf product form", f0, form2, order))
@@ -812,7 +800,7 @@ def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> F
     hvals = p.mixing_ratio.products(nw + 1)
     checks.append(conjugation_check("bracket identity", c2, OpMatrix.x_op(nw), diag_conj(hvals, display), order))
     f0 = mgf_from_gop(gop).truncate(order)
-    checks += mgf_pipeline_checks(["wilson: mgf pipelines agree"], f0, rec, order)[0]
+    checks.append(series_check("wilson: mgf pipelines agree", f0, moments_from_recurrence(rec, order).f0))
     if p.h == 0:
         checks.append(op_check("h=0 reduction", gop, deformed_op(core, JacobiParams(p.lam, p.a, p.rt).ratio, 0), order))
     return FamilyResult("wilson", gop, rec, f0, None, checks)
@@ -837,8 +825,9 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
         gop = inner
     u = conjugate(gop, OpMatrix.x_op(nw))
     band, down = u.band_profile(order), n - 1 if a else 0  # at a = 0, f = y: the monomials
+    fault = u.band_fault(down, order)
     # an (n+1)-term family has no three-term recurrence to read: a stand-in
-    at, bt, fault = u.three_term(order) if down <= 1 else ([0], [], "")
+    at, bt = u.three_term(order)[:2] if down <= 1 else ([0], [])
     rec = Recurrence(tuple(at), tuple(bt))
     checks.append(flag_check(f"band profile (1,{down})", band == (1, down) and not fault, fault or f"got {band}"))
     # algebraic relation for the inverse transform:

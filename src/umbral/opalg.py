@@ -32,8 +32,8 @@ Comparisons and extractions only ever look at columns up to ``reliable``,
 and ``cut`` drops the columns past a comparison's bound from a product's
 right factor, so that only the compared columns are computed.
 ``three_term`` reads a recurrence off the three diagonals and returns with
-it, for the caller to report as a failed check, the first column's fault:
-an entry outside the band, or a raising entry other than 1.
+it, for the caller to report as a failed check, the first column's fault
+(``band_fault``): an entry outside the band, or a raising entry other than 1.
 
 Binomial composition operators come from the powers of y/f by Lagrange
 inversion (``umbral_compose``); where f' = psi(f) for a polynomial psi, the
@@ -489,31 +489,35 @@ class OpMatrix:
                 down = max(down, ncol - rows[0])
         return up, down
 
+    def band_fault(self, down: int, through: Optional[int] = None) -> str:
+        """The first column's fault against a raising operator of band
+        (1, down), "" when there is none: an entry outside the band, or a
+        raising entry other than 1.  Columns run to the reliable bound and
+        below nw, where the raising entry is stored."""
+        hi = self.reliable if through is None else min(self.reliable, through)
+        for ncol in range(min(hi, self.nw - 1) + 1):
+            den, nums = self.cols[ncol]
+            outside = [row for row, v in enumerate(nums) if v and not ncol - down <= row <= ncol + 1]
+            if outside:
+                return f"entry outside band at ({outside[0]},{ncol})"
+            if nums[ncol + 1] != den:
+                return f"raising entry at column {ncol} is {self.entry(ncol + 1, ncol)}"
+        return ""
+
     def three_term(self, through: Optional[int] = None):
         """Canonical coefficients (a_n, b_n) of x + a_theta + D b_theta, and
         the fault that keeps self from that shape.
 
         Returns (a, b, fault) with a[n] = a_n for 0 <= n <= hi and b[n-1] =
         b_n for 1 <= n <= hi, where hi is the reliable column bound, read off
-        the three diagonals; fault is "" or the first column's fault, an entry
-        outside the band or a raising entry other than 1, for the caller to
+        the three diagonals; fault is `band_fault(1)`, for the caller to
         report as a failed check.
         """
         hi = self.reliable if through is None else min(self.reliable, through)
         hi = min(hi, self.nw - 1)
-        fault = ""
-        for ncol in range(hi + 1):
-            den, nums = self.cols[ncol]
-            outside = [row for row, v in enumerate(nums) if v and abs(row - ncol) > 1]
-            if outside:
-                fault = f"entry outside band at ({outside[0]},{ncol})"
-            elif nums[ncol + 1] != den:
-                fault = f"raising entry at column {ncol} is {self.entry(ncol + 1, ncol)}"
-            if fault:
-                break
         a = [self.entry(ncol, ncol) for ncol in range(hi + 1)]
         b = [self.entry(ncol - 1, ncol) / ncol for ncol in range(1, hi + 1)]
-        return a, b, fault
+        return a, b, self.band_fault(1, hi)
 
     # -- comparison --------------------------------------------------------------
 

@@ -18,14 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .checks import Check, first_failure, flag_check
-from .errors import (
-    ClosedFormRequired,
-    DegenerateB,
-    NodeAtZeroOfP,
-    NotPolynomialCoefficients,
-    OrderExhausted,
-    SingularParams,
-)
+from .errors import DegenerateB, NodeAtZeroOfP, OrderExhausted, SingularParams
 from .indexfn import IndexRatio, Poly
 from .opalg import OpMatrix, conjugate
 from .series import TruncSeries, _from_pairs, _over_common_den, _reduced, as_rat, rationals_from_json
@@ -118,16 +111,6 @@ class ClosedFormRecurrence:
 
     def equals(self, other: "ClosedFormRecurrence") -> bool:
         return self.a_fn.equals(other.a_fn) and self.b_fn.equals(other.b_fn)
-
-
-def assoc_recurrence(rec, c):
-    """Associated (corecursive) recurrence for rational or integer order c."""
-    c = as_rat(c)
-    if isinstance(rec, ClosedFormRecurrence):
-        return rec.assoc(c)
-    if c.denominator != 1 or c < 0:
-        raise ClosedFormRequired("list-backed recurrences support only nonnegative integer association")
-    return rec.shift(int(c))
 
 
 # -- polynomials and numerators -------------------------------------------------
@@ -440,15 +423,6 @@ def numerator_functional_check(fam: OrthoFamily, f0: TruncSeries, upto: int, nam
     return first_failure(name, (flag_check(name, holds(n), f"n={n}") for n in range(upto + 1)))
 
 
-# -- continued-fraction tails ----------------------------------------------------------
-
-
-def assoc_mgf_from_tails(rec: Recurrence, c: int, order: int) -> TruncSeries:
-    """The mgf f0 of rec.shift(c), to `order`: the continued fraction of rec
-    from level c on, read as the moment series of the family associated at c."""
-    return moments_from_recurrence(rec.shift(c), order).f0
-
-
 # -- index-shift operator identity -------------------------------------------------------
 
 
@@ -474,21 +448,11 @@ def assoc_one_from_moment_operator(fam: OrthoFamily, moment_gf: TruncSeries, nw:
 # -- duality ------------------------------------------------------------------------------
 
 
-def dual_coefficients(coeffs: dict) -> dict:
-    """Index duality on closed-form recurrence coefficients:
-    the k-th coefficient function a^k(theta) maps to (-1)^k a^k(k-1-theta)."""
-    out = {}
-    for k, fn in coeffs.items():
-        if not isinstance(fn, IndexRatio):
-            raise NotPolynomialCoefficients("duality needs closed-form index functions")
-        flipped = fn.substitute(Poly([k - 1, -1]))
-        out[k] = flipped * Fraction((-1) ** k)
-    return out
-
-
 def dual_recurrence(cf: ClosedFormRecurrence) -> ClosedFormRecurrence:
-    d = dual_coefficients({0: cf.a_fn, 1: cf.b_fn})
-    return ClosedFormRecurrence(d[0], d[1])
+    """Index duality on closed-form recurrence coefficients: the k-th
+    coefficient function a^k(theta) maps to (-1)^k a^k(k-1-theta), so a(theta)
+    to a(-1-theta) and b(theta) to -b(-theta)."""
+    return ClosedFormRecurrence(cf.a_fn.substitute(Poly([-1, -1])), cf.b_fn.substitute(Poly([0, -1])) * -1)
 
 
 def dual_identity_check(cf: ClosedFormRecurrence, name: str, terms: int = 8) -> Check:
@@ -500,31 +464,20 @@ def dual_identity_check(cf: ClosedFormRecurrence, name: str, terms: int = 8) -> 
     gf = moments_from_recurrence(rec, terms + 3).moment_gf
     lhs = tail_from_moment_gf(gf, terms)
     rhs = tail_from_partial_fractions(fam, terms)
-    return flag_check(name, lhs.coeffs == rhs.coeffs, f"{lhs.coeffs} != {rhs.coeffs}")
+    return flag_check(name, lhs == rhs, f"{lhs} != {rhs}")
 
 
-@dataclass
-class LaurentTail:
-    """Finite expansion c_0/x + c_1/x^2 + ... of a formal tail at infinity."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(as_rat(v) for v in self.coeffs))
-
-    def to_json(self) -> dict:
-        return {"inv_x_coeffs": [str(v) for v in self.coeffs]}
-
-
-def tail_from_moment_gf(moment_gf: TruncSeries, terms: int) -> LaurentTail:
-    """x^(-1) F(x^(-1)) = sum mu_n x^(-n-1)."""
+def tail_from_moment_gf(moment_gf: TruncSeries, terms: int) -> tuple:
+    """The coefficients c_0, c_1, ... of x^(-1) F(x^(-1)) = sum mu_n x^(-n-1)
+    = c_0/x + c_1/x^2 + ..., to `terms` terms."""
     if moment_gf.order < terms - 1:
         raise OrderExhausted("moment series too short for requested tail")
-    return LaurentTail(moment_gf.coeffs[:terms])
+    return moment_gf.coeffs[:terms]
 
 
-def tail_from_partial_fractions(fam: OrthoFamily, terms: int) -> LaurentTail:
-    """Partial sums of sum_n n! B_n / (p_n(x) p_{n+1}(x)) expanded in 1/x."""
+def tail_from_partial_fractions(fam: OrthoFamily, terms: int) -> tuple:
+    """The coefficients of 1/x, 1/x^2, ... in the partial sums of
+    sum_n n! B_n / (p_n(x) p_{n+1}(x)), to `terms` terms."""
     needed = (terms + 1) // 2 + 1
     if fam.size < needed + 1:
         raise OrderExhausted("family too short for requested tail")
@@ -537,4 +490,4 @@ def tail_from_partial_fractions(fam: OrthoFamily, terms: int) -> LaurentTail:
         # 1/(p_n p_{n+1}) = u^deg * inv(u); coefficient j of the tail is u^(j+1)
         for j in range(deg - 1, terms):
             acc[j] += fam.norms[n] * inv.coeffs[j + 1 - deg]
-    return LaurentTail(acc)
+    return tuple(acc)

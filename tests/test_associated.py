@@ -38,7 +38,6 @@ from umbral.families import (
 )
 from umbral.indexfn import IndexRatio, Poly, affine
 from umbral.opalg import OpMatrix
-from umbral.orthocore import assoc_recurrence
 from umbral.series import TruncSeries, exp_series
 
 
@@ -268,7 +267,7 @@ def test_sheffer_assoc_rational_c():
     nested_pass(sheffer_family, ShefferParams(1, 0, 1), 10)
     fam = sheffer_family(ShefferParams(1, 0, 1), 10)
     all_pass(fam.checks)
-    base = assoc_recurrence(fam.closed_form, F(1, 2))
+    base = fam.closed_form.assoc(F(1, 2))
     for n in range(1, 6):
         assert res.recurrence.b_at(n) == base.b_fn(n)
         assert res.recurrence.a_at(n) == base.a_fn(n)

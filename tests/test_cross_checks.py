@@ -839,6 +839,9 @@ def test_a_planted_gop_entry_fails_the_wilson_tridiagonal_flag(n, monkeypatch):
     pytest.param(lambda: ultra_assoc(SHEFFER, ASSOC_C, 10), 5, id="ultra_assoc"),
     pytest.param(lambda: jacobi_assoc(JACOBI, ASSOC_C, 10), 5, id="jacobi_assoc"),
     pytest.param(lambda: wilson_assoc(WILSON, ASSOC_C, 10), 8, id="wilson_assoc"),
+    pytest.param(lambda: ultra_assoc(SHEFFER, 0, 10), 6, id="ultra_assoc_c0"),
+    pytest.param(lambda: jacobi_assoc(JACOBI, 0, 10), 5, id="jacobi_assoc_c0"),
+    pytest.param(lambda: wilson_assoc(WILSON, 0, 10), 9, id="wilson_assoc_c0"),
 ])
 def test_a_build_inverts_no_operator(build, products, monkeypatch):
     """The conjugation lemma is compared on C_tf^(-1)'s side, so no build
@@ -850,7 +853,9 @@ def test_a_build_inverts_no_operator(build, products, monkeypatch):
     inner().  An associated build is ell(L) times W^(-1) inner(c) W, three
     products (Wilson puts C2(c) between them, and Sheffer multiplies its
     base operator by ((y/f)^c)(D) first), and reads ell(L) as a Toeplitz
-    operator, not as theta! ell(D) theta!^(-1)."""
+    operator, not as theta! ell(D) theta!^(-1).  At c = 0 the base operator
+    the tails and the c=0 reduction read is that W^(-1) inner(0) W, built
+    once."""
     count = Counter()
     invert, matmul = OpMatrix.inverse, OpMatrix.__matmul__
 

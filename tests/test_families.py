@@ -219,6 +219,23 @@ def test_multiterm_extended_band():
     assert u.band_profile(10) == (1, 2)
 
 
+def test_multiterm_band_check_reads_every_raising_entry(monkeypatch):
+    # a four-term family, band (1,2): a raising entry other than 1 fails the
+    # band check with the column scan's witness, as it does at band (1,1)
+    solve = families.conjugate
+
+    def raising_entry_in_column_3(m, t):
+        u = solve(m, t)
+        rows = u.mat
+        rows[4][3] = F(10, 3)
+        return OpMatrix(rows, u.nw, u.raised, u.reliable)
+
+    monkeypatch.setattr(families, "conjugate", raising_entry_in_column_3)
+    res = multiterm_family(MultiTermParams(3, F(1, 2), F(1, 3), (F(1, 3), F(1, 3), F(1, 6), F(1, 6))), 5)
+    failed = [(c.name, c.witness) for c in res.checks if not c.passed]
+    assert failed == [("band profile (1,2)", "raising entry at column 3 is 10/3")]
+
+
 def test_multiterm_weight_guard():
     with pytest.raises(SingularParams):
         MultiTermParams(3, 1, 1, (F(1, 2), F(1, 2), F(1, 2)))

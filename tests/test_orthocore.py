@@ -3,16 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from umbral.errors import ClosedFormRequired, DegenerateB, NodeAtZeroOfP, OrderExhausted, SingularParams
+from umbral.errors import DegenerateB, NodeAtZeroOfP, OrderExhausted, SingularParams
 from umbral.families import JacobiParams, ShefferParams, jacobi_closed_form, ultraspherical_closed_form
 from umbral.indexfn import IndexRatio, Poly, affine
 from umbral.orthocore import (
     ClosedFormRecurrence,
     assoc_one_identity_check,
     Recurrence,
-    assoc_mgf_from_tails,
     assoc_one_from_moment_operator,
-    assoc_recurrence,
     cd_kernel_identity_check,
     christoffel_darboux,
     determinant_identity_check,
@@ -262,17 +260,17 @@ def test_orthocore_checks_name_the_failing_n():
 
 def test_tails_level_zero_is_moment_gf():
     rec = chebyshev_rec(12)
-    assert assoc_mgf_from_tails(rec, 0, 10) == moments_from_recurrence(rec, 10).f0
+    assert moments_from_recurrence(rec.shift(0), 10).f0 == moments_from_recurrence(rec, 10).f0
 
 
 def test_chebyshev_self_similarity():
     rec = chebyshev_rec(14)
-    assert assoc_mgf_from_tails(rec, 1, 10) == assoc_mgf_from_tails(rec, 0, 10)
+    assert moments_from_recurrence(rec.shift(1), 10).f0 == moments_from_recurrence(rec, 10).f0
 
 
 def test_assoc_recurrence_integer():
     rec = chebyshev_rec(10)
-    shifted = assoc_recurrence(rec, 2)
+    shifted = rec.shift(2)
     assert shifted.a == rec.a[2:]
     assert shifted.b[:4] == tuple((2 + n) * rec.b[1 + n] / n for n in range(1, 5))
 
@@ -324,15 +322,10 @@ def test_index_poly_is_exact():
     assert Poly([1, 0, 1])(y + 1) == TruncSeries.from_polynomial([2, 2, 1], 4)
 
 
-def test_assoc_requires_closed_form_for_rational_c():
-    with pytest.raises(ClosedFormRequired):
-        assoc_recurrence(chebyshev_rec(6), F(1, 2))
-
-
 def test_assoc_first_shift_display():
     rng = random.Random(23)
     rec = random_recurrence(rng, 10)
-    shifted = assoc_recurrence(rec, 1)
+    shifted = rec.shift(1)
     for n in range(1, 6):
         assert shifted.a[n] == rec.a[n + 1]
         assert shifted.b[n - 1] == (1 + n) * rec.b_at(1 + n) / n
@@ -346,7 +339,7 @@ def test_assoc_one_operator_hermite():
     fam = polys_from_recurrence(rec, 20)
     gf = moments_from_recurrence(rec, 12).moment_gf
     op = assoc_one_from_moment_operator(fam, gf, 12)
-    assoc_fam = polys_from_recurrence(assoc_recurrence(rec, 1), 12)
+    assoc_fam = polys_from_recurrence(rec.shift(1), 12)
     # hand-checked values
     assert op.apply_poly(Poly([1])) == Poly([1])
     assert op.apply_poly(Poly([0, 0, 1])) == Poly([-2, 0, 1])
@@ -360,7 +353,7 @@ def test_assoc_one_operator_random():
     fam = polys_from_recurrence(rec, 20)
     gf = moments_from_recurrence(rec, 12).moment_gf
     op = assoc_one_from_moment_operator(fam, gf, 12)
-    assoc_fam = polys_from_recurrence(assoc_recurrence(rec, 1), 12)
+    assoc_fam = polys_from_recurrence(rec.shift(1), 12)
     for n in range(9):
         assert op.apply_poly(Poly([0] * n + [1])) == assoc_fam.polys[n]
 
@@ -395,7 +388,7 @@ def test_negative_index_tail_identity_chebyshev():
     gf = moments_from_recurrence(rec, 12).moment_gf
     lhs = tail_from_moment_gf(gf, 8)
     rhs = tail_from_partial_fractions(fam, 8)
-    assert lhs.coeffs == rhs.coeffs
+    assert lhs == rhs
 
 
 def test_negative_index_tail_identity_hermite_dual():
@@ -406,7 +399,7 @@ def test_negative_index_tail_identity_hermite_dual():
     gf = moments_from_recurrence(dual_rec, 12).moment_gf
     lhs = tail_from_moment_gf(gf, 8)
     rhs = tail_from_partial_fractions(fam, 8)
-    assert lhs.coeffs == rhs.coeffs
+    assert lhs == rhs
 
 
 def test_assoc_one_identity_wrapper():
@@ -497,9 +490,9 @@ def test_truncate_names_a_pole_in_a_and_ignores_b_at_zero():
 
 def test_assoc_zero_is_identity_on_closed_forms():
     cf = ClosedFormRecurrence(IndexRatio(Poly([1, 2])), IndexRatio(Poly([3, 1])))
-    assert assoc_recurrence(cf, 0) is cf
+    assert cf.assoc(0) is cf
     rec = chebyshev_rec(6)
-    assert assoc_recurrence(rec, 0) is rec
+    assert rec.shift(0) is rec
 
 
 # ---- moments <-> recurrence against weighted Motzkin paths -----------------------

@@ -95,7 +95,6 @@ UNREAD_IN_SRC = {
     "series.TruncSeries.log": "bench/tracing.py METHODS wraps it",
     "series.geometric_series": "the series tests' closed-form reference",
     "series.log1p_series": "the series tests' closed-form reference",
-    "orthocore.assoc_recurrence": "a public name in umbral.__all__",
     "orthocore.dual_series_checks": "kept for ROADMAP item 7 (index duality over every family)",
     "orthocore.christoffel_darboux": "kept for ROADMAP item 8 (spectral transforms)",
 }
