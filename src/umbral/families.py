@@ -24,6 +24,7 @@ from .opalg import OpMatrix, conjugate, mgf_from_gop
 from .orthocore import ClosedFormRecurrence, Recurrence, moments_from_recurrence
 from .series import (
     TruncSeries,
+    _reduced,
     as_rat,
     exp_series,
     psi_diagonal,
@@ -290,17 +291,17 @@ def diag_conj(values: Sequence, op: OpMatrix) -> OpMatrix:
 
 def x_times(values: Sequence, nw: int) -> OpMatrix:
     """x * g(theta): multiply then shift degree up."""
-    return OpMatrix.x_op(nw) @ OpMatrix.diag_op(values, nw)
+    return OpMatrix.banded({1: values}, nw)
+
+
+def d_weights(values: Sequence) -> list:
+    """n values[n-1] in column n: the subdiagonal of g(theta) D, or of D b_theta for values b_1, b_2, ..."""
+    return [n * v for n, v in enumerate([0, *values])]
 
 
 def coeff_then_d(values: Sequence, nw: int) -> OpMatrix:
     """g(theta) * D in display order (D acts first)."""
-    return OpMatrix.diag_op(values, nw) @ OpMatrix.d_op(nw)
-
-
-def d_then_coeff(values: Sequence, nw: int) -> OpMatrix:
-    """D * b_theta in the canonical order (the coefficient acts first)."""
-    return OpMatrix.d_op(nw) @ OpMatrix.diag_op(values, nw)
+    return OpMatrix.banded({-1: d_weights(values)}, nw)
 
 
 @dataclass
@@ -403,6 +404,17 @@ def wilson_op(core: ShefferCore, p: WilsonParams, c2: OpMatrix) -> OpMatrix:
     return c2 @ deformed_op(core, p.mixing_ratio, 0)
 
 
+def lemma_resolvent(tf: TruncSeries, sigma: Fraction, nw: int) -> OpMatrix:
+    """R = 1 + sigma x tf(D) with raised 1: for sigma = p/q, column n of
+    tf(D) moved down a row, times p, plus q times its denominator in row n."""
+    p, q = sigma.as_integer_ratio()
+    cols = [
+        _reduced(q * den, [p * v + (i == n) * q * den for i, v in enumerate([0, *nums[:nw]])])
+        for n, (den, nums) in enumerate(OpMatrix.series_of_d(tf, nw).cols)
+    ]
+    return OpMatrix._of(cols, nw, 1, nw)
+
+
 def conjugation_trick_checks(core: ShefferCore, sigma, through: Optional[int] = None) -> list:
     """The load-bearing lemma: for any nonzero sigma,
 
@@ -426,11 +438,11 @@ def conjugation_trick_checks(core: ShefferCore, sigma, through: Optional[int] = 
     """
     sigma = as_rat(sigma)
     nw = core.nw
-    x, dg = OpMatrix.x_op(nw), OpMatrix.diag_op(IndexRatio(1, Poly([1, sigma])).values(nw + 1), nw)
-    x_dg = x @ dg
+    dg_vals = IndexRatio(1, Poly([1, sigma])).values(nw + 1)
+    x_dg, dg = x_times(dg_vals, nw), OpMatrix.diag_op(dg_vals, nw)
     fpow = core.fpow(-1 / sigma)
-    y = core.c_tf_inv @ (x @ fpow).cut(through)
-    resolvent = OpMatrix.identity(nw) + (x @ OpMatrix.series_of_d(core.tf, nw)).scale(sigma)
+    y = core.c_tf_inv @ (OpMatrix.x_op(nw) @ fpow).cut(through)
+    resolvent = lemma_resolvent(core.tf, sigma, nw)
     name = f"conjugation-trick sigma={sigma}"
     inner = core.inner(1 / sigma - 1 / core.lam).cut(through)
     return [
@@ -498,7 +510,7 @@ def closed_form_raising(cf: ClosedFormRecurrence, nw: int, a0=None) -> OpMatrix:
     continuity fixes the value.  A pole at an index <= nw raises
     SingularParams."""
     rec = cf.truncate(nw, a0)
-    return OpMatrix.x_op(nw) + OpMatrix.diag_op(rec.a, nw) + d_then_coeff((0,) + rec.b, nw)
+    return OpMatrix.banded({1: [1] * (nw + 1), 0: rec.a, -1: d_weights(rec.b)}, nw)
 
 
 # -- base family -----------------------------------------------------------------
@@ -702,21 +714,18 @@ def jacobi_split_displays(p: JacobiParams, nw: int, c=0) -> tuple[OpMatrix, OpMa
     one_m, two_lam = Poly([1 + c, 1]), Poly([2 + lam * c, lam])  # 1 + m, 2 + lam m
     one_lam, one_kappa = Poly([1 + lam * c, lam]), Poly([1 + kappa * c, kappa])  # 1 + lam m, 1 + kappa m
     coeff = lam * a * a / 4 * two_lam
-    lam_part = (
-        x_times(IndexRatio(one_m, Poly([1, 1]) * one_lam).values(count), nw)
-        + OpMatrix.diag_op([a] * count, nw)
-        + coeff_then_d(IndexRatio(coeff, one_lam + lam).values(count), nw)
-    )
+
+    def part(one, diagonal, d_den):
+        """x (1+m)/((1+theta) one) + diagonal + (coeff/d_den)(theta) D"""
+        x_vals, d_vals = IndexRatio(one_m, Poly([1, 1]) * one).values(count), IndexRatio(coeff, d_den).values(count)
+        return OpMatrix.banded({1: x_vals, 0: diagonal, -1: d_weights(d_vals)}, nw)
+
+    lam_part = part(one_lam, [a] * count, one_lam + lam)
     # a/2 (2+lam m)/(1+kappa m) + a/2 lam m/(1+kappa(m-1)); the second term is
     # 0 * 0/0 at m = 0, which parameter continuity resolves to 0
     first = IndexRatio(a / 2 * two_lam, one_kappa)
     diag = first + IndexRatio(a / 2 * lam * Poly([c, 1]), one_kappa - kappa)
-    kappa_part = (
-        x_times(IndexRatio(one_m, Poly([1, 1]) * one_kappa).values(count), nw)
-        + OpMatrix.diag_op([first(n) if n + c == 0 else diag(n) for n in range(count)], nw)
-        + coeff_then_d(IndexRatio(coeff, one_kappa).values(count), nw)
-    )
-    return lam_part, kappa_part
+    return lam_part, part(one_kappa, [first(n) if n + c == 0 else diag(n) for n in range(count)], one_kappa)
 
 
 def jacobi_mgf_forms(p: JacobiParams, order: int) -> tuple[TruncSeries, TruncSeries]:
@@ -796,7 +805,7 @@ def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> F
     _, rec, fault = extract_recurrence(gop)
     checks.append(flag_check("raising operator tridiagonal", not fault, fault))
     # bracket identity H C2^(-1) x C2 H^(-1) == display, crossed: x C2 == C2 H^(-1) display H
-    display = x_times(p.mixing_ratio.values(nw + 1), nw) - OpMatrix.diag_op(p.ells(nw + 1), nw)
+    display = OpMatrix.banded({1: p.mixing_ratio.values(nw + 1), 0: [-v for v in p.ells(nw + 1)]}, nw)
     hvals = p.mixing_ratio.products(nw + 1)
     checks.append(conjugation_check("bracket identity", c2, OpMatrix.x_op(nw), diag_conj(hvals, display), order))
     f0 = mgf_from_gop(gop).truncate(order)
@@ -871,11 +880,11 @@ def comment_generator_bands(p: JacobiParams, order: int, margin: int = FAMILY_MA
     established = {
         "x/(1+lam theta)": x_times(IndexRatio(1, Poly([1, lam])).values(count), nw),
         "x/(1+kappa theta)": x_times(IndexRatio(1, Poly([1, kappa])).values(count), nw),
-        "x - 2 lam a theta": OpMatrix.x_op(nw) - OpMatrix.diag_op(affine(0, 2 * lam * a).values(count), nw),
-        "x(1+lam theta) - lam a(2-lam+2 lam theta)theta": (
-            x_times(affine(1, lam).values(count), nw)
-            - OpMatrix.diag_op(IndexRatio(a * lam * Poly([0, 2 - lam, 2 * lam])).values(count), nw)
-        ),
+        "x - 2 lam a theta": OpMatrix.banded({1: [1] * count, 0: affine(0, -2 * lam * a).values(count)}, nw),
+        "x(1+lam theta) - lam a(2-lam+2 lam theta)theta": OpMatrix.banded({
+            1: affine(1, lam).values(count),
+            0: IndexRatio(-a * lam * Poly([0, 2 - lam, 2 * lam])).values(count),
+        }, nw),
     }
     inner = core.inner()
     bands = {name: conjugate(inner, t).band_profile(order) for name, t in established.items()}

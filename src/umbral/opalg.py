@@ -5,16 +5,16 @@ the coefficient of x^m in T.x^n.  It is stored by columns, as integers:
 ``cols[n] = (den, nums)`` is the image of x^n, entry (m, n) = nums[m]/den,
 kept canonical (den > 0 and gcd(den, *nums) == 1, so a zero column is
 (1, [0, ...])).  Equal columns therefore have equal storage, and every
-kernel below (products, sums, bar, back substitution, the constructors)
-reads and writes integers only, reducing each result column once;
-polynomials and series (``column_poly``, ``apply_poly``, ``apply_series``)
-share that storage.  Fractions are made only at the boundary: the
-``OpMatrix(rows, ...)`` constructor takes them, ``column``/``entry``,
-``three_term``, comparison witnesses and the ``mat`` property (a fresh
-row-major Fraction copy, read by tools such as the benchmark tracer) give
-them back.  An OpMatrix keeps nothing else, and no engine path inverts one:
-``inverse()`` is the tests' reference for the solvers that read only what
-they need.
+kernel below reads and writes integers only and reduces each result column
+at most once: ``banded`` never needs to, and a product skips it for columns
+its shortcuts prove canonical (see ``__matmul__``).  Polynomials and series
+(``column_poly``, ``apply_poly``, ``apply_series``) share that storage.
+Fractions are made only at the boundary: the ``OpMatrix(rows, ...)``
+constructor takes them, ``column``/``entry``, ``three_term``, comparison
+witnesses and the ``mat`` property (a fresh row-major Fraction copy, read by
+tools such as the benchmark tracer) give them back.  An OpMatrix keeps
+nothing else, and no engine path inverts one: ``inverse()`` is the tests'
+reference for the solvers that read only what they need.
 
 Next to the matrix sit two pieces of truncation bookkeeping:
 
@@ -101,17 +101,20 @@ class OpMatrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _one_per_column(cls, entries: Sequence, nw: int, raised: int = 0) -> "OpMatrix":
-        """The operator whose column n holds the single entry
-        entries[n] = (row, value), or nothing when entries[n] is None."""
+    def banded(cls, diagonals: dict, nw: int) -> "OpMatrix":
+        """Column n holds values[n] (int or Fraction) in row n + k for each
+        diagonal k -> values, rows past 0..nw dropped; raised is max(0, k).
+        Over the lcm of its denominators a column is canonical with no gcd:
+        a p^e exactly dividing the lcm exactly divides some entry's q, and p
+        divides neither lcm/q nor that entry's numerator."""
         cols = []
-        for entry in entries:
-            nums, den = [0] * (nw + 1), 1
-            if entry is not None:
-                row, v = entry
-                nums[row], den = as_rat(v).as_integer_ratio()
+        for n in range(nw + 1):
+            entries = [(n + k, vals[n].as_integer_ratio()) for k, vals in diagonals.items() if 0 <= n + k <= nw]
+            den, nums = math.lcm(*[q for _, (_, q) in entries]), [0] * (nw + 1)
+            for row, (p, q) in entries:
+                nums[row] = p * (den // q)
             cols.append((den, nums))
-        return cls._of(cols, nw, raised, nw)
+        return cls._of(cols, nw, max(0, *diagonals), nw)
 
     @classmethod
     def identity(cls, nw: int) -> "OpMatrix":
@@ -119,23 +122,23 @@ class OpMatrix:
 
     @classmethod
     def x_op(cls, nw: int) -> "OpMatrix":
-        return cls._one_per_column([(n + 1, 1) for n in range(nw)] + [None], nw, raised=1)
+        return cls.banded({1: [1] * (nw + 1)}, nw)
 
     @classmethod
     def d_op(cls, nw: int) -> "OpMatrix":
-        return cls._one_per_column([None] + [(n - 1, n) for n in range(1, nw + 1)], nw)
+        return cls.banded({-1: range(nw + 1)}, nw)
 
     @classmethod
     def l_op(cls, nw: int) -> "OpMatrix":
         """The 0-derivative: x^n -> x^(n-1), 1 -> 0."""
-        return cls._one_per_column([None] + [(n - 1, 1) for n in range(1, nw + 1)], nw)
+        return cls.banded({-1: [1] * (nw + 1)}, nw)
 
     @classmethod
     def diag_op(cls, values, nw: int) -> "OpMatrix":
         vals = list(values)
         if len(vals) < nw + 1:
             raise OrderExhausted("not enough diagonal values for working order")
-        return cls._one_per_column([(n, vals[n]) for n in range(nw + 1)], nw)
+        return cls.banded({0: vals}, nw)
 
     @classmethod
     def series_of_d(cls, ell: TruncSeries, nw: int) -> "OpMatrix":
@@ -327,20 +330,48 @@ class OpMatrix:
         over the columns A_k / d_k of self, so each column is summed in
         integers over the lcm of the d_k it uses, times its own
         denominator in other, and reduced once.  Zero entries are skipped,
-        which is what makes triangular and banded factors cheap.
+        which is what makes triangular and banded factors cheap.  Two kinds
+        of column skip that gcd over the whole column:
+        * self a unit shift (x, L: each column 0 or a single 1, in distinct
+          rows).  Column j is other's canonical column j with its numerators
+          moved; only one that loses a nonzero to a zero column of self
+          (x's last) is reduced.
+        * One term, b/b_d the only entry of other's column to meet a nonzero
+          column N/d of self (x, D, a diagonal on the right).  With g =
+          gcd(d, b), d/g is coprime to content(N) and to b/g, so when
+          gcd(b_d, b/g) = 1 (b the column's only nonzero) N (b/g)/((d/g) b_d)
+          reduces by gcd(b_d, content(N)) alone, a loop from the small b_d.
         """
         self._check_shape(other)
         a_dens = [d for d, _ in self.cols]
         a_cols = [[(i, v) for i, v in enumerate(nums) if v] for _, nums in self.cols]
         size = self.nw + 1
+        moves = [(k, c[0][0]) for k, c in enumerate(a_cols) if c]  # (column, row of its 1) in a unit shift
+        zeros = [k for k, c in enumerate(a_cols) if not c]
+        shift = all(len(c) == 1 and c[0][1] == 1 == a_dens[k] for k, c in enumerate(a_cols) if c)
+        shift = shift and len({r for _, r in moves}) == len(moves)
         out = []
         for b_den, b_nums in other.cols:
+            if shift:
+                acc = [0] * size
+                for k, r in moves:
+                    acc[r] = b_nums[k]
+                out.append(_reduced(b_den, acc) if any(b_nums[k] for k in zeros) else (b_den, acc))
+                continue
             # b_kj / d_k in lowest terms keeps the common denominator small
             terms = []
             for k, b in enumerate(b_nums):
                 if b and a_cols[k]:
                     g = math.gcd(b, a_dens[k])
                     terms.append((a_cols[k], b // g, a_dens[k] // g))
+            if len(terms) == 1 and math.gcd(b_den, terms[0][1]) == 1:
+                col, b, d = terms[0]
+                den, part = _reduced(b_den, [v for _, v in col])  # both over gcd(b_d, content(N))
+                acc = [0] * size
+                for (i, _), v in zip(col, part):
+                    acc[i] = v * b
+                out.append((d * den, acc))
+                continue
             den = math.lcm(*[d for _, _, d in terms])
             acc = [0] * size
             for col, b, d in terms:

@@ -13,7 +13,17 @@ from umbral.errors import (
     OrderExhausted,
     ReliabilityExhausted,
 )
-from umbral.families import diag_conj
+from umbral.families import (
+    JacobiParams,
+    ShefferParams,
+    closed_form_raising,
+    coeff_then_d,
+    diag_conj,
+    jacobi_closed_form,
+    lemma_resolvent,
+    sheffer_closed_form,
+    x_times,
+)
 from umbral.indexfn import IndexRatio, Poly, affine
 from umbral.opalg import OpMatrix, mgf_from_gop
 from umbral.series import TruncSeries, exp_series, riccati_series
@@ -391,18 +401,45 @@ def true_raise(mat):
     return max((m - n for m, row in enumerate(mat) for n, v in enumerate(row) if v != 0), default=0)
 
 
+huge = st.builds(F, st.integers(-(2**600), 2**600), st.integers(1, 2**400))  # several hundred bits
+
+
 @st.composite
-def op_matrices(draw, nw, invertible=False):
-    """Dense, upper-triangular or banded operators, with zero rows and columns.
+def op_matrices(draw, nw, invertible=False, shape=None):
+    """Dense, upper-triangular or banded operators, with zero rows and columns,
+    and the factors `__matmul__` takes a shortcut for: unit shifts (x, L, or
+    1s in distinct random rows; repeated rows must take no shortcut),
+    diagonals with zero entries, and single-entry columns with wide or huge
+    values of either sign, near the diagonal and in the last row in the last
+    column.  Zero columns are drawn in every shape.
 
     `raise_` bounds m - n on nonzero entries (0: triangular, nw: dense) and
-    `width`, when set, bounds n - m (a band above the diagonal too).
+    `width`, when set, bounds n - m (a band above the diagonal too); the
+    other shapes book their true raise.  `shape` picks one shape.
     """
+    zero_cols = draw(st.sets(st.integers(0, nw), max_size=2))
+    mat = [[F(0)] * (nw + 1) for _ in range(nw + 1)]
+    if shape is None:
+        shape = "banded" if invertible else draw(st.sampled_from(["banded", "shift", "diagonal", "single"]))
+    if shape != "banded":
+        if shape == "shift":
+            offset = draw(st.sampled_from([1, -1, None]))  # x, L, or 1s in random rows
+            rows = [n + offset for n in range(nw + 1)] if offset else draw(st.one_of(
+                st.permutations(range(nw + 1)), st.lists(st.integers(0, nw), min_size=nw + 1, max_size=nw + 1)
+            ))
+            entries = [(row, F(1)) for row in rows]
+        elif shape == "diagonal":
+            entries = [(n, draw(st.one_of(st.just(F(0)), wide))) for n in range(nw + 1)]
+        else:
+            rows = [draw(st.integers(max(0, n - 1), n + 1)) for n in range(nw)] + [nw]  # the last row on purpose
+            entries = [(row, draw(st.one_of(wide, huge))) for row in rows]
+        for n, (row, v) in enumerate(entries):
+            if n not in zero_cols and 0 <= row <= nw:
+                mat[row][n] = v
+        return OpMatrix(mat, nw, max(0, true_raise(mat)), draw(st.integers(0, nw)))
     raise_ = 0 if invertible else draw(st.sampled_from([0, 1, 2, nw]))
     width = draw(st.sampled_from([None, 1, 2]))
     zero_rows = set() if invertible else draw(st.sets(st.integers(0, nw), max_size=2))
-    zero_cols = draw(st.sets(st.integers(0, nw), max_size=2))
-    mat = [[F(0)] * (nw + 1) for _ in range(nw + 1)]
     for m in range(nw + 1):
         for n in range(nw + 1):
             if invertible and m == n:
@@ -414,24 +451,65 @@ def op_matrices(draw, nw, invertible=False):
     return OpMatrix(mat, nw, raise_, reliable)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_matmul_matches_fraction_loops(data):
+    """Any two drawn operators, and a drawn unit shift (or 1s in repeated
+    rows) and a drawn diagonal times the same right factor."""
     nw = data.draw(st.integers(1, 7))
-    a = data.draw(op_matrices(nw))
     b = data.draw(op_matrices(nw))
-    reliable = min(b.reliable, a.reliable - b.raised, nw - b.raised)
-    if reliable < 0:
-        with pytest.raises(ReliabilityExhausted):
-            a @ b
-        return
-    c = a @ b
-    expected = reference_matmul(a.mat, b.mat)
-    assert c.mat == expected
-    assert [[str(v) for v in row] for row in c.mat] == [[str(v) for v in row] for row in expected]
-    assert (c.raised, c.reliable) == (a.raised + b.raised, reliable)
-    assert true_raise(c.mat) <= c.raised
-    assert_canonical_columns(c)
+    for shape in (None, "shift", "diagonal"):
+        a = data.draw(op_matrices(nw, shape=shape))
+        reliable = min(b.reliable, a.reliable - b.raised, nw - b.raised)
+        if reliable < 0:
+            with pytest.raises(ReliabilityExhausted):
+                a @ b
+            continue
+        c = a @ b
+        expected = reference_matmul(a.mat, b.mat)
+        assert c.mat == expected
+        assert [[str(v) for v in row] for row in c.mat] == [[str(v) for v in row] for row in expected]
+        assert (c.raised, c.reliable) == (a.raised + b.raised, reliable)
+        assert true_raise(c.mat) <= c.raised
+        assert_canonical_columns(c)
+
+
+def assert_same_operator(got, expected):
+    assert (got.cols, got.raised, got.reliable) == (expected.cols, expected.raised, expected.reliable)
+
+
+@pytest.mark.parametrize("nw", [0, 1, 5, 12])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_banded_displays_match_the_product_and_sum_route(nw, data):
+    """Each display built directly by `OpMatrix.banded` (and the lemma's
+    resolvent, column by column) against the products and sums it replaces."""
+    def values():
+        return data.draw(st.lists(st.one_of(st.just(F(0)), wide, huge), min_size=nw + 1, max_size=nw + 1))
+
+    a, b = values(), values()
+    x, d = OpMatrix.x_op(nw), OpMatrix.d_op(nw)
+    assert_same_operator(x_times(a, nw), x @ OpMatrix.diag_op(a, nw))
+    assert_same_operator(coeff_then_d(a, nw), OpMatrix.diag_op(a, nw) @ d)
+    d_b = OpMatrix.banded({-1: [n * v for n, v in enumerate(b)]}, nw)
+    assert_same_operator(d_b, d @ OpMatrix.diag_op(b, nw))
+    raising = OpMatrix.banded({1: [1] * (nw + 1), 0: a, -1: [n * v for n, v in enumerate(b)]}, nw)
+    assert_same_operator(raising, x + OpMatrix.diag_op(a, nw) + d @ OpMatrix.diag_op(b, nw))
+    tf = TruncSeries([0, 1] + data.draw(st.lists(st.one_of(wide, huge), min_size=nw, max_size=nw)))
+    sigma = data.draw(nonzero_wide)
+    identity_plus = OpMatrix.identity(nw) + (x @ OpMatrix.series_of_d(tf, nw)).scale(sigma)
+    assert_same_operator(lemma_resolvent(tf, sigma, nw), identity_plus)
+
+
+@pytest.mark.parametrize("nw", [0, 1, 5, 12])
+def test_closed_form_raising_matches_the_product_and_sum_route(nw):
+    for cf, a0 in [
+        (sheffer_closed_form(ShefferParams(F(1, 2), F(-1, 3), F(2, 5))), None),
+        (jacobi_closed_form(JacobiParams(F(1, 3), F(2, 5), F(3, 7))), F(2, 5)),
+    ]:
+        rec = cf.truncate(nw, a0)
+        old = OpMatrix.x_op(nw) + OpMatrix.diag_op(rec.a, nw) + OpMatrix.d_op(nw) @ OpMatrix.diag_op((0,) + rec.b, nw)
+        assert_same_operator(closed_form_raising(cf, nw, a0), old)
 
 
 @settings(max_examples=60, deadline=None)
