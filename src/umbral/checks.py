@@ -23,10 +23,16 @@ class Check:
 
 
 def op_check(name: str, lhs: OpMatrix, rhs: OpMatrix, through=None) -> Check:
-    diff = lhs.first_difference(rhs, through)
-    if diff is None:
+    return difference_check(name, lhs.first_difference(rhs, through))
+
+
+def difference_check(name: str, *diffs) -> Check:
+    """Passes when every `OpMatrix.first_difference` in `diffs` is None (its
+    operators equal), else shows the difference in the earliest column."""
+    found = [d for d in diffs if d is not None]
+    if not found:
         return Check(name, True)
-    m, n, a, b = diff
+    m, n, a, b = min(found, key=lambda d: d[1])
     return Check(name, False, f"entry ({m},{n}): {a} != {b}")
 
 

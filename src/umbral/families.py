@@ -17,14 +17,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .checks import Check, conjugation_check, first_failure, flag_check, op_check, series_check, value_check
+from .checks import (Check, conjugation_check, difference_check, first_failure, flag_check, op_check, series_check,
+                     value_check)
 from .errors import DiagSingular, SingularParams
 from .indexfn import IndexRatio, Poly, affine
 from .opalg import OpMatrix, conjugate, mgf_from_gop
 from .orthocore import ClosedFormRecurrence, Recurrence, moments_from_recurrence
 from .series import (
     TruncSeries,
-    _reduced,
     as_rat,
     exp_series,
     psi_diagonal,
@@ -311,8 +311,8 @@ class ShefferCore:
     each diagonal G_alpha = f'(omega)^alpha omega' are read off psi in
     O(nw^2).  fpow, inner, diagonal and fprime_omega_pow make each value
     once, c_f and c_tf_inv are made on first use.  No core makes C_tf or
-    inverts an operator (see `conjugation_trick_checks`), and only that lemma
-    reads C_tf^(-1)."""
+    inverts an operator; only the conjugation lemma reads C_tf^(-1) (in Y per
+    sigma, column 0 once) and tf(D) (once; see `conjugation_trick_checks`)."""
 
     lam: Fraction
     f: TruncSeries
@@ -404,51 +404,46 @@ def wilson_op(core: ShefferCore, p: WilsonParams, c2: OpMatrix) -> OpMatrix:
     return c2 @ deformed_op(core, p.mixing_ratio, 0)
 
 
-def lemma_resolvent(tf: TruncSeries, sigma: Fraction, nw: int) -> OpMatrix:
-    """R = 1 + sigma x tf(D) with raised 1: for sigma = p/q, column n of
-    tf(D) moved down a row, times p, plus q times its denominator in row n."""
-    p, q = sigma.as_integer_ratio()
-    cols = [
-        _reduced(q * den, [p * v + (i == n) * q * den for i, v in enumerate([0, *nums[:nw]])])
-        for n, (den, nums) in enumerate(OpMatrix.series_of_d(tf, nw).cols)
-    ]
-    return OpMatrix._of(cols, nw, 1, nw)
+def conjugation_trick_checks(core: ShefferCore, sigmas: tuple, through: Optional[int] = None) -> list:
+    """The load-bearing lemma: for each nonzero sigma in `sigmas`,
 
+        E1 = C_tf x G C_tf^(-1),  E2 = x F R^(-1) F^(-1),  E3 = x F C_f G C_f^(-1) F^(-1)
 
-def conjugation_trick_checks(core: ShefferCore, sigma, through: Optional[int] = None) -> list:
-    """The load-bearing lemma: for any nonzero sigma,
-
-        C_tf x (1+sigma theta)^(-1) C_tf^(-1)
-          = x f'(D)^(-1/sigma) (1 + sigma x (f/f')(D))^(-1) f'(D)^(1/sigma)
-          = x f'(D)^(-1/sigma) C_f (1+sigma theta)^(-1) C_f^(-1) f'(D)^(1/sigma)
-
-    verified as exact matrix equalities before each construction uses it,
-    with no inverse: for F = f'(D)^(-1/sigma), R = 1 + sigma x (f/f')(D) and
-    Dg = (1+sigma theta)^(-1), as x Dg C_tf^(-1) F R == Y and
-    x Dg inner(1/sigma - 1/lam) == Y C_f Dg with Y = C_tf^(-1) x F: these are
-    C_tf^(-1) E F R = 0 and C_tf^(-1) E F C_f = 0 for each displayed
-    difference E.  F R and F C_f are invertible upper triangular and
-    C_tf^(-1) is upper triangular with diagonal tf'(0)^n = 1, so each form
-    first fails in the column its displayed form does (see
-    `checks.conjugation_check`).  inner is read off psi, so the composition
-    form also compares it with its product route.  Both sides keep
-    reliable >= nw - 1 (R's book-kept raise of 1 trims one column), so the
-    compared block, the only columns computed (`OpMatrix.cut`), is columns
-    0..through for every caller's `through`.
+    for G = (1+sigma theta)^(-1), F = f'(D)^(-1/sigma), R = 1 + sigma x tf(D)
+    and tf = f/f', compared exactly with no inverse.  E2 = E3 is
+    R C_f = C_f G^(-1), i.e. S = x tf(D) C_f - C_f theta = 0: free of sigma,
+    so compared once per core.  E1 = E3 is each sigma's "(composition form)"
+    A = x G inner(1/sigma - 1/lam) - Y C_f G = 0, Y = C_tf^(-1) x F, which is
+    C_tf^(-1) (E1 - E3) F C_f for inner = C_tf^(-1) F C_f (so A also checks
+    the psi-built inner).  E1 = E2 was B = x G C_tf^(-1) F R - Y = 0, that is
+    C_tf^(-1) (E1 - E2) F R = 0; R C_f = C_f G^(-1) + sigma S gives
+    B C_f = A G^(-1) + sigma x G C_tf^(-1) F S.  C_f and G^(-1) = 1 + sigma theta
+    are upper triangular with a nonzero diagonal (the guards keep
+    1 + sigma n != 0, R's diagonal too), so M is 0 on columns 0..j exactly
+    when M C_f or M G^(-1) is, and column j of the last term reads S_j alone:
+    S = A = 0 there give B = 0, and B = A = 0 give S = 0 (x G C_tf^(-1) F is
+    injective).  So under inner = C_tf^(-1) F C_f, which the pair (B, A) needs
+    as well to give E2 = E3, neither pair is weaker, and B fails no earlier
+    than S or A.  It also makes C_tf^(-1) e_0 = inner e_0 = e_0, read by B but
+    not by Y, so each sigma's "(resolvent form)" passes when S, its A and
+    C_tf^(-1) e_0 == e_0 all do, else shows their earliest failing column.
+    Every product computes only the compared columns 0..through (`cut`).
     """
-    sigma = as_rat(sigma)
     nw = core.nw
-    dg_vals = IndexRatio(1, Poly([1, sigma])).values(nw + 1)
-    x_dg, dg = x_times(dg_vals, nw), OpMatrix.diag_op(dg_vals, nw)
-    fpow = core.fpow(-1 / sigma)
-    y = core.c_tf_inv @ (OpMatrix.x_op(nw) @ fpow).cut(through)
-    resolvent = lemma_resolvent(core.tf, sigma, nw)
-    name = f"conjugation-trick sigma={sigma}"
-    inner = core.inner(1 / sigma - 1 / core.lam).cut(through)
-    return [
-        op_check(f"{name} (resolvent form)", x_dg @ (core.c_tf_inv @ (fpow @ resolvent.cut(through))), y, through),
-        op_check(f"{name} (composition form)", x_dg @ inner, y @ core.c_f.cut(through) @ dg, through),
-    ]
+    c_f = core.c_f.cut(through)
+    x_tf = OpMatrix.x_op(nw) @ OpMatrix.series_of_d(core.tf, nw)
+    s_diff = (x_tf @ c_f).first_difference(c_f @ OpMatrix.diag_op(range(nw + 1), nw), through)
+    e0_diff = core.c_tf_inv.first_difference(OpMatrix.identity(nw), 0)
+    checks = []
+    for sigma in map(as_rat, sigmas):
+        dg_vals = IndexRatio(1, Poly([1, sigma])).values(nw + 1)
+        y = core.c_tf_inv @ (OpMatrix.x_op(nw) @ core.fpow(-1 / sigma)).cut(through)
+        inner = core.inner(1 / sigma - 1 / core.lam).cut(through)
+        composition = (x_times(dg_vals, nw) @ inner).first_difference(y @ c_f @ OpMatrix.diag_op(dg_vals, nw), through)
+        name = f"conjugation-trick sigma={sigma}"
+        checks.append(difference_check(f"{name} (resolvent form)", s_diff, e0_diff, composition))
+        checks.append(difference_check(f"{name} (composition form)", composition))
+    return checks
 
 
 # -- family result record -----------------------------------------------------------
@@ -595,7 +590,7 @@ def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MAR
         raise SingularParams("lambda=0", "the deformed family needs invertible 1+lambda*theta")
     nw, core = guarded_core(p, order, margin)
     lam, a, b = p.lam, p.a, p.b
-    checks = conjugation_trick_checks(core, lam, order)
+    checks = conjugation_trick_checks(core, (lam,), order)
     gop = deformed_op(core, p.ratio, 0)
     u, rec, fault = extract_recurrence(gop)
     closed = ultraspherical_closed_form(p)
@@ -752,8 +747,7 @@ def jacobi_dual_raising(p: JacobiParams, nw: int) -> OpMatrix:
 
 def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
     nw, core = guarded_core(p, order, margin)
-    checks = conjugation_trick_checks(core, p.lam, order)
-    checks += conjugation_trick_checks(core, p.kappa, order)
+    checks = conjugation_trick_checks(core, (p.lam, p.kappa), order)
     gop = deformed_op(core, p.ratio, 0)
     u, rec, fault = extract_recurrence(gop)
     checks.append(raising_check("dual raising closed form", fault, u, jacobi_dual_raising(p, nw), order))
@@ -799,7 +793,7 @@ def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
 
 def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
     nw, core = guarded_core(p, order, margin)
-    checks = conjugation_trick_checks(core, p.lam, order)
+    checks = conjugation_trick_checks(core, (p.lam,), order)
     c2 = OpMatrix.shifted_product(p.ells(nw), nw)
     gop = wilson_op(core, p, c2)
     _, rec, fault = extract_recurrence(gop)
@@ -824,7 +818,7 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
     n, lam, a = p.n, p.lam, p.a
     psi = Poly([math.comb(n, j) * (lam * a / n) ** j for j in range(n + 1)])  # (1 + lam a y/n)^n
     core = sheffer_core(solve_autonomous_ode(psi.coeffs, nw), psi, lam, nw)
-    checks = conjugation_trick_checks(core, lam, order)
+    checks = conjugation_trick_checks(core, (lam,), order)
     inner = deformed_op(core, p.ratio, 0)
     if p.extended:
         cconst = -p.t[n] * lam * a * Fraction(n ** (n - 1), (n - 1) ** (n - 1))

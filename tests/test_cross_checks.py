@@ -344,7 +344,7 @@ def test_riccati_conjugation_trick_matches_the_reference(lam, a, b):
         _, core = guarded_core(p, 4, FAMILY_MARGIN)
     except SingularParams:
         assume(False)
-    assert passed(conjugation_trick_checks(core, lam, 4)) == passed(ref_conjugation_trick_checks(core, lam, 4))
+    assert passed(conjugation_trick_checks(core, (lam,), 4)) == passed(ref_conjugation_trick_checks(core, lam, 4))
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -357,8 +357,8 @@ def test_jacobi_checks_match_the_references(lam, a, r):
     except SingularParams:
         assume(False)
     assert crossed("split", f, 4).passed == ref_split(f, 4).passed
-    for sigma in (p.lam, p.kappa):
-        assert passed(conjugation_trick_checks(core, sigma, 4)) == passed(ref_conjugation_trick_checks(core, sigma, 4))
+    ref = [c for sigma in (p.lam, p.kappa) for c in ref_conjugation_trick_checks(core, sigma, 4)]
+    assert passed(conjugation_trick_checks(core, (p.lam, p.kappa), 4)) == passed(ref)
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -450,28 +450,55 @@ def plant_tf(core):
         yield k, dataclasses.replace(core, tf=tf)
 
 
+LEMMA_CALLS = [(SHEFFER, (SHEFFER.lam,)), (JACOBI, (JACOBI.lam, JACOBI.kappa))]  # as the builds call it
+
+
+def lemma_plants(factor, sigmas):
+    """The plants of one factor of the lemma; F is planted at each sigma in turn."""
+    if factor == "fpow":
+        return lambda core: (((s, *w), bad) for s in sigmas for w, bad in plant_fpow(s)(core))
+    return {"c_tf_inv": plant_field("c_tf_inv"), "c_f": plant_field("c_f"), "tf": plant_tf}[factor]
+
+
+def by_sigma(checks, sigmas):
+    """The records of one call, as (sigma, that sigma's two records)."""
+    assert len(checks) == 2 * len(sigmas)
+    return [(sigma, checks[2 * i: 2 * i + 2]) for i, sigma in enumerate(sigmas)]
+
+
 @pytest.mark.parametrize("factor", ["c_tf_inv", "c_f", "fpow", "tf"])
-@pytest.mark.parametrize("p, sigma", [(SHEFFER, SHEFFER.lam), (JACOBI, JACOBI.kappa)], ids=["ultra", "jacobi-kappa"])
-def test_planted_conjugation_trick_factor_fails_in_the_reference_column(factor, p, sigma):
-    """Over both forms of the lemma at one sigma, a planted factor fails no
-    later than the dense reference does.  The crossed composition form reads
-    inner off psi, not through C_tf^(-1) F C_f, so a plant may fail the
-    other form instead (C_tf^(-1) at (0,0), which Y never reads, fails the
-    resolvent form), and plants the reference cannot see fail it (C_f at
-    (0,0) and (1,1) and F at (0,0): each is C_f or F times a diagonal that
-    commutes with what the reference conjugates, so C_f Dg C_f^(-1) and
-    F Z F^(-1) absorb it)."""
+@pytest.mark.parametrize("p, sigmas", LEMMA_CALLS, ids=["ultra", "jacobi-pair"])
+def test_planted_conjugation_trick_factor_fails_in_the_reference_column(factor, p, sigmas):
+    """In one call over all of a build's sigmas, a planted factor fails each
+    sigma's two records no later than the dense reference at that sigma
+    does.  The crossed forms read inner off psi, not through
+    C_tf^(-1) F C_f, so a plant may fail the other record instead
+    (C_tf^(-1) at (0,0), which Y never reads, fails the resolvent form's
+    comparison C_tf^(-1) e_0 == e_0), and plants the reference cannot see
+    fail them (C_f at (0,0) and (1,1) and F at (0,0): each is C_f or F
+    times a diagonal that commutes with what the reference conjugates, so
+    C_f Dg C_f^(-1) and F Z F^(-1) absorb it)."""
     _, core = guarded_core(p, ORDER, FAMILY_MARGIN)
-    plant = {"c_tf_inv": plant_field("c_tf_inv"), "c_f": plant_field("c_f"), "fpow": plant_fpow(sigma), "tf": plant_tf}[
-        factor
-    ]
     failures = 0
-    for where, bad in plant(core):
-        got = earliest_column(conjugation_trick_checks(bad, sigma, ORDER))
-        ref = earliest_column(ref_conjugation_trick_checks(bad, sigma, ORDER))
-        assert ref is None or (got is not None and got <= ref), (where, got, ref)
-        failures += ref is not None
+    for where, bad in lemma_plants(factor, sigmas)(core):
+        for sigma, records in by_sigma(conjugation_trick_checks(bad, sigmas, ORDER), sigmas):
+            got = earliest_column(records)
+            ref = earliest_column(ref_conjugation_trick_checks(bad, sigma, ORDER))
+            assert ref is None or (got is not None and got <= ref), (where, sigma, got, ref)
+            failures += ref is not None
     assert failures > 0
+
+
+def test_a_planted_c_tf_inv_corner_fails_only_the_resolvent_form_in_column_0():
+    """Y = C_tf^(-1) x F never reads column 0 of C_tf^(-1), so its (0,0)
+    entry is seen by the comparison C_tf^(-1) e_0 == e_0 alone, which every
+    sigma's resolvent form includes."""
+    _, core = guarded_core(JACOBI, ORDER, FAMILY_MARGIN)
+    bad = dataclasses.replace(core)
+    bad.c_tf_inv = planted(core.c_tf_inv, 0, 0)
+    checks = conjugation_trick_checks(bad, (JACOBI.lam, JACOBI.kappa), ORDER)
+    assert [first_column(c) for c in checks] == [0, None, 0, None], checks
+    assert checks[0].name == f"conjugation-trick sigma={JACOBI.lam} (resolvent form)"
 
 
 def cut_cases():
@@ -481,11 +508,11 @@ def cut_cases():
         factors = SITES[site][0]()
         for m, n in entries(factors[slot]):
             yield crossed(site, dict(factors, **{slot: planted(factors[slot], m, n)}), ORDER)
-    for p, sigma in [(SHEFFER, SHEFFER.lam), (JACOBI, JACOBI.kappa)]:
+    for p, sigmas in LEMMA_CALLS:
         _, core = guarded_core(p, ORDER, FAMILY_MARGIN)
-        for plant in (plant_field("c_tf_inv"), plant_field("c_f"), plant_fpow(sigma), plant_tf):
-            for _, bad in plant(core):
-                yield from conjugation_trick_checks(bad, sigma, ORDER)
+        for factor in ("c_tf_inv", "c_f", "fpow", "tf"):
+            for _, bad in lemma_plants(factor, sigmas)(core):
+                yield from conjugation_trick_checks(bad, sigmas, ORDER)
 
 
 def test_the_column_cut_changes_no_verdict_or_witness(monkeypatch):
@@ -830,11 +857,11 @@ def test_a_planted_gop_entry_fails_the_wilson_tridiagonal_flag(n, monkeypatch):
 
 
 @pytest.mark.parametrize("build, products", [
-    pytest.param(lambda: ultraspherical_family(SHEFFER, 8), 20, id="ultraspherical"),
-    pytest.param(lambda: jacobi_family(JACOBI, 8), 33, id="jacobi"),
-    pytest.param(lambda: wilson_family(WILSON, 8), 20, id="wilson"),
+    pytest.param(lambda: ultraspherical_family(SHEFFER, 8), 16, id="ultraspherical"),
+    pytest.param(lambda: jacobi_family(JACOBI, 8), 18, id="jacobi"),
+    pytest.param(lambda: wilson_family(WILSON, 8), 16, id="wilson"),
     pytest.param(lambda: hahn_family(HAHN, 8), 26, id="hahn"),
-    pytest.param(lambda: multiterm_family(MULTITERM, 8), 15, id="multiterm"),
+    pytest.param(lambda: multiterm_family(MULTITERM, 8), 12, id="multiterm"),
     pytest.param(lambda: sheffer_assoc(SHEFFER, ASSOC_C, 10), 7, id="sheffer_assoc"),
     pytest.param(lambda: ultra_assoc(SHEFFER, ASSOC_C, 10), 5, id="ultra_assoc"),
     pytest.param(lambda: jacobi_assoc(JACOBI, ASSOC_C, 10), 5, id="jacobi_assoc"),
@@ -847,10 +874,11 @@ def test_a_build_inverts_no_operator(build, products, monkeypatch):
     """The conjugation lemma is compared on C_tf^(-1)'s side, so no build
     makes C_tf, and the family operator is never inverted.  `products` is the
     count of operator products with every check crossed and the raising
-    operator solved by back substitution, which takes the one product x gop;
-    at sigma = kappa the lemma's composition form makes inner(1/kappa -
-    1/lam) as a product of its own, which at sigma = lam is the core's
-    inner().  An associated build is ell(L) times W^(-1) inner(c) W, three
+    operator solved by back substitution, which takes the one product x gop.
+    The lemma takes three products once per core (x tf(D), its product with
+    C_f, and C_f theta) and five per sigma (x F, Y = C_tf^(-1) x F, Y C_f,
+    that times G, and x G inner), so Jacobi's second sigma costs five more.
+    An associated build is ell(L) times W^(-1) inner(c) W, three
     products (Wilson puts C2(c) between them, and Sheffer multiplies its
     base operator by ((y/f)^c)(D) first), and reads ell(L) as a Toeplitz
     operator, not as theta! ell(D) theta!^(-1).  At c = 0 the base operator
@@ -871,6 +899,19 @@ def test_a_build_inverts_no_operator(build, products, monkeypatch):
     monkeypatch.setattr(OpMatrix, "__matmul__", counted_matmul)
     assert all(c.passed for c in build().checks)
     assert count["inverse"] == 0 and count["product"] <= products, count
+
+
+def test_a_jacobi_build_makes_tf_of_d_once(monkeypatch):
+    """The sigma-free half of the lemma, x tf(D) C_f == C_f theta, is
+    compared once per core, so tf(D) is made once for both sigma = lam and
+    sigma = kappa."""
+    cores, seen = [], []
+    make_core, series_of_d = families.sheffer_core, OpMatrix.series_of_d
+    monkeypatch.setattr(families, "sheffer_core", lambda *args: cores.append(make_core(*args)) or cores[-1])
+    monkeypatch.setattr(OpMatrix, "series_of_d", lambda ell, nw: seen.append(ell) or series_of_d(ell, nw))
+    assert all(c.passed for c in jacobi_family(JACOBI, 8).checks)
+    (core,) = cores
+    assert sum(ell is core.tf for ell in seen) == 1
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from umbral.families import (
     coeff_then_d,
     diag_conj,
     jacobi_closed_form,
-    lemma_resolvent,
     sheffer_closed_form,
     x_times,
 )
@@ -482,8 +481,8 @@ def assert_same_operator(got, expected):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_banded_displays_match_the_product_and_sum_route(nw, data):
-    """Each display built directly by `OpMatrix.banded` (and the lemma's
-    resolvent, column by column) against the products and sums it replaces."""
+    """Each display built directly by `OpMatrix.banded` against the products
+    and sums it replaces."""
     def values():
         return data.draw(st.lists(st.one_of(st.just(F(0)), wide, huge), min_size=nw + 1, max_size=nw + 1))
 
@@ -495,10 +494,6 @@ def test_banded_displays_match_the_product_and_sum_route(nw, data):
     assert_same_operator(d_b, d @ OpMatrix.diag_op(b, nw))
     raising = OpMatrix.banded({1: [1] * (nw + 1), 0: a, -1: [n * v for n, v in enumerate(b)]}, nw)
     assert_same_operator(raising, x + OpMatrix.diag_op(a, nw) + d @ OpMatrix.diag_op(b, nw))
-    tf = TruncSeries([0, 1] + data.draw(st.lists(st.one_of(wide, huge), min_size=nw, max_size=nw)))
-    sigma = data.draw(nonzero_wide)
-    identity_plus = OpMatrix.identity(nw) + (x @ OpMatrix.series_of_d(tf, nw)).scale(sigma)
-    assert_same_operator(lemma_resolvent(tf, sigma, nw), identity_plus)
 
 
 @pytest.mark.parametrize("nw", [0, 1, 5, 12])

@@ -120,6 +120,31 @@ def test_the_multiterm_core_reads_the_same_operators_off_psi(n, monkeypatch):
         assert same_op(core.inner(c), product_inner(core, c))
 
 
+def assert_sigma_free_identity(core):
+    """x tf(D) C_f == C_f theta on every column, the sigma-free half of the
+    conjugation lemma (R C_f = C_f (1 + sigma theta) for R = 1 + sigma x tf(D)).
+    Both sides are exact: tf(D) lowers the degree, so x loses no row."""
+    nw = core.nw
+    lhs = OpMatrix.x_op(nw) @ OpMatrix.series_of_d(core.tf, nw) @ core.c_f
+    assert lhs.reliable == nw
+    assert lhs.cols == (core.c_f @ OpMatrix.diag_op(range(nw + 1), nw)).cols
+
+
+@settings(max_examples=30, deadline=None)
+@given(small, small, small, st.integers(1, 12))
+@example(F(-1), 0, 0, 8)
+@example(F(1, 3), F(2, 5), F(3, 7), 12)
+def test_x_tf_of_d_c_f_is_c_f_theta_over_a_riccati_base(lam, a, b, nw):
+    assert_sigma_free_identity(riccati_core(lam, a, b, nw))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_x_tf_of_d_c_f_is_c_f_theta_over_the_multiterm_base(n, monkeypatch):
+    (core,) = cores_of(lambda: multiterm_family(multiterm(n), 8), monkeypatch)
+    assert len(core.psi.coeffs) == n + 1
+    assert_sigma_free_identity(core)
+
+
 # -- a planted coefficient of psi fails the covering check in the reference column --------
 
 
