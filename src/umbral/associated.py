@@ -67,18 +67,12 @@ def series_l(s: TruncSeries) -> TruncSeries:
 # -- long division lemma -----------------------------------------------------------
 
 
-def long_division_checks(
-    h_ratio: IndexRatio,
-    b_series: TruncSeries,
-    order: int,
-    t_samples: Sequence = (Fraction(1), Fraction(2, 3)),
-    margin: int = FAMILY_MARGIN,
-) -> list:
+def long_division_checks(h_ratio: IndexRatio, b_series: TruncSeries, order: int) -> list:
     """All displayed forms of the long division lemma, verified exactly.
 
     h_ratio gives H_{theta+1}/H_theta; b_series must have constant term 1.
     """
-    nw = order + margin
+    nw = order + FAMILY_MARGIN
     checks = []
     hvals = h_ratio.products(nw + 2)
     ratio_vals = [h_ratio(n) for n in range(nw + 1)]
@@ -114,7 +108,7 @@ def long_division_checks(
     # factored form: (H_{theta+1}/H_theta) L - t (H_0-normalized ell) delta
     #   == H^(-1) (1 + t y (H.ell)) L (1 + t y (H.ell))^(-1) H, here with ell = B
     def resolvent_cases(name):
-        for t in map(as_rat, t_samples):
+        for t in (Fraction(1), Fraction(2, 3)):
             w = (1 + (t * hb.shift_up(1)).truncate(nw)).truncate(nw)
             for j, col in enumerate(cols):
                 direct = series_l(col).weighted(ratio_vals) - ((t * b) * col.coeffs[0]).truncate(nw - 1)
@@ -138,13 +132,13 @@ def long_division_checks(
     return checks
 
 
-def change_of_variable_check(f: TruncSeries, order: int, margin: int = FAMILY_MARGIN) -> Check:
+def change_of_variable_check(f: TruncSeries, order: int) -> Check:
     """C_f x (1+theta)^(-1) C_f^(-1) == x (1+theta)^(-1) (D/f(D)), compared
     crossed as C_f x (1+theta)^(-1) == x (1+theta)^(-1) (D/f(D)) C_f."""
-    nw = order + margin
+    nw = order + FAMILY_MARGIN
     cf = OpMatrix.umbral_compose(f, nw)
     x_over = x_times([Fraction(1, 1 + n) for n in range(nw + 1)], nw)
-    y_over_f = (1 / f.shift_down(1)).truncate(nw - 1)
+    y_over_f = f.y_over_f().truncate(nw - 1)
     rhs = x_over @ OpMatrix.series_of_d(TruncSeries.from_polynomial(list(y_over_f.coeffs), nw), nw)
     return conjugation_check("change-of-variable form", cf, rhs, x_over, order - 1)
 
@@ -229,7 +223,7 @@ def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -
         raise SingularParams("lambda=0", "the explicit shifted operator needs 1/lambda powers")
     nw, core = guarded_core(p, order, margin)
     base = sheffer_op(core)
-    y_over_f = (1 / core.fprime.integral().shift_down(1)).truncate(nw)  # f to nw + 1 from f' = psi(f)
+    y_over_f = core.fprime.integral().y_over_f().truncate(nw)  # f to nw + 1 from f' = psi(f)
     fprime_pow = core.fprime.pow_fraction(Fraction(1) / p.lam)
     ell = (fprime_pow * y_over_f.pow_fraction(1 - c)).truncate(nw)
     hvals = affine(c, 1).products(nw + 1)  # (c)_theta
@@ -337,10 +331,10 @@ def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
 # -- splitting of the shifted operator ------------------------------------------------------
 
 
-def splitting_check(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> list:
+def splitting_check(p: JacobiParams, c, order: int) -> list:
     """The conjugated shifted raising operator splits into the lambda-part
     and kappa-part displays with weights r and 1-r."""
-    nw = order + margin
+    nw = order + ASSOC_MARGIN
     c = guard_shift(c, nw)
     p.guard(nw)
     u_c = jacobi_dual_raising(p, nw) if c == 0 else closed_form_raising(jacobi_closed_form(p).assoc(c), nw)
@@ -370,11 +364,11 @@ def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
     c = guard_shift(c, order + margin)
     nw, core = guarded_core(p, order, margin)
     lam, kappa, a = p.lam, p.kappa, p.a
-    op = deformed_op(core, p.mixing_ratio, c)  # before ell: a pole of the ratio is reported here
+    op = deformed_op(core, p.ratio, c)  # before ell: a pole of the ratio is reported here
     ells = p.ells(nw + 1, c)
     c2c = OpMatrix.shifted_product(ells, nw)
     # s(c, y) = 1 + y * theta! bar(C2(c)^(-1)) theta!^(-1) L ell over the mixing ratio
-    lowered = series_l(shifted_ell(core, p.mixing_tilde, c))
+    lowered = series_l(shifted_ell(core, p.tilde, c))
     staged = newton_expansion(lowered, ells)
     s_series = (1 + staged.shift_up(1)).truncate(nw)
     gop = OpMatrix.series_of_l(s_series, nw) @ c2c @ op

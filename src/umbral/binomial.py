@@ -34,7 +34,7 @@ def lagrange_forms(f: TruncSeries, n: int, order: int) -> list:
         raise OrderExhausted("base series must exceed the working order")
     cf = OpMatrix.umbral_compose(f.truncate(nw), nw)
     reference = cf.column_poly(n)
-    y_over_f = (1 / f.shift_down(1)).truncate(nw)
+    y_over_f = f.y_over_f().truncate(nw)
     ratio_n = TruncSeries.one(nw)
     for _ in range(n):
         ratio_n = (ratio_n * y_over_f).truncate(nw)
@@ -59,7 +59,7 @@ def frac_index_p(f: TruncSeries, s, terms: int) -> tuple:
     s = as_rat(s)
     if terms > f.order:
         raise OrderExhausted("need the base series beyond the term count")
-    y_over_f = (1 / f.shift_down(1)).truncate(terms)
+    y_over_f = f.y_over_f().truncate(terms)
     weight = y_over_f.pow_fraction(s).coeffs
     fall = affine(s - 1, -1).products(terms + 1)  # (s-1)...(s-k)
     return tuple(weight[k] * fall[k] for k in range(terms + 1))

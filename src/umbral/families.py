@@ -66,11 +66,6 @@ def _check_keys(params: dict, accepted) -> None:
             raise ValueError(f"unknown parameter {key!r}; accepted: {', '.join(accepted)}")
 
 
-def over_lam(tilde: IndexRatio, lam) -> IndexRatio:
-    """tilde(m)/(1 + lam m): a ratio from the part kept by `shifted_ell`."""
-    return tilde * IndexRatio(1, Poly([1, lam]))
-
-
 def linear_guard(forms, count: int, detail: str = "k={}") -> None:
     """Raise SingularParams(name, detail) at the least integer k < count with
     c + v k = 0 for a form (name, c, v), the first form listed on a tie.  The
@@ -82,18 +77,23 @@ def linear_guard(forms, count: int, detail: str = "k={}") -> None:
         raise SingularParams(forms[i][0], detail.format(k.numerator))
 
 
+class DeformationParams(FamilyParams):
+    """Base of the records deformed by W^(-1) inner(c) W (`deformed_op`):
+    W_{m+1}/W_m = ratio(m) = tilde(m)/(1 + lam m), with tilde(m) the part
+    `associated.shifted_ell` keeps."""
+
+    @cached_property
+    def ratio(self) -> IndexRatio:
+        return self.tilde * IndexRatio(1, Poly([1, self.lam]))
+
+
 @dataclass(frozen=True)
-class ShefferParams(FamilyParams):
+class ShefferParams(DeformationParams):
     lam: Fraction
     a: Fraction
     b: Fraction
     KEYS = {"lambda": 0, "a": 0, "b": 0}
-    tilde = IndexRatio.const(1)
-
-    @cached_property
-    def ratio(self) -> IndexRatio:
-        """F_{m+1}/F_m = 1/(1 + lam m) of the ultraspherical deformation."""
-        return over_lam(self.tilde, self.lam)
+    tilde = IndexRatio.const(1)  # the ultraspherical ratio 1/(1 + lam m)
 
     def guard(self, nw: int):
         linear_guard([("1+lambda*k", 1, self.lam)], nw + 2)
@@ -113,9 +113,16 @@ class HahnParams(FamilyParams):
             raise SingularParams("(s-1)_theta", f"integer s={self.s} <= working order {nw}")
 
 
-class SquareCaseParams(FamilyParams):
+class SquareCaseParams(DeformationParams):
     """kappa, beta and b of the square case, each made once per record from
-    the fields lam, a and r."""
+    the fields lam, a and r; kappa = 2 lam/(2 + lam) needs lam not in {0, -2}."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.lam == 0:
+            raise SingularParams("lambda=0", "kappa undefined")
+        if self.lam == -2:
+            raise SingularParams("lambda=-2", "kappa infinite")
 
     @cached_property
     def kappa(self) -> Fraction:
@@ -143,21 +150,10 @@ class JacobiParams(SquareCaseParams):
     r: Fraction
     KEYS = {"lambda": 0, "a": 0, "r": 0}
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.lam == 0:
-            raise SingularParams("lambda=0", "kappa undefined")
-        if self.lam == -2:
-            raise SingularParams("lambda=-2", "kappa infinite")
-
     @cached_property
     def tilde(self) -> IndexRatio:
+        """(1 + beta m)/(1 + kappa m)."""
         return IndexRatio(Poly([1, self.beta]), Poly([1, self.kappa]))
-
-    @cached_property
-    def ratio(self) -> IndexRatio:
-        """F_{m+1}/F_m = (1 + beta m)/((1 + lam m)(1 + kappa m))."""
-        return over_lam(self.tilde, self.lam)
 
     def guard(self, nw: int):
         self._guard_at(self.beta, nw)
@@ -172,27 +168,17 @@ class WilsonParams(SquareCaseParams):
     h: Fraction
     KEYS = {"lambda": 0, "a": 0, "r": 0, "rtilde": 0, "h": 0}
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.lam in (0, -2):
-            raise SingularParams("lambda", "kappa undefined")
-
     @cached_property
     def beta_t(self) -> Fraction:
         return self.rt * self.kappa + (1 - self.rt) * self.lam
 
     @cached_property
-    def mixing_tilde(self) -> IndexRatio:
-        """(h (1+beta n)(1+lam(n+1))^2 + (1-h)(1+beta_t n))/(1+kappa n)."""
+    def tilde(self) -> IndexRatio:
+        """The mixing part (h (1+beta n)(1+lam(n+1))^2 + (1-h)(1+beta_t n))/(1+kappa n)."""
         lam, h = self.lam, self.h
         shifted = Poly([1 + lam, lam])
         num = h * Poly([1, self.beta]) * shifted * shifted + (1 - h) * Poly([1, self.beta_t])
         return IndexRatio(num, Poly([1, self.kappa]))
-
-    @cached_property
-    def mixing_ratio(self) -> IndexRatio:
-        """H_{n+1}/H_n = mixing_tilde(n)/(1+lam n)."""
-        return over_lam(self.mixing_tilde, self.lam)
 
     def ells(self, count: int, c=0) -> list:
         """The shift values 2 a h lam^2/kappa (1+k+c)(1+beta(k+c)), k < count."""
@@ -202,7 +188,7 @@ class WilsonParams(SquareCaseParams):
     def guard(self, nw: int):
         self._guard_at(self.beta, nw)
         self._guard_at(self.beta_t, nw)
-        k = self.mixing_ratio.num.first_root(nw + 1)
+        k = self.ratio.num.first_root(nw + 1)
         if k is not None:
             raise SingularParams("mixing ratio", f"zero at k={k}")
 
@@ -399,9 +385,9 @@ def deformed_op(core: ShefferCore, ratio: IndexRatio, c) -> OpMatrix:
 
 
 def wilson_op(core: ShefferCore, p: WilsonParams, c2: OpMatrix) -> OpMatrix:
-    """C2 . H^(-1) . inner . H with H_{m+1}/H_m the mixing ratio and C2 the
-    shift operator sending x^n to prod_{k<n} (x + ell_k)."""
-    return c2 @ deformed_op(core, p.mixing_ratio, 0)
+    """C2 . H^(-1) . inner . H with H_{m+1}/H_m = p.ratio(m), the mixing
+    ratio, and C2 the shift operator sending x^n to prod_{k<n} (x + ell_k)."""
+    return c2 @ deformed_op(core, p.ratio, 0)
 
 
 def conjugation_trick_checks(core: ShefferCore, sigmas: tuple, through: Optional[int] = None) -> list:
@@ -764,12 +750,12 @@ def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN) -> F
     return FamilyResult("jacobi", gop, rec, f0, jacobi_closed_form(p), checks)
 
 
-def jacobi_diffeq_op(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
+def jacobi_diffeq_op(p: JacobiParams, order: int):
     """(1 + lam theta)^2 conjugated by the family operator: the closed form
     (1+lam theta)^2 - (2 a lam^2/kappa)(1+beta theta) D, checked crossed as
     rhs gop == gop (1+lam theta)^2, and its eigen-action on gop's columns.
     Returns the closed form, the family operator and the checks."""
-    nw, core = guarded_core(p, order, margin)
+    nw, core = guarded_core(p, order, FAMILY_MARGIN)
     lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
     gop = deformed_op(core, p.ratio, 0)
     sq = OpMatrix.diag_op([(1 + lam * n) ** 2 for n in range(nw + 1)], nw)
@@ -799,8 +785,8 @@ def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> F
     _, rec, fault = extract_recurrence(gop)
     checks.append(flag_check("raising operator tridiagonal", not fault, fault))
     # bracket identity H C2^(-1) x C2 H^(-1) == display, crossed: x C2 == C2 H^(-1) display H
-    display = OpMatrix.banded({1: p.mixing_ratio.values(nw + 1), 0: [-v for v in p.ells(nw + 1)]}, nw)
-    hvals = p.mixing_ratio.products(nw + 1)
+    display = OpMatrix.banded({1: p.ratio.values(nw + 1), 0: [-v for v in p.ells(nw + 1)]}, nw)
+    hvals = p.ratio.products(nw + 1)
     checks.append(conjugation_check("bracket identity", c2, OpMatrix.x_op(nw), diag_conj(hvals, display), order))
     f0 = mgf_from_gop(gop).truncate(order)
     checks.append(series_check("wilson: mgf pipelines agree", f0, moments_from_recurrence(rec, order).f0))
@@ -865,10 +851,10 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
 # -- generator band probes ---------------------------------------------------------------
 
 
-def comment_generator_bands(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN):
+def comment_generator_bands(p: JacobiParams, order: int):
     """Band profiles of the established generators, which must be tridiagonal
     after conjugation by the inner operator: rows (name, band, ok)."""
-    nw, core = guarded_core(p, order, margin)
+    nw, core = guarded_core(p, order, FAMILY_MARGIN)
     lam, kappa, a = p.lam, p.kappa, p.a
     count = nw + 1
     established = {

@@ -116,10 +116,6 @@ class Poly(CommonDen):
         p, q = as_rat(offset).as_integer_ratio()
         return self._compose(Poly._of(q, (p, q)))
 
-    def substitute(self, inner: "Poly") -> "Poly":
-        """P(inner(theta))."""
-        return self(inner)
-
     def reflect(self, n: int) -> "Poly":
         """x^n P(1/x), for n at least the degree."""
         pad = n + 1 - len(self.nums)
@@ -212,7 +208,7 @@ class IndexRatio:
         return IndexRatio(self.num.shift(offset), self.den.shift(offset))
 
     def substitute(self, inner: Poly) -> "IndexRatio":
-        return IndexRatio(self.num.substitute(inner), self.den.substitute(inner))
+        return IndexRatio(self.num(inner), self.den(inner))
 
     def equals(self, other: "IndexRatio") -> bool:
         """Equality as rational functions (cross multiplication)."""

@@ -181,7 +181,7 @@ class OpMatrix:
         if f.order < nw:
             raise OrderExhausted("series for the umbral operator must reach the working order")
         cols = [(1, [1] + [0] * nw)]
-        for n, (den, power) in enumerate(_int_powers(f.truncate(nw)._y_over_f(), nw), start=1):
+        for n, (den, power) in enumerate(_int_powers(f.truncate(nw).y_over_f(), nw), start=1):
             nums = [0] * (nw + 1)
             weight = 1  # (n-1)!/(a-1)!
             for a in range(n, 0, -1):

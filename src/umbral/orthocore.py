@@ -173,10 +173,6 @@ def determinant_identity_check(fam: OrthoFamily, upto: int, name: str) -> Check:
 class MomentSeries:
     moment_gf: TruncSeries  # ordinary generating function of the moments
 
-    @property
-    def moments(self) -> tuple:
-        return self.moment_gf.coeffs
-
     @cached_property
     def f0(self) -> TruncSeries:  # exponential-type generating function, f0(0) = 1
         return self.moment_gf.borel()
@@ -455,10 +451,11 @@ def dual_recurrence(cf: ClosedFormRecurrence) -> ClosedFormRecurrence:
     return ClosedFormRecurrence(cf.a_fn.substitute(Poly([-1, -1])), cf.b_fn.substitute(Poly([0, -1])) * -1)
 
 
-def dual_identity_check(cf: ClosedFormRecurrence, name: str, terms: int = 8) -> Check:
+def dual_identity_check(cf: ClosedFormRecurrence, name: str) -> Check:
     """The negative-index series of a family is the moment tail of its dual:
     both sides of sum_n n! B-hat_n / (p-hat_n p-hat_{n+1}) expanded in 1/x
-    against the dual family's moment coefficients, to `terms` terms."""
+    against the dual family's moment coefficients, to 8 terms."""
+    terms = 8
     rec = dual_recurrence(cf).truncate(terms + 6)
     fam = polys_from_recurrence(rec, terms + 2)
     gf = moments_from_recurrence(rec, terms + 3).moment_gf

@@ -14,15 +14,15 @@ def rng_for(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def sample_fraction(rng: random.Random, nonzero: bool = False, bound: int = 7) -> Fraction:
+def sample_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
     while True:
-        v = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        v = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
         if v != 0 or not nonzero:
             return v
 
 
-def _guarded(rng, make, nw: int, tries: int = 200):
-    for _ in range(tries):
+def _guarded(make, nw: int):
+    for _ in range(200):
         try:
             p = make()
             p.guard(nw)
@@ -34,7 +34,6 @@ def _guarded(rng, make, nw: int, tries: int = 200):
 
 def sample_sheffer(rng: random.Random, nw: int, nonzero_lam: bool = False) -> ShefferParams:
     return _guarded(
-        rng,
         lambda: ShefferParams(
             sample_fraction(rng, nonzero=nonzero_lam),
             sample_fraction(rng),
@@ -52,7 +51,7 @@ def sample_jacobi(rng: random.Random, nw: int) -> JacobiParams:
             sample_fraction(rng),
         )
 
-    return _guarded(rng, make, nw)
+    return _guarded(make, nw)
 
 
 def sample_wilson(rng: random.Random, nw: int, h=None) -> WilsonParams:
@@ -65,7 +64,7 @@ def sample_wilson(rng: random.Random, nw: int, h=None) -> WilsonParams:
             sample_fraction(rng) if h is None else Fraction(h),
         )
 
-    return _guarded(rng, make, nw)
+    return _guarded(make, nw)
 
 
 def sample_multiterm(rng: random.Random, n: int, nw: int, extended: bool = False) -> MultiTermParams:
@@ -77,7 +76,7 @@ def sample_multiterm(rng: random.Random, n: int, nw: int, extended: bool = False
             raise SingularParams("weights", "resample")
         return MultiTermParams(n, sample_fraction(rng, nonzero=True), sample_fraction(rng, nonzero=True), tuple(weights))
 
-    return _guarded(rng, make, nw)
+    return _guarded(make, nw)
 
 
 def sample_recurrence(rng: random.Random, depth: int) -> Recurrence:

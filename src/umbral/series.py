@@ -385,11 +385,11 @@ class TruncSeries(CommonDen):
         f'(0) != 0; this is exact through the input order.
         """
         pairs = [(0, 1)]
-        for m, (den, nums) in enumerate(_int_powers(self._y_over_f(), self.order), start=1):
+        for m, (den, nums) in enumerate(_int_powers(self.y_over_f(), self.order), start=1):
             pairs.append((nums[m - 1], den * m))
         return TruncSeries._of(*_from_pairs(pairs))
 
-    def _y_over_f(self) -> "TruncSeries":
+    def y_over_f(self) -> "TruncSeries":
         """y/f, known through order - 1, for f with f(0) = 0 and f'(0) != 0."""
         self._require_reversible()
         return 1 / self.shift_down(1)

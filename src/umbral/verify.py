@@ -143,15 +143,20 @@ def suite_ultra(cfg: RunConfig) -> list:
     return out
 
 
+def _non_integer_s(rng) -> Fraction:
+    """A sampled s off the integers, where the Hahn deformation is regular."""
+    while True:
+        s = sample_fraction(rng)
+        if s.denominator > 1:
+            return s
+
+
 def suite_hahn(cfg: RunConfig) -> list:
     rng = rng_for(cfg.seed)
     order = min(cfg.order, 14)
     out = []
     for i in range(3):
-        while True:
-            s = sample_fraction(rng)
-            if s.denominator > 1:
-                break
+        s = _non_integer_s(rng)
         tag = f"hahn[s={s}]"
         fam = hahn_family(HahnParams(2, Fraction(1, 2), s), order)
         out += _prefixed(tag, fam.checks)
@@ -170,10 +175,7 @@ def suite_hahn(cfg: RunConfig) -> list:
     out.append(value_check("hahn[s=2]: b_1", rec.b[0], Fraction(1, 4)))
     for i in range(max(0, cfg.samples - 3)):
         p = sample_sheffer(rng, order + 6, nonzero_lam=True)
-        while True:
-            s = sample_fraction(rng)
-            if s.denominator > 1:
-                break
+        s = _non_integer_s(rng)
         tag = f"hahn[{i} lam={p.lam},a={p.a},s={s}]"
         try:
             fam = hahn_family(HahnParams(p.lam, p.a, s), order)
@@ -264,9 +266,10 @@ def suite_longdiv(cfg: RunConfig) -> list:
     return out
 
 
-def suite_assoc_triangle(cfg: RunConfig) -> list:
+def suite_assoc(cfg: RunConfig) -> list:
     order = min(cfg.order, 10)
     out = []
+    # integer shifts, where the tail pipeline applies
     for c in (1, 2, 3):
         r = sheffer_assoc(ShefferParams(1, 1, 1), c, order)
         out += _prefixed(f"assoc sheffer c={c}", r.checks)
@@ -274,12 +277,7 @@ def suite_assoc_triangle(cfg: RunConfig) -> list:
         out += _prefixed(f"assoc ultra c={c}", r.checks)
         r = jacobi_assoc(JacobiParams(2, Fraction(1, 2), 1), c, order)
         out += _prefixed(f"assoc jacobi c={c}", r.checks)
-    return out
-
-
-def suite_assoc_rational(cfg: RunConfig) -> list:
-    order = min(cfg.order, 10)
-    out = []
+    # rational shifts
     for c in (Fraction(1, 2), Fraction(-1, 3)):
         r = sheffer_assoc(ShefferParams(1, 0, 1), c, order)
         out += _prefixed(f"assoc sheffer c={c}", r.checks)
@@ -292,12 +290,6 @@ def suite_assoc_rational(cfg: RunConfig) -> list:
     two_steps = base.assoc(Fraction(1, 2)).assoc(Fraction(1, 3))
     one_step = base.assoc(Fraction(5, 6))
     out.append(flag_check("assoc additivity (closed form)", two_steps.equals(one_step)))
-    return out
-
-
-def suite_assoc_wilson(cfg: RunConfig) -> list:
-    order = min(cfg.order, 10)
-    out = []
     p = WilsonParams(2, Fraction(1, 3), Fraction(1, 2), Fraction(1, 5), Fraction(1, 4))
     r = wilson_assoc(p, Fraction(3, 2), order)
     out += _prefixed("assoc wilson c=3/2", r.checks)
@@ -306,10 +298,6 @@ def suite_assoc_wilson(cfg: RunConfig) -> list:
     r = wilson_assoc(WilsonParams(p.lam, p.a, p.r, p.rt, 0), Fraction(3, 2), order)
     out += _prefixed("assoc wilson h=0", r.checks)
     return out
-
-
-def suite_assoc(cfg: RunConfig) -> list:
-    return suite_assoc_triangle(cfg) + suite_assoc_rational(cfg) + suite_assoc_wilson(cfg)
 
 
 def suite_orthocore(cfg: RunConfig) -> list:

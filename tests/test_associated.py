@@ -105,17 +105,9 @@ shifts = small.filter(lambda v: v.denominator > 1 or v >= 0)
 NW = 8
 
 
-def with_ratios(p):
-    """(record, tilde, ratio): the mixing pair for a Wilson record."""
-    if isinstance(p, WilsonParams):
-        return p, p.mixing_tilde, p.mixing_ratio
-    return p, p.tilde, p.ratio
-
-
 @st.composite
 def shift_records(draw):
-    """An ultraspherical, Jacobi or Wilson record whose guard passes at NW,
-    with its tilde and ratio."""
+    """An ultraspherical, Jacobi or Wilson record whose guard passes at NW."""
     kind = draw(st.sampled_from([ShefferParams, JacobiParams, WilsonParams]))
     lam = draw(nonzero.filter(lambda v: v != -2))
     rest = draw(st.lists(small, min_size=4, max_size=4))
@@ -124,22 +116,22 @@ def shift_records(draw):
         p.guard(NW)
     except SingularParams:
         assume(False)
-    return with_ratios(p)
+    return p
 
 
 @settings(max_examples=80, deadline=None)
 @given(shift_records(), shifts)
-@example(with_ratios(JacobiParams(2, F(1, 2), 1)), F(1, 2))
-@example(with_ratios(WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), F(1, 4))), F(1, 2))
-@example(with_ratios(JacobiParams(1, F(1, 2), F(1, 3))), F(0))
-def test_shifted_ell_is_the_lowered_form_where_that_is_defined(record, c):
+@example(JacobiParams(2, F(1, 2), 1), F(1, 2))
+@example(WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), F(1, 4)), F(1, 2))
+@example(JacobiParams(1, F(1, 2), F(1, 3)), F(0))
+def test_shifted_ell_is_the_lowered_form_where_that_is_defined(p, c):
     """The lowered form's one extra pole is 1 + lam (c - 1) = 0, where the
     factor it shares with the diagonal cancels; at c = 0 neither evaluates
     the ratio at -1, which may be a pole (lam = 1 above).  Where both have
     a pole, a build reports the one of F_{c+theta} first (see
     `test_deformed_op_is_the_nested_conjugation`).  top = shifted_ell(c + 1)
     is f'(omega)^(c+1/lam) (c+1)_theta F_{c+theta}/F_c."""
-    p, tilde, ratio = record
+    tilde, ratio = p.tilde, p.ratio
     core = riccati_core(p.lam, p.a, p.b, NW)
     got = outcome(lambda: shifted_ell(core, tilde, c))
     ref = outcome(lambda: lowered_form(core, ratio, c))
@@ -170,12 +162,12 @@ def test_ultraspherical_shifted_ell_is_omega_prime_times_the_power(lam, a, b, c)
 
 @settings(max_examples=60, deadline=None)
 @given(shift_records(), shifts)
-def test_deformed_op_is_the_nested_conjugation(record, c):
+def test_deformed_op_is_the_nested_conjugation(p, c):
     """One diag_conj by W = (c+1)_theta/theta! F_{c+theta}/F_c against the
     nested pair, a pole of F reported alike; and, where the lowered ell is
     defined, the associated operator against theta! ell(D) theta!^(-1) over
     the nested pair."""
-    p, tilde, ratio = record
+    ratio = p.ratio
     core = riccati_core(p.lam, p.a, p.b, NW)
     ref = outcome(lambda: nested_op(core, ratio, c))
     got = outcome(lambda: deformed_op(core, ratio, c))
@@ -184,7 +176,7 @@ def test_deformed_op_is_the_nested_conjugation(record, c):
         return
     assert same_storage(got, ref)
     ell = outcome(lambda: lowered_form(core, ratio, c))
-    if isinstance(p, WilsonParams) or isinstance(ell, str):
+    if isinstance(ell, str):
         return
     factorial = IndexRatio(1, Poly([1, 1])).products(NW + 1)
     old = diag_conj(factorial, OpMatrix.series_of_d(ell, NW)) @ ref

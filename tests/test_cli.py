@@ -13,6 +13,7 @@ import umbral.cli as cli
 from umbral import families
 from umbral.cli import main, parse_params
 from umbral.opalg import OpMatrix
+from umbral.orthocore import MomentSeries, Recurrence
 from umbral.series import TruncSeries
 
 
@@ -53,6 +54,14 @@ def test_family_jacobi_guard_exit_code(capsys):
     code, out, err = run(capsys, "family", "jacobi", "--params", "lambda=0,a=1,r=1")
     assert code == 2
     assert "kappa undefined" in err
+
+
+@pytest.mark.parametrize("name, params", [("jacobi", "a=1,r=1"), ("wilson", "a=1,r=1,rtilde=1/2,h=1/3")])
+@pytest.mark.parametrize("lam, detail", [("0", "kappa undefined"), ("-2", "kappa infinite")])
+def test_square_case_families_reject_the_lambdas_without_a_kappa(capsys, name, params, lam, detail):
+    # kappa = 2 lam/(2 + lam) is 0 at lam = 0 and infinite at lam = -2
+    code, out, err = run(capsys, "family", name, "--params", f"lambda={lam},{params}")
+    assert (code, out, err) == (2, "", f"error: lambda={lam} invalid: {detail}\n")
 
 
 def test_family_csv_is_flat(capsys):
@@ -115,6 +124,32 @@ def test_cfrac_round_trips(tmp_path, capsys):
     data = json.loads(out)
     assert data["moment_gf"]["coeffs"][4] == "3"
     assert data["round_trip"] is True
+
+
+@pytest.mark.parametrize("direction, data, planted", [
+    ("moments2rec", {"order": 6, "coeffs": ["1", "0", "1", "0", "2", "0", "5"]}, "moments_from_recurrence"),
+    ("rec2moments", {"a": ["0"] * 5, "b": ["1"] * 4}, "recurrence_from_moments"),
+])
+def test_cfrac_reports_a_failed_round_trip(tmp_path, capsys, monkeypatch, direction, data, planted):
+    """A round trip that disagrees exits 1 with the full payload on stdout;
+    the conversion back is planted to disagree in each direction."""
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(data))
+    argv = ("cfrac", direction, str(src), "--order", "6", "--round-trip")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["round_trip"] is True
+    real = getattr(cli, planted)
+
+    def disagreeing(*args):
+        got = real(*args)
+        if planted == "moments_from_recurrence":
+            return MomentSeries(got.moment_gf + TruncSeries.x(got.moment_gf.order))
+        return Recurrence((got.a[0] + 1,) + got.a[1:], got.b)
+
+    monkeypatch.setattr(cli, planted, disagreeing)
+    code, bad, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert json.loads(bad) == {**json.loads(out), "round_trip": False}
 
 
 def test_cfrac_degenerate_exit(tmp_path, capsys):

@@ -172,8 +172,8 @@ def split_args(f, order):
 
 def bracket_factors(p, order):
     nw = order + FAMILY_MARGIN
-    hvals, c2 = p.mixing_ratio.products(nw + 1), OpMatrix.shifted_product(p.ells(nw), nw)
-    display = x_times([p.mixing_ratio(n) for n in range(nw + 1)], nw) - OpMatrix.diag_op(p.ells(nw + 1), nw)
+    hvals, c2 = p.ratio.products(nw + 1), OpMatrix.shifted_product(p.ells(nw), nw)
+    display = x_times([p.ratio(n) for n in range(nw + 1)], nw) - OpMatrix.diag_op(p.ells(nw + 1), nw)
     return {"c2": c2, "hvals": hvals, "display": display}
 
 

@@ -584,7 +584,23 @@ def test_jacobi_guard_and_ratio_match_the_loop_references(fields, nw):
 def test_wilson_guard_and_mixing_ratio_match_the_loop_references(p, nw):
     assert p.beta_t == ref_beta(p.lam, p.rt)
     assert outcome(p.guard, nw) == outcome(ref_wilson_guard, p, nw)
-    assert_ratio_matches(p.mixing_ratio, lambda m: ref_mixing_ratio(p, m), nw, [p.lam, p.kappa])
+    assert_ratio_matches(p.ratio, lambda m: ref_mixing_ratio(p, m), nw, [p.lam, p.kappa])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.builds(ShefferParams, LAMS, SMALL, SMALL),
+        square_case_fields().map(lambda fields: JacobiParams(*fields)),
+        wilson_params(),
+    ),
+    NWS,
+)
+def test_every_deformation_ratio_is_its_tilde_over_one_plus_lam_m(p, nw):
+    """The one ratio of the shared base, against tilde(m)/(1 + lam m) evaluated
+    apart; where either has a pole, both raise."""
+    for m in range(nw + 1):
+        assert outcome(p.ratio, m) == outcome(lambda: p.tilde(m) / (1 + p.lam * m)), m
 
 
 @st.composite

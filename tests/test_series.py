@@ -153,6 +153,20 @@ def test_reverse_catalan():
     assert list(f.reverse().coeffs) == [F(0)] + [F(c) for c in cats[: n]]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(-5, 5, max_denominator=6).filter(lambda v: v != 0),
+    st.lists(st.fractions(-5, 5, max_denominator=6), min_size=0, max_size=8),
+)
+def test_y_over_f_is_the_reciprocal_of_f_over_y(c1, rest):
+    f = TruncSeries([F(0), c1, *rest])
+    assert f.y_over_f() == 1 / (f / TruncSeries.x(f.order))
+    with pytest.raises(NotReversible):
+        (f + 1).y_over_f()  # f(0) != 0
+    with pytest.raises(NotReversible):
+        (f - c1 * TruncSeries.x(f.order)).y_over_f()  # f'(0) = 0
+
+
 def test_reverse_guards():
     with pytest.raises(NotReversible):
         TruncSeries.one(4).reverse()

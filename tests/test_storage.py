@@ -260,7 +260,6 @@ def test_poly_horner_evaluation(ps, x, n):
 def test_poly_composition_shift_and_reflection(ps, qs, offset):
     p, q = Poly(ps), Poly(qs)
     assert_canonical(p(q), ref_poly_compose(ref_poly(ps), ref_poly(qs)))
-    assert_canonical(p.substitute(q), ref_poly_compose(ref_poly(ps), ref_poly(qs)))
     assert_canonical(p.shift(offset), ref_poly_compose(ref_poly(ps), [offset, F(1)]))
     deg = len(ref_poly(ps)) - 1
     assert_canonical(p.reflect(deg + 2), ref_poly([F(0)] * 2 + ref_poly(ps)[::-1]))

@@ -1,5 +1,6 @@
 """What bench/tracing.py reads from the engine, pinned from this side, the
-names in src/ that no code in src/ reads, and the errors src/ raises.
+names in src/ that no code in src/ reads, the defaulted parameters no call
+sets, and the errors src/ raises.
 
 The tracer wraps the engine from outside src/: it looks up the methods in
 its METHODS table by name, and its bit-height, product-count and repeat-key
@@ -20,6 +21,7 @@ from umbral.series import riccati_series
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 SRC = Path(__file__).resolve().parent.parent / "src" / "umbral"
+TESTS = Path(__file__).resolve().parent
 
 
 def load_tracing():
@@ -128,6 +130,73 @@ def test_every_function_no_code_in_src_reads_is_allowed_by_name():
     traced = {attr for _, _, attr, _ in load_tracing().METHODS}
     for name, reason in UNREAD_IN_SRC.items():
         assert "METHODS" not in reason or name.rsplit(".", 1)[1] in traced, name
+
+
+# Defaulted parameters of src/ that no call in src/ or tests/ sets, each with
+# the reason the default stays; any other default no call sets is a constant.
+_BUILDER_MARGIN = "the metamorphic tests in tests/test_oracles.py vary it, calling the builder through a variable"
+_CLASS_CALL = "a constructor default: the class is called by its name, never as __init__"
+UNSET_DEFAULTS = {
+    **{f"families.{name}_family(margin)": _BUILDER_MARGIN for name in ("sheffer", "hahn", "jacobi", "wilson", "multiterm")},
+    **{f"associated.{name}_assoc(margin)": _BUILDER_MARGIN for name in ("sheffer", "ultra", "jacobi", "wilson")},
+    "indexfn.IndexRatio.__init__(den)": _CLASS_CALL,
+    "errors.DiagSingular.__init__(detail)": _CLASS_CALL,
+    "errors.SingularParams.__init__(detail)": _CLASS_CALL,
+}
+
+
+def defaulted_params() -> list:
+    """(label, name, parameter, positional index or None, default) for each
+    defaulted parameter of a function or method in src/umbral; a method's
+    index leaves out self or cls, and the default is its ast dump."""
+    out = []
+
+    def visit(body, owner, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{owner}.{node.name}", True)
+            elif isinstance(node, ast.FunctionDef):
+                a, label = node.args, f"{owner}.{node.name}"
+                positional = (a.posonlyargs + a.args)[1 if in_class else 0:]
+                first = len(positional) - len(a.defaults)
+                for i, (arg, d) in enumerate(zip(positional[first:], a.defaults), start=first):
+                    out.append((f"{label}({arg.arg})", node.name, arg.arg, i, ast.dump(d)))
+                for arg, d in zip(a.kwonlyargs, a.kw_defaults):
+                    if d is not None:
+                        out.append((f"{label}({arg.arg})", node.name, arg.arg, None, ast.dump(d)))
+                visit(node.body, label, False)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text()).body, path.stem, False)
+    return out
+
+
+def sets(call: ast.Call, param: str, index, default: str) -> bool:
+    """Whether the call sets the parameter to other than its default: by
+    keyword or by position, or maybe through * or ** unpacking."""
+    if any(k.arg is None or (k.arg == param and ast.dump(k.value) != default) for k in call.keywords):
+        return True
+    return any(isinstance(x, ast.Starred) or (i == index and ast.dump(x) != default) for i, x in enumerate(call.args))
+
+
+def unset_defaults() -> set:
+    """The defaulted parameters no call in src/ or tests/ sets, matching a
+    call by the name it calls, as UNREAD_IN_SRC matches a read."""
+    calls = {}
+    for path in [*SRC.glob("*.py"), *TESTS.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return {
+        label for label, name, param, index, default in defaulted_params()
+        if not any(sets(call, param, index, default) for call in calls.get(name, ()))
+    }
+
+
+def test_every_default_no_call_sets_is_allowed_by_name():
+    assert unset_defaults() == set(UNSET_DEFAULTS)
 
 
 # Nothing in src/ raises on a failed identity: a failed identity is a Check
