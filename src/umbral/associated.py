@@ -219,8 +219,6 @@ def shifted_op(core: ShefferCore, p, c, op: Optional[OpMatrix] = None) -> OpMatr
 
 def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
     c = guard_shift(c, order + margin)
-    if p.lam == 0:  # the guard passes at lam = 0
-        raise SingularParams("lambda=0", "the explicit shifted operator needs 1/lambda powers")
     nw, core = guarded_core(p, order, margin)
     base = sheffer_op(core)
     y_over_f = core.fprime.integral().y_over_f().truncate(nw)  # f to nw + 1 from f' = psi(f)
@@ -247,8 +245,6 @@ def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -
 
 def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
     c = guard_shift(c, order + margin)
-    if p.lam == 0:  # the guard passes at lam = 0
-        raise SingularParams("lambda=0", "deformation undefined")
     nw, core = guarded_core(p, order, margin)
     lam = p.lam
     linear_guard([("1+lambda*(c+k)", 1 + lam * c, lam)], nw + 2)

@@ -102,7 +102,6 @@ class AsymptoticInstance:
     """
 
     name: str
-    series_order: int
     base_series: Callable[[int], TruncSeries]
     omega: Callable
     omega_d1: Callable
@@ -138,7 +137,6 @@ def falling_factorial_instance() -> AsymptoticInstance:
     one = Decimal(1)
     return AsymptoticInstance(
         name="falling-factorial",
-        series_order=16,
         base_series=base,
         omega=lambda a: -(one - a).ln(),
         omega_d1=lambda a: one / (one - a),
@@ -205,7 +203,6 @@ def geometric_instance() -> AsymptoticInstance:
 
     return AsymptoticInstance(
         name="geometric",
-        series_order=16,
         base_series=base,
         omega=lambda a: (one - u_of(a)) / 2,
         omega_d1=lambda a: one / u_of(a),

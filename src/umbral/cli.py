@@ -18,7 +18,7 @@ from .binomial import INSTANCES, asym_compare
 from .errors import DegenerateB, EngineError, SingularParams
 from .families import (
     hahn_family,
-    hahn_mgf,
+    hahn_moment_route,
     jacobi_family,
     multiterm_family,
     sheffer_family,
@@ -120,9 +120,7 @@ def cmd_family(args) -> int:
     except SingularParams:
         if not (args.name == "hahn" and p.lam == 2 and p.a == Fraction(1, 2)):
             raise
-        # integer s: only the closed-form mgf path exists
-        f0 = hahn_mgf(p.s, order)
-        rec = recurrence_from_moments(f0.laplace(), depth=max(1, int(p.s) - 1))
+        f0, rec = hahn_moment_route(p.s, order)
         payload = {
             "name": "hahn",
             "path": "closed-form mgf (integer s)",
@@ -290,12 +288,9 @@ def main(argv=None) -> int:
     args = _parser.parse_args(attach_rationals(sys.argv[1:] if argv is None else argv))
     try:
         return COMMANDS[args.command](args)
-    except DegenerateB as exc:
-        print(f"error: b = 0 at depth {exc.depth}", file=sys.stderr)
-        return IDENTITY_ERROR
     except (ValueError, OSError, KeyError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return IDENTITY_ERROR if isinstance(exc, DegenerateB) else USAGE_ERROR
 
 
 if __name__ == "__main__":

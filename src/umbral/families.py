@@ -22,7 +22,7 @@ from .checks import (Check, conjugation_check, difference_check, first_failure, 
 from .errors import DiagSingular, SingularParams
 from .indexfn import IndexRatio, Poly, affine
 from .opalg import OpMatrix, conjugate, mgf_from_gop
-from .orthocore import ClosedFormRecurrence, Recurrence, moments_from_recurrence
+from .orthocore import ClosedFormRecurrence, Recurrence, moments_from_recurrence, recurrence_from_moments
 from .series import (
     TruncSeries,
     as_rat,
@@ -115,7 +115,9 @@ class HahnParams(FamilyParams):
 
 class SquareCaseParams(DeformationParams):
     """kappa, beta and b of the square case, each made once per record from
-    the fields lam, a and r; kappa = 2 lam/(2 + lam) needs lam not in {0, -2}."""
+    the fields lam, a and r.  kappa = 2 lam/(2 + lam) is infinite at lam = -2
+    and 0 at lam = 0, and the square-case formulas divide by kappa, so both
+    are rejected."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -207,7 +209,7 @@ class MultiTermParams(FamilyParams):
         if self.n < 2:
             raise SingularParams("n", "need n >= 2")
         if self.lam == 0:
-            raise SingularParams("lambda=0", "the deformation needs 1/lambda powers")
+            raise SingularParams("lambda=0", "the build needs 1/lambda powers")
         if len(self.t) not in (self.n, self.n + 1):
             raise SingularParams("weights", f"need {self.n} or {self.n + 1} weights")
         if sum(self.t) != 1:
@@ -359,7 +361,10 @@ def riccati_core(lam, a, b, nw: int) -> ShefferCore:
 
 def guarded_core(p, order: int, margin: int) -> tuple[int, ShefferCore]:
     """The working order of a build over p's Riccati base, once p's guard
-    has passed at it, and the core over that base."""
+    has passed at it, and the core over that base.  Every such build divides
+    by lam (f'(D)^(-1/lam), inner(c)), so lam = 0 is rejected here."""
+    if p.lam == 0:
+        raise SingularParams("lambda=0", "the build needs 1/lambda powers")
     nw = order + margin
     p.guard(nw)
     return nw, riccati_core(p.lam, p.a, p.b, nw)
@@ -572,8 +577,6 @@ def ultraspherical_closed_form(p: ShefferParams) -> ClosedFormRecurrence:
 
 
 def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
-    if p.lam == 0:  # the guard passes at lam = 0
-        raise SingularParams("lambda=0", "the deformed family needs invertible 1+lambda*theta")
     nw, core = guarded_core(p, order, margin)
     lam, a, b = p.lam, p.a, p.b
     checks = conjugation_trick_checks(core, (lam,), order)
@@ -625,6 +628,14 @@ def hahn_mgf(s, order: int) -> TruncSeries:
     num = (exp_series(s, order + 1) - 1) / s if s != 0 else TruncSeries.x(order + 1)
     den = exp_series(1, order + 1) - 1
     return num / den
+
+
+def hahn_moment_route(s, order: int) -> tuple[TruncSeries, Recurrence]:
+    """The lam=2, a=1/2 case at an integer s, where only the closed-form mgf
+    exists: that mgf and the recurrence read off its moments, to depth
+    max(1, s - 1)."""
+    f0 = hahn_mgf(s, order)
+    return f0, recurrence_from_moments(f0.laplace(), depth=max(1, int(s) - 1))
 
 
 def hahn_closed_form(p: HahnParams) -> ClosedFormRecurrence:

@@ -187,9 +187,6 @@ class IndexRatio:
         other = _as_ratio(other)
         return IndexRatio(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __sub__(self, other) -> "IndexRatio":
-        return self + (-1) * _as_ratio(other)
-
     def __mul__(self, other) -> "IndexRatio":
         if isinstance(other, (int, Fraction)):
             return IndexRatio(self.num * other, self.den)

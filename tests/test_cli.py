@@ -50,6 +50,16 @@ def test_family_hahn_integer_s_path(capsys):
     assert data["recurrence"]["b"] == ["1/4"]
 
 
+def test_hahn_moment_route_at_s_5_is_what_the_cli_prints(capsys):
+    f0, rec = families.hahn_moment_route(5, 12)
+    assert len(rec.b) == 4
+    code, out, _ = run(capsys, "family", "hahn", "--params", "lambda=2,a=1/2,s=5", "--order", "12")
+    assert code == 0
+    data = json.loads(out)
+    assert data["recurrence"] == rec.to_json()
+    assert data["f0"] == f0.to_json()
+
+
 def test_family_jacobi_guard_exit_code(capsys):
     code, out, err = run(capsys, "family", "jacobi", "--params", "lambda=0,a=1,r=1")
     assert code == 2
@@ -62,6 +72,22 @@ def test_square_case_families_reject_the_lambdas_without_a_kappa(capsys, name, p
     # kappa = 2 lam/(2 + lam) is 0 at lam = 0 and infinite at lam = -2
     code, out, err = run(capsys, "family", name, "--params", f"lambda={lam},{params}")
     assert (code, out, err) == (2, "", f"error: lambda={lam} invalid: {detail}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "ultraspherical", "--params", "lambda=0,a=1/2,b=1/4"),
+        ("family", "hahn", "--params", "lambda=0,a=1/2,s=1/2"),
+        ("family", "multiterm", "--params", "n=2,lambda=0,a=1/3,t0=1/3,t1=2/3"),
+        ("assoc", "sheffer", "--params", "lambda=0,a=1/3,b=2/5", "--c", "1"),
+        ("assoc", "ultraspherical", "--params", "lambda=0,a=1/2,b=1/4", "--c", "1"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_the_builds_that_divide_by_lambda_reject_lambda_zero_alike(capsys, argv):
+    code, out, err = run(capsys, *argv, "--order", "6")
+    assert (code, out, err) == (2, "", "error: lambda=0 invalid: the build needs 1/lambda powers\n")
 
 
 def test_family_csv_is_flat(capsys):
@@ -156,8 +182,7 @@ def test_cfrac_degenerate_exit(tmp_path, capsys):
     src = tmp_path / "geom.json"
     src.write_text(json.dumps({"order": 8, "coeffs": ["1"] * 9}))
     code, out, err = run(capsys, "cfrac", "moments2rec", str(src))
-    assert code == 1
-    assert "depth 1" in err
+    assert (code, out, err) == (1, "", "error: b = 0 at depth 1\n")
 
 
 @pytest.mark.parametrize(
