@@ -179,7 +179,6 @@ def _assoc_result(name, prefix, c, gop, rec, f0, checks: list, order: int, base=
     over a base operator, against the tails of the recurrence read off it,
     the moments of its shift by c; a fault of that reading fails the tail
     check, and no tails are read.  `pipelines` holds the mgf of each route."""
-    order = min(order, 10)
     pipelines = {"recurrence": moments_from_recurrence(rec, order).f0}
     checks = checks + [series_check(f"{prefix}explicit vs extracted-recurrence mgf", f0, pipelines["recurrence"])]
     if base is not None and _tail_shift(c):

@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
-from fractions import Fraction
 
 from .associated import jacobi_assoc, sheffer_assoc, ultra_assoc, wilson_assoc
 from .binomial import INSTANCES, asym_compare
@@ -79,23 +77,12 @@ def params_for(builder, params: dict):
     return first.annotation.from_params(params)
 
 
-def default_order() -> int:
-    env = os.environ.get("UMBRAL_ORDER")
-    if not env:
-        return 16
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"UMBRAL_ORDER must be an integer, got {env!r}") from None
-
-
 def resolve_order(args) -> int:
-    order = default_order() if args.order is None else args.order
-    if order < 4:
+    if args.order < 4:
         raise ValueError("order must be at least 4")
-    if order > MAX_ORDER:
+    if args.order > MAX_ORDER:
         raise ValueError(f"order must be at most {MAX_ORDER}")
-    return order
+    return args.order
 
 
 def emit(payload, args, csv_rows=None):
@@ -118,7 +105,7 @@ def cmd_family(args) -> int:
     try:
         fam = build(p, order)
     except SingularParams:
-        if not (args.name == "hahn" and p.lam == 2 and p.a == Fraction(1, 2)):
+        if not (args.name == "hahn" and p.closed_mgf):
             raise
         f0, rec = hahn_moment_route(p.s, order)
         payload = {
@@ -215,7 +202,7 @@ def cmd_asym(args) -> int:
 
 # every option a subcommand may take; each subcommand registers the ones it reads
 FLAGS = {
-    "--order": dict(type=int, default=None),  # None: resolved inside main's error handling
+    "--order": dict(type=int, default=16),
     "--seed": dict(type=int, default=0),
     "--samples": dict(type=int, default=5),
     "--params": dict(default=""),

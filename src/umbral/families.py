@@ -42,8 +42,9 @@ FAMILY_MARGIN = 4
 class FamilyParams:
     """Base of the parameter records.
 
-    KEYS maps each `--params` key to its default, in field order.  The
-    Fraction fields are made exact on construction.
+    KEYS maps each `--params` key to its default, in field order, the
+    defaults an instance the builder accepts.  The Fraction fields are made
+    exact on construction.
     """
 
     KEYS: dict = {}
@@ -92,7 +93,7 @@ class ShefferParams(DeformationParams):
     lam: Fraction
     a: Fraction
     b: Fraction
-    KEYS = {"lambda": 0, "a": 0, "b": 0}
+    KEYS = {"lambda": 1, "a": 0, "b": 1}  # ultraspherical: the Catalan moments
     tilde = IndexRatio.const(1)  # the ultraspherical ratio 1/(1 + lam m)
 
     def guard(self, nw: int):
@@ -107,6 +108,11 @@ class HahnParams(FamilyParams):
     a: Fraction
     s: Fraction
     KEYS = {"lambda": 2, "a": Fraction(1, 2), "s": Fraction(1, 2)}
+
+    @property
+    def closed_mgf(self) -> bool:
+        """Whether the closed-form mgf `hahn_mgf` applies: lam = 2, a = 1/2."""
+        return self.lam == 2 and self.a == Fraction(1, 2)
 
     def guard(self, nw: int):
         if self.s.denominator == 1 and 1 <= self.s <= nw:
@@ -150,7 +156,7 @@ class JacobiParams(SquareCaseParams):
     lam: Fraction
     a: Fraction
     r: Fraction
-    KEYS = {"lambda": 0, "a": 0, "r": 0}
+    KEYS = {"lambda": 2, "a": Fraction(1, 2), "r": 1}  # shifted Legendre
 
     @cached_property
     def tilde(self) -> IndexRatio:
@@ -168,7 +174,7 @@ class WilsonParams(SquareCaseParams):
     r: Fraction
     rt: Fraction
     h: Fraction
-    KEYS = {"lambda": 0, "a": 0, "r": 0, "rtilde": 0, "h": 0}
+    KEYS = {"lambda": 2, "a": Fraction(1, 3), "r": Fraction(1, 2), "rtilde": Fraction(1, 5), "h": Fraction(1, 4)}
 
     @cached_property
     def beta_t(self) -> Fraction:
@@ -201,7 +207,7 @@ class MultiTermParams(FamilyParams):
     lam: Fraction
     a: Fraction
     t: tuple  # n weights (plus an optional extra one), summing to 1
-    KEYS = {"n": 2, "lambda": 0, "a": 0}  # and the weights t0 .. t{n}
+    KEYS = {"n": 2, "lambda": Fraction(1, 2), "a": Fraction(1, 3)}  # and the weights t0 .. t{n}
 
     def __post_init__(self):
         super().__post_init__()
@@ -631,7 +637,7 @@ def hahn_mgf(s, order: int) -> TruncSeries:
 
 
 def hahn_moment_route(s, order: int) -> tuple[TruncSeries, Recurrence]:
-    """The lam=2, a=1/2 case at an integer s, where only the closed-form mgf
+    """The `HahnParams.closed_mgf` case at an integer s, where only that mgf
     exists: that mgf and the recurrence read off its moments, to depth
     max(1, s - 1)."""
     f0 = hahn_mgf(s, order)
@@ -673,7 +679,7 @@ def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> Famil
     checks.append(op_check("expansion in binomial basis", xi, law, order))
     f0 = mgf_from_gop(gop).truncate(order)
     checks.append(series_check("hahn: mgf pipelines agree", f0, moments_from_recurrence(rec, order).f0))
-    if lam == 2 and a == Fraction(1, 2):
+    if p.closed_mgf:
         checks.append(series_check("closed-form mgf", f0, hahn_mgf(s, order), order))
     return FamilyResult("hahn", gop, rec, f0, closed, checks)
 

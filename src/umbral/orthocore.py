@@ -459,17 +459,9 @@ def dual_identity_check(cf: ClosedFormRecurrence, name: str) -> Check:
     rec = dual_recurrence(cf).truncate(terms + 6)
     fam = polys_from_recurrence(rec, terms + 2)
     gf = moments_from_recurrence(rec, terms + 3).moment_gf
-    lhs = tail_from_moment_gf(gf, terms)
+    lhs = gf.coeffs[:terms]  # c_0/x + c_1/x^2 + ... of x^(-1) F(x^(-1)) = sum mu_n x^(-n-1)
     rhs = tail_from_partial_fractions(fam, terms)
     return flag_check(name, lhs == rhs, f"{lhs} != {rhs}")
-
-
-def tail_from_moment_gf(moment_gf: TruncSeries, terms: int) -> tuple:
-    """The coefficients c_0, c_1, ... of x^(-1) F(x^(-1)) = sum mu_n x^(-n-1)
-    = c_0/x + c_1/x^2 + ..., to `terms` terms."""
-    if moment_gf.order < terms - 1:
-        raise OrderExhausted("moment series too short for requested tail")
-    return moment_gf.coeffs[:terms]
 
 
 def tail_from_partial_fractions(fam: OrthoFamily, terms: int) -> tuple:

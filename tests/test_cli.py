@@ -90,6 +90,46 @@ def test_the_builds_that_divide_by_lambda_reject_lambda_zero_alike(capsys, argv)
     assert (code, out, err) == (2, "", "error: lambda=0 invalid: the build needs 1/lambda powers\n")
 
 
+# each command's --params defaults (the records' KEYS), written out
+DEFAULTS = [
+    (("family", "sheffer"), "lambda=1,a=0,b=1"),
+    (("family", "ultraspherical"), "lambda=1,a=0,b=1"),
+    (("family", "hahn"), "lambda=2,a=1/2,s=1/2"),
+    (("family", "jacobi"), "lambda=2,a=1/2,r=1"),
+    (("family", "wilson"), "lambda=2,a=1/3,r=1/2,rtilde=1/5,h=1/4"),
+    (("assoc", "sheffer", "--c", "1"), "lambda=1,a=0,b=1"),
+    (("assoc", "ultraspherical", "--c", "1"), "lambda=1,a=0,b=1"),
+    (("assoc", "jacobi", "--c", "1"), "lambda=2,a=1/2,r=1"),
+    (("assoc", "wilson", "--c", "1"), "lambda=2,a=1/3,r=1/2,rtilde=1/5,h=1/4"),
+]
+
+
+@pytest.mark.parametrize("argv, written", DEFAULTS, ids=[" ".join(argv[:2]) for argv, _ in DEFAULTS])
+def test_every_build_passes_at_its_defaults(capsys, argv, written):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["order"] == 16 and data["checks"] and all(c["pass"] for c in data["checks"])
+    code, spelled, _ = run(capsys, *argv, "--params", written)
+    assert code == 0
+    data.pop("params", None)
+    assert data == {k: v for k, v in json.loads(spelled).items() if k != "params"}
+
+
+def test_multiterm_defaults_still_need_the_weights(capsys):
+    code, out, err = run(capsys, "family", "multiterm", "--order", "8")
+    assert (code, out, err) == (2, "", "error: weights invalid: need 2 or 3 weights\n")
+
+
+@pytest.mark.parametrize("argv, written", DEFAULTS[5:], ids=[argv[1] for argv, _ in DEFAULTS[5:]])
+def test_assoc_pipelines_run_at_the_requested_order(capsys, argv, written):
+    code, out, _ = run(capsys, *argv, "--params", written, "--order", "12")
+    assert code == 0
+    data = json.loads(out)
+    assert data["pipelines"] and {p["order"] for p in data["pipelines"].values()} == {12}
+    assert all(c["pass"] for c in data["checks"])
+
+
 def test_family_csv_is_flat(capsys):
     code, out, _ = run(
         capsys,
@@ -208,7 +248,6 @@ def test_cfrac_round_trip_of_a_single_moment_is_a_usage_error(tmp_path, capsys):
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("UMBRAL_ORDER", raising=False)
     built = []
     make_parser = cli.make_parser
     monkeypatch.setattr(cli, "make_parser", lambda: built.append(1) or make_parser())
@@ -229,17 +268,15 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
     assert built == [1]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    env.pop("UMBRAL_ORDER", None)
     for argv, got in zip(argvs, together):
         alone = subprocess.run([sys.executable, "-m", "umbral.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
         assert got == (alone.returncode, alone.stdout, alone.stderr)
 
 
-def test_a_fresh_import_of_the_package_leaves_the_first_one_working(capsys, monkeypatch):
+def test_a_fresh_import_of_the_package_leaves_the_first_one_working(capsys):
     # a second checkout imported into the same process replaces the
     # umbral.* entries of sys.modules; the first import's suites must have
     # bound their names already, or duality reads the other IndexRatio
-    monkeypatch.delenv("UMBRAL_ORDER", raising=False)
     first = {n: m for n, m in sys.modules.items() if n.partition(".")[0] == "umbral"}
     try:
         for name in first:
@@ -341,25 +378,6 @@ def test_deterministic_output(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_env_var_order(capsys, monkeypatch):
-    monkeypatch.setenv("UMBRAL_ORDER", "6")
-    code, out, _ = run(capsys, "family", "sheffer", "--params", "lambda=0,a=0,b=1/2")
-    assert code == 0
-    assert json.loads(out)["order"] == 6
-
-
-def test_env_var_order_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("UMBRAL_ORDER", "abc")
-    code, out, err = run(capsys, "family", "sheffer", "--params", "lambda=0,a=0,b=1/2")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "UMBRAL_ORDER" in err
-    # an explicit --order does not read the variable
-    code, out, _ = run(capsys, "family", "sheffer", "--params", "lambda=0,a=0,b=1/2", "--order", "6")
-    assert code == 0
-    assert json.loads(out)["order"] == 6
 
 
 @pytest.mark.parametrize("instance,alpha", [("geometric", "1/5"), ("falling-factorial", "1/2")])
@@ -482,7 +500,7 @@ def test_multiterm_at_a_zero_is_the_monomials(capsys, params):
 
 def test_multiterm_rejects_zero_lambda(capsys):
     code, out, err = run(
-        capsys, "family", "multiterm", "--params", "n=2,t0=1/3,t1=2/3", "--order", "4"
+        capsys, "family", "multiterm", "--params", "n=2,lambda=0,t0=1/3,t1=2/3", "--order", "4"
     )
     assert code == 2
     assert out == ""
@@ -645,10 +663,7 @@ def test_order_above_the_bound_is_a_usage_error_before_any_work(capsys, monkeypa
     monkeypatch.setitem(cli.ASSOCS, "jacobi", no_build)
     code, out, err = run(capsys, *argv, "--order", str(cli.MAX_ORDER + 1))
     assert (code, out, err) == (2, "", f"error: order must be at most {cli.MAX_ORDER}\n")
-    monkeypatch.setenv("UMBRAL_ORDER", str(cli.MAX_ORDER + 1))
-    assert run(capsys, *argv) == (2, "", f"error: order must be at most {cli.MAX_ORDER}\n")
 
 
-def test_the_order_bound_itself_is_accepted(monkeypatch):
-    monkeypatch.delenv("UMBRAL_ORDER", raising=False)
+def test_the_order_bound_itself_is_accepted():
     assert cli.resolve_order(argparse.Namespace(order=cli.MAX_ORDER)) == cli.MAX_ORDER == 256

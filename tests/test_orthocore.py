@@ -23,7 +23,6 @@ from umbral.orthocore import (
     numerator_functional_check,
     polys_from_recurrence,
     recurrence_from_moments,
-    tail_from_moment_gf,
     tail_from_partial_fractions,
 )
 from umbral.series import TruncSeries, exp_series
@@ -386,7 +385,7 @@ def test_negative_index_tail_identity_chebyshev():
     rec = chebyshev_rec(16)
     fam = polys_from_recurrence(rec, 8)
     gf = moments_from_recurrence(rec, 12).moment_gf
-    lhs = tail_from_moment_gf(gf, 8)
+    lhs = gf.coeffs[:8]
     rhs = tail_from_partial_fractions(fam, 8)
     assert lhs == rhs
 
@@ -397,7 +396,7 @@ def test_negative_index_tail_identity_hermite_dual():
     dual_rec = Recurrence([0] * (depth + 1), [-1] * depth)
     fam = polys_from_recurrence(dual_rec, 8)
     gf = moments_from_recurrence(dual_rec, 12).moment_gf
-    lhs = tail_from_moment_gf(gf, 8)
+    lhs = gf.coeffs[:8]
     rhs = tail_from_partial_fractions(fam, 8)
     assert lhs == rhs
 

@@ -1,6 +1,6 @@
 """What bench/tracing.py reads from the engine, pinned from this side, the
 names in src/ that no code in src/ reads, the defaulted parameters no call
-sets, and the errors src/ raises.
+sets, the errors src/ raises, and that src/ reads no environment variable.
 
 The tracer wraps the engine from outside src/: it looks up the methods in
 its METHODS table by name, and its bit-height, product-count and repeat-key
@@ -85,6 +85,15 @@ def test_public_names_resolve_and_star_import():
     namespace = {}
     exec("from umbral import *", namespace)
     assert set(umbral.__all__) <= set(namespace)
+
+
+def test_no_module_reads_the_environment():
+    # what the CLI prints is a function of its command line alone
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                assert name not in ("environ", "getenv"), f"{path.name}:{node.lineno}"
 
 
 # Functions and methods of src/ that no code in src/ reads, each with the
