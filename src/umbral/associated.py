@@ -49,8 +49,6 @@ from .opalg import OpMatrix, mgf_from_gop
 from .orthocore import Recurrence, moments_from_recurrence
 from .series import TruncSeries, as_rat, riccati_series  # riccati_series: read here by bench/test_bench.py
 
-ASSOC_MARGIN = 8
-
 
 def guard_shift(c, nw: int):
     c = as_rat(c)
@@ -216,9 +214,9 @@ def shifted_op(core: ShefferCore, p, c, op: Optional[OpMatrix] = None) -> OpMatr
 # -- associated Sheffer -------------------------------------------------------------------
 
 
-def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
-    c = guard_shift(c, order + margin)
-    nw, core = guarded_core(p, order, margin)
+def sheffer_assoc(p: ShefferParams, c, order: int) -> AssocResult:
+    c = guard_shift(c, order + FAMILY_MARGIN)
+    nw, core = guarded_core(p, order)
     base = sheffer_op(core)
     y_over_f = core.fprime.integral().y_over_f().truncate(nw)  # f to nw + 1 from f' = psi(f)
     fprime_pow = core.fprime.pow_fraction(Fraction(1) / p.lam)
@@ -242,9 +240,9 @@ def sheffer_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -
 # -- associated ultraspherical ----------------------------------------------------------------
 
 
-def ultra_assoc(p: ShefferParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
-    c = guard_shift(c, order + margin)
-    nw, core = guarded_core(p, order, margin)
+def ultra_assoc(p: ShefferParams, c, order: int) -> AssocResult:
+    c = guard_shift(c, order + FAMILY_MARGIN)
+    nw, core = guarded_core(p, order)
     lam = p.lam
     linear_guard([("1+lambda*(c+k)", 1 + lam * c, lam)], nw + 2)
     base = deformed_op(core, p.ratio, 0) if _tail_shift(c) else None
@@ -296,9 +294,9 @@ def jacobi_assoc_mgf_forms(p: JacobiParams, c, order: int, core: ShefferCore) ->
     return weighted_form, hyper_form
 
 
-def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
-    c = guard_shift(c, order + margin)
-    nw, core = guarded_core(p, order, margin)
+def jacobi_assoc(p: JacobiParams, c, order: int) -> AssocResult:
+    c = guard_shift(c, order + FAMILY_MARGIN)
+    nw, core = guarded_core(p, order)
     lam = p.lam
     base = deformed_op(core, p.ratio, 0) if _tail_shift(c) else None
     gop = shifted_op(core, p, c, base if c == 0 else None)
@@ -329,7 +327,7 @@ def jacobi_assoc(p: JacobiParams, c, order: int, margin: int = ASSOC_MARGIN) -> 
 def splitting_check(p: JacobiParams, c, order: int) -> list:
     """The conjugated shifted raising operator splits into the lambda-part
     and kappa-part displays with weights r and 1-r."""
-    nw = order + ASSOC_MARGIN
+    nw = order + FAMILY_MARGIN
     c = guard_shift(c, nw)
     p.guard(nw)
     u_c = jacobi_dual_raising(p, nw) if c == 0 else closed_form_raising(jacobi_closed_form(p).assoc(c), nw)
@@ -355,9 +353,9 @@ def newton_expansion(s: TruncSeries, ells: Sequence) -> TruncSeries:
     return acc
 
 
-def wilson_assoc(p: WilsonParams, c, order: int, margin: int = ASSOC_MARGIN) -> AssocResult:
-    c = guard_shift(c, order + margin)
-    nw, core = guarded_core(p, order, margin)
+def wilson_assoc(p: WilsonParams, c, order: int) -> AssocResult:
+    c = guard_shift(c, order + FAMILY_MARGIN)
+    nw, core = guarded_core(p, order)
     lam, kappa, a = p.lam, p.kappa, p.a
     op = deformed_op(core, p.ratio, c)  # before ell: a pole of the ratio is reported here
     ells = p.ells(nw + 1, c)

@@ -33,6 +33,8 @@ def difference_check(name: str, *diffs) -> Check:
     if not found:
         return Check(name, True)
     m, n, a, b = min(found, key=lambda d: d[1])
+    if m is None:
+        return Check(name, False, f"reliable block ends at column {a}, short of column {b}")
     return Check(name, False, f"entry ({m},{n}): {a} != {b}")
 
 
@@ -51,6 +53,8 @@ def series_check(name: str, lhs: TruncSeries, rhs: TruncSeries, through=None) ->
     i = lhs.first_difference(rhs, through)
     if i is None:
         return Check(name, True)
+    if i > min(lhs.order, rhs.order):
+        return Check(name, False, f"series ends at coefficient {i - 1}, short of coefficient {through}")
     return Check(name, False, f"coefficient {i}: {lhs.coefficient(i)} != {rhs.coefficient(i)}")
 
 

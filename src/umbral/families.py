@@ -33,7 +33,7 @@ from .series import (
     t_transform,
 )
 
-FAMILY_MARGIN = 4
+FAMILY_MARGIN = 4  # the one working margin: every build works at order + FAMILY_MARGIN
 
 
 # -- parameters ---------------------------------------------------------------
@@ -365,13 +365,13 @@ def riccati_core(lam, a, b, nw: int) -> ShefferCore:
     return sheffer_core(riccati_series(lam, a, b, nw), Poly([1, lam * a, lam * b]), lam, nw)
 
 
-def guarded_core(p, order: int, margin: int) -> tuple[int, ShefferCore]:
+def guarded_core(p, order: int) -> tuple[int, ShefferCore]:
     """The working order of a build over p's Riccati base, once p's guard
     has passed at it, and the core over that base.  Every such build divides
     by lam (f'(D)^(-1/lam), inner(c)), so lam = 0 is rejected here."""
     if p.lam == 0:
         raise SingularParams("lambda=0", "the build needs 1/lambda powers")
-    nw = order + margin
+    nw = order + FAMILY_MARGIN
     p.guard(nw)
     return nw, riccati_core(p.lam, p.a, p.b, nw)
 
@@ -534,9 +534,9 @@ def generating_function_check(barg: OpMatrix, gen_weight: TruncSeries, phi: Trun
     return first_failure(f"generating function to bidegree ({order},{order})", columns())
 
 
-def sheffer_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
+def sheffer_family(p: ShefferParams, order: int) -> FamilyResult:
     """The base three-term family with raising data x + a(1+lam theta) + b(2+lam theta)D."""
-    nw = order + margin
+    nw = order + FAMILY_MARGIN
     p.guard(nw)
     lam, a, b = p.lam, p.a, p.b
     checks = []
@@ -582,8 +582,8 @@ def ultraspherical_closed_form(p: ShefferParams) -> ClosedFormRecurrence:
     )
 
 
-def ultraspherical_family(p: ShefferParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
-    nw, core = guarded_core(p, order, margin)
+def ultraspherical_family(p: ShefferParams, order: int) -> FamilyResult:
+    nw, core = guarded_core(p, order)
     lam, a, b = p.lam, p.a, p.b
     checks = conjugation_trick_checks(core, (lam,), order)
     gop = deformed_op(core, p.ratio, 0)
@@ -655,13 +655,13 @@ def hahn_closed_form(p: HahnParams) -> ClosedFormRecurrence:
     )
 
 
-def hahn_family(p: HahnParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
+def hahn_family(p: HahnParams, order: int) -> FamilyResult:
     """Shifted-factorial deformation of the ultraspherical family (4b = lam a^2)."""
-    nw = order + margin
+    nw = order + FAMILY_MARGIN
     p.guard(nw)
     lam, a, s = p.lam, p.a, p.s
     b = lam * a * a / 4
-    ultra = ultraspherical_family(ShefferParams(lam, a, b), order, margin)
+    ultra = ultraspherical_family(ShefferParams(lam, a, b), order)
     svals = affine(s - 1, -1).products(nw + 1)
     # delta = (e^(2 a y) - 1)/(2 a) has the base delta' = 1 + 2 a delta
     c_delta = OpMatrix.umbral_compose_ode(Poly([1, 2 * a]), nw)
@@ -748,8 +748,8 @@ def jacobi_dual_raising(p: JacobiParams, nw: int) -> OpMatrix:
     return closed_form_raising(jacobi_closed_form(p), nw, a0=p.a)
 
 
-def jacobi_family(p: JacobiParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
-    nw, core = guarded_core(p, order, margin)
+def jacobi_family(p: JacobiParams, order: int) -> FamilyResult:
+    nw, core = guarded_core(p, order)
     checks = conjugation_trick_checks(core, (p.lam, p.kappa), order)
     gop = deformed_op(core, p.ratio, 0)
     u, rec, fault = extract_recurrence(gop)
@@ -772,7 +772,7 @@ def jacobi_diffeq_op(p: JacobiParams, order: int):
     (1+lam theta)^2 - (2 a lam^2/kappa)(1+beta theta) D, checked crossed as
     rhs gop == gop (1+lam theta)^2, and its eigen-action on gop's columns.
     Returns the closed form, the family operator and the checks."""
-    nw, core = guarded_core(p, order, FAMILY_MARGIN)
+    nw, core = guarded_core(p, order)
     lam, kappa, beta, a = p.lam, p.kappa, p.beta, p.a
     gop = deformed_op(core, p.ratio, 0)
     sq = OpMatrix.diag_op([(1 + lam * n) ** 2 for n in range(nw + 1)], nw)
@@ -794,8 +794,8 @@ def jacobi_diffeq_op(p: JacobiParams, order: int):
 # -- the mixed deformation ---------------------------------------------------------------
 
 
-def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
-    nw, core = guarded_core(p, order, margin)
+def wilson_family(p: WilsonParams, order: int) -> FamilyResult:
+    nw, core = guarded_core(p, order)
     checks = conjugation_trick_checks(core, (p.lam,), order)
     c2 = OpMatrix.shifted_product(p.ells(nw), nw)
     gop = wilson_op(core, p, c2)
@@ -815,8 +815,8 @@ def wilson_family(p: WilsonParams, order: int, margin: int = FAMILY_MARGIN) -> F
 # -- the higher-order generalization --------------------------------------------------------
 
 
-def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN) -> FamilyResult:
-    nw = order + margin
+def multiterm_family(p: MultiTermParams, order: int) -> FamilyResult:
+    nw = order + FAMILY_MARGIN
     p.guard(nw)
     n, lam, a = p.n, p.lam, p.a
     psi = Poly([math.comb(n, j) * (lam * a / n) ** j for j in range(n + 1)])  # (1 + lam a y/n)^n
@@ -871,7 +871,7 @@ def multiterm_family(p: MultiTermParams, order: int, margin: int = FAMILY_MARGIN
 def comment_generator_bands(p: JacobiParams, order: int):
     """Band profiles of the established generators, which must be tridiagonal
     after conjugation by the inner operator: rows (name, band, ok)."""
-    nw, core = guarded_core(p, order, FAMILY_MARGIN)
+    nw, core = guarded_core(p, order)
     lam, kappa, a = p.lam, p.kappa, p.a
     count = nw + 1
     established = {

@@ -553,15 +553,17 @@ class OpMatrix:
     # -- comparison --------------------------------------------------------------
 
     def first_difference(self, other: "OpMatrix", through: Optional[int] = None):
-        """First differing entry on the shared reliable block, or None.
+        """First differing entry (row, col, lhs, rhs) on the shared reliable
+        block through `through`, or None.  A block that ends before `through`
+        differs too, at its first column past the end: (None, end + 1, end,
+        through), so that no comparison passes on less than it was asked.
 
         Canonical columns are equal exactly when their entries are, so
         columns are compared whole and entries only inside a differing one.
         """
         self._check_shape(other)
-        hi = min(self.reliable, other.reliable)
-        if through is not None:
-            hi = min(hi, through)
+        end = min(self.reliable, other.reliable)
+        hi = end if through is None else min(end, through)
         for ncol in range(hi + 1):
             (da, xs), (db, ys) = self.cols[ncol], other.cols[ncol]
             if da == db and xs == ys:
@@ -569,7 +571,7 @@ class OpMatrix:
             for row, (x, y) in enumerate(zip(xs, ys)):
                 if x * db != y * da:
                     return row, ncol, Fraction(x, da), Fraction(y, db)
-        return None
+        return None if through is None or through <= end else (None, end + 1, end, through)
 
     def equals(self, other: "OpMatrix", through: Optional[int] = None) -> bool:
         return self.first_difference(other, through) is None

@@ -246,11 +246,12 @@ class TruncSeries(CommonDen):
         return self.first_difference(other, through) is None
 
     def first_difference(self, other: "TruncSeries", through: int | None = None):
-        """The first index through min(orders, through) where the
-        coefficients differ, or None."""
-        n = min(self.order, other.order)
-        if through is not None:
-            n = min(n, through)
+        """The first index through `through` (by default, the shorter order)
+        where the coefficients differ, or None.  A series that ends before
+        `through` differs at its order + 1, so that no comparison passes on
+        less than it was asked."""
+        end = min(self.order, other.order)
+        n = end if through is None else min(end, through)
         # x/da == y/db as x*ka == y*kb over the cofactors of gcd(da, db); on
         # equal canonical prefixes one denominator divides the other, so one
         # factor is 1 and the other small
@@ -259,7 +260,7 @@ class TruncSeries(CommonDen):
         for i, (x, y) in enumerate(zip(self.nums[: n + 1], other.nums[: n + 1])):
             if x * ka != y * kb:
                 return i
-        return None
+        return None if through is None or through <= end else end + 1
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])

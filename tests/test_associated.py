@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import umbral.associated as associated
 import umbral.series as series
 from umbral.associated import (
-    ASSOC_MARGIN,
     change_of_variable_check,
     guard_shift,
     jacobi_assoc,
@@ -49,9 +48,9 @@ def all_pass(checks):
 def nested_pass(build, *args):
     """An assoc build reuses its base family's operator chain over the same
     core, not that family's checks; build the base family (or, for the
-    Wilson reductions, the family whose operator is reused) alone, with the
-    assoc margin, and require its checks."""
-    all_pass(build(*args, margin=ASSOC_MARGIN).checks)
+    Wilson reductions, the family whose operator is reused) alone and
+    require its checks."""
+    all_pass(build(*args).checks)
 
 
 # ---- the replaced routes, kept as references --------------------------------------------
@@ -422,9 +421,9 @@ def planted_expansion(monkeypatch, k, staged=True):
     monkeypatch.setattr(associated, "newton_expansion", planted)
 
 
-@pytest.mark.parametrize("k", [13, 19])
+@pytest.mark.parametrize("k", [13, 15])
 def test_planted_staged_coefficient_fails_the_crossed_check(k, monkeypatch, capsys):
-    """At order 12 the expansion runs to order 19.  One wrong staged
+    """At order 12 the expansion runs to order 15.  One wrong staged
     coefficient k past the order fails the crossed check at column k (C2
     transposed is unit triangular) and no other check, and the CLI exits 1."""
     assert factorization(wilson_assoc(WILSON, F(3, 2), 12)).passed
@@ -440,8 +439,8 @@ def test_planted_staged_coefficient_fails_the_crossed_check(k, monkeypatch, caps
 def test_planted_shift_value_fails_the_crossed_check(monkeypatch):
     """An expansion over a wrong ell_k agrees with C2 through column k and
     fails at column k + 1, the first column of C2 that reads ell_k."""
-    planted_expansion(monkeypatch, 15, staged=False)
-    assert factorization(wilson_assoc(WILSON, F(3, 2), 12)).witness == "column 16"
+    planted_expansion(monkeypatch, 14, staged=False)
+    assert factorization(wilson_assoc(WILSON, F(3, 2), 12)).witness == "column 15"
 
 
 @pytest.mark.parametrize("staged, column", [(True, 5), (False, 6)])

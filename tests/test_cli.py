@@ -476,12 +476,12 @@ def test_assoc_reports_a_fault_of_the_raising_operator_as_a_failed_check(argv, n
 
 
 def test_a_pole_of_the_associated_display_is_a_usage_error(capsys):
-    # 1 + lambda (c + n) = 0 at n = order + 8, the working order: the closed
+    # 1 + lambda (c + n) = 0 at n = order + 4, the working order: the closed
     # form's pole is found before any value is taken there
     code, out, err = run(
-        capsys, "assoc", "jacobi", "--params", "lambda=-7/5,a=1/2,r=1/3", "--c=-121/7", "--order", "10"
+        capsys, "assoc", "jacobi", "--params", "lambda=-7/5,a=1/2,r=1/3", "--c=-93/7", "--order", "10"
     )
-    assert (code, out, err) == (2, "", "error: b_n invalid: index ratio pole at 18\n")
+    assert (code, out, err) == (2, "", "error: b_n invalid: index ratio pole at 14\n")
 
 
 @pytest.mark.parametrize("params", [

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from umbral import associated, families, verify
 from umbral.associated import (
-    ASSOC_MARGIN,
     change_of_variable_check,
     coeff_then_d,
     jacobi_assoc,
@@ -159,7 +158,7 @@ def ref_longdiv(f, order):
 
 
 def split_factors(p, order):
-    nw, core = guarded_core(p, order, FAMILY_MARGIN)
+    nw, core = guarded_core(p, order)
     lam_part, kappa_part = jacobi_split_displays(p, nw)
     t = x_times([p.ratio(n) for n in range(nw + 1)], nw)
     return {"inner": core.inner(), "t": t, "lam_part": lam_part, "kappa_part": kappa_part, "r": p.r}
@@ -183,7 +182,7 @@ def bracket_args(f, order):
 
 
 def square_factors(p, c, order):
-    nw, core = guarded_core(p, order, ASSOC_MARGIN)
+    nw, core = guarded_core(p, order)
     lam, kappa, a = p.lam, p.kappa, p.a
     sq = OpMatrix.diag_op([(1 + lam * (n + c)) ** 2 for n in range(nw + 1)], nw)
     display = sq - coeff_then_d(
@@ -233,7 +232,7 @@ def diffeq_args(f, order):
 def hahn_factors(p, order):
     nw = order + FAMILY_MARGIN
     square = ShefferParams(p.lam, p.a, p.lam * p.a * p.a / 4)
-    ultra_gop = deformed_op(guarded_core(square, order, FAMILY_MARGIN)[1], square.ratio, 0)
+    ultra_gop = deformed_op(guarded_core(square, order)[1], square.ratio, 0)
     law = diag_conj(affine(p.s - 1, -1).products(nw + 1), ultra_gop)
     delta = (exp_series(2 * p.a, nw) - 1) / (2 * p.a)
     return {"gop": OpMatrix.umbral_compose(delta, nw) @ law, "delta": delta, "law": law}
@@ -341,7 +340,7 @@ def test_riccati_conjugation_trick_matches_the_reference(lam, a, b):
     assume(lam != 0)
     p = ShefferParams(lam, a, b)
     try:
-        _, core = guarded_core(p, 4, FAMILY_MARGIN)
+        _, core = guarded_core(p, 4)
     except SingularParams:
         assume(False)
     assert passed(conjugation_trick_checks(core, (lam,), 4)) == passed(ref_conjugation_trick_checks(core, lam, 4))
@@ -353,7 +352,7 @@ def test_jacobi_checks_match_the_references(lam, a, r):
     try:
         p = JacobiParams(lam, a, r)
         f = split_factors(p, 4)
-        _, core = guarded_core(p, 4, FAMILY_MARGIN)
+        _, core = guarded_core(p, 4)
     except SingularParams:
         assume(False)
     assert crossed("split", f, 4).passed == ref_split(f, 4).passed
@@ -366,7 +365,7 @@ def test_jacobi_checks_match_the_references(lam, a, r):
 def test_wilson_checks_match_the_references(lam, a, r, rt, h):
     try:
         p = WilsonParams(lam, a, r, rt, h)
-        p.guard(4 + ASSOC_MARGIN)
+        p.guard(4 + FAMILY_MARGIN)
         bracket, square = bracket_factors(p, 4), square_factors(p, ASSOC_C, 4)
     except SingularParams:
         assume(False)
@@ -478,7 +477,7 @@ def test_planted_conjugation_trick_factor_fails_in_the_reference_column(factor, 
     fail them (C_f at (0,0) and (1,1) and F at (0,0): each is C_f or F
     times a diagonal that commutes with what the reference conjugates, so
     C_f Dg C_f^(-1) and F Z F^(-1) absorb it)."""
-    _, core = guarded_core(p, ORDER, FAMILY_MARGIN)
+    _, core = guarded_core(p, ORDER)
     failures = 0
     for where, bad in lemma_plants(factor, sigmas)(core):
         for sigma, records in by_sigma(conjugation_trick_checks(bad, sigmas, ORDER), sigmas):
@@ -493,7 +492,7 @@ def test_a_planted_c_tf_inv_corner_fails_only_the_resolvent_form_in_column_0():
     """Y = C_tf^(-1) x F never reads column 0 of C_tf^(-1), so its (0,0)
     entry is seen by the comparison C_tf^(-1) e_0 == e_0 alone, which every
     sigma's resolvent form includes."""
-    _, core = guarded_core(JACOBI, ORDER, FAMILY_MARGIN)
+    _, core = guarded_core(JACOBI, ORDER)
     bad = dataclasses.replace(core)
     bad.c_tf_inv = planted(core.c_tf_inv, 0, 0)
     checks = conjugation_trick_checks(bad, (JACOBI.lam, JACOBI.kappa), ORDER)
@@ -509,7 +508,7 @@ def cut_cases():
         for m, n in entries(factors[slot]):
             yield crossed(site, dict(factors, **{slot: planted(factors[slot], m, n)}), ORDER)
     for p, sigmas in LEMMA_CALLS:
-        _, core = guarded_core(p, ORDER, FAMILY_MARGIN)
+        _, core = guarded_core(p, ORDER)
         for factor in ("c_tf_inv", "c_f", "fpow", "tf"):
             for _, bad in lemma_plants(factor, sigmas)(core):
                 yield from conjugation_trick_checks(bad, sigmas, ORDER)
@@ -645,15 +644,15 @@ def dense_conjugate(m, t):
 
 
 def riccati_gop(p, order):
-    return sheffer_op(guarded_core(p, order, FAMILY_MARGIN)[1])
+    return sheffer_op(guarded_core(p, order)[1])
 
 
 def jacobi_gop(p, order):
-    return deformed_op(guarded_core(p, order, FAMILY_MARGIN)[1], p.ratio, 0)
+    return deformed_op(guarded_core(p, order)[1], p.ratio, 0)
 
 
 def wilson_gop(p, order):
-    nw, core = guarded_core(p, order, FAMILY_MARGIN)
+    nw, core = guarded_core(p, order)
     return wilson_op(core, p, OpMatrix.shifted_product(p.ells(nw), nw))
 
 

@@ -8,8 +8,8 @@ repeated key (exit 2, empty stdout), and the assoc paths that reuse another
 family's operator chain: Wilson at h = 0 (c = 0 and 3/2), Jacobi at c = 2
 and the ultraspherical, Jacobi and Wilson c = 1/2 where 1 + lambda (c - 1)
 = 0, a `cfrac` recurrence whose zero b ends the continued fraction early,
-a Sheffer family at lambda = 0 with a != 0, and an associated Jacobi
-display with a pole of b_n at the working order (exit 2, empty stdout),
+a Sheffer family at lambda = 0 with a != 0, an associated Jacobi display
+whose pole of b_n, at index 18, lies past the working order 14 (exit 0),
 and `verify all --order 12` at seeds 0-3 (477, 479, 478 and 477 checks,
 none failed), the sweep every change to the engine is gated on.  A
 refactor of the construction code must leave all of them unchanged: a
@@ -84,8 +84,8 @@ GOLDEN = [
      "e50ccd60d75c4751fd92749e251eb9e92f713078b127b0e46cfd38b58434e7b3"),
     ("family sheffer --params lambda=0,a=1/3,b=1/2 --order 8", 0,
      "cc4fe5496c2320437e848f4e8763fb9134ccf6c98bc794ec346f710889cb06c9"),
-    ("assoc jacobi --params lambda=-7/5,a=1/2,r=1/3 --c=-121/7 --order 10", 2,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("assoc jacobi --params lambda=-7/5,a=1/2,r=1/3 --c=-121/7 --order 10", 0,
+     "ebf44517512cf2cd20c38a500a17f19b9772b327f62471f2258f80e6f5569119"),
     ("verify all --order 12 --seed 0", 0, "b9da55280db5b62c0940c9837e9e0734c5078820e20ce428324fefe9a2c129e8"),
     ("verify all --order 12 --seed 1", 0, "3de4a9ba2aec36db2dad6bf54830428ea43de1a582c976e8e4d3c9973d5402d6"),
     ("verify all --order 12 --seed 2", 0, "5d04108ceec2ec7e02eb7059cda2a98e1b1460aa20d656a58dba54a19c1ea550"),

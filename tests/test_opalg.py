@@ -24,6 +24,7 @@ from umbral.families import (
     x_times,
 )
 from umbral.indexfn import IndexRatio, Poly, affine
+from umbral.checks import op_check
 from umbral.opalg import OpMatrix, mgf_from_gop
 from umbral.series import TruncSeries, exp_series, riccati_series
 
@@ -196,7 +197,7 @@ def test_bar_antihomomorphism():
     d, x = OpMatrix.d_op(NW), OpMatrix.x_op(NW)
     lhs = (d @ x).bar()
     rhs = x.bar() @ d.bar()
-    assert lhs.equals(rhs, through=lhs.reliable)
+    assert lhs.equals(rhs, through=min(lhs.reliable, rhs.reliable))
 
 
 def test_bar_umbral_inverse_gives_powers_of_f():
@@ -785,3 +786,17 @@ def test_umbral_compose_inverse_rejects_as_umbral_compose_does():
             lambda: OpMatrix.umbral_compose_inverse(t, nw), lambda: OpMatrix.umbral_compose(t, nw)
         )
         assert got == expected and got[0] is not None
+
+
+def test_a_comparison_past_the_reliable_block_fails():
+    # a block that ends before `through` has not shown agreement through it:
+    # the check fails at the first column past the block and names both
+    ident = OpMatrix.identity(NW)
+    short = OpMatrix(ident.mat, NW, 0, NW - 3)
+    assert short.first_difference(ident, NW - 3) is None and short.equals(ident)
+    assert short.first_difference(ident, NW - 1) == (None, NW - 2, NW - 3, NW - 1)
+    check = op_check("planted short block", short, ident, NW - 1)
+    assert (check.passed, check.witness) == (False, f"reliable block ends at column {NW - 3}, short of column {NW - 1}")
+    # a difference inside the block is still the one reported
+    bent = OpMatrix.diag_op([1] * 5 + [2] + [1] * (NW - 5), NW)
+    assert op_check("", OpMatrix(bent.mat, NW, 0, NW - 3), ident, NW - 1).witness == "entry (5,5): 2 != 1"

@@ -1,6 +1,7 @@
 """Checks of the builders from outside: an oracle that uses neither the
-inverse kernel nor recurrence extraction, and margin-invariance of every
-build on its reliable block."""
+inverse kernel nor recurrence extraction, one that reads the recurrence
+off gop's moments by Hankel determinants, and invariance of every build's
+reliable block under a wider working order."""
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from umbral.families import (
     HahnParams,
     JacobiParams,
     MultiTermParams,
+    FAMILY_MARGIN,
     ShefferParams,
     WilsonParams,
     closed_form_raising,
@@ -28,7 +30,9 @@ from umbral.families import (
     wilson_family,
 )
 from umbral.indexfn import Poly
-from umbral.opalg import OpMatrix
+from umbral.opalg import OpMatrix, mgf_from_gop
+
+from test_orthocore import hankel_recurrence
 
 ORDER = 8
 
@@ -81,7 +85,7 @@ KRYLOV_CASES = {
 
 @pytest.mark.parametrize("name", sorted(KRYLOV_CASES))
 def test_krylov_matrix_of_the_closed_form_inverts_gop(name):
-    nw = ORDER + 4  # FAMILY_MARGIN
+    nw = ORDER + FAMILY_MARGIN
     gop, u = KRYLOV_CASES[name](nw)
     assert gop.nw == nw and gop.reliable >= ORDER
     k = krylov_matrix(u)
@@ -92,7 +96,7 @@ def test_krylov_matrix_of_the_closed_form_inverts_gop(name):
 
 def test_krylov_oracle_sees_a_wrong_closed_form():
     p = JacobiParams(F(1, 3), F(2, 5), F(3, 7))
-    nw = ORDER + 4
+    nw = ORDER + FAMILY_MARGIN
     gop = jacobi_family(p, ORDER).gop
     u = jacobi_dual_raising(p, nw)
     bent = u + OpMatrix.diag_op([0] * 5 + [F(1, 10**6)] + [0] * (nw - 5), nw)
@@ -101,9 +105,51 @@ def test_krylov_oracle_sees_a_wrong_closed_form():
     assert diff is not None and diff[1] == 6
 
 
-# ---- metamorphic margins: the reliable block does not depend on the margin -----------
+# ---- mgf Hankel: gop's moments read back by determinants, not by the readers --------
 
-MARGINS = (4, 8)
+SHEFFER = ShefferParams(F(1, 2), F(1, 3), F(2, 5))
+ULTRA = ShefferParams(F(1, 3), F(1, 2), F(1, 4))
+JACOBI = JacobiParams(F(1, 3), F(2, 5), F(3, 7))
+WILSON = WilsonParams(2, F(1, 3), F(1, 2), F(1, 5), F(1, 4))
+HANKEL_FAMILIES = {
+    "sheffer": lambda: sheffer_family(SHEFFER, ORDER),
+    "ultraspherical": lambda: ultraspherical_family(ULTRA, ORDER),
+    "hahn": lambda: hahn_family(HahnParams(F(1, 2), F(1, 3), F(5, 2)), ORDER),
+    "jacobi": lambda: jacobi_family(JACOBI, ORDER),
+    "wilson": lambda: wilson_family(WILSON, ORDER),
+}
+HANKEL_ASSOC = {
+    "sheffer": lambda c: sheffer_assoc(SHEFFER, c, ORDER),
+    "ultraspherical": lambda c: ultra_assoc(ULTRA, c, ORDER),
+    "jacobi": lambda c: jacobi_assoc(JACOBI, c, ORDER),
+    "wilson": lambda c: wilson_assoc(WILSON, c, ORDER),
+}
+
+
+def hankel_agrees(res):
+    """The a_n and b_n that gop's moments mu_0..mu_nw reach by Hankel
+    determinants (2n + 1 <= nw and 2n <= nw, all within ORDER) equal the
+    recurrence the build extracted."""
+    a, b, stop = hankel_recurrence(mgf_from_gop(res.gop).laplace().coeffs)
+    assert stop is None and len(b) == res.gop.nw // 2 <= ORDER
+    assert a == list(res.recurrence.a[: len(a)])
+    assert b == list(res.recurrence.b[: len(b)])
+
+
+@pytest.mark.parametrize("name", sorted(HANKEL_FAMILIES))
+def test_hankel_reads_the_family_recurrence_off_its_moments(name):
+    hankel_agrees(HANKEL_FAMILIES[name]())
+
+
+@pytest.mark.parametrize("c", [F(1), F(3, 2)])
+@pytest.mark.parametrize("name", sorted(HANKEL_ASSOC))
+def test_hankel_reads_the_assoc_recurrence_off_its_moments(name, c):
+    hankel_agrees(HANKEL_ASSOC[name](c))
+
+
+# ---- metamorphic orders: the reliable block does not depend on the working order ------
+
+WIDER = 4  # the second build's extra order: working orders order + 4 and order + 8
 positive = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
 small = st.fractions(min_value=-2, max_value=2, max_denominator=5)
 unit = st.fractions(min_value=0, max_value=1, max_denominator=5)
@@ -112,11 +158,11 @@ orders = st.integers(3, 5)
 
 
 def agree_on_shared_block(build, *args):
-    """Build at both margins and compare gop columns, recurrence and f0 on
-    the block both builds call reliable."""
-    order = args[-1]
+    """Build at `order` and at `order` + WIDER and compare gop columns,
+    recurrence and f0 on the block both builds call reliable."""
+    *params, order = args
     try:
-        first, second = (build(*args, margin=m) for m in MARGINS)
+        first, second = (build(*params, order + extra) for extra in (0, WIDER))
     except (SingularParams, DiagSingular):
         reject()  # a parameter guard; its range grows with the working order
     shared = min(first.gop.reliable, second.gop.reliable)
@@ -132,19 +178,19 @@ def agree_on_shared_block(build, *args):
 
 @settings(max_examples=10, deadline=None)
 @given(positive, small, small, orders)
-def test_sheffer_family_margins(lam, a, b, order):
+def test_sheffer_family_working_orders(lam, a, b, order):
     agree_on_shared_block(sheffer_family, ShefferParams(lam, a, b), order)
 
 
 @settings(max_examples=10, deadline=None)
 @given(positive, small, small, orders)
-def test_ultraspherical_family_margins(lam, a, b, order):
+def test_ultraspherical_family_working_orders(lam, a, b, order):
     agree_on_shared_block(ultraspherical_family, ShefferParams(lam, a, b), order)
 
 
 @settings(max_examples=10, deadline=None)
 @given(positive, small.filter(lambda v: v != 0), st.fractions(-3, 3, max_denominator=3), orders)
-def test_hahn_family_margins(lam, a, s, order):
+def test_hahn_family_working_orders(lam, a, s, order):
     if s.denominator == 1 and s >= 1:
         reject()
     agree_on_shared_block(hahn_family, HahnParams(lam, a, s), order)
@@ -152,19 +198,19 @@ def test_hahn_family_margins(lam, a, s, order):
 
 @settings(max_examples=10, deadline=None)
 @given(positive, small, unit, orders)
-def test_jacobi_family_margins(lam, a, r, order):
+def test_jacobi_family_working_orders(lam, a, r, order):
     agree_on_shared_block(jacobi_family, JacobiParams(lam, a, r), order)
 
 
 @settings(max_examples=10, deadline=None)
 @given(positive, small, unit, unit, unit, orders)
-def test_wilson_family_margins(lam, a, r, rt, h, order):
+def test_wilson_family_working_orders(lam, a, r, rt, h, order):
     agree_on_shared_block(wilson_family, WilsonParams(lam, a, r, rt, h), order)
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from([2, 3]), positive, small, st.data(), orders)
-def test_multiterm_family_margins(n, lam, a, data, order):
+def test_multiterm_family_working_orders(n, lam, a, data, order):
     weights = data.draw(st.lists(unit, min_size=n, max_size=n + 1))
     weights[-1] = 1 - sum(weights[:-1])
     agree_on_shared_block(multiterm_family, MultiTermParams(n, lam, a, tuple(weights)), order)
@@ -172,23 +218,23 @@ def test_multiterm_family_margins(n, lam, a, data, order):
 
 @settings(max_examples=10, deadline=None)
 @given(positive, small, small, shifts, orders)
-def test_sheffer_assoc_margins(lam, a, b, c, order):
+def test_sheffer_assoc_working_orders(lam, a, b, c, order):
     agree_on_shared_block(sheffer_assoc, ShefferParams(lam, a, b), c, order)
 
 
 @settings(max_examples=10, deadline=None)
 @given(positive, small, small, shifts, orders)
-def test_ultra_assoc_margins(lam, a, b, c, order):
+def test_ultra_assoc_working_orders(lam, a, b, c, order):
     agree_on_shared_block(ultra_assoc, ShefferParams(lam, a, b), c, order)
 
 
 @settings(max_examples=10, deadline=None)
 @given(positive, small, unit, shifts, orders)
-def test_jacobi_assoc_margins(lam, a, r, c, order):
+def test_jacobi_assoc_working_orders(lam, a, r, c, order):
     agree_on_shared_block(jacobi_assoc, JacobiParams(lam, a, r), c, order)
 
 
 @settings(max_examples=10, deadline=None)
 @given(positive, small, unit, unit, unit, shifts, orders)
-def test_wilson_assoc_margins(lam, a, r, rt, h, c, order):
+def test_wilson_assoc_working_orders(lam, a, r, rt, h, c, order):
     agree_on_shared_block(wilson_assoc, WilsonParams(lam, a, r, rt, h), c, order)

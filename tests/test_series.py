@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umbral.checks import series_check
 from umbral.errors import (
     CompositionNonNilpotent,
     DivisionByNonUnit,
@@ -467,3 +468,16 @@ def test_reverse_matches_fraction_powers(lead, rest):
 @given(st.lists(st.one_of(small_fractions, wide_fractions), min_size=1, max_size=4), st.integers(0, 8))
 def test_autonomous_ode_matches_horner_recursion(p, order):
     assert_canonical(solve_autonomous_ode(p, order), reference_autonomous_ode(p, order))
+
+
+def test_a_comparison_past_the_shorter_series_fails():
+    # a series that ends before `through` has not shown agreement through it:
+    # the check fails at its order + 1 and names both coefficients
+    short, long = exp_series(1, 4), exp_series(1, 8)
+    assert short.first_difference(long, 4) is None and short.agrees_with(long)
+    assert short.first_difference(long, 6) == 5 and long.first_difference(short, 6) == 5
+    check = series_check("planted short block", short, long, 6)
+    assert (check.passed, check.witness) == (False, "series ends at coefficient 4, short of coefficient 6")
+    # a difference inside the shorter series is still the one reported
+    bent = TruncSeries(list(short.coeffs[:3]) + [F(1, 7)] + list(short.coeffs[4:]))
+    assert series_check("", bent, long, 6).witness == "coefficient 3: 1/7 != 1/6"

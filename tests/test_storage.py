@@ -217,9 +217,11 @@ def test_stock_series(c, order):
 @settings(max_examples=60, deadline=None)
 @given(coeff_lists, coeff_lists, st.integers(0, 8))
 def test_series_comparison_finds_the_first_difference(xs, ys, through):
+    # a series that ends before `through` differs at its end + 1
     f, g = TruncSeries(xs), TruncSeries(ys)
-    n = min(len(xs), len(ys), through + 1)
-    expected = next((i for i in range(n) if xs[i] != ys[i]), None)
+    known = min(len(xs), len(ys))
+    n = min(known, through + 1)
+    expected = next((i for i in range(n) if xs[i] != ys[i]), None if through < known else known)
     assert f.first_difference(g, through) == expected
     assert f.agrees_with(g, through) == (expected is None)
     assert f.agrees_with(TruncSeries(xs + ys))

@@ -1,6 +1,7 @@
 """What bench/tracing.py reads from the engine, pinned from this side, the
 names in src/ that no code in src/ reads, the defaulted parameters no call
-sets, the errors src/ raises, and that src/ reads no environment variable.
+sets, the errors src/ raises, that src/ reads no environment variable, and
+that it has one working margin.
 
 The tracer wraps the engine from outside src/: it looks up the methods in
 its METHODS table by name, and its bit-height, product-count and repeat-key
@@ -96,6 +97,26 @@ def test_no_module_reads_the_environment():
                 assert name not in ("environ", "getenv"), f"{path.name}:{node.lineno}"
 
 
+def test_one_working_margin():
+    # every build works at order + FAMILY_MARGIN: no function takes a margin,
+    # and no module assigns a second one
+    params, margins = [], []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                params += [f"{path.name}:{node.lineno}" for x in a.posonlyargs + a.args + a.kwonlyargs if x.arg == "margin"]
+        margins += [
+            f"{path.stem}.{t.id}"
+            for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(t, ast.Name) and t.id.endswith("MARGIN")
+        ]
+    assert params == []
+    assert margins == ["families.FAMILY_MARGIN"]
+
+
 # Functions and methods of src/ that no code in src/ reads, each with the
 # reason it stays.
 UNREAD_IN_SRC = {
@@ -143,11 +164,8 @@ def test_every_function_no_code_in_src_reads_is_allowed_by_name():
 
 # Defaulted parameters of src/ that no call in src/ or tests/ sets, each with
 # the reason the default stays; any other default no call sets is a constant.
-_BUILDER_MARGIN = "the metamorphic tests in tests/test_oracles.py vary it, calling the builder through a variable"
 _CLASS_CALL = "a constructor default: the class is called by its name, never as __init__"
 UNSET_DEFAULTS = {
-    **{f"families.{name}_family(margin)": _BUILDER_MARGIN for name in ("sheffer", "hahn", "jacobi", "wilson", "multiterm")},
-    **{f"associated.{name}_assoc(margin)": _BUILDER_MARGIN for name in ("sheffer", "ultra", "jacobi", "wilson")},
     "indexfn.IndexRatio.__init__(den)": _CLASS_CALL,
     "errors.DiagSingular.__init__(detail)": _CLASS_CALL,
     "errors.SingularParams.__init__(detail)": _CLASS_CALL,
