@@ -1,0 +1,7 @@
+"""`python -m umbral`: the `umbral` command without an install."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

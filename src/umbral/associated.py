@@ -57,6 +57,20 @@ def guard_shift(c, nw: int):
     return c
 
 
+def guard_tail_shift(c, order: int):
+    """guard_shift at the working order nw, then the reach of the tail
+    pipeline: the base recurrence reaches depth nw - 1, and the moments
+    through `order` read order // 2 + 1 levels of its shift by c, so an
+    integer c >= 0 past nw - 2 - order // 2 is refused before any work."""
+    nw = order + FAMILY_MARGIN
+    c = guard_shift(c, nw)
+    top = nw - 2 - order // 2
+    if _tail_shift(c) and c > top:
+        raise ValueError(f"--c: an integer shift must be at most {top} at order {order}, "
+                         f"the depth the tail mgf can read")
+    return c
+
+
 def series_l(s: TruncSeries) -> TruncSeries:
     """The 0-derivative on the series side: drop the constant, shift down."""
     return TruncSeries(s.coeffs[1:]) if s.order >= 1 else TruncSeries.zero(0)
@@ -215,7 +229,7 @@ def shifted_op(core: ShefferCore, p, c, op: Optional[OpMatrix] = None) -> OpMatr
 
 
 def sheffer_assoc(p: ShefferParams, c, order: int) -> AssocResult:
-    c = guard_shift(c, order + FAMILY_MARGIN)
+    c = guard_tail_shift(c, order)
     nw, core = guarded_core(p, order)
     base = sheffer_op(core)
     y_over_f = core.fprime.integral().y_over_f().truncate(nw)  # f to nw + 1 from f' = psi(f)
@@ -241,7 +255,7 @@ def sheffer_assoc(p: ShefferParams, c, order: int) -> AssocResult:
 
 
 def ultra_assoc(p: ShefferParams, c, order: int) -> AssocResult:
-    c = guard_shift(c, order + FAMILY_MARGIN)
+    c = guard_tail_shift(c, order)
     nw, core = guarded_core(p, order)
     lam = p.lam
     linear_guard([("1+lambda*(c+k)", 1 + lam * c, lam)], nw + 2)
@@ -295,7 +309,7 @@ def jacobi_assoc_mgf_forms(p: JacobiParams, c, order: int, core: ShefferCore) ->
 
 
 def jacobi_assoc(p: JacobiParams, c, order: int) -> AssocResult:
-    c = guard_shift(c, order + FAMILY_MARGIN)
+    c = guard_tail_shift(c, order)
     nw, core = guarded_core(p, order)
     lam = p.lam
     base = deformed_op(core, p.ratio, 0) if _tail_shift(c) else None

@@ -19,12 +19,13 @@ from typing import Optional, Sequence
 
 from .checks import (Check, conjugation_check, difference_check, first_failure, flag_check, op_check, series_check,
                      value_check)
-from .errors import DiagSingular, SingularParams
+from .errors import DiagSingular, OrderExhausted, SingularParams
 from .indexfn import IndexRatio, Poly, affine
 from .opalg import OpMatrix, conjugate, mgf_from_gop
 from .orthocore import ClosedFormRecurrence, Recurrence, moments_from_recurrence, recurrence_from_moments
 from .series import (
     TruncSeries,
+    _reduced,
     as_rat,
     exp_series,
     psi_diagonal,
@@ -276,11 +277,33 @@ class MultiTermParams(FamilyParams):
 
 def diag_conj(values: Sequence, op: OpMatrix) -> OpMatrix:
     """v^(-1) . op . v for the diagonal operator v with the given values: the
-    one place a diagonal is inverted."""
+    one place a diagonal is inverted.
+
+    One pass, no product: with v_k = P_k/Q_k in lowest terms and column n of
+    op equal to N/d, entry (m, n) is N_m P_n Q_m / (d Q_n P_m), so column n
+    is summed over d Q_n lcm(|P_m| : N_m != 0).  Any common denominator of a
+    column is s times its least one, with every numerator s times its
+    canonical one, so the single gcd pass of `_reduced` divides out exactly
+    s and leaves the canonical column.  The bookkeeping is that of the two
+    products diag(1/v) . op . diag(v): raise op.raised, reliable
+    min(op.reliable, nw - op.raised)."""
     for n, v in enumerate(values):
         if v == 0:
             raise DiagSingular(n, "cannot invert zero diagonal value")
-    return OpMatrix.diag_op([1 / as_rat(v) for v in values], op.nw) @ op @ OpMatrix.diag_op(values, op.nw)
+    nw = op.nw
+    ratios = [as_rat(v).as_integer_ratio() for v in values]
+    if len(ratios) < nw + 1:
+        raise OrderExhausted("not enough diagonal values for working order")
+    cols = []
+    for (d, nums), (p_n, q_n) in zip(op.cols, ratios):
+        rows = [m for m, x in enumerate(nums) if x]
+        ell = math.lcm(*[ratios[m][0] for m in rows])
+        acc = [0] * (nw + 1)
+        for m in rows:
+            p_m, q_m = ratios[m]
+            acc[m] = nums[m] * p_n * q_m * (ell // p_m)
+        cols.append(_reduced(d * q_n * ell, acc))
+    return OpMatrix._of(cols, nw, op.raised, min(op.reliable, nw - op.raised))
 
 
 def x_times(values: Sequence, nw: int) -> OpMatrix:

@@ -14,6 +14,7 @@ built on its first read and kept.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -382,12 +383,27 @@ class TruncSeries(CommonDen):
         """Compositional inverse: the series phi with f(phi(y)) = y.
 
         Coefficients come from the Lagrange inversion formula
-        [y^m] phi = (1/m) [y^(m-1)] (y/f)^m, valid whenever f(0)=0 and
-        f'(0) != 0; this is exact through the input order.
+        [y^m] phi = (1/m) [y^(m-1)] h^m with h = y/f, valid whenever f(0)=0
+        and f'(0) != 0; this is exact through the input order.  Only one
+        coefficient of each power is read, so the powers are taken baby step,
+        giant step: with k = isqrt(n) and m = i k + j (1 <= j <= k),
+        [y^(m-1)] h^m = sum_t [y^t] h^(ik) . [y^(m-1-t)] h^j, one dot product
+        of a giant power with a baby power.  That is k baby powers, about
+        n/k giant ones, one truncated product each, and n dot products:
+        O(n^2.5) coefficient products.  The rationals are those of the
+        powers, so the canonical result does not depend on the route.
         """
-        pairs = [(0, 1)]
-        for m, (den, nums) in enumerate(_int_powers(self.y_over_f(), self.order), start=1):
-            pairs.append((nums[m - 1], den * m))
+        n, h = self.order, self.y_over_f()
+        k = math.isqrt(n)
+        babies = list(_int_powers(h, k))  # h^1 .. h^k, each n long
+        step_den, step = babies[-1]
+        rev = [nums[::-1] for _, nums in babies]  # rev[j][n - m + t] = [y^(m-1-t)] h^(j+1)
+        g_den, giant, pairs = 1, [1], [(0, 1)]
+        for m in range(1, n + 1):
+            i, j = divmod(m - 1, k)
+            if i and not j:  # h^(ik) = h^((i-1)k) . h^k
+                g_den, giant = _reduced(g_den * step_den, _conv(giant, step, h.order))
+            pairs.append((sum(map(operator.mul, giant[:m], rev[j][n - m:])), g_den * babies[j][0] * m))
         return TruncSeries._of(*_from_pairs(pairs))
 
     def y_over_f(self) -> "TruncSeries":

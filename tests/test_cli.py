@@ -667,3 +667,37 @@ def test_order_above_the_bound_is_a_usage_error_before_any_work(capsys, monkeypa
 
 def test_the_order_bound_itself_is_accepted():
     assert cli.resolve_order(argparse.Namespace(order=cli.MAX_ORDER)) == cli.MAX_ORDER == 256
+
+
+@pytest.mark.parametrize("name", ["sheffer", "ultraspherical", "jacobi"])
+@pytest.mark.parametrize("order, top", [(6, 5), (12, 8)])
+def test_an_integer_shift_past_the_tail_depth_is_refused_before_any_work(capsys, monkeypatch, name, order, top):
+    """The tail mgf reads the base recurrence, depth order + 3, shifted by c
+    through order // 2 + 1 levels: the largest integer shift is top.  Past it
+    the build is refused as a usage error naming --c, before any core is
+    made; at top it runs with every check passing, the tail mgf among them."""
+    code, out, err = run(capsys, "assoc", name, "--c", str(top), "--order", str(order))
+    assert (code, err) == (0, "")
+    checks = json.loads(out)["checks"]
+    assert all(c["pass"] for c in checks) and any(c["name"].endswith("explicit vs tail mgf") for c in checks)
+    monkeypatch.setattr(families, "sheffer_core", lambda *args: pytest.fail("a core was made"))
+    for c in (top + 1, 10**400):
+        code, out, err = run(capsys, "assoc", name, "--c", str(c), "--order", str(order))
+        assert (code, out) == (2, "")
+        assert err == f"error: --c: an integer shift must be at most {top} at order {order}, the depth the tail mgf can read\n"
+
+
+def test_wilson_and_non_integer_shifts_have_no_tail_bound(capsys):
+    # wilson_assoc runs no tail pipeline, and a non-integer c is no tail shift
+    for argv in (("assoc", "wilson", "--c", "9"), ("assoc", "sheffer", "--c", "17/2")):
+        code, out, err = run(capsys, *argv, "--order", "12")
+        assert (code, err) == (0, "")
+        assert all(c["pass"] for c in json.loads(out)["checks"])
+
+
+def test_python_dash_m_umbral_is_the_cli(capsys):
+    argv = ["assoc", "jacobi", "--params", "lambda=2,a=1/2,r=1", "--c", "1"]  # a golden row
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    alone = subprocess.run([sys.executable, "-m", "umbral", *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert (alone.returncode, alone.stdout, alone.stderr) == run(capsys, *argv)
+    assert alone.returncode == 0 and alone.stdout

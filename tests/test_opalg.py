@@ -451,6 +451,61 @@ def op_matrices(draw, nw, invertible=False, shape=None):
     return OpMatrix(mat, nw, raise_, reliable)
 
 
+def two_product_diag_conj(values, op):
+    """The route diag_conj's one pass replaced: diag(1/v) . op . diag(v)."""
+    return OpMatrix.diag_op([1 / F(v) for v in values], op.nw) @ op @ OpMatrix.diag_op(values, op.nw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_diag_conj_matches_the_two_products(data):
+    """Columns, raise and reliable block as the two products give them, on
+    drawn operators with raise 0, 1, 2 or nw, zero columns and a short
+    reliable block, and values negative, integer and not."""
+    nw = data.draw(st.integers(0, 7))
+    op = data.draw(op_matrices(nw))
+    values = data.draw(st.lists(st.one_of(st.integers(-9, 9).filter(bool), nonzero_wide), min_size=nw + 1, max_size=nw + 3))
+    if op.raised > nw:
+        for conj in (diag_conj, two_product_diag_conj):
+            with pytest.raises(ReliabilityExhausted):
+                conj(values, op)
+        return
+    got, ref = diag_conj(values, op), two_product_diag_conj(values, op)
+    assert (got.cols, got.raised, got.reliable) == (ref.cols, ref.raised, ref.reliable)
+    assert got.reliable == min(op.reliable, nw - op.raised)
+    assert_canonical_columns(got)
+
+
+@pytest.mark.parametrize("raised", [0, 1])
+def test_diag_conj_of_a_dense_block_with_a_zero_column(raised, monkeypatch):
+    """A raise-0 and a raise-1 operator with column 2 zero and reliable
+    block nw - 3, conjugated by negative, integer and non-integer values,
+    with no operator product made."""
+    rows = [[F(m - 2 * n, 1 + m + n) if m <= n + raised and n != 2 else F(0) for n in range(NW + 1)] for m in range(NW + 1)]
+    op = OpMatrix(rows, NW, raised, NW - 3)
+    values = [F(-3, 4), 5, -2, F(7, 9), 1, F(-11, 6), 3, F(2, 5), -1, F(13, 8), 6]
+    ref = two_product_diag_conj(values, op)
+
+    def refuse(a, b):
+        raise AssertionError("diag_conj made an operator product")
+
+    monkeypatch.setattr(OpMatrix, "__matmul__", refuse)
+    got = diag_conj(values, op)
+    assert (got.cols, got.raised, got.reliable) == (ref.cols, ref.raised, ref.reliable)
+    assert (got.raised, got.reliable) == (raised, NW - 3)
+    assert all(got.entry(m, n) == rows[m][n] * values[n] / values[m] for m in range(NW + 1) for n in range(NW + 1))
+
+
+@pytest.mark.parametrize("index", [0, 4, NW + 1])  # a value past the working order is still read
+def test_diag_conj_rejects_a_zero_value_by_its_index(index):
+    values = [F(-2, 3), 1, 5, F(7, 2)] + [3] * (NW - 1)
+    values[index] = 0
+    with pytest.raises(DiagSingular) as got:
+        diag_conj(values, OpMatrix.identity(NW))
+    assert got.value.index == index
+    assert str(got.value) == f"diagonal ratio singular at index {index}: cannot invert zero diagonal value"
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_matmul_matches_fraction_loops(data):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umbral import series
 from umbral.checks import series_check
 from umbral.errors import (
     CompositionNonNilpotent,
@@ -462,6 +463,32 @@ def reference_autonomous_ode(p, order):
 def test_reverse_matches_fraction_powers(lead, rest):
     fs = [F(0), lead] + rest
     assert_canonical(TruncSeries(fs).reverse(), reference_reverse(fs))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("order", [1, 2, 3, 15, 16, 17])  # k = isqrt(order) = 1, and around 16 = 4^2
+@settings(max_examples=15, deadline=None)
+@given(wide_fractions.filter(lambda v: v > 0 and v != 1), st.data())
+def test_baby_step_giant_step_reverse_matches_one_power_per_coefficient(sign, order, lead, data):
+    """reverse() reads [y^(m-1)] h^m as a dot product of a giant and a baby
+    power; reference_reverse builds every power of h = y/f in full."""
+    fs = [F(0), sign * lead] + data.draw(st.lists(wide_fractions, min_size=order - 1, max_size=order - 1))
+    f = TruncSeries(fs)
+    phi = f.reverse()
+    assert_canonical(phi, reference_reverse(fs))
+    assert f.compose(phi) == TruncSeries.x(order)
+
+
+def test_reverse_at_order_64_takes_about_2_sqrt_n_products(monkeypatch):
+    """k = 8 baby powers h^1 .. h^8 and the giant powers h^8 .. h^56, one
+    truncated product each: at most 17, about 2 sqrt(64), where one power
+    per coefficient takes 64."""
+    f = riccati_series(F(1, 3), F(2, 5), F(3, 7), 64)
+    expected = TruncSeries(reference_reverse(list(f.coeffs)))
+    calls, conv = [], series._conv
+    monkeypatch.setattr(series, "_conv", lambda *args: calls.append(1) or conv(*args))
+    assert f.reverse() == expected
+    assert len(calls) <= 17, len(calls)
 
 
 @settings(max_examples=60, deadline=None)
