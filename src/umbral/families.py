@@ -1,8 +1,9 @@
 """Construction and verification of the named orthogonal families.
 
-Each family's basis-map operator is one function of a ShefferCore, the
-defining product of elementary factors (`sheffer_op`, `deformed_op`,
-`wilson_op`).  A builder calls that function, then re-derives the three-term
+Each family's basis-map operator is one function of a ShefferCore: the
+base operator f'(D)^(-1/lam) C_f read off psi (`sheffer_op`), or the
+defining product of elementary factors (`deformed_op`, `wilson_op`).  A
+builder calls that function, then re-derives the three-term
 data, the moment generating function, and the closed-form displays
 independently and checks them against each other; a build that needs
 another family's operator calls the function, not that family's builder.
@@ -327,15 +328,14 @@ class ShefferCore:
     f' = psi(f), psi a polynomial with psi(0) = 1; C_f, each inner(c) and
     each diagonal G_alpha = f'(omega)^alpha omega' are read off psi in
     O(nw^2).  fpow, inner, diagonal and fprime_omega_pow make each value
-    once, c_f and c_tf_inv are made on first use.  No core makes C_tf or
+    once; fprime = psi(f), tf = f/f', c_f and c_tf_inv are made on first
+    use, so a build makes only what it reads.  No core makes C_tf or
     inverts an operator; only the conjugation lemma reads C_tf^(-1) (in Y per
     sigma, column 0 once) and tf(D) (once; see `conjugation_trick_checks`)."""
 
     lam: Fraction
     f: TruncSeries
     psi: Poly
-    fprime: TruncSeries
-    tf: TruncSeries
     nw: int
     _memo: dict = field(default_factory=dict, init=False, repr=False)  # (method, argument) -> value
 
@@ -344,6 +344,14 @@ class ShefferCore:
         if key not in self._memo:
             self._memo[key] = make(key[1])
         return self._memo[key]
+
+    @cached_property
+    def fprime(self) -> TruncSeries:
+        return self.psi(self.f)
+
+    @cached_property
+    def tf(self) -> TruncSeries:
+        return t_transform(self.f)
 
     @cached_property
     def c_f(self) -> OpMatrix:
@@ -380,7 +388,7 @@ class ShefferCore:
 
 def sheffer_core(f: TruncSeries, psi: Poly, lam, nw: int) -> ShefferCore:
     """The core over f with f' = psi(f), f known to order nw."""
-    return ShefferCore(lam=as_rat(lam), f=f, psi=psi, fprime=psi(f), tf=t_transform(f), nw=nw)
+    return ShefferCore(lam=as_rat(lam), f=f, psi=psi, nw=nw)
 
 
 def riccati_core(lam, a, b, nw: int) -> ShefferCore:
@@ -400,8 +408,9 @@ def guarded_core(p, order: int) -> tuple[int, ShefferCore]:
 
 
 def sheffer_op(core: ShefferCore) -> OpMatrix:
-    """f'(D)^(-1/lam) C_f: the operator of the base family with lam != 0."""
-    return core.fpow(Fraction(-1) / core.lam) @ core.c_f
+    """f'(D)^(-1/lam) C_f, the operator of the base family with lam != 0,
+    read off psi as the pair (psi^(-1/lam), phi) with no product."""
+    return OpMatrix.umbral_compose_ode(core.psi, core.nw, Fraction(-1) / core.lam)
 
 
 def poch_over_fact(c) -> IndexRatio:
@@ -545,6 +554,7 @@ def generating_function_check(barg: OpMatrix, gen_weight: TruncSeries, phi: Trun
     coefficients <= i of its factors, so this gives the first failure, and
     its witness, of the comparison with gen_weight phi^m."""
     top = min(order, barg.reliable)
+    phi = phi.truncate(top)  # each product then reads it as it is
 
     def columns():
         expect = gen_weight
@@ -571,7 +581,7 @@ def sheffer_family(p: ShefferParams, order: int) -> FamilyResult:
     else:
         core = riccati_core(lam, a, b, nw)
         gop = sheffer_op(core)
-        phi = core.f.reverse()  # by Lagrange inversion, apart from the C_f read off psi
+        phi = core.f.reverse()  # by Lagrange inversion, apart from the gop read off psi
         phiprime = 1 / TruncSeries.from_polynomial([1, lam * a, lam * b], nw)
         gen_weight = phiprime.pow_fraction(Fraction(1) / lam)
         checks.append(
@@ -587,7 +597,7 @@ def sheffer_family(p: ShefferParams, order: int) -> FamilyResult:
         )
         for n in range(1, min(order, rec.depth) + 1)
     )))
-    checks.append(generating_function_check(gop.bar(), gen_weight, phi, order))  # covers C_f
+    checks.append(generating_function_check(gop.bar(), gen_weight, phi, order))  # covers the psi-built gop
     top = min(order, 2 * (rec.depth // 2))
     f0 = mgf_from_gop(gop).truncate(top)
     checks.append(series_check("sheffer: mgf pipelines agree", f0, moments_from_recurrence(rec, top).f0))

@@ -37,8 +37,9 @@ it, for the caller to report as a failed check, the first column's fault
 
 Binomial composition operators come from the powers of y/f by Lagrange
 inversion (``umbral_compose``); where f' = psi(f) for a polynomial psi, the
-same operator and the pair (psi^alpha, y/psi) are read off psi alone in
-O(nw^2) (``umbral_compose_ode``, ``sheffer_pair``).
+same operator times f'(D)^alpha (the pair (psi^alpha, reverse(f))) and the
+pair (psi^alpha, y/psi) are read off psi alone in O(nw^2)
+(``umbral_compose_ode``, ``sheffer_pair``), with no product.
 
 The bar transform is the unique series-side operator with
 T_x e^{xy} = bar(T)_y e^{xy}; matching coefficients of x^m y^b gives the
@@ -192,26 +193,37 @@ class OpMatrix:
         return cls._of(cols, nw, 0, nw)
 
     @classmethod
-    def umbral_compose_ode(cls, psi: Poly, nw: int) -> "OpMatrix":
-        """umbral_compose(f, nw) for the f with f' = psi(f), f(0) = 0, from the
-        polynomial psi alone: phi = reverse(f) has phi' = 1/psi, so the
-        columns' generating function e^(x phi(y)) solves psi(y) dG/dy = x G,
-        and column k+1 = x (column k) - sum_{j>=1} psi_j k!/(k-j)! (column
-        k+1-j), O(deg(psi) nw^2) in all.  With y = c z (`_scaled`), c^k
-        (column k) is an integer polynomial."""
+    def umbral_compose_ode(cls, psi: Poly, nw: int, alpha=0) -> "OpMatrix":
+        """f'(D)^alpha umbral_compose(f, nw) for the f with f' = psi(f),
+        f(0) = 0, from the polynomial psi alone (at alpha = 0, C_f).
+        phi = reverse(f) has phi' = 1/psi and f'(phi) = psi, so the columns'
+        generating function psi(y)^alpha e^(x phi(y)) solves
+        psi(y) dG/dy = (alpha psi'(y) + x) G, and column k+1 = x (column k)
+        + alpha sum_{j>=0} psi'_j k!/(k-j)! (column k-j)
+        - sum_{j>=1} psi_j k!/(k-j)! (column k+1-j), O(deg(psi) nw^2) in all.
+        With y = c z (`_scaled`) and alpha = P/Q, (c Q)^k (column k) is an
+        integer polynomial: the term of psi_j or psi'_j gains Q^j."""
         c, p = _scaled(psi)
+        num, q = as_rat(alpha).as_integer_ratio()
+        dp = [num * j * v for j, v in enumerate(p) if j]  # P psi~'
         scaled = [[1] + [0] * nw]
         for k in range(nw):
-            col = [0] + [c * v for v in scaled[k][:nw]]
-            fall = 1  # k!/(k-j)!
-            for j in range(1, min(len(p) - 1, k) + 1):
-                fall *= k - j + 1
-                w = p[j] * fall
-                for i, v in enumerate(scaled[k + 1 - j]):
-                    if v:
-                        col[i] -= w * v
+            col = [0] + [c * q * v for v in scaled[k][:nw]]
+            fall = 1  # k!/(k-j)! q^j
+            for j in range(min(len(p) - 1, k) + 1):
+                terms = []
+                if j:
+                    fall *= (k - j + 1) * q
+                    terms.append((-p[j], scaled[k + 1 - j]))
+                if j < len(dp) and dp[j]:
+                    terms.append((dp[j], scaled[k - j]))
+                for w, src in terms:
+                    w *= fall
+                    for i, v in enumerate(src):
+                        if v:
+                            col[i] += w * v
             scaled.append(col)
-        return cls._of([_reduced(c**k, col) for k, col in enumerate(scaled)], nw, 0, nw)
+        return cls._of([_reduced((c * q) ** k, col) for k, col in enumerate(scaled)], nw, 0, nw)
 
     @classmethod
     def sheffer_pair(cls, psi: Poly, alpha, nw: int) -> "OpMatrix":
@@ -629,19 +641,25 @@ def conjugate(m: OpMatrix, t: OpMatrix) -> OpMatrix:
     nw = m.nw
     reliable = min(t.reliable, m.reliable - t.raised, nw - t.raised)
     reliable = min(m.reliable, reliable - m.raised, nw - m.raised)
-    m_cols = [nums for _, nums in m.cols]
+    m_rows = list(zip(*[nums for _, nums in m.cols]))
     tm = (t @ m).cols
     cols = []
     for n in range(reliable + 1):
         # with column k of m = N_k/d_k, N z = w gives v_k = z_k d_k / w_den;
         # z_r = ys[i]/s for the rows[i] where z is nonzero
         w_den, w = tm[n]
+        top = nw
+        while top >= 0 and not w[top]:
+            top -= 1
         rows, ys, s = [], [], 1
-        for r in range(max((i for i, v in enumerate(w) if v), default=-1), -1, -1):
-            acc = w[r] * s - sum(m_cols[k][r] * y for k, y in zip(rows, ys))
+        for r in range(top, -1, -1):
+            row = m_rows[r]
+            acc = w[r] * s
+            for k, y in zip(rows, ys):
+                acc -= row[k] * y
             if acc:
                 rows.append(r)
-                s = _append_over(ys, s, acc, m_cols[r][r])
+                s = _append_over(ys, s, acc, row[r])
         nums = [0] * (nw + 1)
         for k, y in zip(rows, ys):
             nums[k] = y * m.cols[k][0]

@@ -376,19 +376,33 @@ def spy_on_c_tf_inv(monkeypatch) -> list:
 
 def test_sheffer_builds_never_make_c_tf(monkeypatch):
     """No core makes C_tf, and a Sheffer build never reads C_tf^(-1) either:
-    it reads C_f off psi once and makes no operator by Lagrange inversion."""
+    it reads its operator f'(D)^(-1/lam) C_f off psi once and makes no
+    operator by Lagrange inversion."""
     made = spy_on_c_tf_inv(monkeypatch)
     composed = {"umbral_compose": [], "umbral_compose_ode": []}
     for name, calls in composed.items():
         make = getattr(OpMatrix, name)
-        monkeypatch.setattr(OpMatrix, name, staticmethod(lambda g, nw, make=make, calls=calls: calls.append(nw) or make(g, nw)))
+        monkeypatch.setattr(OpMatrix, name, staticmethod(
+            lambda g, nw, *alpha, make=make, calls=calls: calls.append((nw, *alpha)) or make(g, nw, *alpha)))
     all_pass(sheffer_family(SHEFFER, 12))
-    assert composed == {"umbral_compose": [], "umbral_compose_ode": [16]}  # C_f alone, where C_tf was once composed next to it
+    # the gop alone, at alpha = -1/lam: no C_f, where C_tf was once composed next to it
+    assert composed == {"umbral_compose": [], "umbral_compose_ode": [(16, -1 / SHEFFER.lam)]}
     checks = suite_base(RunConfig(order=8, seed=1, samples=2))
     assert checks and all(c.passed for c in checks)
     assert not made, made
     ultraspherical_family(SHEFFER, 4)  # the spy is live: this build reads C_tf^(-1)
     assert 8 in made
+
+
+def test_a_sheffer_build_makes_no_core_value_it_does_not_read(monkeypatch):
+    """The Sheffer operator is read off psi and phi is the reversion of f,
+    so the build never makes the core's f' = psi(f), tf = f/f' or C_f."""
+    cores, make = [], families.sheffer_core
+    monkeypatch.setattr(families, "sheffer_core", lambda *args: cores.append(make(*args)) or cores[-1])
+    all_pass(sheffer_family(SHEFFER, 8))
+    (core,) = cores
+    assert not {"fprime", "tf", "c_f"} & set(vars(core)), vars(core).keys()
+    assert core.fprime == core.psi(core.f) and "fprime" in vars(core)  # made on first use, and kept
 
 
 @pytest.mark.parametrize("build", [

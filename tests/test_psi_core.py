@@ -1,11 +1,12 @@
 """The operators and series a ShefferCore reads off its base polynomial psi,
 against the routes they replace.
 
-C_f comes from psi column by column (`OpMatrix.umbral_compose_ode`) and
-inner(c) as the operator of the pair (psi^alpha, y/psi)
-(`OpMatrix.sheffer_pair`).  The routes they replace are the references
-here: C_f by Lagrange inversion (`OpMatrix.umbral_compose(f)`) and inner(c)
-as the product C_tf^(-1) f'(D)^alpha C_f.  Each build that reads a
+C_f and f'(D)^alpha C_f come from psi column by column
+(`OpMatrix.umbral_compose_ode` at alpha = 0 and at alpha) and inner(c) as
+the operator of the pair (psi^alpha, y/psi) (`OpMatrix.sheffer_pair`).  The
+routes they replace are the references here: C_f by Lagrange inversion
+(`OpMatrix.umbral_compose(f)`), f'(D)^alpha C_f as that product, and
+inner(c) as the product C_tf^(-1) f'(D)^alpha C_f.  Each build that reads a
 psi-built operator compares it with a product route in a named check, and
 one planted coefficient of psi fails that check in the column where the
 operator first departs from its reference.
@@ -98,6 +99,40 @@ def test_psi_built_c_f_matches_the_lagrange_pass(lam, a, b, nw):
     assert same_op(core.c_f, lagrange_c_f(core))
 
 
+def assert_the_sheffer_operator_matches_the_product(psi, f, lam, nw):
+    """umbral_compose_ode(psi, nw, alpha) against f'(D)^alpha times the
+    psi-built C_f, for f' = psi(f); at alpha = 0 against the Lagrange-pass
+    C_f, storage and all."""
+    c_f = OpMatrix.umbral_compose_ode(psi, nw)
+    assert same_op(OpMatrix.umbral_compose_ode(psi, nw, 0), OpMatrix.umbral_compose(f, nw))
+    for alpha in diagonal_alphas(lam, nw):
+        ref = OpMatrix.series_of_d(psi(f).pow_fraction(alpha), nw) @ c_f
+        assert same_op(OpMatrix.umbral_compose_ode(psi, nw, alpha), ref), alpha
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonzero, small, small, st.integers(1, 12))
+@example(F(-1), 0, 0, 8)
+@example(F(-3, 2), 0, F(1, 2), 8)
+@example(F(2), F(-1, 2), 0, 8)
+@example(F(1, 3), F(2, 5), F(3, 7), 12)
+def test_the_sheffer_operator_read_off_a_riccati_psi_matches_the_product_route(lam, a, b, nw):
+    core = riccati_core(lam, a, b, nw)
+    assert_the_sheffer_operator_matches_the_product(core.psi, core.f, lam, nw)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([3, 4]), nonzero, nonzero, st.integers(1, 10))
+@example(3, F(1, 2), F(1, 3), 8)
+@example(4, F(-2, 3), F(5, 2), 10)
+def test_the_sheffer_operator_read_off_a_multiterm_psi_matches_the_product_route(n, lam, a, nw):
+    psi = Poly([1])
+    for _ in range(n):  # the multiterm base (1 + lam a y/n)^n
+        psi = psi * Poly([1, lam * a / n])
+    f = solve_autonomous_ode(psi.coeffs, nw)
+    assert_the_sheffer_operator_matches_the_product(psi, f, lam, nw)
+
+
 @settings(max_examples=30, deadline=None)
 @given(nonzero, small, small, st.integers(1, 10), st.sampled_from([0, F(1, 2), 2, F(-2, 3)]))
 @example(F(-1), 0, 0, 8, F(1, 2))
@@ -162,6 +197,15 @@ def plant_c_f(core, psi):
     return core.c_f, lagrange_c_f(core)
 
 
+def plant_sheffer_gop(core, psi):
+    """The Sheffer gop f'(D)^(-1/lam) C_f read off psi, the psi the build
+    reads from here on; returns (planted, reference), the reference the
+    product of f'(D)^(-1/lam) and the Lagrange-pass C_f."""
+    ref = core.fpow(-1 / core.lam) @ lagrange_c_f(core)
+    core.psi = psi
+    return families.sheffer_op(core), ref
+
+
 def plant_inner(c):
     def plant(core, psi):
         """inner(c) read off psi; returns (planted, reference)."""
@@ -206,7 +250,7 @@ def trick(sigma):
 
 
 COVERING = [  # id -> (build, planted operator, its covering check, columns the check reads ahead)
-    ("sheffer-c_f", lambda: sheffer_family(SHEFFER, ORDER), plant_c_f, "generating function", 0),
+    ("sheffer-gop", lambda: sheffer_family(SHEFFER, ORDER), plant_sheffer_gop, "generating function", 0),
     ("ultra-c_f", lambda: ultraspherical_family(SHEFFER, ORDER), plant_c_f, trick(SHEFFER.lam), 0),
     ("ultra-inner", lambda: ultraspherical_family(SHEFFER, ORDER), plant_inner(0), trick(SHEFFER.lam), 0),
     ("jacobi-c_f", lambda: jacobi_family(JACOBI, ORDER), plant_c_f, trick(JACOBI.kappa), 0),
