@@ -85,9 +85,11 @@ def resolve_order(args) -> int:
     return args.order
 
 
-def emit(payload, args, csv_rows=None):
-    if args.format == "csv" and csv_rows is not None:
-        text = "\n".join(",".join(str(v) for v in row) for row in csv_rows) + "\n"
+def emit(payload, args, csv_rows):
+    """Write `payload` as JSON, or under --format csv the rows that
+    `csv_rows()` builds, so that no command builds them for JSON output."""
+    if args.format == "csv":
+        text = "\n".join(",".join(str(v) for v in row) for row in csv_rows()) + "\n"
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -115,17 +117,12 @@ def cmd_family(args) -> int:
             "f0": f0.to_json(),
             "recurrence": rec.to_json(),
         }
-        emit(payload, args, csv_rows=[["f0"] + [str(c) for c in f0.coeffs]])
+        emit(payload, args, lambda: [["f0"] + payload["f0"]["coeffs"]])
         return 0
     payload = fam.to_json(order)
     payload["params"] = {k: str(v) for k, v in sorted(params.items())}
-    rows = [
-        ["a"] + [str(v) for v in fam.recurrence.a],
-        ["b"] + [str(v) for v in fam.recurrence.b],
-        ["f0"] + [str(c) for c in fam.mgf.coeffs],
-        ["norms"] + [str(v) for v in fam.norms],
-    ]
-    emit(payload, args, csv_rows=rows)
+    fields = {**payload["recurrence"], "f0": payload["f0"]["coeffs"], "norms": payload["norms"]}
+    emit(payload, args, lambda: [[k] + v for k, v in fields.items()])
     return 0 if all(c.passed for c in fam.checks) else IDENTITY_ERROR
 
 
@@ -143,8 +140,7 @@ def cmd_verify(args) -> int:
         "failed": len(failed),
         "checks": [c.to_json() for c in checks],
     }
-    rows = [[c.name, "pass" if c.passed else "FAIL", c.witness] for c in checks]
-    emit(payload, args, csv_rows=rows)
+    emit(payload, args, lambda: [[c.name, "pass" if c.passed else "FAIL", c.witness] for c in checks])
     return 0 if not failed else IDENTITY_ERROR
 
 
@@ -155,23 +151,32 @@ def cmd_cfrac(args) -> int:
     payload = {"direction": args.direction}
     if args.direction == "moments2rec":
         gf = TruncSeries.from_json(data)
+        if gf.order < 1:
+            raise ValueError("moments2rec needs at least 2 moments: one moment determines no recurrence coefficient")
         rec = recurrence_from_moments(gf)
         payload["recurrence"] = rec.to_json()
         payload["depth"] = rec.depth
-        rows = [["a"] + payload["recurrence"]["a"], ["b"] + payload["recurrence"]["b"]]
+        fields = payload["recurrence"]  # the CSV rows a and b
         if args.round_trip:
-            back = moments_from_recurrence(rec, min(order, 2 * rec.depth - 2)).moment_gf
+            if rec.depth < 1:
+                raise ValueError(f"a round trip needs at least 4 moments, got {gf.order + 1}")
+            # a_0..a_d and b_1..b_d fix mu_0..mu_(2d+1), every moment they were
+            # read from; moments_from_recurrence reaches order 2d+1 only from
+            # depth d + 1, though it reads no coefficient past those, so the
+            # recurrence goes in with one more level that nothing reads
+            padded = Recurrence(rec.a + (0,), rec.b + (0,))
+            back = moments_from_recurrence(padded, min(order, 2 * rec.depth + 1)).moment_gf
             payload["round_trip"] = back.agrees_with(gf)
     else:
         rec = Recurrence.from_json(data)
         gf = moments_from_recurrence(rec, order).moment_gf
         payload["moment_gf"] = gf.to_json()
-        rows = [["moments"] + payload["moment_gf"]["coeffs"]]
+        fields = {"moments": payload["moment_gf"]["coeffs"]}
         if args.round_trip:
             back = recurrence_from_moments(gf)
             d = min(len(back.a) - 1, len(back.b), rec.depth)
             payload["round_trip"] = back.a[: d + 1] == rec.a[: d + 1] and back.b[:d] == rec.b[:d]
-    emit(payload, args, csv_rows=rows)
+    emit(payload, args, lambda: [[k] + v for k, v in fields.items()])
     return 0 if payload.get("round_trip", True) else IDENTITY_ERROR
 
 
@@ -186,8 +191,7 @@ def cmd_assoc(args) -> int:
     payload["pipelines"] = {"explicit": res.mgf.to_json(), **pipelines}
     if c == 0:
         payload["reduction"] = "identical to base"
-    rows = [["f0(.,c)"] + [str(v) for v in res.mgf.coeffs]]
-    emit(payload, args, csv_rows=rows)
+    emit(payload, args, lambda: [["f0(.,c)"] + payload["pipelines"]["explicit"]["coeffs"]])
     return 0 if all(ch.passed for ch in res.checks) else IDENTITY_ERROR
 
 
@@ -195,8 +199,7 @@ def cmd_asym(args) -> int:
     inst = INSTANCES[args.instance]()
     s_values = [int(v) for v in args.s.split(",") if v]
     report = asym_compare(inst, as_rat(args.alpha), s_values, args.level, digits=args.digits)
-    rows = [[r["s"], r["exact"], r["approx"], r["residual"]] for r in report["rows"]]
-    emit(report, args, csv_rows=rows)
+    emit(report, args, lambda: [[r["s"], r["exact"], r["approx"], r["residual"]] for r in report["rows"]])
     return 0
 
 

@@ -35,11 +35,16 @@ right factor, so that only the compared columns are computed.
 it, for the caller to report as a failed check, the first column's fault
 (``band_fault``): an entry outside the band, or a raising entry other than 1.
 
-Binomial composition operators come from the powers of y/f by Lagrange
-inversion (``umbral_compose``); where f' = psi(f) for a polynomial psi, the
-same operator times f'(D)^alpha (the pair (psi^alpha, reverse(f))) and the
-pair (psi^alpha, y/psi) are read off psi alone in O(nw^2)
-(``umbral_compose_ode``, ``sheffer_pair``), with no product.
+An operator of Sheffer type is an exponential Riordan array (g, h) (Roman,
+The Umbral Calculus, 1984): column n is n! [y^n] g e^(x h), so entry (a, n)
+is (n!/a!) [y^(n-a)] g (h/y)^a.  One kernel, ``_exp_riordan``, assembles
+every such array from its row series g (h/y)^a: ell(D) = (ell, y)
+(``series_of_d``), the binomial composition operator (1, reverse(f)) by
+Lagrange inversion (``umbral_compose``), its inverse (1, g)
+(``umbral_compose_inverse``) and (psi^alpha, y/psi) (``sheffer_pair``).
+Where f' = psi(f) for a polynomial psi, the pair (psi^alpha, reverse(f)) =
+f'(D)^alpha C_f is read off psi alone by a column recurrence in
+O(deg(psi) nw^2) (``umbral_compose_ode``), with no product.
 
 The bar transform is the unique series-side operator with
 T_x e^{xy} = bar(T)_y e^{xy}; matching coefficients of x^m y^b gives the
@@ -55,7 +60,7 @@ from typing import Optional, Sequence
 
 from .errors import NotInvertible, OrderExhausted, ReliabilityExhausted
 from .indexfn import Poly
-from .series import TruncSeries, _append_over, _conv, _int_powers, _over_common_den, _reduced, _scaled, as_rat
+from .series import TruncSeries, _append_over, _conv, _over_common_den, _reduced, _scaled, _scaled_power, as_rat
 
 _ZERO = Fraction(0)
 
@@ -142,22 +147,38 @@ class OpMatrix:
         return cls.banded({0: vals}, nw)
 
     @classmethod
+    def _exp_riordan(cls, rows: list, nw: int, c: int = 1) -> "OpMatrix":
+        """The exponential Riordan array (g, h): column n is n! [y^n] g e^(x h),
+        so entry (a, n) is (n!/a!) [y^(n-a)] g (h/y)^a.  rows[a] = (den, nums)
+        holds the row series R_a = g (h/y)^a after y -> c z through degree
+        nw - a at least, as integers over one denominator, so entry (a, n) is
+        (n!/a!) c^(a-n) nums[n-a]/den.  Column n is summed over c^n times the
+        running lcm of the row denominators and reduced once; rows over one
+        denominator skip the per-entry rescale to that lcm."""
+        dens, series = zip(*rows)
+        shared = dens.count(dens[0]) == len(dens)
+        c_pows = [c**a for a in range(nw + 1)]
+        if c != 1:
+            series = [[v * c_pows[a] for v in nums] for a, nums in enumerate(series)]
+        cols, lcm = [], 1
+        for n in range(nw + 1):
+            lcm = math.lcm(lcm, dens[n])
+            nums, weight = [0] * (nw + 1), 1  # n!/a!
+            for a in range(n, -1, -1):
+                v = series[a][n - a]
+                if v:
+                    nums[a] = weight * v if shared else weight * v * (lcm // dens[a])
+                weight *= a
+            cols.append(_reduced(c_pows[n] * lcm, nums))
+        return cls._of(cols, nw, 0, nw)
+
+    @classmethod
     def series_of_d(cls, ell: TruncSeries, nw: int) -> "OpMatrix":
-        """ell(D) for a series ell known at least to the working order:
-        column n holds ell_k n!/(n-k)! in row n - k."""
+        """ell(D), the array (ell, y), for a series ell known at least to the
+        working order: every row is ell."""
         if ell.order < nw:
             raise OrderExhausted("series for ell(D) must reach the working order")
-        den, e = ell._head(nw)
-        cols = []
-        for n in range(nw + 1):
-            nums = [0] * (nw + 1)
-            fall = 1  # n!/(n-k)!
-            for k in range(n + 1):
-                if e[k]:
-                    nums[n - k] = e[k] * fall
-                fall *= n - k
-            cols.append(_reduced(den, nums))
-        return cls._of(cols, nw, 0, nw)
+        return cls._exp_riordan([ell._head(nw)] * (nw + 1), nw)
 
     @classmethod
     def series_of_l(cls, ell: TruncSeries, nw: int) -> "OpMatrix":
@@ -172,25 +193,12 @@ class OpMatrix:
 
     @classmethod
     def umbral_compose(cls, f: TruncSeries, nw: int) -> "OpMatrix":
-        """The composition operator of the binomial family generated by f.
-
-        Sends x^n to the n-th binomial polynomial, whose x^a coefficient is
-        (n!/a!) [y^n] phi(y)^a for phi = reverse(f).  By Lagrange inversion
-        that is ((n-1)!/(a-1)!) [y^(n-a)] (y/f)^n, so column n comes from the
-        n-th integer power of y/f alone.
-        """
+        """The composition operator of the binomial family generated by f:
+        x^n goes to n! [y^n] e^(x phi(y)), the array (1, phi) for
+        phi = reverse(f) by Lagrange inversion, which is C_phi^(-1)."""
         if f.order < nw:
             raise OrderExhausted("series for the umbral operator must reach the working order")
-        cols = [(1, [1] + [0] * nw)]
-        for n, (den, power) in enumerate(_int_powers(f.truncate(nw).y_over_f(), nw), start=1):
-            nums = [0] * (nw + 1)
-            weight = 1  # (n-1)!/(a-1)!
-            for a in range(n, 0, -1):
-                if power[n - a]:
-                    nums[a] = weight * power[n - a]
-                weight *= a - 1
-            cols.append(_reduced(den, nums))
-        return cls._of(cols, nw, 0, nw)
+        return cls.umbral_compose_inverse(f.truncate(nw).reverse(), nw)
 
     @classmethod
     def umbral_compose_ode(cls, psi: Poly, nw: int, alpha=0) -> "OpMatrix":
@@ -227,13 +235,11 @@ class OpMatrix:
 
     @classmethod
     def sheffer_pair(cls, psi: Poly, alpha, nw: int) -> "OpMatrix":
-        """The operator whose columns have the generating function
-        psi(y)^alpha e^(x y/psi(y)): entry (a, n) is (n!/a!) [y^(n-a)]
-        psi^(alpha-a).  With y = c z (`_scaled`), psi~^alpha is made once over
-        one denominator, and each next row psi~^(alpha-a) by exact division
-        by the integer polynomial psi~, over the same one: O(deg(psi) nw^2)."""
-        c, p = _scaled(psi)
-        power = TruncSeries._of(1, tuple(p[: nw + 1]) + (0,) * (nw + 1 - len(p))).pow_fraction(alpha)
+        """The array (psi^alpha, y/psi): row a is psi^(alpha-a).  With y = c z
+        (`_scaled_power`), psi~^alpha is made once over one denominator, and
+        each next row psi~^(alpha-a) by exact division by the integer
+        polynomial psi~, over the same one: O(deg(psi) nw^2)."""
+        c, p, power = _scaled_power(psi, alpha, nw)
         rows = [list(power.nums)]
         for a in range(1, nw + 1):
             prev, row = rows[-1], []
@@ -243,49 +249,23 @@ class OpMatrix:
                     acc -= p[j] * row[k - j]
                 row.append(acc)
             rows.append(row)
-        c_pows, cols = [c**a for a in range(nw + 1)], []
-        for n in range(nw + 1):  # entry (a, n) = (n!/a!) c^(a-n) rows[a][n-a] / den
-            nums, weight = [0] * (nw + 1), 1  # n!/a!
-            for a in range(n, -1, -1):
-                nums[a] = weight * c_pows[a] * rows[a][n - a]
-                weight *= a
-            cols.append(_reduced(power.den * c_pows[n], nums))
-        return cls._of(cols, nw, 0, nw)
+        return cls._exp_riordan([(power.den, row) for row in rows], nw, c)
 
     @classmethod
     def umbral_compose_inverse(cls, g: TruncSeries, nw: int) -> "OpMatrix":
-        """umbral_compose(g, nw).inverse(), built directly: x^n goes to
-        n! [y^n] e^(x g(y)), whose x^a coefficient is (n!/a!) [y^(n-a)] (g/y)^a.
-
-        Row a comes from the a-th power of g/y, needed only to degree nw - a.
-        Each power is dropped once its row is read; the numerators wait in
-        their columns until every power's denominator is known, and each
-        column is then put over the lcm of the denominators it uses.
-        """
+        """umbral_compose(g, nw).inverse(), built directly: the array (1, g),
+        x^n going to n! [y^n] e^(x g(y)).  Row a is (g/y)^a, needed only to
+        degree nw - a."""
         if g.order < nw:
             raise OrderExhausted("series for the umbral operator must reach the working order")
         g._require_reversible()
         den_g, nums_g = g._head(nw)
         step = nums_g[1:]  # g/y over den_g
-        dens, raw = [1], [[1]] + [[0] for _ in range(nw)]  # raw[n][a]: numerator of [y^(n-a)] (g/y)^a
-        den, power = 1, [1]
+        rows = [(1, [1] + [0] * nw)]
         for a in range(1, nw + 1):
-            den, power = _reduced(den * den_g, _conv(power, step, nw - a))
-            dens.append(den)
-            for k, v in enumerate(power):
-                raw[a + k].append(v)
-        cols, lcm = [], 1
-        for n in range(nw + 1):
-            lcm = math.lcm(lcm, dens[n])
-            nums = [0] * (nw + 1)
-            weight = 1  # n!/a!
-            for a in range(n, -1, -1):
-                if raw[n][a]:
-                    nums[a] = weight * raw[n][a] * (lcm // dens[a])
-                weight *= a
-            raw[n] = None
-            cols.append(_reduced(lcm, nums))
-        return cls._of(cols, nw, 0, nw)
+            den, power = rows[-1]
+            rows.append(_reduced(den * den_g, _conv(power, step, nw - a)))
+        return cls._exp_riordan(rows, nw)
 
     @classmethod
     def shifted_product(cls, ells: Sequence, nw: int) -> "OpMatrix":

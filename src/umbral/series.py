@@ -111,8 +111,8 @@ def _conv(xs, ys, n: int | None = None) -> list:
 
 def _int_powers(s: "TruncSeries", count: int):
     """Yield s^1 .. s^count, each as canonical (den, nums) integers truncated
-    to the order of s.  Lagrange inversion reads reversions and binomial
-    composition operators off these powers, with no Fraction in between."""
+    to the order of s.  Lagrange inversion reads reversions off these
+    powers, with no Fraction in between."""
     den, cur = 1, [1]
     for _ in range(count):
         den, cur = _reduced(den * s.den, _conv(cur, s.nums, s.order))
@@ -572,16 +572,24 @@ def _scaled(psi) -> tuple[int, list]:
     return psi.den, [1] + [v * psi.den ** (j - 1) for j, v in enumerate(psi.nums) if j]
 
 
+def _scaled_power(psi, alpha, order: int) -> tuple[int, list, TruncSeries]:
+    """(c, psi~, psi~^alpha to `order`) for psi~(z) = psi(c z) (`_scaled`),
+    the start of the rows of psi's powers that `psi_diagonal` and
+    `OpMatrix.sheffer_pair` read."""
+    c, p = _scaled(psi)
+    power = TruncSeries._of(1, tuple(p[: order + 1]) + (0,) * (order + 1 - len(p))).pow_fraction(alpha)
+    return c, p, power
+
+
 def psi_diagonal(psi, alpha, order: int) -> TruncSeries:
     """sum_n y^n [w^n] psi(w)^(alpha+n) to `order`, for a polynomial psi with
     psi(0) = 1.  For f' = psi(f) and omega = reverse(f/f'), rho = f(omega)
     solves rho = y psi(rho), and by Lagrange-Buermann inversion (Gessel 2016)
-    this diagonal is f'(omega)^alpha omega'.  With w = c z (`_scaled`),
+    this diagonal is f'(omega)^alpha omega'.  With w = c z (`_scaled_power`),
     [w^n] psi^beta = c^(-n) [z^n] psi~^beta: psi~^alpha is made once over one
     denominator and each next power by the integer polynomial psi~, in
     O(deg(psi) order^2)."""
-    c, p = _scaled(psi)
-    power = TruncSeries._of(1, tuple(p[: order + 1]) + (0,) * (order + 1 - len(p))).pow_fraction(alpha)
+    c, p, power = _scaled_power(psi, alpha, order)
     cur, nums = list(power.nums), []
     for n in range(order + 1):
         nums.append(cur[n] * c ** (order - n))

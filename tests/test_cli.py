@@ -148,6 +148,39 @@ def test_family_csv_is_flat(capsys):
     assert any(line.startswith("f0,") for line in lines)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_family_call_computes_the_norms_once(capsys, monkeypatch, fmt):
+    made, norms = [], families.FamilyResult.norms
+    monkeypatch.setattr(families.FamilyResult, "norms", property(lambda fam: made.append(1) or norms.fget(fam)))
+    argv = ("family", "sheffer", "--params", "lambda=1/2,a=1/3,b=2/5", "--order", "6", "--format", fmt)
+    assert run(capsys, *argv)[0] == 0
+    assert made == [1]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_every_command_builds_its_csv_rows_only_for_csv(tmp_path, capsys, monkeypatch, fmt):
+    built, emit = [], cli.emit
+    monkeypatch.setattr(cli, "emit", lambda payload, args, rows: emit(payload, args, lambda: built.append(1) or rows()))
+    rec = tmp_path / "rec.json"
+    rec.write_text(json.dumps({"a": ["0"] * 4, "b": ["1"] * 3}))
+    moments = tmp_path / "moments.json"
+    moments.write_text(json.dumps({"order": 6, "coeffs": ["1", "0", "1", "0", "2", "0", "5"]}))
+    argvs = [
+        ("family", "sheffer", "--params", "lambda=1/2,a=1/3,b=2/5", "--order", "6"),
+        ("family", "hahn", "--params", "lambda=2,a=1/2,s=2", "--order", "6"),  # the closed-form mgf route
+        ("verify", "duality", "--order", "6"),
+        ("cfrac", "rec2moments", str(rec), "--order", "5"),
+        ("cfrac", "moments2rec", str(moments), "--round-trip"),
+        ("assoc", "sheffer", "--params", "lambda=1,a=0,b=1", "--c", "1", "--order", "6"),
+        ("asym", "falling-factorial", "--alpha", "1/2", "--s", "40,80", "--level", "1"),
+    ]
+    for argv in argvs:
+        built.clear()
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and err == "", argv
+        assert built == ([1] if fmt == "csv" else []), argv
+
+
 def test_verify_longdiv(capsys):
     code, out, _ = run(
         capsys, "verify", "longdiv", "--samples", "3", "--seed", "7", "--order", "8"
@@ -238,13 +271,42 @@ def test_rec2moments_past_the_depth_is_a_usage_error(tmp_path, capsys, data, ord
     assert err.startswith("error: recurrence depth") and f"cannot reach order {order}" in err
 
 
-def test_cfrac_round_trip_of_a_single_moment_is_a_usage_error(tmp_path, capsys):
-    # one moment gives an empty recurrence, whose round trip has no order left
-    src = tmp_path / "one.json"
-    src.write_text(json.dumps({"order": 0, "coeffs": ["1"]}))
+MOMENTS = ["1", "1/2", "9/4", "67/24"]  # of a_0 = 1/2, a_1 = 1/3, b_1 = 2
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_cfrac_moments2rec_on_one_to_four_moments(tmp_path, capsys, monkeypatch, count):
+    """One moment determines no coefficient and two or three only a_0, which
+    no round trip can compare: each is a usage error that says so.  Two and
+    three moments give a recurrence `Recurrence.from_json` reads back, and
+    four give depth 1, whose round trip compares all four moments."""
+    src = tmp_path / "moments.json"
+    src.write_text(json.dumps({"order": count - 1, "coeffs": MOMENTS[:count]}))
+    code, out, err = run(capsys, "cfrac", "moments2rec", str(src))
+    if count == 1:
+        assert (code, out) == (2, "")
+        assert err == "error: moments2rec needs at least 2 moments: one moment determines no recurrence coefficient\n"
+        assert run(capsys, "cfrac", "moments2rec", str(src), "--round-trip")[:3] == (2, "", err)
+        return
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    rec = Recurrence.from_json(data["recurrence"])
+    assert (data["depth"], rec.depth) == ((count - 2) // 2,) * 2
     code, out, err = run(capsys, "cfrac", "moments2rec", str(src), "--round-trip")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    if count < 4:
+        assert (code, out, err) == (2, "", f"error: a round trip needs at least 4 moments, got {count}\n")
+        return
+    assert code == 0 and json.loads(out) == {**data, "round_trip": True}
+    assert data["recurrence"] == {"a": ["1/2", "1/3"], "b": ["2"]}
+    real = cli.moments_from_recurrence
+    for k in range(count):  # a moment the round trip did not compare would pass planted
+
+        def planted(rec, order):
+            return MomentSeries(real(rec, order).moment_gf + TruncSeries([int(i == k) for i in range(order + 1)]))
+
+        monkeypatch.setattr(cli, "moments_from_recurrence", planted)
+        code, out, _ = run(capsys, "cfrac", "moments2rec", str(src), "--round-trip")
+        assert code == 1 and json.loads(out) == {**data, "round_trip": False}, k
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """What bench/tracing.py reads from the engine, pinned from this side, the
 names in src/ that no code in src/ reads, the defaulted parameters no call
-sets, the errors src/ raises, that src/ reads no environment variable, and
-that it has one working margin.
+sets, the errors src/ raises, that src/ reads no environment variable, that
+it has one working margin, and that one kernel assembles the exponential
+Riordan arrays.
 
 The tracer wraps the engine from outside src/: it looks up the methods in
 its METHODS table by name, and its bit-height, product-count and repeat-key
@@ -17,6 +18,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from umbral import associated, cli, errors, families
+from umbral.indexfn import Poly
 from umbral.opalg import OpMatrix
 from umbral.series import riccati_series
 
@@ -115,6 +117,34 @@ def test_one_working_margin():
         ]
     assert params == []
     assert margins == ["families.FAMILY_MARGIN"]
+
+
+def test_one_exponential_riordan_assembler(monkeypatch):
+    # the arrays (ell, y), (1, reverse f), (1, g) and (psi^alpha, y/psi) make
+    # their row series and reach OpMatrix._exp_riordan, which alone weights
+    # by n!/a! and assembles the columns: none of the four multiplies a
+    # running weight in place or makes an OpMatrix of columns of its own
+    tree = ast.parse((SRC / "opalg.py").read_text())
+    (op,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "OpMatrix"]
+    methods = {n.name: n for n in op.body if isinstance(n, ast.FunctionDef)}
+    calls = []
+    kernel = OpMatrix._exp_riordan
+    spy = classmethod(lambda cls, *args: calls.append(1) or kernel(*args))
+    monkeypatch.setattr(OpMatrix, "_exp_riordan", spy)
+    f, nw = riccati_series(F(1, 2), F(1, 3), F(2, 5), 6), 6
+    builds = {
+        "series_of_d": lambda: OpMatrix.series_of_d(f, nw),
+        "umbral_compose": lambda: OpMatrix.umbral_compose(f, nw),
+        "umbral_compose_inverse": lambda: OpMatrix.umbral_compose_inverse(f, nw),
+        "sheffer_pair": lambda: OpMatrix.sheffer_pair(Poly([1, F(1, 3)]), F(-1, 2), nw),
+    }
+    for name, build in builds.items():
+        calls.clear()
+        build()
+        assert calls == [1], name
+        body = list(ast.walk(methods[name]))
+        assert not [n for n in body if isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Mult)], name
+        assert not [n for n in body if isinstance(n, ast.Attribute) and n.attr == "_of"], name
 
 
 # Functions and methods of src/ that no code in src/ reads, each with the
