@@ -33,7 +33,6 @@ from .families import (
     extract_recurrence,
     guarded_core,
     jacobi_closed_form,
-    jacobi_dual_raising,
     jacobi_split_displays,
     linear_guard,
     poch_over_fact,
@@ -136,10 +135,10 @@ def long_division_checks(h_ratio: IndexRatio, b_series: TruncSeries, order: int)
 
     def conj(ell):
         """ell(D)^(-1) x_over ell(D)."""
-        return OpMatrix.series_of_d(1 / ell, nw) @ x_over @ OpMatrix.series_of_d(ell, nw)
+        return OpMatrix.series_of_d(1 / ell, nw)._compared(x_over)._compared(OpMatrix.series_of_d(ell, nw))
 
-    lhs_op = conj(b) @ OpMatrix.diag_op(ratio_vals, nw)
-    rhs_op = diag_conj(h_inv, conj(hb))  # H . (...) . H^(-1)
+    lhs_op = conj(b)._compared(OpMatrix.diag_op(ratio_vals, nw))
+    rhs_op = diag_conj(h_ratio.reciprocal(), conj(hb))  # H . (...) . H^(-1)
     checks.append(op_check("polynomial-domain form", lhs_op, rhs_op, order))
     return checks
 
@@ -237,7 +236,7 @@ def sheffer_assoc(p: ShefferParams, c, order: int) -> AssocResult:
     ell = (fprime_pow * y_over_f.pow_fraction(1 - c)).truncate(nw)
     hvals = affine(c, 1).products(nw + 1)  # (c)_theta
     x = OpMatrix.series_of_d(y_over_f.pow_fraction(c), nw) @ base
-    gop = OpMatrix.series_of_l(ell.weighted(hvals), nw) @ diag_conj(poch_over_fact(c).products(nw + 1), x)
+    gop = OpMatrix.series_of_l(ell.weighted(hvals), nw) @ diag_conj(poch_over_fact(c), x)
     u, rec, fault = extract_recurrence(gop, order)
     display = closed_form_raising(sheffer_closed_form(p).assoc(c), nw)
     checks = [raising_check("shifted dual raising display", fault, u, display, order)]
@@ -344,9 +343,10 @@ def splitting_check(p: JacobiParams, c, order: int) -> list:
     nw = order + FAMILY_MARGIN
     c = guard_shift(c, nw)
     p.guard(nw)
-    u_c = jacobi_dual_raising(p, nw) if c == 0 else closed_form_raising(jacobi_closed_form(p).assoc(c), nw)
+    # at c = 0, a_theta at index 0 is a by parameter continuity (0/0 there when kappa = 1)
+    u_c = closed_form_raising(jacobi_closed_form(p).assoc(c), nw, a0=p.a if c == 0 else None)
     # W . u_c . W^(-1) for W = F_{c+theta}/F_c (c+1)_theta/theta!
-    lhs = diag_conj((p.ratio.shift(c) * poch_over_fact(c)).reciprocal().products(nw + 1), u_c)
+    lhs = diag_conj((p.ratio.shift(c) * poch_over_fact(c)).reciprocal(), u_c)
     lam_part, kappa_part = jacobi_split_displays(p, nw, c)
     rhs = lam_part.scale(p.r) + kappa_part.scale(1 - p.r)
     return [op_check(f"split of the shifted operator (c={c})", lhs, rhs, order)]
@@ -399,7 +399,7 @@ def wilson_assoc(p: WilsonParams, c, order: int) -> AssocResult:
     )
     checks.append(conjugation_check("conjugated square identity", core.inner(c), display, sq, order))
     if c == 0:
-        checks.append(op_check("c=0 reduction", gop, c2c @ op, order))  # wilson_op, with op at c = 0
+        checks.append(op_check("c=0 reduction", gop, c2c._compared(op), order))  # wilson_op, with op at c = 0
     if p.h == 0:
         checks.append(op_check("h=0 reduction", gop, shifted_op(core, JacobiParams(p.lam, p.a, p.rt), c), order))
     return _assoc_result("wilson", "", c, gop, rec, mgf_from_gop(gop).truncate(order), checks, order)

@@ -45,8 +45,8 @@ def conjugation_check(name: str, m: OpMatrix, a: OpMatrix, b: OpMatrix, through=
     Column j of m E is m E_j, zero exactly when E_j is, and column j of E m is
     sum_{k<=j} E_k m_kj with m_jj != 0, so all three forms first fail in the
     same column.  Both products compute only the compared columns
-    (`OpMatrix.cut`)."""
-    return op_check(name, a @ m.cut(through), m @ b.cut(through), through)
+    (`OpMatrix.cut`), and neither is reduced (`OpMatrix._compared`)."""
+    return op_check(name, a._compared(m.cut(through)), m._compared(b.cut(through)), through)
 
 
 def series_check(name: str, lhs: TruncSeries, rhs: TruncSeries, through=None) -> Check:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .checks import (Check, conjugation_check, difference_check, first_failure, flag_check, op_check, series_check,
                      value_check)
-from .errors import DiagSingular, OrderExhausted, SingularParams
+from .errors import DiagSingular, SingularParams
 from .indexfn import IndexRatio, Poly, affine
 from .opalg import OpMatrix, conjugate, mgf_from_gop
 from .orthocore import ClosedFormRecurrence, Recurrence, moments_from_recurrence, recurrence_from_moments
@@ -276,34 +276,40 @@ class MultiTermParams(FamilyParams):
 # -- shared operator kit ---------------------------------------------------------
 
 
-def diag_conj(values: Sequence, op: OpMatrix) -> OpMatrix:
-    """v^(-1) . op . v for the diagonal operator v with the given values: the
-    one place a diagonal is inverted.
+def diag_conj(ratio: IndexRatio, op: OpMatrix, offset=0) -> OpMatrix:
+    """W^(-1) . op . W for the diagonal W of `ratio.products(nw + 1, offset)`,
+    W_0 = 1 and W_{k+1}/W_k = ratio(offset + k): the one place a diagonal is
+    inverted.
 
-    One pass, no product: with v_k = P_k/Q_k in lowest terms and column n of
-    op equal to N/d, entry (m, n) is N_m P_n Q_m / (d Q_n P_m), so column n
-    is summed over d Q_n lcm(|P_m| : N_m != 0).  Any common denominator of a
-    column is s times its least one, with every numerator s times its
-    canonical one, so the single gcd pass of `_reduced` divides out exactly
-    s and leaves the canonical column.  The bookkeeping is that of the two
-    products diag(1/v) . op . diag(v): raise op.raised, reliable
-    min(op.reliable, nw - op.raised)."""
-    for n, v in enumerate(values):
-        if v == 0:
-            raise DiagSingular(n, "cannot invert zero diagonal value")
+    One pass, no product, read off the ratio rule: with ratio(offset + k) =
+    a_k/b_k, P_m = prod_{k<m} b_k and A_m = prod_{m<=k<t} a_k, t the larger of n
+    and the last nonzero row of column n of op = N/d, entry (m, n) is
+    N_m W_n/(W_m d) = N_m A_m P_m/(d A_n P_n), summed over d A_n P_n and
+    reduced once.  A pole raises as `products` does, else a zero ratio a_k
+    raises DiagSingular(k + 1) for the zero value W_{k+1}.  Raise op.raised
+    and reliable min(op.reliable, nw - op.raised), as the two products
+    diag(1/W) . op . diag(W) give them."""
     nw = op.nw
-    ratios = [as_rat(v).as_integer_ratio() for v in values]
-    if len(ratios) < nw + 1:
-        raise OrderExhausted("not enough diagonal values for working order")
+    pairs = list(ratio._ratios(nw, offset))
+    zero = next((k for k, (a, _) in enumerate(pairs) if not a), None)
+    if zero is not None:
+        raise DiagSingular(zero + 1, "cannot invert zero diagonal value")
+    prefix = [1]  # P_m
+    for _, b in pairs:
+        prefix.append(prefix[-1] * b)
     cols = []
-    for (d, nums), (p_n, q_n) in zip(op.cols, ratios):
+    for n, (d, nums) in enumerate(op.cols):
         rows = [m for m, x in enumerate(nums) if x]
-        ell = math.lcm(*[ratios[m][0] for m in rows])
-        acc = [0] * (nw + 1)
-        for m in rows:
-            p_m, q_m = ratios[m]
-            acc[m] = nums[m] * p_n * q_m * (ell // p_m)
-        cols.append(_reduced(d * q_n * ell, acc))
+        top, low = max([n, *rows[-1:]]), min([n, *rows[:1]])
+        acc, run = [0] * (nw + 1), 1  # run = A_m
+        for m in range(top, low - 1, -1):
+            if nums[m]:
+                acc[m] = nums[m] * run * prefix[m]
+            if m == n:
+                a_n = run
+            if m > low:
+                run *= pairs[m - 1][0]
+        cols.append(_reduced(d * a_n * prefix[n], acc))
     return OpMatrix._of(cols, nw, op.raised, min(op.reliable, nw - op.raised))
 
 
@@ -423,8 +429,7 @@ def deformed_op(core: ShefferCore, ratio: IndexRatio, c) -> OpMatrix:
     F_{m+1}/F_m = ratio(m): at c = 0 the ultraspherical, Jacobi, Wilson
     (before C2) and multiterm (before its left factor) operators, at c their
     associated ones before ell(L).  W's ratio is read at m = c + theta."""
-    weights = (poch_over_fact(c).shift(-c) * ratio).products(core.nw + 1, c)
-    return diag_conj(weights, core.inner(c))
+    return diag_conj(poch_over_fact(c).shift(-c) * ratio, core.inner(c), c)
 
 
 def wilson_op(core: ShefferCore, p: WilsonParams, c2: OpMatrix) -> OpMatrix:
@@ -456,19 +461,24 @@ def conjugation_trick_checks(core: ShefferCore, sigmas: tuple, through: Optional
     than S or A.  It also makes C_tf^(-1) e_0 = inner e_0 = e_0, read by B but
     not by Y, so each sigma's "(resolvent form)" passes when S, its A and
     C_tf^(-1) e_0 == e_0 all do, else shows their earliest failing column.
-    Every product computes only the compared columns 0..through (`cut`).
+    Every product computes only the compared columns 0..through (`cut`),
+    with no gcd pass (`OpMatrix._compared`).
     """
     nw = core.nw
+    x = OpMatrix.x_op(nw)
     c_f = core.c_f.cut(through)
-    x_tf = OpMatrix.x_op(nw) @ OpMatrix.series_of_d(core.tf, nw)
-    s_diff = (x_tf @ c_f).first_difference(c_f @ OpMatrix.diag_op(range(nw + 1), nw), through)
-    e0_diff = core.c_tf_inv.first_difference(OpMatrix.identity(nw), 0)
+    x_tf = x._compared(OpMatrix.series_of_d(core.tf, nw))
+    s_diff = x_tf._compared(c_f).first_difference(c_f._compared(OpMatrix.diag_op(range(nw + 1), nw)), through)
+    den, nums = core.c_tf_inv.cols[0]  # against e_0
+    e0 = ((m, 0, Fraction(v, den), Fraction(int(m == 0))) for m, v in enumerate(nums) if v != den * (m == 0))
+    e0_diff = next(e0, None)
     checks = []
     for sigma in map(as_rat, sigmas):
         dg_vals = IndexRatio(1, Poly([1, sigma])).values(nw + 1)
-        y = core.c_tf_inv @ (OpMatrix.x_op(nw) @ core.fpow(-1 / sigma)).cut(through)
+        y = core.c_tf_inv._compared(x._compared(core.fpow(-1 / sigma)).cut(through))
         inner = core.inner(1 / sigma - 1 / core.lam).cut(through)
-        composition = (x_times(dg_vals, nw) @ inner).first_difference(y @ c_f @ OpMatrix.diag_op(dg_vals, nw), through)
+        y_c_f_g = y._compared(c_f)._compared(OpMatrix.diag_op(dg_vals, nw))
+        composition = x_times(dg_vals, nw)._compared(inner).first_difference(y_c_f_g, through)
         name = f"conjugation-trick sigma={sigma}"
         checks.append(difference_check(f"{name} (resolvent form)", s_diff, e0_diff, composition))
         checks.append(difference_check(f"{name} (composition form)", composition))
@@ -623,15 +633,16 @@ def ultraspherical_family(p: ShefferParams, order: int) -> FamilyResult:
     u, rec, fault = extract_recurrence(gop)
     closed = ultraspherical_closed_form(p)
     checks.append(raising_check("dual raising display", fault, u, closed_form_raising(closed, nw), order))
-    # dual derivative display gop^(-1) D gop == F_{theta+1}^(-1) . resolvent(D)
-    # . F_theta, where F_{theta+1}^(-1) = (1 + lam theta) F_theta^(-1)
-    resolvent = TruncSeries.from_function(
-        lambda i: (lam * b) ** (i // 2) if i % 2 == 1 else 0, nw
-    )  # y/(1 - lam b y^2)
-    expected_d = OpMatrix.diag_op([1 + lam * n for n in range(nw + 1)], nw) @ diag_conj(
-        p.ratio.products(nw + 1), OpMatrix.series_of_d(resolvent, nw)
-    )
-    checks.append(conjugation_check("dual derivative display", gop, OpMatrix.d_op(nw), expected_d, order))
+    # dual derivative display gop^(-1) D gop == (1 + lam theta) W^(-1) resolvent(D) W,
+    # W = p.ratio.products.  resolvent(D) = D Q^(-1) for Q = 1 - lam b D^2 (D is
+    # nilpotent on the truncated space), so it is crossed with no dense product as
+    # D gop (W^(-1) Q W) == gop (W^(-1) (1 + lam theta) D W).  W^(-1) Q W is unit
+    # upper triangular, so this fails first in the column where D gop == gop
+    # (1 + lam theta) W^(-1) resolvent(D) W does
+    q_conj = diag_conj(p.ratio, OpMatrix.series_of_d(TruncSeries.from_polynomial([1, 0, -lam * b], nw), nw))
+    d_conj = diag_conj(p.ratio, coeff_then_d([1 + lam * n for n in range(nw + 1)], nw))
+    lhs = OpMatrix.d_op(nw)._compared(gop._compared(q_conj.cut(order)))
+    checks.append(op_check("dual derivative display", lhs, gop._compared(d_conj.cut(order)), order))
     # boxed mgf: e^{ay} * sum_n prod-ratio terms y^(2n)
     even = [Fraction(0)] * (nw + 1)
     even[::2] = IndexRatio(b, Poly([1, 1]) * Poly([1 + lam, lam])).products(nw // 2 + 1)
@@ -695,10 +706,9 @@ def hahn_family(p: HahnParams, order: int) -> FamilyResult:
     lam, a, s = p.lam, p.a, p.s
     b = lam * a * a / 4
     ultra = ultraspherical_family(ShefferParams(lam, a, b), order)
-    svals = affine(s - 1, -1).products(nw + 1)
     # delta = (e^(2 a y) - 1)/(2 a) has the base delta' = 1 + 2 a delta
     c_delta = OpMatrix.umbral_compose_ode(Poly([1, 2 * a]), nw)
-    law = diag_conj(svals, ultra.gop)
+    law = diag_conj(affine(s - 1, -1), ultra.gop)
     gop = c_delta @ law
     u, rec, fault = extract_recurrence(gop)
     checks = list(ultra.checks)
@@ -708,7 +718,7 @@ def hahn_family(p: HahnParams, order: int) -> FamilyResult:
     # with C_delta^(-1) from the powers of delta/y, against C_delta read off
     # its base
     delta = ((exp_series(2 * a, nw) - 1) / (2 * a)) if a != 0 else TruncSeries.x(nw)
-    xi = OpMatrix.umbral_compose_inverse(delta, nw) @ gop
+    xi = OpMatrix.umbral_compose_inverse(delta, nw)._compared(gop)
     checks.append(op_check("expansion in binomial basis", xi, law, order))
     f0 = mgf_from_gop(gop).truncate(order)
     checks.append(series_check("hahn: mgf pipelines agree", f0, moments_from_recurrence(rec, order).f0))
@@ -774,19 +784,14 @@ def jacobi_mgf_forms(p: JacobiParams, order: int) -> tuple[TruncSeries, TruncSer
     return form1, form2
 
 
-def jacobi_dual_raising(p: JacobiParams, nw: int) -> OpMatrix:
-    """x + a_theta + D b_theta from the closed form; the index-0 value of
-    a_theta is a by parameter continuity (the display is 0/0 there when
-    kappa=1)."""
-    return closed_form_raising(jacobi_closed_form(p), nw, a0=p.a)
-
-
 def jacobi_family(p: JacobiParams, order: int) -> FamilyResult:
     nw, core = guarded_core(p, order)
     checks = conjugation_trick_checks(core, (p.lam, p.kappa), order)
     gop = deformed_op(core, p.ratio, 0)
     u, rec, fault = extract_recurrence(gop)
-    checks.append(raising_check("dual raising closed form", fault, u, jacobi_dual_raising(p, nw), order))
+    closed = jacobi_closed_form(p)
+    # a_theta at index 0 is a by parameter continuity (0/0 there when kappa = 1)
+    checks.append(raising_check("dual raising closed form", fault, u, closed_form_raising(closed, nw, a0=p.a), order))
     # affine split of inner^(-1) x (F_{theta+1}/F_theta) inner, crossed: t inner == inner split
     lam_part, kappa_part = jacobi_split_displays(p, nw)
     split = lam_part.scale(p.r) + kappa_part.scale(1 - p.r)
@@ -797,7 +802,7 @@ def jacobi_family(p: JacobiParams, order: int) -> FamilyResult:
     form1, form2 = jacobi_mgf_forms(p, order)
     checks.append(series_check("mgf ratio-sum form", f0, form1, order))
     checks.append(series_check("mgf product form", f0, form2, order))
-    return FamilyResult("jacobi", gop, rec, f0, jacobi_closed_form(p), checks)
+    return FamilyResult("jacobi", gop, rec, f0, closed, checks)
 
 
 def jacobi_diffeq_op(p: JacobiParams, order: int):
@@ -830,14 +835,14 @@ def jacobi_diffeq_op(p: JacobiParams, order: int):
 def wilson_family(p: WilsonParams, order: int) -> FamilyResult:
     nw, core = guarded_core(p, order)
     checks = conjugation_trick_checks(core, (p.lam,), order)
-    c2 = OpMatrix.shifted_product(p.ells(nw), nw)
+    ells = p.ells(nw + 1)
+    c2 = OpMatrix.shifted_product(ells, nw)
     gop = wilson_op(core, p, c2)
     _, rec, fault = extract_recurrence(gop)
     checks.append(flag_check("raising operator tridiagonal", not fault, fault))
     # bracket identity H C2^(-1) x C2 H^(-1) == display, crossed: x C2 == C2 H^(-1) display H
-    display = OpMatrix.banded({1: p.ratio.values(nw + 1), 0: [-v for v in p.ells(nw + 1)]}, nw)
-    hvals = p.ratio.products(nw + 1)
-    checks.append(conjugation_check("bracket identity", c2, OpMatrix.x_op(nw), diag_conj(hvals, display), order))
+    display = OpMatrix.banded({1: p.ratio.values(nw + 1), 0: [-v for v in ells]}, nw)
+    checks.append(conjugation_check("bracket identity", c2, OpMatrix.x_op(nw), diag_conj(p.ratio, display), order))
     f0 = mgf_from_gop(gop).truncate(order)
     checks.append(series_check("wilson: mgf pipelines agree", f0, moments_from_recurrence(rec, order).f0))
     if p.h == 0:

@@ -171,17 +171,24 @@ class IndexRatio:
         ratio by integer Horner and each value one Fraction.  A zero ratio
         leaves zeros after it; a pole at any index, 0/0 included, raises
         DiagSingular(n)."""
-        p, q = as_rat(offset).as_integer_ratio()
         vals, v = [Fraction(1)], Fraction(1)
-        for n in range(count - 1):
+        for a, b in self._ratios(count - 1, offset):
+            v = Fraction(v.numerator * a, v.denominator * b)
+            vals.append(v)
+        return tuple(vals)
+
+    def _ratios(self, count: int, offset=0):
+        """Yield self(offset + n), n < count, as integer pairs (a, b) in lowest
+        terms, by integer Horner; a pole raises DiagSingular(n), 0/0 included."""
+        p, q = as_rat(offset).as_integer_ratio()
+        for n in range(count):
             x = p + n * q
             dn, dd = self.den._at(x, q)
             if dn == 0:
                 raise DiagSingular(n, f"the ratio has a pole at {Fraction(x, q)}")
             nn, nd = self.num._at(x, q)
-            v = Fraction(v.numerator * nn * dd, v.denominator * nd * dn)
-            vals.append(v)
-        return tuple(vals)
+            g = math.gcd(nn * dd, nd * dn)
+            yield nn * dd // g, nd * dn // g
 
     def __add__(self, other) -> "IndexRatio":
         other = _as_ratio(other)

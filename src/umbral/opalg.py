@@ -7,7 +7,11 @@ kept canonical (den > 0 and gcd(den, *nums) == 1, so a zero column is
 (1, [0, ...])).  Equal columns therefore have equal storage, and every
 kernel below reads and writes integers only and reduces each result column
 at most once: ``banded`` never needs to, and a product skips it for columns
-its shortcuts prove canonical (see ``__matmul__``).  Polynomials and series
+its shortcuts prove canonical (see ``__matmul__``).  A product that nothing
+stores skips it (``_compared``): each side of a crossed check, and a factor
+that feeds only such a product.  Only ``first_difference``, ``diag_conj``
+and further ``_compared`` products read one; every operator that is stored
+or returned is canonical.  Polynomials and series
 (``column_poly``, ``apply_poly``, ``apply_series``) share that storage.
 Fractions are made only at the boundary: the ``OpMatrix(rows, ...)``
 constructor takes them, ``column``/``entry``, ``three_term``, comparison
@@ -83,7 +87,7 @@ class OpMatrix:
 
     @classmethod
     def _of(cls, cols: list, nw: int, raised: int, reliable: int) -> "OpMatrix":
-        """The operator with canonical columns `cols`, taken as they are."""
+        """The operator with columns `cols`, taken as they are (canonical, but in `_compared`)."""
         op = cls.__new__(cls)
         op._set(cols, nw, raised, reliable)
         return op
@@ -323,17 +327,26 @@ class OpMatrix:
         integers over the lcm of the d_k it uses, times its own
         denominator in other, and reduced once.  Zero entries are skipped,
         which is what makes triangular and banded factors cheap.  Two kinds
-        of column skip that gcd over the whole column:
+        of column skip that gcd over the whole column, and keep canonical
+        columns canonical:
         * self a unit shift (x, L: each column 0 or a single 1, in distinct
-          rows).  Column j is other's canonical column j with its numerators
-          moved; only one that loses a nonzero to a zero column of self
-          (x's last) is reduced.
+          rows).  Column j is other's column j with its numerators moved;
+          only one that loses a nonzero to a zero column of self (x's last)
+          is reduced.
         * One term, b/b_d the only entry of other's column to meet a nonzero
           column N/d of self (x, D, a diagonal on the right).  With g =
           gcd(d, b), d/g is coprime to content(N) and to b/g, so when
           gcd(b_d, b/g) = 1 (b the column's only nonzero) N (b/g)/((d/g) b_d)
-          reduces by gcd(b_d, content(N)) alone, a loop from the small b_d.
+          reduces by gcd(b_d, content(N)) alone, one call from the small b_d.
         """
+        return self._product(other, _reduced)
+
+    def _compared(self, other: "OpMatrix") -> "OpMatrix":
+        """self @ other with no gcd pass, over positive denominators."""
+        return self._product(other, lambda den, nums: (den, nums))
+
+    def _product(self, other: "OpMatrix", reduce) -> "OpMatrix":
+        """self @ other, each column that needs a gcd pass given reduce(den, nums)."""
         self._check_shape(other)
         a_dens = [d for d, _ in self.cols]
         a_cols = [[(i, v) for i, v in enumerate(nums) if v] for _, nums in self.cols]
@@ -348,7 +361,7 @@ class OpMatrix:
                 acc = [0] * size
                 for k, r in moves:
                     acc[r] = b_nums[k]
-                out.append(_reduced(b_den, acc) if any(b_nums[k] for k in zeros) else (b_den, acc))
+                out.append(reduce(b_den, acc) if any(b_nums[k] for k in zeros) else (b_den, acc))
                 continue
             # b_kj / d_k in lowest terms keeps the common denominator small
             terms = []
@@ -358,7 +371,7 @@ class OpMatrix:
                     terms.append((a_cols[k], b // g, a_dens[k] // g))
             if len(terms) == 1 and math.gcd(b_den, terms[0][1]) == 1:
                 col, b, d = terms[0]
-                den, part = _reduced(b_den, [v for _, v in col])  # both over gcd(b_d, content(N))
+                den, part = reduce(b_den, [v for _, v in col])  # both over gcd(b_d, content(N))
                 acc = [0] * size
                 for (i, _), v in zip(col, part):
                     acc[i] = v * b
@@ -370,7 +383,7 @@ class OpMatrix:
                 w = b * (den // d)
                 for i, v in col:
                     acc[i] += v * w
-            out.append(_reduced(den * b_den, acc))
+            out.append(reduce(den * b_den, acc))
         reliable = min(other.reliable, self.reliable - other.raised, self.nw - other.raised)
         return OpMatrix._of(out, self.nw, self.raised + other.raised, reliable)
 
@@ -551,7 +564,9 @@ class OpMatrix:
         through), so that no comparison passes on less than it was asked.
 
         Canonical columns are equal exactly when their entries are, so
-        columns are compared whole and entries only inside a differing one.
+        columns are compared whole, and entries x/da == y/db only inside a
+        differing one, as x (db/g) == y (da/g) for g = gcd(da, db): on any
+        storage, so a `_compared` product gives the same verdict and witness.
         """
         self._check_shape(other)
         end = min(self.reliable, other.reliable)
@@ -560,8 +575,10 @@ class OpMatrix:
             (da, xs), (db, ys) = self.cols[ncol], other.cols[ncol]
             if da == db and xs == ys:
                 continue
+            g = math.gcd(da, db)
+            ka, kb = db // g, da // g
             for row, (x, y) in enumerate(zip(xs, ys)):
-                if x * db != y * da:
+                if x * ka != y * kb:
                     return row, ncol, Fraction(x, da), Fraction(y, db)
         return None if through is None or through <= end else (None, end + 1, end, through)
 

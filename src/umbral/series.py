@@ -79,14 +79,8 @@ def _from_pairs(pairs) -> tuple[int, list[int]]:
 def _reduced(den: int, nums: list) -> tuple[int, list[int]]:
     """(den, nums) divided by gcd(den, *nums), with den made positive: the
     canonical integer form of the rationals nums[i]/den."""
-    # a loop of two-argument calls: on CPython 3.11 a star call such as
-    # gcd(den, *nums) left up to 2000 argument tuples per length in the
-    # tuple free list, which showed as peak RSS
-    g = abs(den)
-    for v in nums:
-        if g == 1:
-            break
-        g = math.gcd(g, v)
+    # one C-level call, which stops reading at a gcd of 1
+    g = math.gcd(den, *nums)
     if den < 0:
         g = -g
     if g == 1:

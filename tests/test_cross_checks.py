@@ -12,6 +12,7 @@ perturbed they fail in the same first column.
 """
 import dataclasses
 import inspect
+import math
 import re
 from collections import Counter
 from fractions import Fraction as F
@@ -111,7 +112,7 @@ def ref_bracket(f, order):
     """H . C2^(-1) x C2 . H^(-1) == display."""
     c2 = f["c2"]
     u = c2.inverse() @ OpMatrix.x_op(c2.nw) @ c2
-    return op_check("bracket identity", diag_conj([1 / h for h in f["hvals"]], u), f["display"], order)
+    return op_check("bracket identity", diag_conj(f["ratio"].reciprocal(), u), f["display"], order)
 
 
 def ref_square(f, order):
@@ -150,7 +151,7 @@ def ref_longdiv(f, order):
     nw = f["x_over"].nw
     ell_op, hb_op = OpMatrix.series_of_d(f["ell"], nw), OpMatrix.series_of_d(f["hb"], nw)
     lhs = ell_op.inverse() @ f["x_over"] @ ell_op @ OpMatrix.diag_op(f["ratio_vals"], nw)
-    rhs = diag_conj(f["h_inv"], hb_op.inverse() @ f["x_over"] @ hb_op)
+    rhs = diag_conj(f["h_ratio"].reciprocal(), hb_op.inverse() @ f["x_over"] @ hb_op)
     return op_check("polynomial-domain form", lhs, rhs, order)
 
 
@@ -171,14 +172,14 @@ def split_args(f, order):
 
 def bracket_factors(p, order):
     nw = order + FAMILY_MARGIN
-    hvals, c2 = p.ratio.products(nw + 1), OpMatrix.shifted_product(p.ells(nw), nw)
+    c2 = OpMatrix.shifted_product(p.ells(nw), nw)
     display = x_times([p.ratio(n) for n in range(nw + 1)], nw) - OpMatrix.diag_op(p.ells(nw + 1), nw)
-    return {"c2": c2, "hvals": hvals, "display": display}
+    return {"c2": c2, "ratio": p.ratio, "display": display}
 
 
 def bracket_args(f, order):
     c2 = f["c2"]
-    return "bracket identity", c2, OpMatrix.x_op(c2.nw), diag_conj(f["hvals"], f["display"]), order
+    return "bracket identity", c2, OpMatrix.x_op(c2.nw), diag_conj(f["ratio"], f["display"]), order
 
 
 def square_factors(p, c, order):
@@ -233,13 +234,13 @@ def hahn_factors(p, order):
     nw = order + FAMILY_MARGIN
     square = ShefferParams(p.lam, p.a, p.lam * p.a * p.a / 4)
     ultra_gop = deformed_op(guarded_core(square, order)[1], square.ratio, 0)
-    law = diag_conj(affine(p.s - 1, -1).products(nw + 1), ultra_gop)
+    law = diag_conj(affine(p.s - 1, -1), ultra_gop)
     delta = (exp_series(2 * p.a, nw) - 1) / (2 * p.a)
     return {"gop": OpMatrix.umbral_compose(delta, nw) @ law, "delta": delta, "law": law}
 
 
 def hahn_args(f, order):
-    xi = OpMatrix.umbral_compose_inverse(f["delta"], f["gop"].nw) @ f["gop"]
+    xi = OpMatrix.umbral_compose_inverse(f["delta"], f["gop"].nw)._compared(f["gop"])
     return "expansion in binomial basis", xi, f["law"], order
 
 
@@ -251,7 +252,7 @@ def longdiv_factors(h_ratio, b, order):
         "hb": ell.weighted(h_ratio.products(nw + 1)),
         "x_over": x_times([F(1, 1 + n) for n in range(nw + 1)], nw),
         "ratio_vals": [h_ratio(n) for n in range(nw + 1)],
-        "h_inv": h_ratio.reciprocal().products(nw + 1),
+        "h_ratio": h_ratio,
     }
 
 
@@ -259,10 +260,10 @@ def longdiv_args(f, order):
     nw = f["x_over"].nw
 
     def conj(ell):
-        return OpMatrix.series_of_d(1 / ell, nw) @ f["x_over"] @ OpMatrix.series_of_d(ell, nw)
+        return OpMatrix.series_of_d(1 / ell, nw)._compared(f["x_over"])._compared(OpMatrix.series_of_d(ell, nw))
 
-    lhs = conj(f["ell"]) @ OpMatrix.diag_op(f["ratio_vals"], nw)
-    return "polynomial-domain form", lhs, diag_conj(f["h_inv"], conj(f["hb"])), order
+    lhs = conj(f["ell"])._compared(OpMatrix.diag_op(f["ratio_vals"], nw))
+    return "polynomial-domain form", lhs, diag_conj(f["h_ratio"].reciprocal(), conj(f["hb"])), order
 
 
 def crossed(site, f, order):
@@ -502,13 +503,29 @@ def test_a_planted_c_tf_inv_corner_fails_only_the_resolvent_form_in_column_0():
     assert checks[0].name == f"conjugation-trick sigma={JACOBI.lam} (resolvent form)"
 
 
-def cut_cases():
-    """The crossed checks that cut their products to the compared columns,
-    over every planted entry of one factor each."""
-    for site, slot in [("split", "inner"), ("bracket", "c2"), ("square", "inner"), ("change", "cf"), ("diffeq", "rhs")]:
+def plants(value):
+    """(where, value with one entry planted) for each entry of an operator
+    factor, or for each coefficient of a series factor (C_delta is read
+    through delta, ell(D) through ell)."""
+    if isinstance(value, TruncSeries):
+        return planted_coeffs(value)
+    return (((m, n), planted(value, m, n)) for m, n in entries(value))
+
+
+def site_cases(pairs):
+    """The crossed check of each (site, slot), over every plant of that factor."""
+    for site, slot in pairs:
         factors = SITES[site][0]()
-        for m, n in entries(factors[slot]):
-            yield crossed(site, dict(factors, **{slot: planted(factors[slot], m, n)}), ORDER)
+        for _, bad in plants(factors[slot]):
+            yield crossed(site, dict(factors, **{slot: bad}), ORDER)
+
+
+def cut_cases():
+    """The crossed checks that compare through a bound, which cut their
+    products to the compared columns, over every planted entry of one
+    factor each, and the lemma over every planted factor."""
+    yield from site_cases([("split", "inner"), ("bracket", "c2"), ("square", "inner"), ("change", "cf"),
+                           ("diffeq", "rhs"), ("hahn", "law"), ("longdiv", "hb")])
     for p, sigmas in LEMMA_CALLS:
         _, core = guarded_core(p, ORDER)
         for factor in ("c_tf_inv", "c_f", "fpow", "tf"):
@@ -529,17 +546,65 @@ def test_the_column_cut_changes_no_verdict_or_witness(monkeypatch):
     assert list(cut_cases()) == got
 
 
+def canonical(op):
+    return all(den > 0 and math.gcd(den, *nums) == 1 for den, nums in op.cols)
+
+
+def test_unreduced_products_change_no_verdict_or_witness(monkeypatch):
+    """The products only a comparison reads skip the gcd pass
+    (`OpMatrix._compared`); with every product made canonical instead, every
+    check comes out the same, witness included."""
+    compared, unreduced = OpMatrix._compared, []
+
+    def spy(a, b):
+        c = compared(a, b)
+        unreduced.append(not canonical(c))
+        return c
+
+    def cases():
+        yield from cut_cases()
+        yield from site_cases([("commutator", "gop")])  # compared whole
+
+    monkeypatch.setattr(OpMatrix, "_compared", spy)
+    got = list(cases())
+    assert any(unreduced) and {c.passed for c in got} == {True, False}
+    monkeypatch.setattr(OpMatrix, "_compared", OpMatrix.__matmul__)
+    assert list(cases()) == got
+
+
+ASSOC_BUILDS = [(sheffer_assoc, SHEFFER), (ultra_assoc, SHEFFER), (jacobi_assoc, JACOBI), (wilson_assoc, WILSON)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sheffer_family(SHEFFER, ORDER),
+    lambda: ultraspherical_family(SHEFFER, ORDER),
+    lambda: jacobi_family(JACOBI, ORDER),
+    lambda: wilson_family(WILSON, ORDER),
+    lambda: hahn_family(HAHN, ORDER),
+    lambda: multiterm_family(MULTITERM, ORDER),
+    *[lambda assoc=assoc, p=p, c=c: assoc(p, c, ORDER + 2) for c in (0, ASSOC_C) for assoc, p in ASSOC_BUILDS],
+], ids=["sheffer", "ultraspherical", "jacobi", "wilson", "hahn", "multiterm",
+        *[f"{assoc.__name__}-c{c}" for c in (0, ASSOC_C) for assoc, _ in ASSOC_BUILDS]])
+def test_no_unreduced_operator_escapes(build, monkeypatch):
+    """Every operator a build keeps is canonical: its gop, each raising
+    operator it reads a recurrence off, and every operator of its cores."""
+    cores, raising = [], []
+    make_core, solve = families.sheffer_core, families.conjugate
+    monkeypatch.setattr(families, "sheffer_core", lambda *args: cores.append(make_core(*args)) or cores[-1])
+    monkeypatch.setattr(families, "conjugate", lambda m, t: raising.append(solve(m, t)) or raising[-1])
+    result = build()
+    kept = [result.gop, *raising]
+    for core in cores:
+        kept += [v for v in [*vars(core).values(), *core._memo.values()] if isinstance(v, OpMatrix)]
+    assert cores and raising
+    assert all(canonical(op) for op in kept)
+
+
 def site_pairs(site, slot):
-    """One entry of an operator factor planted, or one coefficient of a
-    series factor (C_delta is read through delta, ell(D) through ell)."""
+    """Each plant of one factor, with the crossed check and the reference on it."""
     make, _, ref, _ = SITES[site]
     factors = make()
-    value = factors[slot]
-    if isinstance(value, TruncSeries):
-        plants = planted_coeffs(value)
-    else:
-        plants = (((m, n), planted(value, m, n)) for m, n in entries(value))
-    for where, bad_value in plants:
+    for where, bad_value in plants(factors[slot]):
         bad = dict(factors, **{slot: bad_value})
         yield where, crossed(site, bad, ORDER), ref(bad, ORDER)
 
@@ -574,6 +639,35 @@ def test_a_planted_closed_form_fails_the_eigen_action(monkeypatch):
         checks = {c.name: c for c in jacobi_diffeq_op(JACOBI, ORDER)[2]}
         assert not checks["second-order operator closed form"].passed, (m, n)
         assert not checks["eigen-action"].passed, (m, n)
+
+
+def dense_derivative_display(gop, p, order):
+    """The form the ultraspherical derivative display had, D gop == gop
+    (1 + lam theta) W^(-1) resolvent(D) W, with W^(-1) resolvent(D) W as two
+    products."""
+    nw, lam, b = gop.nw, p.lam, p.b
+    resolvent = TruncSeries.from_function(lambda i: (lam * b) ** (i // 2) if i % 2 == 1 else 0, nw)
+    w = p.ratio.products(nw + 1)
+    conj = OpMatrix.diag_op([1 / v for v in w], nw) @ OpMatrix.series_of_d(resolvent, nw) @ OpMatrix.diag_op(w, nw)
+    expected = OpMatrix.diag_op([1 + lam * n for n in range(nw + 1)], nw) @ conj
+    return conjugation_check("dual derivative display", gop, OpMatrix.d_op(nw), expected, order)
+
+
+def test_a_planted_gop_fails_the_derivative_display_in_the_dense_form_column(monkeypatch):
+    """Crossed by the unit upper triangular W^(-1) Q W, Q = 1 - lam b D^2,
+    the ultraspherical derivative display fails in the column its dense
+    form does, and passes where it passes."""
+    make = families.deformed_op
+    gop = make(guarded_core(SHEFFER, ORDER)[1], SHEFFER.ratio, 0)
+    failures = 0
+    for where, bad in plants(gop):
+        monkeypatch.setattr(families, "deformed_op", lambda *args: bad)
+        (got,) = [c for c in ultraspherical_family(SHEFFER, ORDER).checks if c.name == "dual derivative display"]
+        ref = dense_derivative_display(bad, SHEFFER, ORDER)
+        assert first_column(got) == first_column(ref), where
+        failures += not ref.passed
+    assert failures > 0
+    assert dense_derivative_display(gop, SHEFFER, ORDER).passed
 
 
 # -- the Sheffer generating function, each column from the last ------------------------
@@ -892,18 +986,18 @@ def test_a_build_inverts_no_operator(build, products, monkeypatch):
     the tails and the c=0 reduction read is that W^(-1) inner(0) W, built
     once."""
     count = Counter()
-    invert, matmul = OpMatrix.inverse, OpMatrix.__matmul__
+    invert, product = OpMatrix.inverse, OpMatrix._product
 
     def counted_invert(op):
         count["inverse"] += 1
         return invert(op)
 
-    def counted_matmul(a, b):
+    def counted_product(a, b, reduce):
         count["product"] += 1
-        return matmul(a, b)
+        return product(a, b, reduce)
 
     monkeypatch.setattr(OpMatrix, "inverse", counted_invert)
-    monkeypatch.setattr(OpMatrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(OpMatrix, "_product", counted_product)
     assert all(c.passed for c in build().checks)
     assert count["inverse"] == 0 and count["product"] <= products, count
 

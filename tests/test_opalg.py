@@ -75,7 +75,7 @@ def test_diag_ratio_guard():
     vals = affine(-3, 1).products(NW + 1)
     assert vals[3] != 0 and vals[4] == 0
     with pytest.raises(EngineError):
-        diag_conj(vals, OpMatrix.identity(NW))
+        diag_conj(affine(-3, 1), OpMatrix.identity(NW))
 
 
 def test_diag_rising_factorial():
@@ -451,59 +451,88 @@ def op_matrices(draw, nw, invertible=False, shape=None):
     return OpMatrix(mat, nw, raise_, reliable)
 
 
-def two_product_diag_conj(values, op):
-    """The route diag_conj's one pass replaced: diag(1/v) . op . diag(v)."""
-    return OpMatrix.diag_op([1 / F(v) for v in values], op.nw) @ op @ OpMatrix.diag_op(values, op.nw)
+def two_product_diag_conj(ratio, op, offset=0):
+    """The route diag_conj's one pass replaced, with the errors it raised:
+    the values v = ratio.products(nw + 1, offset), then diag(1/v) . op . diag(v)."""
+    values = ratio.products(op.nw + 1, offset)
+    zero = next((n for n, v in enumerate(values) if v == 0), None)
+    if zero is not None:
+        raise DiagSingular(zero, "cannot invert zero diagonal value")
+    return OpMatrix.diag_op([1 / v for v in values], op.nw) @ op @ OpMatrix.diag_op(values, op.nw)
 
 
-@settings(max_examples=100, deadline=None)
+def outcome(make):
+    """What make() returns, or the type and message of the EngineError it raises."""
+    try:
+        return make()
+    except EngineError as e:
+        return type(e), str(e)
+
+
+index_polys = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=1, max_size=3).map(Poly)
+ratios = st.builds(IndexRatio, index_polys, index_polys.filter(lambda p: not p.is_zero()))
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_diag_conj_matches_the_two_products(data):
     """Columns, raise and reliable block as the two products give them, on
-    drawn operators with raise 0, 1, 2 or nw, zero columns and a short
-    reliable block, and values negative, integer and not."""
+    drawn operators with raise 0 (upper triangular), 1 (a band raising by
+    1, as the Wilson bracket display), 2 or nw, zero columns and a short
+    reliable block, over drawn ratio rules at integer and non-integer
+    offsets; a zero or a pole of the ratio, and a raise past nw, raise what
+    the two products raised, message included."""
     nw = data.draw(st.integers(0, 7))
     op = data.draw(op_matrices(nw))
-    values = data.draw(st.lists(st.one_of(st.integers(-9, 9).filter(bool), nonzero_wide), min_size=nw + 1, max_size=nw + 3))
-    if op.raised > nw:
-        for conj in (diag_conj, two_product_diag_conj):
-            with pytest.raises(ReliabilityExhausted):
-                conj(values, op)
+    ratio = data.draw(ratios)
+    offset = data.draw(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)))
+    got = outcome(lambda: diag_conj(ratio, op, offset))
+    ref = outcome(lambda: two_product_diag_conj(ratio, op, offset))
+    if not isinstance(ref, OpMatrix):
+        assert got == ref
         return
-    got, ref = diag_conj(values, op), two_product_diag_conj(values, op)
     assert (got.cols, got.raised, got.reliable) == (ref.cols, ref.raised, ref.reliable)
     assert got.reliable == min(op.reliable, nw - op.raised)
     assert_canonical_columns(got)
 
 
 @pytest.mark.parametrize("raised", [0, 1])
-def test_diag_conj_of_a_dense_block_with_a_zero_column(raised, monkeypatch):
+@pytest.mark.parametrize("offset", [0, F(-7, 3)])
+def test_diag_conj_of_a_dense_block_with_a_zero_column(raised, offset, monkeypatch):
     """A raise-0 and a raise-1 operator with column 2 zero and reliable
-    block nw - 3, conjugated by negative, integer and non-integer values,
-    with no operator product made."""
+    block nw - 3, conjugated by values negative, integer and not, with no
+    operator product made."""
     rows = [[F(m - 2 * n, 1 + m + n) if m <= n + raised and n != 2 else F(0) for n in range(NW + 1)] for m in range(NW + 1)]
     op = OpMatrix(rows, NW, raised, NW - 3)
-    values = [F(-3, 4), 5, -2, F(7, 9), 1, F(-11, 6), 3, F(2, 5), -1, F(13, 8), 6]
-    ref = two_product_diag_conj(values, op)
+    ratio = IndexRatio(Poly([F(-3, 4), 5, -2]), Poly([F(7, 9), 1]))
+    ref = two_product_diag_conj(ratio, op, offset)
+    values = ratio.products(NW + 1, offset)
+    assert any(v < 0 for v in values) and any(v.denominator > 1 for v in values)
 
-    def refuse(a, b):
+    def refuse(*args):
         raise AssertionError("diag_conj made an operator product")
 
-    monkeypatch.setattr(OpMatrix, "__matmul__", refuse)
-    got = diag_conj(values, op)
+    monkeypatch.setattr(OpMatrix, "_product", refuse)
+    got = diag_conj(ratio, op, offset)
     assert (got.cols, got.raised, got.reliable) == (ref.cols, ref.raised, ref.reliable)
     assert (got.raised, got.reliable) == (raised, NW - 3)
     assert all(got.entry(m, n) == rows[m][n] * values[n] / values[m] for m in range(NW + 1) for n in range(NW + 1))
 
 
-@pytest.mark.parametrize("index", [0, 4, NW + 1])  # a value past the working order is still read
-def test_diag_conj_rejects_a_zero_value_by_its_index(index):
-    values = [F(-2, 3), 1, 5, F(7, 2)] + [3] * (NW - 1)
-    values[index] = 0
+@pytest.mark.parametrize("root", [0, 3, NW - 1])
+def test_diag_conj_rejects_a_zero_value_by_its_index(root):
+    """A zero ratio at index k leaves the value k + 1 zero, reported at that
+    index; a zero past the working order is not read, and a pole anywhere
+    below it is reported first, as `products` reports it."""
+    ratio = IndexRatio(Poly([-root, 1]), Poly([F(1, 2), 1]))
     with pytest.raises(DiagSingular) as got:
-        diag_conj(values, OpMatrix.identity(NW))
-    assert got.value.index == index
-    assert str(got.value) == f"diagonal ratio singular at index {index}: cannot invert zero diagonal value"
+        diag_conj(ratio, OpMatrix.identity(NW))
+    assert got.value.index == root + 1
+    assert str(got.value) == f"diagonal ratio singular at index {root + 1}: cannot invert zero diagonal value"
+    assert diag_conj(IndexRatio(Poly([-NW, 1])), OpMatrix.identity(NW)).equals(OpMatrix.identity(NW))
+    pole = IndexRatio(Poly([-root, 1]), Poly([-(NW - 1), 1]))
+    with pytest.raises(DiagSingular, match=f"at index {NW - 1}: the ratio has a pole at {NW - 1}"):
+        diag_conj(pole, OpMatrix.identity(NW))
 
 
 @settings(max_examples=150, deadline=None)
@@ -527,6 +556,28 @@ def test_matmul_matches_fraction_loops(data):
         assert (c.raised, c.reliable) == (a.raised + b.raised, reliable)
         assert true_raise(c.mat) <= c.raised
         assert_canonical_columns(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_an_unreduced_product_has_the_entries_of_the_canonical_one(data):
+    """`_compared` gives the entries, raise and reliable block of `@` over
+    positive denominators, through each shortcut and with an unreduced
+    left factor, and `first_difference` reads it as it reads the canonical
+    product."""
+    nw = data.draw(st.integers(1, 6))
+    shapes = st.sampled_from([None, "shift", "diagonal", "single"])
+    a, b, c = [data.draw(op_matrices(nw, shape=data.draw(shapes))) for _ in range(3)]
+    try:
+        ref = (a @ b) @ c
+    except ReliabilityExhausted:
+        return
+    got = a._compared(b)._compared(c)
+    assert got.mat == ref.mat and (got.raised, got.reliable) == (ref.raised, ref.reliable)
+    assert all(den > 0 for den, _ in got.cols)
+    assert got.first_difference(ref) is None and ref.first_difference(got) is None
+    other = data.draw(op_matrices(nw))
+    assert got.first_difference(other) == ref.first_difference(other)
 
 
 def assert_same_operator(got, expected):
@@ -675,7 +726,7 @@ def test_series_of_l_is_the_factorial_conjugate_of_series_of_d(nw, cs, extra):
     # the route it replaced: theta! ell(D) theta!^(-1), two diagonal products
     ell = TruncSeries(cs[: nw + 1 + extra])
     op = OpMatrix.series_of_l(ell, nw)
-    ref = diag_conj(IndexRatio(1, Poly([1, 1])).products(nw + 1), OpMatrix.series_of_d(ell, nw))
+    ref = diag_conj(IndexRatio(1, Poly([1, 1])), OpMatrix.series_of_d(ell, nw))
     assert (op.cols, op.raised, op.reliable) == (ref.cols, ref.raised, ref.reliable)
     assert all(op.entry(m, n) == (cs[n - m] if m <= n else 0) for m in range(nw + 1) for n in range(nw + 1))
     if nw:

@@ -20,7 +20,7 @@ from umbral.families import (
     closed_form_raising,
     hahn_closed_form,
     hahn_family,
-    jacobi_dual_raising,
+    jacobi_closed_form,
     jacobi_family,
     multiterm_family,
     sheffer_closed_form,
@@ -35,6 +35,11 @@ from umbral.opalg import OpMatrix, mgf_from_gop
 from test_orthocore import hankel_recurrence
 
 ORDER = 8
+
+
+def jacobi_dual_raising(p, nw):
+    """The Jacobi display x + a_theta + D b_theta, a_0 = a by continuity."""
+    return closed_form_raising(jacobi_closed_form(p), nw, a0=p.a)
 
 
 # ---- Krylov oracle: gop^(-1) = [e_0, u e_0, u^2 e_0, ...] ----------------------------
