@@ -31,6 +31,7 @@ from .families import (
     deformed_op,
     diag_conj,
     extract_recurrence,
+    generating_function_check,
     guarded_core,
     jacobi_closed_form,
     jacobi_split_displays,
@@ -45,7 +46,7 @@ from .families import (
 )
 from .indexfn import IndexRatio, Poly, affine
 from .opalg import OpMatrix, mgf_from_gop
-from .orthocore import Recurrence, moments_from_recurrence
+from .orthocore import Recurrence, moment_depth, moments_from_recurrence
 from .series import TruncSeries, as_rat, riccati_series  # riccati_series: read here by bench/test_bench.py
 
 
@@ -58,12 +59,12 @@ def guard_shift(c, nw: int):
 
 def guard_tail_shift(c, order: int):
     """guard_shift at the working order nw, then the reach of the tail
-    pipeline: the base recurrence reaches depth nw - 1, and the moments
-    through `order` read order // 2 + 1 levels of its shift by c, so an
-    integer c >= 0 past nw - 2 - order // 2 is refused before any work."""
+    pipeline: the base recurrence reaches depth nw - 1, its shift by c depth
+    nw - 1 - c, and the moments through `order` need moment_depth(order), so
+    an integer c >= 0 past order + 3 - order // 2 is refused before any work."""
     nw = order + FAMILY_MARGIN
     c = guard_shift(c, nw)
-    top = nw - 2 - order // 2
+    top = nw - 1 - moment_depth(order)
     if _tail_shift(c) and c > top:
         raise ValueError(f"--c: an integer shift must be at most {top} at order {order}, "
                          f"the depth the tail mgf can read")
@@ -145,13 +146,18 @@ def long_division_checks(h_ratio: IndexRatio, b_series: TruncSeries, order: int)
 
 def change_of_variable_check(f: TruncSeries, order: int) -> Check:
     """C_f x (1+theta)^(-1) C_f^(-1) == x (1+theta)^(-1) (D/f(D)), compared
-    crossed as C_f x (1+theta)^(-1) == x (1+theta)^(-1) (D/f(D)) C_f."""
+    crossed as C_f x (1+theta)^(-1) == x (1+theta)^(-1) (D/f(D)) C_f, then
+    column m of bar(C_f) against reverse(f)^m."""
     nw = order + FAMILY_MARGIN
     cf = OpMatrix.umbral_compose(f, nw)
     x_over = x_times([Fraction(1, 1 + n) for n in range(nw + 1)], nw)
     y_over_f = f.y_over_f().truncate(nw - 1)
     rhs = x_over @ OpMatrix.series_of_d(TruncSeries.from_polynomial(list(y_over_f.coeffs), nw), nw)
-    return conjugation_check("change-of-variable form", cf, rhs, x_over, order - 1)
+    name = "change-of-variable form"
+    return first_failure(name, (
+        conjugation_check(name, cf, rhs, x_over, order - 1),
+        generating_function_check(name, cf.bar(), TruncSeries.one(nw), f.reverse(), order),  # covers umbral_compose
+    ))
 
 
 # -- associated result record ----------------------------------------------------------

@@ -23,27 +23,28 @@ from .series import TruncSeries, as_rat, exp_series
 # -- Lagrange inversion forms ---------------------------------------------------
 
 
-def lagrange_forms(f: TruncSeries, n: int, order: int) -> list:
-    """Both inversion forms of the n-th binomial polynomial against the
-    composition operator's column:
+def series_on_power(ell: TruncSeries, k, top: int) -> list:
+    """e_0..e_top with ell(D) x^k = sum_j e_j x^(k-j): e_j = ell_j k(k-1)...(k-j+1),
+    read off ell's coefficients with no operator made."""
+    return [c * v for c, v in zip(ell.coeffs, affine(k, -1).products(top + 1))]
 
-        p_n(x) = x (D/f(D))^n x^(n-1) = f'(D)(D/f(D))^(n+1) x^n
+
+def lagrange_forms(f: TruncSeries, n: int, order: int) -> list:
+    """Both inversion forms of the n-th binomial polynomial, each read off its
+    series by `series_on_power`, against the composition operator's column:
+
+        p_n(x) = x (D/f(D))^n x^(n-1) = (f' (D/f(D))^(n+1))(D) x^n
     """
     nw = order
     if f.order < nw + 1:
         raise OrderExhausted("base series must exceed the working order")
-    cf = OpMatrix.umbral_compose(f.truncate(nw), nw)
-    reference = cf.column_poly(n)
+    reference = OpMatrix.umbral_compose(f.truncate(nw), nw).column_poly(n)
     y_over_f = f.y_over_f().truncate(nw)
     ratio_n = TruncSeries.one(nw)
     for _ in range(n):
         ratio_n = (ratio_n * y_over_f).truncate(nw)
-    first = OpMatrix.x_op(nw) @ OpMatrix.series_of_d(ratio_n, nw)
-    form1 = first.apply_poly(Poly([0] * (n - 1) + [1])) if n >= 1 else Poly.const(1)
-    ratio_n1 = (ratio_n * y_over_f).truncate(nw)
-    fprime = f.derivative().truncate(nw)
-    second = OpMatrix.series_of_d(fprime, nw) @ OpMatrix.series_of_d(ratio_n1, nw)
-    form2 = second.apply_poly(Poly([0] * n + [1]))
+    form1 = Poly([0] + series_on_power(ratio_n, n - 1, n - 1)[::-1]) if n >= 1 else Poly.const(1)
+    form2 = Poly(series_on_power(f.derivative() * ratio_n * y_over_f, n, n)[::-1])
     return [
         flag_check(f"inversion form 1, degree {n}", form1 == reference, "columns differ"),
         flag_check(f"inversion form 2, degree {n}", form2 == reference, "columns differ"),
@@ -75,11 +76,9 @@ def lowering_check(f: TruncSeries, s, terms: int) -> list:
     for k, c in enumerate(p_s):
         if c == 0:
             continue
-        top = min(f.order, terms + 1 - k)
-        fall = affine(s - k, -1).products(top + 1)  # (s-k)(s-k-1)...(s-k-j+1)
-        for j in range(1, top + 1):
-            if f.coeffs[j]:
-                got[k + j - 1] += c * f.coeffs[j] * fall[j]
+        e = series_on_power(f, s - k, min(f.order, terms + 1 - k))  # f(D) x^(s-k)
+        for j in range(1, len(e)):
+            got[k + j - 1] += c * e[j]
     expected = [s * c for c in p_sm1[: terms + 1]]
     return [first_failure(f"lowering relation s={s} to {terms} terms", (
         flag_check(f"lowering relation s={s}", got[m] == expected[m], f"term {m}: {got[m]} != {expected[m]}")

@@ -160,12 +160,8 @@ def cmd_cfrac(args) -> int:
         if args.round_trip:
             if rec.depth < 1:
                 raise ValueError(f"a round trip needs at least 4 moments, got {gf.order + 1}")
-            # a_0..a_d and b_1..b_d fix mu_0..mu_(2d+1), every moment they were
-            # read from; moments_from_recurrence reaches order 2d+1 only from
-            # depth d + 1, though it reads no coefficient past those, so the
-            # recurrence goes in with one more level that nothing reads
-            padded = Recurrence(rec.a + (0,), rec.b + (0,))
-            back = moments_from_recurrence(padded, min(order, 2 * rec.depth + 1)).moment_gf
+            # a_0..a_d and b_1..b_d fix mu_0..mu_(2d+1), every moment they were read from
+            back = moments_from_recurrence(rec, min(order, 2 * rec.depth + 1)).moment_gf
             payload["round_trip"] = back.agrees_with(gf)
     else:
         rec = Recurrence.from_json(data)

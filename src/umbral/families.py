@@ -557,7 +557,7 @@ def sheffer_closed_form(p: ShefferParams) -> ClosedFormRecurrence:
     )
 
 
-def generating_function_check(barg: OpMatrix, gen_weight: TruncSeries, phi: TruncSeries, order: int):
+def generating_function_check(name: str, barg: OpMatrix, gen_weight: TruncSeries, phi: TruncSeries, order: int):
     """Column m <= order of the bar transform barg against gen_weight phi^m
     through coefficient order, as column 0 against gen_weight and column m
     against column m-1 times phi: coefficient i of a product reads only
@@ -574,7 +574,7 @@ def generating_function_check(barg: OpMatrix, gen_weight: TruncSeries, phi: Trun
             yield series_check(f"generating function column {m}", got, expect, order)
             expect = got * phi
 
-    return first_failure(f"generating function to bidegree ({order},{order})", columns())
+    return first_failure(name, columns())
 
 
 def sheffer_family(p: ShefferParams, order: int) -> FamilyResult:
@@ -607,10 +607,10 @@ def sheffer_family(p: ShefferParams, order: int) -> FamilyResult:
         )
         for n in range(1, min(order, rec.depth) + 1)
     )))
-    checks.append(generating_function_check(gop.bar(), gen_weight, phi, order))  # covers the psi-built gop
-    top = min(order, 2 * (rec.depth // 2))
-    f0 = mgf_from_gop(gop).truncate(top)
-    checks.append(series_check("sheffer: mgf pipelines agree", f0, moments_from_recurrence(rec, top).f0))
+    name = f"generating function to bidegree ({order},{order})"
+    checks.append(generating_function_check(name, gop.bar(), gen_weight, phi, order))  # covers the psi-built gop
+    f0 = mgf_from_gop(gop).truncate(order)
+    checks.append(series_check("sheffer: mgf pipelines agree", f0, moments_from_recurrence(rec, order).f0))
     return FamilyResult("sheffer", gop, rec, f0, closed, checks)
 
 
@@ -650,21 +650,13 @@ def ultraspherical_family(p: ShefferParams, order: int) -> FamilyResult:
     f0 = mgf_from_gop(gop).truncate(order)
     checks.append(series_check("ultraspherical: mgf pipelines agree", f0, moments_from_recurrence(rec, order).f0))
     checks.append(series_check("boxed mgf", f0, boxed, order))
-    # generating function display, column by column:
-    # sum_n c_n q_n(x) y^n has x^m coefficient c_m y^m (1+lam a y+lam b y^2)^(-1/lam-m)
-    # (coefficient i of amp^alpha reads amp's coefficients <= i alone)
+    # generating function display: sum_n q_n(x) y^n/(n! W_n) has x^m coefficient
+    # amp^(-1/lam) (y/amp)^m/(m! W_m), so that is column m of bar(W gop W^(-1))
     gen_through = min(order, 8)
     amp = TruncSeries.from_polynomial([1, lam * a, lam * b], gen_through)
-    c_vals = IndexRatio(Poly([1, lam]), Poly([1, 1])).products(nw + 1)
-
-    def column(m):
-        got = TruncSeries([c_vals[n] * gop.entry(m, n) for n in range(gen_through + 1)])
-        expect = (amp.pow_fraction(Fraction(-1) / lam - m) * c_vals[m]).shift_up(m).truncate(gen_through)
-        return series_check(f"generating function column {m}", got, expect)
-
-    checks.append(first_failure(
-        f"generating function display to order {gen_through}", map(column, range(gen_through + 1))
-    ))
+    barg = diag_conj(p.ratio.reciprocal(), gop.cut(gen_through)).bar()
+    name = f"generating function display to order {gen_through}"
+    checks.append(generating_function_check(name, barg, amp.pow_fraction(-1 / lam), (1 / amp).shift_up(1), gen_through))
     return FamilyResult("ultraspherical", gop, rec, f0, closed, checks)
 
 
@@ -874,31 +866,17 @@ def multiterm_family(p: MultiTermParams, order: int) -> FamilyResult:
     at, bt = u.three_term(order)[:2] if down <= 1 else ([0], [])
     rec = Recurrence(tuple(at), tuple(bt))
     checks.append(flag_check(f"band profile (1,{down})", band == (1, down) and not fault, fault or f"got {band}"))
-    # algebraic relation for the inverse transform:
-    # (1 - 1/omega')(1/omega' + n - 1)^(n-1) = n^(n-1) lam a y
-    w = 1 / core.omega_prime
-    rel = (1 - w)
-    powterm = w + (n - 1)
-    acc = rel
-    for _ in range(n - 1):
-        acc = (acc * powterm).truncate(w.order)
-    target = TruncSeries.from_polynomial([0, Fraction(n ** (n - 1)) * lam * a], w.order)
-    checks.append(series_check("omega algebraic relation", acc, target, min(order, w.order)))
-    # P(y) = (n-1)^(n-1) + (y-1)(y+n-1)^(n-1): P(0) = 0 and P(1/omega') closed form
+    # P(y) = (n-1)^(n-1) + (y-1)(y+n-1)^(n-1): P(0) = 0, and w = 1/omega' has the
+    # algebraic relation (1 - w)(w + n - 1)^(n-1) = (n-1)^(n-1) - P(w) = n^(n-1) lam a y
     poly = Poly([-1, 1])
     for _ in range(n - 1):
         poly = poly * Poly([n - 1, 1])
     poly = poly + (n - 1) ** (n - 1)
+    pw = poly(1 / core.omega_prime)
+    target = TruncSeries.from_polynomial([0, Fraction(n ** (n - 1)) * lam * a], pw.order)
+    checks.append(series_check("omega algebraic relation", (n - 1) ** (n - 1) - pw, target, min(order, pw.order)))
     checks.append(value_check("P(0) = 0", poly(0), Fraction(0)))
-    checks.append(
-        series_check(
-            "P(1/omega') closed form",
-            poly(w),
-            TruncSeries.from_polynomial(
-                [Fraction((n - 1) ** (n - 1)), -Fraction(n ** (n - 1)) * lam * a], w.order
-            ),
-        )
-    )
+    checks.append(series_check("P(1/omega') closed form", pw, (n - 1) ** (n - 1) - target))
     f0 = mgf_from_gop(gop)
     return FamilyResult("multiterm", gop, rec, f0, None, checks)
 

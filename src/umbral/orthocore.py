@@ -178,23 +178,29 @@ class MomentSeries:
         return self.moment_gf.borel()
 
 
+def moment_depth(order: int) -> int:
+    """The depth that fixes mu_0..mu_order: depth d fixes mu_0..mu_(2d+1) (Flajolet 1980)."""
+    return order // 2
+
+
 def moments_from_recurrence(rec: Recurrence, order: int) -> MomentSeries:
     """Moments mu_0..mu_order by weighted Motzkin paths (Flajolet 1980;
     Viennot 1983): mu_k sums the k-step paths from height 0 back to 0, where
     an up step weighs 1, a level step at height j a_j and a down step from
     height j j b_j.  One table row per step holds the weights at each height
     as integers over one running denominator: O(order^2) operations.  Heights
-    stop below m with 2m > order, as in the convergent R_m/(x Q_m); a zero
-    b_k with k <= min(m, depth) ends the fraction early and is fine here.
+    stop below m = moment_depth(order) + 1, as in the convergent R_m/(x Q_m),
+    so depth m - 1 reaches `order`; a shallower recurrence is refused unless
+    a zero b_k with k <= depth + 1 ends the fraction early.
     """
-    m = order // 2 + 1
-    usable = min(m, rec.depth)
+    m = moment_depth(order) + 1
+    usable = min(m, rec.depth + 1)
     if usable < m and 0 not in rec.b[:usable]:
-        # a fraction shorter than m levels must end at a zero b it can read
+        # a fraction of fewer than m levels must end at a zero b_k, k <= usable
         raise OrderExhausted(f"recurrence depth {rec.depth} cannot reach order {order}")
     d, nums = _over_common_den(list(rec.a[:usable]) + [n * rec.b_at(n) for n in range(1, usable)])
     a, beta = nums[:usable], nums[usable:] + [0]  # a_j d and (j+1) b_{j+1} d; none above the top
-    den, row = 1, [1 if usable > 0 else 0]  # row[j]/den: paths ending at height j
+    den, row = 1, [1]  # row[j]/den: paths ending at height j
     mus = [(row[0], 1)]
     for step in range(1, order + 1):
         # a height above order - step can no longer come back to 0

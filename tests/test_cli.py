@@ -271,6 +271,18 @@ def test_rec2moments_past_the_depth_is_a_usage_error(tmp_path, capsys, data, ord
     assert err.startswith("error: recurrence depth") and f"cannot reach order {order}" in err
 
 
+@pytest.mark.parametrize("order, code", [("6", 0), ("7", 0), ("8", 2)])
+def test_rec2moments_reaches_order_2d_plus_1_from_depth_d(tmp_path, capsys, order, code):
+    src = tmp_path / "rec.json"
+    src.write_text(json.dumps({"a": ["1", "1/2", "-2", "3"], "b": ["2", "1/3", "5"]}))
+    got, out, err = run(capsys, "cfrac", "rec2moments", str(src), "--order", order)
+    assert got == code
+    if code:
+        assert (out, err) == ("", "error: recurrence depth 3 cannot reach order 8\n")
+    else:
+        assert len(json.loads(out)["moment_gf"]["coeffs"]) == int(order) + 1 and err == ""
+
+
 MOMENTS = ["1", "1/2", "9/4", "67/24"]  # of a_0 = 1/2, a_1 = 1/3, b_1 = 2
 
 
@@ -732,10 +744,10 @@ def test_the_order_bound_itself_is_accepted():
 
 
 @pytest.mark.parametrize("name", ["sheffer", "ultraspherical", "jacobi"])
-@pytest.mark.parametrize("order, top", [(6, 5), (12, 8)])
+@pytest.mark.parametrize("order, top", [(6, 6), (12, 9)])
 def test_an_integer_shift_past_the_tail_depth_is_refused_before_any_work(capsys, monkeypatch, name, order, top):
-    """The tail mgf reads the base recurrence, depth order + 3, shifted by c
-    through order // 2 + 1 levels: the largest integer shift is top.  Past it
+    """The tail mgf reads the base recurrence, depth order + 3, shifted by c,
+    to depth order // 2: the largest integer shift is top.  Past it
     the build is refused as a usage error naming --c, before any core is
     made; at top it runs with every check passing, the tail mgf among them."""
     code, out, err = run(capsys, "assoc", name, "--c", str(top), "--order", str(order))

@@ -673,7 +673,7 @@ def test_a_planted_gop_fails_the_derivative_display_in_the_dense_form_column(mon
 # -- the Sheffer generating function, each column from the last ------------------------
 
 
-def ref_generating_function_check(barg, gen_weight, phi, order):
+def ref_generating_function_check(name, barg, gen_weight, phi, order):
     """Column m of barg against gen_weight phi^m, each power of phi made in
     turn, as the check was before it built each column from the last."""
     def columns():
@@ -684,7 +684,7 @@ def ref_generating_function_check(barg, gen_weight, phi, order):
             yield series_check(f"generating function column {m}", got, expect, order)
             power = power * phi
 
-    return first_failure(f"generating function to bidegree ({order},{order})", columns())
+    return first_failure(name, columns())
 
 
 def generating_inputs(p, order):
@@ -718,17 +718,50 @@ def test_a_planted_bar_entry_gives_the_power_form_record(p):
     to the order) planted in turn: both forms return the same record, failed
     in that column at that coefficient; a plant just outside the block
     passes both."""
-    _, (barg, gen_weight, phi, order) = generating_inputs(p, ORDER)
+    _, (name, barg, gen_weight, phi, order) = generating_inputs(p, ORDER)
+    assert name == f"generating function to bidegree ({order},{order})"
     for m in range(order + 2):
         for i in range(order + 2):
             bad = planted(barg, i, m)
-            record = generating_function_check(bad, gen_weight, phi, order)
-            assert record == ref_generating_function_check(bad, gen_weight, phi, order), (i, m)
+            record = generating_function_check(name, bad, gen_weight, phi, order)
+            assert record == ref_generating_function_check(name, bad, gen_weight, phi, order), (i, m)
             inside = i <= order and m <= order
             assert record.passed != inside, (i, m)
             if inside:
                 assert record.name == f"generating function column {m}", (i, m)
                 assert record.witness.startswith(f"coefficient {i}:"), (i, m)
+
+
+def ref_ultraspherical_display(gop, p, order):
+    """The ultraspherical generating function display as it was written before
+    it read bar(W gop W^(-1)): column m of sum_n c_n q_n(x) y^n against
+    c_m y^m amp^(-1/lam-m), each power of amp made by its own pow_fraction."""
+    lam, through = p.lam, min(order, 8)
+    amp = TruncSeries.from_polynomial([1, lam * p.a, lam * p.b], through)
+    c = IndexRatio(Poly([1, lam]), Poly([1, 1])).products(gop.nw + 1)
+
+    def column(m):
+        got = TruncSeries([c[n] * gop.entry(m, n) for n in range(through + 1)])
+        expect = (amp.pow_fraction(F(-1) / lam - m) * c[m]).shift_up(m).truncate(through)
+        return series_check(f"generating function column {m}", got, expect)
+
+    return first_failure(f"generating function display to order {through}", map(column, range(through + 1)))
+
+
+def test_a_planted_gop_entry_fails_the_ultraspherical_display_as_the_closed_form_does(monkeypatch):
+    """Each entry on or above the diagonal of gop's compared block, and one
+    column past it, planted in turn: the display passes or fails as the
+    closed form read column by column does, and in the same column."""
+    order = 8
+    gop = ultraspherical_family(SHEFFER, order).gop
+    for n in range(order + 2):
+        for m in range(n + 1):
+            bad = planted(gop, m, n)
+            monkeypatch.setattr(families, "deformed_op", lambda *args: bad)
+            record = ultraspherical_family(SHEFFER, order).checks[-1]
+            ref = ref_ultraspherical_display(bad, SHEFFER, order)
+            assert (record.name, record.passed) == (ref.name, ref.passed), (m, n)
+            assert record.passed == (n > order), (m, n)
 
 
 # -- every conjugate m^(-1) t m solved by back substitution --------------------------------

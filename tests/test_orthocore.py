@@ -102,6 +102,17 @@ def test_degenerate_b_is_point_mass():
     assert ms.f0 == exp_series(F(2, 3), 6)
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_depth_d_reaches_order_2d_plus_1(order):
+    # a_0, a_1 and b_1 fix mu_0..mu_3 (Flajolet 1980)
+    rec = Recurrence([F(1, 2), F(1, 3)], [2])
+    got = moments_from_recurrence(rec, order).moment_gf
+    assert got == ref_moments_by_convergent(rec, order)
+    assert got.coeffs == (1, F(1, 2), F(9, 4), F(67, 24))[: order + 1]
+    with pytest.raises(OrderExhausted):
+        moments_from_recurrence(rec, order + 2)
+
+
 @pytest.mark.parametrize("a, b, order", [([1], [1, 0], 4), ([1, 2], [1, 3, 0], 6)])
 def test_a_zero_b_past_the_depth_does_not_end_the_fraction(a, b, order):
     # depths 0 and 1 reach orders 1 and 3; the zero b lies past what they read
@@ -689,11 +700,14 @@ def test_convergents_match_the_matrix_product_reference(rec):
 
 
 def ref_moments_by_convergent(rec, order):
+    """mu_0..mu_order from R_m/(x Q_m), m = order // 2 + 1, which reads a_0..a_(m-1)
+    and b_1..b_(m-1): depth m - 1.  `polys_from_recurrence` also reads b_m for
+    the norms, so the recurrence goes in with one more level that nothing reads."""
     m = order // 2 + 1
-    usable = min(m, rec.depth)
+    usable = min(m, rec.depth + 1)
     if usable < m and 0 not in rec.b[:usable]:
         raise OrderExhausted(f"recurrence depth {rec.depth} cannot reach order {order}")
-    fam = polys_from_recurrence(rec, usable)
+    fam = polys_from_recurrence(Recurrence(rec.a[:usable] + (0,), rec.b[: usable - 1] + (0,)), usable)
     num = TruncSeries.from_polynomial(fam.numerators[usable].coeffs, order + 1).shift_down(1)
     den = TruncSeries.from_polynomial(fam.reversed_q[usable].coeffs, order)
     return (num / den).truncate(order)
@@ -742,7 +756,7 @@ def signed_recurrences(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(signed_recurrences(), st.integers(0, 15))
-@example(Recurrence([F(1)], [F(0)]), 3)  # depth 0; its zero b_1 lies past it: OrderExhausted
+@example(Recurrence([F(1)], [F(0)]), 3)  # depth 0; its zero b_1 ends the fraction: mu_k = 1
 @example(Recurrence([F(-1), F(0), F(2)], [F(1, 2), F(0)]), 9)
 @example(Recurrence([F(1)], []), 0)
 def test_motzkin_table_equals_the_convergent_route(rec, order):

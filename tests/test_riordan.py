@@ -15,7 +15,9 @@ exp(alpha log psi), reverse(f) by the Fraction Lagrange pass).
 A diagonal similarity S^(-1) A S, S = diag(2^n), planted in the kernel
 weights entry (a, n) by 2^(n-a).  It commutes with products and inverses, so
 every identity among assembled arrays alone survives it; the checks that
-compare an assembled array with an operator made another way must not.
+compare an assembled array with an operator made another way must not.  A
+second fault, the scale c^(a-n) of `sheffer_pair`'s rows dropped, is held to
+the same rule over the kernel calls that scale.
 """
 import math
 from fractions import Fraction as F
@@ -28,6 +30,7 @@ from umbral.families import HahnParams, hahn_family, jacobi_family, ultraspheric
 from umbral.indexfn import Poly
 from umbral.opalg import OpMatrix
 from umbral.series import TruncSeries, riccati_series
+from umbral.verify import SUITES, RunConfig, run_suite
 
 from test_psi_core import JACOBI, ORDER, SHEFFER, check_column, same_op
 from test_series import reference_reverse
@@ -147,3 +150,38 @@ def test_the_planted_similarity_fails_each_covering_check_in_its_column(build, n
     got = [c for c in build().checks if c.name.endswith(name)]
     assert len(got) == len(clean)
     assert all(not c.passed and check_column(c) == column for c in got), [(c.name, c.witness) for c in got]
+
+
+def drop_scale(monkeypatch):
+    """Assemble every array as if its rows were read at c = 1: entry (a, n)
+    loses c^(a-n), which only `sheffer_pair` passes (c != 1)."""
+    real = OpMatrix._exp_riordan
+    monkeypatch.setattr(OpMatrix, "_exp_riordan", classmethod(lambda cls, rows, nw, c=1: real(rows, nw)))
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Wrap the kernel as it stands (planted or not); the list gets each
+    call's scale c."""
+    planted, calls = OpMatrix._exp_riordan, []
+
+    def counted(cls, rows, nw, c=1):
+        calls.append(c)
+        return planted(rows, nw, c)
+
+    monkeypatch.setattr(OpMatrix, "_exp_riordan", classmethod(counted))
+    return calls
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+@pytest.mark.parametrize("plant, hit", [
+    pytest.param(plant_similarity, lambda c: True, id="similarity"),
+    pytest.param(drop_scale, lambda c: c != 1, id="dropped-scale"),
+])
+def test_every_suite_the_planted_fault_reaches_fails_a_check(suite, plant, hit, monkeypatch):
+    """The rule, not a list: a suite that makes a kernel call the fault acts
+    on (any call for the similarity, a scaled one for the dropped scale)
+    fails at least one check, at order 8, seed 0, 2 samples."""
+    plant(monkeypatch)
+    calls = count_kernel_calls(monkeypatch)
+    checks = run_suite(suite, RunConfig(order=8, seed=0, samples=2))
+    assert not any(map(hit, calls)) or any(not c.passed for c in checks), (suite, len(calls))
