@@ -29,7 +29,6 @@ from .families import (
     closed_form_raising,
     coeff_then_d,
     deformed_op,
-    diag_conj,
     extract_recurrence,
     generating_function_check,
     guarded_core,
@@ -139,7 +138,7 @@ def long_division_checks(h_ratio: IndexRatio, b_series: TruncSeries, order: int)
         return OpMatrix.series_of_d(1 / ell, nw)._compared(x_over)._compared(OpMatrix.series_of_d(ell, nw))
 
     lhs_op = conj(b)._compared(OpMatrix.diag_op(ratio_vals, nw))
-    rhs_op = diag_conj(h_ratio.reciprocal(), conj(hb))  # H . (...) . H^(-1)
+    rhs_op = conj(hb).diag_conj(h_ratio.reciprocal().ratios(nw))  # H . (...) . H^(-1)
     checks.append(op_check("polynomial-domain form", lhs_op, rhs_op, order))
     return checks
 
@@ -242,7 +241,7 @@ def sheffer_assoc(p: ShefferParams, c, order: int) -> AssocResult:
     ell = (fprime_pow * y_over_f.pow_fraction(1 - c)).truncate(nw)
     hvals = affine(c, 1).products(nw + 1)  # (c)_theta
     x = OpMatrix.series_of_d(y_over_f.pow_fraction(c), nw) @ base
-    gop = OpMatrix.series_of_l(ell.weighted(hvals), nw) @ diag_conj(poch_over_fact(c), x)
+    gop = OpMatrix.series_of_l(ell.weighted(hvals), nw) @ x.diag_conj(poch_over_fact(c).ratios(nw))
     u, rec, fault = extract_recurrence(gop, order)
     display = closed_form_raising(sheffer_closed_form(p).assoc(c), nw)
     checks = [raising_check("shifted dual raising display", fault, u, display, order)]
@@ -352,7 +351,7 @@ def splitting_check(p: JacobiParams, c, order: int) -> list:
     # at c = 0, a_theta at index 0 is a by parameter continuity (0/0 there when kappa = 1)
     u_c = closed_form_raising(jacobi_closed_form(p).assoc(c), nw, a0=p.a if c == 0 else None)
     # W . u_c . W^(-1) for W = F_{c+theta}/F_c (c+1)_theta/theta!
-    lhs = diag_conj((p.ratio.shift(c) * poch_over_fact(c)).reciprocal(), u_c)
+    lhs = u_c.diag_conj((p.ratio.shift(c) * poch_over_fact(c)).reciprocal().ratios(nw))
     lam_part, kappa_part = jacobi_split_displays(p, nw, c)
     rhs = lam_part.scale(p.r) + kappa_part.scale(1 - p.r)
     return [op_check(f"split of the shifted operator (c={c})", lhs, rhs, order)]
@@ -392,8 +391,8 @@ def wilson_assoc(p: WilsonParams, c, order: int) -> AssocResult:
     # so this pins every staged coefficient in gop, also those past `order`
     name = "column factorization of the shift operator"
     crossed = (
-        sum(x * y for x, y in zip(nums, staged.nums)) * lowered.den - lowered.nums[a] * den * staged.den
-        for a, (den, nums) in enumerate(c2c.cols[: lowered.order + 1])
+        sum(x * y for x, y in zip(col.nums, staged.nums)) * lowered.den - lowered.nums[a] * col.den * staged.den
+        for a, col in enumerate(map(c2c.column_poly, range(lowered.order + 1)))
     )
     checks.append(first_failure(name, (flag_check(name, not d, f"column {a}") for a, d in enumerate(crossed))))
     # conjugated square identity inner sq inner^(-1) == display, compared crossed

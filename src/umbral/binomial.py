@@ -29,26 +29,26 @@ def series_on_power(ell: TruncSeries, k, top: int) -> list:
     return [c * v for c, v in zip(ell.coeffs, affine(k, -1).products(top + 1))]
 
 
-def lagrange_forms(f: TruncSeries, n: int, order: int) -> list:
-    """Both inversion forms of the n-th binomial polynomial, each read off its
-    series by `series_on_power`, against the composition operator's column:
+def lagrange_forms(f: TruncSeries, top: int, nw: int) -> list:
+    """Both inversion forms of the n-th binomial polynomial for 1 <= n <= top,
+    each read off its series by `series_on_power`, against column n of one
+    composition operator:
 
         p_n(x) = x (D/f(D))^n x^(n-1) = (f' (D/f(D))^(n+1))(D) x^n
     """
-    nw = order
     if f.order < nw + 1:
         raise OrderExhausted("base series must exceed the working order")
-    reference = OpMatrix.umbral_compose(f.truncate(nw), nw).column_poly(n)
-    y_over_f = f.y_over_f().truncate(nw)
-    ratio_n = TruncSeries.one(nw)
-    for _ in range(n):
+    c_f = OpMatrix.umbral_compose(f.truncate(nw), nw)
+    y_over_f, fprime = f.y_over_f().truncate(nw), f.derivative()
+    ratio_n, checks = TruncSeries.one(nw), []
+    for n in range(1, top + 1):
         ratio_n = (ratio_n * y_over_f).truncate(nw)
-    form1 = Poly([0] + series_on_power(ratio_n, n - 1, n - 1)[::-1]) if n >= 1 else Poly.const(1)
-    form2 = Poly(series_on_power(f.derivative() * ratio_n * y_over_f, n, n)[::-1])
-    return [
-        flag_check(f"inversion form 1, degree {n}", form1 == reference, "columns differ"),
-        flag_check(f"inversion form 2, degree {n}", form2 == reference, "columns differ"),
-    ]
+        reference = c_f.column_poly(n)
+        form1 = Poly([0] + series_on_power(ratio_n, n - 1, n - 1)[::-1])
+        form2 = Poly(series_on_power(fprime * ratio_n * y_over_f, n, n)[::-1])
+        checks.append(flag_check(f"inversion form 1, degree {n}", form1 == reference, "columns differ"))
+        checks.append(flag_check(f"inversion form 2, degree {n}", form2 == reference, "columns differ"))
+    return checks
 
 
 # -- fractional index ----------------------------------------------------------------

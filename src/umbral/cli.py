@@ -169,9 +169,7 @@ def cmd_cfrac(args) -> int:
         payload["moment_gf"] = gf.to_json()
         fields = {"moments": payload["moment_gf"]["coeffs"]}
         if args.round_trip:
-            back = recurrence_from_moments(gf)
-            d = min(len(back.a) - 1, len(back.b), rec.depth)
-            payload["round_trip"] = back.a[: d + 1] == rec.a[: d + 1] and back.b[:d] == rec.b[:d]
+            _, payload["round_trip"] = recurrence_from_moments(gf).agrees_to(rec, rec.depth)
     emit(payload, args, lambda: [[k] + v for k, v in fields.items()])
     return 0 if payload.get("round_trip", True) else IDENTITY_ERROR
 

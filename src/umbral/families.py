@@ -20,13 +20,12 @@ from typing import Optional, Sequence
 
 from .checks import (Check, conjugation_check, difference_check, first_failure, flag_check, op_check, series_check,
                      value_check)
-from .errors import DiagSingular, SingularParams
+from .errors import SingularParams
 from .indexfn import IndexRatio, Poly, affine
 from .opalg import OpMatrix, conjugate, mgf_from_gop
 from .orthocore import ClosedFormRecurrence, Recurrence, moments_from_recurrence, recurrence_from_moments
 from .series import (
     TruncSeries,
-    _reduced,
     as_rat,
     exp_series,
     psi_diagonal,
@@ -276,43 +275,6 @@ class MultiTermParams(FamilyParams):
 # -- shared operator kit ---------------------------------------------------------
 
 
-def diag_conj(ratio: IndexRatio, op: OpMatrix, offset=0) -> OpMatrix:
-    """W^(-1) . op . W for the diagonal W of `ratio.products(nw + 1, offset)`,
-    W_0 = 1 and W_{k+1}/W_k = ratio(offset + k): the one place a diagonal is
-    inverted.
-
-    One pass, no product, read off the ratio rule: with ratio(offset + k) =
-    a_k/b_k, P_m = prod_{k<m} b_k and A_m = prod_{m<=k<t} a_k, t the larger of n
-    and the last nonzero row of column n of op = N/d, entry (m, n) is
-    N_m W_n/(W_m d) = N_m A_m P_m/(d A_n P_n), summed over d A_n P_n and
-    reduced once.  A pole raises as `products` does, else a zero ratio a_k
-    raises DiagSingular(k + 1) for the zero value W_{k+1}.  Raise op.raised
-    and reliable min(op.reliable, nw - op.raised), as the two products
-    diag(1/W) . op . diag(W) give them."""
-    nw = op.nw
-    pairs = list(ratio._ratios(nw, offset))
-    zero = next((k for k, (a, _) in enumerate(pairs) if not a), None)
-    if zero is not None:
-        raise DiagSingular(zero + 1, "cannot invert zero diagonal value")
-    prefix = [1]  # P_m
-    for _, b in pairs:
-        prefix.append(prefix[-1] * b)
-    cols = []
-    for n, (d, nums) in enumerate(op.cols):
-        rows = [m for m, x in enumerate(nums) if x]
-        top, low = max([n, *rows[-1:]]), min([n, *rows[:1]])
-        acc, run = [0] * (nw + 1), 1  # run = A_m
-        for m in range(top, low - 1, -1):
-            if nums[m]:
-                acc[m] = nums[m] * run * prefix[m]
-            if m == n:
-                a_n = run
-            if m > low:
-                run *= pairs[m - 1][0]
-        cols.append(_reduced(d * a_n * prefix[n], acc))
-    return OpMatrix._of(cols, nw, op.raised, min(op.reliable, nw - op.raised))
-
-
 def x_times(values: Sequence, nw: int) -> OpMatrix:
     """x * g(theta): multiply then shift degree up."""
     return OpMatrix.banded({1: values}, nw)
@@ -429,7 +391,7 @@ def deformed_op(core: ShefferCore, ratio: IndexRatio, c) -> OpMatrix:
     F_{m+1}/F_m = ratio(m): at c = 0 the ultraspherical, Jacobi, Wilson
     (before C2) and multiterm (before its left factor) operators, at c their
     associated ones before ell(L).  W's ratio is read at m = c + theta."""
-    return diag_conj(poch_over_fact(c).shift(-c) * ratio, core.inner(c), c)
+    return core.inner(c).diag_conj((poch_over_fact(c).shift(-c) * ratio).ratios(core.nw, c))
 
 
 def wilson_op(core: ShefferCore, p: WilsonParams, c2: OpMatrix) -> OpMatrix:
@@ -469,9 +431,7 @@ def conjugation_trick_checks(core: ShefferCore, sigmas: tuple, through: Optional
     c_f = core.c_f.cut(through)
     x_tf = x._compared(OpMatrix.series_of_d(core.tf, nw))
     s_diff = x_tf._compared(c_f).first_difference(c_f._compared(OpMatrix.diag_op(range(nw + 1), nw)), through)
-    den, nums = core.c_tf_inv.cols[0]  # against e_0
-    e0 = ((m, 0, Fraction(v, den), Fraction(int(m == 0))) for m, v in enumerate(nums) if v != den * (m == 0))
-    e0_diff = next(e0, None)
+    e0_diff = core.c_tf_inv.first_difference(OpMatrix.identity(nw), 0)  # against e_0
     checks = []
     for sigma in map(as_rat, sigmas):
         dg_vals = IndexRatio(1, Poly([1, sigma])).values(nw + 1)
@@ -486,12 +446,6 @@ def conjugation_trick_checks(core: ShefferCore, sigmas: tuple, through: Optional
 
 
 # -- family result record -----------------------------------------------------------
-
-
-def _ratio_str(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0, reduced with one gcd."""
-    g = math.gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 @dataclass
@@ -509,7 +463,8 @@ class FamilyResult:
 
     def to_json(self, upto: Optional[int] = None) -> dict:
         upto = self.gop.reliable if upto is None else min(upto, self.gop.reliable)
-        polys = [[_ratio_str(v, den) for v in nums[: n + 1]] for n, (den, nums) in enumerate(self.gop.cols[: upto + 1])]
+        # column n has degree n: mgf_from_gop required a nonzero diagonal
+        polys = [self.gop.column_poly(n).strings() for n in range(upto + 1)]
         return {
             "name": self.name,
             "order": upto,
@@ -569,8 +524,7 @@ def generating_function_check(name: str, barg: OpMatrix, gen_weight: TruncSeries
     def columns():
         expect = gen_weight
         for m in range(order + 1):
-            den, nums = barg.cols[m]
-            got = TruncSeries._make(den, nums[: top + 1])
+            got = barg.column_series(m, top)
             yield series_check(f"generating function column {m}", got, expect, order)
             expect = got * phi
 
@@ -639,8 +593,8 @@ def ultraspherical_family(p: ShefferParams, order: int) -> FamilyResult:
     # D gop (W^(-1) Q W) == gop (W^(-1) (1 + lam theta) D W).  W^(-1) Q W is unit
     # upper triangular, so this fails first in the column where D gop == gop
     # (1 + lam theta) W^(-1) resolvent(D) W does
-    q_conj = diag_conj(p.ratio, OpMatrix.series_of_d(TruncSeries.from_polynomial([1, 0, -lam * b], nw), nw))
-    d_conj = diag_conj(p.ratio, coeff_then_d([1 + lam * n for n in range(nw + 1)], nw))
+    q_conj = OpMatrix.series_of_d(TruncSeries.from_polynomial([1, 0, -lam * b], nw), nw).diag_conj(p.ratio.ratios(nw))
+    d_conj = coeff_then_d([1 + lam * n for n in range(nw + 1)], nw).diag_conj(p.ratio.ratios(nw))
     lhs = OpMatrix.d_op(nw)._compared(gop._compared(q_conj.cut(order)))
     checks.append(op_check("dual derivative display", lhs, gop._compared(d_conj.cut(order)), order))
     # boxed mgf: e^{ay} * sum_n prod-ratio terms y^(2n)
@@ -654,7 +608,7 @@ def ultraspherical_family(p: ShefferParams, order: int) -> FamilyResult:
     # amp^(-1/lam) (y/amp)^m/(m! W_m), so that is column m of bar(W gop W^(-1))
     gen_through = min(order, 8)
     amp = TruncSeries.from_polynomial([1, lam * a, lam * b], gen_through)
-    barg = diag_conj(p.ratio.reciprocal(), gop.cut(gen_through)).bar()
+    barg = gop.cut(gen_through).diag_conj(p.ratio.reciprocal().ratios(nw)).bar()
     name = f"generating function display to order {gen_through}"
     checks.append(generating_function_check(name, barg, amp.pow_fraction(-1 / lam), (1 / amp).shift_up(1), gen_through))
     return FamilyResult("ultraspherical", gop, rec, f0, closed, checks)
@@ -700,7 +654,7 @@ def hahn_family(p: HahnParams, order: int) -> FamilyResult:
     ultra = ultraspherical_family(ShefferParams(lam, a, b), order)
     # delta = (e^(2 a y) - 1)/(2 a) has the base delta' = 1 + 2 a delta
     c_delta = OpMatrix.umbral_compose_ode(Poly([1, 2 * a]), nw)
-    law = diag_conj(affine(s - 1, -1), ultra.gop)
+    law = ultra.gop.diag_conj(affine(s - 1, -1).ratios(nw))
     gop = c_delta @ law
     u, rec, fault = extract_recurrence(gop)
     checks = list(ultra.checks)
@@ -833,8 +787,8 @@ def wilson_family(p: WilsonParams, order: int) -> FamilyResult:
     _, rec, fault = extract_recurrence(gop)
     checks.append(flag_check("raising operator tridiagonal", not fault, fault))
     # bracket identity H C2^(-1) x C2 H^(-1) == display, crossed: x C2 == C2 H^(-1) display H
-    display = OpMatrix.banded({1: p.ratio.values(nw + 1), 0: [-v for v in ells]}, nw)
-    checks.append(conjugation_check("bracket identity", c2, OpMatrix.x_op(nw), diag_conj(p.ratio, display), order))
+    display_h = OpMatrix.banded({1: p.ratio.values(nw + 1), 0: [-v for v in ells]}, nw).diag_conj(p.ratio.ratios(nw))
+    checks.append(conjugation_check("bracket identity", c2, OpMatrix.x_op(nw), display_h, order))
     f0 = mgf_from_gop(gop).truncate(order)
     checks.append(series_check("wilson: mgf pipelines agree", f0, moments_from_recurrence(rec, order).f0))
     if p.h == 0:

@@ -172,14 +172,15 @@ class IndexRatio:
         leaves zeros after it; a pole at any index, 0/0 included, raises
         DiagSingular(n)."""
         vals, v = [Fraction(1)], Fraction(1)
-        for a, b in self._ratios(count - 1, offset):
+        for a, b in self.ratios(count - 1, offset):
             v = Fraction(v.numerator * a, v.denominator * b)
             vals.append(v)
         return tuple(vals)
 
-    def _ratios(self, count: int, offset=0):
+    def ratios(self, count: int, offset=0):
         """Yield self(offset + n), n < count, as integer pairs (a, b) in lowest
-        terms, by integer Horner; a pole raises DiagSingular(n), 0/0 included."""
+        terms by integer Horner, the pairs `OpMatrix.diag_conj` takes; a pole
+        raises DiagSingular(n), 0/0 included."""
         p, q = as_rat(offset).as_integer_ratio()
         for n in range(count):
             x = p + n * q

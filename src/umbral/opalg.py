@@ -9,10 +9,12 @@ kernel below reads and writes integers only and reduces each result column
 at most once: ``banded`` never needs to, and a product skips it for columns
 its shortcuts prove canonical (see ``__matmul__``).  A product that nothing
 stores skips it (``_compared``): each side of a crossed check, and a factor
-that feeds only such a product.  Only ``first_difference``, ``diag_conj``
-and further ``_compared`` products read one; every operator that is stored
-or returned is canonical.  Polynomials and series
-(``column_poly``, ``apply_poly``, ``apply_series``) share that storage.
+that feeds only such a product.  No code outside this module reads a
+column: the storage is this module's alone, and only ``first_difference``,
+``diag_conj`` and further ``_compared`` products, all below, read a
+non-canonical one; every operator that is stored is canonical.
+Polynomials and series (``from_polys``, ``column_poly``, ``column_series``,
+``apply_poly``, ``apply_series``) share that storage.
 Fractions are made only at the boundary: the ``OpMatrix(rows, ...)``
 constructor takes them, ``column``/``entry``, ``three_term``, comparison
 witnesses and the ``mat`` property (a fresh row-major Fraction copy, read by
@@ -62,7 +64,7 @@ import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import NotInvertible, OrderExhausted, ReliabilityExhausted
+from .errors import DiagSingular, NotInvertible, OrderExhausted, ReliabilityExhausted
 from .indexfn import Poly
 from .series import TruncSeries, _append_over, _conv, _over_common_den, _reduced, _scaled, _scaled_power, as_rat
 
@@ -149,6 +151,13 @@ class OpMatrix:
         if len(vals) < nw + 1:
             raise OrderExhausted("not enough diagonal values for working order")
         return cls.banded({0: vals}, nw)
+
+    @classmethod
+    def from_polys(cls, polys: Sequence, nw: int) -> "OpMatrix":
+        """The operator sending x^n to polys[n], of degree at most n <= nw: a
+        canonical Poly padded with zeros is a canonical column."""
+        cols = [(p.den, list(p.nums) + [0] * (nw + 1 - len(p.nums))) for p in polys[: nw + 1]]
+        return cls._of(cols, nw, 0, nw)
 
     @classmethod
     def _exp_riordan(cls, rows: list, nw: int, c: int = 1) -> "OpMatrix":
@@ -387,6 +396,41 @@ class OpMatrix:
         reliable = min(other.reliable, self.reliable - other.raised, self.nw - other.raised)
         return OpMatrix._of(out, self.nw, self.raised + other.raised, reliable)
 
+    def diag_conj(self, pairs) -> "OpMatrix":
+        """W^(-1) . self . W, self possibly a `_compared` product, for the
+        diagonal W with W_{k+1}/W_k = a_k/b_k given by nw integer pairs, b_k
+        != 0, of any sign and not necessarily in lowest terms (as
+        `IndexRatio.ratios` gives a ratio rule's): the one place a diagonal
+        is inverted.  One pass, no product: with P_m = prod_{k<m} b_k and A_m =
+        prod_{m<=k<t} a_k, t the larger of n and the last nonzero row of
+        column n of self = N/d, entry (m, n) is N_m W_n/(W_m d) =
+        N_m A_m P_m/(d A_n P_n), summed over d A_n P_n and reduced once.  A
+        zero a_k raises DiagSingular(k + 1) for the zero value W_{k+1}.
+        Raise self.raised and reliable min(self.reliable, nw - self.raised),
+        as the two products diag(1/W) . self . diag(W) give them."""
+        nw = self.nw
+        pairs = list(pairs)
+        zero = next((k for k, (a, _) in enumerate(pairs) if not a), None)
+        if zero is not None:
+            raise DiagSingular(zero + 1, "cannot invert zero diagonal value")
+        prefix = [1]  # P_m
+        for _, b in pairs:
+            prefix.append(prefix[-1] * b)
+        cols = []
+        for n, (d, nums) in enumerate(self.cols):
+            rows = [m for m, x in enumerate(nums) if x]
+            top, low = max([n, *rows[-1:]]), min([n, *rows[:1]])
+            acc, run = [0] * (nw + 1), 1  # run = A_m
+            for m in range(top, low - 1, -1):
+                if nums[m]:
+                    acc[m] = nums[m] * run * prefix[m]
+                if m == n:
+                    a_n = run
+                if m > low:
+                    run *= pairs[m - 1][0]
+            cols.append(_reduced(d * a_n * prefix[n], acc))
+        return OpMatrix._of(cols, nw, self.raised, min(self.reliable, nw - self.raised))
+
     def _require_invertible(self):
         """Raise NotInvertible unless self is upper triangular with a nonzero
         diagonal: only triangular inverses occur here, and anything with
@@ -511,6 +555,11 @@ class OpMatrix:
     def column_poly(self, n: int) -> Poly:
         """The image of x^n."""
         return Poly._of(*self.cols[n])
+
+    def column_series(self, n: int, order: int) -> TruncSeries:
+        """The image of x^n read as a series through coefficient order <= nw."""
+        den, nums = self.cols[n]
+        return TruncSeries._make(den, nums[: order + 1])
 
     # -- structure probes ------------------------------------------------------
 

@@ -64,6 +64,12 @@ class Recurrence:
         b = tuple(Fraction(k + n) * self.b[k + n - 1] / n for n in range(1, len(self.b) - k + 1))
         return Recurrence(a, b)
 
+    def agrees_to(self, other: "Recurrence", cap: int) -> tuple[int, bool]:
+        """The round-trip rule for self read back from other's moments: d =
+        min(self.depth, cap), and whether a_0..a_d and b_1..b_d agree."""
+        d = min(self.depth, cap)
+        return d, self.a[: d + 1] == other.a[: d + 1] and self.b[:d] == other.b[:d]
+
     def to_json(self) -> dict:
         return {"a": [str(v) for v in self.a], "b": [str(v) for v in self.b]}
 
@@ -131,9 +137,7 @@ class OrthoFamily:
         """Operator sending x^n to p_n(x)."""
         if nw > self.size:
             raise OrderExhausted("family too short for requested working order")
-        # a canonical Poly padded with zeros is a canonical column
-        cols = [(p.den, list(p.nums) + [0] * (nw + 1 - len(p.nums))) for p in self.polys[: nw + 1]]
-        return OpMatrix._of(cols, nw, 0, nw)
+        return OpMatrix.from_polys(self.polys, nw)
 
 
 def polys_from_recurrence(rec: Recurrence, upto: int) -> OrthoFamily:
@@ -370,27 +374,22 @@ class KernelDeformation:
 
 
 def christoffel_darboux(fam: OrthoFamily, rec: Recurrence, y0, nw: int) -> KernelDeformation:
-    """Deformed family operator G . diag(p(y0)/B) (1-D)^(-1) diag(B/p(y0)),
-    with its extracted three-term data against the closed-form display; only
-    tests call it, kept for a spectral-transforms suite to reuse."""
+    """Deformed family operator G . V (1-D)^(-1) V^(-1), V = diag(p(y0)/B) for
+    B_n = norms[n]/n!, one product with the conjugate by W = V^(-1), and its
+    extracted three-term data against the closed-form display; only tests
+    call it, kept for a spectral-transforms suite to reuse."""
     y0 = as_rat(y0)
     values = []
     for n in range(nw + 3):
         if n >= len(fam.polys):
             raise OrderExhausted("family too short for kernel deformation")
         v = fam.polys[n](y0)
-        if v == 0 and n <= nw + 2:
+        if v == 0:
             raise NodeAtZeroOfP(f"p_{n}(y0) = 0")
         values.append(v)
-    b_prod = [fam.norms[n] / math.factorial(n) for n in range(nw + 1)]
-    diag = [values[n] / b_prod[n] for n in range(nw + 1)]
+    w = [values[n] * fam.norms[n + 1] / (values[n + 1] * fam.norms[n] * (n + 1)) for n in range(nw)]
     geom = OpMatrix.series_of_d(TruncSeries.from_function(lambda i: 1, nw), nw)
-    gq = (
-        fam.gop(nw)
-        @ OpMatrix.diag_op(diag, nw)
-        @ geom
-        @ OpMatrix.diag_op([1 / v for v in diag], nw)
-    )
+    gq = fam.gop(nw) @ geom.diag_conj(r.as_integer_ratio() for r in w)
     a, b, fault = conjugate(gq, OpMatrix.x_op(nw)).three_term()
     expected_a = [
         rec.a_at(n + 1) - values[n + 1] / values[n] + values[n + 2] / values[n + 1]

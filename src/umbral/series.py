@@ -157,6 +157,11 @@ class CommonDen:
             object.__setattr__(self, "_coeffs", cs)
         return cs
 
+    def strings(self) -> list:
+        """Each value as str(Fraction) writes it, by one gcd: the one exact output format."""
+        den = self.den
+        return [str(v // g) if g == den else f"{v // g}/{den // g}" for v in self.nums for g in (math.gcd(v, den),)]
+
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.den == other.den and self.nums == other.nums
 
@@ -473,7 +478,7 @@ class TruncSeries(CommonDen):
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        return {"order": self.order, "coeffs": self.strings()}
 
     @classmethod
     def from_json(cls, data: dict) -> "TruncSeries":

@@ -27,7 +27,6 @@ from umbral.families import (
     ShefferParams,
     WilsonParams,
     deformed_op,
-    diag_conj,
     jacobi_family,
     poch_over_fact,
     riccati_core,
@@ -82,7 +81,7 @@ def ultra_form(core, ratio, c):
 
 def nested_op(core, ratio, c):
     """(c+1)_theta/theta! and F_{c+theta}/F_c conjugating inner(c) in turn."""
-    return diag_conj(poch_over_fact(c), diag_conj(ratio, core.inner(c), c))
+    return core.inner(c).diag_conj(ratio.ratios(NW, c)).diag_conj(poch_over_fact(c).ratios(NW))
 
 
 def outcome(make):
@@ -161,7 +160,7 @@ def test_ultraspherical_shifted_ell_is_omega_prime_times_the_power(lam, a, b, c)
 @settings(max_examples=60, deadline=None)
 @given(shift_records(), shifts)
 def test_deformed_op_is_the_nested_conjugation(p, c):
-    """One diag_conj by W = (c+1)_theta/theta! F_{c+theta}/F_c against the
+    """One OpMatrix.diag_conj by W = (c+1)_theta/theta! F_{c+theta}/F_c against the
     nested pair, a pole of F reported alike; and, where the lowered ell is
     defined, the associated operator against theta! ell(D) theta!^(-1) over
     the nested pair."""
@@ -176,7 +175,7 @@ def test_deformed_op_is_the_nested_conjugation(p, c):
     ell = outcome(lambda: lowered_form(core, ratio, c))
     if isinstance(ell, str):
         return
-    old = diag_conj(IndexRatio(1, Poly([1, 1])), OpMatrix.series_of_d(ell, NW)) @ ref
+    old = OpMatrix.series_of_d(ell, NW).diag_conj(IndexRatio(1, Poly([1, 1])).ratios(NW)) @ ref
     assert same_storage(shifted_op(core, p, c), old)
 
 

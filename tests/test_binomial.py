@@ -13,7 +13,9 @@ from umbral.binomial import (
 )
 from umbral.errors import EvaluationDomain
 from umbral.indexfn import Poly
+from umbral.opalg import OpMatrix
 from umbral.series import TruncSeries, exp_series, t_transform
+from umbral.verify import RunConfig, run_suite
 
 
 def exp_minus_one(order):
@@ -29,8 +31,9 @@ def geometric_base(order):
 
 def test_lagrange_identity_base():
     f = TruncSeries.x(13)
-    for n in range(1, 5):
-        assert all(c.passed for c in lagrange_forms(f, n, 12))
+    checks = lagrange_forms(f, 4, 12)
+    assert [c.name for c in checks] == [f"inversion form {k}, degree {n}" for n in range(1, 5) for k in (1, 2)]
+    assert all(c.passed for c in checks)
 
 
 def test_lagrange_falling_factorials():
@@ -43,16 +46,23 @@ def test_lagrange_geometric_small():
     # (D/f(D))^2 = (1-D)^2 gives x(1-D)^2 x = x^2 - 2x
     f = geometric_base(13)
     assert all(c.passed for c in lagrange_forms(f, 2, 12))
-    from umbral.opalg import OpMatrix
-
     cf = OpMatrix.umbral_compose(f.truncate(8), 8)
     assert cf.column_poly(2) == Poly([0, -2, 1])
 
 
 def test_lagrange_many_degrees():
     for f in (exp_minus_one(13), geometric_base(13)):
-        for n in range(1, 11):
-            assert all(c.passed for c in lagrange_forms(f, n, 12))
+        checks = lagrange_forms(f, 10, 12)
+        assert len(checks) == 20 and all(c.passed for c in checks)
+
+
+def test_the_binomial_suite_builds_one_composition_operator_per_base(monkeypatch):
+    """Each base's reference C_f is built once for all ten degrees."""
+    built, real = [], OpMatrix.umbral_compose
+    monkeypatch.setattr(OpMatrix, "umbral_compose", classmethod(lambda cls, f, nw: built.append(nw) or real(f, nw)))
+    checks = run_suite("binomial", RunConfig(order=12, seed=0, samples=2))
+    assert built == [12, 12]
+    assert len(checks) == 9 and all(c.passed for c in checks)
 
 
 # ---- fractional index --------------------------------------------------------
@@ -79,8 +89,6 @@ def test_frac_index_half():
 
 def test_frac_index_matches_operator_columns():
     f = exp_minus_one(14)
-    from umbral.opalg import OpMatrix
-
     cf = OpMatrix.umbral_compose(f.truncate(12), 12)
     for s in range(1, 9):
         exp_f = frac_index_p(f, s, 10)

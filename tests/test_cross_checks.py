@@ -43,7 +43,6 @@ from umbral.families import (
     comment_generator_bands,
     conjugation_trick_checks,
     deformed_op,
-    diag_conj,
     generating_function_check,
     guarded_core,
     hahn_family,
@@ -112,7 +111,7 @@ def ref_bracket(f, order):
     """H . C2^(-1) x C2 . H^(-1) == display."""
     c2 = f["c2"]
     u = c2.inverse() @ OpMatrix.x_op(c2.nw) @ c2
-    return op_check("bracket identity", diag_conj(f["ratio"].reciprocal(), u), f["display"], order)
+    return op_check("bracket identity", u.diag_conj(f["ratio"].reciprocal().ratios(u.nw)), f["display"], order)
 
 
 def ref_square(f, order):
@@ -151,7 +150,7 @@ def ref_longdiv(f, order):
     nw = f["x_over"].nw
     ell_op, hb_op = OpMatrix.series_of_d(f["ell"], nw), OpMatrix.series_of_d(f["hb"], nw)
     lhs = ell_op.inverse() @ f["x_over"] @ ell_op @ OpMatrix.diag_op(f["ratio_vals"], nw)
-    rhs = diag_conj(f["h_ratio"].reciprocal(), hb_op.inverse() @ f["x_over"] @ hb_op)
+    rhs = (hb_op.inverse() @ f["x_over"] @ hb_op).diag_conj(f["h_ratio"].reciprocal().ratios(nw))
     return op_check("polynomial-domain form", lhs, rhs, order)
 
 
@@ -179,7 +178,7 @@ def bracket_factors(p, order):
 
 def bracket_args(f, order):
     c2 = f["c2"]
-    return "bracket identity", c2, OpMatrix.x_op(c2.nw), diag_conj(f["ratio"], f["display"]), order
+    return "bracket identity", c2, OpMatrix.x_op(c2.nw), f["display"].diag_conj(f["ratio"].ratios(c2.nw)), order
 
 
 def square_factors(p, c, order):
@@ -234,7 +233,7 @@ def hahn_factors(p, order):
     nw = order + FAMILY_MARGIN
     square = ShefferParams(p.lam, p.a, p.lam * p.a * p.a / 4)
     ultra_gop = deformed_op(guarded_core(square, order)[1], square.ratio, 0)
-    law = diag_conj(affine(p.s - 1, -1), ultra_gop)
+    law = ultra_gop.diag_conj(affine(p.s - 1, -1).ratios(nw))
     delta = (exp_series(2 * p.a, nw) - 1) / (2 * p.a)
     return {"gop": OpMatrix.umbral_compose(delta, nw) @ law, "delta": delta, "law": law}
 
@@ -263,7 +262,7 @@ def longdiv_args(f, order):
         return OpMatrix.series_of_d(1 / ell, nw)._compared(f["x_over"])._compared(OpMatrix.series_of_d(ell, nw))
 
     lhs = conj(f["ell"])._compared(OpMatrix.diag_op(f["ratio_vals"], nw))
-    return "polynomial-domain form", lhs, diag_conj(f["h_ratio"].reciprocal(), conj(f["hb"])), order
+    return "polynomial-domain form", lhs, conj(f["hb"]).diag_conj(f["h_ratio"].reciprocal().ratios(nw)), order
 
 
 def crossed(site, f, order):
@@ -1006,7 +1005,7 @@ def test_a_build_inverts_no_operator(build, products, monkeypatch):
     operator solved by back substitution, which takes the one product x gop.
     The Sheffer operator f'(D)^(-1/lam) C_f is read off psi, no product, so
     that one is all a Sheffer build makes.
-    A diagonal conjugation W^(-1) op W (`diag_conj`: the deformed operators,
+    A diagonal conjugation W^(-1) op W (`OpMatrix.diag_conj`: the deformed operators,
     the ultraspherical derivative display, Hahn's law, Wilson's bracket) is
     one pass over op's columns and makes no product, where it made two.
     The lemma takes three products once per core (x tf(D), its product with

@@ -18,7 +18,6 @@ from umbral.families import (
     ShefferParams,
     closed_form_raising,
     coeff_then_d,
-    diag_conj,
     jacobi_closed_form,
     sheffer_closed_form,
     x_times,
@@ -75,7 +74,7 @@ def test_diag_ratio_guard():
     vals = affine(-3, 1).products(NW + 1)
     assert vals[3] != 0 and vals[4] == 0
     with pytest.raises(EngineError):
-        diag_conj(affine(-3, 1), OpMatrix.identity(NW))
+        OpMatrix.identity(NW).diag_conj(affine(-3, 1).ratios(NW))
 
 
 def test_diag_rising_factorial():
@@ -481,13 +480,23 @@ def test_diag_conj_matches_the_two_products(data):
     1, as the Wilson bracket display), 2 or nw, zero columns and a short
     reliable block, over drawn ratio rules at integer and non-integer
     offsets; a zero or a pole of the ratio, and a raise past nw, raise what
-    the two products raised, message included."""
+    the two products raised, message included.  Or over an arbitrary nonzero
+    diagonal W, no ratio rule's, its ratios W_{k+1}/W_k given as pairs
+    scaled by a nonzero integer of either sign: not in lowest terms, and
+    with a negative b_k."""
     nw = data.draw(st.integers(0, 7))
     op = data.draw(op_matrices(nw))
-    ratio = data.draw(ratios)
-    offset = data.draw(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)))
-    got = outcome(lambda: diag_conj(ratio, op, offset))
-    ref = outcome(lambda: two_product_diag_conj(ratio, op, offset))
+    if data.draw(st.booleans()):
+        values = data.draw(st.lists(nonzero_wide, min_size=nw + 1, max_size=nw + 1))
+        scales = data.draw(st.lists(st.integers(-5, 5).filter(bool), min_size=nw, max_size=nw))
+        pairs = [(k * (w / v).numerator, k * (w / v).denominator) for k, v, w in zip(scales, values, values[1:])]
+        got = outcome(lambda: op.diag_conj(pairs))
+        ref = outcome(lambda: OpMatrix.diag_op([1 / v for v in values], nw) @ op @ OpMatrix.diag_op(values, nw))
+    else:
+        ratio = data.draw(ratios)
+        offset = data.draw(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)))
+        got = outcome(lambda: op.diag_conj(ratio.ratios(nw, offset)))
+        ref = outcome(lambda: two_product_diag_conj(ratio, op, offset))
     if not isinstance(ref, OpMatrix):
         assert got == ref
         return
@@ -513,7 +522,7 @@ def test_diag_conj_of_a_dense_block_with_a_zero_column(raised, offset, monkeypat
         raise AssertionError("diag_conj made an operator product")
 
     monkeypatch.setattr(OpMatrix, "_product", refuse)
-    got = diag_conj(ratio, op, offset)
+    got = op.diag_conj(ratio.ratios(NW, offset))
     assert (got.cols, got.raised, got.reliable) == (ref.cols, ref.raised, ref.reliable)
     assert (got.raised, got.reliable) == (raised, NW - 3)
     assert all(got.entry(m, n) == rows[m][n] * values[n] / values[m] for m in range(NW + 1) for n in range(NW + 1))
@@ -526,13 +535,13 @@ def test_diag_conj_rejects_a_zero_value_by_its_index(root):
     below it is reported first, as `products` reports it."""
     ratio = IndexRatio(Poly([-root, 1]), Poly([F(1, 2), 1]))
     with pytest.raises(DiagSingular) as got:
-        diag_conj(ratio, OpMatrix.identity(NW))
+        OpMatrix.identity(NW).diag_conj(ratio.ratios(NW))
     assert got.value.index == root + 1
     assert str(got.value) == f"diagonal ratio singular at index {root + 1}: cannot invert zero diagonal value"
-    assert diag_conj(IndexRatio(Poly([-NW, 1])), OpMatrix.identity(NW)).equals(OpMatrix.identity(NW))
+    assert OpMatrix.identity(NW).diag_conj(IndexRatio(Poly([-NW, 1])).ratios(NW)).equals(OpMatrix.identity(NW))
     pole = IndexRatio(Poly([-root, 1]), Poly([-(NW - 1), 1]))
     with pytest.raises(DiagSingular, match=f"at index {NW - 1}: the ratio has a pole at {NW - 1}"):
-        diag_conj(pole, OpMatrix.identity(NW))
+        OpMatrix.identity(NW).diag_conj(pole.ratios(NW))
 
 
 @settings(max_examples=150, deadline=None)
@@ -726,7 +735,7 @@ def test_series_of_l_is_the_factorial_conjugate_of_series_of_d(nw, cs, extra):
     # the route it replaced: theta! ell(D) theta!^(-1), two diagonal products
     ell = TruncSeries(cs[: nw + 1 + extra])
     op = OpMatrix.series_of_l(ell, nw)
-    ref = diag_conj(IndexRatio(1, Poly([1, 1])), OpMatrix.series_of_d(ell, nw))
+    ref = OpMatrix.series_of_d(ell, nw).diag_conj(IndexRatio(1, Poly([1, 1])).ratios(nw))
     assert (op.cols, op.raised, op.reliable) == (ref.cols, ref.raised, ref.reliable)
     assert all(op.entry(m, n) == (cs[n - m] if m <= n else 0) for m in range(nw + 1) for n in range(nw + 1))
     if nw:

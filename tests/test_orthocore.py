@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from umbral import orthocore
 from umbral.errors import DegenerateB, NodeAtZeroOfP, OrderExhausted, SingularParams
 from umbral.families import JacobiParams, ShefferParams, jacobi_closed_form, ultraspherical_closed_form
 from umbral.indexfn import IndexRatio, Poly, affine
+from umbral.opalg import OpMatrix, conjugate
 from umbral.orthocore import (
     ClosedFormRecurrence,
     assoc_one_identity_check,
@@ -239,6 +242,42 @@ def test_cd_deformation_rejects_zero_node():
     fam = polys_from_recurrence(rec, 16)
     with pytest.raises(NodeAtZeroOfP):
         christoffel_darboux(fam, rec, 1, 8)  # p_2(1) = 0
+
+
+def three_product_deformation(fam, rec, y0, nw):
+    """The route christoffel_darboux's one product replaced, G . diag(V) .
+    (1-D)^(-1) . diag(1/V) for V_n = p_n(y0)/B_n, with its three-term data
+    and the closed-form display."""
+    values = [fam.polys[n](y0) for n in range(nw + 3)]
+    diag = [values[n] / (fam.norms[n] / math.factorial(n)) for n in range(nw + 1)]
+    geom = OpMatrix.series_of_d(TruncSeries.from_function(lambda i: 1, nw), nw)
+    gq = fam.gop(nw) @ OpMatrix.diag_op(diag, nw) @ geom @ OpMatrix.diag_op([1 / v for v in diag], nw)
+    a, b, fault = conjugate(gq, OpMatrix.x_op(nw)).three_term()
+    expected_a = [rec.a_at(n + 1) - values[n + 1] / values[n] + values[n + 2] / values[n + 1] for n in range(len(a))]
+    expected_b = [values[n + 1] * values[n - 1] * rec.b_at(n) / values[n] ** 2 for n in range(1, len(b) + 1)]
+    return gq, a, b, expected_a, expected_b, fault
+
+
+@pytest.mark.parametrize("rec, y0", [
+    pytest.param(hermite_rec(16), F(2, 7), id="hermite"),
+    pytest.param(hermite_rec(16), F(-5, 3), id="hermite-negative-node"),
+    pytest.param(random_recurrence(random.Random(3), 16), F(1, 3), id="random"),
+])
+def test_cd_deformation_is_one_product(rec, y0, monkeypatch):
+    """G . V (1-D)^(-1) V^(-1) is G times the conjugate of (1-D)^(-1) by
+    V^(-1), one operator product before `conjugate` makes its own (x . gq),
+    and the KernelDeformation is the three-product route's, storage,
+    raised and reliable included."""
+    fam = polys_from_recurrence(rec, 16)
+    ref = three_product_deformation(fam, rec, y0, 8)
+    calls = []
+    product, solve = OpMatrix._product, orthocore.conjugate
+    monkeypatch.setattr(OpMatrix, "_product", lambda op, other, reduce: calls.append("product") or product(op, other, reduce))
+    monkeypatch.setattr(orthocore, "conjugate", lambda m, t: calls.append("conjugate") or solve(m, t))
+    kd = christoffel_darboux(fam, rec, y0, 8)
+    assert calls == ["product", "conjugate", "product"]
+    assert (kd.gop.cols, kd.gop.raised, kd.gop.reliable) == (ref[0].cols, ref[0].raised, ref[0].reliable)
+    assert (kd.a, kd.b, kd.expected_a, kd.expected_b, kd.fault) == ref[1:]
 
 
 # ---- numerator functional ------------------------------------------------------------

@@ -1,8 +1,8 @@
 """What bench/tracing.py reads from the engine, pinned from this side, the
 names in src/ that no code in src/ reads, the defaulted parameters no call
 sets, the errors src/ raises, that src/ reads no environment variable, that
-it has one working margin, and that one kernel assembles the exponential
-Riordan arrays.
+it has one working margin, that one kernel assembles the exponential
+Riordan arrays, and that only opalg reads operator column storage.
 
 The tracer wraps the engine from outside src/: it looks up the methods in
 its METHODS table by name, and its bit-height, product-count and repeat-key
@@ -145,6 +145,25 @@ def test_one_exponential_riordan_assembler(monkeypatch):
         body = list(ast.walk(methods[name]))
         assert not [n for n in body if isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Mult)], name
         assert not [n for n in body if isinstance(n, ast.Attribute) and n.attr == "_of"], name
+
+
+def storage_reads(path: Path) -> list:
+    """Where the module reads an attribute named `cols` or names OpMatrix._of."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and (
+            node.attr == "cols" or (node.attr == "_of" and isinstance(node.value, ast.Name) and node.value.id == "OpMatrix")
+        )
+    ]
+
+
+def test_only_opalg_reads_operator_columns():
+    # the column format, and the rule that a `_compared` product's columns
+    # may be non-canonical, are opalg's alone: every other module goes
+    # through OpMatrix methods, so a change of storage touches one module
+    assert storage_reads(SRC / "opalg.py")
+    assert [where for path in SRC.glob("*.py") if path.name != "opalg.py" for where in storage_reads(path)] == []
 
 
 # Functions and methods of src/ that no code in src/ reads, each with the
